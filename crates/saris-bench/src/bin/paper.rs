@@ -1,0 +1,624 @@
+//! Regenerates the paper's evaluation, one subcommand per artifact:
+//!
+//! ```text
+//! paper <table1|listing1|fig3a|fig3b|fig4|fig5|table2|all>
+//! paper <ablation-unroll|ablation-coeff-strategy|ablation-arch>
+//! paper calibration [--out PATH]
+//! ```
+//!
+//! Every figure has one printer over the shared `&[CodeResult]`
+//! evaluation; `all` evaluates the gallery once and calls them in paper
+//! order. Kernels are verified against the golden reference executor
+//! before any number is reported (tolerance 1e-9; bit-exact with the
+//! reassociation pass disabled).
+
+use std::sync::Arc;
+
+use saris_bench::{
+    evaluate_all_in, geomean, paper_tile, paper_workload, power_of, scaleout_of_in, CodeResult,
+    PAPER_SEED,
+};
+use saris_codegen::{CodegenError, RunOptions, Session, Tune, Variant, Workload, WorkloadSpec};
+use saris_core::method::CoeffStrategy;
+use saris_core::{gallery, Extent, Offset, Space, Stencil, StencilBuilder};
+use saris_energy::efficiency_gain;
+use saris_isa::analysis::{InstrClass, InstrMix};
+use saris_scaleout::{reference_entries, MachineModel};
+
+const SUBCOMMANDS: [&str; 12] = [
+    "table1",
+    "listing1",
+    "fig3a",
+    "fig3b",
+    "fig4",
+    "fig5",
+    "table2",
+    "all",
+    "ablation-unroll",
+    "ablation-coeff-strategy",
+    "ablation-arch",
+    "calibration",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: paper <subcommand>\n  subcommands: {}\n  `calibration` also takes `--out PATH`",
+        SUBCOMMANDS.join(", ")
+    );
+    std::process::exit(2);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let session = Session::new();
+    match args[..] {
+        ["table1"] => table1(),
+        ["listing1"] => listing1(&session),
+        ["fig3a"] => fig3a(&evaluate_all_in(&session)),
+        ["fig3b"] => fig3b(&evaluate_all_in(&session)),
+        ["fig4"] => fig4(&evaluate_all_in(&session)),
+        ["fig5"] => fig5(&session, &evaluate_all_in(&session)),
+        ["table2"] => table2(&session, &evaluate_all_in(&session)),
+        ["all"] => all(&session),
+        ["ablation-unroll"] => ablation_unroll(&session),
+        ["ablation-coeff-strategy"] => ablation_coeff_strategy(&session),
+        ["ablation-arch"] => ablation_arch(&session),
+        ["calibration"] => calibration(&session, None),
+        ["calibration", "--out", path] => calibration(&session, Some(path)),
+        _ => usage(),
+    }
+}
+
+/// Every table and figure from one evaluation pass, in paper order.
+fn all(session: &Session) {
+    let results = evaluate_all_in(session);
+    table1();
+    println!();
+    listing1(session);
+    println!();
+    fig3a(&results);
+    println!();
+    fig3b(&results);
+    println!();
+    fig4(&results);
+    println!();
+    fig5(session, &results);
+    println!();
+    table2(session, &results);
+    let stats = session.stats();
+    println!(
+        "\n(engine: {} runs [{} analytic / {} cycles / {} golden], {} kernels compiled, \
+         {} cache hits, {} cluster reuses)",
+        stats.runs,
+        stats.runs_analytic,
+        stats.runs_cycles,
+        stats.runs_golden,
+        stats.compiles,
+        stats.cache_hits,
+        stats.clusters_reused
+    );
+}
+
+/// Table 1: implemented stencil codes and their per-point
+/// characteristics, sorted by FLOPs per grid point.
+fn table1() {
+    println!("Table 1: implemented stencil codes (per grid point)");
+    println!(
+        "{:<12} {:>5} {:>5} {:>7} {:>8} {:>7}",
+        "Code", "Dims", "Rad.", "#Loads", "#Coeffs", "#FLOPs"
+    );
+    for s in gallery::all() {
+        let st = s.stats();
+        println!(
+            "{:<12} {:>5} {:>5} {:>7} {:>8} {:>7}",
+            s.name(),
+            st.space.to_string(),
+            st.radius,
+            st.loads,
+            st.coeffs,
+            st.flops
+        );
+    }
+    // Paper check: the table must match the publication exactly.
+    let expect: [(&str, u32, usize, usize, u64); 10] = [
+        ("jacobi_2d", 1, 5, 1, 5),
+        ("j2d5pt", 1, 5, 6, 10),
+        ("box2d1r", 1, 9, 9, 17),
+        ("j2d9pt", 2, 9, 10, 18),
+        ("j2d9pt_gol", 1, 9, 10, 18),
+        ("star2d3r", 3, 13, 13, 25),
+        ("star3d2r", 2, 13, 13, 25),
+        ("ac_iso_cd", 4, 26, 13, 38),
+        ("box3d1r", 1, 27, 27, 53),
+        ("j3d27pt", 1, 27, 28, 54),
+    ];
+    for (s, (name, rad, loads, coeffs, flops)) in gallery::all().iter().zip(expect) {
+        let st = s.stats();
+        assert_eq!(s.name(), name);
+        assert_eq!(
+            (st.radius, st.loads, st.coeffs, st.flops),
+            (rad, loads, coeffs, flops),
+            "{name} deviates from the paper"
+        );
+    }
+    println!("\nall rows match the paper exactly");
+}
+
+/// The paper's running example: the symmetric 7-point star
+/// (`out = c0*c + cx*(x-+x+) + cy*(y-+y+) + cz*(z-+z+)`).
+fn seven_point_star() -> Stencil {
+    let mut b = StencilBuilder::new("star3d1r_sym", Space::Dim3);
+    let inp = b.input("inp");
+    b.output("out");
+    let c0 = b.coeff("c0", 0.4);
+    let center = b.tap(inp, Offset::CENTER);
+    let mut acc = b.mul(c0, center);
+    for (name, mk) in [
+        ("cx", Offset::d3(1, 0, 0)),
+        ("cy", Offset::d3(0, 1, 0)),
+        ("cz", Offset::d3(0, 0, 1)),
+    ] {
+        let c = b.coeff(name, 0.1);
+        let neg = b.tap(inp, mk.negated());
+        let pos = b.tap(inp, mk);
+        let pair = b.add(neg, pos);
+        acc = b.fma(c, pair, acc);
+    }
+    b.store(acc);
+    b.finish().expect("7-point star is valid")
+}
+
+fn mix_of(session: &Session, variant: Variant, stencil: &Stencil) -> InstrMix {
+    let tile = Extent::cube(Space::Dim3, 16);
+    // Unroll 1, no reassociation: the paper's illustrative, unoptimized
+    // point loops.
+    let opts = RunOptions::new(variant).with_unroll(1).with_reassociate(0);
+    let (kernel, _) = session
+        .compile_cached(stencil, tile, &opts)
+        .expect("compiles");
+    let core0 = &kernel.cores[0];
+    let range = core0.point_loop.clone().expect("core 0 has a point loop");
+    let mut instrs: Vec<saris_isa::Instr> = core0.program.instrs()[range].to_vec();
+    if variant == Variant::Saris {
+        // The per-window FP block lives in the FREP body ahead of the
+        // launch loop; the paper's Listing 1d counts both (its SRIR loop
+        // contains the compute). One body execution per window.
+        let prog = core0.program.instrs();
+        let frep_at = prog
+            .iter()
+            .position(|i| matches!(i, saris_isa::Instr::Frep { .. }))
+            .expect("saris kernel uses frep");
+        if let saris_isa::Instr::Frep { n_instrs, .. } = &prog[frep_at] {
+            instrs.extend_from_slice(&prog[frep_at + 1..frep_at + 1 + *n_instrs as usize]);
+        }
+    }
+    InstrMix::of(&instrs)
+}
+
+fn report_mix(label: &str, mix: &InstrMix, paper_compute: f64) {
+    println!("{label}:");
+    println!("  {mix}");
+    println!(
+        "  useful compute {:.0}% (paper: {:.0}%), memory+address {:.0}%",
+        100.0 * mix.useful_compute_fraction(),
+        100.0 * paper_compute,
+        100.0 * mix.memory_overhead_fraction()
+    );
+}
+
+/// Section 2.1 instruction-mix analysis (Listing 1): the baseline
+/// 7-point-star point loop spends 35 % of its instructions on useful
+/// compute and 60 % on memory accesses and address calculation; SARIS
+/// raises the useful-compute ratio to 58 %.
+fn listing1(session: &Session) {
+    let stencil = seven_point_star();
+    println!("Listing 1 point-loop instruction mix (symmetric 7-point star)\n");
+    let base = mix_of(session, Variant::Base, &stencil);
+    report_mix("base (Listing 1b)", &base, 0.35);
+    println!();
+    let saris = mix_of(session, Variant::Saris, &stencil);
+    report_mix("saris (Listing 1d launch loop)", &saris, 0.58);
+    println!();
+    println!(
+        "SARIS point-loop: stream launch instructions = {} (paper: SRIR is 3 instructions)",
+        saris.count(InstrClass::Stream)
+    );
+    assert_eq!(
+        base.total(),
+        20,
+        "paper counts 20 baseline loop instructions"
+    );
+    assert!((base.useful_compute_fraction() - 0.35).abs() < 0.01);
+    assert!(base.memory_overhead_fraction() >= 0.55);
+    println!("\nbaseline matches the paper's 20-instruction loop with 35% compute");
+}
+
+/// Figure 3a: execution speedup of `saris` over `base` variants on one
+/// eight-core cluster.
+fn fig3a(results: &[CodeResult]) {
+    println!("Figure 3a: SARIS speedup over base (single cluster)\n");
+    println!(
+        "{:<12} {:>10} {:>5} {:>10} {:>5} {:>8}",
+        "code", "base cyc", "u", "saris cyc", "u", "speedup"
+    );
+    for r in results {
+        println!(
+            "{:<12} {:>10} {:>5} {:>10} {:>5} {:>8.2}",
+            r.name(),
+            r.base.expect_report().cycles,
+            r.base.unroll().unwrap_or(0),
+            r.saris.expect_report().cycles,
+            r.saris.unroll().unwrap_or(0),
+            r.speedup()
+        );
+    }
+    let speedups: Vec<f64> = results.iter().map(CodeResult::speedup).collect();
+    let lo = speedups.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = speedups.iter().copied().fold(0.0f64, f64::max);
+    println!(
+        "\ngeomean speedup {:.2}x (paper: 2.72x), range {:.2}-{:.2}x (paper: 2.36-3.87x)",
+        geomean(speedups.iter().copied()),
+        lo,
+        hi
+    );
+}
+
+/// Figure 3b: FPU utilization and per-core IPC for both code variants on
+/// one cluster.
+fn fig3b(results: &[CodeResult]) {
+    println!("Figure 3b: FPU utilization and IPC per variant\n");
+    println!(
+        "{:<12} {:>10} {:>9} | {:>10} {:>9}",
+        "code", "base util", "base IPC", "saris util", "saris IPC"
+    );
+    for r in results {
+        println!(
+            "{:<12} {:>10.3} {:>9.2} | {:>10.3} {:>9.2}",
+            r.name(),
+            r.base.expect_report().fpu_util(),
+            r.base.expect_report().ipc(),
+            r.saris.expect_report().fpu_util(),
+            r.saris.expect_report().ipc()
+        );
+    }
+    let bu = geomean(results.iter().map(|r| r.base.expect_report().fpu_util()));
+    let su = geomean(results.iter().map(|r| r.saris.expect_report().fpu_util()));
+    let bi = geomean(results.iter().map(|r| r.base.expect_report().ipc()));
+    let si = geomean(results.iter().map(|r| r.saris.expect_report().ipc()));
+    println!("\ngeomean FPU util: base {bu:.2} (paper 0.35), saris {su:.2} (paper 0.81)");
+    println!("geomean IPC:      base {bi:.2} (paper 0.89), saris {si:.2} (paper 1.11)");
+    let min_saris_util = results
+        .iter()
+        .map(|r| r.saris.expect_report().fpu_util())
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "minimum saris FPU util {min_saris_util:.2} (paper: never below 0.70, ac_iso_cd lowest)"
+    );
+}
+
+/// Figure 4: cluster power consumption for both variants and the SARIS
+/// energy-efficiency gain.
+fn fig4(results: &[CodeResult]) {
+    println!("Figure 4: cluster power and energy-efficiency gain\n");
+    println!(
+        "{:<12} {:>10} {:>11} {:>10}",
+        "code", "base (mW)", "saris (mW)", "eff. gain"
+    );
+    let mut base_w = Vec::new();
+    let mut saris_w = Vec::new();
+    let mut gains = Vec::new();
+    for r in results {
+        let (pb, ps) = power_of(r);
+        let gain = efficiency_gain(&pb, &ps);
+        println!(
+            "{:<12} {:>10.0} {:>11.0} {:>10.2}",
+            r.name(),
+            1e3 * pb.total_watts(),
+            1e3 * ps.total_watts(),
+            gain
+        );
+        base_w.push(pb.total_watts());
+        saris_w.push(ps.total_watts());
+        gains.push(gain);
+    }
+    println!(
+        "\ngeomean power: base {:.0} mW (paper 227 mW), saris {:.0} mW (paper 390 mW)",
+        1e3 * geomean(base_w.iter().copied()),
+        1e3 * geomean(saris_w.iter().copied())
+    );
+    let lo = gains.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = gains.iter().copied().fold(0.0f64, f64::max);
+    println!(
+        "geomean efficiency gain {:.2}x (paper 1.58x), range {lo:.2}-{hi:.2}x (paper 1.27-2.17x)",
+        geomean(gains.iter().copied())
+    );
+}
+
+/// Figure 5: estimated FPU utilizations and SARIS speedups on the
+/// Manticore-256s scaleout, with compute-to-memory time ratios for
+/// memory-bound codes.
+fn fig5(session: &Session, results: &[CodeResult]) {
+    println!("Figure 5: Manticore-256s scaleout estimate\n");
+    println!(
+        "{:<12} {:>10} {:>11} {:>8} {:>7} {:>9} {:>8}",
+        "code", "base util", "saris util", "speedup", "CMTR", "bound", "GFLOP/s"
+    );
+    let machine = MachineModel::manticore_256s();
+    let mut base_utils = Vec::new();
+    let mut saris_utils = Vec::new();
+    let mut speedups = Vec::new();
+    let mut mem_bound_speedups = Vec::new();
+    let mut best_gflops = 0.0f64;
+    for r in results {
+        let (sb, ss) = scaleout_of_in(session, r);
+        let speedup = sb.total_cycles / ss.total_cycles;
+        println!(
+            "{:<12} {:>10.3} {:>11.3} {:>8.2} {:>6.0}% {:>9} {:>8.0}",
+            r.name(),
+            sb.fpu_util,
+            ss.fpu_util,
+            speedup,
+            100.0 * ss.cmtr.min(9.99),
+            if ss.memory_bound { "memory" } else { "compute" },
+            ss.gflops
+        );
+        base_utils.push(sb.fpu_util);
+        saris_utils.push(ss.fpu_util);
+        speedups.push(speedup);
+        if ss.memory_bound {
+            mem_bound_speedups.push(speedup);
+        }
+        best_gflops = best_gflops.max(ss.gflops);
+    }
+    println!(
+        "\ngeomean FPU util: base {:.2} (paper 0.35), saris {:.2} (paper 0.64)",
+        geomean(base_utils.iter().copied()),
+        geomean(saris_utils.iter().copied())
+    );
+    println!(
+        "geomean speedup {:.2}x (paper 2.14x); memory-bound geomean {:.2}x (paper 1.78x)",
+        geomean(speedups.iter().copied()),
+        geomean(mem_bound_speedups.iter().copied())
+    );
+    println!(
+        "peak performance {best_gflops:.0} GFLOP/s of {:.0} (paper: 406 GFLOP/s)",
+        machine.peak_gflops()
+    );
+}
+
+/// Table 2: the highest fraction of peak compute achieved by published
+/// stencil approaches versus SARIS on our Manticore-256s model.
+/// Reference rows are literature constants quoted from the paper; only
+/// the SARIS row is measured by this reproduction.
+fn table2(session: &Session, results: &[CodeResult]) {
+    println!("Table 2: highest fraction of peak compute\n");
+    println!(
+        "{:<16} {:<4} {:<22} {:<8} {:>6}",
+        "Work", "", "Platform", "Prec.", "% Pk."
+    );
+    for row in reference_entries() {
+        println!("{row}");
+    }
+    let machine = MachineModel::manticore_256s();
+    let mut best = 0.0f64;
+    let mut best_code = "";
+    for r in results {
+        let (_, ss) = scaleout_of_in(session, r);
+        let frac = ss.fraction_of_peak(&machine);
+        if frac > best {
+            best = frac;
+            best_code = r.name();
+        }
+    }
+    println!(
+        "{:<16} {:<4} {:<22} {:<8} {:>4.0}%   <- this reproduction ({best_code})",
+        "SARIS (ours)",
+        "",
+        "Manticore-256s",
+        "FP64",
+        100.0 * best
+    );
+    println!(
+        "\npaper: 79% (15% above AN5D's 69%); measured-vs-AN5D delta: {:+.0}%",
+        100.0 * (best - saris_scaleout::table2::AN5D_FRACTION)
+    );
+}
+
+/// Ablation: unroll factor ("up to four-fold iff beneficial"). Prints the
+/// cycle count of every feasible unroll for both variants — the data
+/// behind the tuner's choices and the paper's register-pressure story
+/// (large unrolls stop being generatable for wide stencils).
+///
+/// The whole sweep is one [`Session::submit_all`] fan-out: 60 fixed
+/// specs (10 codes x 2 variants x 3 unrolls) across pooled clusters,
+/// each code's stencil IR shared behind one `Arc`.
+fn ablation_unroll(session: &Session) {
+    println!("Ablation: unroll factor (cycles; '-' = register file refuses)\n");
+    println!(
+        "{:<12} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
+        "code", "base u1", "base u2", "base u4", "saris u1", "saris u2", "saris u4"
+    );
+    let codes: Vec<Arc<_>> = gallery::all().into_iter().map(Arc::new).collect();
+    let mut specs: Vec<WorkloadSpec> = Vec::new();
+    for s in &codes {
+        for variant in [Variant::Base, Variant::Saris] {
+            for unroll in [1, 2, 4] {
+                specs.push(
+                    Workload::new(Arc::clone(s))
+                        .extent(paper_tile(s))
+                        .input_seed(PAPER_SEED)
+                        .variant(variant)
+                        .unroll(unroll)
+                        .freeze()
+                        .expect("valid workload"),
+                );
+            }
+        }
+    }
+    let mut results = session.submit_all(&specs).into_iter();
+    for s in &codes {
+        let cells: Vec<String> = (0..6)
+            .map(|slot| match results.next().expect("one result per spec") {
+                Ok(run) => run.expect_report().cycles.to_string(),
+                Err(
+                    CodegenError::RegisterPressure { .. } | CodegenError::FrepBodyTooLarge { .. },
+                ) => "-".to_string(),
+                Err(e) => panic!("{} spec {slot}: {e}", s.name()),
+            })
+            .collect();
+        println!(
+            "{:<12} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
+            s.name(),
+            cells[0],
+            cells[1],
+            cells[2],
+            cells[3],
+            cells[4],
+            cells[5]
+        );
+    }
+    let stats = session.stats();
+    println!(
+        "\n({} runs, {} kernels compiled, {} cluster reuses)",
+        stats.runs, stats.compiles, stats.clusters_reused
+    );
+}
+
+/// Ablation: how register-exhausting coefficients are handled in SARIS
+/// kernels. `hybrid` keeps what fits in registers and reloads the excess
+/// with static `fld`s inside the FREP body (default); `stream-sr1` is the
+/// literal reading of the paper's step 3 — all taps on SR0, the whole
+/// coefficient sequence on an affine SR1 — which oversubscribes the
+/// single SR0 port for 27-tap codes.
+fn ablation_coeff_strategy(session: &Session) {
+    println!("Ablation: coefficient strategy for register-bound codes\n");
+    println!(
+        "{:<10} {:<12} {:>8} {:>8} {:>10} {:>12}",
+        "code", "strategy", "unroll", "cycles", "FPU util", "SR0 accesses"
+    );
+    for name in ["star2d3r", "ac_iso_cd", "box3d1r", "j3d27pt"] {
+        let s = Arc::new(gallery::by_name(name).unwrap());
+        for (label, strategy, budget) in [
+            ("hybrid", CoeffStrategy::Hybrid, 24),
+            ("stream-sr1", CoeffStrategy::StreamSr1, 20),
+        ] {
+            let mut opts = RunOptions::new(Variant::Saris);
+            opts.saris.coeff_strategy = strategy;
+            opts.saris.coeff_reg_budget = budget;
+            // The tuner measures every unroll and keeps the fastest
+            // feasible one — infeasible widths are skipped.
+            let spec = Workload::new(Arc::clone(&s))
+                .extent(paper_tile(&s))
+                .input_seed(PAPER_SEED)
+                .options(opts)
+                .tune(Tune::Auto)
+                .freeze()
+                .expect("valid workload");
+            let run = session
+                .submit(&spec)
+                .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
+            let report = run.expect_report();
+            let sr0: u64 = report
+                .cores
+                .iter()
+                .map(|c| c.streamers[0].elems + c.streamers[0].idx_fetches)
+                .sum();
+            println!(
+                "{:<10} {:<12} {:>8} {:>8} {:>10.3} {:>12}",
+                name,
+                label,
+                run.unroll().unwrap_or(0),
+                report.cycles,
+                report.fpu_util(),
+                sr0
+            );
+        }
+    }
+    println!("\nstream-sr1 funnels every tap through SR0 (plus index refetches),");
+    println!("capping utilization; hybrid keeps paired tap streaming on both SRs.");
+}
+
+fn run_with(session: &Session, stencil: &Arc<Stencil>, opts: RunOptions) -> (u64, f64, u64) {
+    let spec = Workload::new(Arc::clone(stencil))
+        .extent(paper_tile(stencil))
+        .input_seed(PAPER_SEED)
+        .options(opts)
+        .freeze()
+        .expect("valid workload");
+    let run = session.submit(&spec).expect("runs");
+    let report = run.expect_report();
+    (report.cycles, report.fpu_util(), report.tcdm_conflicts)
+}
+
+/// Ablation: architectural knobs of the simulated cluster — TCDM bank
+/// count, stream FIFO depth, launch-queue depth — and the reassociation
+/// pass, all on the jacobi_2d SARIS kernel.
+fn ablation_arch(session: &Session) {
+    println!("Ablation: cluster architecture knobs (jacobi_2d, saris u4)\n");
+    let stencil = Arc::new(gallery::jacobi_2d());
+
+    println!("TCDM banks (paper platform: 32):");
+    for banks in [8, 16, 32, 64] {
+        let mut opts = RunOptions::new(Variant::Saris).with_unroll(4);
+        opts.cluster.tcdm_banks = banks;
+        let (cycles, util, conflicts) = run_with(session, &stencil, opts);
+        println!(
+            "  {banks:>3} banks: {cycles:>6} cycles, util {util:.3}, {conflicts:>6} conflicts"
+        );
+    }
+
+    println!("\nstream data-FIFO depth (default 4):");
+    for depth in [1, 2, 4, 8] {
+        let mut opts = RunOptions::new(Variant::Saris).with_unroll(4);
+        opts.cluster.stream_fifo_depth = depth;
+        let (cycles, util, _) = run_with(session, &stencil, opts);
+        println!("  depth {depth}: {cycles:>6} cycles, util {util:.3}");
+    }
+
+    println!("\nlaunch-queue depth (launch run-ahead, default 2):");
+    for depth in [1, 2, 4] {
+        let mut opts = RunOptions::new(Variant::Saris).with_unroll(4);
+        opts.cluster.launch_queue_depth = depth;
+        let (cycles, util, _) = run_with(session, &stencil, opts);
+        println!("  depth {depth}: {cycles:>6} cycles, util {util:.3}");
+    }
+
+    println!("\nreassociation accumulators (default 2; 0 disables):");
+    for acc in [0, 2, 3, 4] {
+        for (variant, label) in [(Variant::Base, "base"), (Variant::Saris, "saris")] {
+            let u = if variant == Variant::Base { 4 } else { 2 };
+            let opts = RunOptions::new(variant)
+                .with_unroll(u)
+                .with_reassociate(acc);
+            let (cycles, util, _) = run_with(session, &stencil, opts);
+            println!("  acc {acc} {label:<5} u{u}: {cycles:>6} cycles, util {util:.3}");
+        }
+    }
+}
+
+/// Re-measures the gallery calibration (tuned paper workloads on the
+/// cycle tier — the session's feedback loop records each measurement in
+/// its store) and emits the store as JSON, to stdout or `out`: the
+/// regeneration path for the baked seed in
+/// `saris-codegen/src/calibration/gallery.json`.
+fn calibration(session: &Session, out: Option<&str>) {
+    for name in gallery::NAMES {
+        let stencil = Arc::new(gallery::by_name(name).expect("gallery code"));
+        for variant in [Variant::Base, Variant::Saris] {
+            session
+                .submit(&paper_workload(&stencil, variant))
+                .expect("calibration run");
+        }
+    }
+    let store = session
+        .calibration()
+        .expect("standard registry has a store");
+    match out {
+        None => println!("{}", store.to_json()),
+        Some(path) => {
+            std::fs::write(path, store.to_json()).expect("write calibration export");
+            println!("wrote {} calibration entries to {path}", store.len());
+        }
+    }
+}

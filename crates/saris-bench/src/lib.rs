@@ -1,24 +1,28 @@
 //! # saris-bench — the paper-artifact regeneration harness
 //!
-//! One binary per table and figure of the paper's evaluation:
+//! The `paper` binary regenerates the paper's evaluation, one
+//! subcommand per table and figure:
 //!
-//! | Binary     | Artifact | Regenerates |
-//! |------------|----------|-------------|
-//! | `table1`   | Table 1  | per-code characteristics |
-//! | `listing1` | Sec. 2.1 | point-loop instruction mixes (35% vs 58%) |
-//! | `fig3a`    | Fig. 3a  | single-cluster SARIS speedups |
-//! | `fig3b`    | Fig. 3b  | FPU utilization and IPC per variant |
-//! | `fig4`     | Fig. 4   | cluster power and energy-efficiency gain |
-//! | `fig5`     | Fig. 5   | Manticore-256s scaleout estimates |
-//! | `table2`   | Table 2  | % of peak vs published approaches |
-//! | `all`      | —        | everything, as an EXPERIMENTS.md fragment |
+//! | `paper <sub>` | Artifact | Regenerates |
+//! |---------------|----------|-------------|
+//! | `table1`      | Table 1  | per-code characteristics |
+//! | `listing1`    | Sec. 2.1 | point-loop instruction mixes (35% vs 58%) |
+//! | `fig3a`       | Fig. 3a  | single-cluster SARIS speedups |
+//! | `fig3b`       | Fig. 3b  | FPU utilization and IPC per variant |
+//! | `fig4`        | Fig. 4   | cluster power and energy-efficiency gain |
+//! | `fig5`        | Fig. 5   | Manticore-256s scaleout estimates |
+//! | `table2`      | Table 2  | % of peak vs published approaches |
+//! | `all`         | —        | all of the above from one evaluation pass |
 //!
-//! Ablation binaries (`ablation_*`) sweep the design choices DESIGN.md
+//! The `ablation-*` subcommands sweep the design choices DESIGN.md
 //! calls out: unroll factor, coefficient strategy, reassociation depth,
-//! TCDM bank count, and stream FIFO depth.
+//! TCDM bank count, and stream FIFO depth. `calibration` re-measures the
+//! analytic tier's baked gallery seed. `verify_kernels` is the separate
+//! static-verification CI gate. Timing lives in `benchmark/`, which
+//! reads the same numbers through this library.
 //!
-//! The library part holds the shared evaluation pipeline so every binary
-//! reports from identical runs. Everything is phrased as
+//! The library part holds the shared evaluation pipeline so every
+//! subcommand reports from identical runs. Everything is phrased as
 //! [`WorkloadSpec`]s answered by one [`Session`]: the full gallery sweep
 //! is a single [`Session::submit_all`] fan-out of tuned, verified specs
 //! (one `Arc`-shared stencil per code), each `(code, variant, unroll)`
@@ -33,7 +37,6 @@ use saris_codegen::{Fidelity, Outcome, Session, Tune, Variant, Workload, Workloa
 use saris_core::{gallery, Extent, Grid, Space, Stencil};
 use saris_energy::{EnergyModel, PowerReport};
 use saris_scaleout::{estimate, ClusterMeasurement, MachineModel, ScaleoutEstimate};
-use saris_serve::Server;
 
 /// The base input seed every paper workload derives its grids from
 /// (input array `i` is seeded with `PAPER_SEED + i`).
@@ -96,27 +99,6 @@ pub fn paper_estimate_workload(stencil: &Arc<Stencil>, variant: Variant) -> Work
         .fidelity(Fidelity::Analytic)
         .freeze()
         .expect("paper estimate workloads are valid")
-}
-
-/// The adaptive sibling of [`paper_workload`]: the same code, tile and
-/// tuning as a [`Fidelity::Auto`] request at `accuracy_budget`, with
-/// `seed` offsetting the inputs (distinct seeds make distinct specs that
-/// share one calibration key — exactly what exercises the
-/// learn-then-answer loop instead of the response cache).
-pub fn adaptive_workload(
-    stencil: &Arc<Stencil>,
-    variant: Variant,
-    seed: u64,
-    accuracy_budget: f64,
-) -> WorkloadSpec {
-    Workload::new(Arc::clone(stencil))
-        .extent(paper_tile(stencil))
-        .input_seed(PAPER_SEED + seed)
-        .variant(variant)
-        .tune(Tune::Auto)
-        .fidelity(Fidelity::Auto { accuracy_budget })
-        .freeze()
-        .expect("adaptive workloads are valid")
 }
 
 /// A deterministic family of `n` stencils that are *not* in the gallery
@@ -224,15 +206,6 @@ pub fn evaluate_code_in(session: &Session, stencil: &Stencil) -> CodeResult {
     }
 }
 
-/// [`evaluate_code_in`] on a throwaway session.
-///
-/// # Panics
-///
-/// As [`evaluate_code_in`].
-pub fn evaluate_code(stencil: &Stencil) -> CodeResult {
-    evaluate_code_in(&Session::new(), stencil)
-}
-
 /// Evaluates all ten gallery codes in Table 1 order through one session:
 /// one tuned, verified [`WorkloadSpec`] per `(code, variant)` — sharing
 /// each stencil IR behind one `Arc` — fanned out across worker threads
@@ -262,57 +235,6 @@ pub fn evaluate_all_in(session: &Session) -> Vec<CodeResult> {
                     .next()
                     .expect("one outcome per spec")
                     .unwrap_or_else(|e| panic!("{} {variant}: {e}", stencil.name()))
-            };
-            let base = next(Variant::Base);
-            let saris = next(Variant::Saris);
-            CodeResult {
-                tile: paper_tile(&stencil),
-                stencil,
-                base,
-                saris,
-            }
-        })
-        .collect()
-}
-
-/// [`evaluate_all_in`] on a throwaway session.
-///
-/// # Panics
-///
-/// As [`evaluate_all_in`].
-pub fn evaluate_all() -> Vec<CodeResult> {
-    evaluate_all_in(&Session::new())
-}
-
-/// [`evaluate_all_in`] through the serving layer: the same twenty
-/// tuned, verified paper specs submitted to a [`Server`], so repeated
-/// invocations (and the probe workloads of [`scaleout_of_served`])
-/// answer from the response cache instead of re-simulating.
-///
-/// # Panics
-///
-/// Panics if any code fails to compile, run, or verify.
-pub fn evaluate_all_served(server: &Server) -> Vec<CodeResult> {
-    let codes: Vec<Arc<Stencil>> = gallery::all().into_iter().map(Arc::new).collect();
-    let specs: Vec<WorkloadSpec> = codes
-        .iter()
-        .flat_map(|s| {
-            [
-                paper_workload(s, Variant::Base),
-                paper_workload(s, Variant::Saris),
-            ]
-        })
-        .collect();
-    let mut outcomes = server.submit_all(&specs).into_iter();
-    codes
-        .into_iter()
-        .map(|stencil| {
-            let mut next = |variant: Variant| {
-                let outcome = outcomes
-                    .next()
-                    .expect("one outcome per spec")
-                    .unwrap_or_else(|e| panic!("{} {variant}: {e}", stencil.name()));
-                (*outcome).clone()
             };
             let base = next(Variant::Base);
             let saris = next(Variant::Saris);
@@ -395,37 +317,6 @@ pub fn scaleout_of_in(
         scaleout_from(result, &result.base, dma_util),
         scaleout_from(result, &result.saris, dma_util),
     )
-}
-
-/// [`scaleout_of_in`] through the serving layer: the probe workload
-/// goes through the server's response cache, so a ten-code report pays
-/// for one probe simulation per distinct tile shape instead of ten.
-pub fn scaleout_of_served(
-    server: &Server,
-    result: &CodeResult,
-) -> (ScaleoutEstimate, ScaleoutEstimate) {
-    let probe = Workload::dma_probe(result.tile)
-        .freeze()
-        .expect("probe workloads are valid");
-    let dma_util = server
-        .submit(&probe)
-        .expect("dma measurement")
-        .dma_utilization
-        .expect("probes measure utilization");
-    (
-        scaleout_from(result, &result.base, dma_util),
-        scaleout_from(result, &result.saris, dma_util),
-    )
-}
-
-/// [`scaleout_of_in`] on a throwaway session.
-pub fn scaleout_of(result: &CodeResult) -> (ScaleoutEstimate, ScaleoutEstimate) {
-    scaleout_of_in(&Session::new(), result)
-}
-
-/// Renders a markdown table row.
-pub fn md_row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 #[cfg(test)]

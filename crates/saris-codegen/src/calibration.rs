@@ -22,8 +22,8 @@
 //! * the store serializes to and from JSON ([`CalibrationStore::to_json`]
 //!   / [`CalibrationStore::from_json`]) with bit-exact round-tripping of
 //!   every rate, so a warmed store can be exported from one server and
-//!   imported into the next (`serve_throughput --export-calibration` /
-//!   `--import-calibration`);
+//!   imported into the next (`paper calibration --out PATH` in
+//!   `saris-bench` writes one);
 //! * the built-in gallery table — the paper's twenty tuned `(code,
 //!   variant)` measurements — ships as a baked JSON seed
 //!   ([`CalibrationStore::with_gallery`]) in the same format an export
@@ -88,7 +88,7 @@ pub const OBSERVED_CONFIDENCE: f64 = 1.0;
 pub const OFF_EXTENT_CONFIDENCE: f64 = 0.5;
 
 /// The baked-in gallery seed (see [`CalibrationStore::with_gallery`]),
-/// regenerable with `serve_throughput --export-calibration` after
+/// regenerable with `paper calibration --out PATH` (`saris-bench`) after
 /// simulator changes that move cycle counts.
 const GALLERY_JSON: &str = include_str!("calibration/gallery.json");
 

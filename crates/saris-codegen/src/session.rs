@@ -327,10 +327,21 @@ impl SessionStats {
     }
 }
 
+/// A compiled kernel and the cycle lower bound statically proven for it:
+/// recorded by the [`SessionConfig::verify_kernels`] gate (or
+/// [`Session::static_bound`] on demand), read by the analytic-tier
+/// cross-check that counts [`SessionStats::bound_violations`]. The bound
+/// lives next to its kernel so the LRU evicts both together.
+struct CachedKernel {
+    kernel: Arc<CompiledKernel>,
+    bound: Option<StaticBound>,
+}
+
 /// One kernel-cache entry: a per-key slot so concurrent compilations of
 /// *different* kernels proceed in parallel, while two threads racing on
 /// the *same* key serialize on the slot and the loser gets a cache hit.
-type KernelSlot = Arc<Mutex<Option<Arc<CompiledKernel>>>>;
+/// A filled slot is never emptied again.
+type KernelSlot = Arc<Mutex<Option<CachedKernel>>>;
 
 struct CacheEntry {
     slot: KernelSlot,
@@ -378,12 +389,6 @@ pub struct Session {
     /// repeated `verify(tol)` sweeps reuse these instead of allocating a
     /// fresh grid per comparison.
     scratch: GridArena,
-    /// Statically proven cycle lower bounds, one per verified kernel.
-    /// Fed by the [`SessionConfig::verify_kernels`] gate (and
-    /// [`Session::static_bound`] on demand); read by the analytic-tier
-    /// cross-check that counts
-    /// [`SessionStats::bound_violations`].
-    bounds: Mutex<HashMap<KernelKey, StaticBound>>,
     /// Poison recoveries on the session's own locks (the pool counts its
     /// separately); see [`SessionStats::lock_recoveries`].
     recovered: AtomicU64,
@@ -462,7 +467,6 @@ impl Session {
             stats: Mutex::new(SessionStats::default()),
             calibration,
             scratch: GridArena::new(),
-            bounds: Mutex::new(HashMap::new()),
             recovered: AtomicU64::new(0),
         }
     }
@@ -541,6 +545,18 @@ impl Session {
         extent: Extent,
         options: &RunOptions,
     ) -> Result<(Arc<CompiledKernel>, bool), CodegenError> {
+        self.compile_slot(stencil, extent, options)
+            .map(|(_, kernel, hit)| (kernel, hit))
+    }
+
+    /// [`Session::compile_cached`], also handing back the key's (now
+    /// filled) cache slot.
+    fn compile_slot(
+        &self,
+        stencil: &Stencil,
+        extent: Extent,
+        options: &RunOptions,
+    ) -> Result<(KernelSlot, Arc<CompiledKernel>, bool), CodegenError> {
         let key = KernelKey::new(stencil, extent, options);
         // Two-level locking: the map lock is held only to find or create
         // the key's slot (and enforce the LRU bound), so compilations of
@@ -579,32 +595,34 @@ impl Session {
             Err(std::sync::TryLockError::WouldBlock)
         );
         let mut slot = relock(&slot_arc, &self.recovered);
-        if let Some(kernel) = &*slot {
+        if let Some(cached) = &*slot {
+            let kernel = Arc::clone(&cached.kernel);
+            drop(slot);
             let mut stats = relock(&self.stats, &self.recovered);
             stats.cache_hits += 1;
             stats.compiles_saved += u64::from(contended);
-            return Ok((Arc::clone(kernel), true));
+            return Ok((slot_arc, kernel, true));
         }
         // Fresh compiles pass through the static verifier gate before
         // they become visible to any caller: a kernel with error-severity
         // findings is rejected like a failed compile, and a clean one
         // records its proven cycle lower bound.
         let compiled = compile(stencil, extent, options).and_then(|kernel| {
-            if self.config.verify_kernels {
-                let report = crate::verify::verify_kernel(stencil, &kernel, options);
-                if report.has_errors() {
-                    return Err(CodegenError::StaticVerification {
-                        name: stencil.name().to_string(),
-                        findings: report.errors().map(ToString::to_string).collect(),
-                    });
-                }
-                relock(&self.bounds, &self.recovered).insert(key, report.bound);
-                relock(&self.stats, &self.recovered).kernels_verified += 1;
+            if !self.config.verify_kernels {
+                return Ok((kernel, None));
             }
-            Ok(kernel)
+            let report = crate::verify::verify_kernel(stencil, &kernel, options);
+            if report.has_errors() {
+                return Err(CodegenError::StaticVerification {
+                    name: stencil.name().to_string(),
+                    findings: report.errors().map(ToString::to_string).collect(),
+                });
+            }
+            relock(&self.stats, &self.recovered).kernels_verified += 1;
+            Ok((kernel, Some(report.bound)))
         });
-        let kernel = match compiled {
-            Ok(kernel) => Arc::new(kernel),
+        let (kernel, bound) = match compiled {
+            Ok((kernel, bound)) => (Arc::new(kernel), bound),
             Err(e) => {
                 // Drop the failed key's entry so it neither occupies LRU
                 // capacity nor evicts real kernels; a retry re-creates
@@ -622,16 +640,20 @@ impl Session {
                 return Err(e);
             }
         };
-        *slot = Some(Arc::clone(&kernel));
-        let mut stats = relock(&self.stats, &self.recovered);
-        stats.compiles += 1;
-        Ok((kernel, false))
+        *slot = Some(CachedKernel {
+            kernel: Arc::clone(&kernel),
+            bound,
+        });
+        drop(slot);
+        relock(&self.stats, &self.recovered).compiles += 1;
+        Ok((slot_arc, kernel, false))
     }
 
     /// The statically proven cycle lower bound for `stencil` at `extent`
-    /// under `options`, computing (and caching) it on demand when the
-    /// [`SessionConfig::verify_kernels`] gate has not already recorded
-    /// one.
+    /// under `options`, computing it on demand (and caching it next to
+    /// the kernel) when the [`SessionConfig::verify_kernels`] gate has
+    /// not already recorded one. A key the kernel cache has evicted is
+    /// recompiled and re-proven.
     ///
     /// # Errors
     ///
@@ -644,18 +666,21 @@ impl Session {
         extent: Extent,
         options: &RunOptions,
     ) -> Result<StaticBound, CodegenError> {
-        let key = KernelKey::new(stencil, extent, options);
-        if let Some(bound) = relock(&self.bounds, &self.recovered).get(&key) {
-            return Ok(bound.clone());
-        }
-        let (kernel, _) = self.compile_cached(stencil, extent, options)?;
-        let mut bounds = relock(&self.bounds, &self.recovered);
-        if let Some(bound) = bounds.get(&key) {
-            return Ok(bound.clone());
-        }
-        let report = crate::verify::verify_kernel(stencil, &kernel, options);
-        bounds.insert(key, report.bound.clone());
-        Ok(report.bound)
+        let (slot, kernel, _) = self.compile_slot(stencil, extent, options)?;
+        let mut slot = relock(&slot, &self.recovered);
+        let cached = slot.as_mut().expect("compile_slot returns a filled slot");
+        let bound = cached
+            .bound
+            .get_or_insert_with(|| crate::verify::verify_kernel(stencil, &kernel, options).bound);
+        Ok(bound.clone())
+    }
+
+    /// The bound recorded for `key`'s cached kernel, if the key is still
+    /// cached and has one.
+    fn recorded_bound_cycles(&self, key: &KernelKey) -> Option<u64> {
+        let slot = Arc::clone(&relock(&self.cache, &self.recovered).entries.get(key)?.slot);
+        let slot = relock(&slot, &self.recovered);
+        Some(slot.as_ref()?.bound.as_ref()?.cycles)
     }
 
     /// One kernel execution: compile (through the cache, when the backend
@@ -770,8 +795,8 @@ impl Session {
     }
 
     fn modeled_cycle_cost_work(&self, work: &StencilWork, planned_runs: u64) -> Duration {
-        // The committed `BENCH_sim_throughput.json` trajectory: the tuned
-        // simulator steps ~2.4e6 simulated cycles per wall-second.
+        // The tuned simulator steps ~2.4e6 simulated cycles per
+        // wall-second (`BENCHMARK.json` tracks it as `sim_mcycles_per_s`).
         const SIM_CYCLES_PER_SEC: f64 = 2.4e6;
         // First-principles fallback when nothing is calibrated: gallery
         // kernels land between ~3 and ~40 cycles/point, so 20 is a
@@ -1345,8 +1370,8 @@ impl Session {
         // `static_bound` call) has already bounded are checked.
         if fidelity == Fidelity::Analytic {
             let key = KernelKey::new(stencil, work.extent, &options);
-            if let Some(bound) = relock(&self.bounds, &self.recovered).get(&key) {
-                let low = reports.iter().filter(|r| r.cycles < bound.cycles).count();
+            if let Some(bound_cycles) = self.recorded_bound_cycles(&key) {
+                let low = reports.iter().filter(|r| r.cycles < bound_cycles).count();
                 if low > 0 {
                     relock(&self.stats, &self.recovered).bound_violations += low as u64;
                 }
@@ -1707,6 +1732,44 @@ mod tests {
         session.submit(&u2).unwrap();
         assert_eq!(session.cached_kernels(), 2);
         assert_eq!(session.stats().evictions, 0);
+    }
+
+    #[test]
+    fn proven_bounds_are_evicted_with_their_kernels() {
+        let session = Session::with_config(SessionConfig {
+            max_cached_kernels: 2,
+            ..SessionConfig::default()
+        });
+        let retained_bounds = || {
+            let cache = session.cache.lock().unwrap();
+            let bounded = |e: &&CacheEntry| {
+                let slot = e.slot.lock().unwrap();
+                slot.as_ref().is_some_and(|cached| cached.bound.is_some())
+            };
+            cache.entries.values().filter(bounded).count()
+        };
+        let stencil = gallery::jacobi_2d();
+        let options = RunOptions::new(Variant::Saris);
+        let extent = |k: usize| Extent::new_2d(16 + 2 * k, 16);
+        for k in 0..5 {
+            session
+                .compile_cached(&stencil, extent(k), &options)
+                .unwrap();
+            assert!(retained_bounds() <= 2, "after key {k}");
+        }
+        assert_eq!(session.stats().kernels_verified, 5);
+        assert_eq!(retained_bounds(), 2);
+        // The first key was evicted long ago: its bound is re-proven on
+        // a recompile, not remembered.
+        let bound = session.static_bound(&stencil, extent(0), &options).unwrap();
+        assert_eq!(session.stats().compiles, 6);
+        assert_eq!(
+            bound,
+            Session::new()
+                .static_bound(&stencil, extent(0), &options)
+                .unwrap()
+        );
+        assert_eq!(retained_bounds(), 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   behind `Arc`s, so a hit costs a map probe and a pointer clone.
 //!   Entries are weighed by their *cost of recompute* (a cycle-tier
 //!   response is ~700x more expensive to regenerate than an analytic
-//!   one — the measured tier gap in `BENCH_serve_throughput.json`), so
+//!   one — the tier gap `BENCHMARK.json` tracks as
+//!   `serve.first_us.{analytic,golden,cycles}`), so
 //!   eviction drops cheap-to-recompute responses first instead of going
 //!   by pure recency;
 //! * **single-flight deduplication** coalesces concurrent identical
@@ -22,11 +23,11 @@
 //!   wait on the same in-flight slot and share its `Arc<Outcome>` — a
 //!   duplicated spec executes exactly once no matter how many callers
 //!   race on it;
-//! * a **cost- and deadline-aware scheduler** ([`SchedPolicy::CostAware`],
-//!   the default) orders the queue by deadline slack and the same
-//!   deterministic per-tier recompute costs the response cache weighs
-//!   eviction by (cycles ~700x / golden 2x / analytic 1x), with aging so
-//!   bulk work cannot starve behind a stream of interactive requests;
+//! * a **cost- and deadline-aware scheduler** orders the queue by
+//!   deadline slack and the same deterministic per-tier recompute costs
+//!   the response cache weighs eviction by (cycles ~700x / golden 2x /
+//!   analytic 1x), with aging so bulk work cannot starve behind a
+//!   stream of interactive requests;
 //!   at dequeue it forms **compile-fingerprint batches** — queued golden
 //!   specs sharing a compile key dispatch as one bulk
 //!   [`Session::submit_all`] call, and a kernel-compiling group's leader
@@ -207,28 +208,6 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// How a [`Server`] orders its queued work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Strict arrival order — the scheduler the serving layer shipped
-    /// with, kept as the control policy the mixed-traffic benchmark
-    /// measures [`CostAware`](SchedPolicy::CostAware) against.
-    Fifo,
-    /// Deadline- and cost-aware ordering (the default). Each queued job
-    /// is scored by its deadline slack plus its modeled recompute cost
-    /// (the same deterministic per-tier units the response cache weighs
-    /// eviction by: cycles ~700x / golden 2x / analytic 1x), minus an
-    /// aging credit that grows while it waits
-    /// ([`ServeConfig::aging_rate`]); the lowest score runs next, with
-    /// arrival order as the deterministic tie-breaker. Interactive
-    /// requests therefore jump ahead of queued bulk sweeps, and bulk
-    /// work still drains because waiting alone eventually wins. At
-    /// dequeue, jobs sharing a compile fingerprint are formed into
-    /// batches (up to [`ServeConfig::max_batch`]).
-    #[default]
-    CostAware,
-}
-
 /// Sizing and fault-tolerance policy of a [`Server`].
 // Not `Eq`: `aging_rate` is an `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -325,17 +304,16 @@ pub struct ServeConfig {
     /// cycle-tier execution in the bench suite, so a healthy server
     /// always joins cleanly.
     pub shutdown_timeout: Duration,
-    /// How queued work is ordered (see [`SchedPolicy`]).
-    ///
-    /// Default [`SchedPolicy::CostAware`]: arrival order is the wrong
-    /// order whenever a deadline-carrying estimate queues behind a bulk
-    /// sweep — the known per-tier cost model makes the better order
-    /// deterministic and free to compute.
-    pub policy: SchedPolicy,
-    /// Aging rate for [`SchedPolicy::CostAware`]: every second a job
-    /// waits in the queue subtracts `aging_rate` seconds from its
-    /// effective slack, so bulk work cannot starve behind an unbounded
-    /// stream of urgent requests. `0.0` disables aging (pure
+    /// Aging rate of the scheduler. Each queued job is scored by its
+    /// deadline slack plus its modeled recompute cost (the same
+    /// deterministic per-tier units the response cache weighs eviction
+    /// by: cycles ~700x / golden 2x / analytic 1x); the lowest score
+    /// runs next, with arrival order as the deterministic tie-breaker —
+    /// arrival order alone is the wrong order whenever a
+    /// deadline-carrying estimate queues behind a bulk sweep. Every
+    /// second a job waits in the queue subtracts `aging_rate` seconds
+    /// from its effective slack, so bulk work cannot starve behind an
+    /// unbounded stream of urgent requests. `0.0` disables aging (pure
     /// slack-plus-cost ordering).
     ///
     /// Default `1.0` — waiting one second is worth one second of slack:
@@ -346,10 +324,9 @@ pub struct ServeConfig {
     /// sweep preempt a request that is actually about to expire.
     pub aging_rate: f64,
     /// Maximum jobs dispatched together as one compile-fingerprint
-    /// group under [`SchedPolicy::CostAware`] — golden groups answer
-    /// with a single bulk session call; kernel-compiling groups get
-    /// their shared kernel compiled once by the leader. `1` disables
-    /// batch formation.
+    /// group — golden groups answer with a single bulk session call;
+    /// kernel-compiling groups get their shared kernel compiled once by
+    /// the leader. `1` disables batch formation.
     ///
     /// Default `16`: matches the widest SIMD sweep the golden tier's
     /// batched executor fans out in one call, and bounds how much work
@@ -386,7 +363,6 @@ impl Default for ServeConfig {
             breaker_cooldown: Duration::from_millis(250),
             quarantine_threshold: 8,
             shutdown_timeout: Duration::from_secs(5),
-            policy: SchedPolicy::CostAware,
             aging_rate: 1.0,
             max_batch: 16,
             background_calibration: false,
@@ -487,17 +463,16 @@ pub struct ServeStats {
 
 /// Relative per-run cost of answering on a tier, in analytic-answer
 /// units — the single scale shared by the GreedyDual cache's eviction
-/// weights ([`recompute_cost`]) and the CostAware scheduler's ordering
-/// weights (`planned_cost`). The weights follow the measured gaps in
-/// `BENCH_serve_throughput.json`:
+/// weights ([`recompute_cost`]) and the scheduler's ordering weights
+/// (`planned_cost`). The weights follow the measured per-tier cost of a
+/// first answer, which `BENCHMARK.json` tracks as
+/// `serve.first_us.{analytic,golden,cycles}`:
 ///
 /// * analytic = 1.0 — the roofline tier's ~30µs estimates are the unit;
 /// * golden = 2.0 — re-measured after the golden tier went
-///   data-parallel (SIMD sweep + batch fan-out): the `golden_sweep`
-///   section serves the gallery at ~23.3k golden requests/s against
-///   ~33k analytic estimates/s (~43µs vs ~30µs per request), down from
-///   the ~30x the scalar reference executor cost before the batched
-///   path;
+///   data-parallel (SIMD sweep + batch fan-out): ~43µs vs ~30µs per
+///   request, down from the ~30x the scalar reference executor cost
+///   before the batched path;
 /// * cycles = 700.0 — tuned cycle-level simulation answers ~700x slower
 ///   than the roofline tier.
 ///
@@ -663,13 +638,12 @@ struct GroupKey {
 
 /// A queued unit of work: the spec, the flight its waiters share, the
 /// leader's deadline (enforced again at dequeue), and the scheduling
-/// metadata the cost-aware policy orders by.
+/// metadata the scheduler orders by.
 struct Job {
     spec: WorkloadSpec,
     flight: Arc<Flight>,
     deadline: Option<Instant>,
-    /// Admission order — the deterministic tie-breaker, and the whole
-    /// order under [`SchedPolicy::Fifo`].
+    /// Admission order — the deterministic tie-breaker.
     seq: u64,
     enqueued_at: Instant,
     /// Modeled recompute cost in analytic-answer units (the response
@@ -681,7 +655,7 @@ struct Job {
 
 /// The bounded work queue (guarded by one mutex with two condvars).
 /// Jobs live in an unordered `Vec`; [`pick_index`] decides what runs
-/// next, so changing the policy never touches the queue structure.
+/// next, so changing the ordering never touches the queue structure.
 struct Queue {
     jobs: Vec<Job>,
     closed: bool,
@@ -695,15 +669,14 @@ struct Queue {
 pub const BULK_SLACK_SECS: f64 = 1.0;
 
 /// Seconds one analytic-answer cost unit is worth in the scheduler's
-/// score — the measured wall cost of one analytic request (~30µs in
-/// `BENCH_serve_throughput.json`), which makes a ~700-unit cycle-tier
-/// job weigh in at ~21ms of slack-equivalent: ahead of nothing urgent,
-/// behind everything interactive.
+/// score — the measured wall cost of one analytic request (~30µs;
+/// `BENCHMARK.json` tracks it as `serve.first_us.analytic`), which makes
+/// a ~700-unit cycle-tier job weigh in at ~21ms of slack-equivalent:
+/// ahead of nothing urgent, behind everything interactive.
 const COST_UNIT_SECS: f64 = 30e-6;
 
-/// A job's scheduling score under [`SchedPolicy::CostAware`]: deadline
-/// slack (seconds; negative once expired) plus modeled cost, minus the
-/// aging credit. Lower runs sooner.
+/// A job's scheduling score: deadline slack (seconds; negative once
+/// expired) plus modeled cost, minus the aging credit. Lower runs sooner.
 fn urgency(job: &Job, now: Instant, aging_rate: f64) -> f64 {
     let slack = match job.deadline {
         None => BULK_SLACK_SECS,
@@ -719,27 +692,19 @@ fn urgency(job: &Job, now: Instant, aging_rate: f64) -> f64 {
     slack + job.cost * COST_UNIT_SECS - age * aging_rate
 }
 
-/// Picks the next job to run. Pure over its inputs (`now` included), so
-/// scheduling decisions are unit-testable without a server. Ties break
-/// by admission order, which keeps equal-score traffic — and all of
-/// [`SchedPolicy::Fifo`] — deterministically first-in-first-out.
-fn pick_index(jobs: &[Job], now: Instant, policy: SchedPolicy, aging_rate: f64) -> Option<usize> {
-    match policy {
-        SchedPolicy::Fifo => jobs
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, job)| job.seq)
-            .map(|(i, _)| i),
-        SchedPolicy::CostAware => jobs
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                urgency(a, now, aging_rate)
-                    .total_cmp(&urgency(b, now, aging_rate))
-                    .then(a.seq.cmp(&b.seq))
-            })
-            .map(|(i, _)| i),
-    }
+/// Picks the next job to run: the lowest [`urgency`]. Pure over its
+/// inputs (`now` included), so scheduling decisions are unit-testable
+/// without a server. Ties break by admission order, which keeps
+/// equal-score traffic deterministically first-in-first-out.
+fn pick_index(jobs: &[Job], now: Instant, aging_rate: f64) -> Option<usize> {
+    jobs.iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| {
+            urgency(a, now, aging_rate)
+                .total_cmp(&urgency(b, now, aging_rate))
+                .then(a.seq.cmp(&b.seq))
+        })
+        .map(|(i, _)| i)
 }
 
 /// One cached response with its eviction bookkeeping.
@@ -1441,8 +1406,8 @@ impl Shared {
     }
 
     /// Worker loop: schedule jobs until the queue is closed *and* empty.
-    /// Under [`SchedPolicy::CostAware`] the pick is score-ordered
-    /// ([`pick_index`]) and compile-fingerprint groups are formed at
+    /// The pick is score-ordered ([`pick_index`]) and
+    /// compile-fingerprint groups are formed at
     /// dequeue: golden peers are extracted and dispatched as one bulk
     /// call; kernel peers stay queued while the leader precompiles
     /// their shared kernel.
@@ -1452,14 +1417,11 @@ impl Shared {
                 let mut queue = self.relock(&self.queue);
                 loop {
                     let now = Instant::now();
-                    if let Some(i) =
-                        pick_index(&queue.jobs, now, self.config.policy, self.config.aging_rate)
-                    {
+                    if let Some(i) = pick_index(&queue.jobs, now, self.config.aging_rate) {
                         let job = queue.jobs.swap_remove(i);
                         let mut golden_peers = Vec::new();
                         let mut kernel_peers = 0u64;
-                        if self.config.policy == SchedPolicy::CostAware && self.config.max_batch > 1
-                        {
+                        if self.config.max_batch > 1 {
                             match job.group {
                                 Some(group) if group.class == GroupClass::Golden => {
                                     let mut i = 0;
@@ -1797,9 +1759,9 @@ impl Server {
 
     /// [`submit_async`](Server::submit_async) with an explicit
     /// end-to-end latency budget overriding
-    /// [`ServeConfig::default_deadline`]. Under
-    /// [`SchedPolicy::CostAware`] the deadline also drives scheduling
-    /// priority (slack ordering) and deadline-aware `Auto` routing.
+    /// [`ServeConfig::default_deadline`]. The deadline also drives
+    /// scheduling priority (slack ordering) and deadline-aware `Auto`
+    /// routing.
     pub fn submit_async_with_deadline(
         &self,
         spec: &WorkloadSpec,
@@ -1947,20 +1909,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_picks_arrival_order() {
-        let now = Instant::now();
-        // Urgency says the tight-deadline job should win; FIFO ignores
-        // it and runs the earlier arrival.
-        let jobs = vec![
-            job(0, now, 700.0, None, Duration::ZERO),
-            job(1, now, 1.0, Some(Duration::from_millis(5)), Duration::ZERO),
-        ];
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::Fifo, 1.0), Some(0));
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 1.0), Some(1));
-        assert_eq!(pick_index(&[], now, SchedPolicy::Fifo, 1.0), None);
-    }
-
-    #[test]
     fn tight_deadlines_preempt_queued_bulk_work() {
         let now = Instant::now();
         // A bulk cycle-tier sweep (no deadline, cost 700) arrived first;
@@ -1970,7 +1918,7 @@ mod tests {
             job(0, now, 700.0, None, Duration::ZERO),
             job(1, now, 1.0, Some(Duration::from_millis(20)), Duration::ZERO),
         ];
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 1.0), Some(1));
+        assert_eq!(pick_index(&jobs, now, 1.0), Some(1));
     }
 
     #[test]
@@ -1980,7 +1928,7 @@ mod tests {
             job(0, now, 700.0, None, Duration::ZERO),
             job(1, now, 1.0, None, Duration::ZERO),
         ];
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 1.0), Some(1));
+        assert_eq!(pick_index(&jobs, now, 1.0), Some(1));
     }
 
     #[test]
@@ -1990,9 +1938,9 @@ mod tests {
         let fresh_interactive = job(1, now, 1.0, Some(Duration::from_millis(20)), Duration::ZERO);
         // With aging, two seconds in queue beats the fresh deadline...
         let jobs = vec![bulk_waiting, fresh_interactive];
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 1.0), Some(0));
+        assert_eq!(pick_index(&jobs, now, 1.0), Some(0));
         // ...and with aging disabled the interactive request always wins.
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 0.0), Some(1));
+        assert_eq!(pick_index(&jobs, now, 0.0), Some(1));
     }
 
     #[test]
@@ -2003,7 +1951,7 @@ mod tests {
             job(0, now, 1.0, None, Duration::ZERO),
             job(1, now, 1.0, None, Duration::ZERO),
         ];
-        assert_eq!(pick_index(&jobs, now, SchedPolicy::CostAware, 1.0), Some(1));
+        assert_eq!(pick_index(&jobs, now, 1.0), Some(1));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use saris_codegen::{
     Session, SessionConfig, SimBackend, Workload, WorkloadSpec,
 };
 use saris_core::{gallery, Extent, Grid};
-use saris_serve::{ResponseHandle, SchedPolicy, ServeConfig, ServeError, Server};
+use saris_serve::{ResponseHandle, ServeConfig, ServeError, Server};
 
 /// A single-step, untuned cycle-tier spec: exactly one backend call per
 /// execution attempt, so the serve layer's retry attempt `k` is the
@@ -322,7 +322,6 @@ fn scheduler_path_preserves_exactly_once_error_accounting() {
             degrade_to_analytic: false,
             breaker_threshold: 0,
             quarantine_threshold: 0,
-            policy: SchedPolicy::CostAware,
             max_batch: 16,
             ..ServeConfig::default()
         },

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use saris_codegen::{Fidelity, Session, Workload, WorkloadSpec};
 use saris_core::{gallery, Extent, Grid};
-use saris_serve::{ResponseHandle, SchedPolicy, ServeConfig, Server};
+use saris_serve::{ResponseHandle, ServeConfig, Server};
 
 /// A fast cycle-tier spec (~2ms simulated).
 fn spec(seed: u64) -> WorkloadSpec {
@@ -137,7 +137,6 @@ fn cost_aware_order_is_deterministic_at_widely_spaced_deadlines() {
     let server = Server::with_config(ServeConfig {
         workers: 1,
         aging_rate: 0.0,
-        policy: SchedPolicy::CostAware,
         ..ServeConfig::default()
     })
     .unwrap();

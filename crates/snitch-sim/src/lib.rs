@@ -25,8 +25,8 @@
 //!
 //! Simulator throughput (simulated cycles per wall second) bounds every
 //! consumer of this crate, so the per-cycle path upholds two invariants,
-//! asserted in tests and tracked by the `sim_throughput` benchmark in
-//! `saris-bench`:
+//! asserted in tests and tracked by the `sim_mcycles_per_s` metric of
+//! `BENCHMARK.json`:
 //!
 //! 1. **No allocation or cloning per cycle.** Programs are pre-decoded
 //!    once into dense [`ExecTable`]s (operand registers in fixed arrays,

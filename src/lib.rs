@@ -227,9 +227,8 @@
 //! submit every spec at [`Fidelity::Golden`](codegen::Fidelity) with
 //! `verify(0.0)` and the batch executes data-parallel, then re-derives
 //! every grid through the scalar oracle — tolerance zero holds because
-//! the two paths agree bit for bit (the `golden_sweep` section of
-//! `BENCH_serve_throughput.json` tracks the batched-over-scalar
-//! speedup).
+//! the two paths agree bit for bit (`BENCHMARK.json` tracks both as
+//! `core.reference_{simd,scalar}_ns_per_point`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -397,29 +396,23 @@
 //! [`wait`](serve::ResponseHandle::wait), or attach a completion
 //! callback with [`on_complete`](serve::ResponseHandle::on_complete).
 //!
-//! Admission order is not execution order. Under
-//! [`SchedPolicy::CostAware`](serve::SchedPolicy) (the default) the
-//! queue is a priority scheduler: each job is ranked by its deadline
-//! slack plus a deterministic per-tier recompute cost (a cycle-tier
-//! simulation is ~700x an analytic estimate), with aging so bulk work
-//! cannot starve. Tight-deadline analytic requests overtake a
+//! Admission order is not execution order. The queue is a priority
+//! scheduler: each job is ranked by its deadline slack plus a
+//! deterministic per-tier recompute cost (a cycle-tier simulation is
+//! ~700x an analytic estimate), with aging so bulk work cannot starve. Tight-deadline analytic requests overtake a
 //! deadlocked-in-FIFO bulk backlog; jobs sharing a compile fingerprint
 //! are dispatched together so the kernel compiles once
 //! ([`ServeStats::batches_formed`](serve::ServeStats) /
 //! [`compiles_saved`](serve::ServeStats)); golden-tier groups ride the
-//! data-parallel batch executor. The `mixed` section of
-//! `BENCH_serve_throughput.json` measures all of this against a
-//! [`SchedPolicy::Fifo`](serve::SchedPolicy) control on one
-//! unique-heavy mixed stream.
+//! data-parallel batch executor. The cost scale is the measured
+//! per-tier first-answer cost `BENCHMARK.json` tracks as
+//! `serve.first_us.{analytic,golden,cycles}`.
 //!
 //! ```
 //! use saris::prelude::*;
 //!
 //! # fn main() -> Result<(), saris::serve::ServeError> {
-//! let server = Server::with_config(ServeConfig {
-//!     policy: SchedPolicy::CostAware, // the default
-//!     ..ServeConfig::default()
-//! })?;
+//! let server = Server::new()?;
 //! let spec = |seed| {
 //!     Workload::new(gallery::jacobi_2d())
 //!         .extent(Extent::new_2d(16, 16))
@@ -461,9 +454,8 @@
 //! safe). [`Coordinator::gossip_round`](shard::Coordinator::gossip_round)
 //! exchanges calibration stores between shards with a
 //! newest-confidence-wins merge, so a stencil measured on one shard is
-//! answered analytically on all of them. The `sharded` section of
-//! `BENCH_serve_throughput.json` tracks the warmed four-vs-one shard
-//! throughput scaling.
+//! answered analytically on all of them. `BENCHMARK.json` tracks the
+//! networked path's throughput as `sharded_net/ops_per_s`.
 //!
 //! ```
 //! use saris::prelude::*;
@@ -495,7 +487,7 @@
 //! ```
 //!
 //! To regenerate the paper's tables and figures, see the `saris-bench`
-//! crate (`cargo run --release -p saris-bench --bin all`).
+//! crate (`cargo run --release -p saris-bench --bin paper -- all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -526,8 +518,7 @@ pub mod prelude {
     pub use saris_energy::{efficiency_gain, EnergyModel};
     pub use saris_scaleout::{estimate as scaleout_estimate, MachineModel};
     pub use saris_serve::{
-        NetClient, NetServer, ResponseHandle, SchedPolicy, ServeConfig, ServeError, ServeStats,
-        Server,
+        NetClient, NetServer, ResponseHandle, ServeConfig, ServeError, ServeStats, Server,
     };
     pub use saris_shard::{Coordinator, CoordinatorStats, ShardConfig, ShardWorker};
     pub use saris_verify::{verify_cluster, verify_program, MemoryMap, StaticBound};

@@ -15,8 +15,8 @@ use saris_bench::{
 /// analytic tier interpolates its calibrated single-cluster measurements
 /// (the paper's own methodology). Anything beyond rounding here means
 /// the simulator moved and the calibration table in
-/// `saris-codegen/src/backends.rs` needs regenerating
-/// (`serve_throughput --print-calibration`).
+/// `saris-codegen/src/calibration/gallery.json` needs regenerating
+/// (`paper calibration --out PATH`).
 const PAPER_TILE_FACTOR: f64 = 1.05;
 
 /// Allowed ratio away from the paper tiles, where the calibrated
@@ -63,7 +63,7 @@ fn gallery_estimates_track_simulation_at_the_paper_tiles() {
                 within(e, s, PAPER_TILE_FACTOR),
                 "{} {variant}: estimated {e} vs simulated {s} — beyond the \
                  calibration factor {PAPER_TILE_FACTOR}; regenerate the table \
-                 with `serve_throughput --print-calibration`",
+                 with `paper calibration --out PATH`",
                 stencil.name()
             );
             // The estimated FPU utilization lands where the measurement
