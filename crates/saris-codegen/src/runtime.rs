@@ -369,7 +369,7 @@ pub(crate) fn execute_on(
         cluster.write_bytes(*addr, bytes)?;
     }
     for (core, cc) in kernel.cores.iter().enumerate() {
-        cluster.load_program(core, cc.program.clone());
+        cluster.load_program(core, &cc.program);
     }
     if options.concurrent_dma {
         enqueue_tile_dma(cluster, &kernel.map, stencil)?;

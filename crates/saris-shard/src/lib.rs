@@ -18,7 +18,7 @@
 //! kernels, and its calibration store stays hot for the families it
 //! owns — warmed throughput then scales with shard count instead of
 //! re-paying cache misses everywhere (the placement argument of the
-//! paper's scale-out extrapolation). The ring hashes ~64 virtual nodes
+//! paper's scale-out extrapolation). The ring hashes 256 virtual nodes
 //! per shard, so losing a worker moves *only that worker's* keyspace
 //! onto its ring successors; every other spec keeps its warm shard.
 //!

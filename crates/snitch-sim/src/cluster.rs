@@ -3,32 +3,62 @@
 //! # Hot-loop invariants
 //!
 //! [`Cluster::step`] — the innermost function of every simulation — is
-//! allocation-free: programs execute from pre-decoded [`ExecTable`]s, the
-//! per-bank grant scratch lives inside [`Tcdm`], and arbitration streams
-//! over the units' ports in place instead of gathering them into a
-//! per-cycle list. Nothing on the per-cycle path clones, boxes, or grows.
+//! allocation-free: programs execute from pre-decoded [`ExecTable`]s,
+//! every queue is a ring allocated at construction, and arbitration
+//! visits the units' ports in place. Nothing on the per-cycle path
+//! clones, boxes, or grows.
+//!
+//! Arbitration never scans for requests. Each core leaves a five-bit
+//! summary of its pending ports behind when it steps (a port only
+//! becomes pending in its owner's step, and a request that loses
+//! arbitration is still pending when the owner next steps); the
+//! cluster concatenates the summaries, adds the DMA lanes while a
+//! transfer is active, and visits the set bits in rotating order.
 //!
 //! # Fast-forwarding
 //!
-//! [`Cluster::run`] may skip ("fast-forward") spans of provably dead
-//! cycles instead of stepping through them one by one. A span is dead
-//! when *every* unit is inert: each core is halted or stalled until a
-//! known cycle, each FP subsystem is drained, each streamer has no job or
-//! request in flight, no TCDM port holds a request or response, and the
-//! DMA engine is idle or waiting out its main-memory burst latency. The
-//! engine then jumps straight to the earliest wakeup (a stall expiry or
-//! the DMA's burst-ready cycle), clamped to the cycle budget.
+//! With [`ClusterConfig::fast_forward`] set (the default) the engine
+//! skips work whose outcome it already knows, at two levels. With it
+//! clear, every unit is evaluated every cycle; that is the reference the
+//! equivalence tests compare against, and a [`RunReport`] differs between
+//! the two only in [`RunReport::cycles_fast_forwarded`].
 //!
-//! Skipping preserves observability bit-for-bit: the few counters that
-//! tick even in dead cycles — each FPU's idle-stall count, the TCDM's
-//! rotating arbitration priority, and the DMA's busy/latency cycles
-//! while latency-bound — are booked for the skipped span exactly as if
-//! it had been stepped, so a fast-forwarded [`RunReport`] differs from a
-//! stepped one only in [`RunReport::cycles_fast_forwarded`]. The
-//! equivalence is asserted property-style across the kernel gallery in
-//! `tests/fast_forward.rs`; disable via
-//! [`ClusterConfig::fast_forward`] to force stepping.
+//! **Per unit.** A unit that can do nothing in a cycle except count one
+//! stall records why, and until the recorded condition changes, the
+//! cycles that follow book the same counter after a single re-check. The
+//! guards and the argument for each live with the unit: blocked integer
+//! issue in [`crate::core`], FPU stalls in [`crate::fpu`], sleeping
+//! streamers in [`crate::ssr`]. The cluster adds two of its own:
+//!
+//! * **Parked cores.** A halted core whose FP subsystem and streamers
+//!   have drained and whose LSU port is idle is never stepped again: a
+//!   halted pipeline does not fetch, drained units hold no work, and
+//!   nothing outside a core can hand it any. Its one per-cycle effect,
+//!   the FPU's idle-stall count, is settled from the cycle it parked at
+//!   whenever the counters can be observed (after [`Cluster::step`], at
+//!   the end of [`Cluster::run`]).
+//! * **Idle DMA.** An engine with no queued or active transfer is not
+//!   stepped; its step would return at the first test.
+//!
+//! **Whole cluster.** [`Cluster::run`] jumps over spans in which *every*
+//! unit is inert: each core is halted or stalled until a known cycle,
+//! each FP subsystem is drained, each streamer has no job or request in
+//! flight, no TCDM port holds a request or response, and the DMA engine
+//! is idle or waiting out its main-memory burst latency. The engine then
+//! jumps straight to the earliest wakeup (a stall expiry or the DMA's
+//! burst-ready cycle), clamped to the cycle budget, and books the few
+//! counters that tick even in dead cycles — each live FPU's idle-stall
+//! count, the TCDM's rotating arbitration priority, and the DMA's
+//! busy/latency cycles while latency-bound — exactly as if the span had
+//! been stepped. Only these cycles count as
+//! [`RunReport::cycles_fast_forwarded`]; the per-unit guards skip work,
+//! not cycles.
+//!
+//! The equivalence is asserted across the kernel gallery in
+//! `tests/fast_forward.rs` and pinned against recorded digests in
+//! `tests/sim_reports.rs`.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use saris_isa::Program;
@@ -80,9 +110,19 @@ pub struct Cluster {
     icache: ICache,
     cores: Vec<Core>,
     dma: Dma,
+    /// The implicit one-instruction `halt` program, decoded once.
+    halt_table: Arc<ExecTable>,
     /// Cores currently halted — maintained on halt transitions so the run
     /// loop's quiescence scan only happens once everything has halted.
     halted_cores: usize,
+    /// Per core, the first cycle it was not stepped for being parked
+    /// (see the module docs) and from which its FPU's idle stalls are
+    /// still owed; `None` while the core is stepped.
+    parked_since: Vec<Option<u64>>,
+    /// Whether the last stepped cycle saw a TCDM request. If so, some
+    /// port holds a request or an unconsumed response now, and the
+    /// whole-cluster skip need not look.
+    tcdm_busy: bool,
     /// Cycles [`Cluster::run`] skipped via fast-forwarding since the last
     /// reset (subset of `cycle`).
     fast_forwarded: u64,
@@ -102,8 +142,11 @@ impl Cluster {
             icache: ICache::new(&cfg),
             cores,
             dma: Dma::new(&cfg),
+            halt_table,
             cycle: 0,
             halted_cores: 0,
+            parked_since: vec![None; cfg.n_cores],
+            tcdm_busy: false,
             fast_forwarded: 0,
             cfg,
         }
@@ -123,46 +166,47 @@ impl Cluster {
     /// what makes pooling clusters across kernel executions safe; see
     /// the session layer in `saris-codegen`. That includes the hot-loop
     /// scratch state added for the allocation-free cycle path: the halt
-    /// counter, the fast-forward tally, and the TCDM grant scratch all
-    /// return to power-on values.
+    /// counter, the parked cores, the fast-forward tally, and the TCDM
+    /// grant scratch all return to power-on values.
     pub fn reset(&mut self) {
-        let halt_table = Arc::new(ExecTable::decode(&trivial_halt(), &self.cfg));
-        for i in 0..self.cores.len() {
-            self.cores[i] = Core::new(i, Arc::clone(&halt_table), &self.cfg);
+        for core in 0..self.cores.len() {
+            self.load_table(core, Arc::clone(&self.halt_table));
         }
         self.tcdm.reset();
         self.main.reset();
         self.icache.reset();
         self.dma.reset();
         self.cycle = 0;
-        self.halted_cores = 0;
+        self.tcdm_busy = false;
         self.fast_forwarded = 0;
     }
 
-    /// Loads `program` onto `core` (resetting its pc), pre-decoding it
-    /// into the dense execution table the core runs from.
+    /// Loads `program` (owned or borrowed) onto `core`, resetting the
+    /// whole core, pre-decoded into the dense execution table the core
+    /// runs from.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn load_program(&mut self, core: usize, program: Program) {
-        let table = Arc::new(ExecTable::decode(&program, &self.cfg));
-        self.cores[core] = Core::new(core, table, &self.cfg);
-        self.recount_halted();
+    pub fn load_program(&mut self, core: usize, program: impl Borrow<Program>) {
+        let table = ExecTable::decode(program.borrow(), &self.cfg);
+        self.load_table(core, Arc::new(table));
     }
 
     /// Loads the same program onto every core, decoding it once and
     /// sharing the execution table.
-    pub fn load_program_all(&mut self, program: Program) {
-        let table = Arc::new(ExecTable::decode(&program, &self.cfg));
-        for i in 0..self.cores.len() {
-            self.cores[i] = Core::new(i, Arc::clone(&table), &self.cfg);
+    pub fn load_program_all(&mut self, program: impl Borrow<Program>) {
+        let table = Arc::new(ExecTable::decode(program.borrow(), &self.cfg));
+        for core in 0..self.cores.len() {
+            self.load_table(core, Arc::clone(&table));
         }
-        self.recount_halted();
     }
 
-    /// Re-derives the halted-core count after cores were replaced.
-    fn recount_halted(&mut self) {
+    /// Replaces `core` with a fresh one running `table`.
+    fn load_table(&mut self, core: usize, table: Arc<ExecTable>) {
+        self.cores[core] = Core::new(core, table, &self.cfg);
+        self.parked_since[core] = None;
+        self.tcdm_busy = false; // only ever a reason not to look
         self.halted_cores = self.cores.iter().filter(|c| c.is_halted()).count();
     }
 
@@ -182,11 +226,7 @@ impl Cluster {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn write_f64_slice(&mut self, addr: u64, values: &[f64]) -> Result<(), SimError> {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self.tcdm.write_bytes(addr, &bytes)
+        self.tcdm.write_f64s(addr, values)
     }
 
     /// Host read of an `f64` slice from TCDM.
@@ -195,11 +235,7 @@ impl Cluster {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn read_f64_slice(&self, addr: u64, len: usize) -> Result<Vec<f64>, SimError> {
-        let bytes = self.tcdm.read_bytes(addr, len * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
+        Ok(mem::load_f64s(self.tcdm.read_bytes(addr, len * 8)?))
     }
 
     /// Host write of raw bytes into TCDM (index arrays).
@@ -227,11 +263,7 @@ impl Cluster {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn write_main_f64_slice(&mut self, addr: u64, values: &[f64]) -> Result<(), SimError> {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self.main.write_bytes(addr, &bytes)
+        self.main.write_f64s(addr, values)
     }
 
     /// Host read of an `f64` slice from simulated main memory.
@@ -240,11 +272,7 @@ impl Cluster {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn read_main_f64_slice(&self, addr: u64, len: usize) -> Result<Vec<f64>, SimError> {
-        let bytes = self.main.read_bytes(addr, len * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
+        Ok(mem::load_f64s(self.main.read_bytes(addr, len * 8)?))
     }
 
     /// Queues a DMA transfer (runs concurrently with compute).
@@ -262,71 +290,100 @@ impl Cluster {
     ///
     /// Propagates unit errors.
     pub fn step(&mut self) -> Result<(), SimError> {
+        let stepped = self.step_cycle();
+        self.settle_parked();
+        stepped
+    }
+
+    /// One cycle of every unit that has to be evaluated (all of them
+    /// unless fast-forwarding; see the module docs), then arbitration.
+    /// Parked cores' idle counts are left owing.
+    fn step_cycle(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
-        for core in &mut self.cores {
+        let ff = self.cfg.fast_forward;
+        let mut pending: u128 = 0;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if self.parked_since[c].is_some() {
+                continue;
+            }
             let was_halted = core.is_halted();
             core.step(now, &mut self.icache)?;
-            if !was_halted && core.is_halted() {
-                self.halted_cores += 1;
+            // (Past 128 ports `arbitrate` offers every port instead.)
+            pending |= u128::from(core.pending_ports)
+                .checked_shl((c * PORTS_PER_CORE) as u32)
+                .unwrap_or(0);
+            if core.is_halted() {
+                if !was_halted {
+                    self.halted_cores += 1;
+                }
+                if ff && core.is_quiescent() {
+                    self.parked_since[c] = Some(now + 1);
+                }
             }
         }
-        self.dma.step(now, &mut self.main)?;
-        self.arbitrate(now)?;
+        if !ff || !self.dma.is_idle() {
+            self.dma.step(now, &mut self.main)?;
+        }
+        self.arbitrate(pending)?;
         self.cycle += 1;
         Ok(())
     }
 
-    /// One TCDM arbitration cycle, streaming every unit's port to the
-    /// arbiter in place (no gathered port list, no allocation). The visit
-    /// order — per core: integer LSU, FP LSU, streamers 0..2; then the
-    /// DMA lanes — matches what a gathered list would be, so grant
-    /// priority is unchanged.
+    /// Books the FPU idle stalls parked cores owe up to the current
+    /// cycle, making every public counter what stepping would have left.
+    fn settle_parked(&mut self) {
+        for (core, since) in self.cores.iter_mut().zip(&mut self.parked_since) {
+            // (A core parked by a cycle that then faulted in arbitration
+            // is parked from a cycle that never came.)
+            if let Some(since) = since.as_mut().filter(|since| **since < self.cycle) {
+                core.fp.skip_idle_cycles(self.cycle - *since);
+                *since = self.cycle;
+            }
+        }
+    }
+
+    /// One TCDM arbitration cycle over the cores' pending ports
+    /// (`core_pending`: five bits per core — integer LSU, FP LSU,
+    /// streamers 0..2 — as the cores' steps left them) and the DMA
+    /// lanes.
     ///
-    /// A single pre-scan collects the pending ports into a bitmask;
-    /// request-free cycles (integer phases, stall spans) only advance the
+    /// Request-free cycles (integer phases, stall spans) only advance the
     /// rotating priority, and busy cycles offer *only* the pending ports
     /// — in the exact rotating order, reconstructed by splitting the mask
     /// at the priority start — instead of touching all
-    /// `cores * 5 + lanes` ports twice.
-    fn arbitrate(&mut self, now: u64) -> Result<(), SimError> {
+    /// `cores * 5 + lanes` ports.
+    fn arbitrate(&mut self, core_pending: u128) -> Result<(), SimError> {
         let Cluster {
             tcdm, cores, dma, ..
         } = self;
         let n_core_ports = cores.len() * PORTS_PER_CORE;
         let n = n_core_ports + dma.ports.len();
         if n > 128 {
-            // Oversized configurations fall back to offering every port.
-            let arb = tcdm.begin_cycle(n);
-            for pass in 0..2 {
-                for i in 0..n {
-                    tcdm.offer(arb, pass, i, port_mut(cores, dma, i), now)?;
-                }
+            // Oversized configurations offer every port.
+            self.tcdm_busy = false;
+            let start = tcdm.begin_cycle(n);
+            for i in (start..n).chain(0..start) {
+                tcdm.grant(port_mut(cores, dma, i))?;
             }
             return Ok(());
         }
-        let mut mask: u128 = 0;
-        for (c, core) in cores.iter().enumerate() {
-            let base = c * PORTS_PER_CORE;
-            mask |= (core.lsu_port.is_pending() as u128) << base;
-            mask |= (core.fp.lsu_port.is_pending() as u128) << (base + 1);
-            for (k, s) in core.streamers.iter().enumerate() {
-                mask |= (s.port.is_pending() as u128) << (base + 2 + k);
+        let mut mask = core_pending;
+        if !dma.is_idle() {
+            for (k, p) in dma.ports.iter().enumerate() {
+                mask |= u128::from(p.is_pending()) << (n_core_ports + k);
             }
         }
-        for (k, p) in dma.ports.iter().enumerate() {
-            mask |= (p.is_pending() as u128) << (n_core_ports + k);
-        }
+        self.tcdm_busy = mask != 0;
         if mask == 0 {
-            tcdm.skip_idle_cycles(1);
+            tcdm.rotate_priority();
             return Ok(());
         }
-        let arb = tcdm.begin_cycle(n);
-        let wrap = (1u128 << arb.start()) - 1;
-        for (pass, mut m) in [(0, mask & !wrap), (1, mask & wrap)] {
+        let wrap = (1u128 << tcdm.begin_cycle(n)) - 1;
+        for mut m in [mask & !wrap, mask & wrap] {
             while m != 0 {
                 let i = m.trailing_zeros() as usize;
                 m &= m - 1;
-                tcdm.offer(arb, pass, i, port_mut(cores, dma, i), now)?;
+                tcdm.grant(port_mut(cores, dma, i))?;
             }
         }
         Ok(())
@@ -334,15 +391,22 @@ impl Cluster {
 
     /// Runs until every core is quiescent and the DMA is idle, or
     /// `max_cycles` elapse. When [`ClusterConfig::fast_forward`] is set
-    /// (the default), provably dead spans are skipped instead of stepped
-    /// — see the module docs for the exact conditions and why reports
-    /// stay bit-identical.
+    /// (the default), work with a known outcome is skipped instead of
+    /// evaluated — see the module docs for the exact conditions and why
+    /// reports stay bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Timeout`] (with a state dump) if the budget is
     /// exhausted, or any propagated unit error.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, SimError> {
+        let result = self.run_unsettled(max_cycles);
+        self.settle_parked();
+        result.map(|(cycles, skipped)| self.report(cycles, skipped))
+    }
+
+    /// The run loop; returns `(cycles, cycles fast-forwarded)`.
+    fn run_unsettled(&mut self, max_cycles: u64) -> Result<(u64, u64), SimError> {
         let start = self.cycle;
         let ff_start = self.fast_forwarded;
         let budget_end = start.saturating_add(max_cycles);
@@ -355,12 +419,12 @@ impl Cluster {
                 && self.dma.is_idle()
                 && self.cores.iter().all(Core::is_quiescent)
             {
-                return Ok(self.report(self.cycle - start, self.fast_forwarded - ff_start));
+                return Ok((self.cycle - start, self.fast_forwarded - ff_start));
             }
-            if self.cfg.fast_forward && self.try_fast_forward(budget_end) {
+            if self.cfg.fast_forward && !self.tcdm_busy && self.try_fast_forward(budget_end) {
                 continue; // re-evaluate quiescence and budget at the new cycle
             }
-            self.step()?;
+            self.step_cycle()?;
         }
         Err(SimError::Timeout {
             at_cycle: self.cycle,
@@ -382,7 +446,10 @@ impl Cluster {
         // `u64::MAX` = "no unit ever wakes" (only counters and the
         // timeout budget bound the skip).
         let mut wake = u64::MAX;
-        for core in &self.cores {
+        for (core, parked) in self.cores.iter().zip(&self.parked_since) {
+            if parked.is_some() {
+                continue; // halted, drained, inert: what the tests below ask
+            }
             match core.wake() {
                 CoreWake::Never => {}
                 CoreWake::At(t) => wake = wake.min(t),
@@ -412,12 +479,15 @@ impl Cluster {
             return false;
         }
         // Book everything the skipped cycles would have counted: each
-        // drained FPU idles once per cycle, the TCDM's round-robin
+        // drained FPU idles once per cycle (a parked core's is settled
+        // from its parking cycle instead), the TCDM's round-robin
         // priority rotates, and a latency-bound DMA accrues busy and
         // latency time. Nothing else ticks in a dead cycle.
         let skipped = wake - now;
-        for core in &mut self.cores {
-            core.fp.skip_idle_cycles(skipped);
+        for (core, parked) in self.cores.iter_mut().zip(&self.parked_since) {
+            if parked.is_none() {
+                core.fp.skip_idle_cycles(skipped);
+            }
         }
         self.tcdm.skip_idle_cycles(skipped);
         if dma_latency_bound {
@@ -466,12 +536,7 @@ impl Cluster {
 fn port_mut<'a>(cores: &'a mut [Core], dma: &'a mut Dma, i: usize) -> &'a mut mem::MemPort {
     let n_core_ports = cores.len() * PORTS_PER_CORE;
     if i < n_core_ports {
-        let core = &mut cores[i / PORTS_PER_CORE];
-        match i % PORTS_PER_CORE {
-            0 => &mut core.lsu_port,
-            1 => &mut core.fp.lsu_port,
-            slot => &mut core.streamers[slot - 2].port,
-        }
+        cores[i / PORTS_PER_CORE].port_mut(i % PORTS_PER_CORE)
     } else {
         &mut dma.ports[i - n_core_ports]
     }
@@ -481,6 +546,18 @@ fn trivial_halt() -> Program {
     let mut b = saris_isa::ProgramBuilder::new();
     b.push(saris_isa::Instr::Halt);
     b.finish().expect("halt program is valid")
+}
+
+/// The same scenario on a fast-forwarding and on a stepped cluster.
+#[cfg(test)]
+fn ff_pair(build: &impl Fn(&mut Cluster)) -> (Cluster, Cluster) {
+    let mut fast = Cluster::new(ClusterConfig::snitch());
+    let mut stepped_cfg = ClusterConfig::snitch();
+    stepped_cfg.fast_forward = false;
+    let mut stepped = Cluster::new(stepped_cfg);
+    build(&mut fast);
+    build(&mut stepped);
+    (fast, stepped)
 }
 
 #[cfg(test)]
@@ -725,12 +802,7 @@ mod tests {
     /// Runs the same programs on a fast-forwarding and a stepped cluster
     /// and asserts the reports agree bit-for-bit (modulo the ff tally).
     fn assert_ff_equivalent(build: impl Fn(&mut Cluster), max_cycles: u64) -> RunReport {
-        let mut fast = Cluster::new(ClusterConfig::snitch());
-        let mut stepped_cfg = ClusterConfig::snitch();
-        stepped_cfg.fast_forward = false;
-        let mut stepped = Cluster::new(stepped_cfg);
-        build(&mut fast);
-        build(&mut stepped);
+        let (mut fast, mut stepped) = ff_pair(&build);
         let fast_report = fast.run(max_cycles).unwrap();
         let stepped_report = stepped.run(max_cycles).unwrap();
         assert_eq!(stepped_report.cycles_fast_forwarded, 0);
@@ -822,25 +894,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fast_forward_timeout_is_identical() {
-        // A stuck cluster (write stream with residue, no job) spins to
-        // the budget; fast-forwarding must report the same timeout cycle.
-        let build = |c: &mut Cluster| {
-            let mut b = ProgramBuilder::new();
-            let spin = b.bind_here();
-            b.jump(spin);
-            b.push(Instr::Halt);
-            c.load_program(0, b.finish().unwrap());
-        };
-        let mut fast = Cluster::new(ClusterConfig::snitch());
-        let mut stepped_cfg = ClusterConfig::snitch();
-        stepped_cfg.fast_forward = false;
-        let mut stepped = Cluster::new(stepped_cfg);
-        build(&mut fast);
-        build(&mut stepped);
-        let fast_err = fast.run(500).unwrap_err();
-        let stepped_err = stepped.run(500).unwrap_err();
+    /// Runs `build` to a timeout both ways: same cycle, same state dump,
+    /// and the same counters behind it.
+    fn assert_timeouts_identical(build: impl Fn(&mut Cluster), budget: u64) {
+        let (mut fast, mut stepped) = ff_pair(&build);
+        let fast_err = fast.run(budget).unwrap_err();
+        let stepped_err = stepped.run(budget).unwrap_err();
         match (fast_err, stepped_err) {
             (
                 SimError::Timeout {
@@ -857,6 +916,54 @@ mod tests {
             }
             other => panic!("expected matching timeouts, got {other:?}"),
         }
+        assert_eq!(fast.report(budget, 0), stepped.report(budget, 0));
+    }
+
+    #[test]
+    fn fast_forward_timeout_is_identical() {
+        // A stuck cluster (write stream with residue, no job) spins to
+        // the budget; fast-forwarding must report the same timeout cycle.
+        assert_timeouts_identical(
+            |c| {
+                let mut b = ProgramBuilder::new();
+                let spin = b.bind_here();
+                b.jump(spin);
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+            },
+            500,
+        );
+        // The same with every unit asleep when the budget runs out: the
+        // FPU waits on a stream nobody launched, the integer pipeline is
+        // blocked behind its full queue, the streamers are inert and the
+        // other seven cores are parked.
+        assert_timeouts_identical(
+            |c| {
+                let mut b = ProgramBuilder::new();
+                b.push(Instr::SsrSetup {
+                    ssr: SsrId::Ssr0,
+                    cfg: Box::new(saris_isa::SsrCfg::Affine(saris_isa::AffineCfg {
+                        dir: saris_isa::StreamDir::Read,
+                        base: TCDM_BASE,
+                        dims: 1,
+                        strides: [8, 0, 0, 0],
+                        bounds: [4, 1, 1, 1],
+                    })),
+                });
+                b.push(Instr::SsrEnable);
+                for _ in 0..8 {
+                    b.push(Instr::FpR {
+                        op: FpROp::Add,
+                        rd: FpReg::FT3,
+                        rs1: FpReg::FT0,
+                        rs2: FpReg::FT3,
+                    });
+                }
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+            },
+            500,
+        );
     }
 
     #[test]
@@ -1068,6 +1175,385 @@ mod error_path_tests {
                     .unwrap()[0];
                 assert_eq!(got.to_bits(), marker, "plane {plane} row {row}");
             }
+        }
+    }
+}
+
+/// One test per fast-forward guard: each scenario runs on a
+/// fast-forwarding and a stepped cluster side by side, compared after
+/// *every* cycle, then once more through [`Cluster::run`].
+#[cfg(test)]
+mod guard_tests {
+    use super::*;
+    use crate::config::{MAIN_BASE, TCDM_BASE};
+    use saris_isa::{
+        AffineCfg, FpROp, FpReg, FrepCount, Instr, IntReg, Program, ProgramBuilder, SsrCfg, SsrId,
+        SsrSet, StreamDir,
+    };
+
+    /// Steps both clusters `cycles` times and asserts after every cycle
+    /// that each counter of the report and each core's state summary
+    /// agree; then reruns both through `run` and compares whole reports.
+    /// Returns the fast-forwarded run's report.
+    fn assert_lockstep(build: impl Fn(&mut Cluster), cycles: u64) -> RunReport {
+        let (mut fast, mut stepped) = ff_pair(&build);
+        for cycle in 1..=cycles {
+            fast.step().unwrap();
+            stepped.step().unwrap();
+            assert_eq!(
+                fast.report(cycle, 0),
+                stepped.report(cycle, 0),
+                "counters diverge after cycle {cycle}"
+            );
+            for (f, s) in fast.cores.iter().zip(&stepped.cores) {
+                assert_eq!(f.state_summary(), s.state_summary(), "after cycle {cycle}");
+            }
+        }
+        assert!(
+            fast.cores.iter().all(Core::is_quiescent),
+            "scenario did not finish in {cycles} cycles"
+        );
+        let (mut fast, mut stepped) = ff_pair(&build);
+        let fast_report = fast.run(cycles).unwrap();
+        let stepped_report = stepped.run(cycles).unwrap();
+        assert_eq!(stepped_report.cycles_fast_forwarded, 0);
+        let mut scrubbed = fast_report.clone();
+        scrubbed.cycles_fast_forwarded = 0;
+        assert_eq!(scrubbed, stepped_report);
+        fast_report
+    }
+
+    fn fp_r(op: FpROp, rd: FpReg, rs1: FpReg, rs2: FpReg) -> Instr {
+        Instr::FpR { op, rd, rs1, rs2 }
+    }
+
+    /// Seven cores hammering `addr`'s bank, so that a load of core 0 from
+    /// the same bank waits several cycles for its grant.
+    fn load_bank_hammers(c: &mut Cluster, addr: u64, loads: i64) {
+        let mut b = ProgramBuilder::new();
+        b.li(IntReg::T0, addr as i64);
+        b.li(IntReg::T1, loads);
+        let head = b.bind_here();
+        b.push(Instr::Fld {
+            rd: FpReg::FT3,
+            base: IntReg::T0,
+            imm: 0,
+        });
+        b.addi(IntReg::T1, IntReg::T1, -1);
+        b.bne(IntReg::T1, IntReg::ZERO, head);
+        b.push(Instr::Halt);
+        let program = b.finish().unwrap();
+        for core in 1..8 {
+            c.load_program(core, program.clone());
+        }
+    }
+
+    /// `fdiv` makes `ft3` busy for a known 12 cycles; the `fadd` that
+    /// needs it also needs `ft7`, whose `fld` is held up by bank
+    /// conflicts. `known_first` picks which of the two the scoreboard
+    /// meets first: the known one (the FPU sleeps, and must still absorb
+    /// the load's grant on its cycle) or the in-flight one (it must not
+    /// sleep at all).
+    fn dependency_program(known_first: bool) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.li(IntReg::T0, TCDM_BASE as i64);
+        b.push(fp_r(FpROp::Div, FpReg::FT3, FpReg::FT5, FpReg::FT6));
+        b.push(Instr::Fld {
+            rd: FpReg::FT7,
+            base: IntReg::T0,
+            imm: 0,
+        });
+        let (rs1, rs2) = if known_first {
+            (FpReg::FT3, FpReg::FT7)
+        } else {
+            (FpReg::FT7, FpReg::FT3)
+        };
+        b.push(fp_r(FpROp::Add, FpReg::FS0, rs1, rs2));
+        b.push(Instr::Fsd {
+            rs2: FpReg::FS0,
+            base: IntReg::T0,
+            imm: 64,
+        });
+        b.push(Instr::Halt);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn fpu_dependency_sleep_with_a_load_in_flight() {
+        for known_first in [true, false] {
+            let report = assert_lockstep(
+                |c| {
+                    c.write_f64_slice(TCDM_BASE, &[2.5]).unwrap();
+                    load_bank_hammers(c, TCDM_BASE + 8 * 32, 12);
+                    c.load_program(0, dependency_program(known_first));
+                    c.core_mut(0).fp.set_reg(FpReg::FT5, 3.0);
+                    c.core_mut(0).fp.set_reg(FpReg::FT6, 2.0);
+                },
+                400,
+            );
+            let fpu = report.cores[0].fpu;
+            assert!(
+                fpu.stalls.dependency >= 8,
+                "the add must wait out the divide: {fpu:?}"
+            );
+            assert!(
+                report.cores[0].tcdm_wait_cycles > 0,
+                "the load was meant to lose arbitration"
+            );
+        }
+    }
+
+    #[test]
+    fn fpu_wakes_on_exactly_the_ready_at_cycle() {
+        // Back-to-back dependent adds: each issues on the very cycle its
+        // source becomes ready, so the chain takes latency x length.
+        let report = assert_lockstep(
+            |c| {
+                let mut b = ProgramBuilder::new();
+                for _ in 0..6 {
+                    b.push(fp_r(FpROp::Add, FpReg::FT3, FpReg::FT3, FpReg::FT4));
+                }
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+                c.core_mut(0).fp.set_reg(FpReg::FT4, 1.0);
+            },
+            200,
+        );
+        let fpu = report.cores[0].fpu;
+        let latency = u64::from(ClusterConfig::snitch().fpu_latency_add);
+        assert_eq!(fpu.arith, 6);
+        // Five waits of `latency - 1` stalled cycles each: one more and
+        // the wake-up was late, one fewer and it was early.
+        assert_eq!(fpu.stalls.dependency, 5 * (latency - 1));
+    }
+
+    #[test]
+    fn blocked_offload_resumes_the_cycle_the_queue_frees() {
+        let report = assert_lockstep(
+            |c| {
+                let mut b = ProgramBuilder::new();
+                b.push(fp_r(FpROp::Div, FpReg::FT3, FpReg::FT4, FpReg::FT5));
+                // Waits out the divide at the queue's front while the
+                // integer core fills the queue behind it and blocks.
+                b.push(fp_r(FpROp::Add, FpReg::FT6, FpReg::FT3, FpReg::FT4));
+                for i in 0..8 {
+                    let rd = FpReg::new(8 + i).unwrap();
+                    b.push(fp_r(FpROp::Add, rd, FpReg::FT4, FpReg::FT5));
+                }
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+                c.core_mut(0).fp.set_reg(FpReg::FT4, 6.0);
+                c.core_mut(0).fp.set_reg(FpReg::FT5, 3.0);
+            },
+            200,
+        );
+        let core = &report.cores[0];
+        assert!(core.int_stats.stalls.offload_full >= 5, "{core:?}");
+        // Once the divide's consumer issues the FPU retires one op per
+        // cycle, and the integer core refills the slot in the same cycle:
+        // the queue never runs dry before the program does.
+        assert_eq!(core.fpu.arith, 10);
+        assert_eq!(
+            core.fpu.stalls.idle + core.fpu.stalls.dependency + core.fpu.arith,
+            report.cycles,
+            "every FPU cycle is an issue, the divide's wait, or idling around the program"
+        );
+    }
+
+    fn affine(dir: StreamDir, base: u64, elems: u32) -> Box<SsrCfg> {
+        Box::new(SsrCfg::Affine(AffineCfg {
+            dir,
+            base,
+            dims: 1,
+            strides: [8, 0, 0, 0],
+            bounds: [elems, 1, 1, 1],
+        }))
+    }
+
+    /// `jobs` launches of a four-element read (SSR0) and write (SSR2)
+    /// stream pair, copied through one `fadd` per element. The FREP goes
+    /// first so the FPU can drain what the launches feed.
+    fn copy_program(jobs: u32, commit: SsrSet) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.push(Instr::SsrSetup {
+            ssr: SsrId::Ssr0,
+            cfg: affine(StreamDir::Read, TCDM_BASE, 4),
+        });
+        b.push(Instr::SsrSetup {
+            ssr: SsrId::Ssr2,
+            cfg: affine(StreamDir::Write, TCDM_BASE + 4096, 4),
+        });
+        b.push(Instr::SsrEnable);
+        b.push(Instr::Frep {
+            count: FrepCount::Imm(4 * jobs - 1),
+            n_instrs: 1,
+        });
+        b.push(fp_r(FpROp::Add, FpReg::FT2, FpReg::FT0, FpReg::FT4));
+        for _ in 0..jobs {
+            b.push(Instr::SsrCommit { ssrs: commit });
+        }
+        b.push(Instr::SsrDisable);
+        b.push(Instr::Halt);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn launch_full_with_two_streams_in_one_commit() {
+        let report = assert_lockstep(
+            |c| {
+                c.write_f64_slice(TCDM_BASE, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+                let both = SsrSet::of(SsrId::Ssr0).with(SsrId::Ssr2);
+                c.load_program(0, copy_program(6, both));
+                c.core_mut(0).fp.set_reg(FpReg::FT4, 10.0);
+            },
+            2_000,
+        );
+        let core = &report.cores[0];
+        assert!(core.int_stats.stalls.launch_full > 0, "{core:?}");
+        assert!(core.int_stats.stalls.drain > 0, "{core:?}");
+        assert_eq!(core.streamers[0].jobs, 6);
+        assert_eq!(core.streamers[2].jobs, 6);
+        assert_eq!(core.fpu.stream_pops, 24);
+        assert_eq!(core.fpu.stream_pushes, 24);
+    }
+
+    #[test]
+    fn streamers_sleep_on_full_and_empty_fifos() {
+        // One long job each way and an FPU that is slow to start (it
+        // waits out a divide first): the read stream fills its FIFO and
+        // sleeps on it, the write stream sleeps on an empty one.
+        let report = assert_lockstep(
+            |c| {
+                let vals: Vec<f64> = (0..32).map(f64::from).collect();
+                c.write_f64_slice(TCDM_BASE, &vals).unwrap();
+                let mut b = ProgramBuilder::new();
+                b.push(Instr::SsrSetup {
+                    ssr: SsrId::Ssr0,
+                    cfg: affine(StreamDir::Read, TCDM_BASE, 32),
+                });
+                b.push(Instr::SsrSetup {
+                    ssr: SsrId::Ssr2,
+                    cfg: affine(StreamDir::Write, TCDM_BASE + 4096, 32),
+                });
+                b.push(Instr::SsrEnable);
+                b.push(Instr::SsrCommit {
+                    ssrs: SsrSet::of(SsrId::Ssr0).with(SsrId::Ssr2),
+                });
+                b.push(fp_r(FpROp::Div, FpReg::FT3, FpReg::FT4, FpReg::FT5));
+                b.push(Instr::Frep {
+                    count: FrepCount::Imm(31),
+                    n_instrs: 1,
+                });
+                // Each element also waits for the previous sum (latency
+                // 3), so the FIFOs stay full and empty throughout.
+                b.push(fp_r(FpROp::Add, FpReg::FT2, FpReg::FT0, FpReg::FT3));
+                b.push(Instr::SsrDisable);
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+                c.core_mut(0).fp.set_reg(FpReg::FT4, 1.0);
+                c.core_mut(0).fp.set_reg(FpReg::FT5, 1.0);
+            },
+            2_000,
+        );
+        let core = &report.cores[0];
+        assert_eq!(core.streamers[0].elems, 32);
+        assert_eq!(core.streamers[2].elems, 32);
+        assert!(core.fpu.stalls.dependency > 0, "{core:?}");
+    }
+
+    #[test]
+    fn ssr_enable_under_a_sleeping_fpu_changes_what_it_wakes_to() {
+        // The add is offloaded with SSRs off and sleeps on the divide's
+        // result; `ssr_enable` then turns its `ft0` into a stream read of
+        // an unconfigured streamer. Both engines must fault, on the same
+        // cycle, instead of the sleeper issuing with the stale meaning.
+        let build = |c: &mut Cluster| {
+            let mut b = ProgramBuilder::new();
+            b.push(fp_r(FpROp::Div, FpReg::FT3, FpReg::FT4, FpReg::FT5));
+            b.push(fp_r(FpROp::Add, FpReg::FT6, FpReg::FT3, FpReg::FT0));
+            b.push(Instr::SsrEnable);
+            b.push(Instr::Halt);
+            c.load_program(0, b.finish().unwrap());
+        };
+        let (mut fast, mut stepped) = ff_pair(&build);
+        let fast_err = fast.run(1_000).unwrap_err();
+        let stepped_err = stepped.run(1_000).unwrap_err();
+        assert!(matches!(
+            fast_err,
+            SimError::StreamMisuse {
+                core: 0,
+                ssr: 0,
+                ..
+            }
+        ));
+        assert_eq!(fast_err, stepped_err);
+        assert_eq!(fast.cycle, stepped.cycle);
+        assert_eq!(fast.report(0, 0), stepped.report(0, 0));
+    }
+
+    #[test]
+    fn memory_faults_surface_on_the_same_cycle() {
+        // A misaligned and an unmapped FP load, behind enough work that
+        // guards are active when they are granted.
+        for addr in [TCDM_BASE + 4, TCDM_BASE + 128 * 1024] {
+            let build = |c: &mut Cluster| {
+                load_bank_hammers(c, TCDM_BASE, 6);
+                let mut b = ProgramBuilder::new();
+                b.li(IntReg::T0, addr as i64);
+                b.push(fp_r(FpROp::Div, FpReg::FT3, FpReg::FT4, FpReg::FT5));
+                b.push(fp_r(FpROp::Add, FpReg::FT6, FpReg::FT3, FpReg::FT4));
+                b.push(Instr::Fld {
+                    rd: FpReg::FT7,
+                    base: IntReg::T0,
+                    imm: 0,
+                });
+                b.push(Instr::Halt);
+                c.load_program(0, b.finish().unwrap());
+            };
+            let (mut fast, mut stepped) = ff_pair(&build);
+            let fast_err = fast.run(1_000).unwrap_err();
+            let stepped_err = stepped.run(1_000).unwrap_err();
+            assert!(
+                matches!(
+                    fast_err,
+                    SimError::Misaligned { .. } | SimError::BadAddress { .. }
+                ),
+                "{fast_err}"
+            );
+            assert_eq!(fast_err, stepped_err);
+            assert_eq!(fast.cycle, stepped.cycle);
+        }
+    }
+
+    #[test]
+    fn parked_cores_idle_through_a_long_dma_tail() {
+        // Every core halts at once; the DMA keeps the cluster running for
+        // thousands of cycles in which the parked cores' only activity,
+        // the FPU idle count, must keep up — through stepped cycles and
+        // through the whole-cluster skips of the burst-latency windows.
+        let report = assert_lockstep(
+            |c| {
+                let vals: Vec<f64> = (0..4096).map(f64::from).collect();
+                c.write_main_f64_slice(MAIN_BASE, &vals).unwrap();
+                for chunk in 0..4u64 {
+                    c.dma_enqueue(DmaDescriptor::copy_1d(
+                        MAIN_BASE + chunk * 8192,
+                        TCDM_BASE + chunk * 8192,
+                        8192,
+                    ))
+                    .unwrap();
+                }
+            },
+            5_000,
+        );
+        assert_eq!(report.dma.bytes, 4 * 8192);
+        assert!(report.cycles > 500);
+        assert!(report.cycles_fast_forwarded > 100);
+        for core in &report.cores {
+            assert_eq!(
+                core.fpu.stalls.idle, report.cycles,
+                "an FPU with nothing to do idles every cycle of the run"
+            );
         }
     }
 }

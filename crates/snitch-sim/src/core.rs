@@ -12,10 +12,35 @@
 //! # Hot-loop invariants
 //!
 //! Cores execute from a pre-decoded [`ExecTable`] (see
-//! [`crate::decode`]): fetching an instruction is a by-value copy from a
-//! dense array — no per-cycle clone, no `Box` traffic from `ssr_setup`
-//! payloads, no operand `Vec`s. [`Core::step`] performs no heap
-//! allocation in any state.
+//! [`crate::decode`]): fetching an instruction is a by-value copy of
+//! three words from a dense array — no per-cycle clone, no operand
+//! `Vec`s, and the `ssr_setup` payload stays behind in the table's side
+//! array. [`Core::step`] performs no heap allocation in any state.
+//!
+//! # Fast-forwarding
+//!
+//! With [`ClusterConfig::fast_forward`] set, an instruction that cannot
+//! issue because of another unit's state leaves the pipeline *blocked*
+//! on that state instead of ready. A blocked cycle re-checks the one
+//! condition and books the same stall; it does not revisit the
+//! instruction cache (the stepped path would not either: the line was
+//! fetched on the first visit to this pc), fetch the op, or dispatch on
+//! it. The conditions are the ones `execute` tests first for that op,
+//! so the counter is the one it would have booked:
+//!
+//! * FP offload (`fld`/`fsd`/arithmetic) — the offload queue is full;
+//! * `frep` — the queue is full or a body capture is open;
+//! * `ssr_commit` — some named streamer's launch queue is full (that
+//!   every named streamer is configured was checked when the block was
+//!   recorded, and a streamer is never unconfigured);
+//! * `ssr_disable` — the FP subsystem has not drained.
+//!
+//! The FP subsystem and the streamers step before the integer pipeline
+//! within a cycle, so a slot they free is seen, and used, in the same
+//! cycle — blocked or not. Waiting on a stream to drain stays on the
+//! stepped path: it watches for a stuck stream every cycle.
+//!
+//! [`ClusterConfig::fast_forward`]: crate::config::ClusterConfig::fast_forward
 
 use std::sync::Arc;
 
@@ -68,7 +93,24 @@ enum IntState {
     },
     /// Waiting for an integer store's grant.
     WaitStore,
+    /// Ready, except that the instruction at `pc` is known not to issue
+    /// while the condition holds (fast-forwarding only; see the module
+    /// docs).
+    Blocked(Block),
     Halted,
+}
+
+/// What keeps the instruction at `pc` from issuing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    /// `FpSubsystem::can_offload` is false.
+    Offload,
+    /// `FpSubsystem::can_accept_frep` is false.
+    Frep,
+    /// One of these streamers cannot be armed.
+    Launch(saris_isa::SsrSet),
+    /// `FpSubsystem::is_drained` is false.
+    FpDrain,
 }
 
 /// What the integer pipeline will do next, as seen by the cluster's
@@ -104,6 +146,11 @@ pub struct Core {
     pub stats: IntStats,
     /// Cycle at which this core halted (for imbalance analysis).
     pub halted_at: Option<u64>,
+    /// Which of this core's ports held a request after its last step, in
+    /// arbitration order: integer LSU, FP LSU, streamers 0..2.
+    pub(crate) pending_ports: u8,
+    /// Whether stalls may leave the pipeline [`IntState::Blocked`].
+    fast_forward: bool,
 }
 
 impl Core {
@@ -113,6 +160,7 @@ impl Core {
     /// a program once (see
     /// [`Cluster::load_program_all`](crate::Cluster::load_program_all)).
     pub fn new(id: usize, table: Arc<ExecTable>, cfg: &ClusterConfig) -> Core {
+        let fp = FpSubsystem::with_frep_bound(cfg, table.max_frep_body());
         Core {
             id,
             table,
@@ -121,11 +169,13 @@ impl Core {
             state: IntState::Ready,
             ssr_enabled: false,
             fetched_pc: None,
-            fp: FpSubsystem::new(cfg),
+            fp,
             streamers: [Streamer::new(cfg), Streamer::new(cfg), Streamer::new(cfg)],
             lsu_port: MemPort::new(),
             stats: IntStats::default(),
             halted_at: None,
+            pending_ports: 0,
+            fast_forward: cfg.fast_forward,
         }
     }
 
@@ -148,7 +198,10 @@ impl Core {
         match self.state {
             IntState::Halted => CoreWake::Never,
             IntState::StallUntil(t) => CoreWake::At(t),
-            IntState::Ready | IntState::WaitLoad { .. } | IntState::WaitStore => CoreWake::Active,
+            IntState::Ready
+            | IntState::Blocked(_)
+            | IntState::WaitLoad { .. }
+            | IntState::WaitStore => CoreWake::Active,
         }
     }
 
@@ -171,11 +224,17 @@ impl Core {
 
     /// One-line state summary for timeout diagnostics.
     pub fn state_summary(&self) -> String {
+        // A blocked pipeline is a ready one that knows what the next
+        // cycle will find; the summary does not depend on fast-forwarding.
+        let state = match self.state {
+            IntState::Blocked(_) => IntState::Ready,
+            state => state,
+        };
         format!(
             "core {} pc={} state={:?} fp_drained={} streams_drained={:?}",
             self.id,
             self.pc,
-            self.state,
+            state,
             self.fp.is_drained(),
             [
                 self.streamers[0].is_drained(),
@@ -193,11 +252,58 @@ impl Core {
     /// Propagates [`SimError`]s from any unit.
     pub fn step(&mut self, now: u64, icache: &mut ICache) -> Result<(), SimError> {
         for s in &mut self.streamers {
-            s.step();
+            s.step_if_awake();
         }
         self.fp
             .step(now, self.id, self.ssr_enabled, &mut self.streamers)?;
-        self.step_int(now, icache)
+        self.step_int(now, icache)?;
+        let ports = [
+            &self.lsu_port,
+            &self.fp.lsu_port,
+            &self.streamers[0].port,
+            &self.streamers[1].port,
+            &self.streamers[2].port,
+        ];
+        self.pending_ports = 0;
+        for (slot, port) in ports.into_iter().enumerate() {
+            self.pending_ports |= u8::from(port.is_pending()) << slot;
+        }
+        Ok(())
+    }
+
+    /// The port at arbitration slot `slot` (see `pending_ports`).
+    pub(crate) fn port_mut(&mut self, slot: usize) -> &mut MemPort {
+        match slot {
+            0 => &mut self.lsu_port,
+            1 => &mut self.fp.lsu_port,
+            _ => &mut self.streamers[slot - 2].port,
+        }
+    }
+
+    /// Records that the instruction at `pc` stalled on `block` this
+    /// cycle.
+    fn stalled_on(&mut self, block: Block) {
+        *self.stall_counter(block) += 1;
+        if self.fast_forward {
+            self.state = IntState::Blocked(block);
+        }
+    }
+
+    fn stall_counter(&mut self, block: Block) -> &mut u64 {
+        match block {
+            Block::Offload | Block::Frep => &mut self.stats.stalls.offload_full,
+            Block::Launch(_) => &mut self.stats.stalls.launch_full,
+            Block::FpDrain => &mut self.stats.stalls.drain,
+        }
+    }
+
+    fn still_blocked(&self, block: Block) -> bool {
+        match block {
+            Block::Offload => !self.fp.can_offload(),
+            Block::Frep => !self.fp.can_accept_frep(),
+            Block::Launch(ssrs) => !ssrs.iter().all(|s| self.streamers[s.index()].can_arm()),
+            Block::FpDrain => !self.fp.is_drained(),
+        }
     }
 
     fn step_int(&mut self, now: u64, icache: &mut ICache) -> Result<(), SimError> {
@@ -226,6 +332,13 @@ impl Core {
                     self.stats.stalls.lsu += 1;
                 }
                 return Ok(());
+            }
+            IntState::Blocked(block) => {
+                if self.still_blocked(block) {
+                    *self.stall_counter(block) += 1;
+                    return Ok(());
+                }
+                self.state = IntState::Ready;
             }
             IntState::Ready => {}
         }
@@ -355,7 +468,7 @@ impl Core {
                 imm,
             } => {
                 if !self.fp.can_offload() {
-                    self.stats.stalls.offload_full += 1;
+                    self.stalled_on(Block::Offload);
                     return Ok(());
                 }
                 let addr = self.reg_i(base).wrapping_add(imm as i64 as u64);
@@ -364,7 +477,7 @@ impl Core {
             }
             Op::FpArith(arith) => {
                 if !self.fp.can_offload() {
-                    self.stats.stalls.offload_full += 1;
+                    self.stalled_on(Block::Offload);
                     return Ok(());
                 }
                 self.fp.offload_arith(arith);
@@ -378,7 +491,7 @@ impl Core {
                     });
                 }
                 if !self.fp.can_accept_frep() {
-                    self.stats.stalls.offload_full += 1;
+                    self.stalled_on(Block::Frep);
                     return Ok(());
                 }
                 let reps = match count {
@@ -390,11 +503,12 @@ impl Core {
             }
             Op::SsrEnable => {
                 self.ssr_enabled = true;
+                self.fp.wake();
                 self.advance();
             }
             Op::SsrDisable => {
                 if !self.fp.is_drained() {
-                    self.stats.stalls.drain += 1;
+                    self.stalled_on(Block::FpDrain);
                     return Ok(());
                 }
                 for (i, s) in self.streamers.iter().enumerate() {
@@ -419,7 +533,8 @@ impl Core {
                     self.stats.stalls.drain += 1;
                     return Ok(());
                 }
-                s.configure(cfg);
+                s.configure(self.table.ssr_cfg(cfg));
+                self.fp.wake();
                 if cost > 1 {
                     self.stats.stalls.multi_issue += (cost - 1) as u64;
                     self.state = IntState::StallUntil(now + cost as u64);
@@ -441,7 +556,7 @@ impl Core {
                     }
                 }
                 if !ssrs.iter().all(|s| self.streamers[s.index()].can_arm()) {
-                    self.stats.stalls.launch_full += 1;
+                    self.stalled_on(Block::Launch(ssrs));
                     return Ok(());
                 }
                 for ssr in ssrs.iter() {
@@ -493,7 +608,7 @@ mod tests {
             for s in &mut core.streamers {
                 ports.push(&mut s.port);
             }
-            tcdm.arbitrate(&mut ports, cycle).unwrap();
+            tcdm.arbitrate(&mut ports).unwrap();
             cycle += 1;
             if core.is_quiescent() {
                 break;
@@ -630,7 +745,7 @@ mod tests {
             for s in &mut core.streamers {
                 ports.push(&mut s.port);
             }
-            tcdm.arbitrate(&mut ports, cycle).unwrap();
+            tcdm.arbitrate(&mut ports).unwrap();
             if core.is_quiescent() {
                 break;
             }

@@ -10,14 +10,18 @@
 //!   ([`FpArithOp`]), so issuing never builds per-instruction `Vec`s;
 //! * FP latencies are resolved against the [`ClusterConfig`] once, so
 //!   the FPU issues without a per-op latency match;
+//! * the stream-register roles of FP operands (pops per stream,
+//!   destination stream) are resolved, so the FPU never maps a register
+//!   to a stream while issuing;
 //! * multi-cycle issue costs (`li` pairs, `ssr_setup` write counts) are
 //!   precomputed;
-//! * the `Box<SsrCfg>` payload of [`Instr::SsrSetup`] is inlined, so
-//!   fetching an op is a plain copy with no heap traffic.
+//! * the `Box<SsrCfg>` payload of [`Instr::SsrSetup`] moves into a side
+//!   table of the [`ExecTable`], and the op keeps an index: the rare
+//!   `ssr_setup` no longer sets the size of every op.
 //!
-//! Every decoded op is `Copy`; a core fetches by value (`table[pc]`) and the
-//! cycle loop touches no allocator. See the crate docs for the full list
-//! of hot-loop invariants.
+//! Every decoded op is `Copy` and three words long; a core fetches by
+//! value (`table[pc]`) and the cycle loop touches no allocator. See the
+//! crate docs for the full list of hot-loop invariants.
 
 use saris_isa::{Instr, Program, SsrCfg};
 
@@ -92,11 +96,12 @@ pub(crate) enum Op {
     },
     SsrEnable,
     SsrDisable,
-    /// `ssr_setup` with the configuration inlined (no `Box`) and the
-    /// issue cost (configuration-register write count) precomputed.
+    /// `ssr_setup` with the configuration in the table's side array
+    /// ([`ExecTable::ssr_cfg`]) and the issue cost
+    /// (configuration-register write count) precomputed.
     SsrSetup {
         ssr: saris_isa::SsrId,
-        cfg: SsrCfg,
+        cfg: u32,
         cost: u32,
     },
     SsrSetBase {
@@ -134,17 +139,34 @@ pub struct OpMeta {
 #[derive(Debug)]
 pub struct ExecTable {
     ops: Vec<Op>,
+    /// `ssr_setup` payloads, indexed by [`Op::SsrSetup`]'s `cfg`.
+    ssr_cfgs: Vec<SsrCfg>,
+    /// The longest FREP body in the program (0 without an FREP).
+    max_frep_body: usize,
 }
 
 impl ExecTable {
     /// Decodes `program` against `cfg` (which supplies the FP latencies).
     pub fn decode(program: &Program, cfg: &ClusterConfig) -> ExecTable {
-        let ops = program
+        let mut ssr_cfgs = Vec::new();
+        let ops: Vec<Op> = program
             .instrs()
             .iter()
-            .map(|instr| decode_instr(instr, cfg))
+            .map(|instr| decode_instr(instr, cfg, &mut ssr_cfgs))
             .collect();
-        ExecTable { ops }
+        let max_frep_body = ops
+            .iter()
+            .map(|op| match op {
+                Op::Frep { n_instrs, .. } => *n_instrs as usize,
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        ExecTable {
+            ops,
+            ssr_cfgs,
+            max_frep_body,
+        }
     }
 
     /// Number of decoded instructions.
@@ -160,6 +182,16 @@ impl ExecTable {
     /// The decoded op at `pc`, if in range.
     pub(crate) fn get(&self, pc: usize) -> Option<Op> {
         self.ops.get(pc).copied()
+    }
+
+    /// The longest FREP body in the program (0 without an FREP).
+    pub(crate) fn max_frep_body(&self) -> usize {
+        self.max_frep_body
+    }
+
+    /// The stream configuration an [`Op::SsrSetup`] of this table names.
+    pub(crate) fn ssr_cfg(&self, index: u32) -> SsrCfg {
+        self.ssr_cfgs[index as usize]
     }
 
     /// The decode-time metadata of the op at `pc`, if in range.
@@ -184,7 +216,7 @@ impl ExecTable {
     }
 }
 
-fn decode_instr(instr: &Instr, cfg: &ClusterConfig) -> Op {
+fn decode_instr(instr: &Instr, cfg: &ClusterConfig, ssr_cfgs: &mut Vec<SsrCfg>) -> Op {
     match instr {
         Instr::Li { rd, imm } => Op::Li {
             rd: *rd,
@@ -261,11 +293,14 @@ fn decode_instr(instr: &Instr, cfg: &ClusterConfig) -> Op {
         },
         Instr::SsrEnable => Op::SsrEnable,
         Instr::SsrDisable => Op::SsrDisable,
-        Instr::SsrSetup { ssr, cfg: ssr_cfg } => Op::SsrSetup {
-            ssr: *ssr,
-            cfg: *ssr_cfg.as_ref(),
-            cost: instr.issue_cost(),
-        },
+        Instr::SsrSetup { ssr, cfg: ssr_cfg } => {
+            ssr_cfgs.push(**ssr_cfg);
+            Op::SsrSetup {
+                ssr: *ssr,
+                cfg: (ssr_cfgs.len() - 1) as u32,
+                cost: instr.issue_cost(),
+            }
+        }
         Instr::SsrSetBase { ssr, rs1 } => Op::SsrSetBase {
             ssr: *ssr,
             rs1: *rs1,
@@ -333,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn ssr_setup_is_inlined() {
+    fn ssr_setup_payload_is_out_of_line() {
         let mut b = ProgramBuilder::new();
         let cfg = saris_isa::SsrCfg::Affine(saris_isa::AffineCfg {
             dir: saris_isa::StreamDir::Read,
@@ -352,10 +387,13 @@ mod tests {
             Some(Op::SsrSetup {
                 cfg: decoded, cost, ..
             }) => {
-                assert_eq!(decoded, cfg);
+                assert_eq!(table.ssr_cfg(decoded), cfg);
                 assert_eq!(cost, cfg.write_count());
             }
             other => panic!("expected ssr_setup, got {other:?}"),
         }
+        // The payload no longer sizes the op a core copies every fetch.
+        assert!(std::mem::size_of::<Op>() <= 24);
+        assert!(std::mem::size_of::<SsrCfg>() > 24);
     }
 }

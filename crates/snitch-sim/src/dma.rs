@@ -246,6 +246,10 @@ impl Dma {
     /// The engine's next-action classification for the cluster's
     /// fast-forward scan at cycle `now`.
     pub(crate) fn wake(&self, now: u64) -> DmaWake {
+        if self.is_idle() {
+            // Lanes only carry the active transfer's words.
+            return DmaWake::Idle;
+        }
         if self.ports.iter().any(|p| !p.is_idle()) {
             // A grant to absorb (or a request in flight): active.
             return DmaWake::Active;
@@ -380,7 +384,7 @@ mod tests {
     fn run_dma(t: &mut Tcdm, m: &mut MainMemory, d: &mut Dma, max: u64) -> u64 {
         for cycle in 0..max {
             d.step(cycle, m).unwrap();
-            t.arbitrate_slice(&mut d.ports, cycle).unwrap();
+            t.arbitrate_slice(&mut d.ports).unwrap();
             if d.is_idle() {
                 return cycle;
             }

@@ -17,21 +17,62 @@
 //!
 //! # Hot-loop invariants
 //!
-//! The per-cycle path ([`FpSubsystem::step`]) neither allocates nor
-//! clones: arithmetic arrives pre-decoded as [`FpArithOp`] (operands in
-//! fixed arrays, latency resolved against the [`ClusterConfig`] at decode
-//! time), and the issue candidate each cycle is a small `Copy` view of
-//! the queue front. The only allocations happen at offload time, when an
-//! FREP marker grows its capture buffer — once per loop body, not per
-//! replayed cycle.
-
-use std::collections::VecDeque;
+//! [`FpSubsystem::step`] neither allocates nor clones. Arithmetic arrives
+//! pre-decoded as [`FpArithOp`]: operands in fixed arrays, latency
+//! resolved against the [`ClusterConfig`], and — for when SSRs are
+//! enabled — how many elements the sources pop from each stream and which
+//! stream takes the result, so issuing never maps a register to a stream.
+//! Queue entries and FREP bodies are one flat `Copy` type: the offload
+//! queue is a fixed ring, and every captured body lives in one sequencer
+//! ring (capacity reserved at construction) that an FREP marker points
+//! into with a start and a length.
+//!
+//! # Fast-forwarding
+//!
+//! With [`ClusterConfig::fast_forward`] set, a step that stalls records
+//! the stall, and the following steps book the same counter after one
+//! re-check instead of re-deriving it from the queue front. LSU grants
+//! are absorbed before the guard on every step, so a load that lands
+//! while the FPU sleeps scoreboards its register on the cycle it would
+//! have. Per stall, the re-check and why nothing else can change the
+//! outcome (the FPU issues in order, so while it is stalled it pops no
+//! stream, pushes none, and writes no register):
+//!
+//! * **idle** (queue empty, no replay) — until the queue is non-empty.
+//!   An FREP whose body is still streaming in is not recorded: that is a
+//!   non-empty queue.
+//! * **dependency** on a register with a known `ready_at` — until that
+//!   cycle. The stream checks that passed before the scoreboard was
+//!   consulted keep passing, because read FIFOs only grow while the FPU
+//!   does not pop and a non-empty stream cannot be reconfigured; the
+//!   blocking register cannot become ready earlier, because only an
+//!   issue or a load grant writes `ready_at`, and the one load that may
+//!   be in flight targets a register whose `ready_at` is unknown, not
+//!   this one. A dependency on an in-flight load has no known wake-up
+//!   cycle and is never recorded.
+//! * **stream empty** on stream `i` needing `n` elements — until
+//!   `available() >= n`. The streams checked before `i` keep passing, as
+//!   above.
+//! * **stream full** on the destination stream — until it has space. All
+//!   source checks passed and keep passing: FIFOs as above, and a
+//!   register that was ready stays ready.
+//! * **LSU busy** — until the port is idle and no load or store is
+//!   outstanding. This is the first test a memory op makes.
+//!
+//! What the FPU cannot see is the integer core changing what a stream
+//! register *means* under a stalled instruction: `ssr_enable` and
+//! `ssr_setup` call [`FpSubsystem::wake`], as does a host register
+//! write. (`ssr_disable` waits for the FPU to drain, so it has no
+//! instruction to change the meaning of.)
+//!
+//! [`ClusterConfig::fast_forward`]: crate::config::ClusterConfig::fast_forward
 
 use saris_isa::{FpOperands, FpR4Op, FpROp, FpReg, FpUOp, Instr, SsrId, StreamDir};
 
 use crate::config::ClusterConfig;
 use crate::error::SimError;
 use crate::mem::{MemOp, MemPort, MemReq};
+use crate::ring::Ring;
 use crate::ssr::Streamer;
 
 /// Reasons the FP subsystem failed to issue in a cycle.
@@ -102,8 +143,9 @@ impl FpArithKind {
 }
 
 /// One FP arithmetic instruction decoded for allocation-free issue:
-/// operand registers in fixed arrays ([`FpOperands`]) and the result
-/// latency resolved against a [`ClusterConfig`] up front.
+/// operand registers in fixed arrays ([`FpOperands`]), the result
+/// latency resolved against a [`ClusterConfig`], and the operands'
+/// stream-register roles resolved for when SSRs are enabled.
 ///
 /// Built once per program by [`ExecTable::decode`](crate::ExecTable) and
 /// handed to [`FpSubsystem::offload_arith`] by value.
@@ -111,8 +153,12 @@ impl FpArithKind {
 pub struct FpArithOp {
     kind: FpArithKind,
     operands: FpOperands,
-    latency: u64,
+    latency: u32,
     flops: u8,
+    /// Elements the sources pop from each stream when SSRs are enabled.
+    pops: [u8; 3],
+    /// The stream the result is pushed to when SSRs are enabled.
+    dst_stream: Option<SsrId>,
 }
 
 impl FpArithOp {
@@ -141,11 +187,17 @@ impl FpArithOp {
             ),
             _ => unreachable!("fp_operands returned Some for non-arith"),
         };
+        let mut pops = [0; 3];
+        for ssr in operands.srcs().iter().filter_map(|r| SsrId::of_fp_reg(*r)) {
+            pops[ssr.index()] += 1;
+        }
         Some(FpArithOp {
             kind,
             operands,
-            latency: latency as u64,
+            latency,
             flops: instr.flops() as u8,
+            pops,
+            dst_stream: SsrId::of_fp_reg(operands.rd),
         })
     }
 
@@ -156,17 +208,22 @@ impl FpArithOp {
 
     /// The resolved result latency in cycles.
     pub fn latency(&self) -> u64 {
-        self.latency
+        u64::from(self.latency)
     }
 
     /// Floating-point operations per execution (FMA = 2).
     pub fn flops(&self) -> u64 {
         u64::from(self.flops)
     }
+
+    /// Whether any operand is a stream-capable register.
+    fn names_stream_regs(&self) -> bool {
+        self.pops != [0; 3] || self.dst_stream.is_some()
+    }
 }
 
-/// One entry of the offload queue.
-#[derive(Debug, Clone, PartialEq)]
+/// One entry of the offload queue or of a captured FREP body.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum FpOp {
     /// Decoded FP arithmetic.
     Arith(FpArithOp),
@@ -179,30 +236,19 @@ enum FpOp {
         /// Resolved byte address.
         addr: u64,
     },
-    /// An FREP hardware loop. The body is captured into the sequencer
-    /// buffer *at offload time* (as on real Snitch), so capture never
-    /// depends on execution progress — the integer core can stream the
-    /// whole body in and move on to stream launches.
+    /// An FREP hardware loop (queue only). The body is captured into the
+    /// sequencer ring *at offload time* (as on real Snitch), so capture
+    /// never depends on execution progress — the integer core can stream
+    /// the whole body in and move on to stream launches.
     Frep {
         /// Total executions of the body (`count + 1`).
         total_reps: u64,
-        /// Body length the marker still expects during capture.
-        expected: usize,
-        /// Captured body.
-        body: Vec<FpOp>,
-    },
-}
-
-/// The `Copy` view of the next issuable operation — what [`FpOp`] looks
-/// like once FREP markers are excluded, so each cycle's candidate is
-/// extracted without cloning queue entries.
-#[derive(Debug, Clone, Copy)]
-enum IssueOp {
-    Arith(FpArithOp),
-    Mem {
-        is_load: bool,
-        reg: FpReg,
-        addr: u64,
+        /// Where the body starts in the sequencer ring.
+        start: u32,
+        /// Body length, in instructions.
+        len: u32,
+        /// How many of them have been captured so far.
+        captured: u32,
     },
 }
 
@@ -210,7 +256,20 @@ enum IssueOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrepCursor {
     reps_remaining: u64,
-    pos: usize,
+    pos: u32,
+    start: u32,
+    len: u32,
+}
+
+/// A diagnosed stall (see the module docs): which counter a stalled
+/// cycle books and what to re-check before booking it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FpWait {
+    Idle,
+    Dependency { until: u64 },
+    StreamEmpty { ssr: usize, need: usize },
+    StreamFull { ssr: usize },
+    LsuBusy,
 }
 
 /// Sentinel for "load issued, grant not yet seen".
@@ -219,7 +278,14 @@ const READY_UNKNOWN: u64 = u64::MAX;
 /// The floating-point subsystem of one core.
 #[derive(Debug)]
 pub struct FpSubsystem {
-    queue: VecDeque<FpOp>,
+    queue: Ring<FpOp>,
+    /// Captured FREP bodies, oldest first, as a ring of `seq_capacity`
+    /// slots: `seq_len` entries starting at `seq_head`. The storage is
+    /// reserved up front and touched only as far as bodies reach.
+    seq: Vec<FpOp>,
+    seq_capacity: usize,
+    seq_head: usize,
+    seq_len: usize,
     frep_cursor: Option<FrepCursor>,
     /// Body instructions the most recent FREP marker still expects.
     capture_remaining: usize,
@@ -231,16 +297,38 @@ pub struct FpSubsystem {
     lsu_store_busy: bool,
     /// Activity counters.
     pub stats: FpuStats,
-    queue_depth: usize,
     sequencer_depth: usize,
     lat_load: u64,
+    /// Whether stalls may be recorded in `wait` (the cluster
+    /// fast-forwards).
+    fast_forward: bool,
+    wait: Option<FpWait>,
 }
 
 impl FpSubsystem {
     /// Creates an idle FP subsystem.
     pub fn new(cfg: &ClusterConfig) -> FpSubsystem {
+        FpSubsystem::with_frep_bound(cfg, cfg.sequencer_depth)
+    }
+
+    /// An idle FP subsystem for programs whose FREP bodies are at most
+    /// `max_body` instructions long: the sequencer storage, reserved
+    /// here so that capturing never allocates, shrinks from the
+    /// architectural worst case to what the program can use.
+    pub(crate) fn with_frep_bound(cfg: &ClusterConfig, max_body: usize) -> FpSubsystem {
+        // Every queue slot can hold an FREP with a full body.
+        let seq_capacity = cfg.offload_queue_depth * max_body.min(cfg.sequencer_depth);
+        let nop = FpOp::Mem {
+            is_load: false,
+            reg: FpReg::FT0,
+            addr: 0,
+        };
         FpSubsystem {
-            queue: VecDeque::new(),
+            queue: Ring::new(cfg.offload_queue_depth, nop),
+            seq: Vec::with_capacity(seq_capacity),
+            seq_capacity,
+            seq_head: 0,
+            seq_len: 0,
             frep_cursor: None,
             capture_remaining: 0,
             regs: [0.0; FpReg::COUNT],
@@ -249,9 +337,10 @@ impl FpSubsystem {
             lsu_load_dst: None,
             lsu_store_busy: false,
             stats: FpuStats::default(),
-            queue_depth: cfg.offload_queue_depth,
             sequencer_depth: cfg.sequencer_depth,
             lat_load: cfg.fp_load_latency as u64,
+            fast_forward: cfg.fast_forward,
+            wait: None,
         }
     }
 
@@ -259,7 +348,7 @@ impl FpSubsystem {
     /// Instructions captured into an open FREP body go to the sequencer
     /// buffer and are not limited by the queue depth.
     pub fn can_offload(&self) -> bool {
-        self.capture_remaining > 0 || self.queue.len() < self.queue_depth
+        self.capture_remaining > 0 || !self.queue.is_full()
     }
 
     /// Whether an FREP body of `n_instrs` fits the sequencer buffer.
@@ -270,20 +359,41 @@ impl FpSubsystem {
     /// Whether an FREP marker can be offloaded right now (queue slot free
     /// and no body capture still open).
     pub fn can_accept_frep(&self) -> bool {
-        self.capture_remaining == 0 && self.queue.len() < self.queue_depth
+        self.capture_remaining == 0 && !self.queue.is_full()
+    }
+
+    /// The sequencer-ring slot `offset` entries past `start`.
+    fn seq_slot(&self, start: usize, offset: usize) -> usize {
+        let i = start + offset;
+        if i >= self.seq_capacity {
+            i - self.seq_capacity
+        } else {
+            i
+        }
     }
 
     fn push_op(&mut self, op: FpOp) {
         self.stats.offloaded += 1;
-        if self.capture_remaining > 0 {
-            let Some(FpOp::Frep { body, .. }) = self.queue.back_mut() else {
-                unreachable!("capture without an open frep marker");
-            };
-            body.push(op);
-            self.capture_remaining -= 1;
-        } else {
+        if self.capture_remaining == 0 {
             self.queue.push_back(op);
+            return;
         }
+        assert!(
+            self.seq_len < self.seq_capacity,
+            "FREP bodies exceed what the sequencer was sized for"
+        );
+        let slot = self.seq_slot(self.seq_head, self.seq_len);
+        if slot == self.seq.len() {
+            self.seq.push(op); // within the reserved capacity
+        } else {
+            self.seq[slot] = op;
+        }
+        self.seq_len += 1;
+        let Some(FpOp::Frep { captured, .. }) = self.queue.back_mut() else {
+            unreachable!("capture without an open frep marker");
+        };
+        *captured += 1;
+        self.capture_remaining -= 1;
     }
 
     /// Offloads a decoded FP arithmetic instruction.
@@ -315,13 +425,19 @@ impl FpSubsystem {
     /// Panics if the queue is full, a capture is already open, or the
     /// body does not fit the sequencer (check [`Self::frep_fits`]).
     pub fn offload_frep(&mut self, reps: u64, n_instrs: usize) {
-        assert!(self.queue.len() < self.queue_depth, "offload queue full");
+        assert!(!self.queue.is_full(), "offload queue full");
         assert_eq!(self.capture_remaining, 0, "nested frep capture");
         assert!(self.frep_fits(n_instrs), "frep body does not fit sequencer");
+        if self.seq_len == 0 {
+            // Nothing captured is live: restart at the buffer's front so
+            // a loop nest keeps reusing the same few cache lines.
+            self.seq_head = 0;
+        }
         self.queue.push_back(FpOp::Frep {
             total_reps: reps + 1,
-            expected: n_instrs,
-            body: Vec::with_capacity(n_instrs),
+            start: self.seq_slot(self.seq_head, self.seq_len) as u32,
+            len: n_instrs as u32,
+            captured: 0,
         });
         self.capture_remaining = n_instrs;
     }
@@ -332,9 +448,12 @@ impl FpSubsystem {
         self.queue.is_empty()
             && self.frep_cursor.is_none()
             && self.capture_remaining == 0
-            && self.lsu_load_dst.is_none()
-            && !self.lsu_store_busy
-            && self.lsu_port.is_idle()
+            && !self.lsu_busy()
+    }
+
+    /// Whether an FP load or store is still outstanding.
+    fn lsu_busy(&self) -> bool {
+        self.lsu_load_dst.is_some() || self.lsu_store_busy || !self.lsu_port.is_idle()
     }
 
     /// Host/debug register read.
@@ -346,6 +465,15 @@ impl FpSubsystem {
     pub fn set_reg(&mut self, r: FpReg, v: f64) {
         self.regs[r.index() as usize] = v;
         self.ready_at[r.index() as usize] = 0;
+        self.wake();
+    }
+
+    /// Forgets a recorded stall, so that the next step re-derives it.
+    /// For whoever changes, from outside, what the stalled instruction
+    /// will see: SSRs switched on, a streamer reconfigured, a register
+    /// written by the host.
+    pub fn wake(&mut self) {
+        self.wait = None;
     }
 
     /// Books the idle-stall cycles a drained subsystem would have counted
@@ -372,37 +500,58 @@ impl FpSubsystem {
         streamers: &mut [Streamer; 3],
     ) -> Result<(), SimError> {
         self.absorb_lsu_grant(now);
+        if let Some(wait) = self.wait {
+            let holds = match wait {
+                FpWait::Idle => self.queue.is_empty(),
+                FpWait::Dependency { until } => now < until,
+                FpWait::StreamEmpty { ssr, need } => streamers[ssr].available() < need,
+                FpWait::StreamFull { ssr } => streamers[ssr].push_space() == 0,
+                FpWait::LsuBusy => self.lsu_busy(),
+            };
+            if holds {
+                self.book(wait);
+                return Ok(());
+            }
+            self.wait = None;
+        }
         // Activate the front FREP once its body is fully captured.
         if self.frep_cursor.is_none() {
-            if let Some(FpOp::Frep {
-                total_reps,
-                expected,
-                body,
-            }) = self.queue.front()
-            {
-                if body.len() == *expected {
+            match self.queue.front() {
+                Some(FpOp::Frep {
+                    total_reps,
+                    start,
+                    len,
+                    captured,
+                }) => {
+                    if captured < len {
+                        // Body still streaming in from the integer core.
+                        self.stats.stalls.idle += 1;
+                        return Ok(());
+                    }
                     self.frep_cursor = Some(FrepCursor {
-                        reps_remaining: *total_reps,
+                        reps_remaining: total_reps,
                         pos: 0,
+                        start,
+                        len,
                     });
-                } else {
-                    // Body still streaming in from the integer core.
-                    self.stats.stalls.idle += 1;
+                }
+                Some(_) => {}
+                None => {
+                    self.stall(FpWait::Idle);
                     return Ok(());
                 }
             }
         }
-        let Some(op) = self.next_op() else {
-            self.stats.stalls.idle += 1;
-            return Ok(());
+        let op = match self.frep_cursor {
+            Some(c) => self.seq[self.seq_slot(c.start as usize, c.pos as usize)],
+            None => self.queue.front().expect("checked non-empty"),
         };
         let issued = match op {
-            IssueOp::Arith(op) => {
-                self.try_issue_arith(&op, now, core_id, ssr_enabled, streamers)?
-            }
-            IssueOp::Mem { is_load, reg, addr } => {
+            FpOp::Arith(op) => self.try_issue_arith(&op, now, core_id, ssr_enabled, streamers)?,
+            FpOp::Mem { is_load, reg, addr } => {
                 self.try_issue_mem(now, core_id, ssr_enabled, streamers, is_load, reg, addr)?
             }
+            FpOp::Frep { .. } => unreachable!("cursor selects body ops"),
         };
         if issued {
             self.advance_sequencer();
@@ -410,21 +559,25 @@ impl FpSubsystem {
         Ok(())
     }
 
-    fn next_op(&self) -> Option<IssueOp> {
-        let op = match (&self.frep_cursor, self.queue.front()) {
-            (Some(cursor), Some(FpOp::Frep { body, .. })) => body.get(cursor.pos),
-            (None, front) => front,
-            (Some(_), _) => unreachable!("cursor without a frep at the front"),
-        }?;
-        Some(match op {
-            FpOp::Arith(a) => IssueOp::Arith(*a),
-            FpOp::Mem { is_load, reg, addr } => IssueOp::Mem {
-                is_load: *is_load,
-                reg: *reg,
-                addr: *addr,
-            },
-            FpOp::Frep { .. } => unreachable!("cursor selects body ops"),
-        })
+    /// Counts one stalled cycle.
+    fn book(&mut self, wait: FpWait) {
+        let stalls = &mut self.stats.stalls;
+        *match wait {
+            FpWait::Idle => &mut stalls.idle,
+            FpWait::Dependency { .. } => &mut stalls.dependency,
+            FpWait::StreamEmpty { .. } => &mut stalls.stream_empty,
+            FpWait::StreamFull { .. } => &mut stalls.stream_full,
+            FpWait::LsuBusy => &mut stalls.lsu_busy,
+        } += 1;
+    }
+
+    /// Counts one stalled cycle and, when fast-forwarding, records the
+    /// stall for the following steps' guard.
+    fn stall(&mut self, wait: FpWait) {
+        self.book(wait);
+        if self.fast_forward {
+            self.wait = Some(wait);
+        }
     }
 
     /// Moves sequencing state forward after a successful issue.
@@ -433,16 +586,17 @@ impl FpSubsystem {
             self.queue.pop_front();
             return;
         };
-        let Some(FpOp::Frep { body, .. }) = self.queue.front() else {
-            unreachable!("cursor without a frep at the front");
-        };
         cursor.pos += 1;
-        if cursor.pos == body.len() {
+        if cursor.pos == cursor.len {
             cursor.pos = 0;
             cursor.reps_remaining -= 1;
             if cursor.reps_remaining == 0 {
+                // Retire the loop and release its body.
+                let len = cursor.len as usize;
                 self.frep_cursor = None;
                 self.queue.pop_front();
+                self.seq_head = self.seq_slot(self.seq_head, len);
+                self.seq_len -= len;
             }
         }
     }
@@ -469,36 +623,40 @@ impl FpSubsystem {
     ) -> Result<bool, SimError> {
         let rd = op.operands.rd;
         let srcs = op.operands.srcs();
-        if !self.sources_ready(srcs, now, core_id, ssr_enabled, streamers)? {
-            return Ok(false);
+        // With SSRs off (or no ft0..ft2 operand) every register is plain.
+        let streams = ssr_enabled && op.names_stream_regs();
+        if streams {
+            for (ssr, &need) in op.pops.iter().enumerate() {
+                if need > 0 && !self.stream_ready(ssr, need as usize, core_id, streamers)? {
+                    return Ok(false);
+                }
+            }
         }
-        let dst_stream = if ssr_enabled {
-            SsrId::of_fp_reg(rd)
-        } else {
-            None
-        };
+        for r in srcs {
+            let from_stream = streams && r.is_stream_capable();
+            if !from_stream && !self.reg_ready(*r, now) {
+                return Ok(false);
+            }
+        }
+        let dst_stream = op.dst_stream.filter(|_| streams);
         if let Some(ssr) = dst_stream {
             let s = &streamers[ssr.index()];
-            match s.dir() {
-                Some(StreamDir::Write) => {
-                    if s.push_space() == 0 {
-                        self.stats.stalls.stream_full += 1;
-                        return Ok(false);
-                    }
-                }
-                _ => {
-                    return Err(SimError::StreamMisuse {
-                        core: core_id,
-                        ssr: ssr.index(),
-                        reason: "write of a non-write stream register",
-                    })
-                }
+            if s.dir() != Some(StreamDir::Write) {
+                return Err(SimError::StreamMisuse {
+                    core: core_id,
+                    ssr: ssr.index(),
+                    reason: "write of a non-write stream register",
+                });
+            }
+            if s.push_space() == 0 {
+                self.stall(FpWait::StreamFull { ssr: ssr.index() });
+                return Ok(false);
             }
         }
         // ---- issue ----
         let mut vals = [0.0f64; 3];
         for (slot, &r) in vals.iter_mut().zip(srcs) {
-            *slot = self.read_src(r, ssr_enabled, streamers);
+            *slot = self.read_src(r, streams, streamers);
         }
         let v = op.kind.apply(vals);
         if let Some(ssr) = dst_stream {
@@ -506,10 +664,10 @@ impl FpSubsystem {
             self.stats.stream_pushes += 1;
         } else {
             self.regs[rd.index() as usize] = v;
-            self.ready_at[rd.index() as usize] = now + op.latency;
+            self.ready_at[rd.index() as usize] = now + op.latency();
         }
         self.stats.arith += 1;
-        self.stats.flops += op.flops as u64;
+        self.stats.flops += op.flops();
         self.stats.retired += 1;
         Ok(true)
     }
@@ -525,15 +683,16 @@ impl FpSubsystem {
         reg: FpReg,
         addr: u64,
     ) -> Result<bool, SimError> {
-        if self.lsu_load_dst.is_some() || self.lsu_store_busy || !self.lsu_port.is_idle() {
-            self.stats.stalls.lsu_busy += 1;
+        if self.lsu_busy() {
+            self.stall(FpWait::LsuBusy);
             return Ok(false);
         }
+        let stream = ssr_enabled && reg.is_stream_capable();
         if is_load {
-            if ssr_enabled && reg.is_stream_capable() {
+            if stream {
                 return Err(SimError::StreamMisuse {
                     core: core_id,
-                    ssr: SsrId::of_fp_reg(reg).expect("stream-capable").index(),
+                    ssr: reg.index() as usize,
                     reason: "fld into an enabled stream register",
                 });
             }
@@ -545,10 +704,15 @@ impl FpSubsystem {
             });
             self.stats.loads += 1;
         } else {
-            if !self.sources_ready(&[reg], now, core_id, ssr_enabled, streamers)? {
+            let ready = if stream {
+                self.stream_ready(reg.index() as usize, 1, core_id, streamers)?
+            } else {
+                self.reg_ready(reg, now)
+            };
+            if !ready {
                 return Ok(false);
             }
-            let v = self.read_src(reg, ssr_enabled, streamers);
+            let v = self.read_src(reg, stream, streamers);
             self.lsu_store_busy = true;
             self.lsu_port.issue(MemReq {
                 addr,
@@ -560,59 +724,52 @@ impl FpSubsystem {
         Ok(true)
     }
 
-    /// Checks readiness of all sources (stream FIFO occupancy for mapped
-    /// registers, scoreboard for the rest). Counts one stall on failure.
-    fn sources_ready(
+    /// Whether read stream `ssr` holds the `need` elements an instruction
+    /// pops from it. Counts one stall if not.
+    fn stream_ready(
         &mut self,
-        srcs: &[FpReg],
-        now: u64,
+        ssr: usize,
+        need: usize,
         core_id: usize,
-        ssr_enabled: bool,
         streamers: &[Streamer; 3],
     ) -> Result<bool, SimError> {
-        if ssr_enabled {
-            let mut needs = [0usize; 3];
-            for r in srcs {
-                if let Some(ssr) = SsrId::of_fp_reg(*r) {
-                    needs[ssr.index()] += 1;
-                }
-            }
-            for (i, &n) in needs.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                let s = &streamers[i];
-                if !s.is_configured() || s.dir() == Some(StreamDir::Write) {
-                    return Err(SimError::StreamMisuse {
-                        core: core_id,
-                        ssr: i,
-                        reason: "read of a non-read stream register",
-                    });
-                }
-                if s.available() < n {
-                    self.stats.stalls.stream_empty += 1;
-                    return Ok(false);
-                }
-            }
+        let s = &streamers[ssr];
+        if s.dir() != Some(StreamDir::Read) {
+            return Err(SimError::StreamMisuse {
+                core: core_id,
+                ssr,
+                reason: "read of a non-read stream register",
+            });
         }
-        for r in srcs {
-            if ssr_enabled && r.is_stream_capable() {
-                continue;
-            }
-            if self.ready_at[r.index() as usize] > now {
-                self.stats.stalls.dependency += 1;
-                return Ok(false);
-            }
+        if s.available() < need {
+            self.stall(FpWait::StreamEmpty { ssr, need });
+            return Ok(false);
         }
         Ok(true)
     }
 
-    fn read_src(&mut self, r: FpReg, ssr_enabled: bool, streamers: &mut [Streamer; 3]) -> f64 {
-        if ssr_enabled {
-            if let Some(ssr) = SsrId::of_fp_reg(r) {
-                self.stats.stream_pops += 1;
-                return streamers[ssr.index()].pop();
-            }
+    /// Whether the scoreboard has `r` ready at `now`. Counts one stall if
+    /// not.
+    fn reg_ready(&mut self, r: FpReg, now: u64) -> bool {
+        let until = self.ready_at[r.index() as usize];
+        if until <= now {
+            return true;
+        }
+        if until == READY_UNKNOWN {
+            // An in-flight load: no known cycle to sleep until.
+            self.book(FpWait::Dependency { until });
+        } else {
+            self.stall(FpWait::Dependency { until });
+        }
+        false
+    }
+
+    /// Reads a source operand: a pop when `r` is acting as a stream
+    /// register (`stream`), the register file otherwise.
+    fn read_src(&mut self, r: FpReg, stream: bool, streamers: &mut [Streamer; 3]) -> f64 {
+        if stream && r.is_stream_capable() {
+            self.stats.stream_pops += 1;
+            return streamers[r.index() as usize].pop();
         }
         self.regs[r.index() as usize]
     }
@@ -837,7 +994,7 @@ mod tests {
         fp.offload_mem(false, FpReg::FT3, TCDM_BASE + 72);
         for now in 0..60u64 {
             fp.step(now, 0, false, &mut ss).unwrap();
-            t.arbitrate(&mut [&mut fp.lsu_port], now).unwrap();
+            t.arbitrate(&mut [&mut fp.lsu_port]).unwrap();
         }
         assert!(fp.is_drained());
         assert_eq!(f64::from_bits(t.read_u64(TCDM_BASE + 72).unwrap()), 4.0);
@@ -859,7 +1016,7 @@ mod tests {
         fp.offload_mem(false, FpReg::FT3, TCDM_BASE + 8);
         for now in 0..60u64 {
             fp.step(now, 0, false, &mut ss).unwrap();
-            t.arbitrate(&mut [&mut fp.lsu_port], now).unwrap();
+            t.arbitrate(&mut [&mut fp.lsu_port]).unwrap();
         }
         assert_eq!(f64::from_bits(t.read_u64(TCDM_BASE + 8).unwrap()), 6.0);
     }
@@ -922,6 +1079,77 @@ mod tests {
             fp.step(now, 0, false, &mut ss).unwrap();
         }
         assert_eq!(fp.reg(FpReg::FT2), 5.0);
+    }
+
+    /// `fdiv ft3` (busy for 12 cycles), `fld ft7` whose grant the test
+    /// withholds until cycle `grant_at`, then `fadd fs0` over both — in
+    /// either source order. Returns the per-cycle stats trace plus, per
+    /// cycle, whether the FPU had a stall on record while the load was
+    /// still in flight.
+    fn dependency_trace(
+        fast_forward: bool,
+        known_first: bool,
+        grant_at: u64,
+    ) -> (Vec<FpuStats>, Vec<bool>) {
+        let mut cfg = cfg();
+        cfg.fast_forward = fast_forward;
+        let mut t = Tcdm::new(&cfg);
+        let mut fp = FpSubsystem::new(&cfg);
+        let mut ss = streamers(&cfg);
+        t.write_u64(TCDM_BASE, 2.5f64.to_bits()).unwrap();
+        fp.set_reg(FpReg::FT4, 3.0);
+        fp.set_reg(FpReg::FT5, 2.0);
+        fp.offload_arith(decode(Instr::FpR {
+            op: FpROp::Div,
+            rd: FpReg::FT3,
+            rs1: FpReg::FT4,
+            rs2: FpReg::FT5,
+        }));
+        fp.offload_mem(true, FpReg::FT7, TCDM_BASE);
+        let (rs1, rs2) = if known_first { (3, 7) } else { (7, 3) };
+        fp.offload_arith(fadd(8, rs1, rs2));
+        let mut trace = Vec::new();
+        let mut asleep_under_load = Vec::new();
+        for now in 0..30u64 {
+            fp.step(now, 0, false, &mut ss).unwrap();
+            if now >= grant_at {
+                t.arbitrate(&mut [&mut fp.lsu_port]).unwrap();
+            }
+            trace.push(fp.stats);
+            asleep_under_load.push(fp.wait.is_some() && fp.lsu_load_dst.is_some());
+        }
+        assert!(fp.is_drained());
+        assert_eq!(fp.reg(FpReg::FS0), 4.0);
+        (trace, asleep_under_load)
+    }
+
+    #[test]
+    fn sleeping_on_a_known_dependency_still_absorbs_a_load_grant() {
+        // The divide's result is met first: the FPU sleeps until it is
+        // ready, with the load into its other source in flight for the
+        // first cycles of the sleep.
+        let (stepped, _) = dependency_trace(false, true, 6);
+        let (fast, asleep_under_load) = dependency_trace(true, true, 6);
+        assert_eq!(fast, stepped, "every counter, every cycle");
+        assert!(
+            asleep_under_load.iter().filter(|a| **a).count() >= 3,
+            "the scenario must put the sleep and the flight in the same cycles"
+        );
+        // A grant later than the divide: the sleep ends on `ready_at`, and
+        // the in-flight source then keeps the add waiting awake.
+        let (stepped, _) = dependency_trace(false, true, 20);
+        let (fast, _) = dependency_trace(true, true, 20);
+        assert_eq!(fast, stepped);
+    }
+
+    #[test]
+    fn never_sleeps_on_an_in_flight_load() {
+        // The load's register is met first: no wake-up cycle is known, so
+        // nothing may be recorded while it is in flight.
+        let (stepped, _) = dependency_trace(false, false, 6);
+        let (fast, asleep_under_load) = dependency_trace(true, false, 6);
+        assert_eq!(fast, stepped, "every counter, every cycle");
+        assert!(asleep_under_load.iter().all(|a| !a));
     }
 
     #[test]

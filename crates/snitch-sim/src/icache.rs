@@ -10,7 +10,8 @@
 //! # Hot-loop invariants
 //!
 //! Line indices are dense (pc / line size), so residency is tracked in a
-//! flat stamp vector instead of a hash map: a fetch on the hot path is an
+//! flat stamp vector instead of a hash map: a fetch on the hot path is a
+//! shift (the usual power-of-two line size; a division otherwise) and an
 //! array load, and the only allocation is the one-time growth of the
 //! stamp vector to a program's largest line index. LRU behavior is
 //! identical to the previous map-based model (stamps are unique and
@@ -27,6 +28,8 @@ pub struct ICache {
     resident: usize,
     capacity: usize,
     instrs_per_line: usize,
+    /// `log2(instrs_per_line)` when that is a power of two.
+    line_shift: Option<u32>,
     miss_penalty: u32,
     /// The single refill port is busy until this cycle.
     refill_free_at: u64,
@@ -45,6 +48,10 @@ impl ICache {
             resident: 0,
             capacity: cfg.icache_lines,
             instrs_per_line: cfg.instrs_per_icache_line(),
+            line_shift: cfg
+                .instrs_per_icache_line()
+                .is_power_of_two()
+                .then(|| cfg.instrs_per_icache_line().trailing_zeros()),
             miss_penalty: cfg.icache_miss_penalty,
             refill_free_at: 0,
             use_stamp: 0,
@@ -56,7 +63,10 @@ impl ICache {
     /// Looks up the line containing instruction index `pc` at `now`.
     /// Returns the stall cycles the fetching core must wait (0 on a hit).
     pub fn fetch(&mut self, pc: usize, now: u64) -> u32 {
-        let line = pc / self.instrs_per_line;
+        let line = match self.line_shift {
+            Some(shift) => pc >> shift,
+            None => pc / self.instrs_per_line,
+        };
         if line >= self.stamps.len() {
             // One-time growth to the program's largest line index; never
             // triggered again on the same program.

@@ -24,22 +24,34 @@
 //! # Hot-loop invariants
 //!
 //! Simulator throughput (simulated cycles per wall second) bounds every
-//! consumer of this crate, so the per-cycle path upholds two invariants,
-//! asserted in tests and tracked by the `sim_mcycles_per_s` metric of
-//! `BENCHMARK.json`:
+//! consumer of this crate, so the per-cycle path upholds three
+//! invariants, asserted in tests and tracked by the `sim_mcycles_per_s`
+//! and `sim.host_ns_per_cycle.*` metrics of `BENCHMARK.json`:
 //!
 //! 1. **No allocation or cloning per cycle.** Programs are pre-decoded
-//!    once into dense [`ExecTable`]s (operand registers in fixed arrays,
-//!    FP latencies resolved, `ssr_setup` payloads unboxed); the TCDM
-//!    arbiter reuses a per-bank grant scratch and streams over unit
-//!    ports in place; the instruction cache tracks residency in a flat
-//!    stamp vector. The only allocations after load time happen outside
-//!    the cycle loop (reports, error paths) or once per FREP capture.
-//! 2. **Fast-forwarding never changes results.** [`Cluster::run`] skips
-//!    spans where every unit is provably inert, booking the few
-//!    counters that tick in dead cycles exactly as stepping would; see
-//!    the [`cluster`] module docs for the conditions and
-//!    [`RunReport::cycles_fast_forwarded`] for the skipped-cycle tally.
+//!    once into dense [`ExecTable`]s (three-word ops, operand registers
+//!    in fixed arrays, FP latencies and stream-register roles resolved,
+//!    `ssr_setup` payloads in a side table); every queue — offload
+//!    queue, FREP bodies, stream data/index/launch FIFOs — is a ring
+//!    whose storage is allocated when the unit is built; streamers run
+//!    from a plan lowered once per `ssr_setup`; the instruction cache
+//!    tracks residency in a flat stamp vector. The only allocations
+//!    after load time happen outside the cycle loop (reports, error
+//!    paths).
+//! 2. **Arbitration touches requests, not ports.** Cores summarise their
+//!    pending ports as they step; the TCDM arbiter visits only those, in
+//!    the rotating order, resolves bank and storage offset from one range
+//!    check, and keeps the cycle's bank reservations in a bit mask. See
+//!    [`mem`].
+//! 3. **Fast-forwarding never changes results.** With
+//!    [`ClusterConfig::fast_forward`] set, a unit that can only repeat a
+//!    stall it has already diagnosed books that stall after one re-check
+//!    instead of re-deriving it, halted and drained cores are parked, and
+//!    [`Cluster::run`] jumps over spans in which every unit is inert.
+//!    Each guard is stated, with the argument for why it is exact, in the
+//!    module that owns it ([`cluster`], [`core`], [`fpu`], [`ssr`]); with
+//!    the flag clear every unit is evaluated every cycle, and the two
+//!    differ only in [`RunReport::cycles_fast_forwarded`].
 //!
 //! # Examples
 //!
@@ -71,6 +83,7 @@ pub mod fpu;
 pub mod icache;
 pub mod mem;
 pub mod metrics;
+mod ring;
 pub mod ssr;
 
 pub use cluster::Cluster;

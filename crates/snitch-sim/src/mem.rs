@@ -1,11 +1,35 @@
 //! TCDM storage, memory ports, and per-bank arbitration.
 //!
 //! Every memory requester in the cluster (core LSUs, FP LSUs, streamers,
-//! DMA lanes) owns a [`MemPort`]. Each cycle the cluster gathers all ports
-//! with pending requests, groups them by bank, and grants at most one
-//! access per bank using a rotating round-robin priority. Ungranted
+//! DMA lanes) owns a [`MemPort`]. Each cycle the cluster offers the ports
+//! with pending requests to the arbiter in rotating round-robin order,
+//! and the arbiter grants at most one access per bank. Ungranted
 //! requests stay pending and are retried automatically — that retry time
 //! is what the paper's "TCDM access contention" stalls are made of.
+//!
+//! # Hot-loop invariants
+//!
+//! [`Tcdm::grant`] is the whole per-request cost: one range check yields
+//! the byte offset, from which both the bank and the storage index
+//! follow; the per-cycle bank reservations are bits of a word that
+//! [`Tcdm::begin_cycle`] clears, and the rotating start is kept reduced
+//! modulo the port count instead of divided out every cycle. A port
+//! holds its one request or its one response word behind a state byte,
+//! and a response is the read data and nothing else — no owner reads
+//! more.
+//!
+//! Where a fault surfaces is part of the model: an unmapped address when
+//! the request is *offered* (even if its bank is taken this cycle), a
+//! misaligned one when it is *granted*.
+//!
+//! # Fast-forwarding
+//!
+//! The arbiter has no guard of its own; it is told less. The cluster
+//! offers only ports with a pending request, which is exact because
+//! [`Tcdm::grant`] ignores any other port, and offers them in the order
+//! the full rotation would reach them. A cycle with no request at all is
+//! `Tcdm::rotate_priority`: the rotating priority advances and nothing
+//! else does, which is all a full rotation over idle ports changes.
 
 use std::fmt;
 
@@ -13,9 +37,10 @@ use crate::config::{ClusterConfig, MAIN_BASE, TCDM_BASE};
 use crate::error::SimError;
 
 /// A memory access operation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MemOp {
     /// 64-bit read.
+    #[default]
     Read64,
     /// 64-bit write of the payload.
     Write64(u64),
@@ -33,7 +58,7 @@ impl MemOp {
 }
 
 /// A pending TCDM request held by a [`MemPort`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MemReq {
     /// Byte address (must be naturally aligned for the op width).
     pub addr: u64,
@@ -42,14 +67,20 @@ pub struct MemReq {
 }
 
 /// A completed response delivered back through the port.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemResp {
-    /// The request that completed.
-    pub req: MemReq,
     /// Read data (0 for writes).
     pub data: u64,
-    /// Cycle at which the grant happened.
-    pub granted_at: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum PortState {
+    #[default]
+    Idle,
+    /// `req` awaits a grant.
+    Pending,
+    /// `data` awaits its owner.
+    Completed,
 }
 
 /// One requester's interface to the TCDM interconnect.
@@ -59,8 +90,11 @@ pub struct MemResp {
 /// its next step via [`MemPort::take_completed`].
 #[derive(Debug, Default)]
 pub struct MemPort {
-    pending: Option<MemReq>,
-    completed: Option<MemResp>,
+    state: PortState,
+    /// The request, meaningful while pending.
+    req: MemReq,
+    /// The read data, meaningful while completed.
+    data: u64,
     /// Cycles this port spent waiting for a grant (conflict time).
     pub wait_cycles: u64,
     /// Number of granted requests.
@@ -75,12 +109,12 @@ impl MemPort {
 
     /// Whether the port can accept a new request.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_none() && self.completed.is_none()
+        self.state == PortState::Idle
     }
 
     /// Whether a request is awaiting a grant.
     pub fn is_pending(&self) -> bool {
-        self.pending.is_some()
+        self.state == PortState::Pending
     }
 
     /// Issues a request.
@@ -90,17 +124,20 @@ impl MemPort {
     /// Panics if the port is not idle (owner bug).
     pub fn issue(&mut self, req: MemReq) {
         assert!(self.is_idle(), "port already busy");
-        self.pending = Some(req);
+        self.req = req;
+        self.state = PortState::Pending;
     }
 
     /// Takes a completed response, if any.
     pub fn take_completed(&mut self) -> Option<MemResp> {
-        self.completed.take()
+        let resp = self.completed()?;
+        self.state = PortState::Idle;
+        Some(resp)
     }
 
     /// Peeks the completed response without consuming it.
-    pub fn completed(&self) -> Option<&MemResp> {
-        self.completed.as_ref()
+    pub fn completed(&self) -> Option<MemResp> {
+        (self.state == PortState::Completed).then_some(MemResp { data: self.data })
     }
 }
 
@@ -114,36 +151,19 @@ pub struct Tcdm {
     bank_mask: Option<usize>,
     /// Rotating arbitration offset.
     rr: usize,
-    /// Reusable per-cycle grant scratch, one flag per bank. Allocated
-    /// once at construction and cleared (never reallocated) every
-    /// arbitration cycle, keeping the hot loop allocation-free.
-    granted: Vec<bool>,
+    /// `rr % rr_ports`, maintained incrementally so that the cluster's
+    /// fixed port count costs no division per cycle; any other port
+    /// count re-derives it.
+    rr_start: usize,
+    rr_ports: usize,
+    /// This cycle's bank reservations, one bit per bank (64 banks per
+    /// word). Allocated once and cleared every arbitration cycle.
+    granted: Vec<u64>,
     /// Total conflict grants lost (a request existed but another was
     /// granted on the same bank that cycle).
     pub conflicts: u64,
     /// Total granted accesses.
     pub accesses: u64,
-}
-
-/// One arbitration cycle's bookkeeping, handed out by
-/// [`Tcdm::begin_cycle`] and consumed by [`Tcdm::offer`].
-///
-/// The round-robin priority start is frozen when the cycle begins;
-/// offering every port once per pass (pass 0 covers indices at or past
-/// the start, pass 1 the wrap-around) visits requesters in exactly the
-/// rotating order a gathered port list would.
-#[derive(Debug, Clone, Copy)]
-pub struct ArbitrationCycle {
-    start: usize,
-}
-
-impl ArbitrationCycle {
-    /// The rotating-priority start index frozen for this cycle: ports at
-    /// or past it are visited first (pass 0), the wrap-around second
-    /// (pass 1).
-    pub fn start(&self) -> usize {
-        self.start
-    }
 }
 
 impl Tcdm {
@@ -154,7 +174,9 @@ impl Tcdm {
             banks: cfg.tcdm_banks,
             bank_mask: cfg.tcdm_banks.is_power_of_two().then(|| cfg.tcdm_banks - 1),
             rr: 0,
-            granted: vec![false; cfg.tcdm_banks],
+            rr_start: 0,
+            rr_ports: 1,
+            granted: vec![0; cfg.tcdm_banks.div_ceil(64)],
             conflicts: 0,
             accesses: 0,
         }
@@ -172,11 +194,14 @@ impl Tcdm {
 
     /// The bank servicing a byte address (word-interleaved, 64-bit words).
     pub fn bank_of(&self, addr: u64) -> Result<usize, SimError> {
-        let off = self.offset_of(addr)?;
-        Ok(match self.bank_mask {
+        Ok(self.bank_at(self.offset_of(addr)?))
+    }
+
+    fn bank_at(&self, off: usize) -> usize {
+        match self.bank_mask {
             Some(mask) => (off >> 3) & mask,
             None => (off / 8) % self.banks,
-        })
+        }
     }
 
     fn offset_of(&self, addr: u64) -> Result<usize, SimError> {
@@ -217,19 +242,25 @@ impl Tcdm {
         Ok(())
     }
 
+    /// The storage range of `len` bytes at `addr`.
+    fn range_of(&self, addr: u64, len: usize) -> Result<std::ops::Range<usize>, SimError> {
+        let off = self.offset_of(addr)?;
+        if off + len > self.data.len() {
+            return Err(SimError::BadAddress {
+                addr: addr + len as u64,
+            });
+        }
+        Ok(off..off + len)
+    }
+
     /// Host write of raw bytes (used to install index arrays and grids).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SimError> {
-        let off = self.offset_of(addr)?;
-        if off + bytes.len() > self.data.len() {
-            return Err(SimError::BadAddress {
-                addr: addr + bytes.len() as u64,
-            });
-        }
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        let range = self.range_of(addr, bytes.len())?;
+        self.data[range].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -239,13 +270,19 @@ impl Tcdm {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<&[u8], SimError> {
-        let off = self.offset_of(addr)?;
-        if off + len > self.data.len() {
-            return Err(SimError::BadAddress {
-                addr: addr + len as u64,
-            });
-        }
-        Ok(&self.data[off..off + len])
+        Ok(&self.data[self.range_of(addr, len)?])
+    }
+
+    /// Host write of an `f64` slice, word by word into the storage (no
+    /// staged byte image).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadAddress`] if the range is unmapped.
+    pub fn write_f64s(&mut self, addr: u64, values: &[f64]) -> Result<(), SimError> {
+        let range = self.range_of(addr, values.len() * 8)?;
+        store_f64s(&mut self.data[range], values);
+        Ok(())
     }
 
     /// Host zero-fill of a byte range (no staging buffer, unlike
@@ -255,13 +292,8 @@ impl Tcdm {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn zero_bytes(&mut self, addr: u64, len: usize) -> Result<(), SimError> {
-        let off = self.offset_of(addr)?;
-        if off + len > self.data.len() {
-            return Err(SimError::BadAddress {
-                addr: addr + len as u64,
-            });
-        }
-        self.data[off..off + len].fill(0);
+        let range = self.range_of(addr, len)?;
+        self.data[range].fill(0);
         Ok(())
     }
 
@@ -270,104 +302,90 @@ impl Tcdm {
     pub fn reset(&mut self) {
         self.data.fill(0);
         self.rr = 0;
-        self.granted.fill(false);
+        self.rr_start = 0;
+        self.granted.fill(0);
         self.conflicts = 0;
         self.accesses = 0;
     }
 
-    fn execute(&mut self, req: MemReq) -> Result<u64, SimError> {
-        match req.op {
-            MemOp::Read64 => self.read_u64(req.addr),
+    /// Performs a granted access at byte offset `off` (already range
+    /// checked), faulting on misalignment.
+    fn execute(&mut self, req: MemReq, off: usize) -> Result<u64, SimError> {
+        let width = match req.op {
+            MemOp::Read64 | MemOp::Write64(_) => 8,
+            MemOp::Read32 | MemOp::Write32(_) => 4,
+        };
+        if !req.addr.is_multiple_of(width) {
+            return Err(SimError::Misaligned {
+                addr: req.addr,
+                width,
+            });
+        }
+        // In range and aligned, and the capacity is a multiple of 8: the
+        // whole access is inside the storage.
+        let bytes = &mut self.data[off..off + width as usize];
+        Ok(match req.op {
+            MemOp::Read64 => u64::from_le_bytes((&*bytes).try_into().expect("8 bytes")),
+            MemOp::Read32 => u32::from_le_bytes((&*bytes).try_into().expect("4 bytes")) as u64,
             MemOp::Write64(v) => {
-                self.write_u64(req.addr, v)?;
-                Ok(0)
-            }
-            MemOp::Read32 => {
-                if !req.addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned {
-                        addr: req.addr,
-                        width: 4,
-                    });
-                }
-                let off = self.offset_of(req.addr)?;
-                Ok(u32::from_le_bytes(self.data[off..off + 4].try_into().expect("4 bytes")) as u64)
+                bytes.copy_from_slice(&v.to_le_bytes());
+                0
             }
             MemOp::Write32(v) => {
-                if !req.addr.is_multiple_of(4) {
-                    return Err(SimError::Misaligned {
-                        addr: req.addr,
-                        width: 4,
-                    });
-                }
-                let off = self.offset_of(req.addr)?;
-                self.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
-                Ok(0)
+                bytes.copy_from_slice(&v.to_le_bytes());
+                0
             }
-        }
+        })
     }
 
     /// Begins one arbitration cycle over `n_ports` requesters: clears the
-    /// reusable grant scratch and advances the rotating round-robin
-    /// priority. Offer every port to [`Tcdm::offer`] twice (pass 0, then
-    /// pass 1) in a fixed index order; the passes reconstruct the
-    /// rotating visit order without gathering ports into a per-cycle
-    /// list.
+    /// bank reservations, advances the rotating round-robin priority and
+    /// returns the index it starts at. Offer pending ports to
+    /// [`Tcdm::grant`] from that index upwards, then the wrap-around.
     ///
     /// # Panics
     ///
     /// Panics if `n_ports` is zero.
-    pub fn begin_cycle(&mut self, n_ports: usize) -> ArbitrationCycle {
+    pub fn begin_cycle(&mut self, n_ports: usize) -> usize {
         assert!(n_ports > 0, "arbitration needs at least one port");
-        let start = self.rr % n_ports;
-        self.rr = self.rr.wrapping_add(1);
-        self.granted.fill(false);
-        ArbitrationCycle { start }
+        if n_ports != self.rr_ports {
+            self.rr_ports = n_ports;
+            self.rr_start = self.rr % n_ports;
+        }
+        let start = self.rr_start;
+        self.rotate_priority();
+        self.granted.fill(0);
+        start
     }
 
-    /// Offers port `index` in `pass` (0 or 1) of the arbitration cycle:
-    /// grants the port's pending request if its index falls in the pass's
-    /// range, its bank is still free this cycle, and the access is valid.
-    /// Losers stay pending and accumulate wait time.
+    /// Offers one port's pending request (a port with none is skipped):
+    /// grants it if its bank is still free this cycle and the access is
+    /// valid, and says whether it did. Losers stay pending and accumulate
+    /// wait time.
     ///
     /// # Errors
     ///
-    /// Returns the address/alignment error of an invalid granted access.
-    pub fn offer(
-        &mut self,
-        arb: ArbitrationCycle,
-        pass: usize,
-        index: usize,
-        port: &mut MemPort,
-        cycle: u64,
-    ) -> Result<(), SimError> {
-        let in_pass = if pass == 0 {
-            index >= arb.start
-        } else {
-            index < arb.start
-        };
-        if !in_pass {
-            return Ok(());
+    /// Returns [`SimError::BadAddress`] for an unmapped request, granted
+    /// or not, and [`SimError::Misaligned`] for a misaligned granted one.
+    pub fn grant(&mut self, port: &mut MemPort) -> Result<bool, SimError> {
+        if !port.is_pending() {
+            return Ok(false);
         }
-        let Some(req) = port.pending else {
-            return Ok(());
-        };
-        let bank = self.bank_of(req.addr)?;
-        if self.granted[bank] {
+        let req = port.req;
+        let off = self.offset_of(req.addr)?;
+        let bank = self.bank_at(off);
+        let (word, bit) = (bank / 64, 1u64 << (bank % 64));
+        if self.granted[word] & bit != 0 {
             self.conflicts += 1;
             port.wait_cycles += 1;
-            return Ok(());
+            return Ok(false);
         }
-        self.granted[bank] = true;
-        let data = self.execute(req)?;
+        self.granted[word] |= bit;
+        port.data = self.execute(req, off)?;
         self.accesses += 1;
-        port.pending = None;
         port.grants += 1;
-        port.completed = Some(MemResp {
-            req,
-            data,
-            granted_at: cycle,
-        });
-        Ok(())
+        port.state = PortState::Completed;
+        Ok(true)
     }
 
     /// Arbitrates one cycle over `ports`: grants at most one request per
@@ -375,15 +393,14 @@ impl Tcdm {
     /// and leaves losers pending (accumulating their wait time).
     ///
     /// This is the gathered-list convenience over
-    /// [`begin_cycle`](Tcdm::begin_cycle)/[`offer`](Tcdm::offer); the
-    /// cluster's cycle loop uses the streaming form directly so it never
-    /// builds a port list at all.
+    /// [`begin_cycle`](Tcdm::begin_cycle)/[`grant`](Tcdm::grant); the
+    /// cluster's cycle loop visits only its pending ports.
     ///
     /// # Errors
     ///
     /// Returns the first address/alignment error encountered.
-    pub fn arbitrate(&mut self, ports: &mut [&mut MemPort], cycle: u64) -> Result<(), SimError> {
-        self.arbitrate_generic(ports, cycle)
+    pub fn arbitrate(&mut self, ports: &mut [&mut MemPort]) -> Result<(), SimError> {
+        self.arbitrate_generic(ports)
     }
 
     /// [`arbitrate`](Tcdm::arbitrate) over a contiguous slice of owned
@@ -392,34 +409,43 @@ impl Tcdm {
     /// # Errors
     ///
     /// Returns the first address/alignment error encountered.
-    pub fn arbitrate_slice(&mut self, ports: &mut [MemPort], cycle: u64) -> Result<(), SimError> {
-        self.arbitrate_generic(ports, cycle)
+    pub fn arbitrate_slice(&mut self, ports: &mut [MemPort]) -> Result<(), SimError> {
+        self.arbitrate_generic(ports)
     }
 
-    /// The shared two-pass offer loop behind both `arbitrate` flavors.
+    /// The rotating offer loop behind both `arbitrate` flavors.
     fn arbitrate_generic<P: std::borrow::BorrowMut<MemPort>>(
         &mut self,
         ports: &mut [P],
-        cycle: u64,
     ) -> Result<(), SimError> {
         if ports.is_empty() {
             return Ok(());
         }
-        let arb = self.begin_cycle(ports.len());
-        for pass in 0..2 {
-            for (i, port) in ports.iter_mut().enumerate() {
-                self.offer(arb, pass, i, port.borrow_mut(), cycle)?;
-            }
+        let start = self.begin_cycle(ports.len());
+        let (wrapped, first) = ports.split_at_mut(start);
+        for port in first.iter_mut().chain(wrapped) {
+            self.grant(port.borrow_mut())?;
         }
         Ok(())
     }
 
-    /// Books `cycles` arbitration cycles in which no port had a pending
-    /// request — the fast-forward path's equivalent of calling
-    /// [`arbitrate`](Tcdm::arbitrate) with all-idle ports that many
-    /// times. Only the rotating priority advances; no counters move.
+    /// Advances the rotating priority by one arbitration cycle — all
+    /// that a cycle in which no port has a pending request does.
+    pub(crate) fn rotate_priority(&mut self) {
+        self.rr = self.rr.wrapping_add(1);
+        self.rr_start += 1;
+        // `rr == 0` is the counter wrapping, where `rr % n` restarts too.
+        if self.rr_start == self.rr_ports || self.rr == 0 {
+            self.rr_start = 0;
+        }
+    }
+
+    /// [`rotate_priority`](Tcdm::rotate_priority) `cycles` times over —
+    /// the whole-cluster fast-forward's equivalent of calling
+    /// [`arbitrate`](Tcdm::arbitrate) with all-idle ports that often.
     pub(crate) fn skip_idle_cycles(&mut self, cycles: u64) {
         self.rr = self.rr.wrapping_add(cycles as usize);
+        self.rr_start = self.rr % self.rr_ports;
     }
 }
 
@@ -492,11 +518,27 @@ impl MainMemory {
     ///
     /// Returns [`SimError::BadAddress`] if the range is unmapped.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SimError> {
-        let off = self.offset_of(addr, bytes.len())?;
-        self.data[off..off + bytes.len()].copy_from_slice(bytes);
-        let (lo, hi) = self.dirty.unwrap_or((off, off));
-        self.dirty = Some((lo.min(off), hi.max(off + bytes.len())));
+        self.dirty_range(addr, bytes.len())?.copy_from_slice(bytes);
         Ok(())
+    }
+
+    /// Writes an `f64` slice, word by word into the storage (no staged
+    /// byte image).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BadAddress`] if the range is unmapped.
+    pub fn write_f64s(&mut self, addr: u64, values: &[f64]) -> Result<(), SimError> {
+        store_f64s(self.dirty_range(addr, values.len() * 8)?, values);
+        Ok(())
+    }
+
+    /// The `len` bytes at `addr` for writing, marked dirty.
+    fn dirty_range(&mut self, addr: u64, len: usize) -> Result<&mut [u8], SimError> {
+        let off = self.offset_of(addr, len)?;
+        let (lo, hi) = self.dirty.unwrap_or((off, off));
+        self.dirty = Some((lo.min(off), hi.max(off + len)));
+        Ok(&mut self.data[off..off + len])
     }
 
     /// Returns the memory to its power-on state without releasing the
@@ -506,6 +548,20 @@ impl MainMemory {
             self.data[lo..hi].fill(0);
         }
     }
+}
+
+/// Stores `values` little-endian into `dst` (8 bytes each).
+fn store_f64s(dst: &mut [u8], values: &[f64]) {
+    for (word, v) in dst.chunks_exact_mut(8).zip(values) {
+        word.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Decodes a little-endian byte image into `f64`s (8 bytes each).
+pub(crate) fn load_f64s(src: &[u8]) -> Vec<f64> {
+    src.chunks_exact(8)
+        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
+        .collect()
 }
 
 #[cfg(test)]
@@ -566,7 +622,7 @@ mod tests {
             addr: TCDM_BASE + 8, // different bank
             op: MemOp::Read64,
         });
-        t.arbitrate(&mut [&mut a, &mut b], 0).unwrap();
+        t.arbitrate(&mut [&mut a, &mut b]).unwrap();
         assert!(a.take_completed().is_some());
         assert!(b.take_completed().is_some());
         assert_eq!(t.conflicts, 0);
@@ -585,13 +641,13 @@ mod tests {
             addr: TCDM_BASE + 8 * 32, // same bank 0
             op: MemOp::Read64,
         });
-        t.arbitrate(&mut [&mut a, &mut b], 0).unwrap();
+        t.arbitrate(&mut [&mut a, &mut b]).unwrap();
         let done = a.completed().is_some() as u32 + b.completed().is_some() as u32;
         assert_eq!(done, 1, "exactly one grant on a conflicted bank");
         assert_eq!(t.conflicts, 1);
         let _ = a.take_completed();
         let _ = b.take_completed();
-        t.arbitrate(&mut [&mut a, &mut b], 1).unwrap();
+        t.arbitrate(&mut [&mut a, &mut b]).unwrap();
         let done2 = a.completed().is_some() as u32 + b.completed().is_some() as u32;
         assert_eq!(done2, 1, "loser granted next cycle");
     }
@@ -602,7 +658,7 @@ mod tests {
         let mut t = tcdm();
         let mut a = MemPort::new();
         let mut b = MemPort::new();
-        for cycle in 0..10 {
+        for _ in 0..10 {
             if a.is_idle() {
                 a.issue(MemReq {
                     addr: TCDM_BASE,
@@ -615,7 +671,7 @@ mod tests {
                     op: MemOp::Read64,
                 });
             }
-            t.arbitrate(&mut [&mut a, &mut b], cycle).unwrap();
+            t.arbitrate(&mut [&mut a, &mut b]).unwrap();
             let _ = a.take_completed();
             let _ = b.take_completed();
         }
@@ -635,13 +691,13 @@ mod tests {
             addr: TCDM_BASE + 40,
             op: MemOp::Write64(77),
         });
-        t.arbitrate(&mut [&mut p], 0).unwrap();
+        t.arbitrate(&mut [&mut p]).unwrap();
         assert!(p.take_completed().is_some());
         p.issue(MemReq {
             addr: TCDM_BASE + 40,
             op: MemOp::Read64,
         });
-        t.arbitrate(&mut [&mut p], 1).unwrap();
+        t.arbitrate(&mut [&mut p]).unwrap();
         assert_eq!(p.take_completed().unwrap().data, 77);
     }
 
@@ -653,13 +709,13 @@ mod tests {
             addr: TCDM_BASE + 4,
             op: MemOp::Write32(0xABCD),
         });
-        t.arbitrate(&mut [&mut p], 0).unwrap();
+        t.arbitrate(&mut [&mut p]).unwrap();
         let _ = p.take_completed();
         p.issue(MemReq {
             addr: TCDM_BASE + 4,
             op: MemOp::Read32,
         });
-        t.arbitrate(&mut [&mut p], 1).unwrap();
+        t.arbitrate(&mut [&mut p]).unwrap();
         assert_eq!(p.take_completed().unwrap().data, 0xABCD);
         // The containing 64-bit word sees the bytes at the right offset.
         assert_eq!(t.read_u64(TCDM_BASE).unwrap(), 0xABCD << 32);

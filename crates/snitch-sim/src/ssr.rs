@@ -7,14 +7,44 @@
 //! data — the launch run-ahead that makes the paper's per-window `SRIR`
 //! loop overlap with compute.
 //!
+//! # Hot-loop invariants
+//!
+//! [`Streamer::configure`] lowers the [`SsrCfg`] once into a resolved
+//! plan — direction, kind, index width and shift, indices per fetch,
+//! strides with their wrap-around rewinds, element count — so
+//! [`Streamer::step`] never matches on an `Option<SsrCfg>`. The data,
+//! index and launch FIFOs are fixed-capacity rings sized from the
+//! [`ClusterConfig`], and an affine job carries its current address,
+//! advanced by one add per element instead of being re-multiplied from
+//! the loop counters.
+//!
+//! # Fast-forwarding
+//!
+//! With [`ClusterConfig::fast_forward`] set, a step that ends with no
+//! request in flight records why nothing more can happen, and
+//! [`Streamer::step_if_awake`] skips the streamer until that changes:
+//!
+//! * **Inert** — no active job, none queued. [`Streamer::step`] returns
+//!   at its first test in that state and counts nothing; only
+//!   [`Streamer::arm`] and [`Streamer::configure`] end it, and both
+//!   clear the record.
+//! * **Read stream, data FIFO full** / **write stream, data FIFO
+//!   empty** — the job is unfinished and nothing is outstanding, so
+//!   there is no response to consume, no job to retire or activate, and
+//!   the issue logic ends at the FIFO test (an indirect stream reaches
+//!   this state only with indices on hand and its index FIFO topped up,
+//!   so it has no index fetch to issue either). The step is a no-op
+//!   until the FPU pops or pushes, which is exactly the one length the
+//!   guard re-reads.
+//!
 //! [`ClusterConfig::launch_queue_depth`]: crate::config::ClusterConfig::launch_queue_depth
+//! [`ClusterConfig::fast_forward`]: crate::config::ClusterConfig::fast_forward
 
-use std::collections::VecDeque;
-
-use saris_isa::{AffineCfg, IndirectCfg, SsrCfg, StreamDir};
+use saris_isa::{IndexWidth, SsrCfg, StreamDir};
 
 use crate::config::ClusterConfig;
 use crate::mem::{MemOp, MemPort, MemReq};
+use crate::ring::Ring;
 
 /// What the streamer's outstanding memory request is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,21 +57,64 @@ enum PendingKind {
     DataWrite,
 }
 
+/// How elements are addressed, resolved from the [`SsrCfg`].
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    Affine {
+        /// Static byte base added to every launch base.
+        base: u64,
+        dims: usize,
+        strides: [i64; 4],
+        bounds: [u32; 4],
+        /// `strides[d] * (bounds[d] - 1)`: what dimension `d` gives back
+        /// when its counter wraps.
+        rewinds: [i64; 4],
+    },
+    Indirect {
+        idx_base: u64,
+        idx_count: u32,
+        width: IndexWidth,
+        per_fetch: u32,
+        shift: u8,
+        /// Fetch more indices while fewer than this are buffered.
+        idx_low_water: usize,
+    },
+}
+
+/// A static configuration lowered for the per-cycle path.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    /// What it was lowered from.
+    cfg: SsrCfg,
+    dir: StreamDir,
+    /// Elements per job.
+    total: u32,
+    walk: Walk,
+}
+
 /// Iteration state of the armed job currently being walked.
 #[derive(Debug, Clone)]
 struct ActiveJob {
-    /// Dynamic byte base (from `ssr_setbase` + static base).
-    base: u64,
+    /// Affine: byte address of the next element. Indirect: the launch
+    /// base the shifted indices are added to.
+    addr: u64,
     /// Elements whose memory access has been *issued*.
     issued: u32,
     /// Elements whose memory access has completed.
     completed: u32,
-    /// Total elements of this job.
-    total: u32,
     /// Indices fetched from the index array so far (indirect only).
     idx_fetched: u32,
     /// Affine loop counters (innermost first).
     counters: [u32; 4],
+}
+
+/// Why stepping is provably a no-op (see the module docs); `None` while
+/// the streamer has to be stepped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Asleep {
+    Inert,
+    ReadFifoFull,
+    WriteFifoEmpty,
 }
 
 /// Aggregate streamer activity counters (fed to the energy model).
@@ -53,60 +126,102 @@ pub struct StreamerStats {
     pub idx_fetches: u64,
     /// Jobs armed.
     pub jobs: u64,
-    /// Cycles with data available that nobody consumed (read) — a
-    /// diagnostic for over-provisioned FIFOs.
+    /// Reserved: always 0. Meant for cycles in which a read stream held
+    /// data nobody consumed, but the simulator has never counted them,
+    /// and every consumer of a [`RunReport`](crate::RunReport) (wire
+    /// codec, benchmark ledger) carries the zero.
     pub idle_full_cycles: u64,
 }
 
 /// One SSSR streamer.
 #[derive(Debug)]
 pub struct Streamer {
-    cfg: Option<SsrCfg>,
+    plan: Option<Plan>,
     staged_base: Option<u64>,
-    jobs: VecDeque<u64>,
+    jobs: Ring<u64>,
     active: Option<ActiveJob>,
     /// Read direction: delivered data awaiting FPU pops.
     /// Write direction: FPU-pushed data awaiting memory writes.
-    data_fifo: VecDeque<f64>,
-    idx_fifo: VecDeque<u64>,
+    data_fifo: Ring<f64>,
+    idx_fifo: Ring<u64>,
     pending_kind: Option<PendingKind>,
     /// The streamer's TCDM port.
     pub port: MemPort,
-    fifo_depth: usize,
-    launch_depth: usize,
     idx_depth: usize,
+    /// Whether steps may record [`Asleep`] (the cluster fast-forwards).
+    fast_forward: bool,
+    asleep: Option<Asleep>,
     /// Activity counters.
     pub stats: StreamerStats,
 }
+
+/// The most indices one 64-bit fetch delivers ([`IndexWidth::U8`]).
+const MAX_PER_FETCH: usize = 8;
 
 impl Streamer {
     /// Creates an unconfigured streamer.
     pub fn new(cfg: &ClusterConfig) -> Streamer {
         Streamer {
-            cfg: None,
+            plan: None,
             staged_base: None,
-            jobs: VecDeque::new(),
+            jobs: Ring::new(cfg.launch_queue_depth, 0),
             active: None,
-            data_fifo: VecDeque::new(),
-            idx_fifo: VecDeque::new(),
+            data_fifo: Ring::new(cfg.stream_fifo_depth, 0.0),
+            // A fetch is issued only below the low-water mark (at most
+            // one fetch's worth) and delivers at most one fetch's worth.
+            idx_fifo: Ring::new(2 * MAX_PER_FETCH, 0),
             pending_kind: None,
             port: MemPort::new(),
-            fifo_depth: cfg.stream_fifo_depth,
-            launch_depth: cfg.launch_queue_depth,
             idx_depth: cfg.index_fifo_depth,
+            fast_forward: cfg.fast_forward,
+            asleep: None,
             stats: StreamerStats::default(),
         }
     }
 
     /// Installs a static configuration (from `ssr_setup`).
     pub fn configure(&mut self, cfg: SsrCfg) {
-        self.cfg = Some(cfg);
+        let walk = match cfg {
+            SsrCfg::Affine(a) => {
+                let mut rewinds = [0; 4];
+                for (r, (&stride, &bound)) in
+                    rewinds.iter_mut().zip(a.strides.iter().zip(&a.bounds))
+                {
+                    *r = stride.wrapping_mul(i64::from(bound) - 1);
+                }
+                Walk::Affine {
+                    base: a.base,
+                    dims: a.dims as usize,
+                    strides: a.strides,
+                    bounds: a.bounds,
+                    rewinds,
+                }
+            }
+            SsrCfg::Indirect(i) => Walk::Indirect {
+                idx_base: i.idx_base,
+                idx_count: i.idx_count,
+                width: i.idx_width,
+                per_fetch: i.idx_width.per_fetch() as u32,
+                shift: i.shift,
+                idx_low_water: self.idx_depth.min(i.idx_width.per_fetch()),
+            },
+        };
+        self.plan = Some(Plan {
+            cfg,
+            dir: cfg.dir(),
+            total: match cfg {
+                SsrCfg::Affine(a) => a.total_elems() as u32,
+                SsrCfg::Indirect(i) => i.idx_count,
+            },
+            walk,
+        });
         self.staged_base = None;
+        self.asleep = None;
     }
 
     /// The installed configuration.
     pub fn config(&self) -> Option<&SsrCfg> {
-        self.cfg.as_ref()
+        self.plan.as_ref().map(|p| &p.cfg)
     }
 
     /// Stages a dynamic base (from `ssr_setbase`).
@@ -116,7 +231,7 @@ impl Streamer {
 
     /// Whether another job can be armed.
     pub fn can_arm(&self) -> bool {
-        self.jobs.len() < self.launch_depth
+        !self.jobs.is_full()
     }
 
     /// Arms a job using the staged base (or the static base alone).
@@ -130,23 +245,26 @@ impl Streamer {
             return false;
         }
         let staged = self.staged_base.take().unwrap_or(0);
-        let base = match self.cfg.as_ref().expect("configured before arm") {
-            SsrCfg::Affine(a) => a.base.wrapping_add(staged),
-            SsrCfg::Indirect(_) => staged,
+        let base = match self.plan.as_ref().expect("configured before arm").walk {
+            Walk::Affine { base, .. } => base.wrapping_add(staged),
+            Walk::Indirect { .. } => staged,
         };
         self.jobs.push_back(base);
         self.stats.jobs += 1;
+        if self.asleep == Some(Asleep::Inert) {
+            self.asleep = None;
+        }
         true
     }
 
     /// Whether the streamer is configured.
     pub fn is_configured(&self) -> bool {
-        self.cfg.is_some()
+        self.plan.is_some()
     }
 
     /// The stream direction, if configured.
     pub fn dir(&self) -> Option<StreamDir> {
-        self.cfg.as_ref().map(SsrCfg::dir)
+        self.plan.as_ref().map(|p| p.dir)
     }
 
     /// Data elements available for the FPU to pop (read streams).
@@ -172,7 +290,7 @@ impl Streamer {
     /// Free slots for FPU pushes (write streams).
     pub fn push_space(&self) -> usize {
         match self.dir() {
-            Some(StreamDir::Write) => self.fifo_depth - self.data_fifo.len(),
+            Some(StreamDir::Write) => self.data_fifo.space(),
             _ => 0,
         }
     }
@@ -184,10 +302,7 @@ impl Streamer {
     /// Panics if the FIFO is full (the FPU checks first).
     pub fn push(&mut self, value: f64) {
         debug_assert_eq!(self.dir(), Some(StreamDir::Write));
-        assert!(
-            self.data_fifo.len() < self.fifo_depth,
-            "push on full stream FIFO"
-        );
+        assert!(!self.data_fifo.is_full(), "push on full stream FIFO");
         self.data_fifo.push_back(value);
     }
 
@@ -226,23 +341,61 @@ impl Streamer {
         !self.can_make_progress()
     }
 
+    /// [`step`](Streamer::step), unless an earlier step recorded that
+    /// stepping is a no-op and the one FIFO length that could change that
+    /// has not moved (see the module docs). Never skips anything on a
+    /// cluster that does not fast-forward.
+    pub fn step_if_awake(&mut self) {
+        let skip = match self.asleep {
+            None => false,
+            Some(Asleep::Inert) => true,
+            Some(Asleep::ReadFifoFull) => self.data_fifo.is_full(),
+            Some(Asleep::WriteFifoEmpty) => self.data_fifo.is_empty(),
+        };
+        if !skip {
+            self.step();
+        }
+    }
+
     /// Advances the streamer one cycle: consume a completed memory
     /// response, activate queued jobs, and issue at most one new memory
     /// request through the port.
     pub fn step(&mut self) {
+        self.asleep = None;
         if self.is_inert() {
             // Nothing to consume, activate, or issue — and no counters
             // tick on an inert streamer, so returning here is exactly
             // equivalent to falling through (unconfigured streamers take
             // this exit every cycle of an integer-only kernel).
+            if self.fast_forward {
+                self.asleep = Some(Asleep::Inert);
+            }
             return;
         }
         self.consume_response();
         self.activate_next_job();
-        if self.port.is_pending() || self.pending_kind.is_some() {
+        if self.pending_kind.is_some() {
             return; // one outstanding request at a time
         }
         self.issue_next_request();
+        if self.fast_forward && self.pending_kind.is_none() {
+            self.asleep = self.diagnose_sleep();
+        }
+    }
+
+    /// Why the step that just ended with nothing in flight will repeat
+    /// as a no-op, if it will.
+    fn diagnose_sleep(&self) -> Option<Asleep> {
+        let Some(job) = &self.active else {
+            // `activate_next_job` would have taken a queued job.
+            return Some(Asleep::Inert);
+        };
+        let plan = self.plan.as_ref().expect("active job without a plan");
+        // A finished job is retired by the next step.
+        (job.issued < plan.total).then_some(match plan.dir {
+            StreamDir::Read => Asleep::ReadFifoFull,
+            StreamDir::Write => Asleep::WriteFifoEmpty,
+        })
     }
 
     fn consume_response(&mut self) {
@@ -255,35 +408,28 @@ impl Streamer {
         };
         match kind {
             PendingKind::Index => {
-                let SsrCfg::Indirect(icfg) = self.cfg.as_ref().expect("configured") else {
+                let Some(Plan {
+                    walk:
+                        Walk::Indirect {
+                            idx_count,
+                            width,
+                            per_fetch,
+                            ..
+                        },
+                    ..
+                }) = self.plan
+                else {
                     unreachable!("index fetch on affine stream");
                 };
-                let per = icfg.idx_width.per_fetch() as u32;
-                let bytes = resp.data.to_le_bytes();
-                // The fetch may start mid-word if idx_base is not 8-byte
-                // aligned times the position; we require 8-byte aligned
-                // index arrays, so entry k of this fetch is global index
-                // idx_fetched + k.
-                for k in 0..per {
-                    let global = active.idx_fetched + k;
-                    if global >= icfg.idx_count {
-                        break;
-                    }
-                    let w = icfg.idx_width.bytes();
-                    let off = (k as usize) * w;
-                    let raw: u64 = match icfg.idx_width {
-                        saris_isa::IndexWidth::U8 => bytes[off] as u64,
-                        saris_isa::IndexWidth::U16 => {
-                            u16::from_le_bytes([bytes[off], bytes[off + 1]]) as u64
-                        }
-                        saris_isa::IndexWidth::U32 => {
-                            u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
-                                as u64
-                        }
-                    };
-                    self.idx_fifo.push_back(raw);
+                // Index arrays are 8-byte aligned, so entry k of this
+                // fetch is global index idx_fetched + k.
+                let fresh = per_fetch.min(idx_count - active.idx_fetched);
+                let bits = 8 * width.bytes() as u32;
+                let mask = width.max_value();
+                for k in 0..fresh {
+                    self.idx_fifo.push_back((resp.data >> (k * bits)) & mask);
                 }
-                active.idx_fetched = (active.idx_fetched + per).min(icfg.idx_count);
+                active.idx_fetched += fresh;
             }
             PendingKind::DataRead => {
                 self.data_fifo.push_back(f64::from_bits(resp.data));
@@ -298,23 +444,19 @@ impl Streamer {
     }
 
     fn activate_next_job(&mut self) {
+        let Some(plan) = &self.plan else { return };
         if let Some(a) = &self.active {
-            if a.completed == a.total {
+            if a.completed == plan.total {
                 debug_assert!(self.idx_fifo.is_empty(), "job ended with stale indices");
                 self.active = None;
             }
         }
         if self.active.is_none() {
             if let Some(base) = self.jobs.pop_front() {
-                let total = match self.cfg.as_ref().expect("configured") {
-                    SsrCfg::Affine(a) => a.total_elems() as u32,
-                    SsrCfg::Indirect(i) => i.idx_count,
-                };
                 self.active = Some(ActiveJob {
-                    base,
+                    addr: base,
                     issued: 0,
                     completed: 0,
-                    total,
                     idx_fetched: 0,
                     counters: [0; 4],
                 });
@@ -323,115 +465,84 @@ impl Streamer {
     }
 
     fn issue_next_request(&mut self) {
-        // Destructure so the installed configuration is *borrowed* while
-        // the FIFOs, port, and active job are mutated — the hot loop
-        // issues every request without cloning the config.
-        let Streamer {
-            cfg,
-            active,
-            data_fifo,
-            idx_fifo,
-            pending_kind,
-            port,
-            fifo_depth,
-            idx_depth,
-            stats,
-            ..
-        } = self;
-        let Some(cfg) = cfg.as_ref() else { return };
-        let Some(active) = active.as_mut() else {
+        let (Some(plan), Some(active)) = (&self.plan, self.active.as_mut()) else {
             return;
         };
-        if active.issued == active.total {
+        if active.issued == plan.total {
             return;
         }
-        match (cfg, cfg.dir()) {
-            (SsrCfg::Indirect(icfg), dir) => {
-                let need_more_idx = active.idx_fetched < icfg.idx_count
-                    && idx_fifo.len() < (*idx_depth).min(icfg.idx_width.per_fetch());
-                let can_data = !idx_fifo.is_empty()
-                    && match dir {
-                        StreamDir::Read => data_fifo.len() < *fifo_depth,
-                        StreamDir::Write => !data_fifo.is_empty(),
-                    };
-                if can_data {
-                    let idx = idx_fifo.pop_front().expect("nonempty");
-                    let addr = active.base.wrapping_add(idx << icfg.shift);
-                    let op = match dir {
-                        StreamDir::Read => MemOp::Read64,
-                        StreamDir::Write => {
-                            let v = data_fifo.pop_front().expect("write data");
-                            MemOp::Write64(v.to_bits())
-                        }
-                    };
-                    active.issued += 1;
-                    *pending_kind = Some(match dir {
-                        StreamDir::Read => PendingKind::DataRead,
-                        StreamDir::Write => PendingKind::DataWrite,
-                    });
-                    port.issue(MemReq { addr, op });
-                } else if need_more_idx {
-                    // 64-bit aligned fetch of the next index word.
-                    let fetch_no = active.idx_fetched as u64 / icfg.idx_width.per_fetch() as u64;
-                    let addr = icfg.idx_base + fetch_no * 8;
-                    stats.idx_fetches += 1;
-                    *pending_kind = Some(PendingKind::Index);
-                    port.issue(MemReq {
-                        addr,
-                        op: MemOp::Read64,
-                    });
+        let data_ready = match plan.dir {
+            StreamDir::Read => !self.data_fifo.is_full(),
+            StreamDir::Write => !self.data_fifo.is_empty(),
+        };
+        let addr = match plan.walk {
+            Walk::Indirect {
+                idx_base,
+                idx_count,
+                per_fetch,
+                shift,
+                idx_low_water,
+                ..
+            } => {
+                if data_ready && !self.idx_fifo.is_empty() {
+                    let idx = self.idx_fifo.pop_front().expect("nonempty");
+                    active.addr.wrapping_add(idx << shift)
+                } else {
+                    if active.idx_fetched < idx_count && self.idx_fifo.len() < idx_low_water {
+                        // 64-bit aligned fetch of the next index word.
+                        let fetch_no = u64::from(active.idx_fetched / per_fetch);
+                        self.stats.idx_fetches += 1;
+                        self.pending_kind = Some(PendingKind::Index);
+                        self.port.issue(MemReq {
+                            addr: idx_base + fetch_no * 8,
+                            op: MemOp::Read64,
+                        });
+                    }
+                    return;
                 }
             }
-            (SsrCfg::Affine(acfg), StreamDir::Read) => {
-                if data_fifo.len() < *fifo_depth {
-                    let addr = affine_addr(acfg, active);
-                    advance_affine(acfg, active);
-                    active.issued += 1;
-                    *pending_kind = Some(PendingKind::DataRead);
-                    port.issue(MemReq {
-                        addr,
-                        op: MemOp::Read64,
-                    });
+            Walk::Affine {
+                dims,
+                ref strides,
+                ref bounds,
+                ref rewinds,
+                ..
+            } => {
+                if !data_ready {
+                    return;
                 }
-            }
-            (SsrCfg::Affine(acfg), StreamDir::Write) => {
-                if let Some(&v) = data_fifo.front() {
-                    let addr = affine_addr(acfg, active);
-                    advance_affine(acfg, active);
-                    data_fifo.pop_front();
-                    active.issued += 1;
-                    *pending_kind = Some(PendingKind::DataWrite);
-                    port.issue(MemReq {
-                        addr,
-                        op: MemOp::Write64(v.to_bits()),
-                    });
+                let addr = active.addr;
+                // Step the loop nest and the address with it: a counter
+                // that advances adds its stride, one that wraps gives
+                // back its whole extent.
+                for d in 0..dims {
+                    active.counters[d] += 1;
+                    if active.counters[d] < bounds[d] {
+                        active.addr = active.addr.wrapping_add(strides[d] as u64);
+                        break;
+                    }
+                    active.counters[d] = 0;
+                    active.addr = active.addr.wrapping_sub(rewinds[d] as u64);
                 }
+                addr
             }
-        }
-    }
-}
-
-fn affine_addr(cfg: &AffineCfg, job: &ActiveJob) -> u64 {
-    let mut addr = job.base as i64;
-    for d in 0..cfg.dims as usize {
-        addr += job.counters[d] as i64 * cfg.strides[d];
-    }
-    addr as u64
-}
-
-fn advance_affine(cfg: &AffineCfg, job: &mut ActiveJob) {
-    for d in 0..cfg.dims as usize {
-        job.counters[d] += 1;
-        if job.counters[d] < cfg.bounds[d] {
-            return;
-        }
-        job.counters[d] = 0;
+        };
+        active.issued += 1;
+        let (kind, op) = match plan.dir {
+            StreamDir::Read => (PendingKind::DataRead, MemOp::Read64),
+            StreamDir::Write => {
+                let v = self.data_fifo.pop_front().expect("write data");
+                (PendingKind::DataWrite, MemOp::Write64(v.to_bits()))
+            }
+        };
+        self.pending_kind = Some(kind);
+        self.port.issue(MemReq { addr, op });
     }
 }
 
 /// Helper building an indirect read config (used by tests and codegen).
-pub fn indirect_read(idx_base: u64, idx_count: u32, width: saris_isa::IndexWidth) -> SsrCfg {
-    SsrCfg::Indirect(IndirectCfg {
+pub fn indirect_read(idx_base: u64, idx_count: u32, width: IndexWidth) -> SsrCfg {
+    SsrCfg::Indirect(saris_isa::IndirectCfg {
         dir: StreamDir::Read,
         idx_base,
         idx_count,
@@ -445,12 +556,12 @@ mod tests {
     use super::*;
     use crate::config::TCDM_BASE;
     use crate::mem::Tcdm;
-    use saris_isa::IndexWidth;
+    use saris_isa::{AffineCfg, IndexWidth};
 
     fn run_streamer(s: &mut Streamer, t: &mut Tcdm, cycles: u64) {
-        for c in 0..cycles {
+        for _ in 0..cycles {
             s.step();
-            t.arbitrate(&mut [&mut s.port], c).unwrap();
+            t.arbitrate(&mut [&mut s.port]).unwrap();
         }
     }
 
@@ -472,9 +583,9 @@ mod tests {
         }));
         assert!(s.arm());
         let mut got = Vec::new();
-        for c in 0..200 {
+        for _ in 0..200 {
             s.step();
-            t.arbitrate(&mut [&mut s.port], c).unwrap();
+            t.arbitrate(&mut [&mut s.port]).unwrap();
             while s.available() > 0 {
                 got.push(s.pop());
             }
@@ -504,13 +615,13 @@ mod tests {
         }));
         assert!(s.arm());
         let mut pushed = 0;
-        for c in 0..200 {
+        for _ in 0..200 {
             if pushed < 6 && s.push_space() > 0 {
                 s.push(pushed as f64 + 0.5);
                 pushed += 1;
             }
             s.step();
-            t.arbitrate(&mut [&mut s.port], c).unwrap();
+            t.arbitrate(&mut [&mut s.port]).unwrap();
             if pushed == 6 && s.is_drained() {
                 break;
             }
@@ -547,9 +658,9 @@ mod tests {
         s.stage_base(data_base);
         assert!(s.arm());
         let mut got = Vec::new();
-        for c in 0..200 {
+        for _ in 0..200 {
             s.step();
-            t.arbitrate(&mut [&mut s.port], c).unwrap();
+            t.arbitrate(&mut [&mut s.port]).unwrap();
             while s.available() > 0 {
                 got.push(s.pop());
             }
@@ -587,9 +698,9 @@ mod tests {
         assert!(s.arm());
         assert!(!s.can_arm() || cfg.launch_queue_depth > 2);
         let mut got = Vec::new();
-        for c in 0..400 {
+        for _ in 0..400 {
             s.step();
-            t.arbitrate(&mut [&mut s.port], c).unwrap();
+            t.arbitrate(&mut [&mut s.port]).unwrap();
             while s.available() > 0 {
                 got.push(s.pop());
             }
