@@ -7,7 +7,8 @@
 //! byte ranges. This module is the translation: per core, the kernel's
 //! grid arena (input slots read-only, the output slot and guard row
 //! writable), that core's coefficient/index replicas, the raw install
-//! images (so indirect-stream indices decode exactly), and — when the
+//! images (borrowed from the kernel and shared by all cores' maps, so
+//! indirect-stream indices decode exactly), and — when the
 //! run overlaps DMA with compute — the inbound transfer spans for
 //! write-hazard detection.
 //!
@@ -22,6 +23,9 @@ use saris_verify::{verify_cluster, ClusterReport, MemoryMap};
 
 use crate::runtime::{CompiledKernel, RunOptions};
 
+/// Region names of the four index-array slots.
+const INDEX_REGIONS: [&str; 4] = ["index0", "index1", "index2", "index3"];
+
 /// The memory grants one core of `kernel` is entitled to.
 ///
 /// Mirrors exactly what `execute_on` installs and what the hardware
@@ -29,15 +33,16 @@ use crate::runtime::{CompiledKernel, RunOptions};
 /// [`ArrayRole::Output`] slots writable), the guard row after the arena
 /// (writable — it exists to absorb tail writes), and this core's own
 /// coefficient-/index-table replicas (read-only; a core never touches a
-/// neighbor's replica). The kernel's install images ride along so the
+/// neighbor's replica). The kernel's install images ride along *by
+/// reference* — every core's map points at the same bytes — so the
 /// verifier can decode indirect-stream index arrays, and
 /// `options.concurrent_dma` adds the inbound DMA destination spans.
-pub fn kernel_memory_map(
-    stencil: &Stencil,
-    kernel: &CompiledKernel,
+pub fn kernel_memory_map<'a>(
+    stencil: &'a Stencil,
+    kernel: &'a CompiledKernel,
     options: &RunOptions,
     core: usize,
-) -> MemoryMap {
+) -> MemoryMap<'a> {
     let map = &kernel.map;
     let extent = map.layout().extent();
     let tile_bytes = extent.len() * ELEM_BYTES;
@@ -60,17 +65,16 @@ pub fn kernel_memory_map(
     if let Some(cs) = &map.coeff_stream {
         m.grant("coeff-stream", cs.base_for(core), cs.len() as u64, false);
     }
-    for (slot, region) in kernel.map.index.iter().enumerate() {
+    for (name, region) in INDEX_REGIONS.into_iter().zip(&map.index) {
         if let Some(r) = region {
-            m.grant(
-                format!("index{slot}"),
-                r.base_for(core),
-                r.len() as u64,
-                false,
-            );
+            m.grant(name, r.base_for(core), r.len() as u64, false);
         }
     }
-    m.tables = kernel.install.clone();
+    m.tables = kernel
+        .install
+        .iter()
+        .map(|(base, bytes)| (*base, bytes.as_slice()))
+        .collect();
     if options.concurrent_dma {
         for i in 0..stencil.input_arrays().count() {
             m.dma_writes
@@ -140,8 +144,24 @@ mod tests {
         // This core's coefficient replica is granted read-only.
         assert!(m.readable(kernel.map.coeff_base(0), 8));
         assert!(!m.writable(kernel.map.coeff_base(0), 8));
-        // Install images are available for index decoding.
-        assert!(!m.tables.is_empty());
+        // Install images are available for index decoding: the kernel's
+        // own bytes, not a copy, and the same ones for every core.
+        assert_eq!(m.tables.len(), kernel.install.len());
+        let other = kernel_memory_map(&stencil, &kernel, &options, 1);
+        for ((image, shared), (base, bytes)) in
+            m.tables.iter().zip(&other.tables).zip(&kernel.install)
+        {
+            assert_eq!(image, shared);
+            assert_eq!(image.0, *base);
+            assert!(std::ptr::eq(image.1, bytes.as_slice()));
+        }
+        // Core 1 has its own replicas: different grants over shared images.
+        assert_ne!(m.regions, other.regions);
+        assert_eq!(
+            m.table_bytes(kernel.map.index_base(0, 0), 1),
+            other.table_bytes(kernel.map.index_base(0, 1), 1),
+            "replicas hold the same indices"
+        );
         assert!(m.dma_writes.is_empty(), "no concurrent DMA requested");
     }
 

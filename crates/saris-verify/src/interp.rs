@@ -6,35 +6,74 @@
 //! resolves essentially everything without executing the simulator. The
 //! interpreter walks the integer pipeline exactly (following concretely
 //! resolved branches under a step budget), models the three streamers'
-//! setup/stage/arm protocol, and at each `ssr_commit` enumerates the armed
-//! job's full address sequence against the kernel's [`MemoryMap`] — this
-//! is the heart of the stream-legality proof.
+//! setup/stage/arm protocol, and at each `ssr_commit` proves the armed
+//! job legal against the kernel's [`MemoryMap`] — this is the heart of
+//! the stream-legality proof.
 //!
-//! Along the way it accumulates everything the static cost bound needs:
-//! issue cycles (FREP bodies issued once), FP executions and flops
-//! (replays included), a RAW-dependency latency chain through the FP
-//! register file, and a per-bank TCDM access histogram.
+//! It interprets the ops `snitch-sim` already decodes
+//! ([`ExecTable::ops`]): operands in fixed arrays, issue cost, FP latency
+//! and flops resolved once per pc, FREP bodies replayed over a slice.
+//!
+//! # Proving a job from its descriptor
+//!
+//! A stream job is a descriptor — `(base, strides, bounds)`, or an index
+//! array relaunched at a moving base — and most jobs are proven from it
+//! without visiting an element:
+//!
+//! * **Affine.** The address *hull* `lo..hi + 8` follows from strides ×
+//!   bounds in O(dims); both corners are addresses the job really
+//!   touches. If the hull lies inside one granted region with the right
+//!   permission and misses every `dma_writes` span, so does every element
+//!   in between. The bank histogram is then filled by stepping a bank
+//!   index by the stride — exactly the banks the elements land on, one
+//!   count per element.
+//! * **Indirect.** The index array of a configuration does not change
+//!   between launches, so it is decoded once per core ([`IndexPlan`]):
+//!   smallest and largest offset, the banks of the index fetches, and the
+//!   histogram of element banks *relative to the launch base's bank*.
+//!   Each launch is then a hull check at `base + min_off..base + max_off
+//!   + 8` and that histogram added rotated by the base's bank.
+//!
+//! The proof **declines** — and the job is walked element by element,
+//! reporting the first offending address in job order — whenever the hull
+//! straddles regions, lacks the permission, touches a DMA span, leaves
+//! TCDM (only TCDM addresses have a bank), wraps the address space, has
+//! strides or offsets that are not whole words; when the bank count is
+//! not a power of two or regions overlap (the first match decides a
+//! permission, which a hull cannot see); and when no single install image
+//! covers an index array. Declining costs time, never an answer: the walk
+//! is the definition, the proof a shortcut that holds only where it is
+//! exact. A job of more than [`ADDR_ENUM_CAP`] elements whose hull proof
+//! declines is judged by its two corners alone and adds no bank pressure.
+//!
+//! Along the way the interpreter accumulates everything the static cost
+//! bound needs: issue cycles (FREP bodies issued once), FP executions and
+//! flops (replays included), a RAW-dependency latency chain through the
+//! FP register file, and a per-bank TCDM access histogram.
 //!
 //! Everything here is *optimistic*: where precision is lost (capped
-//! enumeration, unknown values) the interpreter under-counts and emits a
-//! warning rather than inventing cycles, so the resulting bound stays a
-//! true lower bound.
+//! jobs, unknown values) the interpreter under-counts and emits a
+//! warning rather than inventing cycles, and a proven job counts exactly
+//! the accesses its elements make, so the resulting bound stays a true
+//! lower bound.
 
-use saris_isa::{FrepCount, Instr, IntReg, Program, SsrCfg, SsrId, StreamDir};
-use snitch_sim::{ClusterConfig, ExecTable, TCDM_BASE};
+use saris_isa::{
+    AffineCfg, FpReg, FrepCount, IndirectCfg, IntReg, Program, SsrCfg, SsrId, StreamDir,
+};
+use snitch_sim::{ClusterConfig, ExecTable, Op, TCDM_BASE};
 
 use crate::diag::{DiagKind, Diagnostic};
-use crate::memmap::MemoryMap;
+use crate::memmap::{MemoryMap, RegionLookup};
 
-/// Full address enumeration is abandoned past this many elements per job;
-/// the corner (min/max address) check takes over.
+/// A job of more elements than this is never walked: if its hull proof
+/// declines, the corner (min/max address) check takes over.
 const ADDR_ENUM_CAP: u64 = 1 << 22;
 
 /// Interpreter step budget; exceeding it yields a non-termination error.
 const STEP_BUDGET: u64 = 20_000_000;
 
 /// What the interpreter learned about one core.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreAnalysis {
     /// Findings, in discovery order.
     pub diags: Vec<Diagnostic>,
@@ -63,17 +102,37 @@ enum Val {
 
 #[derive(Debug, Clone, Copy)]
 struct StreamState {
-    cfg: SsrCfg,
+    /// Index into the table's `ssr_setup` payloads.
+    cfg: u32,
     set_at: usize,
     armed: bool,
 }
 
+/// One indirect configuration's index array, decoded once per core: what
+/// every launch of it shares. Exists only when the proof can use it (see
+/// [`Interp::index_plan`]).
+struct IndexPlan {
+    /// Smallest and largest element offset from the launch base.
+    min_off: u64,
+    max_off: u64,
+    /// Bank of each 64-bit index fetch (the array does not move).
+    fetch_banks: Vec<usize>,
+    /// `(bank offset from the launch base's bank, elements)`.
+    footprint: Vec<(usize, u64)>,
+}
+
 struct Interp<'a> {
-    program: &'a Program,
-    table: ExecTable,
-    map: &'a MemoryMap,
+    table: &'a ExecTable,
+    map: &'a MemoryMap<'a>,
+    regions: RegionLookup,
     cfg: &'a ClusterConfig,
     core: usize,
+    /// `tcdm_banks - 1` when that is a mask.
+    bank_mask: Option<usize>,
+    /// Tests only: never prove a hull, walk every job (the reference).
+    walk_only: bool,
+    /// Jobs the hull proof declined.
+    walked: u64,
 
     int: [Val; 32],
     int_reported: [bool; 32],
@@ -84,12 +143,13 @@ struct Interp<'a> {
     ssr_enabled: bool,
     streams: [Option<StreamState>; 3],
     staged: [Option<Val>; 3],
+    /// Decoded index arrays by `ssr_setup` payload index; `None` where
+    /// the configuration has to be walked.
+    plans: Vec<(u32, Option<IndexPlan>)>,
 
     out: CoreAnalysis,
     write_spans: Vec<(u64, u64)>,
     core_stores: Vec<(u64, usize)>,
-    steps: u64,
-    stopped: bool,
 }
 
 /// Interprets `program` against `map`, reporting findings as `core`.
@@ -99,12 +159,27 @@ pub fn interpret(
     cfg: &ClusterConfig,
     core: usize,
 ) -> CoreAnalysis {
+    run(program, map, cfg, core, false).0
+}
+
+/// [`interpret`], also returning how many jobs were walked.
+fn run(
+    program: &Program,
+    map: &MemoryMap,
+    cfg: &ClusterConfig,
+    core: usize,
+    walk_only: bool,
+) -> (CoreAnalysis, u64) {
+    let table = ExecTable::decode(program, cfg);
     let mut interp = Interp {
-        program,
-        table: ExecTable::decode(program, cfg),
+        table: &table,
         map,
+        regions: RegionLookup::new(map),
         cfg,
         core,
+        bank_mask: cfg.tcdm_banks.is_power_of_two().then(|| cfg.tcdm_banks - 1),
+        walk_only,
+        walked: 0,
         int: [Val::Uninit; 32],
         int_reported: [false; 32],
         fp_def: [false; 32],
@@ -113,6 +188,7 @@ pub fn interpret(
         ssr_enabled: false,
         streams: [None; 3],
         staged: [None; 3],
+        plans: Vec::new(),
         out: CoreAnalysis {
             diags: Vec::new(),
             halted: false,
@@ -124,15 +200,20 @@ pub fn interpret(
         },
         write_spans: Vec::new(),
         core_stores: Vec::new(),
-        steps: 0,
-        stopped: false,
     };
     interp.int[0] = Val::Known(0);
-    interp.run();
-    interp.finish()
+    interp.out.issue_cycles = interp.execute();
+    let walked = interp.walked;
+    (interp.finish(), walked)
+}
+
+/// `base + imm` as the hardware computes an address: modulo 2^64.
+fn effective(base: i64, imm: i32) -> u64 {
+    base.wrapping_add(i64::from(imm)) as u64
 }
 
 impl Interp<'_> {
+    #[cold]
     fn diag(&mut self, at: Option<usize>, kind: DiagKind) {
         self.out.diags.push(Diagnostic {
             core: self.core,
@@ -141,46 +222,21 @@ impl Interp<'_> {
         });
     }
 
-    fn issue(&mut self, pc: usize) {
-        if let Some(meta) = self.table.meta(pc) {
-            self.out.issue_cycles += u64::from(meta.issue_cost);
-        }
+    #[cold]
+    fn budget_exhausted(&mut self, pc: usize) {
+        self.diag(
+            Some(pc),
+            DiagKind::NonTermination {
+                reason: format!("step budget ({STEP_BUDGET}) exhausted"),
+            },
+        );
     }
 
-    fn read_int(&mut self, reg: IntReg, at: usize) -> Val {
-        let i = reg.index() as usize;
-        match self.int[i] {
-            Val::Uninit => {
-                if !self.int_reported[i] {
-                    self.int_reported[i] = true;
-                    self.diag(
-                        Some(at),
-                        DiagKind::UseBeforeDef {
-                            reg: reg.to_string(),
-                        },
-                    );
-                }
-                Val::Unknown
-            }
-            v => v,
-        }
-    }
-
-    fn write_int(&mut self, reg: IntReg, val: Val) {
-        if !reg.is_zero() {
-            self.int[reg.index() as usize] = val;
-        }
-    }
-
-    /// Reads an FP register for def-use purposes; returns its availability
-    /// cycle for the latency chain (streams are always ready).
-    fn read_fp(&mut self, reg: saris_isa::FpReg, at: usize) -> u64 {
-        if reg.is_stream_capable() && self.ssr_enabled {
-            return 0;
-        }
-        let i = reg.index() as usize;
-        if !self.fp_def[i] && !self.fp_reported[i] {
-            self.fp_reported[i] = true;
+    /// Reports the first read of an undefined register (of one file:
+    /// `reported` is that file's once-per-register flag).
+    #[cold]
+    fn use_before_def(&mut self, reg: &dyn std::fmt::Display, reported: bool, at: usize) {
+        if !reported {
             self.diag(
                 Some(at),
                 DiagKind::UseBeforeDef {
@@ -188,24 +244,76 @@ impl Interp<'_> {
                 },
             );
         }
-        self.fp_avail[i]
     }
 
-    fn touch_bank(&mut self, addr: u64) {
-        let tcdm_end = TCDM_BASE + self.cfg.tcdm_bytes as u64;
-        if (TCDM_BASE..tcdm_end).contains(&addr) {
-            let word = (addr - TCDM_BASE) / 8;
-            self.out.bank_hist[(word % self.cfg.tcdm_banks as u64) as usize] += 1;
+    #[inline(always)]
+    fn read_int(&mut self, reg: IntReg, at: usize) -> Val {
+        let i = reg.index() as usize;
+        match self.int[i] {
+            Val::Uninit => {
+                let reported = std::mem::replace(&mut self.int_reported[i], true);
+                self.use_before_def(&reg, reported, at);
+                Val::Unknown
+            }
+            v => v,
         }
     }
 
+    #[inline]
+    fn write_int(&mut self, reg: IntReg, val: Val) {
+        if !reg.is_zero() {
+            self.int[reg.index() as usize] = val;
+        }
+    }
+
+    #[inline(always)]
+    fn binary(
+        &mut self,
+        rd: IntReg,
+        rs1: IntReg,
+        rs2: IntReg,
+        at: usize,
+        f: impl Fn(i64, i64) -> i64,
+    ) {
+        let (a, b) = (self.read_int(rs1, at), self.read_int(rs2, at));
+        self.write_int(rd, combine(a, b, f));
+    }
+
+    /// Reads an FP register for def-use purposes; returns its availability
+    /// cycle for the latency chain (streams are always ready).
+    #[inline(always)]
+    fn read_fp(&mut self, reg: FpReg, at: usize) -> u64 {
+        if reg.is_stream_capable() && self.ssr_enabled {
+            return 0;
+        }
+        let i = reg.index() as usize;
+        if !self.fp_def[i] {
+            let reported = std::mem::replace(&mut self.fp_reported[i], true);
+            self.use_before_def(&reg, reported, at);
+        }
+        self.fp_avail[i]
+    }
+
+    /// The bank of the 64-bit word `word` (counted from `TCDM_BASE`).
+    fn bank_of(&self, word: u64) -> usize {
+        match self.bank_mask {
+            Some(mask) => word as usize & mask,
+            None => (word % self.cfg.tcdm_banks as u64) as usize,
+        }
+    }
+
+    #[inline(always)]
+    fn touch_bank(&mut self, addr: u64) {
+        let off = addr.wrapping_sub(TCDM_BASE);
+        if off < self.cfg.tcdm_bytes as u64 {
+            let bank = self.bank_of(off >> 3);
+            self.out.bank_hist[bank] += 1;
+        }
+    }
+
+    #[inline(always)]
     fn check_scalar(&mut self, addr: u64, len: u64, write: bool, at: usize) {
-        let ok = if write {
-            self.map.writable(addr, len)
-        } else {
-            self.map.readable(addr, len)
-        };
-        if !ok {
+        if !self.regions.allows(addr, len, write) {
             self.diag(Some(at), DiagKind::MemOutOfBounds { addr, write });
         }
         self.touch_bank(addr);
@@ -214,20 +322,29 @@ impl Interp<'_> {
         }
     }
 
-    fn run(&mut self) {
-        let mut pc = 0usize;
-        while !self.stopped {
-            self.steps += 1;
-            if self.steps > STEP_BUDGET {
-                self.diag(
-                    Some(pc),
-                    DiagKind::NonTermination {
-                        reason: format!("step budget ({STEP_BUDGET}) exhausted"),
-                    },
-                );
-                return;
+    /// Walks the integer pipeline from pc 0 until it halts or the
+    /// analysis has to stop; returns the issue cycles spent.
+    ///
+    /// This loop is the verifier's whole cost (a gallery kernel is ~80k
+    /// steps; everything around it is ~2% of `verify_kernel`), and how it
+    /// is laid out is worth 1.5x: it is kept a function of its own with
+    /// the per-step helpers inlined into it and the rare stream-job logic
+    /// ([`Interp::ssr_setup`], [`Interp::commit_job`]) and every
+    /// diagnostic kept *out* of it, so the per-step state stays in
+    /// registers instead of being spilled around code that almost never
+    /// runs.
+    #[inline(never)]
+    fn execute(&mut self) -> u64 {
+        let ops = self.table.ops();
+        let taken_penalty = u64::from(self.cfg.branch_taken_penalty);
+        let (mut pc, mut steps, mut issue) = (0usize, 0u64, 0u64);
+        loop {
+            steps += 1;
+            if steps > STEP_BUDGET {
+                self.budget_exhausted(pc);
+                return issue;
             }
-            let Some(instr) = self.program.get(pc) else {
+            let Some(&op) = ops.get(pc) else {
                 // `validate` guarantees a terminator; running off the end
                 // only happens on raw (mutated) programs.
                 self.diag(
@@ -236,58 +353,48 @@ impl Interp<'_> {
                         reason: "execution ran off the end of the program".into(),
                     },
                 );
-                return;
+                return issue;
             };
-            let instr = instr.clone();
-            self.issue(pc);
-            match &instr {
-                Instr::Li { rd, imm } => {
-                    self.write_int(*rd, Val::Known(*imm));
-                }
-                Instr::Addi { rd, rs1, imm } => {
-                    let v = self.read_int(*rs1, pc);
-                    self.write_int(*rd, combine(v, Val::Known(i64::from(*imm)), |a, b| a + b));
-                }
-                Instr::Add { rd, rs1, rs2 } => {
-                    let (a, b) = (self.read_int(*rs1, pc), self.read_int(*rs2, pc));
-                    self.write_int(*rd, combine(a, b, |a, b| a.wrapping_add(b)));
-                }
-                Instr::Sub { rd, rs1, rs2 } => {
-                    let (a, b) = (self.read_int(*rs1, pc), self.read_int(*rs2, pc));
-                    self.write_int(*rd, combine(a, b, |a, b| a.wrapping_sub(b)));
-                }
-                Instr::Mul { rd, rs1, rs2 } => {
-                    let (a, b) = (self.read_int(*rs1, pc), self.read_int(*rs2, pc));
-                    self.write_int(*rd, combine(a, b, |a, b| a.wrapping_mul(b)));
-                }
-                Instr::Slli { rd, rs1, shamt } => {
-                    let v = self.read_int(*rs1, pc);
-                    let s = *shamt;
+            issue += u64::from(op.issue_cost());
+            match op {
+                Op::Li { rd, imm, .. } => self.write_int(rd, Val::Known(imm)),
+                Op::Addi { rd, rs1, imm } => {
+                    let v = self.read_int(rs1, pc);
                     self.write_int(
-                        *rd,
-                        combine(v, Val::Known(0), |a, _| a.wrapping_shl(s.into())),
+                        rd,
+                        combine(v, Val::Known(i64::from(imm)), i64::wrapping_add),
                     );
                 }
-                Instr::Lw { rd, base, imm } => {
-                    if let Val::Known(b) = self.read_int(*base, pc) {
-                        self.check_scalar((b + i64::from(*imm)) as u64, 4, false, pc);
+                Op::Add { rd, rs1, rs2 } => self.binary(rd, rs1, rs2, pc, i64::wrapping_add),
+                Op::Sub { rd, rs1, rs2 } => self.binary(rd, rs1, rs2, pc, i64::wrapping_sub),
+                Op::Mul { rd, rs1, rs2 } => self.binary(rd, rs1, rs2, pc, i64::wrapping_mul),
+                Op::Slli { rd, rs1, shamt } => {
+                    let v = match self.read_int(rs1, pc) {
+                        Val::Known(a) => Val::Known(a.wrapping_shl(shamt.into())),
+                        _ => Val::Unknown,
+                    };
+                    self.write_int(rd, v);
+                }
+                Op::Lw { rd, base, imm } => {
+                    if let Val::Known(b) = self.read_int(base, pc) {
+                        self.check_scalar(effective(b, imm), 4, false, pc);
                     }
                     // TCDM data contents are not modeled.
-                    self.write_int(*rd, Val::Unknown);
+                    self.write_int(rd, Val::Unknown);
                 }
-                Instr::Sw { rs2, base, imm } => {
-                    self.read_int(*rs2, pc);
-                    if let Val::Known(b) = self.read_int(*base, pc) {
-                        self.check_scalar((b + i64::from(*imm)) as u64, 4, true, pc);
+                Op::Sw { rs2, base, imm } => {
+                    self.read_int(rs2, pc);
+                    if let Val::Known(b) = self.read_int(base, pc) {
+                        self.check_scalar(effective(b, imm), 4, true, pc);
                     }
                 }
-                Instr::Branch {
+                Op::Branch {
                     cond,
                     rs1,
                     rs2,
                     target,
                 } => {
-                    let (a, b) = (self.read_int(*rs1, pc), self.read_int(*rs2, pc));
+                    let (a, b) = (self.read_int(rs1, pc), self.read_int(rs2, pc));
                     let (Val::Known(a), Val::Known(b)) = (a, b) else {
                         self.diag(
                             Some(pc),
@@ -295,48 +402,42 @@ impl Interp<'_> {
                                 what: "branch condition".into(),
                             },
                         );
-                        return;
+                        return issue;
                     };
                     if cond.eval(a as u64, b as u64) {
-                        if *target == pc {
+                        if target as usize == pc {
                             self.diag(
                                 Some(pc),
                                 DiagKind::NonTermination {
                                     reason: "taken branch targets itself".into(),
                                 },
                             );
-                            return;
+                            return issue;
                         }
-                        self.out.issue_cycles += u64::from(self.cfg.branch_taken_penalty);
-                        pc = *target;
+                        issue += taken_penalty;
+                        pc = target as usize;
                         continue;
                     }
                 }
-                Instr::Jump { target } => {
-                    if *target == pc {
+                Op::Jump { target } => {
+                    if target as usize == pc {
                         self.diag(
                             Some(pc),
                             DiagKind::NonTermination {
                                 reason: "jump targets itself".into(),
                             },
                         );
-                        return;
+                        return issue;
                     }
-                    self.out.issue_cycles += u64::from(self.cfg.branch_taken_penalty);
-                    pc = *target;
+                    issue += taken_penalty;
+                    pc = target as usize;
                     continue;
                 }
-                Instr::Fld { .. }
-                | Instr::Fsd { .. }
-                | Instr::FpR { .. }
-                | Instr::FpR4 { .. }
-                | Instr::FpU { .. } => {
-                    self.exec_fp(&instr, pc);
-                }
-                Instr::Frep { count, n_instrs } => {
+                Op::FpMem { .. } | Op::FpArith(_) => self.exec_fp(op, pc),
+                Op::Frep { count, n_instrs } => {
                     let reps = match count {
-                        FrepCount::Imm(k) => u64::from(*k) + 1,
-                        FrepCount::Reg(r) => match self.read_int(*r, pc) {
+                        FrepCount::Imm(k) => u64::from(k) + 1,
+                        FrepCount::Reg(r) => match self.read_int(r, pc) {
                             Val::Known(v) => (v.max(0) as u64) + 1,
                             _ => {
                                 self.diag(
@@ -345,96 +446,104 @@ impl Interp<'_> {
                                         what: "frep repetition count".into(),
                                     },
                                 );
-                                return;
+                                return issue;
                             }
                         },
                     };
-                    let body = pc + 1..(pc + 1 + *n_instrs as usize).min(self.program.len());
+                    let start = pc + 1;
+                    let body = &ops[start..(start + n_instrs as usize).min(ops.len())];
                     // Body instructions consume issue slots once (the
                     // sequencer replays them for free).
-                    for i in body.clone() {
-                        self.issue(i);
+                    for op in body {
+                        issue += u64::from(op.issue_cost());
                     }
-                    self.steps += reps.saturating_mul(body.len() as u64);
-                    if self.steps > STEP_BUDGET {
-                        self.diag(
-                            Some(pc),
-                            DiagKind::NonTermination {
-                                reason: format!("step budget ({STEP_BUDGET}) exhausted"),
-                            },
-                        );
-                        return;
+                    steps = steps.saturating_add(reps.saturating_mul(body.len() as u64));
+                    if steps > STEP_BUDGET {
+                        self.budget_exhausted(pc);
+                        return issue;
                     }
                     for _ in 0..reps {
-                        for i in body.clone() {
-                            let body_instr = self.program.instrs()[i].clone();
-                            self.exec_fp(&body_instr, i);
+                        for (i, &op) in body.iter().enumerate() {
+                            self.exec_fp(op, start + i);
                         }
                     }
-                    pc = body.end;
+                    pc = start + body.len();
                     continue;
                 }
-                Instr::SsrEnable => self.ssr_enabled = true,
-                Instr::SsrDisable => self.ssr_enabled = false,
-                Instr::SsrSetup { ssr, cfg } => self.ssr_setup(*ssr, cfg.as_ref(), pc),
-                Instr::SsrSetBase { ssr, rs1 } => {
-                    let v = self.read_int(*rs1, pc);
+                Op::SsrEnable => self.ssr_enabled = true,
+                Op::SsrDisable => self.ssr_enabled = false,
+                Op::SsrSetup { ssr, cfg, .. } => self.ssr_setup(ssr, cfg, pc),
+                Op::SsrSetBase { ssr, rs1 } => {
+                    let v = self.read_int(rs1, pc);
                     self.staged[ssr.index()] = Some(v);
                 }
-                Instr::SsrCommit { ssrs } => {
+                Op::SsrCommit { ssrs } => {
                     for ssr in ssrs.iter() {
                         self.commit_job(ssr, pc);
                     }
                 }
-                Instr::Nop => {}
-                Instr::Halt => {
+                Op::Nop => {}
+                Op::Halt => {
                     self.out.halted = true;
-                    return;
+                    return issue;
                 }
             }
             pc += 1;
         }
     }
 
-    fn exec_fp(&mut self, instr: &Instr, pc: usize) {
-        match instr {
-            Instr::Fld { rd, base, imm } => {
-                if let Val::Known(b) = self.read_int(*base, pc) {
-                    self.check_scalar((b + i64::from(*imm)) as u64, 8, false, pc);
+    /// Executes one FP-subsystem op (anything else is ignored: only raw,
+    /// unvalidated programs put one in an FREP body).
+    #[inline(always)]
+    fn exec_fp(&mut self, op: Op, pc: usize) {
+        match op {
+            Op::FpMem {
+                is_load: true,
+                reg,
+                base,
+                imm,
+            } => {
+                if let Val::Known(b) = self.read_int(base, pc) {
+                    self.check_scalar(effective(b, imm), 8, false, pc);
                 }
-                self.fp_def[rd.index() as usize] = true;
+                self.fp_def[reg.index() as usize] = true;
                 // Loads are treated as ready immediately (optimistic).
-                self.fp_avail[rd.index() as usize] = 0;
+                self.fp_avail[reg.index() as usize] = 0;
             }
-            Instr::Fsd { rs2, base, imm } => {
-                self.read_fp(*rs2, pc);
-                if let Val::Known(b) = self.read_int(*base, pc) {
-                    self.check_scalar((b + i64::from(*imm)) as u64, 8, true, pc);
+            Op::FpMem {
+                is_load: false,
+                reg,
+                base,
+                imm,
+            } => {
+                self.read_fp(reg, pc);
+                if let Val::Known(b) = self.read_int(base, pc) {
+                    self.check_scalar(effective(b, imm), 8, true, pc);
                 }
             }
-            _ => {
-                let Some(ops) = instr.fp_operands() else {
-                    return;
-                };
+            Op::FpArith(fp) => {
+                let operands = fp.operands();
                 let mut start = 0u64;
-                for src in ops.srcs() {
+                for src in operands.srcs() {
                     start = start.max(self.read_fp(*src, pc));
                 }
-                let lat = self.table.meta(pc).and_then(|m| m.fp_latency).unwrap_or(1);
-                let done = start + lat;
+                let done = start + fp.latency();
                 self.out.latency_chain = self.out.latency_chain.max(done);
                 self.out.fpu_cycles += 1;
-                self.out.flops += instr.flops();
-                if !(ops.rd.is_stream_capable() && self.ssr_enabled) {
-                    self.fp_def[ops.rd.index() as usize] = true;
-                    self.fp_avail[ops.rd.index() as usize] = done;
+                self.out.flops += fp.flops();
+                let rd = operands.rd;
+                if !(rd.is_stream_capable() && self.ssr_enabled) {
+                    self.fp_def[rd.index() as usize] = true;
+                    self.fp_avail[rd.index() as usize] = done;
                 }
             }
+            _ => {}
         }
     }
 
-    fn ssr_setup(&mut self, ssr: SsrId, cfg: &SsrCfg, pc: usize) {
-        if matches!(cfg, SsrCfg::Indirect(_)) && !ssr.supports_indirection() {
+    #[inline(never)]
+    fn ssr_setup(&mut self, ssr: SsrId, cfg: u32, pc: usize) {
+        if matches!(self.table.ssr_cfg(cfg), SsrCfg::Indirect(_)) && !ssr.supports_indirection() {
             self.diag(Some(pc), DiagKind::IllegalIndirection { ssr });
         }
         if let Some(prev) = self.streams[ssr.index()] {
@@ -443,21 +552,22 @@ impl Interp<'_> {
             }
         }
         self.streams[ssr.index()] = Some(StreamState {
-            cfg: *cfg,
+            cfg,
             set_at: pc,
             armed: false,
         });
     }
 
+    #[inline(never)]
     fn commit_job(&mut self, ssr: SsrId, pc: usize) {
-        let Some(mut state) = self.streams[ssr.index()] else {
+        let Some(state) = &mut self.streams[ssr.index()] else {
             self.diag(Some(pc), DiagKind::CommitWithoutSetup { ssr });
             return;
         };
         state.armed = true;
-        self.streams[ssr.index()] = Some(state);
+        let cfg = state.cfg;
         let staged = self.staged[ssr.index()].take();
-        match state.cfg {
+        match self.table.ssr_cfg(cfg) {
             SsrCfg::Affine(a) => {
                 let extra = match staged {
                     None => 0,
@@ -487,85 +597,94 @@ impl Interp<'_> {
                         return;
                     }
                 };
-                self.indirect_job(ssr, &i, base, pc);
+                self.indirect_job(ssr, cfg, &i, base, pc);
             }
         }
     }
 
-    fn stream_access_ok(&self, addr: u64, dir: StreamDir) -> bool {
-        match dir {
-            StreamDir::Read => self.map.readable(addr, 8),
-            StreamDir::Write => self.map.writable(addr, 8),
-        }
+    fn stream_oob(&mut self, ssr: SsrId, addr: u64, dir: StreamDir, pc: usize) {
+        self.diag(Some(pc), DiagKind::StreamOutOfBounds { ssr, addr, dir });
     }
 
-    fn affine_job(&mut self, ssr: SsrId, a: &saris_isa::AffineCfg, base: u64, pc: usize) {
-        let dims = a.dims as usize;
+    /// The hull proof: whether a job all of whose 8-byte elements lie in
+    /// the non-empty range `lo..end` is legal as a whole *and* its
+    /// elements all have a bank the mask computes. See the module docs
+    /// for each reason to decline.
+    fn hull_legal(&mut self, lo: u64, end: u64, dir: StreamDir) -> bool {
+        let write = dir == StreamDir::Write;
+        !self.walk_only
+            && self.bank_mask.is_some()
+            && self.regions.disjoint()
+            && lo >= TCDM_BASE
+            && end - TCDM_BASE <= self.cfg.tcdm_bytes as u64
+            && self.regions.allows(lo, end - lo, write)
+            && !(write && self.map.overlaps_dma_writes(lo, end - lo))
+    }
+
+    fn affine_job(&mut self, ssr: SsrId, a: &AffineCfg, base: u64, pc: usize) {
+        let dims = (a.dims as usize).min(a.bounds.len());
+        if a.bounds[..dims].contains(&0) {
+            self.diag(Some(pc), DiagKind::ZeroBound { ssr });
+            return;
+        }
+        // Dimensions past `dims` iterate once.
+        let bounds: [u32; 4] = std::array::from_fn(|k| if k < dims { a.bounds[k] } else { 1 });
+        let total = bounds
+            .iter()
+            .fold(1u64, |t, &b| t.saturating_mul(u64::from(b)));
+        // With per-dimension extremes the min/max addresses bound the
+        // whole affine sequence, and both are addresses of elements.
+        let (mut lo, mut hi) = (i128::from(base), i128::from(base));
         for k in 0..dims {
-            if a.bounds[k] == 0 {
-                self.diag(Some(pc), DiagKind::ZeroBound { ssr });
-                return;
-            }
+            let span = i128::from(a.strides[k]) * i128::from(a.bounds[k] - 1);
+            lo += span.min(0);
+            hi += span.max(0);
         }
-        let total = a.total_elems();
-        if total > ADDR_ENUM_CAP {
-            // Corner check: with per-dimension extremes the min/max
-            // addresses bound the whole affine sequence.
-            let (mut lo, mut hi) = (base as i64, base as i64);
-            for k in 0..dims {
-                let span = a.strides[k] * (i64::from(a.bounds[k]) - 1);
-                lo += span.min(0);
-                hi += span.max(0);
+        let in_range = lo >= 0 && hi + 8 <= i128::from(u64::MAX);
+        let whole_words = a.strides[..dims].iter().all(|s| s % 8 == 0);
+        // Past 2^64 the walk and the corner check see wrapped addresses.
+        let (lo, hi) = (lo as u64, hi as u64);
+        let write = a.dir == StreamDir::Write;
+        if in_range && whole_words && self.hull_legal(lo, hi + 8, a.dir) {
+            if total <= ADDR_ENUM_CAP {
+                self.affine_banks(a, bounds, base);
             }
-            for corner in [lo as u64, hi as u64] {
-                if !self.stream_access_ok(corner, a.dir) {
-                    self.diag(
-                        Some(pc),
-                        DiagKind::StreamOutOfBounds {
-                            ssr,
-                            addr: corner,
-                            dir: a.dir,
-                        },
-                    );
+            if write {
+                self.write_spans.push((lo, hi + 8));
+            }
+            return;
+        }
+        self.walked += 1;
+        if total > ADDR_ENUM_CAP {
+            for corner in [lo, hi] {
+                if !self.regions.allows(corner, 8, write) {
+                    self.stream_oob(ssr, corner, a.dir, pc);
                     return;
                 }
             }
-            if a.dir == StreamDir::Write {
-                self.write_spans.push((lo as u64, (hi as u64) + 8));
+            if write {
+                self.write_spans.push((lo, hi.wrapping_add(8)));
             }
             return;
         }
         let mut dma_flagged = false;
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        let bound = |k: usize| -> u32 {
-            if k < dims {
-                a.bounds[k]
-            } else {
-                1
-            }
-        };
-        for i3 in 0..bound(3) {
-            for i2 in 0..bound(2) {
-                for i1 in 0..bound(1) {
-                    for i0 in 0..bound(0) {
-                        let off = i64::from(i0) * a.strides[0]
-                            + i64::from(i1) * a.strides[1]
-                            + i64::from(i2) * a.strides[2]
-                            + i64::from(i3) * a.strides[3];
+        let term = |i: u32, k: usize| i64::from(i).wrapping_mul(a.strides[k]);
+        for i3 in 0..bounds[3] {
+            for i2 in 0..bounds[2] {
+                for i1 in 0..bounds[1] {
+                    for i0 in 0..bounds[0] {
+                        let off = term(i0, 0)
+                            .wrapping_add(term(i1, 1))
+                            .wrapping_add(term(i2, 2))
+                            .wrapping_add(term(i3, 3));
                         let addr = base.wrapping_add(off as u64);
-                        if !self.stream_access_ok(addr, a.dir) {
-                            self.diag(
-                                Some(pc),
-                                DiagKind::StreamOutOfBounds {
-                                    ssr,
-                                    addr,
-                                    dir: a.dir,
-                                },
-                            );
+                        if !self.regions.allows(addr, 8, write) {
+                            self.stream_oob(ssr, addr, a.dir, pc);
                             return;
                         }
                         self.touch_bank(addr);
-                        if a.dir == StreamDir::Write {
+                        if write {
                             lo = lo.min(addr);
                             hi = hi.max(addr);
                             if !dma_flagged && self.map.overlaps_dma_writes(addr, 8) {
@@ -577,31 +696,132 @@ impl Interp<'_> {
                 }
             }
         }
-        if a.dir == StreamDir::Write && lo <= hi {
-            self.write_spans.push((lo, hi + 8));
+        if write && lo <= hi {
+            self.write_spans.push((lo, hi.wrapping_add(8)));
         }
     }
 
-    fn indirect_job(&mut self, ssr: SsrId, i: &saris_isa::IndirectCfg, base: u64, pc: usize) {
+    /// One count per element of a hull-proven affine job: its strides are
+    /// whole words, so an element's bank is the previous one's plus the
+    /// stride's, and no element needs a division.
+    fn affine_banks(&mut self, a: &AffineCfg, bounds: [u32; 4], base: u64) {
+        let mask = self.bank_mask.expect("the hull proof needs the mask");
+        let hist = &mut self.out.bank_hist;
+        let step = |k: usize| (a.strides[k] as u64 >> 3) as usize & mask;
+        let mut b3 = ((base - TCDM_BASE) >> 3) as usize & mask;
+        for _ in 0..bounds[3] {
+            let mut b2 = b3;
+            for _ in 0..bounds[2] {
+                let mut b1 = b2;
+                for _ in 0..bounds[1] {
+                    let mut b0 = b1;
+                    for _ in 0..bounds[0] {
+                        hist[b0] += 1;
+                        b0 = (b0 + step(0)) & mask;
+                    }
+                    b1 = (b1 + step(1)) & mask;
+                }
+                b2 = (b2 + step(2)) & mask;
+            }
+            b3 = (b3 + step(3)) & mask;
+        }
+    }
+
+    /// Decodes the index array of `i` for [`Interp::indirect_job`], or
+    /// declines for every launch of it: the array's bytes must be
+    /// provably readable TCDM, one install image must cover them (with no
+    /// earlier image shadowing a part — the first image decides a byte),
+    /// and every offset must be whole words.
+    fn index_plan(&mut self, i: &IndirectCfg) -> Option<IndexPlan> {
+        let mask = self.bank_mask?;
+        let width = i.idx_width.bytes();
+        let count = i.idx_count as usize;
+        let end = i.idx_base.checked_add((count * width) as u64)?;
+        if count == 0 || !self.hull_legal(i.idx_base, end, StreamDir::Read) {
+            return None;
+        }
+        let mut image = None;
+        for &(tbase, bytes) in &self.map.tables {
+            let tend = tbase.saturating_add(bytes.len() as u64);
+            if tbase <= i.idx_base && end <= tend {
+                image = Some(&bytes[(i.idx_base - tbase) as usize..][..count * width]);
+                break;
+            }
+            if tbase < end && i.idx_base < tend {
+                return None;
+            }
+        }
+        let mut plan = IndexPlan {
+            min_off: u64::MAX,
+            max_off: 0,
+            fetch_banks: (0..count.div_ceil(i.idx_width.per_fetch()) as u64)
+                .map(|f| (((i.idx_base - TCDM_BASE) >> 3) + f) as usize & mask)
+                .collect(),
+            footprint: Vec::new(),
+        };
+        for entry in image?.chunks_exact(width) {
+            let off = element_offset(entry, i.shift);
+            if !off.is_multiple_of(8) {
+                return None;
+            }
+            plan.min_off = plan.min_off.min(off);
+            plan.max_off = plan.max_off.max(off);
+            let bank = (off >> 3) as usize & mask;
+            match plan.footprint.iter_mut().find(|(b, _)| *b == bank) {
+                Some((_, n)) => *n += 1,
+                None => plan.footprint.push((bank, 1)),
+            }
+        }
+        Some(plan)
+    }
+
+    fn indirect_job(&mut self, ssr: SsrId, cfg: u32, i: &IndirectCfg, base: u64, pc: usize) {
+        let slot = match self.plans.iter().position(|(c, _)| *c == cfg) {
+            Some(slot) => slot,
+            None => {
+                let plan = self.index_plan(i);
+                self.plans.push((cfg, plan));
+                self.plans.len() - 1
+            }
+        };
+        let hull = self.plans[slot].1.as_ref().and_then(|plan| {
+            let lo = base.checked_add(plan.min_off)?;
+            Some((lo, base.checked_add(plan.max_off)?.checked_add(8)?))
+        });
+        let Some((lo, end)) = hull.filter(|&(lo, end)| self.hull_legal(lo, end, i.dir)) else {
+            self.indirect_walk(ssr, i, base, pc);
+            return;
+        };
+        let mask = self.bank_mask.expect("the hull proof needs the mask");
+        let plan = self.plans[slot].1.as_ref().expect("a hull came from it");
+        let hist = &mut self.out.bank_hist;
+        for &bank in &plan.fetch_banks {
+            hist[bank] += 1;
+        }
+        // `base` itself may sit below TCDM; every `base + off` is inside.
+        let base_word = (base.wrapping_sub(TCDM_BASE) >> 3) as usize;
+        for &(bank, elems) in &plan.footprint {
+            hist[(base_word + bank) & mask] += elems;
+        }
+        if i.dir == StreamDir::Write {
+            self.write_spans.push((lo, end));
+        }
+    }
+
+    /// The definition of an indirect job's legality: every index fetch,
+    /// then every element, in job order.
+    fn indirect_walk(&mut self, ssr: SsrId, i: &IndirectCfg, base: u64, pc: usize) {
+        self.walked += 1;
         let width = i.idx_width.bytes() as u64;
         let per_fetch = i.idx_width.per_fetch() as u64;
         let count = u64::from(i.idx_count);
+        let write = i.dir == StreamDir::Write;
         // Index fetch traffic: 64-bit reads over the packed index array.
-        let fetches = count.div_ceil(per_fetch);
-        for f in 0..fetches {
-            let faddr = i.idx_base + f * 8;
-            if !self
-                .map
-                .readable(faddr, ((count - f * per_fetch).min(per_fetch)) * width)
-            {
-                self.diag(
-                    Some(pc),
-                    DiagKind::StreamOutOfBounds {
-                        ssr,
-                        addr: faddr,
-                        dir: StreamDir::Read,
-                    },
-                );
+        for f in 0..count.div_ceil(per_fetch) {
+            let faddr = i.idx_base.wrapping_add(f * 8);
+            let fetched = (count - f * per_fetch).min(per_fetch) * width;
+            if !self.regions.allows(faddr, fetched, false) {
+                self.stream_oob(ssr, faddr, StreamDir::Read, pc);
                 return;
             }
             self.touch_bank(faddr);
@@ -610,7 +830,8 @@ impl Interp<'_> {
         let mut dma_flagged = false;
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for n in 0..count {
-            let Some(bytes) = self.map.table_bytes(i.idx_base + n * width, width as usize) else {
+            let entry = i.idx_base.wrapping_add(n * width);
+            let Some(bytes) = self.map.table_bytes(entry, width as usize) else {
                 if !unresolved {
                     unresolved = true;
                     self.diag(
@@ -622,24 +843,13 @@ impl Interp<'_> {
                 }
                 continue;
             };
-            let mut idx = 0u64;
-            for (b, byte) in bytes.iter().enumerate() {
-                idx |= u64::from(*byte) << (8 * b);
-            }
-            let addr = base.wrapping_add(idx << i.shift);
-            if !self.stream_access_ok(addr, i.dir) {
-                self.diag(
-                    Some(pc),
-                    DiagKind::StreamOutOfBounds {
-                        ssr,
-                        addr,
-                        dir: i.dir,
-                    },
-                );
+            let addr = base.wrapping_add(element_offset(bytes, i.shift));
+            if !self.regions.allows(addr, 8, write) {
+                self.stream_oob(ssr, addr, i.dir, pc);
                 return;
             }
             self.touch_bank(addr);
-            if i.dir == StreamDir::Write {
+            if write {
                 lo = lo.min(addr);
                 hi = hi.max(addr);
                 if !dma_flagged && self.map.overlaps_dma_writes(addr, 8) {
@@ -648,8 +858,8 @@ impl Interp<'_> {
                 }
             }
         }
-        if i.dir == StreamDir::Write && lo <= hi {
-            self.write_spans.push((lo, hi + 8));
+        if write && lo <= hi {
+            self.write_spans.push((lo, hi.wrapping_add(8)));
         }
     }
 
@@ -663,18 +873,18 @@ impl Interp<'_> {
                 }
             }
         }
-        let mut hazards = Vec::new();
         for &(addr, at) in &self.core_stores {
             if self
                 .write_spans
                 .iter()
                 .any(|&(lo, hi)| addr >= lo && addr < hi)
             {
-                hazards.push((at, addr));
+                self.out.diags.push(Diagnostic {
+                    core: self.core,
+                    at: Some(at),
+                    kind: DiagKind::WriteHazard { addr },
+                });
             }
-        }
-        for (at, addr) in hazards {
-            self.diag(Some(at), DiagKind::WriteHazard { addr });
         }
         self.out
     }
@@ -687,12 +897,22 @@ fn combine(a: Val, b: Val, f: impl Fn(i64, i64) -> i64) -> Val {
     }
 }
 
+/// The byte offset a little-endian index entry adds to a launch base
+/// (bits shifted past 2^64 are dropped; a count past 63 wraps).
+fn element_offset(entry: &[u8], shift: u8) -> u64 {
+    let mut idx = 0u64;
+    for (b, byte) in entry.iter().enumerate() {
+        idx |= u64::from(*byte) << (8 * b);
+    }
+    idx.wrapping_shl(shift.into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saris_isa::{AffineCfg, IndexWidth, IndirectCfg, ProgramBuilder};
+    use saris_isa::{IndexWidth, Instr, ProgramBuilder, SsrSet};
 
-    fn map_with_arena() -> MemoryMap {
+    fn map_with_arena() -> MemoryMap<'static> {
         let mut m = MemoryMap::default();
         m.grant("in", TCDM_BASE, 512, false);
         m.grant("out", TCDM_BASE + 512, 512, true);
@@ -701,6 +921,16 @@ mod tests {
 
     fn snitch() -> ClusterConfig {
         ClusterConfig::snitch()
+    }
+
+    /// Interprets with the hull proofs and again walking every job: the
+    /// two must agree on everything. Returns the analysis and how many
+    /// jobs the proving run still walked.
+    fn both_ways(program: &Program, map: &MemoryMap, cfg: &ClusterConfig) -> (CoreAnalysis, u64) {
+        let (proving, walked) = run(program, map, cfg, 0, false);
+        let (walking, _) = run(program, map, cfg, 0, true);
+        assert_eq!(proving, walking, "the hull proof changed an answer");
+        (proving, walked)
     }
 
     #[test]
@@ -753,84 +983,102 @@ mod tests {
             .any(|d| matches!(d.kind, DiagKind::NonTermination { .. })));
     }
 
-    fn stream_program(cfg: SsrCfg, set_base: Option<i64>) -> Program {
-        let mut b = ProgramBuilder::new();
-        b.push(Instr::SsrEnable);
-        b.push(Instr::SsrSetup {
-            ssr: SsrId::Ssr0,
-            cfg: Box::new(cfg),
-        });
-        if let Some(base) = set_base {
-            b.li(IntReg::T0, base);
-            b.push(Instr::SsrSetBase {
+    /// `ssr_enable; ssr_setup sr0 cfg; [li t0 base; ssr_set_base sr0 t0;]
+    /// ssr_commit sr0` per job, then `ssr_disable; halt`. Raw: hostile
+    /// configurations do not pass the builder.
+    fn stream_jobs(jobs: &[(SsrCfg, Option<i64>)]) -> Program {
+        let mut instrs = vec![Instr::SsrEnable];
+        for &(cfg, set_base) in jobs {
+            instrs.push(Instr::SsrSetup {
                 ssr: SsrId::Ssr0,
-                rs1: IntReg::T0,
+                cfg: Box::new(cfg),
+            });
+            if let Some(base) = set_base {
+                instrs.push(Instr::Li {
+                    rd: IntReg::T0,
+                    imm: base,
+                });
+                instrs.push(Instr::SsrSetBase {
+                    ssr: SsrId::Ssr0,
+                    rs1: IntReg::T0,
+                });
+            }
+            instrs.push(Instr::SsrCommit {
+                ssrs: SsrSet::of(SsrId::Ssr0),
             });
         }
-        b.push(Instr::SsrCommit {
-            ssrs: saris_isa::SsrSet::of(SsrId::Ssr0),
-        });
-        b.push(Instr::SsrDisable);
-        b.push(Instr::Halt);
-        b.finish().unwrap()
+        instrs.extend([Instr::SsrDisable, Instr::Halt]);
+        Program::from_raw_instrs(instrs)
+    }
+
+    fn stream_program(cfg: SsrCfg, set_base: Option<i64>) -> Program {
+        stream_jobs(&[(cfg, set_base)])
+    }
+
+    fn affine(dir: StreamDir, base: u64, strides: [i64; 4], bounds: [u32; 4]) -> SsrCfg {
+        SsrCfg::Affine(AffineCfg {
+            dir,
+            base,
+            dims: 4,
+            strides,
+            bounds,
+        })
+    }
+
+    fn gather(idx_base: u64, idx_count: u32, dir: StreamDir) -> SsrCfg {
+        SsrCfg::Indirect(IndirectCfg {
+            dir,
+            idx_base,
+            idx_count,
+            idx_width: IndexWidth::U16,
+            shift: 3,
+        })
+    }
+
+    fn pack_u16(indices: &[u16]) -> Vec<u8> {
+        indices.iter().flat_map(|i| i.to_le_bytes()).collect()
     }
 
     #[test]
     fn affine_in_bounds_job_is_clean_and_counts_banks() {
-        let cfg = SsrCfg::Affine(AffineCfg {
-            dir: StreamDir::Read,
-            base: TCDM_BASE,
-            dims: 2,
-            strides: [8, 64, 0, 0],
-            bounds: [8, 8, 1, 1],
-        });
-        let r = interpret(&stream_program(cfg, None), &map_with_arena(), &snitch(), 0);
+        let cfg = affine(StreamDir::Read, TCDM_BASE, [8, 64, 0, 0], [8, 8, 1, 1]);
+        let (r, walked) = both_ways(&stream_program(cfg, None), &map_with_arena(), &snitch());
         assert!(r.halted);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
         assert_eq!(r.bank_hist.iter().sum::<u64>(), 64);
+        assert_eq!(walked, 0, "proven from the descriptor");
     }
 
     #[test]
     fn affine_escape_is_out_of_bounds_error() {
-        let cfg = SsrCfg::Affine(AffineCfg {
-            dir: StreamDir::Write,
-            base: TCDM_BASE + 512,
-            dims: 1,
-            strides: [8, 0, 0, 0],
-            bounds: [65, 1, 1, 1], // one element past the 512-byte arena
-        });
-        let r = interpret(&stream_program(cfg, None), &map_with_arena(), &snitch(), 0);
+        // One element past the 512-byte arena.
+        let cfg = affine(
+            StreamDir::Write,
+            TCDM_BASE + 512,
+            [8, 0, 0, 0],
+            [65, 1, 1, 1],
+        );
+        let (r, walked) = both_ways(&stream_program(cfg, None), &map_with_arena(), &snitch());
         assert!(r.diags.iter().any(
             |d| matches!(d.kind, DiagKind::StreamOutOfBounds { addr, .. }
                 if addr == TCDM_BASE + 1024)
         ));
+        assert_eq!(r.bank_hist.iter().sum::<u64>(), 64, "the legal prefix");
+        assert_eq!(walked, 1);
     }
 
     #[test]
     fn affine_write_into_readonly_region_is_flagged() {
-        let cfg = SsrCfg::Affine(AffineCfg {
-            dir: StreamDir::Write,
-            base: TCDM_BASE, // the read-only input region
-            dims: 1,
-            strides: [8, 0, 0, 0],
-            bounds: [4, 1, 1, 1],
-        });
-        let r = interpret(&stream_program(cfg, None), &map_with_arena(), &snitch(), 0);
-        assert!(r
-            .diags
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::StreamOutOfBounds { .. })));
+        let cfg = affine(StreamDir::Write, TCDM_BASE, [8, 0, 0, 0], [4, 1, 1, 1]);
+        let (r, _) = both_ways(&stream_program(cfg, None), &map_with_arena(), &snitch());
+        assert!(r.diags.iter().any(
+            |d| matches!(d.kind, DiagKind::StreamOutOfBounds { addr, .. } if addr == TCDM_BASE)
+        ));
     }
 
     #[test]
     fn zero_bound_is_flagged() {
-        let cfg = SsrCfg::Affine(AffineCfg {
-            dir: StreamDir::Read,
-            base: TCDM_BASE,
-            dims: 2,
-            strides: [8, 64, 0, 0],
-            bounds: [8, 0, 1, 1],
-        });
+        let cfg = affine(StreamDir::Read, TCDM_BASE, [8, 64, 0, 0], [8, 0, 1, 1]);
         let r = interpret(&stream_program(cfg, None), &map_with_arena(), &snitch(), 0);
         assert!(r
             .diags
@@ -840,61 +1088,45 @@ mod tests {
 
     #[test]
     fn indirect_job_decodes_installed_indices() {
-        let mut map = map_with_arena();
-        // Index array: [0, 1, 2, 63] as u16 at the start of "out" space.
+        // Index array at the start of "out" space, relaunched at three
+        // bases: one decode, three hull checks.
         let idx_base = TCDM_BASE + 512;
-        let mut bytes = Vec::new();
-        for idx in [0u16, 1, 2, 63] {
-            bytes.extend_from_slice(&idx.to_le_bytes());
-        }
-        map.tables.push((idx_base, bytes));
-        let cfg = SsrCfg::Indirect(IndirectCfg {
-            dir: StreamDir::Read,
-            idx_base,
-            idx_count: 4,
-            idx_width: IndexWidth::U16,
-            shift: 3,
-        });
-        let r = interpret(
-            &stream_program(cfg, Some(TCDM_BASE as i64)),
-            &map,
-            &snitch(),
-            0,
-        );
+        let bytes = pack_u16(&[0, 1, 2, 61]);
+        let mut map = map_with_arena();
+        map.tables.push((idx_base, &bytes));
+        let cfg = gather(idx_base, 4, StreamDir::Read);
+        let jobs: Vec<_> = [0, 8, 16]
+            .map(|step| (cfg, Some((TCDM_BASE + step) as i64)))
+            .into();
+        let (r, walked) = both_ways(&stream_jobs(&jobs), &map, &snitch());
         assert!(r.halted);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.bank_hist.iter().sum::<u64>(), 3 * (4 + 1));
+        assert_eq!(walked, 0);
 
-        // Index 128 points past every granted region: error.
+        // Index 128 points past every granted region: error, and the
+        // launch is walked to find where.
+        let bytes2 = pack_u16(&[0, 128]);
         let mut map2 = map_with_arena();
-        let mut bytes2 = Vec::new();
-        for idx in [0u16, 128] {
-            bytes2.extend_from_slice(&idx.to_le_bytes());
-        }
-        map2.tables.push((idx_base, bytes2));
-        let cfg2 = SsrCfg::Indirect(IndirectCfg {
-            dir: StreamDir::Read,
-            idx_base,
-            idx_count: 2,
-            idx_width: IndexWidth::U16,
-            shift: 3,
-        });
-        let r2 = interpret(
+        map2.tables.push((idx_base, &bytes2));
+        let cfg2 = gather(idx_base, 2, StreamDir::Read);
+        let (r2, walked2) = both_ways(
             &stream_program(cfg2, Some(TCDM_BASE as i64)),
             &map2,
             &snitch(),
-            0,
         );
         assert!(r2.diags.iter().any(
             |d| matches!(d.kind, DiagKind::StreamOutOfBounds { addr, .. }
                 if addr == TCDM_BASE + 1024)
         ));
+        assert_eq!(walked2, 1);
     }
 
     #[test]
     fn commit_without_setup_and_dead_config() {
         let mut b = ProgramBuilder::new();
         b.push(Instr::SsrCommit {
-            ssrs: saris_isa::SsrSet::of(SsrId::Ssr1),
+            ssrs: SsrSet::of(SsrId::Ssr1),
         });
         b.push(Instr::SsrSetup {
             ssr: SsrId::Ssr2,
@@ -923,7 +1155,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.li(IntReg::T0, TCDM_BASE as i64);
         b.push(Instr::Fld {
-            rd: saris_isa::FpReg::FT3,
+            rd: FpReg::FT3,
             base: IntReg::T0,
             imm: 0,
         });
@@ -934,10 +1166,10 @@ mod tests {
         });
         b.push(Instr::FpR4 {
             op: saris_isa::FpR4Op::Madd,
-            rd: saris_isa::FpReg::FT3,
-            rs1: saris_isa::FpReg::FT0,
-            rs2: saris_isa::FpReg::FT0,
-            rs3: saris_isa::FpReg::FT3,
+            rd: FpReg::FT3,
+            rs1: FpReg::FT0,
+            rs2: FpReg::FT0,
+            rs3: FpReg::FT3,
         });
         b.push(Instr::SsrDisable);
         b.push(Instr::Halt);
@@ -949,5 +1181,395 @@ mod tests {
         assert_eq!(r.flops, 20);
         // The accumulator chains across replays through ft3.
         assert_eq!(r.latency_chain, 10 * u64::from(cfg.fpu_latency_fma));
+    }
+
+    // --- Every reason the hull proof declines -------------------------
+
+    #[test]
+    fn hull_across_two_adjacent_regions_is_walked_and_legal() {
+        // Inside the union of "in" and "out", inside neither.
+        let cfg = affine(
+            StreamDir::Read,
+            TCDM_BASE + 448,
+            [8, 0, 0, 0],
+            [16, 1, 1, 1],
+        );
+        let (r, walked) = both_ways(&stream_program(cfg, None), &map_with_arena(), &snitch());
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.bank_hist.iter().sum::<u64>(), 16);
+        assert_eq!(walked, 1);
+    }
+
+    #[test]
+    fn write_job_over_a_dma_span_reports_the_walks_first_hazard() {
+        let mut map = map_with_arena();
+        map.dma_writes.push((TCDM_BASE + 512 + 68, 40));
+        let out = TCDM_BASE + 512;
+        // Rows of 4 walked backwards: the first element *in job order*
+        // inside the span is row 2's last, not the span's lowest address.
+        let cfg = affine(StreamDir::Write, out + 24, [-8, 32, 0, 0], [4, 8, 1, 1]);
+        let (r, walked) = both_ways(&stream_program(cfg, None), &map, &snitch());
+        let hazards: Vec<u64> = r
+            .diags
+            .iter()
+            .filter_map(|d| match d.kind {
+                DiagKind::DmaHazard { addr } => Some(addr),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hazards, [out + 88], "{:?}", r.diags);
+        assert_eq!(r.diags.len(), 1);
+        assert_eq!(walked, 1);
+
+        // The same job beside the span is proven.
+        let mut beside = map_with_arena();
+        beside.dma_writes.push((out + 256, 64));
+        let (r, walked) = both_ways(&stream_program(cfg, None), &beside, &snitch());
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(walked, 0);
+
+        // A scatter through an index array meets the span the same way.
+        let bytes = pack_u16(&[12, 2, 11, 3]);
+        let mut map = map_with_arena();
+        map.tables.push((TCDM_BASE, &bytes));
+        map.dma_writes.push((out + 80, 16));
+        let cfg = gather(TCDM_BASE, 4, StreamDir::Write);
+        let (r, walked) = both_ways(&stream_program(cfg, Some(out as i64)), &map, &snitch());
+        assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
+        assert!(matches!(r.diags[0].kind, DiagKind::DmaHazard { addr } if addr == out + 88));
+        assert_eq!(walked, 1);
+    }
+
+    #[test]
+    fn hull_partly_outside_tcdm_counts_only_tcdm_banks() {
+        let cfg = snitch();
+        let tcdm_end = TCDM_BASE + cfg.tcdm_bytes as u64;
+        let mut map = MemoryMap::default();
+        map.grant("edge", tcdm_end - 64, 128, true);
+        let job = affine(StreamDir::Write, tcdm_end - 64, [8, 0, 0, 0], [16, 1, 1, 1]);
+        let (r, walked) = both_ways(&stream_program(job, None), &map, &cfg);
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.bank_hist.iter().sum::<u64>(), 8, "8 of 16 are in TCDM");
+        assert_eq!(walked, 1);
+    }
+
+    #[test]
+    fn non_power_of_two_bank_count_takes_the_modulo() {
+        let mut cfg = snitch();
+        cfg.tcdm_banks = 24;
+        let job = affine(StreamDir::Read, TCDM_BASE + 8, [16, 0, 0, 0], [30, 1, 1, 1]);
+        let (r, walked) = both_ways(&stream_program(job, None), &map_with_arena(), &cfg);
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        let mut want = vec![0u64; 24];
+        for k in 0..30 {
+            want[(1 + 2 * k) % 24] += 1;
+        }
+        assert_eq!(r.bank_hist, want);
+        assert_eq!(walked, 1);
+    }
+
+    #[test]
+    fn uncovered_index_array_is_unresolved_exactly_once() {
+        let idx_base = TCDM_BASE + 512;
+        let cfg = gather(idx_base, 4, StreamDir::Read);
+        // No image at all, and an image that stops after two entries.
+        let short = pack_u16(&[1, 2]);
+        let mut half = map_with_arena();
+        half.tables.push((idx_base, &short));
+        for (map, elems) in [(map_with_arena(), 0), (half, 2)] {
+            let (r, walked) = both_ways(
+                &stream_program(cfg, Some(TCDM_BASE as i64)),
+                &map,
+                &snitch(),
+            );
+            let unresolved = r
+                .diags
+                .iter()
+                .filter(|d| matches!(d.kind, DiagKind::UnresolvedValue { .. }))
+                .count();
+            assert_eq!(unresolved, 1, "{:?}", r.diags);
+            assert_eq!(r.diags.len(), 1);
+            assert_eq!(r.bank_hist.iter().sum::<u64>(), 1 + elems);
+            assert_eq!(walked, 1);
+        }
+        // An earlier image shadowing part of the array decides those
+        // bytes, as it does for the walk.
+        let (full, shadow) = (pack_u16(&[1, 2, 3, 4]), pack_u16(&[60]));
+        let mut map = map_with_arena();
+        map.tables.push((idx_base + 4, &shadow));
+        map.tables.push((idx_base, &full));
+        let (r, walked) = both_ways(
+            &stream_program(cfg, Some(TCDM_BASE as i64)),
+            &map,
+            &snitch(),
+        );
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.bank_hist[60 % 32], 1, "entry 2 read from the shadow");
+        assert_eq!(walked, 1);
+    }
+
+    #[test]
+    fn overlapping_regions_first_match_decides_the_permission() {
+        let job = affine(
+            StreamDir::Write,
+            TCDM_BASE + 256,
+            [8, 0, 0, 0],
+            [8, 1, 1, 1],
+        );
+        let grants = [("ro", TCDM_BASE, false), ("window", TCDM_BASE + 128, true)];
+        for (order, clean) in [([0, 1], false), ([1, 0], true)] {
+            let mut map = MemoryMap::default();
+            for (name, base, writable) in order.map(|g| grants[g]) {
+                map.grant(name, base, 512, writable);
+            }
+            let (r, walked) = both_ways(&stream_program(job, None), &map, &snitch());
+            assert_eq!(r.diags.is_empty(), clean, "{order:?}: {:?}", r.diags);
+            if !clean {
+                assert!(matches!(
+                    r.diags[0].kind,
+                    DiagKind::StreamOutOfBounds { addr, .. } if addr == TCDM_BASE + 256
+                ));
+            }
+            assert_eq!(walked, 1);
+        }
+    }
+
+    #[test]
+    fn capped_job_is_judged_by_hull_or_corners_and_adds_no_banks() {
+        // 2^23 elements over 8 addresses: inside one region (proven), and
+        // with its far corner one past the arena (corner check).
+        for (bound0, escapes) in [(8, false), (129, true)] {
+            let job = affine(
+                StreamDir::Read,
+                TCDM_BASE,
+                [8, 0, 0, 0],
+                [bound0, 1 << 10, 1 << 10, 1],
+            );
+            let (r, walked) = both_ways(&stream_program(job, None), &map_with_arena(), &snitch());
+            assert_eq!(r.bank_hist.iter().sum::<u64>(), 0);
+            assert_eq!(walked, u64::from(escapes));
+            match r.diags.as_slice() {
+                [] => assert!(!escapes),
+                [d] => assert!(
+                    escapes
+                        && matches!(d.kind, DiagKind::StreamOutOfBounds { addr, .. }
+                            if addr == TCDM_BASE + 1024)
+                ),
+                more => panic!("{more:?}"),
+            }
+        }
+    }
+
+    // --- Totality and the proof/walk equivalence ----------------------
+
+    /// A finding or a clean report, never a panic: address arithmetic
+    /// wraps like the hardware's, in debug builds too.
+    #[test]
+    fn hostile_immediates_strides_and_bases_never_panic() {
+        let t0_max = Instr::Li {
+            rd: IntReg::T0,
+            imm: i64::MAX,
+        };
+        let scalar =
+            |access: Instr| Program::from_raw_instrs(vec![t0_max.clone(), access, Instr::Halt]);
+        let (t0, t1, ft3) = (IntReg::T0, IntReg::T1, FpReg::FT3);
+        let programs = [
+            scalar(Instr::Addi {
+                rd: t0,
+                rs1: t0,
+                imm: 1,
+            }),
+            scalar(Instr::Lw {
+                rd: t1,
+                base: t0,
+                imm: 8,
+            }),
+            scalar(Instr::Sw {
+                rs2: t0,
+                base: t0,
+                imm: 2047,
+            }),
+            scalar(Instr::Fld {
+                rd: ft3,
+                base: t0,
+                imm: i32::MAX,
+            }),
+            scalar(Instr::Fsd {
+                rs2: ft3,
+                base: t0,
+                imm: 8,
+            }),
+            scalar(Instr::Slli {
+                rd: t0,
+                rs1: t0,
+                shamt: 255,
+            }),
+            Program::from_raw_instrs(vec![
+                t0_max.clone(),
+                Instr::Frep {
+                    count: FrepCount::Reg(t0),
+                    n_instrs: 1,
+                },
+                Instr::Fld {
+                    rd: ft3,
+                    base: t0,
+                    imm: 0,
+                },
+                Instr::Halt,
+            ]),
+        ];
+        for program in &programs {
+            let (r, _) = both_ways(program, &map_with_arena(), &snitch());
+            assert!(r.halted || !r.diags.is_empty());
+        }
+
+        let jobs = [
+            (
+                affine(
+                    StreamDir::Write,
+                    u64::MAX,
+                    [i64::MAX, i64::MIN, -1, 8],
+                    [3, 3, 3, 3],
+                ),
+                None,
+            ),
+            (
+                affine(StreamDir::Read, u64::MAX - 7, [8, 0, 0, 0], [2, 1, 1, 1]),
+                None,
+            ),
+            (
+                affine(
+                    StreamDir::Read,
+                    TCDM_BASE,
+                    [i64::MIN, i64::MIN, 0, 0],
+                    [u32::MAX; 4],
+                ),
+                None,
+            ),
+            (
+                affine(StreamDir::Write, 0, [-8, 0, 0, 0], [2, 1, 1, 1]),
+                Some(i64::MIN),
+            ),
+            (
+                SsrCfg::Affine(AffineCfg {
+                    dir: StreamDir::Read,
+                    base: TCDM_BASE,
+                    dims: 9,
+                    strides: [8; 4],
+                    bounds: [2; 4],
+                }),
+                Some(i64::MAX),
+            ),
+            (gather(u64::MAX - 3, 16, StreamDir::Read), Some(i64::MAX)),
+            (gather(TCDM_BASE, 4, StreamDir::Write), Some(-8)),
+            (
+                SsrCfg::Indirect(IndirectCfg {
+                    dir: StreamDir::Read,
+                    idx_base: TCDM_BASE,
+                    idx_count: 4,
+                    idx_width: IndexWidth::U32,
+                    shift: 200,
+                }),
+                Some(TCDM_BASE as i64),
+            ),
+        ];
+        let image = [0xffu8; 16];
+        let mut map = map_with_arena();
+        map.tables.push((TCDM_BASE, &image));
+        map.tables.push((u64::MAX - 7, &image));
+        map.grant("top", u64::MAX - 63, 64, true);
+        map.dma_writes.push((u64::MAX - 15, 64));
+        for job in jobs {
+            let (r, _) = both_ways(&stream_jobs(&[job]), &map, &snitch());
+            assert!(r.halted, "{job:?}: {:?}", r.diags);
+        }
+    }
+
+    /// SplitMix64: the tests' only randomness, seeded.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    /// Property: over seeded random jobs — affine and indirect, both
+    /// directions, straddling regions, DMA spans and the TCDM edge — the
+    /// proving interpreter and the walking one produce the same analysis,
+    /// and the proof is not vacuous (a good share of jobs is proven).
+    #[test]
+    fn proof_and_walk_agree_on_random_jobs() {
+        let cfg = snitch();
+        let tcdm_end = TCDM_BASE + cfg.tcdm_bytes as u64;
+        let indices: Vec<u8> = {
+            let mut rng = Rng(7);
+            (0..64).map(|_| rng.below(48) as u8).collect()
+        };
+        let mut map = MemoryMap::default();
+        map.grant("in", TCDM_BASE, 2048, false);
+        map.grant("out", TCDM_BASE + 2048, 2048, true);
+        map.grant("idx", TCDM_BASE + 8192, 64, false);
+        map.grant("edge", tcdm_end - 256, 512, true);
+        map.tables.push((TCDM_BASE + 8192, &indices));
+        map.dma_writes.push((TCDM_BASE + 3072, 256));
+        let dirs = [StreamDir::Read, StreamDir::Write];
+        let bases = [
+            TCDM_BASE,
+            TCDM_BASE + 1024,
+            TCDM_BASE + 2048,
+            TCDM_BASE + 2560,
+            TCDM_BASE + 3328,
+            tcdm_end - 256,
+            tcdm_end - 64,
+        ];
+        let strides = [8, 8, 8, 16, 64, 256, -8, -64, 0, 4, 12];
+        let mut rng = Rng(1);
+        let (mut jobs_run, mut jobs_walked) = (0, 0);
+        for _ in 0..400 {
+            let jobs: Vec<(SsrCfg, Option<i64>)> = (0..4)
+                .map(|_| {
+                    let (dir, base) = (rng.pick(&dirs), rng.pick(&bases) + 8 * rng.below(24));
+                    if rng.below(3) == 0 {
+                        let cfg = SsrCfg::Indirect(IndirectCfg {
+                            dir,
+                            idx_base: TCDM_BASE + 8192 + rng.below(40),
+                            idx_count: 1 + rng.below(24) as u32,
+                            idx_width: rng.pick(&[IndexWidth::U8, IndexWidth::U16]),
+                            shift: rng.pick(&[3, 3, 3, 2, 4]),
+                        });
+                        (cfg, Some(base as i64))
+                    } else {
+                        let cfg = SsrCfg::Affine(AffineCfg {
+                            dir,
+                            base,
+                            dims: 1 + rng.below(4) as u8,
+                            strides: [(); 4].map(|()| rng.pick(&strides)),
+                            bounds: [(); 4].map(|()| 1 + rng.below(6) as u32),
+                        });
+                        (cfg, (rng.below(4) == 0).then(|| 8 * rng.below(16) as i64))
+                    }
+                })
+                .collect();
+            let (_, walked) = both_ways(&stream_jobs(&jobs), &map, &cfg);
+            jobs_run += jobs.len() as u64;
+            jobs_walked += walked;
+        }
+        assert!(
+            jobs_walked * 4 > jobs_run && jobs_walked * 4 < jobs_run * 3,
+            "{jobs_walked} of {jobs_run} jobs walked: the mix no longer tests both paths"
+        );
     }
 }

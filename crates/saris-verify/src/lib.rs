@@ -11,13 +11,26 @@
 //! 2. **bounded concrete interpretation** (internal `interp` module) — SARIS
 //!    kernels are closed programs, so an `Uninit | Known | Unknown`
 //!    lattice resolves every pointer and loop bound: def-use violations,
-//!    stream setup/arm protocol misuse, and *exact* enumeration of every
-//!    stream job's addresses against the kernel's [`MemoryMap`];
+//!    stream setup/arm protocol misuse, and the legality of every stream
+//!    job against the kernel's [`MemoryMap`]. A job is proven *from its
+//!    descriptor* where that is exact: an affine job's address hull
+//!    (strides × bounds) or an indirect job's (launch base + the smallest
+//!    and largest offset of its index array, decoded once per core) lying
+//!    inside one granted region, clear of concurrent DMA writes, settles
+//!    every element at once, and the per-bank access counts follow from
+//!    the strides / a per-array bank histogram rotated by the base.
+//!    Whenever the hull cannot decide — it straddles regions, meets a DMA
+//!    span, leaves TCDM, regions overlap, no install image covers the
+//!    index array — the job is enumerated element by element instead, so
+//!    the first offending address is reported either way;
 //! 3. **static cost bounds** ([`CoreBound`]) — issue cycles, FPU occupancy,
 //!    RAW latency chains, and TCDM bank pressure combine into a
 //!    [`StaticBound`] that provably lower-bounds the simulated cycle
 //!    count, giving serving layers a drift detector for their analytic
-//!    estimates.
+//!    estimates. It stays a lower bound under the descriptor proofs: a
+//!    proven job contributes exactly the accesses its elements make (the
+//!    same counts enumeration gives), and wherever the analysis loses
+//!    precision it counts less, never more.
 //!
 //! [`mutate()`] provides deterministic kernel corruptions (stride swaps,
 //! dropped bounds, retargeted branches, removed `halt`s) used to
@@ -113,6 +126,38 @@ impl ClusterReport {
     }
 }
 
+/// The one path every program takes: structural validation
+/// (`saris_isa::program::validate`), CFG reachability/termination checks,
+/// then the interpreter. Structural failures short-circuit — the findings
+/// so far come back with no analysis.
+fn analyze(
+    program: &Program,
+    map: &MemoryMap,
+    cluster: &ClusterConfig,
+    core: usize,
+) -> (Vec<Diagnostic>, Option<interp::CoreAnalysis>) {
+    if let Err(e) = saris_isa::program::validate(program) {
+        let malformed = Diagnostic {
+            core,
+            at: None,
+            kind: DiagKind::Malformed {
+                reason: e.to_string(),
+            },
+        };
+        return (vec![malformed], None);
+    }
+    let mut diags = Cfg::build(program).diagnostics(core);
+    let structurally_trapped = diags
+        .iter()
+        .any(|d| matches!(d.kind, DiagKind::NonTermination { .. }));
+    if structurally_trapped {
+        return (diags, None);
+    }
+    let mut analysis = interp::interpret(program, map, cluster, core);
+    diags.append(&mut analysis.diags);
+    (diags, Some(analysis))
+}
+
 /// Statically verifies one core's `program` against its memory grants.
 ///
 /// Runs, in order: structural validation (`saris_isa::program::validate`),
@@ -126,75 +171,35 @@ pub fn verify_program(
     cluster: &ClusterConfig,
     core: usize,
 ) -> CoreReport {
-    if let Err(e) = saris_isa::program::validate(program) {
-        return CoreReport {
-            diags: vec![Diagnostic {
-                core,
-                at: None,
-                kind: DiagKind::Malformed {
-                    reason: e.to_string(),
-                },
-            }],
-            halted: false,
-            bound: CoreBound::default(),
-            bank_hist: vec![0; cluster.tcdm_banks],
-        };
-    }
-
-    let cfg = Cfg::build(program);
-    let mut diags = cfg.diagnostics(core);
-    let structurally_trapped = diags
-        .iter()
-        .any(|d| matches!(d.kind, DiagKind::NonTermination { .. }));
-    if structurally_trapped {
-        return CoreReport {
+    match analyze(program, map, cluster, core) {
+        (diags, Some(analysis)) => CoreReport {
+            diags,
+            halted: analysis.halted,
+            bound: CoreBound::of(&analysis),
+            bank_hist: analysis.bank_hist,
+        },
+        (diags, None) => CoreReport {
             diags,
             halted: false,
             bound: CoreBound::default(),
             bank_hist: vec![0; cluster.tcdm_banks],
-        };
-    }
-
-    let analysis = interp::interpret(program, map, cluster, core);
-    diags.extend(analysis.diags.iter().cloned());
-    CoreReport {
-        diags,
-        halted: analysis.halted,
-        bound: CoreBound::of(&analysis),
-        bank_hist: analysis.bank_hist,
+        },
     }
 }
 
 /// Statically verifies every core of a cluster and combines the bounds.
 ///
 /// `cores` pairs each core's program with its memory grants (cores may
-/// share a program but typically have per-core layouts).
+/// share a program but typically have per-core layouts). Each core goes
+/// through exactly what [`verify_program`] runs; a core that fails
+/// structurally contributes its findings and no bound.
 pub fn verify_cluster(cores: &[(&Program, &MemoryMap)], cluster: &ClusterConfig) -> ClusterReport {
     let mut diags = Vec::new();
     let mut analyses = Vec::with_capacity(cores.len());
     for (core, (program, map)) in cores.iter().enumerate() {
-        if let Err(e) = saris_isa::program::validate(program) {
-            diags.push(Diagnostic {
-                core,
-                at: None,
-                kind: DiagKind::Malformed {
-                    reason: e.to_string(),
-                },
-            });
-            continue;
-        }
-        let cfg = Cfg::build(program);
-        let structural = cfg.diagnostics(core);
-        let trapped = structural
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::NonTermination { .. }));
-        diags.extend(structural);
-        if trapped {
-            continue;
-        }
-        let analysis = interp::interpret(program, map, cluster, core);
-        diags.extend(analysis.diags.iter().cloned());
-        analyses.push(analysis);
+        let (found, analysis) = analyze(program, map, cluster, core);
+        diags.extend(found);
+        analyses.extend(analysis);
     }
     ClusterReport {
         diags,
@@ -208,7 +213,7 @@ mod tests {
     use saris_isa::{AffineCfg, Instr, IntReg, ProgramBuilder, SsrCfg, SsrId, SsrSet, StreamDir};
     use snitch_sim::TCDM_BASE;
 
-    fn arena_map() -> MemoryMap {
+    fn arena_map() -> MemoryMap<'static> {
         let mut m = MemoryMap::default();
         m.grant("in", TCDM_BASE, 4096, false);
         m.grant("out", TCDM_BASE + 4096, 4096, true);

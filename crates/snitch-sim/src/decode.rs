@@ -22,6 +22,10 @@
 //! Every decoded op is `Copy` and three words long; a core fetches by
 //! value (`table[pc]`) and the cycle loop touches no allocator. See the
 //! crate docs for the full list of hot-loop invariants.
+//!
+//! The decoded ops are also the form external analyzers read
+//! ([`ExecTable::ops`], [`ExecTable::ssr_cfg`]): the `saris-verify`
+//! interpreter walks them instead of matching `Instr` a second time.
 
 use saris_isa::{Instr, Program, SsrCfg};
 
@@ -29,58 +33,71 @@ use crate::config::ClusterConfig;
 use crate::fpu::FpArithOp;
 
 /// One pre-decoded instruction, sized and shaped for by-value fetch.
+///
+/// Public as a *read-only* view ([`ExecTable::ops`]): an analyzer such as
+/// the `saris-verify` interpreter walks the same decoded form the cores
+/// execute, with issue costs, FP latencies and flops already resolved,
+/// instead of re-deriving them from [`Instr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Op {
+#[allow(missing_docs)] // fields mirror the `Instr` variant of the same name
+pub enum Op {
     /// `li` with its issue cost resolved (1 or 2 cycles).
     Li {
         rd: saris_isa::IntReg,
         imm: i64,
         cost: u32,
     },
+    /// `addi`
     Addi {
         rd: saris_isa::IntReg,
         rs1: saris_isa::IntReg,
         imm: i32,
     },
+    /// `add`
     Add {
         rd: saris_isa::IntReg,
         rs1: saris_isa::IntReg,
         rs2: saris_isa::IntReg,
     },
+    /// `sub`
     Sub {
         rd: saris_isa::IntReg,
         rs1: saris_isa::IntReg,
         rs2: saris_isa::IntReg,
     },
+    /// `mul`
     Mul {
         rd: saris_isa::IntReg,
         rs1: saris_isa::IntReg,
         rs2: saris_isa::IntReg,
     },
+    /// `slli`
     Slli {
         rd: saris_isa::IntReg,
         rs1: saris_isa::IntReg,
         shamt: u8,
     },
+    /// `lw`
     Lw {
         rd: saris_isa::IntReg,
         base: saris_isa::IntReg,
         imm: i32,
     },
+    /// `sw`
     Sw {
         rs2: saris_isa::IntReg,
         base: saris_isa::IntReg,
         imm: i32,
     },
+    /// A conditional branch to instruction index `target`.
     Branch {
         cond: saris_isa::BranchCond,
         rs1: saris_isa::IntReg,
         rs2: saris_isa::IntReg,
         target: u32,
     },
-    Jump {
-        target: u32,
-    },
+    /// An unconditional jump to instruction index `target`.
+    Jump { target: u32 },
     /// `fld` (`is_load`) or `fsd`: resolved to the FP LSU at offload time.
     FpMem {
         is_load: bool,
@@ -90,11 +107,14 @@ pub(crate) enum Op {
     },
     /// FP arithmetic with operands and latency fully decoded.
     FpArith(FpArithOp),
+    /// An FREP hardware loop over the next `n_instrs` ops.
     Frep {
         count: saris_isa::FrepCount,
         n_instrs: u8,
     },
+    /// `ssr_enable`
     SsrEnable,
+    /// `ssr_disable`
     SsrDisable,
     /// `ssr_setup` with the configuration in the table's side array
     /// ([`ExecTable::ssr_cfg`]) and the issue cost
@@ -104,30 +124,28 @@ pub(crate) enum Op {
         cfg: u32,
         cost: u32,
     },
+    /// `ssr_set_base`
     SsrSetBase {
         ssr: saris_isa::SsrId,
         rs1: saris_isa::IntReg,
     },
-    SsrCommit {
-        ssrs: saris_isa::SsrSet,
-    },
+    /// `ssr_commit`
+    SsrCommit { ssrs: saris_isa::SsrSet },
+    /// `nop`
     Nop,
+    /// `halt`
     Halt,
 }
 
-/// Static per-instruction metadata resolved at decode time: everything an
-/// external analyzer (e.g. the `saris-verify` static cost model) needs
-/// about one pc without re-deriving the simulator's latency tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpMeta {
+impl Op {
     /// Issue cycles consumed on the single-issue integer core (`li`
     /// pairs and `ssr_setup` configuration writes cost extra).
-    pub issue_cost: u32,
-    /// FPU result latency in cycles, for FP arithmetic ops (`None` for
-    /// everything else, including FP loads/stores).
-    pub fp_latency: Option<u64>,
-    /// Floating-point operations per execution (FMAs count 2).
-    pub flops: u64,
+    pub fn issue_cost(&self) -> u32 {
+        match self {
+            Op::Li { cost, .. } | Op::SsrSetup { cost, .. } => *cost,
+            _ => 1,
+        }
+    }
 }
 
 /// A [`Program`] decoded once, up front, into dense per-pc ops.
@@ -179,6 +197,11 @@ impl ExecTable {
         self.ops.is_empty()
     }
 
+    /// Every decoded op, indexed by pc.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
     /// The decoded op at `pc`, if in range.
     pub(crate) fn get(&self, pc: usize) -> Option<Op> {
         self.ops.get(pc).copied()
@@ -190,29 +213,12 @@ impl ExecTable {
     }
 
     /// The stream configuration an [`Op::SsrSetup`] of this table names.
-    pub(crate) fn ssr_cfg(&self, index: u32) -> SsrCfg {
+    ///
+    /// # Panics
+    ///
+    /// If `index` does not come from an op of this table.
+    pub fn ssr_cfg(&self, index: u32) -> SsrCfg {
         self.ssr_cfgs[index as usize]
-    }
-
-    /// The decode-time metadata of the op at `pc`, if in range.
-    pub fn meta(&self, pc: usize) -> Option<OpMeta> {
-        self.ops.get(pc).map(|op| match op {
-            Op::Li { cost, .. } | Op::SsrSetup { cost, .. } => OpMeta {
-                issue_cost: *cost,
-                fp_latency: None,
-                flops: 0,
-            },
-            Op::FpArith(fp) => OpMeta {
-                issue_cost: 1,
-                fp_latency: Some(fp.latency()),
-                flops: fp.flops(),
-            },
-            _ => OpMeta {
-                issue_cost: 1,
-                fp_latency: None,
-                flops: 0,
-            },
-        })
     }
 }
 
@@ -344,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn meta_exposes_costs_latencies_and_flops() {
+    fn ops_view_exposes_costs_latencies_and_flops() {
         let mut b = ProgramBuilder::new();
         b.li(IntReg::T0, 1 << 20); // 2-cycle li
         b.push(Instr::FpR4 {
@@ -357,14 +363,16 @@ mod tests {
         b.push(Instr::Halt);
         let cfg = ClusterConfig::snitch();
         let table = ExecTable::decode(&b.finish().unwrap(), &cfg);
-        let li = table.meta(0).unwrap();
-        assert_eq!(li.issue_cost, 2);
-        assert_eq!(li.fp_latency, None);
-        let fma = table.meta(1).unwrap();
-        assert_eq!(fma.issue_cost, 1);
-        assert_eq!(fma.fp_latency, Some(cfg.fpu_latency_fma as u64));
-        assert_eq!(fma.flops, 2);
-        assert_eq!(table.meta(3), None);
+        let ops = table.ops();
+        assert_eq!(ops.len(), 3);
+        assert_eq!(ops[0].issue_cost(), 2);
+        assert_eq!(ops[1].issue_cost(), 1);
+        let Op::FpArith(fma) = ops[1] else {
+            panic!("expected decoded FP arithmetic, got {:?}", ops[1]);
+        };
+        assert_eq!(fma.latency(), cfg.fpu_latency_fma as u64);
+        assert_eq!(fma.flops(), 2);
+        assert_eq!(ops[2], Op::Halt);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub mod ssr;
 
 pub use cluster::Cluster;
 pub use config::{ClusterConfig, MAIN_BASE, TCDM_BASE};
-pub use decode::{ExecTable, OpMeta};
+pub use decode::{ExecTable, Op};
 pub use dma::{Dma, DmaDescriptor, DmaStats};
 pub use error::SimError;
 pub use fpu::FpArithOp;

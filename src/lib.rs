@@ -263,8 +263,9 @@
 //! scatters writes across TCDM without a trap, and a broken loop bound
 //! hangs the cluster. The [`verify`] crate proves the absence of those
 //! failure classes for every compiled program — CFG termination
-//! structure, def-use over both register files, exact enumeration of
-//! every stream job's addresses against the kernel's TCDM grants — and
+//! structure, def-use over both register files, every stream job proven
+//! inside the kernel's TCDM grants (from its descriptor where its address
+//! hull decides, element by element where it does not) — and
 //! derives a [`StaticBound`](verify::StaticBound): a cycle count the
 //! kernel provably cannot beat (issue slots, FPU occupancy, RAW latency
 //! chains, TCDM bank pressure).
