@@ -83,6 +83,6 @@ pub use verify::{kernel_memory_map, verify_kernel};
 pub use walk::CoreWalk;
 pub use wire::{
     decode_outcome, decode_spec, encode_outcome, encode_spec, read_frame, write_frame,
-    MAX_FRAME_LEN,
+    StencilInterner, MAX_FRAME_LEN,
 };
 pub use workload::{InputSpec, Outcome, Workload, WorkloadSpec, WorkloadTelemetry};

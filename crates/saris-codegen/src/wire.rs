@@ -19,8 +19,25 @@
 //! A frame is a little-endian `u32` payload length followed by that many
 //! bytes of UTF-8 JSON. [`read_frame`] rejects frames longer than the
 //! caller's limit (use [`MAX_FRAME_LEN`]) with
-//! [`std::io::ErrorKind::InvalidData`], so a garbage length prefix
-//! cannot trigger an unbounded allocation.
+//! [`std::io::ErrorKind::InvalidData`], and grows its buffer with the
+//! bytes that actually arrive, so a garbage length prefix cannot trigger
+//! an allocation the peer has not paid for in payload.
+//!
+//! # Framing and latency
+//!
+//! A frame leaves in **one `write`**: [`write_frame`] copies the length
+//! prefix and the payload into one buffer (for a payload too large to
+//! copy cheaply, the prefix and the payload's first chunk). Sent as two
+//! writes, a frame is the write-write-read pattern that Nagle's
+//! algorithm and delayed acknowledgements punish together: the payload
+//! is held until the prefix is acknowledged, and the peer — with
+//! nothing to send back until it has the whole frame — sits on that
+//! acknowledgement for its delayed-ACK timer, ~40 ms on Linux, per
+//! frame. Writing once removes the pattern whatever the socket's
+//! options; both ends of a `saris-serve` connection set `TCP_NODELAY`
+//! as well, which covers the short last segment of a frame larger than
+//! one segment, and read through a `BufReader`, so the prefix and
+//! payload that left in one write arrive in one read.
 //!
 //! # Decode semantics
 //!
@@ -32,12 +49,18 @@
 //! cannot smuggle an invalid stencil or workload past the builder — and
 //! its fingerprint is recomputed, never trusted from the wire.
 //!
+//! A long-lived receiver decodes through a [`StencilInterner`]
+//! instead: the same replay and validation, after which specs of one
+//! code share one `Arc<Stencil>` the way specs built in-process from
+//! one `Arc` already do, instead of each owning a private 1–2 KB copy
+//! for as long as a response cache keeps it as a key.
+//!
 //! [`decode_outcome`] rebuilds the [`Outcome`] directly. The `kernel`
 //! field (an `Arc<CompiledKernel>` shared with the executing session's
 //! cache) does not cross the wire and always decodes as `None`.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use saris_core::method::CoeffStrategy;
 use saris_core::stencil::{ArrayRole, BinKind, Operand, PointOp};
@@ -64,21 +87,40 @@ use crate::workload::{
 /// length prefix fails fast instead of exhausting memory.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// Payloads up to this size are copied behind their length prefix so
+/// the whole frame is one `write`; of a larger one only this much is.
+const COALESCED_PAYLOAD: usize = 64 * 1024;
+
 /// Writes one length-prefixed frame: a little-endian `u32` byte count
 /// followed by `payload`.
+///
+/// The prefix never travels alone (see *Framing and latency* in the
+/// module docs): it is coalesced with the payload — with the first
+/// 64 KiB of a payload too large to copy cheaply — into one `write`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let (head, tail) = payload.split_at(payload.len().min(COALESCED_PAYLOAD));
+    let mut first = Vec::with_capacity(4 + head.len());
+    first.extend_from_slice(&len.to_le_bytes());
+    first.extend_from_slice(head);
+    w.write_all(&first)?;
+    w.write_all(tail)?;
     w.flush()
 }
+
+/// What [`read_frame`] reserves before any payload byte has arrived;
+/// beyond it the buffer grows with the bytes that do.
+const READ_RESERVE: usize = 64 * 1024;
 
 /// Reads one length-prefixed frame, rejecting payloads longer than
 /// `max_len` with [`io::ErrorKind::InvalidData`].
 ///
 /// A clean EOF before the length prefix surfaces as
-/// [`io::ErrorKind::UnexpectedEof`] — the peer hung up.
+/// [`io::ErrorKind::UnexpectedEof`] — the peer hung up — and so does a
+/// payload shorter than its prefix claims. Memory follows the bytes
+/// received, not the claim: a 64 MiB prefix costs the peer 64 MiB of
+/// payload before it costs this process 64 MiB of buffer.
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -89,8 +131,14 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> io::Result<Vec<u8>> {
             format!("frame of {len} B exceeds the {max_len} B limit"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame of {len} B ended after {} B", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -689,6 +737,74 @@ pub fn encode_spec(spec: &WorkloadSpec) -> String {
 /// original error variants.
 pub fn decode_spec(text: &str) -> Result<WorkloadSpec, CodegenError> {
     build_workload(text).map_err(wire)?.freeze()
+}
+
+/// Stencils a [`StencilInterner`] remembers. Traffic draws on a handful
+/// of codes (the gallery has ten); the bound is what keeps a peer that
+/// sends nothing but distinct stencils from growing the table.
+const INTERNED_STENCILS: usize = 64;
+
+/// A bounded table of decoded stencils, so the specs a long-lived
+/// receiver decodes share one `Arc<Stencil>` per code.
+///
+/// [`StencilInterner::decode_spec`] is [`decode_spec`] — the same
+/// replay through [`StencilBuilder`], the same [`Workload::freeze`],
+/// the same errors — followed by one step: a stencil *equal* to one the
+/// table holds is replaced by that `Arc`. The table sees a stencil only
+/// once `StencilBuilder::finish` has accepted it and the spec around it
+/// is frozen, and holds at most 64 of them (the least recently matched
+/// makes room for a new one). Nothing is taken from the wire on trust:
+/// equal means [`Stencil`](saris_core::Stencil)'s own `PartialEq` over
+/// every array, tap, operation and coefficient, tightened to the
+/// coefficients' bit patterns (`0.0 == -0.0`, but they are different
+/// stencils).
+#[derive(Debug, Default)]
+pub struct StencilInterner {
+    /// Most recently matched first.
+    table: Mutex<Vec<Arc<saris_core::Stencil>>>,
+}
+
+impl StencilInterner {
+    /// An empty table.
+    pub fn new() -> StencilInterner {
+        StencilInterner::default()
+    }
+
+    /// [`decode_spec`], with the decoded stencil shared through the
+    /// table.
+    pub fn decode_spec(&self, text: &str) -> Result<WorkloadSpec, CodegenError> {
+        let mut spec = decode_spec(text)?;
+        if let Some(stencil) = spec.stencil_mut() {
+            self.intern(stencil);
+        }
+        Ok(spec)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<saris_core::Stencil>>> {
+        // Every update leaves the table a valid list of stencils, so a
+        // panic elsewhere while the lock was held loses nothing.
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Points `stencil` at the table's equal stencil, or adds it.
+    fn intern(&self, stencil: &mut Arc<saris_core::Stencil>) {
+        let mut table = self.lock();
+        match table.iter().position(|held| same_stencil(held, stencil)) {
+            Some(at) => *stencil = table.remove(at),
+            None => table.truncate(INTERNED_STENCILS - 1),
+        }
+        table.insert(0, Arc::clone(stencil));
+    }
+}
+
+/// Equal in every respect code generation and execution can observe:
+/// `PartialEq`, and coefficient for coefficient the same bits.
+fn same_stencil(a: &saris_core::Stencil, b: &saris_core::Stencil) -> bool {
+    a == b
+        && a.coeffs()
+            .iter()
+            .zip(b.coeffs())
+            .all(|(x, y)| x.value().to_bits() == y.value().to_bits())
 }
 
 fn build_workload(text: &str) -> Result<Workload, JsonError> {
@@ -1326,5 +1442,172 @@ mod tests {
         let read = read_frame(&mut buf.as_slice(), MAX_FRAME_LEN).expect("read");
         let decoded = decode_spec(std::str::from_utf8(&read).expect("utf8")).expect("decode");
         assert_eq!(decoded, spec);
+    }
+
+    /// Records the size of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        // A reply-sized payload: prefix and payload are one write.
+        let payload = vec![b'x'; 6 * 1024];
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).expect("write");
+        assert_eq!(w.writes, [4 + payload.len()]);
+        assert_eq!(
+            read_frame(&mut w.bytes.as_slice(), MAX_FRAME_LEN).expect("read"),
+            payload
+        );
+
+        // The empty frame is its prefix, once.
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"").expect("write");
+        assert_eq!(w.writes, [4]);
+
+        // A payload too large to copy: the prefix rides with the first
+        // chunk, never alone.
+        let payload: Vec<u8> = (0..3 * 1024 * 1024 + 17).map(|i| i as u8).collect();
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).expect("write");
+        assert!(w.writes.len() > 1, "copied a multi-megabyte payload");
+        assert!(
+            w.writes.iter().all(|&n| n > 4),
+            "a write no longer than the prefix: {:?}",
+            w.writes
+        );
+        assert_eq!(
+            read_frame(&mut w.bytes.as_slice(), MAX_FRAME_LEN).expect("read"),
+            payload
+        );
+    }
+
+    #[test]
+    fn read_frame_buffers_what_arrives_not_what_is_claimed() {
+        // The largest prefix the limit admits, then EOF: the claim alone
+        // reserves a bounded buffer, and the short payload is an EOF.
+        let prefix = (MAX_FRAME_LEN as u32).to_le_bytes();
+        let err = read_frame(&mut prefix.as_slice(), MAX_FRAME_LEN).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A payload larger than the initial reservation still arrives
+        // whole, and the bytes after it stay in the reader.
+        let payload: Vec<u8> = (0..READ_RESERVE * 3 + 5).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).expect("write");
+        write_frame(&mut buf, b"next").expect("write");
+        let mut r = buf.as_slice();
+        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).expect("read"), payload);
+        assert_eq!(read_frame(&mut r, MAX_FRAME_LEN).expect("read"), b"next");
+    }
+
+    /// `out = k * inp`, one coefficient: the smallest stencil whose
+    /// identity hangs on a coefficient's bits.
+    fn scaled(k: f64) -> saris_core::Stencil {
+        let mut b = StencilBuilder::new("scaled", Space::Dim2);
+        let inp = b.input("inp");
+        b.output("out");
+        let k = b.coeff("k", k);
+        let c = b.tap(inp, Offset::CENTER);
+        let r = b.mul(k, c);
+        b.store(r);
+        b.finish().expect("scaled is valid")
+    }
+
+    fn spec_text(stencil: saris_core::Stencil, seed: u64) -> String {
+        let spec = Workload::new(stencil)
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(seed)
+            .freeze()
+            .expect("freeze");
+        encode_spec(&spec)
+    }
+
+    fn stencil_of(spec: &WorkloadSpec) -> &Arc<saris_core::Stencil> {
+        spec.stencil().expect("stencil spec")
+    }
+
+    #[test]
+    fn interner_shares_equal_stencils_and_only_those() {
+        let interner = StencilInterner::new();
+        let a = interner
+            .decode_spec(&spec_text(gallery::jacobi_2d(), 1))
+            .expect("decode");
+        let b = interner
+            .decode_spec(&spec_text(gallery::jacobi_2d(), 2))
+            .expect("decode");
+        assert!(Arc::ptr_eq(stencil_of(&a), stencil_of(&b)));
+        // Interning changes who owns the stencil, not what was decoded.
+        assert_eq!(a, decode_spec(&spec_text(gallery::jacobi_2d(), 1)).unwrap());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+
+        // Another code is another stencil, and the first is still held.
+        let other = interner
+            .decode_spec(&spec_text(gallery::j2d5pt(), 1))
+            .expect("decode");
+        assert!(!Arc::ptr_eq(stencil_of(&a), stencil_of(&other)));
+        let again = interner
+            .decode_spec(&spec_text(gallery::jacobi_2d(), 3))
+            .expect("decode");
+        assert!(Arc::ptr_eq(stencil_of(&a), stencil_of(&again)));
+
+        // One coefficient bit apart — or equal as numbers and apart as
+        // bits — is a different stencil, decoded as sent.
+        let k = 0.2f64;
+        let base = interner.decode_spec(&spec_text(scaled(k), 1)).unwrap();
+        let ulp = f64::from_bits(k.to_bits() + 1);
+        for (near, far) in [(k, ulp), (0.0, -0.0)] {
+            let x = interner.decode_spec(&spec_text(scaled(near), 1)).unwrap();
+            let y = interner.decode_spec(&spec_text(scaled(far), 1)).unwrap();
+            assert!(!Arc::ptr_eq(stencil_of(&x), stencil_of(&y)));
+            assert_eq!(stencil_of(&y).coeffs()[0].value().to_bits(), far.to_bits());
+            assert_ne!(x.fingerprint(), y.fingerprint());
+        }
+        let same = interner.decode_spec(&spec_text(scaled(k), 9)).unwrap();
+        assert!(Arc::ptr_eq(stencil_of(&base), stencil_of(&same)));
+    }
+
+    #[test]
+    fn interner_is_bounded_and_validates_first() {
+        let interner = StencilInterner::new();
+        let held = || interner.lock().len();
+        for i in 0..3 * INTERNED_STENCILS {
+            let text = spec_text(scaled(1.0 + i as f64), 1);
+            interner.decode_spec(&text).expect("decode");
+            assert!(held() <= INTERNED_STENCILS);
+        }
+        assert_eq!(held(), INTERNED_STENCILS);
+        // The most recent stencils are the ones kept.
+        let last = scaled(3.0 * INTERNED_STENCILS as f64);
+        assert!(interner.lock().iter().any(|s| **s == last));
+
+        // A stencil the builder rejects is rejected here with the same
+        // words, and never reaches the table.
+        let tampered = spec_text(gallery::jacobi_2d(), 1)
+            .replace("\"result\": [\"tmp\", ", "\"result\": [\"tmp\", 9");
+        let plain = decode_spec(&tampered).unwrap_err();
+        let interned = interner.decode_spec(&tampered).unwrap_err();
+        assert!(plain.to_string().contains("stencil replay rejected"));
+        assert_eq!(plain.to_string(), interned.to_string());
+        assert!(!interner
+            .lock()
+            .iter()
+            .any(|s| s.name() == gallery::jacobi_2d().name()));
+        assert_eq!(held(), INTERNED_STENCILS);
     }
 }

@@ -497,6 +497,16 @@ impl WorkloadSpec {
         }
     }
 
+    /// The handle on the spec's stencil, for the wire decoder's interner
+    /// to point at an *equal* stencil that other specs already share —
+    /// which leaves every fingerprint as it is.
+    pub(crate) fn stencil_mut(&mut self) -> Option<&mut Arc<Stencil>> {
+        match &mut self.kind {
+            WorkloadKind::Stencil(w) => Some(&mut w.stencil),
+            WorkloadKind::DmaProbe { .. } => None,
+        }
+    }
+
     /// The tile extent the spec runs on.
     pub fn extent(&self) -> Extent {
         match &self.kind {
