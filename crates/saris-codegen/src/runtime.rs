@@ -11,7 +11,7 @@ use saris_core::grid::Grid;
 use saris_core::layout::{ArenaLayout, ELEM_BYTES};
 use saris_core::method::{SarisOptions, SarisPlan, StreamMode};
 use saris_core::parallel::InterleavePlan;
-use saris_core::stencil::{ArrayRole, Stencil};
+use saris_core::stencil::{hash_text, ArrayRole, Stencil};
 use saris_core::Extent;
 use snitch_sim::{Cluster, ClusterConfig, DmaDescriptor, RunReport, MAIN_BASE};
 
@@ -113,19 +113,21 @@ impl RunOptions {
     /// out, so sweeps over them share cached kernels in the session
     /// layer's kernel cache.
     pub fn compile_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
+        use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!(
-            "{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
-            self.variant,
-            self.unroll,
-            self.interleave,
-            self.cluster,
-            self.saris,
-            self.reassociate,
-            self.base_allow_spill,
-        )
-        .hash(&mut h);
+        hash_text(
+            &mut h,
+            format_args!(
+                "{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
+                self.variant,
+                self.unroll,
+                self.interleave,
+                self.cluster,
+                self.saris,
+                self.reassociate,
+                self.base_allow_spill,
+            ),
+        );
         h.finish()
     }
 }

@@ -1738,6 +1738,7 @@ mod tests {
     fn proven_bounds_are_evicted_with_their_kernels() {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 2,
+            verify_kernels: true,
             ..SessionConfig::default()
         });
         let retained_bounds = || {

@@ -39,15 +39,42 @@
 //! one segment, and read through a `BufReader`, so the prefix and
 //! payload that left in one write arrive in one read.
 //!
+//! # Encode semantics
+//!
+//! Every encoder appends to the `String` it is given:
+//! [`encode_spec_into`] and [`encode_outcome_into`] write a document
+//! where the caller's envelope wants it, so a reply is built once, in
+//! the buffer it is framed from. [`encode_spec`] and [`encode_outcome`]
+//! are the same encoders over a fresh `String`. The bytes are pinned by
+//! `tests/wire_bytes.rs`.
+//!
 //! # Decode semantics
 //!
+//! A decoder makes **one pass** over the frame, driving a
+//! [`json::Reader`] field by field and writing
+//! what it reads where it belongs: grid digits into the grid's
+//! `Vec<f64>`, counters into their fixed arrays, tags into their enums.
+//! No document tree is built. Numbers are parsed from slices of the
+//! frame and strings (names, tags) are borrowed from it unless they
+//! contain an escape; nothing borrowed outlives the decode call — a
+//! decoded [`WorkloadSpec`] or [`Outcome`] owns all its data, and the
+//! frame buffer can be reused as soon as the decoder returns. Keys may
+//! come in any order, unknown keys are skipped (validated as JSON), a
+//! repeated key keeps its last value, and containers nest at most
+//! [`json::MAX_DEPTH`] deep.
+//!
 //! [`decode_spec`] does not deserialize a [`WorkloadSpec`] field-by-field:
-//! it replays the serialized stencil through [`StencilBuilder`] and the
-//! serialized workload through the [`Workload`] builder, then calls
-//! [`Workload::freeze`]. A decoded spec therefore passed the exact same
-//! validation as a locally built one — a forged or corrupted frame
-//! cannot smuggle an invalid stencil or workload past the builder — and
-//! its fingerprint is recomputed, never trusted from the wire.
+//! what it reads from the frame is replayed — the stencil through
+//! [`StencilBuilder`], arrays, coefficients, taps, operations and
+//! result in that order, and the workload through the [`Workload`]
+//! builder — and then frozen by [`Workload::freeze`]. A decoded spec
+//! therefore passed the exact same validation as a locally built one —
+//! a forged or corrupted frame cannot smuggle an invalid stencil or
+//! workload past the builder — and its fingerprint is recomputed, never
+//! trusted from the wire. What the builders would *panic* on instead of
+//! rejecting (a zero extent, a zero interleave factor) the decoder
+//! rejects first: whatever the bytes, the result is a spec or a
+//! [`CodegenError`].
 //!
 //! A long-lived receiver decodes through a [`StencilInterner`]
 //! instead: the same replay and validation, after which specs of one
@@ -59,6 +86,8 @@
 //! field (an `Arc<CompiledKernel>` shared with the executing session's
 //! cache) does not cross the wire and always decodes as `None`.
 
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -73,7 +102,7 @@ use snitch_sim::{ClusterConfig, CoreReport, DmaStats, RunReport};
 
 use crate::backends::Fidelity;
 use crate::error::CodegenError;
-use crate::json::{self, JsonError, Value};
+use crate::json::{self, JsonError, Kind, Reader};
 use crate::runtime::{BufferRotation, RunOptions, Variant};
 use crate::tuner::{Tune, TuningDecision};
 use crate::workload::{
@@ -146,38 +175,140 @@ fn wire(e: JsonError) -> CodegenError {
     CodegenError::Wire { reason: e.reason }
 }
 
-fn get<'a>(
-    obj: &'a std::collections::HashMap<String, Value>,
-    key: &str,
-) -> Result<&'a Value, JsonError> {
-    obj.get(key)
-        .ok_or_else(|| json::error(&format!("missing field `{key}`")))
+// ---------------------------------------------------------------------------
+// Shared shapes
+// ---------------------------------------------------------------------------
+
+/// Encodes `items` one after another with `", "` between them.
+fn enc_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut enc: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        enc(out, item)?;
+    }
+    Ok(())
 }
 
-/// `null` and a missing key both read as `None`.
-fn opt<'a>(obj: &'a std::collections::HashMap<String, Value>, key: &str) -> Option<&'a Value> {
-    match obj.get(key) {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v),
+/// `[a, b, ...]` of unsigned counters.
+fn enc_counters(out: &mut String, counters: &[u64]) -> fmt::Result {
+    out.push('[');
+    enc_list(out, counters, |out, c| write!(out, "{c}"))?;
+    out.push(']');
+    Ok(())
+}
+
+/// Decodes the object `$r` is at, field by field in whatever order the
+/// document has them, into the named locals. Every `required` key must
+/// be present; `optional` decoders yield an `Option` (see [`opt`]) and
+/// an absent key reads as `None`; unknown keys are skipped and a
+/// repeated key keeps its last value.
+macro_rules! fields {
+    ($r:ident, $what:expr,
+     required { $($key:literal => $var:ident = $dec:expr),* $(,)? }
+     $(optional { $($okey:literal => $ovar:ident = $odec:expr),* $(,)? })?) => {
+        $(let mut $var = None;)*
+        $($(let mut $ovar = None;)*)?
+        $r.begin_object($what)?;
+        while let Some(key) = $r.next_key()? {
+            match &*key {
+                $($key => $var = Some($dec),)*
+                $($($okey => $ovar = $odec,)*)?
+                _ => $r.skip_value()?,
+            }
+        }
+        $(let $var =
+            $var.ok_or_else(|| json::error(concat!("missing field `", $key, "`")))?;)*
+    };
+}
+
+/// `null` reads as `None`, anything else through `dec`.
+fn opt<'a, T>(
+    r: &mut Reader<'a>,
+    dec: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<Option<T>, JsonError> {
+    if r.null()? {
+        Ok(None)
+    } else {
+        dec(r).map(Some)
     }
+}
+
+/// An array of whatever `item` decodes.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut out = Vec::new();
+    r.begin_array(what)?;
+    while r.next_element()? {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+/// An array of exactly `N` of whatever `item` decodes.
+fn fixed<'a, T: Copy + Default, const N: usize>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<[T; N], JsonError> {
+    let mut out = [T::default(); N];
+    let mut n = 0;
+    r.begin_array(what)?;
+    while r.next_element()? {
+        let value = item(r)?;
+        if let Some(slot) = out.get_mut(n) {
+            *slot = value;
+        }
+        n += 1;
+    }
+    if n != N {
+        return Err(json::error(&format!(
+            "{what}: expected {N} elements, got {n}"
+        )));
+    }
+    Ok(out)
+}
+
+/// An array of exactly `N` unsigned integers.
+fn counters<const N: usize>(r: &mut Reader<'_>, what: &str) -> Result<[u64; N], JsonError> {
+    fixed(r, what, |r| r.u64(what))
+}
+
+/// An unsigned integer that fits the field it is for.
+fn dec_uint<T: TryFrom<u64>>(r: &mut Reader<'_>, what: &str) -> Result<T, JsonError> {
+    T::try_from(r.u64(what)?).map_err(|_| json::error(&format!("{what} is out of range")))
+}
+
+fn dec_u64_str(r: &mut Reader<'_>, what: &str) -> Result<u64, JsonError> {
+    r.str(what)?
+        .parse::<u64>()
+        .map_err(|_| json::error(&format!("{what}: expected a decimal u64 string")))
 }
 
 // ---------------------------------------------------------------------------
 // f64 policy
 // ---------------------------------------------------------------------------
 
-fn enc_f64(v: f64) -> String {
+fn enc_f64(out: &mut String, v: f64) -> fmt::Result {
     if v.is_finite() {
-        format!("{v:?}")
+        write!(out, "{v:?}")
     } else {
-        format!("\"0x{:016x}\"", v.to_bits())
+        write!(out, "\"0x{:016x}\"", v.to_bits())
     }
 }
 
-fn dec_f64(v: &Value, what: &str) -> Result<f64, JsonError> {
-    match v {
-        Value::Number(_) => v.as_f64(what),
-        Value::String(s) => {
+fn dec_f64(r: &mut Reader<'_>, what: &str) -> Result<f64, JsonError> {
+    match r.peek()? {
+        Kind::Number => r.f64(what),
+        Kind::String => {
+            let s = r.str(what)?;
             let hex = s.strip_prefix("0x").ok_or_else(|| {
                 json::error(&format!("{what}: expected a 0x-prefixed bit string"))
             })?;
@@ -189,32 +320,25 @@ fn dec_f64(v: &Value, what: &str) -> Result<f64, JsonError> {
     }
 }
 
-fn dec_u64_str(v: &Value, what: &str) -> Result<u64, JsonError> {
-    v.as_str(what)?
-        .parse::<u64>()
-        .map_err(|_| json::error(&format!("{what}: expected a decimal u64 string")))
-}
-
-fn dec_usize(v: &Value, what: &str) -> Result<usize, JsonError> {
-    Ok(v.as_u64(what)? as usize)
-}
-
 // ---------------------------------------------------------------------------
 // Geometry, grids, options
 // ---------------------------------------------------------------------------
 
-fn enc_extent(e: Extent) -> String {
-    format!("[{}, {}, {}]", e.nx, e.ny, e.nz)
+fn enc_extent(out: &mut String, e: Extent) -> fmt::Result {
+    write!(out, "[{}, {}, {}]", e.nx, e.ny, e.nz)
 }
 
-fn dec_extent(v: &Value, what: &str) -> Result<Extent, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != 3 {
-        return Err(json::error(&format!("{what}: expected [nx, ny, nz]")));
+/// An extent a locally built spec could carry: every component
+/// positive (`Extent::new_2d` / `new_3d` assert it) and a point count
+/// that fits `usize` (`Extent::len` multiplies unchecked).
+fn dec_extent(r: &mut Reader<'_>, what: &str) -> Result<Extent, JsonError> {
+    let [nx, ny, nz]: [usize; 3] = fixed(r, what, |r| dec_uint(r, what))?;
+    let points = nx.checked_mul(ny).and_then(|xy| xy.checked_mul(nz));
+    if matches!(points, None | Some(0)) {
+        return Err(json::error(&format!(
+            "{what}: [{nx}, {ny}, {nz}] is not a positive extent"
+        )));
     }
-    let nx = dec_usize(&a[0], what)?;
-    let ny = dec_usize(&a[1], what)?;
-    let nz = dec_usize(&a[2], what)?;
     Ok(if nz == 1 {
         Extent::new_2d(nx, ny)
     } else {
@@ -222,41 +346,33 @@ fn dec_extent(v: &Value, what: &str) -> Result<Extent, JsonError> {
     })
 }
 
-fn enc_grid(g: &Grid) -> String {
-    let mut out = String::with_capacity(g.as_slice().len() * 20 + 64);
+fn enc_grid(out: &mut String, g: &Grid) -> fmt::Result {
     out.push_str("{\"extent\": ");
-    out.push_str(&enc_extent(g.extent()));
+    enc_extent(out, g.extent())?;
     out.push_str(", \"data\": [");
-    for (i, v) in g.as_slice().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_f64(*v));
-    }
+    enc_list(out, g.as_slice(), |out, v| enc_f64(out, *v))?;
     out.push_str("]}");
-    out
+    Ok(())
 }
 
-fn dec_grid(v: &Value, what: &str) -> Result<Grid, JsonError> {
-    let o = v.as_object(what)?;
-    let extent = dec_extent(get(o, "extent")?, "grid extent")?;
-    let raw = get(o, "data")?.as_array("grid data")?;
-    if raw.len() != extent.len() {
+fn dec_grid(r: &mut Reader<'_>, what: &str) -> Result<Grid, JsonError> {
+    fields!(r, what, required {
+        "extent" => extent = dec_extent(r, "grid extent")?,
+        "data" => data = list(r, "grid data", |r| dec_f64(r, "grid point"))?,
+    });
+    if data.len() != extent.len() {
         return Err(json::error(&format!(
             "{what}: {} data points for a {}-point extent",
-            raw.len(),
+            data.len(),
             extent.len()
         )));
     }
-    let data = raw
-        .iter()
-        .map(|v| dec_f64(v, "grid point"))
-        .collect::<Result<Vec<f64>, JsonError>>()?;
     Ok(Grid::from_raw(extent, data))
 }
 
-fn enc_cluster(c: &ClusterConfig) -> String {
-    format!(
+fn enc_cluster(out: &mut String, c: &ClusterConfig) -> fmt::Result {
+    write!(
+        out,
         concat!(
             "{{\"n_cores\": {}, \"tcdm_banks\": {}, \"tcdm_bytes\": {}, ",
             "\"main_mem_bytes\": {}, \"main_mem_latency\": {}, ",
@@ -268,7 +384,7 @@ fn enc_cluster(c: &ClusterConfig) -> String {
             "\"offload_queue_depth\": {}, \"sequencer_depth\": {}, ",
             "\"branch_taken_penalty\": {}, \"icache_lines\": {}, ",
             "\"icache_line_bytes\": {}, \"icache_miss_penalty\": {}, ",
-            "\"dma_beat_bytes\": {}, \"freq_hz\": {}, \"fast_forward\": {}}}"
+            "\"dma_beat_bytes\": {}, \"freq_hz\": "
         ),
         c.n_cores,
         c.tcdm_banks,
@@ -292,44 +408,68 @@ fn enc_cluster(c: &ClusterConfig) -> String {
         c.icache_line_bytes,
         c.icache_miss_penalty,
         c.dma_beat_bytes,
-        enc_f64(c.freq_hz),
-        c.fast_forward,
-    )
+    )?;
+    enc_f64(out, c.freq_hz)?;
+    write!(out, ", \"fast_forward\": {}}}", c.fast_forward)
 }
 
-fn dec_cluster(v: &Value) -> Result<ClusterConfig, JsonError> {
-    let o = v.as_object("cluster config")?;
-    let us = |k: &str| -> Result<usize, JsonError> { dec_usize(get(o, k)?, k) };
-    let u32s = |k: &str| -> Result<u32, JsonError> { Ok(get(o, k)?.as_u64(k)? as u32) };
+fn dec_cluster(r: &mut Reader<'_>) -> Result<ClusterConfig, JsonError> {
+    fields!(r, "cluster config", required {
+        "n_cores" => n_cores = dec_uint(r, "n_cores")?,
+        "tcdm_banks" => tcdm_banks = dec_uint(r, "tcdm_banks")?,
+        "tcdm_bytes" => tcdm_bytes = dec_uint(r, "tcdm_bytes")?,
+        "main_mem_bytes" => main_mem_bytes = dec_uint(r, "main_mem_bytes")?,
+        "main_mem_latency" => main_mem_latency = dec_uint(r, "main_mem_latency")?,
+        "main_mem_bytes_per_cycle" =>
+            main_mem_bytes_per_cycle = dec_uint(r, "main_mem_bytes_per_cycle")?,
+        "stream_fifo_depth" => stream_fifo_depth = dec_uint(r, "stream_fifo_depth")?,
+        "launch_queue_depth" => launch_queue_depth = dec_uint(r, "launch_queue_depth")?,
+        "index_fifo_depth" => index_fifo_depth = dec_uint(r, "index_fifo_depth")?,
+        "fpu_latency_add" => fpu_latency_add = dec_uint(r, "fpu_latency_add")?,
+        "fpu_latency_mul" => fpu_latency_mul = dec_uint(r, "fpu_latency_mul")?,
+        "fpu_latency_fma" => fpu_latency_fma = dec_uint(r, "fpu_latency_fma")?,
+        "fpu_latency_div" => fpu_latency_div = dec_uint(r, "fpu_latency_div")?,
+        "fpu_latency_misc" => fpu_latency_misc = dec_uint(r, "fpu_latency_misc")?,
+        "fp_load_latency" => fp_load_latency = dec_uint(r, "fp_load_latency")?,
+        "offload_queue_depth" => offload_queue_depth = dec_uint(r, "offload_queue_depth")?,
+        "sequencer_depth" => sequencer_depth = dec_uint(r, "sequencer_depth")?,
+        "branch_taken_penalty" => branch_taken_penalty = dec_uint(r, "branch_taken_penalty")?,
+        "icache_lines" => icache_lines = dec_uint(r, "icache_lines")?,
+        "icache_line_bytes" => icache_line_bytes = dec_uint(r, "icache_line_bytes")?,
+        "icache_miss_penalty" => icache_miss_penalty = dec_uint(r, "icache_miss_penalty")?,
+        "dma_beat_bytes" => dma_beat_bytes = dec_uint(r, "dma_beat_bytes")?,
+        "freq_hz" => freq_hz = dec_f64(r, "freq_hz")?,
+        "fast_forward" => fast_forward = r.bool("fast_forward")?,
+    });
     Ok(ClusterConfig {
-        n_cores: us("n_cores")?,
-        tcdm_banks: us("tcdm_banks")?,
-        tcdm_bytes: us("tcdm_bytes")?,
-        main_mem_bytes: us("main_mem_bytes")?,
-        main_mem_latency: u32s("main_mem_latency")?,
-        main_mem_bytes_per_cycle: us("main_mem_bytes_per_cycle")?,
-        stream_fifo_depth: us("stream_fifo_depth")?,
-        launch_queue_depth: us("launch_queue_depth")?,
-        index_fifo_depth: us("index_fifo_depth")?,
-        fpu_latency_add: u32s("fpu_latency_add")?,
-        fpu_latency_mul: u32s("fpu_latency_mul")?,
-        fpu_latency_fma: u32s("fpu_latency_fma")?,
-        fpu_latency_div: u32s("fpu_latency_div")?,
-        fpu_latency_misc: u32s("fpu_latency_misc")?,
-        fp_load_latency: u32s("fp_load_latency")?,
-        offload_queue_depth: us("offload_queue_depth")?,
-        sequencer_depth: us("sequencer_depth")?,
-        branch_taken_penalty: u32s("branch_taken_penalty")?,
-        icache_lines: us("icache_lines")?,
-        icache_line_bytes: us("icache_line_bytes")?,
-        icache_miss_penalty: u32s("icache_miss_penalty")?,
-        dma_beat_bytes: us("dma_beat_bytes")?,
-        freq_hz: dec_f64(get(o, "freq_hz")?, "freq_hz")?,
-        fast_forward: get(o, "fast_forward")?.as_bool("fast_forward")?,
+        n_cores,
+        tcdm_banks,
+        tcdm_bytes,
+        main_mem_bytes,
+        main_mem_latency,
+        main_mem_bytes_per_cycle,
+        stream_fifo_depth,
+        launch_queue_depth,
+        index_fifo_depth,
+        fpu_latency_add,
+        fpu_latency_mul,
+        fpu_latency_fma,
+        fpu_latency_div,
+        fpu_latency_misc,
+        fp_load_latency,
+        offload_queue_depth,
+        sequencer_depth,
+        branch_taken_penalty,
+        icache_lines,
+        icache_line_bytes,
+        icache_miss_penalty,
+        dma_beat_bytes,
+        freq_hz,
+        fast_forward,
     })
 }
 
-fn enc_options(o: &RunOptions) -> String {
+fn enc_options(out: &mut String, o: &RunOptions) -> fmt::Result {
     let index_width = match o.saris.index_width {
         IndexWidth::U8 => "u8",
         IndexWidth::U16 => "u16",
@@ -339,19 +479,23 @@ fn enc_options(o: &RunOptions) -> String {
         CoeffStrategy::Hybrid => "hybrid",
         CoeffStrategy::StreamSr1 => "stream_sr1",
     };
-    format!(
-        concat!(
-            "{{\"variant\": \"{}\", \"unroll\": {}, \"interleave\": [{}, {}], ",
-            "\"cluster\": {}, \"saris\": {{\"coeff_reg_budget\": {}, ",
-            "\"index_width\": \"{}\", \"coeff_strategy\": \"{}\"}}, ",
-            "\"max_cycles\": {}, \"concurrent_dma\": {}, ",
-            "\"reassociate\": {}, \"base_allow_spill\": {}}}"
-        ),
+    write!(
+        out,
+        "{{\"variant\": \"{}\", \"unroll\": {}, \"interleave\": [{}, {}], \"cluster\": ",
         o.variant,
         o.unroll,
         o.interleave.px(),
         o.interleave.py(),
-        enc_cluster(&o.cluster),
+    )?;
+    enc_cluster(out, &o.cluster)?;
+    write!(
+        out,
+        concat!(
+            ", \"saris\": {{\"coeff_reg_budget\": {}, ",
+            "\"index_width\": \"{}\", \"coeff_strategy\": \"{}\"}}, ",
+            "\"max_cycles\": {}, \"concurrent_dma\": {}, ",
+            "\"reassociate\": {}, \"base_allow_spill\": {}}}"
+        ),
         o.saris.coeff_reg_budget,
         index_width,
         coeff_strategy,
@@ -362,47 +506,57 @@ fn enc_options(o: &RunOptions) -> String {
     )
 }
 
-fn dec_options(v: &Value) -> Result<RunOptions, JsonError> {
-    let o = v.as_object("run options")?;
-    let variant = match get(o, "variant")?.as_str("variant")? {
-        "base" => Variant::Base,
-        "saris" => Variant::Saris,
-        other => return Err(json::error(&format!("unknown variant `{other}`"))),
-    };
-    let interleave = get(o, "interleave")?.as_array("interleave")?;
-    if interleave.len() != 2 {
-        return Err(json::error("interleave: expected [px, py]"));
-    }
-    let px = dec_usize(&interleave[0], "interleave px")?;
-    let py = dec_usize(&interleave[1], "interleave py")?;
+fn dec_saris_options(r: &mut Reader<'_>) -> Result<SarisOptions, JsonError> {
+    fields!(r, "saris options", required {
+        "coeff_reg_budget" => coeff_reg_budget = dec_uint(r, "coeff_reg_budget")?,
+        "index_width" => index_width = match &*r.str("index_width")? {
+            "u8" => IndexWidth::U8,
+            "u16" => IndexWidth::U16,
+            "u32" => IndexWidth::U32,
+            other => return Err(json::error(&format!("unknown index width `{other}`"))),
+        },
+        "coeff_strategy" => coeff_strategy = match &*r.str("coeff_strategy")? {
+            "hybrid" => CoeffStrategy::Hybrid,
+            "stream_sr1" => CoeffStrategy::StreamSr1,
+            other => return Err(json::error(&format!("unknown coeff strategy `{other}`"))),
+        },
+    });
+    Ok(SarisOptions {
+        coeff_reg_budget,
+        index_width,
+        coeff_strategy,
+    })
+}
+
+fn dec_options(r: &mut Reader<'_>) -> Result<RunOptions, JsonError> {
+    fields!(r, "run options", required {
+        "variant" => variant = match &*r.str("variant")? {
+            "base" => Variant::Base,
+            "saris" => Variant::Saris,
+            other => return Err(json::error(&format!("unknown variant `{other}`"))),
+        },
+        "unroll" => unroll = dec_uint(r, "unroll")?,
+        "interleave" => interleave = fixed(r, "interleave", |r| dec_uint(r, "interleave factor"))?,
+        "cluster" => cluster = dec_cluster(r)?,
+        "saris" => saris = dec_saris_options(r)?,
+        "max_cycles" => max_cycles = r.u64("max_cycles")?,
+        "concurrent_dma" => concurrent_dma = r.bool("concurrent_dma")?,
+        "reassociate" => reassociate = dec_uint(r, "reassociate")?,
+        "base_allow_spill" => base_allow_spill = r.bool("base_allow_spill")?,
+    });
+    let [px, py]: [usize; 2] = interleave;
     if px == 0 || py == 0 {
         return Err(json::error("interleave: px and py must be non-zero"));
     }
-    let saris_obj = get(o, "saris")?.as_object("saris options")?;
-    let index_width = match get(saris_obj, "index_width")?.as_str("index_width")? {
-        "u8" => IndexWidth::U8,
-        "u16" => IndexWidth::U16,
-        "u32" => IndexWidth::U32,
-        other => return Err(json::error(&format!("unknown index width `{other}`"))),
-    };
-    let coeff_strategy = match get(saris_obj, "coeff_strategy")?.as_str("coeff_strategy")? {
-        "hybrid" => CoeffStrategy::Hybrid,
-        "stream_sr1" => CoeffStrategy::StreamSr1,
-        other => return Err(json::error(&format!("unknown coeff strategy `{other}`"))),
-    };
     let mut options = RunOptions::new(variant);
-    options.unroll = dec_usize(get(o, "unroll")?, "unroll")?;
+    options.unroll = unroll;
     options.interleave = InterleavePlan::new(px, py);
-    options.cluster = dec_cluster(get(o, "cluster")?)?;
-    options.saris = SarisOptions {
-        coeff_reg_budget: dec_usize(get(saris_obj, "coeff_reg_budget")?, "coeff_reg_budget")?,
-        index_width,
-        coeff_strategy,
-    };
-    options.max_cycles = get(o, "max_cycles")?.as_u64("max_cycles")?;
-    options.concurrent_dma = get(o, "concurrent_dma")?.as_bool("concurrent_dma")?;
-    options.reassociate = dec_usize(get(o, "reassociate")?, "reassociate")?;
-    options.base_allow_spill = get(o, "base_allow_spill")?.as_bool("base_allow_spill")?;
+    options.cluster = cluster;
+    options.saris = saris;
+    options.max_cycles = max_cycles;
+    options.concurrent_dma = concurrent_dma;
+    options.reassociate = reassociate;
+    options.base_allow_spill = base_allow_spill;
     Ok(options)
 }
 
@@ -410,185 +564,208 @@ fn dec_options(v: &Value) -> Result<RunOptions, JsonError> {
 // Stencils
 // ---------------------------------------------------------------------------
 
-fn enc_operand(op: Operand) -> String {
+fn enc_operand(out: &mut String, op: Operand) -> fmt::Result {
     match op {
-        Operand::Tap(i) => format!("[\"tap\", {i}]"),
-        Operand::Coeff(i) => format!("[\"coeff\", {i}]"),
-        Operand::Tmp(i) => format!("[\"tmp\", {i}]"),
+        Operand::Tap(i) => write!(out, "[\"tap\", {i}]"),
+        Operand::Coeff(i) => write!(out, "[\"coeff\", {i}]"),
+        Operand::Tmp(i) => write!(out, "[\"tmp\", {i}]"),
     }
 }
 
-fn dec_operand(v: &Value, what: &str) -> Result<Operand, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != 2 {
-        return Err(json::error(&format!("{what}: expected [kind, index]")));
+fn dec_operand(r: &mut Reader<'_>, what: &str) -> Result<Operand, JsonError> {
+    let shape = || json::error(&format!("{what}: expected [kind, index]"));
+    r.begin_array(what)?;
+    if !r.next_element()? {
+        return Err(shape());
     }
-    let idx = dec_usize(&a[1], what)?;
-    match a[0].as_str(what)? {
-        "tap" => Ok(Operand::Tap(idx)),
-        "coeff" => Ok(Operand::Coeff(idx)),
-        "tmp" => Ok(Operand::Tmp(idx)),
+    let kind = r.str(what)?;
+    if !r.next_element()? {
+        return Err(shape());
+    }
+    let index = dec_uint(r, what)?;
+    if r.next_element()? {
+        return Err(shape());
+    }
+    match &*kind {
+        "tap" => Ok(Operand::Tap(index)),
+        "coeff" => Ok(Operand::Coeff(index)),
+        "tmp" => Ok(Operand::Tmp(index)),
         other => Err(json::error(&format!(
             "{what}: unknown operand kind `{other}`"
         ))),
     }
 }
 
-fn enc_stencil(s: &saris_core::Stencil) -> String {
-    let mut out = String::with_capacity(512);
+fn enc_name(out: &mut String, name: &str) {
     out.push_str("{\"name\": \"");
-    out.push_str(&json::escape(s.name()));
+    json::escape_into(out, name);
+}
+
+fn enc_stencil(out: &mut String, s: &saris_core::Stencil) -> fmt::Result {
+    enc_name(out, s.name());
     out.push_str("\", \"space\": \"");
     out.push_str(match s.space() {
         Space::Dim2 => "2d",
         Space::Dim3 => "3d",
     });
     out.push_str("\", \"arrays\": [");
-    for (i, a) in s.arrays().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"name\": \"");
-        out.push_str(&json::escape(a.name()));
+    enc_list(out, s.arrays(), |out, a| {
+        enc_name(out, a.name());
         out.push_str("\", \"role\": \"");
         out.push_str(match a.role() {
             ArrayRole::Input => "input",
             ArrayRole::Output => "output",
         });
         out.push_str("\"}");
-    }
+        Ok(())
+    })?;
     out.push_str("], \"coeffs\": [");
-    for (i, c) in s.coeffs().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"name\": \"");
-        out.push_str(&json::escape(c.name()));
+    enc_list(out, s.coeffs(), |out, c| {
+        enc_name(out, c.name());
         out.push_str("\", \"value\": ");
-        out.push_str(&enc_f64(c.value()));
+        enc_f64(out, c.value())?;
         out.push('}');
-    }
+        Ok(())
+    })?;
     out.push_str("], \"taps\": [");
-    for (i, t) in s.taps().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "[{}, {}, {}, {}]",
-            t.array.index(),
-            t.offset.dx,
-            t.offset.dy,
-            t.offset.dz
-        ));
-    }
+    enc_list(out, s.taps(), |out, t| {
+        let o = t.offset;
+        write!(out, "[{}, {}, {}, {}]", t.array.index(), o.dx, o.dy, o.dz)
+    })?;
     out.push_str("], \"ops\": [");
-    for (i, op) in s.ops().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match op {
+    enc_list(out, s.ops(), |out, op| {
+        let (name, a, b, c) = match *op {
             PointOp::Bin { kind, a, b } => {
                 let name = match kind {
                     BinKind::Add => "add",
                     BinKind::Sub => "sub",
                     BinKind::Mul => "mul",
                 };
-                out.push_str(&format!(
-                    "[\"{name}\", {}, {}]",
-                    enc_operand(*a),
-                    enc_operand(*b)
-                ));
+                (name, a, b, None)
             }
-            PointOp::Fma { a, b, c } => {
-                out.push_str(&format!(
-                    "[\"fma\", {}, {}, {}]",
-                    enc_operand(*a),
-                    enc_operand(*b),
-                    enc_operand(*c)
-                ));
-            }
+            PointOp::Fma { a, b, c } => ("fma", a, b, Some(c)),
+        };
+        write!(out, "[\"{name}\", ")?;
+        enc_operand(out, a)?;
+        out.push_str(", ");
+        enc_operand(out, b)?;
+        if let Some(c) = c {
+            out.push_str(", ");
+            enc_operand(out, c)?;
         }
-    }
+        out.push(']');
+        Ok(())
+    })?;
     out.push_str("], \"result\": ");
-    out.push_str(&enc_operand(s.result()));
+    enc_operand(out, s.result())?;
     out.push('}');
-    out
+    Ok(())
 }
 
-/// Replays a serialized stencil through [`StencilBuilder`], so decode
-/// re-runs the builder's full validation (`finish`).
-fn dec_stencil(v: &Value) -> Result<saris_core::Stencil, JsonError> {
-    let o = v.as_object("stencil")?;
-    let name = get(o, "name")?.as_str("stencil name")?;
-    let space = match get(o, "space")?.as_str("stencil space")? {
-        "2d" => Space::Dim2,
-        "3d" => Space::Dim3,
-        other => return Err(json::error(&format!("unknown space `{other}`"))),
-    };
-    let mut builder = StencilBuilder::new(name, space);
-    let mut array_ids = Vec::new();
-    for a in get(o, "arrays")?.as_array("arrays")? {
-        let ao = a.as_object("array decl")?;
-        let aname = get(ao, "name")?.as_str("array name")?;
-        let id = match get(ao, "role")?.as_str("array role")? {
-            "input" => builder.input(aname),
-            "output" => builder.output(aname),
+fn dec_array_decl<'a>(r: &mut Reader<'a>) -> Result<(Cow<'a, str>, ArrayRole), JsonError> {
+    fields!(r, "array decl", required {
+        "name" => name = r.str("array name")?,
+        "role" => role = match &*r.str("array role")? {
+            "input" => ArrayRole::Input,
+            "output" => ArrayRole::Output,
             other => return Err(json::error(&format!("unknown array role `{other}`"))),
-        };
-        array_ids.push(id);
+        },
+    });
+    Ok((name, role))
+}
+
+fn dec_coeff<'a>(r: &mut Reader<'a>) -> Result<(Cow<'a, str>, f64), JsonError> {
+    fields!(r, "coeff", required {
+        "name" => name = r.str("coeff name")?,
+        "value" => value = dec_f64(r, "coeff value")?,
+    });
+    Ok((name, value))
+}
+
+/// `[array, dx, dy, dz]`.
+fn dec_tap(r: &mut Reader<'_>) -> Result<[i64; 4], JsonError> {
+    fixed(r, "tap", |r| r.i64("tap"))
+}
+
+/// `[kind, a, b]` or `["fma", a, b, c]`.
+fn dec_op(r: &mut Reader<'_>) -> Result<PointOp, JsonError> {
+    r.begin_array("op")?;
+    if !r.next_element()? {
+        return Err(json::error("op: empty"));
     }
-    for c in get(o, "coeffs")?.as_array("coeffs")? {
-        let co = c.as_object("coeff")?;
-        let cname = get(co, "name")?.as_str("coeff name")?;
-        let value = dec_f64(get(co, "value")?, "coeff value")?;
-        builder.coeff(cname, value);
-    }
-    for t in get(o, "taps")?.as_array("taps")? {
-        let ta = t.as_array("tap")?;
-        if ta.len() != 4 {
-            return Err(json::error("tap: expected [array, dx, dy, dz]"));
+    let kind = r.str("op kind")?;
+    let mut operands = [Operand::Tmp(0); 3];
+    let mut n = 0;
+    while r.next_element()? {
+        let operand = dec_operand(r, "op operand")?;
+        if let Some(slot) = operands.get_mut(n) {
+            *slot = operand;
         }
-        let array = dec_usize(&ta[0], "tap array")?;
-        let id = *array_ids
-            .get(array)
+        n += 1;
+    }
+    let [a, b, c] = operands;
+    let bin = |kind| Ok(PointOp::Bin { kind, a, b });
+    match (&*kind, n) {
+        ("add", 2) => bin(BinKind::Add),
+        ("sub", 2) => bin(BinKind::Sub),
+        ("mul", 2) => bin(BinKind::Mul),
+        ("fma", 3) => Ok(PointOp::Fma { a, b, c }),
+        ("add" | "sub" | "mul", _) => Err(json::error("binary op: expected [kind, a, b]")),
+        ("fma", _) => Err(json::error("fma op: expected [\"fma\", a, b, c]")),
+        (other, _) => Err(json::error(&format!("unknown op kind `{other}`"))),
+    }
+}
+
+/// Reads a serialized stencil and replays it through [`StencilBuilder`]
+/// — arrays, coefficients, taps, operations, result, whatever order the
+/// document had them in — so decode re-runs the builder's full
+/// validation (`finish`).
+fn dec_stencil(r: &mut Reader<'_>) -> Result<saris_core::Stencil, JsonError> {
+    fields!(r, "stencil", required {
+        "name" => name = r.str("stencil name")?,
+        "space" => space = match &*r.str("stencil space")? {
+            "2d" => Space::Dim2,
+            "3d" => Space::Dim3,
+            other => return Err(json::error(&format!("unknown space `{other}`"))),
+        },
+        "arrays" => arrays = list(r, "arrays", dec_array_decl)?,
+        "coeffs" => coeffs = list(r, "coeffs", dec_coeff)?,
+        "taps" => taps = list(r, "taps", dec_tap)?,
+        "ops" => ops = list(r, "ops", dec_op)?,
+        "result" => result = dec_operand(r, "result")?,
+    });
+    let mut builder = StencilBuilder::new(name, space);
+    let array_ids: Vec<_> = arrays
+        .into_iter()
+        .map(|(name, role)| match role {
+            ArrayRole::Input => builder.input(name),
+            ArrayRole::Output => builder.output(name),
+        })
+        .collect();
+    for (name, value) in coeffs {
+        builder.coeff(name, value);
+    }
+    for [array, dx, dy, dz] in taps {
+        let id = usize::try_from(array)
+            .ok()
+            .and_then(|array| array_ids.get(array))
             .ok_or_else(|| json::error(&format!("tap references unknown array {array}")))?;
-        let dx = ta[1].as_i64("tap dx")? as i32;
-        let dy = ta[2].as_i64("tap dy")? as i32;
-        let dz = ta[3].as_i64("tap dz")? as i32;
-        builder.tap(id, Offset { dx, dy, dz });
+        let offset =
+            |d: i64| i32::try_from(d).map_err(|_| json::error("tap offset is out of range"));
+        let (dx, dy, dz) = (offset(dx)?, offset(dy)?, offset(dz)?);
+        builder.tap(*id, Offset { dx, dy, dz });
     }
-    for op in get(o, "ops")?.as_array("ops")? {
-        let oa = op.as_array("op")?;
-        let kind = oa
-            .first()
-            .ok_or_else(|| json::error("op: empty"))?
-            .as_str("op kind")?;
-        match kind {
-            "add" | "sub" | "mul" => {
-                if oa.len() != 3 {
-                    return Err(json::error("binary op: expected [kind, a, b]"));
-                }
-                let a = dec_operand(&oa[1], "op operand")?;
-                let b = dec_operand(&oa[2], "op operand")?;
-                match kind {
-                    "add" => builder.add(a, b),
-                    "sub" => builder.sub(a, b),
-                    _ => builder.mul(a, b),
-                };
-            }
-            "fma" => {
-                if oa.len() != 4 {
-                    return Err(json::error("fma op: expected [\"fma\", a, b, c]"));
-                }
-                let a = dec_operand(&oa[1], "op operand")?;
-                let b = dec_operand(&oa[2], "op operand")?;
-                let c = dec_operand(&oa[3], "op operand")?;
-                builder.fma(a, b, c);
-            }
-            other => return Err(json::error(&format!("unknown op kind `{other}`"))),
-        }
+    for op in ops {
+        match op {
+            PointOp::Bin { kind, a, b } => match kind {
+                BinKind::Add => builder.add(a, b),
+                BinKind::Sub => builder.sub(a, b),
+                BinKind::Mul => builder.mul(a, b),
+            },
+            PointOp::Fma { a, b, c } => builder.fma(a, b, c),
+        };
     }
-    builder.store(dec_operand(get(o, "result")?, "result")?);
+    builder.store(result);
     builder
         .finish()
         .map_err(|e| json::error(&format!("stencil replay rejected: {e}")))
@@ -598,30 +775,33 @@ fn dec_stencil(v: &Value) -> Result<saris_core::Stencil, JsonError> {
 // Fidelity / tuning
 // ---------------------------------------------------------------------------
 
-fn enc_fidelity(f: Fidelity) -> String {
+fn enc_fidelity(out: &mut String, f: Fidelity) -> fmt::Result {
     match f {
-        Fidelity::Analytic => "\"analytic\"".to_string(),
-        Fidelity::Cycles => "\"cycles\"".to_string(),
-        Fidelity::Golden => "\"golden\"".to_string(),
+        Fidelity::Analytic => out.push_str("\"analytic\""),
+        Fidelity::Cycles => out.push_str("\"cycles\""),
+        Fidelity::Golden => out.push_str("\"golden\""),
         Fidelity::Auto { accuracy_budget } => {
-            format!("{{\"auto\": {}}}", enc_f64(accuracy_budget))
+            out.push_str("{\"auto\": ");
+            enc_f64(out, accuracy_budget)?;
+            out.push('}');
         }
     }
+    Ok(())
 }
 
-fn dec_fidelity(v: &Value) -> Result<Fidelity, JsonError> {
-    match v {
-        Value::String(s) => match s.as_str() {
+fn dec_fidelity(r: &mut Reader<'_>) -> Result<Fidelity, JsonError> {
+    match r.peek()? {
+        Kind::String => match &*r.str("fidelity")? {
             "analytic" => Ok(Fidelity::Analytic),
             "cycles" => Ok(Fidelity::Cycles),
             "golden" => Ok(Fidelity::Golden),
             other => Err(json::error(&format!("unknown fidelity `{other}`"))),
         },
-        Value::Object(o) => {
-            let budget = dec_f64(get(o, "auto")?, "auto accuracy budget")?;
-            Ok(Fidelity::Auto {
-                accuracy_budget: budget,
-            })
+        Kind::Object => {
+            fields!(r, "fidelity", required {
+                "auto" => accuracy_budget = dec_f64(r, "auto accuracy budget")?,
+            });
+            Ok(Fidelity::Auto { accuracy_budget })
         }
         _ => Err(json::error(
             "fidelity: expected a string or {\"auto\": ...}",
@@ -629,35 +809,32 @@ fn dec_fidelity(v: &Value) -> Result<Fidelity, JsonError> {
     }
 }
 
-fn enc_tune(t: &Tune) -> String {
+fn enc_tune(out: &mut String, t: &Tune) -> fmt::Result {
     match t {
-        Tune::Fixed => "\"fixed\"".to_string(),
-        Tune::Auto => "\"auto\"".to_string(),
+        Tune::Fixed => out.push_str("\"fixed\""),
+        Tune::Auto => out.push_str("\"auto\""),
         Tune::Candidates(c) => {
-            let list = c
-                .iter()
-                .map(|u| u.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{\"candidates\": [{list}]}}")
+            out.push_str("{\"candidates\": [");
+            enc_list(out, c, |out, u| write!(out, "{u}"))?;
+            out.push_str("]}");
         }
     }
+    Ok(())
 }
 
-fn dec_tune(v: &Value) -> Result<Tune, JsonError> {
-    match v {
-        Value::String(s) => match s.as_str() {
+fn dec_tune(r: &mut Reader<'_>) -> Result<Tune, JsonError> {
+    match r.peek()? {
+        Kind::String => match &*r.str("tune")? {
             "fixed" => Ok(Tune::Fixed),
             "auto" => Ok(Tune::Auto),
             other => Err(json::error(&format!("unknown tune mode `{other}`"))),
         },
-        Value::Object(o) => {
-            let list = get(o, "candidates")?.as_array("tune candidates")?;
-            let c = list
-                .iter()
-                .map(|v| dec_usize(v, "tune candidate"))
-                .collect::<Result<Vec<usize>, JsonError>>()?;
-            Ok(Tune::Candidates(c))
+        Kind::Object => {
+            fields!(r, "tune", required {
+                "candidates" => candidates =
+                    list(r, "tune candidates", |r| dec_uint(r, "tune candidate"))?,
+            });
+            Ok(Tune::Candidates(candidates))
         }
         _ => Err(json::error(
             "tune: expected a string or {\"candidates\": ...}",
@@ -669,41 +846,45 @@ fn dec_tune(v: &Value) -> Result<Tune, JsonError> {
 // WorkloadSpec
 // ---------------------------------------------------------------------------
 
+/// Appends a frozen [`WorkloadSpec`]'s wire JSON to `out`.
+pub fn encode_spec_into(out: &mut String, spec: &WorkloadSpec) {
+    enc_spec(out, spec).expect("writing to a String cannot fail");
+}
+
 /// Serializes a frozen [`WorkloadSpec`] to its wire JSON.
 pub fn encode_spec(spec: &WorkloadSpec) -> String {
+    let mut out = String::with_capacity(2048);
+    encode_spec_into(&mut out, spec);
+    out
+}
+
+fn enc_spec(out: &mut String, spec: &WorkloadSpec) -> fmt::Result {
     match spec.kind() {
-        WorkloadKind::DmaProbe { extent, cluster } => format!(
-            "{{\"kind\": \"probe\", \"extent\": {}, \"cluster\": {}}}",
-            enc_extent(*extent),
-            enc_cluster(cluster)
-        ),
+        WorkloadKind::DmaProbe { extent, cluster } => {
+            out.push_str("{\"kind\": \"probe\", \"extent\": ");
+            enc_extent(out, *extent)?;
+            out.push_str(", \"cluster\": ");
+            enc_cluster(out, cluster)?;
+        }
         WorkloadKind::Stencil(w) => {
-            let mut out = String::with_capacity(2048);
             out.push_str("{\"kind\": \"stencil\", \"stencil\": ");
-            out.push_str(&enc_stencil(&w.stencil));
+            enc_stencil(out, &w.stencil)?;
             out.push_str(", \"extent\": ");
-            out.push_str(&enc_extent(w.extent));
+            enc_extent(out, w.extent)?;
             out.push_str(", \"inputs\": ");
             match &w.inputs {
-                InputSpec::Seeded(seed) => {
-                    out.push_str(&format!("{{\"seed\": \"{seed}\"}}"));
-                }
+                InputSpec::Seeded(seed) => write!(out, "{{\"seed\": \"{seed}\"}}")?,
                 InputSpec::Grids(grids) => {
                     out.push_str("{\"grids\": [");
-                    for (i, g) in grids.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&enc_grid(g));
-                    }
+                    enc_list(out, grids.iter(), enc_grid)?;
                     out.push_str("]}");
                 }
             }
             out.push_str(", \"options\": ");
-            out.push_str(&enc_options(&w.options));
+            enc_options(out, &w.options)?;
             out.push_str(", \"tune\": ");
-            out.push_str(&enc_tune(&w.tune));
-            out.push_str(&format!(", \"time_steps\": {}", w.time_steps));
+            enc_tune(out, &w.tune)?;
+            write!(out, ", \"time_steps\": {}", w.time_steps)?;
             out.push_str(", \"rotation\": ");
             out.push_str(match w.rotation {
                 None => "null",
@@ -711,18 +892,27 @@ pub fn encode_spec(spec: &WorkloadSpec) -> String {
                 Some(BufferRotation::Leapfrog) => "\"leapfrog\"",
             });
             out.push_str(", \"verify\": ");
-            match w.verify {
-                None => out.push_str("null"),
-                Some(t) => out.push_str(&enc_f64(t)),
-            }
+            enc_opt(out, w.verify, enc_f64)?;
             out.push_str(", \"fidelity\": ");
-            match w.fidelity {
-                None => out.push_str("null"),
-                Some(f) => out.push_str(&enc_fidelity(f)),
-            }
-            out.push('}');
-            out
+            enc_opt(out, w.fidelity, enc_fidelity)?;
         }
+    }
+    out.push('}');
+    Ok(())
+}
+
+/// `null` for `None`, `enc` of the value otherwise.
+fn enc_opt<T>(
+    out: &mut String,
+    value: Option<T>,
+    enc: impl FnOnce(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    match value {
+        None => {
+            out.push_str("null");
+            Ok(())
+        }
+        Some(value) => enc(out, value),
     }
 }
 
@@ -736,7 +926,10 @@ pub fn encode_spec(spec: &WorkloadSpec) -> String {
 /// semantic rejections from [`Workload::freeze`] surface as their
 /// original error variants.
 pub fn decode_spec(text: &str) -> Result<WorkloadSpec, CodegenError> {
-    build_workload(text).map_err(wire)?.freeze()
+    let mut r = Reader::new(text);
+    let workload = dec_workload(&mut r).map_err(wire)?;
+    r.finish().map_err(wire)?;
+    workload.freeze()
 }
 
 /// Stencils a [`StencilInterner`] remembers. Traffic draws on a handful
@@ -807,47 +1000,63 @@ fn same_stencil(a: &saris_core::Stencil, b: &saris_core::Stencil) -> bool {
             .all(|(x, y)| x.value().to_bits() == y.value().to_bits())
 }
 
-fn build_workload(text: &str) -> Result<Workload, JsonError> {
-    let doc = json::parse(text)?;
-    let o = doc.as_object("workload spec")?;
-    match get(o, "kind")?.as_str("kind")? {
+/// `{"seed": "<u64>"}` or `{"grids": [...]}`; a seed wins if both are
+/// there.
+fn dec_inputs(r: &mut Reader<'_>) -> Result<InputSpec, JsonError> {
+    fields!(r, "inputs", required {} optional {
+        "seed" => seed = opt(r, |r| dec_u64_str(r, "input seed"))?,
+        "grids" => grids = opt(r, |r| list(r, "input grids", |r| dec_grid(r, "input grid")))?,
+    });
+    match (seed, grids) {
+        (Some(seed), _) => Ok(InputSpec::Seeded(seed)),
+        (None, Some(grids)) => Ok(InputSpec::Grids(Arc::new(grids))),
+        (None, None) => Err(json::error("missing field `grids`")),
+    }
+}
+
+fn dec_workload(r: &mut Reader<'_>) -> Result<Workload, JsonError> {
+    fields!(r, "workload spec", required {
+        "kind" => kind = r.str("kind")?,
+        "extent" => extent = dec_extent(r, "extent")?,
+    } optional {
+        "cluster" => cluster = Some(dec_cluster(r)?),
+        "stencil" => stencil = Some(dec_stencil(r)?),
+        "inputs" => inputs = Some(dec_inputs(r)?),
+        "options" => options = Some(dec_options(r)?),
+        "tune" => tune = Some(dec_tune(r)?),
+        "time_steps" => time_steps = Some(dec_uint(r, "time_steps")?),
+        "rotation" => rotation = opt(r, |r| match &*r.str("rotation")? {
+            "alternating" => Ok(BufferRotation::Alternating),
+            "leapfrog" => Ok(BufferRotation::Leapfrog),
+            other => Err(json::error(&format!("unknown rotation `{other}`"))),
+        })?,
+        "verify" => verify = opt(r, |r| dec_f64(r, "verify tolerance"))?,
+        "fidelity" => fidelity = opt(r, dec_fidelity)?,
+    });
+    let missing = |field: &str| json::error(&format!("missing field `{field}`"));
+    match &*kind {
         "probe" => {
-            let extent = dec_extent(get(o, "extent")?, "probe extent")?;
             let mut options = RunOptions::new(Variant::Saris);
-            options.cluster = dec_cluster(get(o, "cluster")?)?;
+            options.cluster = cluster.ok_or_else(|| missing("cluster"))?;
             Ok(Workload::dma_probe(extent).options(options))
         }
         "stencil" => {
-            let stencil = dec_stencil(get(o, "stencil")?)?;
-            let extent = dec_extent(get(o, "extent")?, "extent")?;
-            let mut w = Workload::new(stencil).extent(extent);
-            let inputs = get(o, "inputs")?.as_object("inputs")?;
-            if let Some(seed) = opt(inputs, "seed") {
-                w = w.input_seed(dec_u64_str(seed, "input seed")?);
-            } else {
-                let grids = get(inputs, "grids")?
-                    .as_array("input grids")?
-                    .iter()
-                    .map(|g| dec_grid(g, "input grid"))
-                    .collect::<Result<Vec<Grid>, JsonError>>()?;
-                w = w.shared_inputs(Arc::new(grids));
-            }
-            w = w.options(dec_options(get(o, "options")?)?);
-            w = w.tune(dec_tune(get(o, "tune")?)?);
-            w = w.time_steps(dec_usize(get(o, "time_steps")?, "time_steps")?);
-            if let Some(r) = opt(o, "rotation") {
-                let rotation = match r.as_str("rotation")? {
-                    "alternating" => BufferRotation::Alternating,
-                    "leapfrog" => BufferRotation::Leapfrog,
-                    other => return Err(json::error(&format!("unknown rotation `{other}`"))),
-                };
+            let mut w = Workload::new(stencil.ok_or_else(|| missing("stencil"))?).extent(extent);
+            w = match inputs.ok_or_else(|| missing("inputs"))? {
+                InputSpec::Seeded(seed) => w.input_seed(seed),
+                InputSpec::Grids(grids) => w.shared_inputs(grids),
+            };
+            w = w.options(options.ok_or_else(|| missing("options"))?);
+            w = w.tune(tune.ok_or_else(|| missing("tune"))?);
+            w = w.time_steps(time_steps.ok_or_else(|| missing("time_steps"))?);
+            if let Some(rotation) = rotation {
                 w = w.rotation(rotation);
             }
-            if let Some(t) = opt(o, "verify") {
-                w = w.verify(dec_f64(t, "verify tolerance")?);
+            if let Some(tolerance) = verify {
+                w = w.verify(tolerance);
             }
-            if let Some(f) = opt(o, "fidelity") {
-                w = w.fidelity(dec_fidelity(f)?);
+            if let Some(fidelity) = fidelity {
+                w = w.fidelity(fidelity);
             }
             Ok(w)
         }
@@ -863,88 +1072,75 @@ fn build_workload(text: &str) -> Result<Workload, JsonError> {
 /// rejects anything else (the field is `&'static str`).
 const BACKEND_NAMES: [&str; 4] = ["sim", "native", "roofline", "chaos"];
 
-fn enc_core(c: &CoreReport) -> String {
+fn enc_core(out: &mut String, c: &CoreReport) -> fmt::Result {
+    write!(
+        out,
+        "{{\"halted_at\": {}, \"tcdm_wait_cycles\": {}, \"int\": ",
+        c.halted_at, c.tcdm_wait_cycles
+    )?;
     let s = &c.int_stats.stalls;
-    let int = format!(
-        "[{}, {}, {}, {}, {}, {}, {}, {}]",
-        c.int_stats.retired,
-        s.offload_full,
-        s.launch_full,
-        s.lsu,
-        s.icache,
-        s.branch,
-        s.drain,
-        s.multi_issue
-    );
-    let f = &c.fpu;
-    let fs = &f.stalls;
-    let fpu = format!(
-        "[{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]",
-        f.retired,
-        f.offloaded,
-        f.arith,
-        f.flops,
-        f.loads,
-        f.stores,
-        f.stream_pops,
-        f.stream_pushes,
-        fs.dependency,
-        fs.stream_empty,
-        fs.stream_full,
-        fs.lsu_busy,
-        fs.idle
-    );
-    let streamers = c
-        .streamers
-        .iter()
-        .map(|st| {
-            format!(
-                "[{}, {}, {}, {}]",
-                st.elems, st.idx_fetches, st.jobs, st.idle_full_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        concat!(
-            "{{\"halted_at\": {}, \"tcdm_wait_cycles\": {}, ",
-            "\"int\": {}, \"fpu\": {}, \"streamers\": [{}]}}"
-        ),
-        c.halted_at, c.tcdm_wait_cycles, int, fpu, streamers
-    )
+    enc_counters(
+        out,
+        &[
+            c.int_stats.retired,
+            s.offload_full,
+            s.launch_full,
+            s.lsu,
+            s.icache,
+            s.branch,
+            s.drain,
+            s.multi_issue,
+        ],
+    )?;
+    out.push_str(", \"fpu\": ");
+    let (f, fs) = (&c.fpu, &c.fpu.stalls);
+    enc_counters(
+        out,
+        &[
+            f.retired,
+            f.offloaded,
+            f.arith,
+            f.flops,
+            f.loads,
+            f.stores,
+            f.stream_pops,
+            f.stream_pushes,
+            fs.dependency,
+            fs.stream_empty,
+            fs.stream_full,
+            fs.lsu_busy,
+            fs.idle,
+        ],
+    )?;
+    out.push_str(", \"streamers\": [");
+    enc_list(out, &c.streamers, |out, st| {
+        enc_counters(
+            out,
+            &[st.elems, st.idx_fetches, st.jobs, st.idle_full_cycles],
+        )
+    })?;
+    out.push_str("]}");
+    Ok(())
 }
 
-fn nums(v: &Value, what: &str, n: usize) -> Result<Vec<u64>, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != n {
-        return Err(json::error(&format!(
-            "{what}: expected {n} counters, got {}",
-            a.len()
-        )));
-    }
-    a.iter().map(|v| v.as_u64(what)).collect()
-}
-
-fn dec_core(v: &Value) -> Result<CoreReport, JsonError> {
-    let o = v.as_object("core report")?;
-    let int = nums(get(o, "int")?, "int counters", 8)?;
-    let fpu = nums(get(o, "fpu")?, "fpu counters", 13)?;
-    let streamers_raw = get(o, "streamers")?.as_array("streamers")?;
-    if streamers_raw.len() != 3 {
-        return Err(json::error("streamers: expected 3 entries"));
-    }
-    let mut streamers = [StreamerStats::default(); 3];
-    for (slot, raw) in streamers.iter_mut().zip(streamers_raw) {
-        let s = nums(raw, "streamer counters", 4)?;
-        *slot = StreamerStats {
-            elems: s[0],
-            idx_fetches: s[1],
-            jobs: s[2],
-            idle_full_cycles: s[3],
-        };
-    }
+fn dec_core(r: &mut Reader<'_>) -> Result<CoreReport, JsonError> {
+    fields!(r, "core report", required {
+        "halted_at" => halted_at = r.u64("halted_at")?,
+        "tcdm_wait_cycles" => tcdm_wait_cycles = r.u64("tcdm_wait_cycles")?,
+        "int" => int = counters::<8>(r, "int counters")?,
+        "fpu" => fpu = counters::<13>(r, "fpu counters")?,
+        "streamers" => streamers = fixed(r, "streamers", |r| {
+            let [elems, idx_fetches, jobs, idle_full_cycles] = counters(r, "streamer counters")?;
+            Ok(StreamerStats {
+                elems,
+                idx_fetches,
+                jobs,
+                idle_full_cycles,
+            })
+        })?,
+    });
     Ok(CoreReport {
-        halted_at: get(o, "halted_at")?.as_u64("halted_at")?,
+        halted_at,
         int_stats: IntStats {
             retired: int[0],
             stalls: IntStalls {
@@ -975,18 +1171,17 @@ fn dec_core(v: &Value) -> Result<CoreReport, JsonError> {
             },
         },
         streamers,
-        tcdm_wait_cycles: get(o, "tcdm_wait_cycles")?.as_u64("tcdm_wait_cycles")?,
+        tcdm_wait_cycles,
     })
 }
 
-fn enc_report(r: &RunReport) -> String {
-    let cores = r.cores.iter().map(enc_core).collect::<Vec<_>>().join(", ");
-    format!(
+fn enc_report(out: &mut String, r: &RunReport) -> fmt::Result {
+    write!(
+        out,
         concat!(
             "{{\"cycles\": {}, \"cycles_fast_forwarded\": {}, ",
             "\"tcdm_accesses\": {}, \"tcdm_conflicts\": {}, ",
-            "\"icache_hits\": {}, \"icache_misses\": {}, ",
-            "\"dma\": [{}, {}, {}, {}], \"freq_hz\": {}, \"cores\": [{}]}}"
+            "\"icache_hits\": {}, \"icache_misses\": {}, \"dma\": "
         ),
         r.cycles,
         r.cycles_fast_forwarded,
@@ -994,148 +1189,144 @@ fn enc_report(r: &RunReport) -> String {
         r.tcdm_conflicts,
         r.icache_hits,
         r.icache_misses,
-        r.dma.bytes,
-        r.dma.busy_cycles,
-        r.dma.descriptors,
-        r.dma.latency_cycles,
-        enc_f64(r.freq_hz),
-        cores
-    )
+    )?;
+    let d = &r.dma;
+    enc_counters(
+        out,
+        &[d.bytes, d.busy_cycles, d.descriptors, d.latency_cycles],
+    )?;
+    out.push_str(", \"freq_hz\": ");
+    enc_f64(out, r.freq_hz)?;
+    out.push_str(", \"cores\": [");
+    enc_list(out, &r.cores, enc_core)?;
+    out.push_str("]}");
+    Ok(())
 }
 
-fn dec_report(v: &Value) -> Result<RunReport, JsonError> {
-    let o = v.as_object("run report")?;
-    let dma = nums(get(o, "dma")?, "dma counters", 4)?;
-    let cores = get(o, "cores")?
-        .as_array("cores")?
-        .iter()
-        .map(dec_core)
-        .collect::<Result<Vec<CoreReport>, JsonError>>()?;
+fn dec_report(r: &mut Reader<'_>) -> Result<RunReport, JsonError> {
+    fields!(r, "run report", required {
+        "cycles" => cycles = r.u64("cycles")?,
+        "cycles_fast_forwarded" => cycles_fast_forwarded = r.u64("cycles_fast_forwarded")?,
+        "tcdm_accesses" => tcdm_accesses = r.u64("tcdm_accesses")?,
+        "tcdm_conflicts" => tcdm_conflicts = r.u64("tcdm_conflicts")?,
+        "icache_hits" => icache_hits = r.u64("icache_hits")?,
+        "icache_misses" => icache_misses = r.u64("icache_misses")?,
+        "dma" => dma = counters::<4>(r, "dma counters")?,
+        "freq_hz" => freq_hz = dec_f64(r, "freq_hz")?,
+        "cores" => cores = list(r, "cores", dec_core)?,
+    });
+    let [bytes, busy_cycles, descriptors, latency_cycles] = dma;
     Ok(RunReport {
-        cycles: get(o, "cycles")?.as_u64("cycles")?,
-        cycles_fast_forwarded: get(o, "cycles_fast_forwarded")?.as_u64("cycles_fast_forwarded")?,
+        cycles,
+        cycles_fast_forwarded,
         cores,
-        tcdm_accesses: get(o, "tcdm_accesses")?.as_u64("tcdm_accesses")?,
-        tcdm_conflicts: get(o, "tcdm_conflicts")?.as_u64("tcdm_conflicts")?,
-        icache_hits: get(o, "icache_hits")?.as_u64("icache_hits")?,
-        icache_misses: get(o, "icache_misses")?.as_u64("icache_misses")?,
+        tcdm_accesses,
+        tcdm_conflicts,
+        icache_hits,
+        icache_misses,
         dma: DmaStats {
-            bytes: dma[0],
-            busy_cycles: dma[1],
-            descriptors: dma[2],
-            latency_cycles: dma[3],
+            bytes,
+            busy_cycles,
+            descriptors,
+            latency_cycles,
         },
-        freq_hz: dec_f64(get(o, "freq_hz")?, "freq_hz")?,
+        freq_hz,
     })
 }
 
-fn enc_telemetry(t: &WorkloadTelemetry) -> String {
-    let answered_by = match t.answered_by {
-        None => "null".to_string(),
-        Some(f) => enc_fidelity(f),
-    };
-    let mix = t
-        .mix_counts
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
+fn enc_telemetry(out: &mut String, t: &WorkloadTelemetry) -> fmt::Result {
+    write!(
+        out,
         concat!(
             "{{\"runs\": {}, \"compiles\": {}, \"cache_hits\": {}, ",
             "\"clusters_reused\": {}, \"cycles_fast_forwarded\": {}, ",
-            "\"estimated\": {}, \"answered_by\": {}, \"degraded\": {}, ",
-            "\"deadline_capped\": {}, \"mix_counts\": [{}]}}"
+            "\"estimated\": {}, \"answered_by\": "
         ),
-        t.runs,
-        t.compiles,
-        t.cache_hits,
-        t.clusters_reused,
-        t.cycles_fast_forwarded,
-        t.estimated,
-        answered_by,
-        t.degraded,
-        t.deadline_capped,
-        mix
-    )
+        t.runs, t.compiles, t.cache_hits, t.clusters_reused, t.cycles_fast_forwarded, t.estimated,
+    )?;
+    enc_opt(out, t.answered_by, enc_fidelity)?;
+    write!(
+        out,
+        ", \"degraded\": {}, \"deadline_capped\": {}, \"mix_counts\": ",
+        t.degraded, t.deadline_capped
+    )?;
+    enc_counters(out, &t.mix_counts)?;
+    out.push('}');
+    Ok(())
 }
 
-fn dec_telemetry(v: &Value) -> Result<WorkloadTelemetry, JsonError> {
-    let o = v.as_object("telemetry")?;
-    let mix = nums(get(o, "mix_counts")?, "mix_counts", 6)?;
-    let mut mix_counts = [0u64; 6];
-    mix_counts.copy_from_slice(&mix);
+fn dec_telemetry(r: &mut Reader<'_>) -> Result<WorkloadTelemetry, JsonError> {
+    fields!(r, "telemetry", required {
+        "runs" => runs = r.u64("runs")?,
+        "compiles" => compiles = r.u64("compiles")?,
+        "cache_hits" => cache_hits = r.u64("cache_hits")?,
+        "clusters_reused" => clusters_reused = r.u64("clusters_reused")?,
+        "cycles_fast_forwarded" => cycles_fast_forwarded = r.u64("cycles_fast_forwarded")?,
+        "estimated" => estimated = r.bool("estimated")?,
+        "degraded" => degraded = r.bool("degraded")?,
+        "deadline_capped" => deadline_capped = r.bool("deadline_capped")?,
+        "mix_counts" => mix_counts = counters::<6>(r, "mix_counts")?,
+    } optional {
+        "answered_by" => answered_by = opt(r, dec_fidelity)?,
+    });
     Ok(WorkloadTelemetry {
-        runs: get(o, "runs")?.as_u64("runs")?,
-        compiles: get(o, "compiles")?.as_u64("compiles")?,
-        cache_hits: get(o, "cache_hits")?.as_u64("cache_hits")?,
-        clusters_reused: get(o, "clusters_reused")?.as_u64("clusters_reused")?,
-        cycles_fast_forwarded: get(o, "cycles_fast_forwarded")?.as_u64("cycles_fast_forwarded")?,
-        estimated: get(o, "estimated")?.as_bool("estimated")?,
-        answered_by: match opt(o, "answered_by") {
-            None => None,
-            Some(f) => Some(dec_fidelity(f)?),
-        },
-        degraded: get(o, "degraded")?.as_bool("degraded")?,
-        deadline_capped: get(o, "deadline_capped")?.as_bool("deadline_capped")?,
+        runs,
+        compiles,
+        cache_hits,
+        clusters_reused,
+        cycles_fast_forwarded,
+        estimated,
+        answered_by,
+        degraded,
+        deadline_capped,
         mix_counts,
     })
 }
 
-/// Serializes an [`Outcome`] to its wire JSON.
+/// Appends an [`Outcome`]'s wire JSON to `out`.
 ///
 /// The `kernel` field (shared with the executing session's cache) does
 /// not cross the wire; the decoded outcome carries `kernel: None`.
+pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
+    enc_outcome(out, outcome).expect("writing to a String cannot fail");
+}
+
+/// Serializes an [`Outcome`] to its wire JSON (see
+/// [`encode_outcome_into`]).
 pub fn encode_outcome(outcome: &Outcome) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str(&format!(
-        "{{\"fingerprint\": \"{}\", \"backend\": \"{}\"",
-        outcome.fingerprint, outcome.backend
-    ));
-    out.push_str(", \"grids\": [");
-    for (i, g) in outcome.grids.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_grid(g));
-    }
-    out.push_str("], \"reports\": [");
-    for (i, r) in outcome.reports.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_report(r));
-    }
-    out.push_str("], \"tuning\": ");
-    match &outcome.tuning {
-        None => out.push_str("null"),
-        Some(t) => {
-            let measured = t
-                .measured
-                .iter()
-                .map(|(u, c)| format!("[{u}, {c}]"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "{{\"unroll\": {}, \"measured\": [{measured}]}}",
-                t.unroll
-            ));
-        }
-    }
-    out.push_str(", \"verify_error\": ");
-    match outcome.verify_error {
-        None => out.push_str("null"),
-        Some(e) => out.push_str(&enc_f64(e)),
-    }
-    out.push_str(", \"dma_utilization\": ");
-    match outcome.dma_utilization {
-        None => out.push_str("null"),
-        Some(u) => out.push_str(&enc_f64(u)),
-    }
-    out.push_str(", \"telemetry\": ");
-    out.push_str(&enc_telemetry(&outcome.telemetry));
-    out.push('}');
+    // Roomy enough for most documents to be written without regrowing:
+    // a grid point is ~20 bytes, a core report ~200.
+    let points: usize = outcome.grids.iter().map(|g| g.as_slice().len()).sum();
+    let cores: usize = outcome.reports.iter().map(|r| r.cores.len()).sum();
+    let mut out = String::with_capacity(1024 + 24 * points + 256 * cores);
+    encode_outcome_into(&mut out, outcome);
     out
+}
+
+fn enc_outcome(out: &mut String, outcome: &Outcome) -> fmt::Result {
+    write!(
+        out,
+        "{{\"fingerprint\": \"{}\", \"backend\": \"{}\", \"grids\": [",
+        outcome.fingerprint, outcome.backend
+    )?;
+    enc_list(out, &outcome.grids, enc_grid)?;
+    out.push_str("], \"reports\": [");
+    enc_list(out, &outcome.reports, enc_report)?;
+    out.push_str("], \"tuning\": ");
+    enc_opt(out, outcome.tuning.as_ref(), |out, t| {
+        write!(out, "{{\"unroll\": {}, \"measured\": [", t.unroll)?;
+        enc_list(out, &t.measured, |out, (u, c)| write!(out, "[{u}, {c}]"))?;
+        out.push_str("]}");
+        Ok(())
+    })?;
+    out.push_str(", \"verify_error\": ");
+    enc_opt(out, outcome.verify_error, enc_f64)?;
+    out.push_str(", \"dma_utilization\": ");
+    enc_opt(out, outcome.dma_utilization, enc_f64)?;
+    out.push_str(", \"telemetry\": ");
+    enc_telemetry(out, &outcome.telemetry)?;
+    out.push('}');
+    Ok(())
 }
 
 /// Decodes a wire JSON document back into an [`Outcome`].
@@ -1145,68 +1336,56 @@ pub fn encode_outcome(outcome: &Outcome) -> String {
 /// cross the wire). Malformed documents surface as
 /// [`CodegenError::Wire`].
 pub fn decode_outcome(text: &str) -> Result<Outcome, CodegenError> {
-    dec_outcome_inner(text).map_err(wire)
+    let mut r = Reader::new(text);
+    let outcome = decode_outcome_from(&mut r).map_err(wire)?;
+    r.finish().map_err(wire)?;
+    Ok(outcome)
 }
 
-fn dec_outcome_inner(text: &str) -> Result<Outcome, JsonError> {
-    let doc = json::parse(text)?;
-    let o = doc.as_object("outcome")?;
-    let backend_name = get(o, "backend")?.as_str("backend")?;
-    let backend = BACKEND_NAMES
-        .iter()
-        .find(|n| **n == backend_name)
-        .copied()
-        .ok_or_else(|| json::error(&format!("unknown backend `{backend_name}`")))?;
-    let grids = get(o, "grids")?
-        .as_array("grids")?
-        .iter()
-        .map(|g| dec_grid(g, "outcome grid"))
-        .collect::<Result<Vec<Grid>, JsonError>>()?;
-    let reports = get(o, "reports")?
-        .as_array("reports")?
-        .iter()
-        .map(dec_report)
-        .collect::<Result<Vec<RunReport>, JsonError>>()?;
-    let tuning = match opt(o, "tuning") {
-        None => None,
-        Some(t) => {
-            let to = t.as_object("tuning")?;
-            let measured = get(to, "measured")?
-                .as_array("tuning measurements")?
+fn dec_tuning(r: &mut Reader<'_>) -> Result<TuningDecision, JsonError> {
+    fields!(r, "tuning", required {
+        "unroll" => unroll = dec_uint(r, "tuned unroll")?,
+        "measured" => measured = list(r, "tuning measurements", |r| {
+            let [unroll, cycles] = counters(r, "tuning measurement")?;
+            let unroll = usize::try_from(unroll)
+                .map_err(|_| json::error("measured unroll is out of range"))?;
+            Ok((unroll, cycles))
+        })?,
+    });
+    Ok(TuningDecision { unroll, measured })
+}
+
+/// [`decode_outcome`] of the value `r` is at — an outcome embedded in a
+/// larger document (a `submit` reply), read where it lies.
+pub fn decode_outcome_from(r: &mut Reader<'_>) -> Result<Outcome, JsonError> {
+    fields!(r, "outcome", required {
+        "fingerprint" => fingerprint = dec_u64_str(r, "fingerprint")?,
+        "backend" => backend = {
+            let name = r.str("backend")?;
+            BACKEND_NAMES
                 .iter()
-                .map(|m| {
-                    let pair = m.as_array("tuning measurement")?;
-                    if pair.len() != 2 {
-                        return Err(json::error("tuning measurement: expected [unroll, cycles]"));
-                    }
-                    Ok((
-                        dec_usize(&pair[0], "measured unroll")?,
-                        pair[1].as_u64("measured cycles")?,
-                    ))
-                })
-                .collect::<Result<Vec<(usize, u64)>, JsonError>>()?;
-            Some(TuningDecision {
-                unroll: dec_usize(get(to, "unroll")?, "tuned unroll")?,
-                measured,
-            })
-        }
-    };
+                .find(|n| **n == name)
+                .copied()
+                .ok_or_else(|| json::error(&format!("unknown backend `{name}`")))?
+        },
+        "grids" => grids = list(r, "grids", |r| dec_grid(r, "outcome grid"))?,
+        "reports" => reports = list(r, "reports", dec_report)?,
+        "telemetry" => telemetry = dec_telemetry(r)?,
+    } optional {
+        "tuning" => tuning = opt(r, dec_tuning)?,
+        "verify_error" => verify_error = opt(r, |r| dec_f64(r, "verify_error"))?,
+        "dma_utilization" => dma_utilization = opt(r, |r| dec_f64(r, "dma_utilization"))?,
+    });
     Ok(Outcome {
-        fingerprint: dec_u64_str(get(o, "fingerprint")?, "fingerprint")?,
+        fingerprint,
         backend,
         grids,
         reports,
         kernel: None,
         tuning,
-        verify_error: match opt(o, "verify_error") {
-            None => None,
-            Some(e) => Some(dec_f64(e, "verify_error")?),
-        },
-        dma_utilization: match opt(o, "dma_utilization") {
-            None => None,
-            Some(u) => Some(dec_f64(u, "dma_utilization")?),
-        },
-        telemetry: dec_telemetry(get(o, "telemetry")?)?,
+        verify_error,
+        dma_utilization,
+        telemetry,
     })
 }
 
@@ -1609,5 +1788,166 @@ mod tests {
             .iter()
             .any(|s| s.name() == gallery::jacobi_2d().name()));
         assert_eq!(held(), INTERNED_STENCILS);
+    }
+
+    fn jacobi_text() -> String {
+        spec_text(gallery::jacobi_2d(), 1)
+    }
+
+    #[test]
+    fn extents_no_builder_would_accept_are_wire_errors() {
+        // `Extent::new_2d` / `new_3d` assert positivity: a zero must be
+        // refused before it gets there, wherever an extent is read.
+        let stencil = jacobi_text();
+        let probe = encode_spec(
+            &Workload::dma_probe(Extent::new_3d(16, 16, 16))
+                .freeze()
+                .expect("freeze probe"),
+        );
+        let grids = encode_spec(
+            &Workload::new(gallery::j2d5pt())
+                .inputs(vec![Grid::zeros(Extent::new_2d(4, 4))])
+                .freeze()
+                .expect("freeze"),
+        );
+        for (text, from, to) in [
+            (
+                &stencil,
+                "\"extent\": [16, 16, 1]",
+                "\"extent\": [0, 16, 1]",
+            ),
+            (
+                &stencil,
+                "\"extent\": [16, 16, 1]",
+                "\"extent\": [16, 16, 0]",
+            ),
+            (
+                &probe,
+                "\"extent\": [16, 16, 16]",
+                "\"extent\": [16, 0, 16]",
+            ),
+            (&grids, "\"extent\": [4, 4, 1]", "\"extent\": [4, 0, 1]"),
+            // A point count `Extent::len` cannot multiply out.
+            (
+                &stencil,
+                "\"extent\": [16, 16, 1]",
+                "\"extent\": [4294967296, 4294967296, 4294967296]",
+            ),
+        ] {
+            let patched = text.replace(from, to);
+            assert_ne!(&patched, text, "{from} not found");
+            let err = decode_spec(&patched).unwrap_err();
+            assert!(
+                matches!(&err, CodegenError::Wire { reason } if reason.contains("not a positive extent")),
+                "{to}: {err}"
+            );
+        }
+        let outcome = "{\"fingerprint\": \"1\", \"backend\": \"native\", \"grids\": \
+                       [{\"extent\": [0, 1, 1], \"data\": []}]}";
+        assert!(matches!(
+            decode_outcome(outcome).unwrap_err(),
+            CodegenError::Wire { .. }
+        ));
+    }
+
+    #[test]
+    fn nesting_is_bounded_wherever_it_appears() {
+        // 20,000 levels overflow a handler thread's stack if anything
+        // recurses into them; the reader refuses at 33.
+        for text in [
+            "[".repeat(20_000),
+            "{\"kind\":".repeat(20_000),
+            format!(
+                "{{\"kind\": \"probe\", \"junk\": {}{}}}",
+                "[".repeat(20_000),
+                "]".repeat(20_000)
+            ),
+        ] {
+            for err in [
+                decode_spec(&text).unwrap_err(),
+                decode_outcome(&text).unwrap_err(),
+            ] {
+                assert!(matches!(err, CodegenError::Wire { .. }), "{err}");
+            }
+            let err = crate::CalibrationStore::from_json(&text).unwrap_err();
+            assert!(matches!(err, CodegenError::Calibration { .. }), "{err}");
+        }
+        let deep = |levels: usize| {
+            jacobi_text().replacen(
+                "{\"kind\"",
+                &format!(
+                    "{{\"junk\": {}{}, \"kind\"",
+                    "[".repeat(levels),
+                    "]".repeat(levels)
+                ),
+                1,
+            )
+        };
+        decode_spec(&deep(json::MAX_DEPTH - 1)).expect("31 levels inside the document");
+        let err = decode_spec(&deep(json::MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+    }
+
+    /// A parsed document as text again, every object's keys in
+    /// descending order — never the order the encoders write.
+    fn rendered(v: &json::Value) -> String {
+        use json::Value;
+        let join = |parts: Vec<String>| parts.join(", ");
+        match v {
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Number(n) => n.clone(),
+            Value::String(s) => format!("\"{}\"", json::escape(s)),
+            Value::Array(a) => format!("[{}]", join(a.iter().map(rendered).collect())),
+            Value::Object(o) => {
+                let mut keys: Vec<&String> = o.keys().collect();
+                keys.sort_unstable_by(|a, b| b.cmp(a));
+                let member = |k: &&String| format!("\"{}\": {}", json::escape(k), rendered(&o[*k]));
+                format!("{{{}}}", join(keys.iter().map(member).collect()))
+            }
+        }
+    }
+
+    #[test]
+    fn documents_decode_whatever_their_key_order() {
+        let spec = Workload::new(gallery::j2d5pt())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(5)
+            .time_steps(2)
+            .verify(1e-9)
+            .fidelity(Fidelity::Cycles)
+            .freeze()
+            .expect("freeze");
+        let text = encode_spec(&spec);
+        // Taps before the arrays they name, the result before the
+        // operations it refers to, the kind after everything.
+        let reordered = rendered(&json::parse(&text).expect("parse"));
+        assert!(reordered.find("\"taps\"") < reordered.find("\"arrays\""));
+        // An unknown key is passed over, a repeated one keeps its last
+        // value.
+        let padded = reordered.replacen(
+            "{\"verify\"",
+            "{\"unknown\": [1, {\"a\": null}], \"inputs\": {\"seed\": \"5\"}, \"verify\"",
+            1,
+        );
+        let padded = padded.replacen("{\"seed\": \"5\"}", "{\"seed\": \"99\"}", 1);
+        assert!(padded.find("\"99\"") < padded.find("\"5\""), "{padded}");
+        for document in [&reordered, &padded] {
+            let decoded = decode_spec(document).expect("decode");
+            assert_eq!(decoded, spec);
+            assert_eq!(decoded.fingerprint(), spec.fingerprint());
+            assert_eq!(encode_spec(&decoded), text);
+        }
+
+        // Trailing content after either document is refused.
+        assert!(decode_spec(&format!("{text} {{}}")).is_err());
+        let outcome = "{\"fingerprint\": \"1\", \"backend\": \"native\", \"grids\": [], \
+                       \"reports\": [], \"telemetry\": {\"runs\": 0, \"compiles\": 0, \
+                       \"cache_hits\": 0, \"clusters_reused\": 0, \"cycles_fast_forwarded\": 0, \
+                       \"estimated\": false, \"degraded\": false, \"deadline_capped\": false, \
+                       \"mix_counts\": [0, 0, 0, 0, 0, 0]}}";
+        let decoded = decode_outcome(outcome).expect("absent optional fields read as None");
+        assert!(decoded.tuning.is_none() && decoded.telemetry.answered_by.is_none());
+        assert!(decode_outcome(&format!("{outcome}]")).is_err());
     }
 }

@@ -37,7 +37,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use saris_core::grid::Grid;
-use saris_core::stencil::Stencil;
+use saris_core::stencil::{hash_text, Stencil};
 use saris_core::Extent;
 use snitch_sim::{ClusterConfig, RunReport};
 
@@ -563,7 +563,10 @@ impl WorkloadSpec {
         }
         let mut h = std::collections::hash_map::DefaultHasher::new();
         w.stencil.fingerprint().hash(&mut h);
-        format!("{:?}|{}", w.extent, w.options.compile_fingerprint()).hash(&mut h);
+        hash_text(
+            &mut h,
+            format_args!("{:?}|{}", w.extent, w.options.compile_fingerprint()),
+        );
         Some(h.finish())
     }
 
@@ -627,24 +630,26 @@ fn fingerprint_of(kind: &WorkloadKind) -> u64 {
     match kind {
         WorkloadKind::DmaProbe { extent, cluster } => {
             "probe".hash(&mut h);
-            format!("{extent:?}|{cluster:?}").hash(&mut h);
+            hash_text(&mut h, format_args!("{extent:?}|{cluster:?}"));
         }
         WorkloadKind::Stencil(w) => {
             "stencil".hash(&mut h);
             w.stencil.fingerprint().hash(&mut h);
-            format!(
-                "{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}",
-                w.extent,
-                w.options.compile_fingerprint(),
-                w.options.max_cycles,
-                w.options.concurrent_dma,
-                w.tune,
-                w.time_steps,
-                w.rotation,
-                w.verify.map(f64::to_bits),
-                w.fidelity,
-            )
-            .hash(&mut h);
+            hash_text(
+                &mut h,
+                format_args!(
+                    "{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}",
+                    w.extent,
+                    w.options.compile_fingerprint(),
+                    w.options.max_cycles,
+                    w.options.concurrent_dma,
+                    w.tune,
+                    w.time_steps,
+                    w.rotation,
+                    w.verify.map(f64::to_bits),
+                    w.fidelity,
+                ),
+            );
             match &w.inputs {
                 InputSpec::Seeded(seed) => {
                     "seeded".hash(&mut h);
@@ -653,7 +658,7 @@ fn fingerprint_of(kind: &WorkloadKind) -> u64 {
                 InputSpec::Grids(grids) => {
                     "grids".hash(&mut h);
                     for g in grids.iter() {
-                        format!("{:?}", g.extent()).hash(&mut h);
+                        hash_text(&mut h, format_args!("{:?}", g.extent()));
                         for v in g.as_slice() {
                             v.to_bits().hash(&mut h);
                         }
@@ -1044,5 +1049,146 @@ mod tests {
             panic!()
         };
         assert!(Arc::ptr_eq(g, &grids));
+    }
+
+    /// The fingerprints as they were computed before they streamed
+    /// their text into the hasher: the same text in a `String`, hashed.
+    /// Ring routing, cache keys and `Outcome::fingerprint` hang on the
+    /// values, so the two must agree everywhere.
+    mod string_formulas {
+        use super::*;
+        use std::collections::hash_map::DefaultHasher;
+
+        pub fn stencil(s: &Stencil) -> u64 {
+            let mut h = DefaultHasher::new();
+            format!("{s:?}").hash(&mut h);
+            h.finish()
+        }
+
+        pub fn compile(o: &RunOptions) -> u64 {
+            let mut h = DefaultHasher::new();
+            format!(
+                "{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
+                o.variant,
+                o.unroll,
+                o.interleave,
+                o.cluster,
+                o.saris,
+                o.reassociate,
+                o.base_allow_spill,
+            )
+            .hash(&mut h);
+            h.finish()
+        }
+
+        pub fn compile_key(w: &StencilWork) -> u64 {
+            let mut h = DefaultHasher::new();
+            stencil(&w.stencil).hash(&mut h);
+            format!("{:?}|{}", w.extent, compile(&w.options)).hash(&mut h);
+            h.finish()
+        }
+
+        pub fn spec(kind: &WorkloadKind) -> u64 {
+            let mut h = DefaultHasher::new();
+            match kind {
+                WorkloadKind::DmaProbe { extent, cluster } => {
+                    "probe".hash(&mut h);
+                    format!("{extent:?}|{cluster:?}").hash(&mut h);
+                }
+                WorkloadKind::Stencil(w) => {
+                    "stencil".hash(&mut h);
+                    stencil(&w.stencil).hash(&mut h);
+                    format!(
+                        "{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}",
+                        w.extent,
+                        compile(&w.options),
+                        w.options.max_cycles,
+                        w.options.concurrent_dma,
+                        w.tune,
+                        w.time_steps,
+                        w.rotation,
+                        w.verify.map(f64::to_bits),
+                        w.fidelity,
+                    )
+                    .hash(&mut h);
+                    match &w.inputs {
+                        InputSpec::Seeded(seed) => {
+                            "seeded".hash(&mut h);
+                            seed.hash(&mut h);
+                        }
+                        InputSpec::Grids(grids) => {
+                            "grids".hash(&mut h);
+                            for g in grids.iter() {
+                                format!("{:?}", g.extent()).hash(&mut h);
+                                for v in g.as_slice() {
+                                    v.to_bits().hash(&mut h);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            h.finish()
+        }
+    }
+
+    #[test]
+    fn streamed_fingerprints_equal_the_string_formulas() {
+        let check = |spec: &WorkloadSpec| {
+            assert_eq!(spec.fingerprint(), string_formulas::spec(spec.kind()));
+            if let WorkloadKind::Stencil(w) = spec.kind() {
+                assert_eq!(
+                    w.stencil.fingerprint(),
+                    string_formulas::stencil(&w.stencil)
+                );
+                assert_eq!(
+                    w.options.compile_fingerprint(),
+                    string_formulas::compile(&w.options)
+                );
+                let key = w.tune.candidates().is_none();
+                assert_eq!(
+                    spec.compile_key(),
+                    key.then(|| string_formulas::compile_key(w))
+                );
+            }
+        };
+        let mut codes = gallery::all();
+        codes.push(gallery::j3d27pt().reassociated(3));
+        for stencil in codes {
+            let extent = Extent::cube(stencil.space(), 16);
+            for variant in [Variant::Base, Variant::Saris] {
+                for unroll in crate::DEFAULT_CANDIDATES {
+                    let options = RunOptions::new(variant).with_unroll(unroll);
+                    let workload = Workload::new(stencil.clone())
+                        .extent(extent)
+                        .input_seed(unroll as u64)
+                        .options(options);
+                    check(&workload.clone().freeze().unwrap());
+                    check(&workload.tune(Tune::Auto).freeze().unwrap());
+                }
+            }
+        }
+        // The arms the matrix does not reach: explicit grids (extent
+        // text plus raw bits), every optional knob set, and a probe.
+        let extent = Extent::new_2d(8, 8);
+        let mut grid = Grid::pseudo_random(extent, 3);
+        grid.as_mut_slice()[0] = f64::NAN;
+        check(
+            &Workload::new(gallery::j2d5pt())
+                .inputs(vec![grid])
+                .time_steps(3)
+                .rotation(BufferRotation::Alternating)
+                .verify(1e-9)
+                .fidelity(Fidelity::Auto {
+                    accuracy_budget: 0.05,
+                })
+                .freeze()
+                .unwrap(),
+        );
+        check(
+            &Workload::dma_probe(Extent::new_3d(16, 16, 16))
+                .freeze()
+                .unwrap(),
+        );
     }
 }

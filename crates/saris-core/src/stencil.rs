@@ -14,6 +14,7 @@
 //! FLOPs-per-point column of Table 1.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use crate::error::StencilError;
 use crate::geom::{Extent, Halo, Offset, Point, Space};
@@ -233,6 +234,46 @@ pub struct Stencil {
     output: ArrayId,
 }
 
+/// Feeds `state` the text `args` renders to exactly as
+/// `format!(..).hash(state)` would — the text's bytes, then the `0xff`
+/// that `str::hash` ends a string with — without building the `String`.
+/// Fingerprints hash `Debug` renderings; this is how they do it without
+/// an allocation per call.
+pub fn hash_text(state: &mut impl Hasher, args: fmt::Arguments<'_>) {
+    /// `Debug` output arrives a few bytes at a time and a hasher's
+    /// `write` has a fixed cost per call: gather the pieces on the
+    /// stack and pass them on a buffer at a time. (What a hasher is fed
+    /// does not depend on how the bytes are split between calls.)
+    struct Text<'a, H> {
+        state: &'a mut H,
+        buf: [u8; 1024],
+        len: usize,
+    }
+    impl<H: Hasher> fmt::Write for Text<'_, H> {
+        #[inline]
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let bytes = s.as_bytes();
+            if let Some(room) = self.buf.get_mut(self.len..self.len + bytes.len()) {
+                room.copy_from_slice(bytes);
+                self.len += bytes.len();
+            } else {
+                self.state.write(&self.buf[..self.len]);
+                self.state.write(bytes);
+                self.len = 0;
+            }
+            Ok(())
+        }
+    }
+    let mut text = Text {
+        state,
+        buf: [0; 1024],
+        len: 0,
+    };
+    fmt::Write::write_fmt(&mut text, args).expect("hashing text cannot fail");
+    text.state.write(&text.buf[..text.len]);
+    text.state.write_u8(0xff);
+}
+
 impl Stencil {
     /// The stencil's name (e.g. `"jacobi_2d"`).
     pub fn name(&self) -> &str {
@@ -246,9 +287,8 @@ impl Stencil {
     /// identical kernels for identical extents and options, which is what
     /// the execution-engine kernel cache keys on.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{self:?}").hash(&mut h);
+        hash_text(&mut h, format_args!("{self:?}"));
         h.finish()
     }
 

@@ -11,16 +11,29 @@
 //! # Protocol
 //!
 //! Every frame is a `u32`-LE length prefix followed by a UTF-8 JSON
-//! document. Requests are `{"op": ...}` objects; large payloads (specs,
-//! outcomes, calibration exports) are embedded as *escaped JSON
-//! strings* so each layer parses exactly one document:
+//! document. Requests are `{"op": ...}` objects, and the documents they
+//! carry (specs, outcomes, calibration exports) are **nested as
+//! values**, not escaped into strings: no byte is escaped on one side
+//! to be unescaped and tokenised a second time on the other. A reply is
+//! encoded straight into the buffer it is framed from and decoded where
+//! it lies in the frame; a request's embedded document is passed over
+//! once by the envelope (validated, nothing converted) and decoded once
+//! from that slice of the frame:
 //!
 //! | request | reply |
 //! |---|---|
-//! | `{"op": "submit", "spec": "<spec json>"}` | `{"ok": "<outcome json>"}` or `{"err": {...}}` |
-//! | `{"op": "export_calibration"}` | `{"calibration": "<store json>" \| null}` |
-//! | `{"op": "import_calibration", "data": "<store json>"}` | `{"merged": n}` |
+//! | `{"op": "submit", "spec": {<spec>}}` | `{"ok": {<outcome>}}` or `{"err": {...}}` |
+//! | `{"op": "export_calibration"}` | `{"calibration": {<store>} \| null}` |
+//! | `{"op": "import_calibration", "data": {<store>}}` | `{"merged": n}` |
 //! | `{"op": "ping"}` | `{"pong": true}` |
+//!
+//! Keys may come in any order (`spec` before `op` is served all the
+//! same) and unknown keys are ignored. A frame may nest objects and
+//! arrays [`json::MAX_DEPTH`] deep, envelope included — four times what
+//! the deepest reply needs; a deeper one is refused by the reader
+//! before anything recurses into it. Both ends of a connection are
+//! always the same build of this workspace, so the protocol carries no
+//! version field and no second encoding.
 //!
 //! A reply the client cannot attribute to a request (malformed frame,
 //! unknown op) comes back as an `{"err": {"kind": "wire", ...}}`
@@ -55,7 +68,9 @@
 //! different shard gives *at-least-once* execution, which is safe here
 //! because workload execution is deterministic and idempotent.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,12 +78,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use saris_codegen::json::{self, JsonError, Value};
-use saris_codegen::wire::{read_frame, write_frame, MAX_FRAME_LEN};
-use saris_codegen::{
-    decode_outcome, encode_outcome, encode_spec, CalibrationStore, CodegenError, Outcome,
-    StencilInterner, WorkloadSpec,
+use saris_codegen::json::{self, JsonError, Reader};
+use saris_codegen::wire::{
+    decode_outcome_from, encode_outcome_into, encode_spec_into, read_frame, write_frame,
+    MAX_FRAME_LEN,
 };
+use saris_codegen::{CalibrationStore, CodegenError, StencilInterner, WorkloadSpec};
 
 use crate::{ServeError, ServeResult, Server, TIER_NAMES};
 
@@ -76,63 +91,81 @@ use crate::{ServeError, ServeResult, Server, TIER_NAMES};
 // ServeError wire codec
 // ---------------------------------------------------------------------------
 
-fn enc_serve_error(e: &ServeError) -> String {
+/// Appends `"key": "<escaped text>"` (no braces, no separator).
+fn enc_text(out: &mut String, key: &str, text: &str) {
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\": \"");
+    json::escape_into(out, text);
+    out.push('"');
+}
+
+fn enc_serve_error(out: &mut String, e: &ServeError) {
+    out.push_str("{\"kind\": ");
     match e {
         ServeError::Execution(err) => {
+            out.push_str("\"execution\", \"transient\": ");
+            out.push_str(if err.is_transient() { "true" } else { "false" });
+            out.push_str(", ");
             // Transient errors re-wrap as `CodegenError::Transient` on
             // decode, so carry the bare reason; everything else carries
             // its rendered message into `CodegenError::Remote`.
-            let detail = match &**err {
-                CodegenError::Transient { reason } => reason.clone(),
-                other => other.to_string(),
-            };
-            format!(
-                "{{\"kind\": \"execution\", \"transient\": {}, \"detail\": \"{}\"}}",
-                err.is_transient(),
-                json::escape(&detail)
-            )
+            match &**err {
+                CodegenError::Transient { reason } => enc_text(out, "detail", reason),
+                other => enc_text(out, "detail", &other.to_string()),
+            }
         }
-        ServeError::BackendPanicked { message } => format!(
-            "{{\"kind\": \"panicked\", \"message\": \"{}\"}}",
-            json::escape(message)
-        ),
-        ServeError::DeadlineExceeded => "{\"kind\": \"deadline\"}".to_string(),
+        ServeError::BackendPanicked { message } => {
+            out.push_str("\"panicked\", ");
+            enc_text(out, "message", message);
+        }
+        ServeError::DeadlineExceeded => out.push_str("\"deadline\""),
         ServeError::CircuitOpen { tier } => {
-            format!("{{\"kind\": \"circuit\", \"tier\": \"{tier}\"}}")
+            out.push_str("\"circuit\", ");
+            enc_text(out, "tier", tier);
         }
-        ServeError::Quarantined => "{\"kind\": \"quarantined\"}".to_string(),
-        ServeError::Spawn { reason } => format!(
-            "{{\"kind\": \"spawn\", \"reason\": \"{}\"}}",
-            json::escape(reason)
-        ),
-        ServeError::ShutDown => "{\"kind\": \"shutdown\"}".to_string(),
+        ServeError::Quarantined => out.push_str("\"quarantined\""),
+        ServeError::Spawn { reason } => {
+            out.push_str("\"spawn\", ");
+            enc_text(out, "reason", reason);
+        }
+        ServeError::ShutDown => out.push_str("\"shutdown\""),
     }
+    out.push('}');
 }
 
-fn wire_reply_err(reason: &str) -> String {
-    format!(
-        "{{\"err\": {{\"kind\": \"wire\", \"reason\": \"{}\"}}}}",
-        json::escape(reason)
-    )
+fn wire_reply_err(out: &mut String, reason: &str) {
+    out.push_str("{\"err\": {\"kind\": \"wire\", ");
+    enc_text(out, "reason", reason);
+    out.push_str("}}");
 }
 
-fn dec_serve_error(v: &Value) -> Result<ServeError, JsonError> {
-    let o = v.as_object("serve error")?;
-    let kind = o
-        .get("kind")
-        .ok_or_else(|| json::error("serve error: missing kind"))?
-        .as_str("error kind")?;
-    match kind {
+fn dec_serve_error(r: &mut Reader<'_>) -> Result<ServeError, JsonError> {
+    let (mut kind, mut transient) = (None, None);
+    let (mut detail, mut reason, mut message, mut tier) = (None, None, None, None);
+    r.begin_object("serve error")?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "kind" => kind = Some(r.str("error kind")?),
+            "transient" => transient = Some(r.bool("transient flag")?),
+            "detail" => detail = Some(r.str("error detail")?),
+            "reason" => reason = Some(r.str("error reason")?),
+            "message" => message = Some(r.str("panic message")?),
+            "tier" => tier = Some(r.str("circuit tier")?),
+            _ => r.skip_value()?,
+        }
+    }
+    let kind = kind.ok_or_else(|| json::error("serve error: missing kind"))?;
+    let text = |field: Option<Cow<'_, str>>, missing: &str| {
+        field
+            .map(Cow::into_owned)
+            .ok_or_else(|| json::error(missing))
+    };
+    match &*kind {
         "execution" => {
-            let detail = o
-                .get("detail")
-                .ok_or_else(|| json::error("execution error: missing detail"))?
-                .as_str("error detail")?
-                .to_string();
-            let transient = o
-                .get("transient")
-                .ok_or_else(|| json::error("execution error: missing transient flag"))?
-                .as_bool("transient flag")?;
+            let detail = text(detail, "execution error: missing detail")?;
+            let transient =
+                transient.ok_or_else(|| json::error("execution error: missing transient flag"))?;
             // The structured `CodegenError` does not survive
             // serialization; what matters for the coordinator's retry
             // policy is only whether the failure was transient.
@@ -143,29 +176,15 @@ fn dec_serve_error(v: &Value) -> Result<ServeError, JsonError> {
             };
             Ok(ServeError::Execution(Arc::new(err)))
         }
-        "wire" => {
-            let reason = o
-                .get("reason")
-                .ok_or_else(|| json::error("wire error: missing reason"))?
-                .as_str("wire reason")?
-                .to_string();
-            Ok(ServeError::Execution(Arc::new(CodegenError::Wire {
-                reason,
-            })))
-        }
+        "wire" => Ok(ServeError::Execution(Arc::new(CodegenError::Wire {
+            reason: text(reason, "wire error: missing reason")?,
+        }))),
         "panicked" => Ok(ServeError::BackendPanicked {
-            message: o
-                .get("message")
-                .ok_or_else(|| json::error("panic error: missing message"))?
-                .as_str("panic message")?
-                .to_string(),
+            message: text(message, "panic error: missing message")?,
         }),
         "deadline" => Ok(ServeError::DeadlineExceeded),
         "circuit" => {
-            let tier = o
-                .get("tier")
-                .ok_or_else(|| json::error("circuit error: missing tier"))?
-                .as_str("circuit tier")?;
+            let tier = tier.ok_or_else(|| json::error("circuit error: missing tier"))?;
             let tier = TIER_NAMES
                 .iter()
                 .find(|n| **n == tier)
@@ -175,11 +194,7 @@ fn dec_serve_error(v: &Value) -> Result<ServeError, JsonError> {
         }
         "quarantined" => Ok(ServeError::Quarantined),
         "spawn" => Ok(ServeError::Spawn {
-            reason: o
-                .get("reason")
-                .ok_or_else(|| json::error("spawn error: missing reason"))?
-                .as_str("spawn reason")?
-                .to_string(),
+            reason: text(reason, "spawn error: missing reason")?,
         }),
         "shutdown" => Ok(ServeError::ShutDown),
         other => Err(json::error(&format!("unknown serve error kind `{other}`"))),
@@ -338,6 +353,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
 
 fn handle_connection(stream: TcpStream, shared: &NetShared) {
     let mut reader = BufReader::new(stream);
+    // Every reply of the connection is encoded into this one buffer.
+    let mut reply = String::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
@@ -346,74 +363,83 @@ fn handle_connection(stream: TcpStream, shared: &NetShared) {
             Ok(frame) => frame,
             Err(_) => return,
         };
-        let reply = respond(shared, &frame);
+        respond(shared, &frame, &mut reply);
         if write_frame(reader.get_mut(), reply.as_bytes()).is_err() {
             return;
         }
     }
 }
 
-fn respond(shared: &NetShared, frame: &[u8]) -> String {
-    match try_respond(shared, frame) {
-        Ok(reply) => reply,
-        Err(e) => wire_reply_err(&e.reason),
+/// Leaves the reply to `frame` in `reply`.
+fn respond(shared: &NetShared, frame: &[u8], reply: &mut String) {
+    reply.clear();
+    if let Err(e) = try_respond(shared, frame, reply) {
+        reply.clear();
+        wire_reply_err(reply, &e.reason);
     }
 }
 
-fn try_respond(shared: &NetShared, frame: &[u8]) -> Result<String, JsonError> {
+fn try_respond(shared: &NetShared, frame: &[u8], reply: &mut String) -> Result<(), JsonError> {
     let text = std::str::from_utf8(frame).map_err(|_| json::error("request frame is not UTF-8"))?;
-    let doc = json::parse(text)?;
-    let o = doc.as_object("request")?;
-    let op = o
-        .get("op")
-        .ok_or_else(|| json::error("request: missing op"))?
-        .as_str("op")?;
-    match op {
-        "submit" => {
-            let spec_text = o
-                .get("spec")
-                .ok_or_else(|| json::error("submit: missing spec"))?
-                .as_str("spec")?;
-            let spec = match shared.stencils.decode_spec(spec_text) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    // A spec the builder rejects is the requester's
-                    // error, answered in-band — not a transport fault.
-                    let err = ServeError::Execution(Arc::new(e));
-                    return Ok(format!("{{\"err\": {}}}", enc_serve_error(&err)));
-                }
-            };
-            Ok(match shared.server.submit(&spec) {
-                Ok(outcome) => format!(
-                    "{{\"ok\": \"{}\"}}",
-                    json::escape(&encode_outcome(&outcome))
-                ),
-                Err(e) => format!("{{\"err\": {}}}", enc_serve_error(&e)),
-            })
+    // The embedded documents are passed over (validated, bounded) and
+    // handed to their decoders as slices of the frame once `op` is
+    // known, so the keys may come in any order.
+    let (mut op, mut spec, mut data) = (None, None, None);
+    let mut r = Reader::new(text);
+    r.begin_object("request")?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "op" => op = Some(r.str("op")?),
+            "spec" => spec = Some(r.raw_value()?),
+            "data" => data = Some(r.raw_value()?),
+            _ => r.skip_value()?,
         }
-        "export_calibration" => Ok(match shared.server.session().calibration() {
-            Some(store) => format!(
-                "{{\"calibration\": \"{}\"}}",
-                json::escape(&store.to_json())
-            ),
-            None => "{\"calibration\": null}".to_string(),
-        }),
+    }
+    r.finish()?;
+    match &*op.ok_or_else(|| json::error("request: missing op"))? {
+        "submit" => {
+            let spec = spec.ok_or_else(|| json::error("submit: missing spec"))?;
+            // A spec the builder rejects is the requester's error,
+            // answered in-band — not a transport fault.
+            let result = shared
+                .stencils
+                .decode_spec(spec)
+                .map_err(|e| ServeError::Execution(Arc::new(e)))
+                .and_then(|spec| shared.server.submit(&spec));
+            match result {
+                Ok(outcome) => {
+                    reply.push_str("{\"ok\": ");
+                    encode_outcome_into(reply, &outcome);
+                }
+                Err(e) => {
+                    reply.push_str("{\"err\": ");
+                    enc_serve_error(reply, &e);
+                }
+            }
+            reply.push('}');
+        }
+        "export_calibration" => {
+            reply.push_str("{\"calibration\": ");
+            match shared.server.session().calibration() {
+                Some(store) => reply.push_str(&store.to_json()),
+                None => reply.push_str("null"),
+            }
+            reply.push('}');
+        }
         "import_calibration" => {
-            let data = o
-                .get("data")
-                .ok_or_else(|| json::error("import_calibration: missing data"))?
-                .as_str("calibration data")?;
+            let data = data.ok_or_else(|| json::error("import_calibration: missing data"))?;
             let incoming = CalibrationStore::from_json(data)
                 .map_err(|e| json::error(&format!("calibration import rejected: {e}")))?;
             let merged = match shared.server.session().calibration() {
                 Some(store) => store.merge(&incoming),
                 None => 0,
             };
-            Ok(format!("{{\"merged\": {merged}}}"))
+            write!(reply, "{{\"merged\": {merged}}}").expect("writing to a String cannot fail");
         }
-        "ping" => Ok("{\"pong\": true}".to_string()),
-        other => Err(json::error(&format!("unknown op `{other}`"))),
+        "ping" => reply.push_str("{\"pong\": true}"),
+        other => return Err(json::error(&format!("unknown op `{other}`"))),
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -457,12 +483,46 @@ impl NetClient {
         Ok(NetClient { stream, reader })
     }
 
-    fn round_trip(&mut self, request: &str) -> io::Result<Value> {
-        write_frame(&mut self.stream, request.as_bytes())?;
-        let reply = read_frame(&mut self.reader, MAX_FRAME_LEN)?;
-        let text = std::str::from_utf8(&reply)
-            .map_err(|_| invalid("reply frame is not UTF-8".to_string()))?;
-        json::parse(text).map_err(|e| invalid(e.reason))
+    /// The request frame's payload for submitting `spec`: the first of
+    /// the three steps [`NetClient::submit`] is made of. Needs no
+    /// connection, so a caller sharing one can encode before taking it.
+    pub fn encode_submit(spec: &WorkloadSpec) -> String {
+        let mut request = String::with_capacity(2048);
+        request.push_str("{\"op\": \"submit\", \"spec\": ");
+        encode_spec_into(&mut request, spec);
+        request.push('}');
+        request
+    }
+
+    /// Sends one request frame and reads the one reply frame that
+    /// answers it — the only step that needs the connection. An `Err`
+    /// means the connection is broken and must carry nothing further.
+    pub fn exchange(&mut self, request: &[u8]) -> io::Result<Vec<u8>> {
+        write_frame(&mut self.stream, request)?;
+        read_frame(&mut self.reader, MAX_FRAME_LEN)
+    }
+
+    /// Decodes the reply frame to a `submit`: the remote [`ServeResult`],
+    /// or `Err` for a reply that is not one — which a caller treats as
+    /// it treats a failed [`exchange`](NetClient::exchange).
+    pub fn decode_submit_reply(reply: &[u8]) -> io::Result<ServeResult> {
+        let (mut ok, mut err) = (None, None);
+        read_reply(reply, "submit reply", |key, r| {
+            match key {
+                "ok" => ok = Some(decode_outcome_from(r)?),
+                "err" => err = Some(dec_serve_error(r)?),
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })
+        .map_err(|e| invalid(format!("bad submit reply: {e}")))?;
+        match (ok, err) {
+            (Some(outcome), _) => Ok(Ok(Arc::new(outcome))),
+            (None, Some(err)) => Ok(Err(err)),
+            (None, None) => Err(invalid(
+                "submit reply carries neither ok nor err".to_string(),
+            )),
+        }
     }
 
     /// Submits a spec for remote execution.
@@ -471,82 +531,118 @@ impl NetClient {
     /// remote [`ServeResult`]. The decoded outcome carries
     /// `kernel: None` (compiled kernels never cross the wire).
     pub fn submit(&mut self, spec: &WorkloadSpec) -> io::Result<ServeResult> {
-        let request = format!(
-            "{{\"op\": \"submit\", \"spec\": \"{}\"}}",
-            json::escape(&encode_spec(spec))
-        );
-        let doc = self.round_trip(&request)?;
-        let o = doc
-            .as_object("submit reply")
-            .map_err(|e| invalid(e.reason))?;
-        if let Some(ok) = o.get("ok") {
-            let text = ok.as_str("outcome").map_err(|e| invalid(e.reason))?;
-            let outcome: Outcome =
-                decode_outcome(text).map_err(|e| invalid(format!("bad outcome reply: {e}")))?;
-            return Ok(Ok(Arc::new(outcome)));
-        }
-        if let Some(err) = o.get("err") {
-            return Ok(Err(dec_serve_error(err).map_err(|e| invalid(e.reason))?));
-        }
-        Err(invalid(
-            "submit reply carries neither ok nor err".to_string(),
-        ))
+        let reply = self.exchange(NetClient::encode_submit(spec).as_bytes())?;
+        NetClient::decode_submit_reply(&reply)
+    }
+
+    /// One exchange whose reply is an object with the one field `key`,
+    /// read by `dec`.
+    fn ask<T>(
+        &mut self,
+        request: &str,
+        key: &str,
+        mut dec: impl FnMut(&mut Reader<'_>) -> Result<T, JsonError>,
+    ) -> io::Result<T> {
+        let reply = self.exchange(request.as_bytes())?;
+        let mut answer = None;
+        read_reply(&reply, "reply", |k, r| {
+            if k == key {
+                answer = Some(dec(r)?);
+                Ok(())
+            } else {
+                r.skip_value()
+            }
+        })
+        .map_err(|e| invalid(e.reason))?;
+        answer.ok_or_else(|| invalid(format!("reply missing {key}")))
     }
 
     /// Fetches the worker's calibration store as JSON (`None` when its
     /// session runs without one).
     pub fn export_calibration(&mut self) -> io::Result<Option<String>> {
-        let doc = self.round_trip("{\"op\": \"export_calibration\"}")?;
-        let o = doc
-            .as_object("export reply")
-            .map_err(|e| invalid(e.reason))?;
-        match o.get("calibration") {
-            None => Err(invalid("export reply missing calibration".to_string())),
-            Some(Value::Null) => Ok(None),
-            Some(v) => Ok(Some(
-                v.as_str("calibration")
-                    .map_err(|e| invalid(e.reason))?
-                    .to_string(),
-            )),
-        }
+        self.ask("{\"op\": \"export_calibration\"}", "calibration", |r| {
+            if r.null()? {
+                Ok(None)
+            } else {
+                r.raw_value().map(|store| Some(store.to_string()))
+            }
+        })
     }
 
     /// Merges a calibration export into the worker's live store
     /// (newest-confidence-wins; see
     /// [`CalibrationStore::merge`]). Returns how many entries the
     /// worker adopted.
+    ///
+    /// `data` is embedded in the request as it is: it must be one JSON
+    /// value, as [`NetClient::export_calibration`] and
+    /// [`CalibrationStore::to_json`] produce.
     pub fn import_calibration(&mut self, data: &str) -> io::Result<usize> {
-        let request = format!(
-            "{{\"op\": \"import_calibration\", \"data\": \"{}\"}}",
-            json::escape(data)
-        );
-        let doc = self.round_trip(&request)?;
-        let o = doc
-            .as_object("import reply")
-            .map_err(|e| invalid(e.reason))?;
-        match o.get("merged") {
-            Some(v) => Ok(v.as_u64("merged count").map_err(|e| invalid(e.reason))? as usize),
-            None => Err(invalid("import reply missing merged count".to_string())),
-        }
+        let request = format!("{{\"op\": \"import_calibration\", \"data\": {data}}}");
+        self.ask(&request, "merged", |r| {
+            r.u64("merged count").map(|merged| merged as usize)
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        let doc = self.round_trip("{\"op\": \"ping\"}")?;
-        let o = doc.as_object("ping reply").map_err(|e| invalid(e.reason))?;
-        match o.get("pong") {
-            Some(v) => v.as_bool("pong").map_err(|e| invalid(e.reason)),
-            None => Err(invalid("ping reply missing pong".to_string())),
-        }
+        self.ask("{\"op\": \"ping\"}", "pong", |r| r.bool("pong"))
     }
+}
+
+/// Reads a reply frame — one JSON object — handing every key, with the
+/// reader at its value, to `field`.
+fn read_reply<'a>(
+    reply: &'a [u8],
+    what: &str,
+    mut field: impl FnMut(&str, &mut Reader<'a>) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    let text = std::str::from_utf8(reply).map_err(|_| json::error("reply frame is not UTF-8"))?;
+    let mut r = Reader::new(text);
+    r.begin_object(what)?;
+    while let Some(key) = r.next_key()? {
+        field(&key, &mut r)?;
+    }
+    r.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ServeConfig;
-    use saris_codegen::{Fidelity, Workload};
+    use saris_codegen::json::Value;
+    use saris_codegen::{encode_outcome, encode_spec, Fidelity, Workload};
     use saris_core::{gallery, Extent};
+
+    // The older tests below speak to the error codec through owned
+    // strings and `json::parse` trees; these adapters put them on the
+    // appending encoder and the reader without rewording them.
+    fn enc_serve_error(e: &ServeError) -> String {
+        let mut out = String::new();
+        super::enc_serve_error(&mut out, e);
+        out
+    }
+
+    fn dec_serve_error(v: &Value) -> Result<ServeError, JsonError> {
+        super::dec_serve_error(&mut Reader::new(&render(v)))
+    }
+
+    /// A `json::parse` tree as text again.
+    fn render(v: &Value) -> String {
+        let join = |parts: Vec<String>| parts.join(", ");
+        match v {
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Number(n) => n.clone(),
+            Value::String(s) => format!("\"{}\"", json::escape(s)),
+            Value::Array(a) => format!("[{}]", join(a.iter().map(render).collect())),
+            Value::Object(o) => {
+                let member =
+                    |(k, v): (&String, &Value)| format!("\"{}\": {}", json::escape(k), render(v));
+                format!("{{{}}}", join(o.iter().map(member).collect()))
+            }
+        }
+    }
 
     fn worker() -> NetServer {
         let config = ServeConfig {
@@ -728,5 +824,173 @@ mod tests {
         // came through the same table.
         assert!(Arc::strong_count(&a) > 3);
         assert!(!Arc::ptr_eq(&a, &decode(&spec(gallery::j2d5pt(), 1))));
+    }
+
+    fn golden_spec(seed: u64) -> WorkloadSpec {
+        Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(seed)
+            .fidelity(Fidelity::Golden)
+            .freeze()
+            .expect("freeze")
+    }
+
+    /// One raw frame out, one raw frame back, on the client's connection.
+    fn raw_exchange(client: &mut NetClient, request: &[u8]) -> String {
+        let reply = client.exchange(request).expect("the connection stays up");
+        String::from_utf8(reply).expect("replies are UTF-8")
+    }
+
+    /// The in-band error of a reply frame.
+    fn reply_error(reply: &str) -> ServeError {
+        NetClient::decode_submit_reply(reply.as_bytes())
+            .expect("an in-band reply")
+            .expect_err("an error reply")
+    }
+
+    #[test]
+    fn a_frame_of_brackets_is_refused_not_recursed_into() {
+        let net = worker();
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        // Recursing into either frame as deep as it nests overflows the
+        // handler thread's stack, which aborts the whole process.
+        let reply = raw_exchange(&mut client, "[".repeat(100_000).as_bytes());
+        assert!(
+            reply.starts_with("{\"err\": {\"kind\": \"wire\""),
+            "{reply}"
+        );
+        assert!(client.ping().expect("ping on the same connection"));
+        let frame = format!("{{\"spec\": {}", "[".repeat(100_000));
+        let reply = raw_exchange(&mut client, frame.as_bytes());
+        assert!(
+            reply.starts_with("{\"err\": {\"kind\": \"wire\""),
+            "{reply}"
+        );
+        assert!(reply.contains("nests deeper than"), "{reply}");
+        assert!(client.ping().expect("ping on the same connection"));
+        // The same depth inside a value the envelope only passes over.
+        let frame = format!(
+            "{{\"op\": \"ping\", \"junk\": {}{}}}",
+            "[".repeat(5_000),
+            "]".repeat(5_000)
+        );
+        let reply = raw_exchange(&mut client, frame.as_bytes());
+        assert!(reply.contains("nests deeper than"), "{reply}");
+        // The bound counts the envelope: 31 levels below it pass.
+        let frame = format!(
+            "{{\"op\": \"ping\", \"junk\": {}{}}}",
+            "[".repeat(json::MAX_DEPTH - 1),
+            "]".repeat(json::MAX_DEPTH - 1)
+        );
+        assert_eq!(
+            raw_exchange(&mut client, frame.as_bytes()),
+            "{\"pong\": true}"
+        );
+    }
+
+    #[test]
+    fn a_zero_extent_is_answered_in_band() {
+        let net = worker();
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        let request = NetClient::encode_submit(&golden_spec(1));
+        let zeroed = request.replace("\"extent\": [16, 16, 1]", "\"extent\": [0, 16, 1]");
+        assert_ne!(zeroed, request);
+        let err = reply_error(&raw_exchange(&mut client, zeroed.as_bytes()));
+        match &err {
+            ServeError::Execution(e) => {
+                assert!(!e.is_transient());
+                assert!(e.to_string().contains("not a positive extent"), "{e}");
+            }
+            other => panic!("expected an execution error, got {other}"),
+        }
+        assert!(client.ping().expect("ping on the same connection"));
+    }
+
+    #[test]
+    fn documents_are_nested_and_keys_come_in_any_order() {
+        let net = worker();
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        let spec = golden_spec(3);
+
+        // `spec` before `op`, an unknown key in between.
+        let request = format!(
+            "{{\"spec\": {}, \"trace\": [1, {{}}], \"op\": \"submit\"}}",
+            encode_spec(&spec)
+        );
+        let reply = raw_exchange(&mut client, request.as_bytes());
+        let local = net.server().submit(&spec).expect("local execution");
+        // The outcome document sits in the reply as it was encoded:
+        // nested, not escaped.
+        assert_eq!(reply, format!("{{\"ok\": {}}}", encode_outcome(&local)));
+        assert!(!reply.contains('\\'), "{reply}");
+        let remote = NetClient::decode_submit_reply(reply.as_bytes())
+            .expect("a submit reply")
+            .expect("execution");
+        assert_eq!(encode_outcome(&remote), encode_outcome(&local));
+
+        // The request is the spec document inside its envelope, as is.
+        assert_eq!(
+            NetClient::encode_submit(&spec),
+            format!("{{\"op\": \"submit\", \"spec\": {}}}", encode_spec(&spec))
+        );
+
+        // Not a request, and not a reply.
+        let reply = raw_exchange(&mut client, b"{\"spec\": {}}");
+        assert!(reply.contains("request: missing op"), "{reply}");
+        for garbage in [
+            "",
+            "{\"ok\": 7}",
+            "{\"ok\": {}} x",
+            "[]",
+            "{\"pong\": true}",
+        ] {
+            assert!(
+                NetClient::decode_submit_reply(garbage.as_bytes()).is_err(),
+                "{garbage:?} is no submit reply"
+            );
+        }
+    }
+
+    #[test]
+    fn calibration_round_trips_between_workers() {
+        use saris_codegen::{Calibration, Variant};
+        use saris_core::{Offset, Space, StencilBuilder};
+
+        let mut b = StencilBuilder::new("we\"ird\nname\\", Space::Dim2);
+        let inp = b.input("inp");
+        b.output("out");
+        let k = b.coeff("k", 0.5);
+        let c = b.tap(inp, Offset::CENTER);
+        let r = b.mul(k, c);
+        b.store(r);
+        let stencil = b.finish().expect("valid stencil");
+
+        let (from, to) = (worker(), worker());
+        let store = |net: &NetServer| {
+            let session = net.server().session();
+            Arc::clone(session.calibration().expect("default sessions calibrate"))
+        };
+        let calibration = Calibration {
+            cycles_per_point: 1.0 / 3.0,
+            fpu_ops_per_point: 1.25,
+            flops_per_point: 2.0,
+            imbalance: vec![1.0, 0.1 + 0.2],
+        };
+        store(&from).calibrate(&stencil, Variant::Saris, calibration.clone());
+        assert!(!store(&to).is_calibrated(&stencil, Variant::Saris, 2));
+
+        let mut exporter = NetClient::connect(from.addr()).expect("connect");
+        let export = exporter
+            .export_calibration()
+            .expect("transport")
+            .expect("a store");
+        assert_eq!(export, store(&from).to_json().trim_end());
+        let mut importer = NetClient::connect(to.addr()).expect("connect");
+        assert!(importer.import_calibration(&export).expect("import") >= 1);
+        assert_eq!(
+            store(&to).lookup(&stencil, Variant::Saris, 2),
+            Some(calibration)
+        );
+        assert_eq!(importer.import_calibration(&export).expect("import"), 0);
     }
 }

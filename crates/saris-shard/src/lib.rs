@@ -183,9 +183,11 @@ struct Shard {
 ///
 /// Thread-safe: any number of threads may [`submit`](Coordinator::submit)
 /// concurrently. Each shard is served over one framed connection, so
-/// requests to the same shard serialize — which models a single-core
-/// worker honestly and is exactly the regime the sharded throughput
-/// benchmark measures scaling in.
+/// the round trips of requests to the same shard serialize — which
+/// models a single-core worker honestly and is exactly the regime the
+/// sharded throughput benchmark measures scaling in. Encoding the
+/// request and decoding the reply happen outside that connection's
+/// lock, on the submitting thread's own time.
 pub struct Coordinator {
     shards: Vec<Shard>,
     /// Ring position → shard index. Routing walks clockwise from the
@@ -296,6 +298,9 @@ impl Coordinator {
     /// ([`ShardConfig::max_rehashes`]) is exhausted or no live shard
     /// remains does it give up with [`ServeError::ShutDown`].
     pub fn submit(&self, spec: &WorkloadSpec) -> ServeResult {
+        // Encoded once, whatever the number of attempts, and — like the
+        // decode in `submit_to` — outside every shard's connection lock.
+        let request = NetClient::encode_submit(spec);
         let mut backoff = self.config.retry_backoff;
         let mut rehashes = 0u32;
         let mut attempts_on_shard = 0u32;
@@ -304,7 +309,7 @@ impl Coordinator {
                 return Err(ServeError::ShutDown);
             };
             self.shards[index].routed.fetch_add(1, Ordering::SeqCst);
-            match self.submit_to(index, spec) {
+            match self.submit_to(index, request.as_bytes()) {
                 // A remote `ShutDown` means that worker's serving stack
                 // is going away — treat it like a death, not an answer.
                 Ok(Err(ServeError::ShutDown)) => {}
@@ -331,7 +336,13 @@ impl Coordinator {
         }
     }
 
-    fn submit_to(&self, index: usize, spec: &WorkloadSpec) -> io::Result<ServeResult> {
+    /// One attempt on one shard. The shard's connection is held for the
+    /// exchange of the two frames and no longer: the reply is decoded
+    /// after it is released, so submitters routed to one shard wait for
+    /// each other's round trips, not for each other's codec work. A
+    /// reply that does not decode is that shard's failure like a broken
+    /// connection is.
+    fn submit_to(&self, index: usize, request: &[u8]) -> io::Result<ServeResult> {
         let shard = &self.shards[index];
         let mut conn = shard.conn.lock().expect("shard connection lock");
         if conn.is_none() {
@@ -341,14 +352,13 @@ impl Coordinator {
             )?);
         }
         let client = conn.as_mut().expect("connection just established");
-        match client.submit(spec) {
-            Ok(result) => Ok(result),
-            Err(e) => {
-                // A broken connection never carries another request.
-                *conn = None;
-                Err(e)
-            }
+        let reply = client.exchange(request);
+        if reply.is_err() {
+            // A broken connection never carries another request.
+            *conn = None;
         }
+        drop(conn);
+        NetClient::decode_submit_reply(&reply?)
     }
 
     fn for_each_live<T>(

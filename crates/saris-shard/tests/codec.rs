@@ -1,0 +1,149 @@
+//! The coordinator's side of the wire codec: requests are encoded and
+//! replies decoded outside the per-shard connection lock, and a reply
+//! that does not decode is that shard's failure.
+
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Barrier;
+use std::time::Duration;
+
+use saris_codegen::wire::{read_frame, write_frame, MAX_FRAME_LEN};
+use saris_codegen::{Fidelity, Outcome, Session, Workload, WorkloadSpec};
+use saris_core::{gallery, Extent};
+use saris_serve::{ServeConfig, ServeError, Server};
+use saris_shard::{Coordinator, ShardConfig, ShardWorker};
+
+fn worker() -> ShardWorker {
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    ShardWorker::spawn(Server::with_config(config).expect("server")).expect("shard worker")
+}
+
+fn spec(seed: u64, fidelity: Fidelity) -> WorkloadSpec {
+    Workload::new(gallery::jacobi_2d())
+        .extent(Extent::new_2d(16, 16))
+        .input_seed(seed)
+        .fidelity(fidelity)
+        .freeze()
+        .expect("valid spec")
+}
+
+/// Fingerprint, reports and every grid bit (telemetry tells each
+/// session's own history and is not compared).
+fn assert_same_answer(remote: &Outcome, local: &Outcome) {
+    assert_eq!(remote.fingerprint, local.fingerprint);
+    assert_eq!(remote.reports, local.reports);
+    assert_eq!(remote.grids.len(), local.grids.len());
+    for (r, l) in remote.grids.iter().zip(&local.grids) {
+        assert_eq!(r.extent(), l.extent());
+        let same = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+        assert!(r.as_slice().iter().zip(l.as_slice()).all(same));
+    }
+}
+
+#[test]
+fn two_submitters_on_one_shard_get_the_bare_sessions_answers() {
+    let workers = [worker()];
+    let coordinator = Coordinator::over(&workers).expect("coordinator");
+    let bare = Session::new();
+    let per_thread = 24u64;
+    // Both threads are routed to the one shard from a common start, so
+    // one thread's reply is decoded while the other's request is on the
+    // connection.
+    let start = Barrier::new(2);
+    let answers = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (coordinator, start) = (&coordinator, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..per_thread)
+                        .map(|i| {
+                            let tier = if i % 3 == 0 {
+                                Fidelity::Cycles
+                            } else {
+                                Fidelity::Golden
+                            };
+                            // Every fourth request repeats the one before.
+                            let spec = spec(t * per_thread + i - u64::from(i % 4 == 3), tier);
+                            let outcome = coordinator.submit(&spec).expect("submit");
+                            (spec, outcome)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .flat_map(|s| s.join().expect("submitter thread must not panic"))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(answers.len() as u64, 2 * per_thread);
+    for (spec, remote) in &answers {
+        assert_same_answer(remote, &bare.submit(spec).expect("bare session"));
+    }
+    let stats = coordinator.stats();
+    assert_eq!(stats.routed, [2 * per_thread]);
+    assert_eq!((stats.retries, stats.rehashes), (0, 0));
+}
+
+/// A worker that frames correctly and answers every submission with a
+/// document that is not a submit reply.
+fn garbling_worker() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(stream);
+                while let Ok(frame) = read_frame(&mut reader, MAX_FRAME_LEN) {
+                    let reply: &[u8] = if frame == b"{\"op\": \"ping\"}" {
+                        b"{\"pong\": true}"
+                    } else {
+                        b"{\"ok\": 7}"
+                    };
+                    if write_frame(reader.get_mut(), reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn an_undecodable_reply_is_retried_then_rehashed() {
+    let config = ShardConfig {
+        retry_backoff: Duration::from_micros(100),
+        ..ShardConfig::default()
+    };
+    // Alone, the garbling shard exhausts its retry and is marked dead.
+    let alone = Coordinator::with_config(&[garbling_worker()], config).expect("coordinator");
+    let result = alone.submit(&spec(1, Fidelity::Golden));
+    assert!(matches!(result, Err(ServeError::ShutDown)), "{result:?}");
+    let stats = alone.stats();
+    assert_eq!(stats.routed, [1 + u64::from(config.shard_retries)]);
+    assert_eq!((stats.retries, stats.rehashes), (1, 1));
+    assert_eq!(alone.live_shards(), 0);
+
+    // Next to a healthy shard, its requests move there and are answered.
+    let healthy = worker();
+    let pair = Coordinator::with_config(&[garbling_worker(), healthy.addr()], config)
+        .expect("coordinator");
+    let routed_to_garbler = (0..)
+        .map(|seed| spec(seed, Fidelity::Golden))
+        .find(|s| pair.route(s.fingerprint()) == Some(0))
+        .expect("some spec routes to shard 0");
+    let outcome = pair.submit(&routed_to_garbler).expect("rehashed answer");
+    let local = Session::new().submit(&routed_to_garbler).expect("bare");
+    assert_same_answer(&outcome, &local);
+    let stats = pair.stats();
+    assert_eq!(stats.routed, [2, 1]);
+    assert_eq!((stats.retries, stats.rehashes), (1, 1));
+    assert_eq!(pair.live_shards(), 1);
+    assert_eq!(pair.route(routed_to_garbler.fingerprint()), Some(1));
+}

@@ -1,0 +1,254 @@
+//! Totality of the wire decoders: whatever bytes arrive, the result is
+//! a value or an error — never a panic, never a hang-up.
+//!
+//! Seeded single-byte substitutions, deletions and truncations of valid
+//! spec documents, outcome documents and request frames, more than
+//! 10,000 in all, go through [`decode_spec`], [`decode_outcome`] and a
+//! live [`NetServer`]'s request handling. Every decode runs under
+//! `catch_unwind`; everything that decodes must be a **fixed point**:
+//! encode it, decode that, encode again — the same bytes. A mutation
+//! that still decodes is a different but valid document, so on the
+//! server it is *served*; the frames therefore ask for the tiers that
+//! answer in microseconds, and what a mutated-but-valid spec does in
+//! execution is the serving layer's business (panic isolation, in-band
+//! errors), not this test's.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use saris::codegen::json;
+use saris::codegen::{decode_outcome, decode_spec, encode_outcome, encode_spec};
+use saris::prelude::*;
+
+/// SplitMix64: the stream of mutations is a pure function of the seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Bytes that mean something to the tokenizer or to a decoder, plus a
+/// few that mean nothing anywhere (the last two are not UTF-8).
+const SUBSTITUTES: &[u8] = b"{}[]\",:\\ 0123456789-+.eEx/untrfalsb\0\x7f\xc3\xff";
+
+/// `n` mutations of `document`: a substituted byte, a deleted byte, or
+/// a truncation, at seeded positions.
+fn mutations(document: &[u8], n: usize, seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = Rng(seed);
+    (0..n)
+        .map(|_| {
+            let at = rng.below(document.len());
+            let mut bytes = document.to_vec();
+            match rng.below(8) {
+                0 => bytes.truncate(at),
+                1 | 2 => drop(bytes.remove(at)),
+                _ => bytes[at] = SUBSTITUTES[rng.below(SUBSTITUTES.len())],
+            }
+            bytes
+        })
+        .collect()
+}
+
+/// Specs covering every arm of the spec codec: seeded and explicit
+/// inputs, every optional field present and absent, a probe, a name the
+/// encoder has to escape.
+fn spec_documents() -> Vec<String> {
+    let mut named = StencilBuilder::new("nämed \"stencil\"\n", Space::Dim3);
+    let inp = named.input("in\tput");
+    named.output("out");
+    let k = named.coeff("k\\", -0.0);
+    let c = named.tap(
+        inp,
+        Offset {
+            dx: -1,
+            dy: 2,
+            dz: -3,
+        },
+    );
+    let r = named.mul(k, c);
+    named.store(r);
+    let named = named.finish().expect("valid stencil");
+
+    let extent = Extent::new_2d(6, 6);
+    let mut data = vec![0.25f64; extent.len()];
+    data[0] = f64::from_bits(0x7ff8_0000_dead_beef);
+    data[1] = -0.0;
+    data[2] = f64::NEG_INFINITY;
+    data[3] = 1.0e-310;
+    let mut options = RunOptions::new(Variant::Base).with_unroll(2);
+    options.interleave = InterleavePlan::new(2, 4);
+    options.concurrent_dma = true;
+    let specs = [
+        Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(7)
+            .fidelity(Fidelity::Golden)
+            .freeze(),
+        Workload::new(gallery::ac_iso_cd())
+            .extent(Extent::cube(Space::Dim3, 12))
+            .input_seed(u64::MAX)
+            .options(options)
+            .tune(Tune::Candidates(vec![1, 2, 4]))
+            .time_steps(3)
+            .rotation(BufferRotation::Leapfrog)
+            .verify(1e-9)
+            .fidelity(Fidelity::Auto {
+                accuracy_budget: 0.05,
+            })
+            .freeze(),
+        Workload::new(gallery::j2d5pt())
+            .inputs(vec![Grid::from_raw(extent, data)])
+            .freeze(),
+        Workload::new(named)
+            .extent(Extent::cube(Space::Dim3, 8))
+            .input_seed(1)
+            .freeze(),
+        Workload::dma_probe(Extent::new_3d(16, 16, 16)).freeze(),
+    ];
+    specs
+        .into_iter()
+        .map(|spec| encode_spec(&spec.expect("freeze")))
+        .collect()
+}
+
+/// Real outcomes of every tier, plus a tuned and a probe one.
+fn outcome_documents() -> Vec<String> {
+    let session = Session::new();
+    let jacobi = || {
+        Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(3)
+    };
+    let specs = [
+        jacobi().fidelity(Fidelity::Cycles).verify(1e-9).freeze(),
+        jacobi().fidelity(Fidelity::Golden).freeze(),
+        jacobi().fidelity(Fidelity::Analytic).freeze(),
+        jacobi().tune(Tune::Candidates(vec![1, 2])).freeze(),
+        Workload::dma_probe(Extent::new_2d(32, 32)).freeze(),
+    ];
+    specs
+        .into_iter()
+        .map(|spec| encode_outcome(&session.submit(&spec.expect("freeze")).expect("submit")))
+        .collect()
+}
+
+/// Runs `decode` over the mutations of every document; returns how many
+/// mutations there were and how many of them still decoded.
+fn fuzz<T>(
+    documents: &[String],
+    per_document: usize,
+    decode: impl Fn(&str) -> Result<T, CodegenError>,
+    encode: impl Fn(&T) -> String,
+) -> (usize, usize) {
+    let (mut tried, mut decoded) = (0, 0);
+    for (d, document) in documents.iter().enumerate() {
+        let original = decode(document).expect("the unmutated document decodes");
+        assert_eq!(
+            &encode(&original),
+            document,
+            "document {d} is not canonical"
+        );
+        for bytes in mutations(document.as_bytes(), per_document, d as u64) {
+            // The decoders take `&str`: a frame that is not UTF-8 never
+            // reaches them (the frame test below sends those too).
+            let Ok(text) = String::from_utf8(bytes) else {
+                continue;
+            };
+            tried += 1;
+            let result = catch_unwind(AssertUnwindSafe(|| decode(&text)))
+                .unwrap_or_else(|_| panic!("decoding panicked on document {d}: {text}"));
+            let Ok(value) = result else { continue };
+            decoded += 1;
+            let canonical = encode(&value);
+            let again = decode(&canonical).unwrap_or_else(|e| {
+                panic!("re-decoding failed ({e}) for document {d}: {text}\n-> {canonical}")
+            });
+            assert_eq!(encode(&again), canonical, "document {d}: {text}");
+        }
+    }
+    (tried, decoded)
+}
+
+#[test]
+fn mutated_spec_documents_never_panic_and_decode_to_fixed_points() {
+    let (tried, decoded) = fuzz(&spec_documents(), 1000, decode_spec, encode_spec);
+    assert!(tried >= 4500, "only {tried} mutations were valid UTF-8");
+    // Both outcomes are exercised: most mutations are refused, and the
+    // ones that only change a value are not.
+    assert!(decoded > 100 && decoded < tried / 2, "{decoded} of {tried}");
+}
+
+#[test]
+fn mutated_outcome_documents_never_panic_and_decode_to_fixed_points() {
+    let (tried, decoded) = fuzz(&outcome_documents(), 700, decode_outcome, encode_outcome);
+    assert!(tried >= 3000, "only {tried} mutations were valid UTF-8");
+    assert!(decoded > 100 && decoded < tried, "{decoded} of {tried}");
+}
+
+#[test]
+fn mutated_request_frames_are_all_answered() {
+    let server = Server::with_config(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("server");
+    let net = NetServer::spawn(server, "127.0.0.1:0").expect("net server");
+    let mut client = NetClient::connect(net.addr()).expect("connect");
+    let jacobi = |fidelity| {
+        Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(7)
+            .fidelity(fidelity)
+            .freeze()
+            .expect("freeze")
+    };
+    let export = client
+        .export_calibration()
+        .expect("transport")
+        .expect("default sessions calibrate");
+    let requests = [
+        NetClient::encode_submit(&jacobi(Fidelity::Golden)),
+        NetClient::encode_submit(&jacobi(Fidelity::Analytic)),
+        format!("{{\"op\": \"import_calibration\", \"data\": {export}}}"),
+        "{\"op\": \"export_calibration\"}".to_string(),
+        "{\"op\": \"ping\"}".to_string(),
+    ];
+    let (mut sent, mut served) = (0, 0);
+    for (r, request) in requests.iter().enumerate() {
+        // The short requests have few distinct mutations.
+        let n = if request.len() > 100 { 1000 } else { 150 };
+        for frame in mutations(request.as_bytes(), n, 100 + r as u64) {
+            // One frame out, one frame back, whatever the frame: a
+            // handler that panicked or hung up fails the exchange.
+            let reply = client.exchange(&frame).unwrap_or_else(|e| {
+                panic!(
+                    "no reply ({e}) to request {r}: {}",
+                    String::from_utf8_lossy(&frame)
+                )
+            });
+            let reply = String::from_utf8(reply).expect("replies are UTF-8");
+            let document = json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+            let keys = document.as_object("reply").expect("replies are objects");
+            assert_eq!(keys.len(), 1, "{reply}");
+            sent += 1;
+            served += usize::from(!keys.contains_key("err"));
+            if keys.contains_key("ok") {
+                NetClient::decode_submit_reply(reply.as_bytes())
+                    .expect("an ok reply decodes")
+                    .expect("to an outcome");
+            }
+        }
+    }
+    assert!(client.ping().expect("the connection outlived every frame"));
+    assert!(sent >= 3300, "{sent} frames");
+    assert!(served > 100 && served < sent / 2, "{served} of {sent}");
+}
