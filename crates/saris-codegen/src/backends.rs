@@ -10,28 +10,20 @@
 //! |--------------|---------|--------------|
 //! | [`Analytic`](Fidelity::Analytic) | [`RooflineBackend`] | instant estimates from single-cluster measurements + a bandwidth model |
 //! | [`Cycles`](Fidelity::Cycles) | [`SimBackend`] | cycle-approximate measurements on the simulated Snitch cluster |
-//! | [`Golden`](Fidelity::Golden) | [`NativeBackend`] | exact grids from the data-parallel (SIMD) reference executor, arena-pooled outputs, batch fan-out, no timing |
+//! | [`Golden`](Fidelity::Golden) | [`NativeBackend`] | exact grids from the data-parallel (SIMD) reference executor, no timing |
 //! | [`Auto`](Fidelity::Auto) | *routing policy* | the cheapest of Analytic/Cycles meeting an accuracy budget |
 //!
-//! ## Bulk golden verification
+//! A backend answers one request at a time ([`Backend::execute`]);
+//! running many at once is the caller's business —
+//! [`Session::submit_all`](crate::Session::submit_all) fans specs across
+//! worker threads that each call `execute` through the same path as a
+//! single submission, whatever the tier.
 //!
-//! The golden tier is the only tier whose cost scales with how much
-//! correctness a caller asks for, so it gets a batch entry point:
-//! [`Backend::execute_batch`] takes a slice of independent requests and
-//! [`NativeBackend`] overrides it to fan them across an in-tree worker
-//! pool (the same fixed-worker shape `saris-serve` uses), with each
-//! worker running the data-parallel row sweep
-//! ([`saris_core::simd`]) and drawing output grids from a shared
-//! [`GridArena`]. A
-//! [`Session::submit_all`](crate::Session::submit_all) routes eligible
-//! golden-tier specs through this path, so gallery-wide verification
-//! sweeps no longer serialize one scalar point loop at a time.
-//!
-//! This mirrors the paper's own methodology: SARIS sizes its
-//! Manticore-256 estimate from single-cluster measurements plus a
-//! bandwidth model, so an analytic tier that answers estimate-class
-//! requests without paying for simulation is paper-faithful — the
-//! roofline backend is that tier, and its numbers are *flagged as
+//! The analytic tier mirrors the paper's own methodology: SARIS sizes
+//! its Manticore-256 estimate from single-cluster measurements plus a
+//! bandwidth model, so a tier that answers estimate-class requests
+//! without paying for simulation is paper-faithful — the roofline
+//! backend is that tier, and its numbers are *flagged as
 //! estimates* in the outcome telemetry
 //! ([`WorkloadTelemetry::estimated`](crate::WorkloadTelemetry::estimated)).
 //!
@@ -46,7 +38,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use saris_core::grid::{Grid, GridArena};
+use saris_core::grid::Grid;
 use saris_core::reference;
 use saris_core::roofline::{estimate_tile, MachinePoint};
 use saris_core::stencil::Stencil;
@@ -222,18 +214,6 @@ pub trait Backend: Send + Sync {
     ///
     /// Propagates compilation or execution errors.
     fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError>;
-
-    /// Executes a batch of independent requests, returning one result
-    /// per request in order.
-    ///
-    /// The default implementation runs them serially through
-    /// [`Backend::execute`]; backends whose runs are independent and
-    /// `Sync` (the golden tier) override this to fan the batch across a
-    /// worker pool. Callers must not assume any execution order between
-    /// requests of one batch.
-    fn execute_batch(&self, reqs: &[ExecRequest<'_>]) -> Vec<Result<ExecOutcome, CodegenError>> {
-        reqs.iter().map(|req| self.execute(req)).collect()
-    }
 }
 
 /// The cycle-approximate Snitch-cluster simulator backend: compiles
@@ -275,26 +255,15 @@ impl Backend for SimBackend {
 /// magnitude faster than the simulator and exact by construction (the
 /// row sweep is bit-identical to the retained scalar oracle), but
 /// produces no cycle report — use it for correctness-only and
-/// large-scale scenarios.
-///
-/// Output grids are drawn from a shared [`GridArena`]; callers that are
-/// done with an outcome's grid can [`recycle`](NativeBackend::recycle)
-/// it so steady-state batches run allocation-free. Batches fan out
-/// across a fixed worker pool via [`Backend::execute_batch`].
-#[derive(Debug, Default)]
-pub struct NativeBackend {
-    arena: GridArena,
-}
+/// large-scale scenarios. The output grid of each run is a fresh
+/// allocation that belongs to whoever holds the outcome.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NativeBackend;
 
 impl NativeBackend {
-    /// A golden backend with a fresh grid arena.
+    /// The golden backend.
     pub fn new() -> NativeBackend {
-        NativeBackend::default()
-    }
-
-    /// Returns a consumed output grid's storage to the backend's arena.
-    pub fn recycle(&self, grid: Grid) {
-        self.arena.recycle(grid);
+        NativeBackend
     }
 }
 
@@ -312,57 +281,16 @@ impl Backend for NativeBackend {
     }
 
     fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
-        let extent = req.inputs[0].extent();
         // `req.inputs` is already the slot slice the executor expects —
         // borrow it directly; the golden path allocates nothing per call
-        // beyond the (arena-pooled) output grid.
-        let output = reference::apply_to_new_in(req.stencil, req.inputs, extent, &self.arena);
+        // beyond the output grid.
+        let extent = req.inputs[0].extent();
         Ok(ExecOutcome {
-            output: Some(output),
+            output: Some(reference::apply_to_new(req.stencil, req.inputs, extent)),
             report: None,
             cluster_reused: false,
             estimated: false,
         })
-    }
-
-    /// Fans the batch across a fixed pool of named worker threads — the
-    /// same worker-pool shape `saris-serve` uses for request handling:
-    /// one thread per available core (capped at the batch size), all
-    /// draining a shared work counter until the batch is exhausted.
-    fn execute_batch(&self, reqs: &[ExecRequest<'_>]) -> Vec<Result<ExecOutcome, CodegenError>> {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(reqs.len());
-        if workers <= 1 {
-            return reqs.iter().map(|req| self.execute(req)).collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<Result<ExecOutcome, CodegenError>>>> =
-            reqs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                let slots = &slots;
-                std::thread::Builder::new()
-                    .name(format!("saris-golden-{w}"))
-                    .spawn_scoped(scope, move || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(req) = reqs.get(i) else { break };
-                        let outcome = self.execute(req);
-                        *slots[i].lock().expect("golden batch slot poisoned") = Some(outcome);
-                    })
-                    .expect("spawn golden batch worker");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("golden batch slot poisoned")
-                    .expect("every batch slot is filled before the scope ends")
-            })
-            .collect()
     }
 }
 

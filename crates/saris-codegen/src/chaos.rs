@@ -182,9 +182,9 @@ pub fn request_key(req: &ExecRequest<'_>) -> u64 {
 ///
 /// Register one per tier in a [`BackendRegistry`](crate::BackendRegistry)
 /// (it reports the wrapped backend's [`Fidelity`]) to chaos-test
-/// everything above the backend boundary. Batch execution routes through
-/// the serial default so every request of a batch is individually
-/// eligible for injection.
+/// everything above the backend boundary: every request reaches a
+/// backend through [`Backend::execute`], so every request is eligible
+/// for injection.
 pub struct FaultInjectingBackend {
     inner: Arc<dyn Backend>,
     plan: FaultPlan,

@@ -284,10 +284,6 @@ pub struct SessionStats {
     /// compiling the same key and woke up to the finished kernel — a
     /// compile the per-key slot machinery saved outright.
     pub compiles_saved: u64,
-    /// Batches the bulk golden path formed: each one answered several
-    /// golden-tier specs with a single [`Backend::execute_batch`] call
-    /// (see [`Session::submit_all`]).
-    pub batches_formed: u64,
     /// Fresh compiles that passed the static verifier gate
     /// ([`SessionConfig::verify_kernels`]).
     pub kernels_verified: u64,
@@ -820,15 +816,6 @@ impl Session {
         Duration::from_secs_f64(secs.max(0.0))
     }
 
-    /// Whether [`Session::submit_all`] would answer `spec` through the
-    /// bulk golden path ([`Backend::execute_batch`]): it resolves to
-    /// [`Fidelity::Golden`] on a kernel-free backend, runs a single time
-    /// step, and carries no rotation. Schedulers use this to group
-    /// queued golden work into batches that amortize dispatch.
-    pub fn golden_batchable(&self, spec: &WorkloadSpec) -> bool {
-        self.bulk_golden_work(spec).is_some()
-    }
-
     /// Re-answers a stencil spec from the analytic tier after its
     /// requested tier failed or blew its deadline — the graceful
     /// degradation path `saris-serve` falls back to. The outcome keeps
@@ -875,212 +862,36 @@ impl Session {
     }
 
     /// Answers a list of specs, fanning out across worker threads (one
-    /// pooled cluster per worker). Kernels flow through the per-key cache
-    /// slots, so identical compile requests never compile twice even when
-    /// their workers race. Outcomes come back in spec order; each spec
-    /// fails or succeeds independently.
-    ///
-    /// Golden-tier specs of the plain single-step shape take the bulk
-    /// path: one [`Backend::execute_batch`] call fans them across the
-    /// golden backend's worker pool (SIMD row sweeps over arena-pooled
-    /// grids), and any `verify(tol)` they carry is checked against the
-    /// retained scalar oracle — in parallel — instead of serializing one
-    /// point loop per spec. Everything else runs through the generic
-    /// per-spec worker loop; outcomes merge back in spec order.
+    /// pooled cluster per worker) that each pull the next spec and
+    /// [`submit`](Session::submit) it — the same path, spec for spec, as
+    /// a loop of `submit`, so outcomes are bit-identical to it. Kernels
+    /// flow through the per-key cache slots, so identical compile
+    /// requests never compile twice even when their workers race.
+    /// Outcomes come back in spec order; each spec fails or succeeds
+    /// independently.
     pub fn submit_all(&self, specs: &[WorkloadSpec]) -> Vec<Result<Outcome, CodegenError>> {
-        let mut results: Vec<Option<Result<Outcome, CodegenError>>> =
-            specs.iter().map(|_| None).collect();
-
-        // Bulk golden path: batch all eligible specs in one call.
-        let bulk: Vec<usize> = (0..specs.len())
-            .filter(|&i| self.bulk_golden_work(&specs[i]).is_some())
-            .collect();
-        if bulk.len() > 1 {
-            let batch: Vec<&WorkloadSpec> = bulk.iter().map(|&i| &specs[i]).collect();
-            for (&i, outcome) in bulk.iter().zip(self.submit_golden_bulk(&batch)) {
-                results[i] = Some(outcome);
+        let workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(specs.len());
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<Outcome, CodegenError>>>> =
+            specs.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = specs.get(i) else { break };
+                    let outcome = self.submit(spec);
+                    *slots[i].lock().expect("batch result lock") = Some(outcome);
+                });
             }
-        }
-
-        // Generic path for whatever the bulk pass did not answer.
-        let rest: Vec<usize> = (0..specs.len()).filter(|&i| results[i].is_none()).collect();
-        if !rest.is_empty() {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(rest.len());
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Result<Outcome, CodegenError>>>> =
-                rest.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = rest.get(r) else { break };
-                        let outcome = self.submit(&specs[i]);
-                        *slots[r].lock().expect("batch result lock") = Some(outcome);
-                    });
-                }
-            });
-            for (&i, slot) in rest.iter().zip(slots) {
-                results[i] = slot.into_inner().expect("batch result lock");
-            }
-        }
-
-        results
+        });
+        slots
             .into_iter()
-            .map(|slot| slot.expect("every spec index was visited"))
-            .collect()
-    }
-
-    /// The stencil work of `spec` when it is eligible for the bulk
-    /// golden path: resolves to [`Fidelity::Golden`] on a kernel-free
-    /// backend, single time step, no rotation, no tuning. (The
-    /// [`Fidelity::Auto`] policy never resolves to Golden, so only
-    /// explicit golden requests and golden-default sessions land here.)
-    fn bulk_golden_work<'s>(&self, spec: &'s WorkloadSpec) -> Option<&'s StencilWork> {
-        let WorkloadKind::Stencil(work) = spec.kind() else {
-            return None;
-        };
-        let requested = work.fidelity.unwrap_or(self.default_fidelity);
-        if requested != Fidelity::Golden {
-            return None;
-        }
-        // A custom golden backend that compiles kernels needs the
-        // per-spec path (tuning, kernel cache); the batch entry point
-        // never compiles.
-        if self.registry.get(Fidelity::Golden).needs_kernel() {
-            return None;
-        }
-        if work.rotation.is_some() || work.time_steps != 1 {
-            return None;
-        }
-        Some(work)
-    }
-
-    /// Answers a batch of bulk-eligible golden specs (see
-    /// [`Session::bulk_golden_work`]) through the golden backend's
-    /// [`Backend::execute_batch`].
-    fn submit_golden_bulk(&self, specs: &[&WorkloadSpec]) -> Vec<Result<Outcome, CodegenError>> {
-        let backend = &**self.registry.get(Fidelity::Golden);
-        let works: Vec<&StencilWork> = specs
-            .iter()
-            .map(|spec| match spec.kind() {
-                WorkloadKind::Stencil(work) => work,
-                WorkloadKind::DmaProbe { .. } => unreachable!("bulk specs are stencil work"),
-            })
-            .collect();
-        // Explicit grids are borrowed straight from each spec's `Arc`;
-        // only seeded inputs materialize fresh grids.
-        let seeded: Vec<Vec<Grid>> = works
-            .iter()
-            .map(|work| match &work.inputs {
-                crate::workload::InputSpec::Grids(_) => Vec::new(),
-                spec => spec.materialize(&work.stencil, work.extent),
-            })
-            .collect();
-        let refs: Vec<Vec<&Grid>> = works
-            .iter()
-            .zip(&seeded)
-            .map(|(work, store)| match &work.inputs {
-                crate::workload::InputSpec::Grids(grids) => grids.iter().collect(),
-                _ => store.iter().collect(),
-            })
-            .collect();
-        let reqs: Vec<ExecRequest<'_>> = works
-            .iter()
-            .zip(&refs)
-            .map(|(work, inputs)| ExecRequest {
-                stencil: &work.stencil,
-                inputs,
-                options: &work.options,
-                kernel: None,
-                pool: &self.pool,
-            })
-            .collect();
-        let outcomes = backend.execute_batch(&reqs);
-        {
-            let mut stats = relock(&self.stats, &self.recovered);
-            stats.batches_formed += 1;
-            for _ in &outcomes {
-                stats.runs += 1;
-                stats.count_tier(Fidelity::Golden);
-            }
-        }
-
-        // Verification, against the retained scalar oracle (the batch
-        // outputs come from the SIMD path, so this doubles as a live
-        // bit-exactness audit). Oracle grids recycle through the session
-        // scratch arena, and the checks fan across the same worker pool
-        // shape so verification sweeps stay parallel.
-        let mut verify_errors: Vec<Option<Result<f64, CodegenError>>> =
-            specs.iter().map(|_| None).collect();
-        let to_verify: Vec<usize> = (0..works.len())
-            .filter(|&i| works[i].verify.is_some() && outcomes[i].is_ok())
-            .collect();
-        if !to_verify.is_empty() {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(to_verify.len());
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Result<f64, CodegenError>>>> =
-                to_verify.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = to_verify.get(v) else { break };
-                        let work = works[i];
-                        let tolerance = work.verify.expect("filtered on verify");
-                        let output = match &outcomes[i] {
-                            Ok(outcome) => {
-                                outcome.output.as_ref().expect("golden runs yield grids")
-                            }
-                            Err(_) => unreachable!("filtered on Ok outcomes"),
-                        };
-                        let mut oracle = self.scratch.take_zeroed(work.extent);
-                        reference::apply_scalar(&work.stencil, &refs[i], &mut oracle);
-                        let error = verify_diff(output, &oracle);
-                        self.scratch.recycle(oracle);
-                        let checked = if error > tolerance {
-                            Err(CodegenError::VerificationFailed {
-                                name: work.stencil.name().to_string(),
-                                error,
-                                tolerance,
-                            })
-                        } else {
-                            Ok(error)
-                        };
-                        *slots[v].lock().expect("verify result lock") = Some(checked);
-                    });
-                }
-            });
-            for (&i, slot) in to_verify.iter().zip(slots) {
-                verify_errors[i] = slot.into_inner().expect("verify result lock");
-            }
-        }
-
-        specs
-            .iter()
-            .zip(outcomes)
-            .zip(verify_errors)
-            .map(|((spec, outcome), verified)| {
-                let outcome = outcome?;
-                let verify_error = verified.transpose()?;
-                Ok(Outcome {
-                    fingerprint: spec.fingerprint(),
-                    backend: backend.name(),
-                    grids: outcome.output.map_or_else(Vec::new, |output| vec![output]),
-                    reports: Vec::new(),
-                    kernel: None,
-                    tuning: None,
-                    verify_error,
-                    dma_utilization: None,
-                    telemetry: WorkloadTelemetry {
-                        runs: 1,
-                        answered_by: Some(Fidelity::Golden),
-                        ..WorkloadTelemetry::default()
-                    },
-                })
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("batch result lock")
+                    .expect("every spec index was visited")
             })
             .collect()
     }
@@ -1312,27 +1123,32 @@ impl Session {
                 })
             }
             Some(tolerance) => {
-                // The reference march runs the data-parallel row sweep
-                // (bit-identical to the scalar oracle) and draws its
-                // grids from the session scratch arena so repeated
-                // verification sweeps recycle buffers.
+                // The reference march draws its grids from the session
+                // scratch arena so repeated verification sweeps recycle
+                // buffers. A simulated answer is compared with the
+                // data-parallel row sweep; a golden answer *is* that
+                // sweep, so it is compared with the retained scalar
+                // oracle — a reference its backend did not compute.
+                let reference_step = |refs: &[&Grid]| {
+                    if fidelity == Fidelity::Golden {
+                        let mut out = self.scratch.take_zeroed(work.extent);
+                        reference::apply_scalar(stencil, refs, &mut out);
+                        out
+                    } else {
+                        reference::apply_to_new_in(stencil, refs, work.extent, &self.scratch)
+                    }
+                };
                 let reference_grids = if let Some(rotation) = work.rotation {
                     let mut marched = inputs.to_vec();
                     for _ in 0..work.time_steps {
                         let refs: Vec<&Grid> = marched.iter().collect();
-                        let out =
-                            reference::apply_to_new_in(stencil, &refs, work.extent, &self.scratch);
+                        let out = reference_step(&refs);
                         rotate(&mut marched, out, rotation);
                     }
                     marched
                 } else {
                     let refs: Vec<&Grid> = inputs.iter().collect();
-                    vec![reference::apply_to_new_in(
-                        stencil,
-                        &refs,
-                        work.extent,
-                        &self.scratch,
-                    )]
+                    vec![reference_step(&refs)]
                 };
                 let error = grids
                     .iter()

@@ -546,30 +546,6 @@ impl WorkloadSpec {
         matches!(self.kind, WorkloadKind::DmaProbe { .. })
     }
 
-    /// The compile-relevant identity of this spec: a hash over the
-    /// stencil structure, tile extent, and compile-relevant option
-    /// fields — the same subset the session keys its kernel cache on.
-    /// Two specs with equal compile keys share a compiled kernel, so a
-    /// scheduler can group queued work by this value and pay one compile
-    /// for the whole group. `None` for DMA probes (nothing compiles) and
-    /// for tuned workloads (tuning sweeps several compile options, so no
-    /// single key describes them).
-    pub fn compile_key(&self) -> Option<u64> {
-        let WorkloadKind::Stencil(w) = &self.kind else {
-            return None;
-        };
-        if w.tune.candidates().is_some() {
-            return None;
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        w.stencil.fingerprint().hash(&mut h);
-        hash_text(
-            &mut h,
-            format_args!("{:?}|{}", w.extent, w.options.compile_fingerprint()),
-        );
-        Some(h.finish())
-    }
-
     /// How many kernel executions answering this spec will perform:
     /// every tuning candidate is measured once, and the winner's first
     /// application is reused as time step one, so the total is
@@ -582,16 +558,6 @@ impl WorkloadSpec {
         };
         let candidates = w.tune.candidates().map_or(1, <[usize]>::len).max(1) as u64;
         candidates + w.time_steps.saturating_sub(1) as u64
-    }
-
-    /// Whether this spec sweeps unroll candidates
-    /// ([`Tune::Auto`](crate::Tune) or explicit candidate lists) rather
-    /// than running one fixed configuration.
-    pub fn tunes(&self) -> bool {
-        match &self.kind {
-            WorkloadKind::Stencil(w) => w.tune.candidates().is_some(),
-            WorkloadKind::DmaProbe { .. } => false,
-        }
     }
 
     /// This spec re-frozen at a different fidelity tier — the same work,
@@ -1081,13 +1047,6 @@ mod tests {
             h.finish()
         }
 
-        pub fn compile_key(w: &StencilWork) -> u64 {
-            let mut h = DefaultHasher::new();
-            stencil(&w.stencil).hash(&mut h);
-            format!("{:?}|{}", w.extent, compile(&w.options)).hash(&mut h);
-            h.finish()
-        }
-
         pub fn spec(kind: &WorkloadKind) -> u64 {
             let mut h = DefaultHasher::new();
             match kind {
@@ -1144,11 +1103,6 @@ mod tests {
                 assert_eq!(
                     w.options.compile_fingerprint(),
                     string_formulas::compile(&w.options)
-                );
-                let key = w.tune.candidates().is_none();
-                assert_eq!(
-                    spec.compile_key(),
-                    key.then(|| string_formulas::compile_key(w))
                 );
             }
         };

@@ -27,13 +27,11 @@
 //!   deadline slack and the same deterministic per-tier recompute costs
 //!   the response cache weighs eviction by (cycles ~700x / golden 2x /
 //!   analytic 1x), with aging so bulk work cannot starve behind a
-//!   stream of interactive requests;
-//!   at dequeue it forms **compile-fingerprint batches** — queued golden
-//!   specs sharing a compile key dispatch as one bulk
-//!   [`Session::submit_all`] call, and a kernel-compiling group's leader
-//!   precompiles the shared kernel so its peers dequeue straight into
-//!   cache hits ([`ServeStats::batches_formed`],
-//!   [`ServeStats::compiles_saved`]);
+//!   stream of interactive requests. A worker takes the best-scored job
+//!   and runs it through [`Session::submit_within`] — one path from a
+//!   spec to its outcome, whatever else is queued; requests that share a
+//!   kernel meet in the session's kernel cache, where the first compiles
+//!   and the rest hit;
 //! * **asynchronous admission** ([`Server::submit_async`]) returns a
 //!   [`ResponseHandle`] the producer polls, waits on, or attaches a
 //!   completion callback to, so submission decouples from completion and
@@ -119,7 +117,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -340,15 +338,6 @@ pub struct ServeConfig {
     /// at roughly the interactive deadline scale without ever letting a
     /// sweep preempt a request that is actually about to expire.
     pub aging_rate: f64,
-    /// Maximum jobs dispatched together as one compile-fingerprint
-    /// group — golden groups answer with a single bulk session call;
-    /// kernel-compiling groups get their shared kernel compiled once by
-    /// the leader. `1` disables batch formation.
-    ///
-    /// Default `16`: matches the widest SIMD sweep the golden tier's
-    /// batched executor fans out in one call, and bounds how much work
-    /// one worker claims before other workers see the queue again.
-    pub max_batch: usize,
     /// Schedule a background cycle-tier run for every `Auto` request
     /// that was answered analytically *only because* its modeled
     /// simulation cost did not fit the remaining deadline
@@ -365,7 +354,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     /// One worker per CPU, a queue deep enough to absorb bursts, a
-    /// response cache sized like the session's kernel cache, and the
+    /// response cache of 256 entries (a quarter of the session's kernel
+    /// cache; see [`ServeConfig::max_cached_responses`]), and the
     /// fault-tolerance defaults documented on each field.
     fn default() -> ServeConfig {
         ServeConfig {
@@ -381,7 +371,6 @@ impl Default for ServeConfig {
             quarantine_threshold: 8,
             shutdown_timeout: Duration::from_secs(5),
             aging_rate: 1.0,
-            max_batch: 16,
             background_calibration: false,
         }
     }
@@ -416,7 +405,9 @@ pub struct ServeStats {
     /// Requests that missed the cache and were enqueued as flight
     /// leaders.
     pub cache_misses: u64,
-    /// Responses evicted by the LRU bound.
+    /// Responses evicted by the GreedyDual policy beyond
+    /// [`ServeConfig::max_cached_responses`]: cheapest to recompute
+    /// first, least recently used among equals.
     pub cache_evictions: u64,
     /// Requests coalesced onto an already-in-flight identical spec
     /// (single-flight saves: these neither executed nor queued).
@@ -428,7 +419,10 @@ pub struct ServeStats {
     /// degradation; errors propagate to every coalesced waiter and are
     /// never cached).
     pub errors: u64,
-    /// Backend panics caught and isolated by workers.
+    /// Panics caught and isolated on serving threads: a backend that
+    /// panicked under a worker, or a completion callback
+    /// ([`ResponseHandle::on_complete`]) that panicked when its flight
+    /// completed.
     pub panics: u64,
     /// Retry attempts made for transient execution faults.
     pub retries: u64,
@@ -462,16 +456,14 @@ pub struct ServeStats {
     /// Executed [`Fidelity::Auto`] requests that escalated to the cycle
     /// tier (feeding the calibration store for next time).
     pub auto_escalated: u64,
-    /// Compile-fingerprint groups the scheduler dispatched: golden
-    /// groups answered by one bulk session call, and kernel-compiling
-    /// groups whose leader precompiled the shared kernel for its queued
-    /// peers.
+    /// Retired, always 0: the scheduler no longer forms batches. The
+    /// field stays only because the benchmark harness reads it by name;
+    /// it goes with that read.
     pub batches_formed: u64,
-    /// Compiles batch formation saved: queued peers whose group leader
-    /// compiled their shared kernel once, so they dequeued into kernel-
-    /// cache hits instead of compiling (the session's own
-    /// `compiles_saved` separately counts compile-slot contention it
-    /// absorbed).
+    /// Retired, always 0, kept for the same reason as
+    /// [`batches_formed`](ServeStats::batches_formed). Compiles that
+    /// concurrent requests for one kernel did not repeat are counted by
+    /// the session ([`SessionStats::compiles_saved`](saris_codegen::SessionStats)).
     pub compiles_saved: u64,
     /// Background cycle-tier runs scheduled for deadline-capped `Auto`
     /// answers ([`ServeConfig::background_calibration`]).
@@ -487,9 +479,8 @@ pub struct ServeStats {
 ///
 /// * analytic = 1.0 — the roofline tier's ~30µs estimates are the unit;
 /// * golden = 2.0 — re-measured after the golden tier went
-///   data-parallel (SIMD sweep + batch fan-out): ~43µs vs ~30µs per
-///   request, down from the ~30x the scalar reference executor cost
-///   before the batched path;
+///   data-parallel (SIMD sweep): ~43µs vs ~30µs per request, down from
+///   the ~30x the scalar reference executor cost;
 /// * cycles = 700.0 — tuned cycle-level simulation answers ~700x slower
 ///   than the roofline tier.
 ///
@@ -538,6 +529,33 @@ fn relock<'a, T>(mutex: &'a Mutex<T>, recovered: &AtomicU64) -> MutexGuard<'a, T
     recover(mutex, mutex.lock(), recovered)
 }
 
+/// Blocks on `condvar` until it is signaled or `deadline` passes
+/// (`None`: until signaled), with poison recovery (see [`recover`]).
+/// Returns the guard and whether the deadline had already passed — in
+/// which case nothing was waited for. Wakeups may be spurious: callers
+/// re-check their condition in a loop. Every timed condvar wait in this
+/// module reads the clock here.
+fn wait_until<'a, T>(
+    condvar: &Condvar,
+    mutex: &Mutex<T>,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+    recovered: &AtomicU64,
+) -> (MutexGuard<'a, T>, bool) {
+    let Some(deadline) = deadline else {
+        return (recover(mutex, condvar.wait(guard), recovered), false);
+    };
+    let now = Instant::now();
+    if now >= deadline {
+        return (guard, true);
+    }
+    let waited = condvar
+        .wait_timeout(guard, deadline - now)
+        .map(|(guard, _timed_out)| guard)
+        .map_err(|poisoned| PoisonError::new(poisoned.into_inner().0));
+    (recover(mutex, waited, recovered), false)
+}
+
 /// A completion callback registered through
 /// [`ResponseHandle::on_complete`].
 type Callback = Box<dyn FnOnce(ServeResult) + Send>;
@@ -571,17 +589,23 @@ impl Flight {
     /// Publishes the result and invokes every registered callback with a
     /// clone of it. Every flight completes on exactly one path (execute,
     /// abandon, shutdown), so callbacks fire exactly once — on the
-    /// completing thread, after the slot lock is released.
-    fn complete(&self, result: ServeResult, recovered: &AtomicU64) {
+    /// completing thread, after the slot lock is released. A callback is
+    /// caller code on a serving thread, so each runs isolated: one that
+    /// panics takes down neither the callbacks after it nor the worker.
+    /// Returns how many panicked.
+    fn complete(&self, result: ServeResult, recovered: &AtomicU64) -> u64 {
         let callbacks = {
             let mut slot = relock(&self.slot, recovered);
             slot.result = Some(result.clone());
             self.done.notify_all();
             std::mem::take(&mut slot.callbacks)
         };
+        let mut panicked = 0;
         for callback in callbacks {
-            callback(result.clone());
+            let result = result.clone();
+            panicked += u64::from(catch_unwind(AssertUnwindSafe(|| callback(result))).is_err());
         }
+        panicked
     }
 
     /// Non-blocking probe for the published result.
@@ -610,47 +634,13 @@ impl Flight {
             if let Some(result) = &slot.result {
                 return Some(result.clone());
             }
-            match deadline {
-                None => slot = recover(&self.slot, self.done.wait(slot), recovered),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (guard, _timed_out) = self
-                        .done
-                        .wait_timeout(slot, deadline - now)
-                        .unwrap_or_else(|poisoned| {
-                            recovered.fetch_add(1, Ordering::Relaxed);
-                            self.slot.clear_poison();
-                            poisoned.into_inner()
-                        });
-                    slot = guard;
-                }
+            let (guard, expired) = wait_until(&self.done, &self.slot, slot, deadline, recovered);
+            if expired {
+                return None;
             }
+            slot = guard;
         }
     }
-}
-
-/// What kind of compile-fingerprint group a job can join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GroupClass {
-    /// Bulk-eligible golden work: a formed group dispatches as one
-    /// [`Session::submit_all`] call — a single `execute_batch`.
-    Golden,
-    /// Kernel-compiling cycle-tier work: the group leader precompiles
-    /// the shared kernel once, so its queued peers dequeue straight
-    /// into kernel-cache hits instead of racing on the compile slot.
-    Kernel,
-}
-
-/// The batch-formation key: jobs with equal keys share one compile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GroupKey {
-    class: GroupClass,
-    /// [`WorkloadSpec::compile_key`] — the `KernelKey` subset that
-    /// decides whether two specs compile the same kernel.
-    compile: u64,
 }
 
 /// A queued unit of work: the spec, the flight its waiters share, the
@@ -666,8 +656,6 @@ struct Job {
     /// Modeled recompute cost in analytic-answer units (the response
     /// cache's scale; see [`recompute_cost`]), fixed at admission.
     cost: f64,
-    /// The compile-fingerprint group this job can batch with, when any.
-    group: Option<GroupKey>,
 }
 
 /// The bounded work queue (guarded by one mutex with two condvars).
@@ -677,6 +665,28 @@ struct Queue {
     jobs: Vec<Job>,
     closed: bool,
     next_seq: u64,
+}
+
+impl Queue {
+    /// Admits a job, stamping its admission order and enqueue time.
+    fn push(
+        &mut self,
+        spec: WorkloadSpec,
+        flight: Arc<Flight>,
+        deadline: Option<Instant>,
+        cost: f64,
+    ) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.jobs.push(Job {
+            spec,
+            flight,
+            deadline,
+            seq,
+            enqueued_at: Instant::now(),
+            cost,
+        });
+    }
 }
 
 /// The slack a deadline-free job schedules with, in seconds: far enough
@@ -908,34 +918,6 @@ impl Shared {
         per_run * spec.planned_runs() as f64
     }
 
-    /// The compile-fingerprint group a spec can batch with, when any:
-    /// bulk-eligible golden work groups for one-shot bulk dispatch;
-    /// kernel-compiling cycle work groups for leader precompilation.
-    /// Probes, tuning sweeps (many kernels per spec), and `Auto`
-    /// requests (tier unknown until routed) never group.
-    fn group_key(&self, spec: &WorkloadSpec) -> Option<GroupKey> {
-        if spec.is_probe() || spec.tunes() {
-            return None;
-        }
-        let compile = spec.compile_key()?;
-        match spec
-            .fidelity()
-            .unwrap_or_else(|| self.session.default_fidelity())
-        {
-            Fidelity::Golden if self.session.golden_batchable(spec) => Some(GroupKey {
-                class: GroupClass::Golden,
-                compile,
-            }),
-            Fidelity::Cycles if self.session.registry().get(Fidelity::Cycles).needs_kernel() => {
-                Some(GroupKey {
-                    class: GroupClass::Kernel,
-                    compile,
-                })
-            }
-            _ => None,
-        }
-    }
-
     /// Whether `spec` is currently cached, without refreshing its
     /// GreedyDual standing (a peek, not a hit).
     fn cache_peek(&self, spec: &WorkloadSpec) -> bool {
@@ -1069,7 +1051,6 @@ impl Shared {
         }
         // Scheduling metadata is computed outside the queue lock.
         let cost = self.planned_cost(spec);
-        let group = self.group_key(spec);
         // Leader: enqueue, blocking while the queue is at capacity —
         // but never past the request's deadline.
         let mut queue = self.relock(&self.queue);
@@ -1082,39 +1063,22 @@ impl Shared {
             if queue.jobs.len() < self.config.queue_depth {
                 break;
             }
-            match deadline {
-                None => queue = recover(&self.queue, self.not_full.wait(queue), &self.recovered),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        drop(queue);
-                        self.abandon(spec, &flight, ServeError::DeadlineExceeded);
-                        self.relock(&self.stats).deadline_exceeded += 1;
-                        return Wait::Ready(self.degrade_or(spec, ServeError::DeadlineExceeded));
-                    }
-                    let (guard, _timed_out) = self
-                        .not_full
-                        .wait_timeout(queue, d - now)
-                        .unwrap_or_else(|poisoned| {
-                            self.recovered.fetch_add(1, Ordering::Relaxed);
-                            self.queue.clear_poison();
-                            poisoned.into_inner()
-                        });
-                    queue = guard;
-                }
+            let (guard, expired) = wait_until(
+                &self.not_full,
+                &self.queue,
+                queue,
+                deadline,
+                &self.recovered,
+            );
+            if expired {
+                drop(guard);
+                self.abandon(spec, &flight, ServeError::DeadlineExceeded);
+                self.relock(&self.stats).deadline_exceeded += 1;
+                return Wait::Ready(self.degrade_or(spec, ServeError::DeadlineExceeded));
             }
+            queue = guard;
         }
-        let seq = queue.next_seq;
-        queue.next_seq += 1;
-        queue.jobs.push(Job {
-            spec: spec.clone(),
-            flight: Arc::clone(&flight),
-            deadline,
-            seq,
-            enqueued_at: Instant::now(),
-            cost,
-            group,
-        });
+        queue.push(spec.clone(), Arc::clone(&flight), deadline, cost);
         drop(queue);
         self.not_empty.notify_one();
         Wait::Pending {
@@ -1128,7 +1092,16 @@ impl Shared {
     /// with `err`.
     fn abandon(&self, spec: &WorkloadSpec, flight: &Arc<Flight>, err: ServeError) {
         self.relock(&self.flights).remove(spec);
-        flight.complete(Err(err), &self.recovered);
+        self.complete(flight, Err(err));
+    }
+
+    /// Completes `flight` and books the callbacks that panicked on the
+    /// way (see [`Flight::complete`]) in [`ServeStats::panics`].
+    fn complete(&self, flight: &Flight, result: ServeResult) {
+        let panicked = flight.complete(result, &self.recovered);
+        if panicked > 0 {
+            self.relock(&self.stats).panics += panicked;
+        }
     }
 
     /// Executes one job with panic isolation and bounded retry
@@ -1194,9 +1167,8 @@ impl Shared {
 
     /// Publishes one job's final result: cache insertion, counter
     /// booking, flight removal, eviction, and flight completion — the
-    /// single exit path every execution strategy (solo, golden group,
-    /// background) funnels through. The flight is removed and completed
-    /// on every path, so waiters can never hang.
+    /// single exit of every job. The flight is removed and completed on
+    /// every path, so waiters can never hang.
     fn publish(&self, job: &Job, result: ServeResult, expired: bool) {
         {
             // Same lock order as `begin`: cache insertion happens before
@@ -1256,7 +1228,7 @@ impl Shared {
                 }
             }
         }
-        job.flight.complete(result, &self.recovered);
+        self.complete(&job.flight, result);
     }
 
     /// Enqueues a background cycle-tier twin of a deadline-capped `Auto`
@@ -1282,24 +1254,13 @@ impl Shared {
             return;
         }
         let cost = self.planned_cost(&twin);
-        let group = self.group_key(&twin);
         let mut queue = self.relock(&self.queue);
         if queue.closed || queue.jobs.len() >= self.config.queue_depth {
             return;
         }
         let flight = Arc::new(Flight::new());
         flights.insert(twin.clone(), Arc::clone(&flight));
-        let seq = queue.next_seq;
-        queue.next_seq += 1;
-        queue.jobs.push(Job {
-            spec: twin,
-            flight,
-            deadline: None,
-            seq,
-            enqueued_at: Instant::now(),
-            cost,
-            group,
-        });
+        queue.push(twin, flight, None, cost);
         drop(queue);
         drop(flights);
         {
@@ -1328,142 +1289,17 @@ impl Shared {
         self.publish(&job, result, expired);
     }
 
-    /// Dispatches a golden compile-fingerprint group as one bulk session
-    /// call, so a single `execute_batch` answers every member. Expired
-    /// members settle without executing; a member the bulk call failed
-    /// transiently falls back to the solo retry path; a panic anywhere
-    /// in the batch is isolated once and settles every live member
-    /// (golden work has no analytic stand-in, so each sees the same
-    /// [`ServeError::BackendPanicked`]).
-    fn finish_golden_group(&self, leader: Job, peers: Vec<Job>) {
-        let mut jobs = Vec::with_capacity(peers.len() + 1);
-        jobs.push(leader);
-        jobs.extend(peers);
-        let now = Instant::now();
-        let (live, expired): (Vec<Job>, Vec<Job>) = jobs
-            .into_iter()
-            .partition(|job| job.deadline.is_none_or(|d| now < d));
-        for job in &expired {
-            self.relock(&self.stats).deadline_exceeded += 1;
-            let result = self.degrade_or(&job.spec, ServeError::DeadlineExceeded);
-            self.publish(job, result, true);
-        }
-        if live.len() <= 1 {
-            if let Some(job) = live.into_iter().next() {
-                self.finish(job);
-            }
-            return;
-        }
-        let specs: Vec<WorkloadSpec> = live.iter().map(|job| job.spec.clone()).collect();
-        match catch_unwind(AssertUnwindSafe(|| self.session.submit_all(&specs))) {
-            Err(payload) => {
-                // The batch died as a unit: one isolated panic, and every
-                // member gets the same story.
-                self.relock(&self.stats).panics += 1;
-                let message = panic_message(payload.as_ref());
-                for job in &live {
-                    self.note_failure(&job.spec, true);
-                    let result = self.degrade_or(
-                        &job.spec,
-                        ServeError::BackendPanicked {
-                            message: message.clone(),
-                        },
-                    );
-                    self.publish(job, result, false);
-                }
-            }
-            Ok(results) => {
-                self.relock(&self.stats).batches_formed += 1;
-                for (job, outcome) in live.iter().zip(results) {
-                    match outcome {
-                        Ok(outcome) => {
-                            self.note_success(&job.spec);
-                            self.publish(job, Ok(Arc::new(outcome)), false);
-                        }
-                        Err(err) if err.is_transient() => {
-                            // Infrastructure noise on the bulk attempt:
-                            // this member gets the solo retry path.
-                            self.relock(&self.stats).retries += 1;
-                            let result = self.execute_with_retry(job);
-                            self.publish(job, result, false);
-                        }
-                        Err(err) => {
-                            self.note_failure(&job.spec, false);
-                            self.publish(job, Err(ServeError::Execution(Arc::new(err))), false);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Compiles a kernel group's shared kernel once on behalf of `peers`
-    /// still-queued jobs, so they dequeue into kernel-cache hits instead
-    /// of serializing on the compile slot. Compile errors are ignored
-    /// here — the leader's own execution path surfaces them with full
-    /// retry/degrade semantics.
-    fn precompile_for_group(&self, job: &Job, peers: u64) {
-        let (Some(stencil), Some(options)) = (job.spec.stencil(), job.spec.options()) else {
-            return;
-        };
-        let fresh = catch_unwind(AssertUnwindSafe(|| {
-            self.session
-                .compile_cached(stencil, job.spec.extent(), options)
-                .map(|(_, hit)| !hit)
-                .unwrap_or(false)
-        }))
-        .unwrap_or(false);
-        if fresh {
-            // Only a fresh compile saved anyone anything; a kernel that
-            // was already cached makes the peers hits regardless.
-            let mut stats = self.relock(&self.stats);
-            stats.batches_formed += 1;
-            stats.compiles_saved += peers;
-        }
-    }
-
-    /// Worker loop: schedule jobs until the queue is closed *and* empty.
-    /// The pick is score-ordered ([`pick_index`]) and
-    /// compile-fingerprint groups are formed at
-    /// dequeue: golden peers are extracted and dispatched as one bulk
-    /// call; kernel peers stay queued while the leader precompiles
-    /// their shared kernel.
+    /// Worker loop: take the best-scored job ([`pick_index`]), wake one
+    /// submitter blocked on the full queue, run the job — until the
+    /// queue is closed *and* empty.
     fn work(&self) {
         loop {
-            let (job, golden_peers, kernel_peers) = {
+            let job = {
                 let mut queue = self.relock(&self.queue);
                 loop {
                     let now = Instant::now();
                     if let Some(i) = pick_index(&queue.jobs, now, self.config.aging_rate) {
-                        let job = queue.jobs.swap_remove(i);
-                        let mut golden_peers = Vec::new();
-                        let mut kernel_peers = 0u64;
-                        if self.config.max_batch > 1 {
-                            match job.group {
-                                Some(group) if group.class == GroupClass::Golden => {
-                                    let mut i = 0;
-                                    while i < queue.jobs.len()
-                                        && golden_peers.len() + 1 < self.config.max_batch
-                                    {
-                                        if queue.jobs[i].group == Some(group) {
-                                            golden_peers.push(queue.jobs.swap_remove(i));
-                                        } else {
-                                            i += 1;
-                                        }
-                                    }
-                                }
-                                Some(group) if group.class == GroupClass::Kernel => {
-                                    kernel_peers = queue
-                                        .jobs
-                                        .iter()
-                                        .filter(|peer| peer.group == Some(group))
-                                        .count()
-                                        as u64;
-                                }
-                                _ => {}
-                            }
-                        }
-                        break (job, golden_peers, kernel_peers);
+                        break queue.jobs.swap_remove(i);
                     }
                     if queue.closed {
                         return;
@@ -1471,18 +1307,8 @@ impl Shared {
                     queue = recover(&self.queue, self.not_empty.wait(queue), &self.recovered);
                 }
             };
-            // Every extracted job freed a queue slot.
-            for _ in 0..=golden_peers.len() {
-                self.not_full.notify_one();
-            }
-            if golden_peers.is_empty() {
-                if kernel_peers > 0 {
-                    self.precompile_for_group(&job, kernel_peers);
-                }
-                self.finish(job);
-            } else {
-                self.finish_golden_group(job, golden_peers);
-            }
+            self.not_full.notify_one();
+            self.finish(job);
         }
     }
 }
@@ -1593,7 +1419,9 @@ impl ResponseHandle {
     /// Registers `callback` to be invoked exactly once with the shared
     /// result — immediately on this thread when the result is already
     /// available, otherwise on the worker thread that completes the
-    /// flight (keep callbacks short; they run inside the serving path).
+    /// flight (keep callbacks short; they run inside the serving path —
+    /// one that panics there is caught and counted in
+    /// [`ServeStats::panics`], and costs nobody else their answer).
     /// The callback observes the *flight's* result: it fires when the
     /// execution completes even if this submission's deadline expires
     /// first — deadlines bound queue admission, dequeue, and
@@ -1736,12 +1564,17 @@ impl Server {
     /// (the default), infrastructure failures on degradable specs
     /// return an analytic `Ok` outcome (`telemetry.degraded`) instead.
     pub fn submit(&self, spec: &WorkloadSpec) -> ServeResult {
-        let deadline = self
-            .shared
+        self.shared
+            .begin(spec, self.default_deadline())
+            .wait(&self.shared)
+    }
+
+    /// [`ServeConfig::default_deadline`] counted from now.
+    fn default_deadline(&self) -> Option<Instant> {
+        self.shared
             .config
             .default_deadline
-            .map(|budget| Instant::now() + budget);
-        self.shared.begin(spec, deadline).wait(&self.shared)
+            .map(|budget| Instant::now() + budget)
     }
 
     /// Like [`submit`](Server::submit), with an explicit end-to-end
@@ -1763,13 +1596,8 @@ impl Server {
     /// handle always represents an *accepted* request.
     /// [`ServeConfig::default_deadline`] applies when set.
     pub fn submit_async(&self, spec: &WorkloadSpec) -> ResponseHandle {
-        let deadline = self
-            .shared
-            .config
-            .default_deadline
-            .map(|budget| Instant::now() + budget);
         ResponseHandle {
-            state: self.shared.begin(spec, deadline),
+            state: self.shared.begin(spec, self.default_deadline()),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -1799,14 +1627,7 @@ impl Server {
     pub fn submit_all(&self, specs: &[WorkloadSpec]) -> Vec<ServeResult> {
         let pending: Vec<Wait> = specs
             .iter()
-            .map(|spec| {
-                let deadline = self
-                    .shared
-                    .config
-                    .default_deadline
-                    .map(|budget| Instant::now() + budget);
-                self.shared.begin(spec, deadline)
-            })
+            .map(|spec| self.shared.begin(spec, self.default_deadline()))
             .collect();
         pending
             .into_iter()
@@ -1862,20 +1683,17 @@ impl Drop for Server {
         let deadline = Instant::now() + self.shared.config.shutdown_timeout;
         let mut live = self.shared.relock(&self.shared.live_workers);
         while *live > 0 {
-            let now = Instant::now();
-            if now >= deadline {
+            let (guard, expired) = wait_until(
+                &self.shared.worker_exit,
+                &self.shared.live_workers,
+                live,
+                Some(deadline),
+                &self.shared.recovered,
+            );
+            live = guard;
+            if expired {
                 break;
             }
-            let (guard, _timed_out) = self
-                .shared
-                .worker_exit
-                .wait_timeout(live, deadline - now)
-                .unwrap_or_else(|poisoned| {
-                    self.shared.recovered.fetch_add(1, Ordering::Relaxed);
-                    self.shared.live_workers.clear_poison();
-                    poisoned.into_inner()
-                });
-            live = guard;
         }
         let wedged = *live;
         drop(live);
@@ -1921,7 +1739,6 @@ mod tests {
             seq,
             enqueued_at: now - age,
             cost,
-            group: None,
         }
     }
 

@@ -299,12 +299,12 @@ fn seeded_soak_is_deterministic_and_counts_errors_exactly_once() {
     server.submit(&hot).expect("server survives the soak");
 }
 
-/// The soak again, but through the scheduler's new surfaces: async
-/// admission (`submit_async`), explicit cost-aware ordering, and batch
-/// formation enabled. Faults are injected at *execution* (never at
-/// compilation), so the kernel-group precompile cannot perturb the
-/// per-attempt fault schedule — exactly-once error accounting must
-/// survive reordering and grouping unchanged.
+/// The soak again, but through the scheduler's surfaces: async
+/// admission (`submit_async`) and cost-aware ordering. Faults are
+/// injected at *execution* (never at compilation), so which request
+/// compiles a shared kernel cannot perturb the per-attempt fault
+/// schedule — exactly-once error accounting must survive reordering
+/// unchanged.
 #[test]
 fn scheduler_path_preserves_exactly_once_error_accounting() {
     const UNIQUE: u64 = 12;
@@ -322,7 +322,6 @@ fn scheduler_path_preserves_exactly_once_error_accounting() {
             degrade_to_analytic: false,
             breaker_threshold: 0,
             quarantine_threshold: 0,
-            max_batch: 16,
             ..ServeConfig::default()
         },
     );

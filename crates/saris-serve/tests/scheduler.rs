@@ -1,7 +1,7 @@
 //! Scheduler acceptance tests: asynchronous admission
 //! ([`Server::submit_async`] / [`ResponseHandle`]), cost- and
-//! deadline-aware ordering with aging, compile-fingerprint batch
-//! formation (golden bulk dispatch and kernel precompilation), and
+//! deadline-aware ordering with aging, bit-identical answers and one
+//! compile per kernel for requests queued behind their peers, and
 //! deadline-aware `Auto` routing with background calibration.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -128,6 +128,40 @@ fn callbacks_fire_exactly_once_per_submission() {
     assert_eq!(server.stats().executed, 5, "five unique specs");
 }
 
+/// A callback is caller code on a worker thread: one that panics is
+/// isolated and counted, the other callbacks of its flight still get
+/// the result, and the worker lives to answer the next request.
+#[test]
+fn a_panicking_callback_spares_its_flight_and_its_worker() {
+    let server = Server::with_config(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    // Two handles on one flight, both attached while the lone worker is
+    // busy, so both callbacks run on it when the flight completes.
+    let gate = server.submit_async(&blocker());
+    let (first, second) = (server.submit_async(&spec(1)), server.submit_async(&spec(1)));
+    first.on_complete(|_| panic!("callback panics on the worker"));
+    let (sender, receiver) = std::sync::mpsc::channel();
+    second.on_complete(move |result| sender.send(result).unwrap());
+    gate.wait().expect("blocker completes");
+    let delivered = receiver
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the second callback fires despite the first");
+    assert!(delivered.is_ok());
+    let golden = Workload::new(gallery::jacobi_2d())
+        .extent(Extent::new_2d(16, 16))
+        .input_seed(2)
+        .fidelity(Fidelity::Golden)
+        .freeze()
+        .unwrap();
+    server.submit(&golden).expect("the worker is still there");
+    let stats = server.stats();
+    assert_eq!(stats.panics, 1);
+    assert_eq!(stats.coalesced, 1, "both handles shared one flight");
+}
+
 /// With aging disabled the cost-aware order is pure slack ordering:
 /// jobs enqueued in scrambled deadline order complete tightest-deadline
 /// first. Deterministic because the deadlines are seconds apart — far
@@ -234,9 +268,9 @@ fn aging_prevents_starvation_under_saturation() {
     );
 }
 
-/// Queued golden specs sharing a compile fingerprint dispatch as one
-/// bulk session call — and the batched answers are bit-identical to
-/// fresh serial execution on a clean engine.
+/// Golden specs sharing a compile fingerprint, answered from behind a
+/// queue of their peers, are bit-identical to fresh serial execution on
+/// a clean engine — and each executes exactly once.
 #[test]
 fn golden_groups_batch_and_stay_bit_identical() {
     const GROUP: u64 = 8;
@@ -250,7 +284,6 @@ fn golden_groups_batch_and_stay_bit_identical() {
     };
     let server = Server::with_config(ServeConfig {
         workers: 1,
-        max_batch: 16,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -264,10 +297,6 @@ fn golden_groups_batch_and_stay_bit_identical() {
         .map(|handle| handle.wait().expect("golden batch succeeds"))
         .collect();
     let stats = server.stats();
-    assert!(
-        stats.batches_formed >= 1,
-        "the queued golden group must dispatch as a batch: {stats:?}"
-    );
     assert_eq!(stats.executed, GROUP + 1);
     // Bit-identity against a clean serial engine.
     let clean = Session::new();
@@ -281,14 +310,13 @@ fn golden_groups_batch_and_stay_bit_identical() {
     }
 }
 
-/// Queued cycle-tier specs sharing a kernel get it compiled once by the
-/// group leader; the peers dequeue into kernel-cache hits.
+/// Queued cycle-tier specs sharing a kernel compile it once: the first
+/// to run compiles, the peers dequeue into kernel-cache hits.
 #[test]
 fn kernel_groups_compile_once_for_their_peers() {
     const GROUP: u64 = 6;
     let server = Server::with_config(ServeConfig {
         workers: 1,
-        max_batch: 16,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -300,18 +328,11 @@ fn kernel_groups_compile_once_for_their_peers() {
     for handle in handles {
         handle.wait().expect("group member succeeds");
     }
-    let stats = server.stats();
-    assert!(
-        stats.batches_formed >= 1,
-        "the kernel group leader must precompile: {stats:?}"
-    );
-    assert!(
-        stats.compiles_saved >= GROUP - 1,
-        "every queued peer's compile is saved: {stats:?}"
-    );
     // One compile for the blocker's 64x64 kernel, one for the whole
-    // 16x16 group.
-    assert_eq!(server.session().stats().compiles, 2);
+    // 16x16 group; every other member hit the kernel cache.
+    let session = server.session().stats();
+    assert_eq!(session.compiles, 2);
+    assert!(session.cache_hits >= GROUP - 1, "{session:?}");
 }
 
 /// Deadline-aware `Auto` routing: when the modeled simulation cost does

@@ -214,7 +214,11 @@ fn stats_snapshots_never_show_hits_before_executions() {
         let done = &done;
         let watcher = scope.spawn(move || {
             let mut saw_hits = false;
-            while !done.load(Ordering::Acquire) {
+            loop {
+                // Read the flag first: the snapshot that follows a set
+                // flag holds all 32 requests, so a run that outpaces the
+                // watcher is still checked once, hits included.
+                let finished = done.load(Ordering::Acquire);
                 let stats = server.stats();
                 assert!(
                     stats.cache_hits == 0 || stats.executed >= 1,
@@ -226,9 +230,11 @@ fn stats_snapshots_never_show_hits_before_executions() {
                     "request conservation violated: {stats:?}"
                 );
                 saw_hits |= stats.cache_hits > 0;
+                if finished {
+                    break saw_hits;
+                }
                 std::thread::yield_now();
             }
-            saw_hits
         });
         for _ in 0..4 {
             scope.spawn(move || {

@@ -219,16 +219,19 @@
 //! The golden tier is itself data-parallel: [`reference::apply`](core::reference::apply)
 //! sweeps rows in four-wide SIMD chunks (bit-exact with the retained
 //! scalar oracle by construction — same IEEE primitives, same order,
-//! NaN payloads included), outputs come from a recycling
-//! [`GridArena`](core::GridArena) instead of fresh allocations, and
-//! `submit_all` fans a batch of golden specs across
-//! [`NativeBackend::execute_batch`](codegen::NativeBackend). That makes
-//! "check the whole gallery against ground truth" a bulk operation:
-//! submit every spec at [`Fidelity::Golden`](codegen::Fidelity) with
-//! `verify(0.0)` and the batch executes data-parallel, then re-derives
-//! every grid through the scalar oracle — tolerance zero holds because
-//! the two paths agree bit for bit (`BENCHMARK.json` tracks both as
-//! `core.reference_{simd,scalar}_ns_per_point`).
+//! NaN payloads included), and `submit_all` is one fan-out: worker
+//! threads pull specs and `submit` each, so a spec takes the same path
+//! — and returns the same bits — whether it arrives alone or in a
+//! list. That makes "check the whole gallery against ground truth" a
+//! bulk operation: submit every spec at
+//! [`Fidelity::Golden`](codegen::Fidelity) with `verify(0.0)` and the
+//! list executes data-parallel, then re-derives every grid through the
+//! scalar oracle ([`reference::apply_scalar`](core::reference::apply_scalar);
+//! reference grids recycle through a [`GridArena`](core::GridArena)).
+//! A golden answer is checked against that oracle however the spec was
+//! submitted — `submit`, `submit_all`, or a server — and tolerance zero
+//! holds because the two paths agree bit for bit (`BENCHMARK.json`
+//! tracks both as `core.reference_{simd,scalar}_ns_per_point`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -400,14 +403,15 @@
 //! Admission order is not execution order. The queue is a priority
 //! scheduler: each job is ranked by its deadline slack plus a
 //! deterministic per-tier recompute cost (a cycle-tier simulation is
-//! ~700x an analytic estimate), with aging so bulk work cannot starve. Tight-deadline analytic requests overtake a
-//! deadlocked-in-FIFO bulk backlog; jobs sharing a compile fingerprint
-//! are dispatched together so the kernel compiles once
-//! ([`ServeStats::batches_formed`](serve::ServeStats) /
-//! [`compiles_saved`](serve::ServeStats)); golden-tier groups ride the
-//! data-parallel batch executor. The cost scale is the measured
-//! per-tier first-answer cost `BENCHMARK.json` tracks as
-//! `serve.first_us.{analytic,golden,cycles}`.
+//! ~700x an analytic estimate), with aging so bulk work cannot starve.
+//! Tight-deadline analytic requests overtake a deadlocked-in-FIFO bulk
+//! backlog. Ordering is all the scheduler does: a worker takes the
+//! best-ranked job and runs it through the session like any single
+//! submission, and jobs sharing a compile fingerprint meet in the
+//! session's kernel cache, where the first compiles and the rest hit
+//! ([`SessionStats::cache_hits`](codegen::SessionStats)). The cost
+//! scale is the measured per-tier first-answer cost `BENCHMARK.json`
+//! tracks as `serve.first_us.{analytic,golden,cycles}`.
 //!
 //! ```
 //! use saris::prelude::*;

@@ -1,6 +1,6 @@
-//! Bulk golden-tier acceptance: `Session::submit_all` routing golden
-//! specs through `NativeBackend::execute_batch` must preserve order,
-//! bits, telemetry, and verification semantics of the per-spec path.
+//! Bulk golden-tier acceptance: `Session::submit_all` fanning golden
+//! specs across its workers must preserve order, bits, telemetry, and
+//! verification semantics of one `Session::submit` per spec.
 
 use std::sync::Arc;
 
@@ -106,50 +106,6 @@ fn mixed_fidelity_batches_route_per_spec() {
     assert_eq!(stats.runs_analytic, 3);
 }
 
-/// `execute_batch` on the trait object directly: order-preserving, one
-/// outcome per request, grids equal to `execute`.
-#[test]
-fn execute_batch_default_contract_holds_for_native() {
-    let stencil = gallery::star3d2r();
-    let tile = Extent::cube(Space::Dim3, 12);
-    let backend = NativeBackend::new();
-    let inputs: Vec<Vec<Grid>> = (0..5)
-        .map(|i| {
-            stencil
-                .input_arrays()
-                .enumerate()
-                .map(|(k, _)| Grid::pseudo_random(tile, 700 + i * 17 + k as u64))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<Vec<&Grid>> = inputs.iter().map(|g| g.iter().collect()).collect();
-    let options = RunOptions::new(Variant::Saris);
-    let pool = saris::codegen::ClusterPool::new();
-    let reqs: Vec<saris::codegen::ExecRequest<'_>> = refs
-        .iter()
-        .map(|inputs| saris::codegen::ExecRequest {
-            stencil: &stencil,
-            inputs,
-            options: &options,
-            kernel: None,
-            pool: &pool,
-        })
-        .collect();
-    let batch = backend.execute_batch(&reqs);
-    assert_eq!(batch.len(), reqs.len());
-    for (req, outcome) in reqs.iter().zip(batch) {
-        let outcome = outcome.expect("native execution succeeds");
-        let one = backend.execute(req).expect("native execution succeeds");
-        let (a, b) = (outcome.output.unwrap(), one.output.unwrap());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Recycling consumed grids feeds the arena for the next batch.
-        backend.recycle(a);
-        backend.recycle(b);
-    }
-}
-
 /// Bulk-ineligible golden work (multi-step rotations) still answers
 /// correctly through the per-spec path inside `submit_all`.
 #[test]
@@ -204,5 +160,60 @@ fn shared_input_golden_batch_is_deterministic() {
         for (x, y) in first.as_slice().iter().zip(g.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+}
+
+/// `verify` on a golden answer compares it with a reference the backend
+/// did not compute — on every path. A golden backend that corrupts each
+/// output fails `verify(0.0)` through `submit` and through `submit_all`,
+/// spec by spec, while an unverified spec in the same call succeeds.
+#[test]
+fn corrupted_golden_answers_fail_verification_on_every_path() {
+    let plan = FaultPlan {
+        corrupt_rate: 1.0,
+        ..FaultPlan::seeded(19)
+    };
+    let session = Session::with_backend(Arc::new(FaultInjectingBackend::new(
+        Arc::new(NativeBackend::new()),
+        plan,
+    )));
+    let spec = |seed: u64, verify: bool| {
+        let w = Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(seed);
+        if verify { w.verify(0.0) } else { w }.freeze().unwrap()
+    };
+    let failed = |result: Result<Outcome, CodegenError>| {
+        matches!(result, Err(CodegenError::VerificationFailed { .. }))
+    };
+    let mut specs: Vec<WorkloadSpec> = (0..6).map(|seed| spec(seed, true)).collect();
+    for s in &specs {
+        assert!(failed(session.submit(s)), "lone submit must catch it");
+    }
+    specs.push(spec(6, false));
+    let mut results = session.submit_all(&specs);
+    let unverified = results.pop().unwrap().expect("nothing checks this one");
+    assert_eq!(unverified.verify_error, None);
+    assert_eq!(results.len(), 6);
+    assert!(results.into_iter().all(failed));
+}
+
+/// `submit_all` and a loop of `submit` are one path: equal
+/// `verify_error`, bit-equal grids.
+#[test]
+fn verified_golden_specs_answer_alike_through_submit_and_submit_all() {
+    let specs = golden_specs(Some(0.0));
+    let session = Session::native();
+    let fanned = session.submit_all(&specs);
+    for (spec, fanned) in specs.iter().zip(fanned) {
+        let (fanned, lone) = (fanned.unwrap(), session.submit(spec).unwrap());
+        assert_eq!(fanned.verify_error, Some(0.0));
+        assert_eq!(lone.verify_error, fanned.verify_error);
+        let (a, b) = (fanned.expect_output(), lone.expect_output());
+        assert!(a
+            .as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }
