@@ -57,15 +57,17 @@
 //! assert_eq!(copy.lookup(&stencil, Variant::Saris, 8), Some(cal));
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use saris_core::stencil::Stencil;
 use saris_core::{gallery, Extent};
 
 use crate::error::CodegenError;
-use crate::json;
+use crate::json::{JsonError, Reader};
+use crate::record::{fields, record, DecStr, Wire};
 use crate::runtime::{RunOptions, Variant};
 use crate::tuner::Tune;
 
@@ -231,6 +233,7 @@ pub fn execution_context(options: &RunOptions, tune: &Tune) -> u64 {
     h.finish()
 }
 
+#[derive(Default)]
 struct Inner {
     entries: HashMap<CalKey, CalibrationEntry>,
     tick: u64,
@@ -256,7 +259,7 @@ impl Default for CalibrationStore {
 
 impl fmt::Debug for CalibrationStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         f.debug_struct("CalibrationStore")
             .field("entries", &inner.entries.len())
             .field("tick", &inner.tick)
@@ -270,10 +273,7 @@ impl CalibrationStore {
     /// until observations arrive.
     pub fn new() -> CalibrationStore {
         CalibrationStore {
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -291,7 +291,7 @@ impl CalibrationStore {
         let store =
             CalibrationStore::from_json(GALLERY_JSON).expect("baked gallery calibration parses");
         {
-            let mut inner = store.inner.lock().expect("calibration store lock");
+            let mut inner = store.lock();
             for entry in inner.entries.values_mut() {
                 entry.source = CalibrationSource::Baked;
                 entry.confidence = entry.confidence.min(BAKED_CONFIDENCE);
@@ -306,6 +306,12 @@ impl CalibrationStore {
             }
         }
         store
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // Every update is one map insert, so a panic elsewhere while the
+        // lock was held loses nothing.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn key(stencil: &Stencil, variant: Variant, cores: usize) -> CalKey {
@@ -392,10 +398,15 @@ impl CalibrationStore {
         confidence: f64,
         source: CalibrationSource,
     ) {
-        let mut inner = self.inner.lock().expect("calibration store lock");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let observations = inner.entries.get(&key).map_or(0, |e| e.observations) + 1;
+        // An imported entry's count is any `u64`.
+        let observations = inner
+            .entries
+            .get(&key)
+            .map_or(0, |e| e.observations)
+            .saturating_add(1);
         inner.entries.insert(
             key,
             CalibrationEntry {
@@ -417,7 +428,7 @@ impl CalibrationStore {
     /// The calibrated per-point rates for a stencil, variant and cluster
     /// core count, if the store holds a matching entry.
     pub fn lookup(&self, stencil: &Stencil, variant: Variant, cores: usize) -> Option<Calibration> {
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         inner
             .entries
             .get(&CalibrationStore::key(stencil, variant, cores))
@@ -432,7 +443,7 @@ impl CalibrationStore {
         variant: Variant,
         cores: usize,
     ) -> Option<CalibrationEntry> {
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         inner
             .entries
             .get(&CalibrationStore::key(stencil, variant, cores))
@@ -442,7 +453,7 @@ impl CalibrationStore {
     /// Whether the store holds a calibration for this stencil, variant
     /// and cluster core count.
     pub fn is_calibrated(&self, stencil: &Stencil, variant: Variant, cores: usize) -> bool {
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         inner
             .entries
             .contains_key(&CalibrationStore::key(stencil, variant, cores))
@@ -452,7 +463,7 @@ impl CalibrationStore {
     /// this stencil and variant (entries are per cluster shape).
     pub fn calibrated_core_counts(&self, stencil: &Stencil, variant: Variant) -> Vec<usize> {
         let fingerprint = stencil.fingerprint();
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         let mut cores: Vec<usize> = inner
             .entries
             .keys()
@@ -477,7 +488,7 @@ impl CalibrationStore {
         extent: Extent,
         context: u64,
     ) -> f64 {
-        let inner = self.inner.lock().expect("calibration store lock");
+        let inner = self.lock();
         match inner
             .entries
             .get(&CalibrationStore::key(stencil, variant, cores))
@@ -511,11 +522,7 @@ impl CalibrationStore {
 
     /// Number of entries held.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("calibration store lock")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Whether the store holds no entries.
@@ -527,7 +534,7 @@ impl CalibrationStore {
     /// the order [`to_json`](CalibrationStore::to_json) exports in.
     pub fn entries(&self) -> Vec<CalibrationEntry> {
         let mut entries: Vec<CalibrationEntry> = {
-            let inner = self.inner.lock().expect("calibration store lock");
+            let inner = self.lock();
             inner.entries.values().cloned().collect()
         };
         entries.sort_by(|a, b| {
@@ -555,10 +562,10 @@ impl CalibrationStore {
         // Snapshot the other store before taking our own lock: concurrent
         // `a.merge(&b)` / `b.merge(&a)` never hold both locks at once.
         let theirs = {
-            let inner = other.inner.lock().expect("calibration store lock");
+            let inner = other.lock();
             inner.entries.values().cloned().collect::<Vec<_>>()
         };
-        let mut inner = self.inner.lock().expect("calibration store lock");
+        let mut inner = self.lock();
         let mut adopted = 0;
         for entry in theirs {
             let key = CalKey {
@@ -596,47 +603,28 @@ impl CalibrationStore {
     /// bit-for-bit. The format is the same one the baked gallery seed
     /// ships in.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let rows = self.entries();
         let mut out = String::from("{\n \"version\": 1,\n \"entries\": [\n");
-        for (i, e) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            let extent = match e.extent {
-                Some(x) => format!("[{}, {}, {}]", x.nx, x.ny, x.nz),
-                None => "null".to_string(),
+        let entries = self.entries();
+        let last = entries.len().saturating_sub(1);
+        for (i, e) in entries.into_iter().enumerate() {
+            out.push_str("  ");
+            let row = Row {
+                name: Cow::Borrowed(&e.name),
+                stencil: Some(DecStr(e.stencil)),
+                variant: e.variant,
+                cores: e.cores,
+                extent: e.extent,
+                context: e.context.map(DecStr),
+                cycles_per_point: e.calibration.cycles_per_point,
+                fpu_ops_per_point: e.calibration.fpu_ops_per_point,
+                flops_per_point: e.calibration.flops_per_point,
+                imbalance: e.calibration.imbalance,
+                confidence: e.confidence,
+                observations: e.observations,
+                source: Cow::Owned(e.source.to_string()),
             };
-            let context = match e.context {
-                Some(c) => format!("\"{c}\""),
-                None => "null".to_string(),
-            };
-            let imbalance: Vec<String> = e
-                .calibration
-                .imbalance
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "  {{\"name\": \"{}\", \"stencil\": \"{}\", \"variant\": \"{}\", \
-                 \"cores\": {}, \"extent\": {}, \"context\": {}, \
-                 \"cycles_per_point\": {:?}, \
-                 \"fpu_ops_per_point\": {:?}, \"flops_per_point\": {:?}, \
-                 \"imbalance\": [{}], \"confidence\": {:?}, \"observations\": {}, \
-                 \"source\": \"{}\"}}{comma}",
-                json::escape(&e.name),
-                e.stencil,
-                e.variant,
-                e.cores,
-                extent,
-                context,
-                e.calibration.cycles_per_point,
-                e.calibration.fpu_ops_per_point,
-                e.calibration.flops_per_point,
-                imbalance.join(", "),
-                e.confidence,
-                e.observations,
-                e.source,
-            );
+            row.enc(&mut out);
+            out.push_str(if i == last { "\n" } else { ",\n" });
         }
         out.push_str(" ]\n}\n");
         out
@@ -649,151 +637,112 @@ impl CalibrationStore {
     /// which — like [`WorkloadSpec::fingerprint`](crate::WorkloadSpec::fingerprint)
     /// — is only stable within one build of this crate. Imported entries
     /// are marked [`CalibrationSource::Imported`] unless they declare
-    /// another source.
+    /// another source. A row may leave out `"extent"` and `"context"`
+    /// (they read as `null`) and, under a gallery name, `"stencil"`; a
+    /// rate may also come in the wire's `"0x…"` bit-string form.
     ///
     /// # Errors
     ///
     /// [`CodegenError::Calibration`] when the input is not valid JSON,
     /// misses required fields, or contains non-finite rates.
     pub fn from_json(json: &str) -> Result<CalibrationStore, CodegenError> {
-        let value = json::parse(json).map_err(cal)?;
-        let top = value.as_object("calibration document").map_err(cal)?;
-        let entries = top
-            .get("entries")
-            .ok_or_else(|| cal_err("missing \"entries\""))?
-            .as_array("entries")
-            .map_err(cal)?;
-        let store = CalibrationStore::new();
-        {
-            let mut inner = store.inner.lock().expect("calibration store lock");
-            for (i, row) in entries.iter().enumerate() {
-                let at = |msg: &str| format!("entry {i}: {msg}");
-                let obj = row.as_object("entry").map_err(cal)?;
-                let field = |name: &str| {
-                    obj.get(name)
-                        .ok_or_else(|| cal_err(&at(&format!("missing \"{name}\""))))
-                };
-                let name = field("name")?.as_str("name").map_err(cal)?.to_string();
-                let variant = match field("variant")?.as_str("variant").map_err(cal)? {
-                    "base" => Variant::Base,
-                    "saris" => Variant::Saris,
-                    other => {
-                        return Err(cal_err(&at(&format!("unknown variant \"{other}\""))));
-                    }
-                };
-                let cores = field("cores")?.as_u64("cores").map_err(cal)? as usize;
-                if cores == 0 {
-                    return Err(cal_err(&at("cores must be positive")));
-                }
-                let stencil = match gallery::by_name(&name) {
-                    Some(code) => code.fingerprint(),
-                    None => field("stencil")?
-                        .as_str("stencil")
-                        .map_err(cal)?
-                        .parse::<u64>()
-                        .map_err(|_| cal_err(&at("stencil fingerprint is not a u64")))?,
-                };
-                let extent = match field("extent")? {
-                    json::Value::Null => None,
-                    value => {
-                        let dims = value.as_array("extent").map_err(cal)?;
-                        if dims.len() != 3 {
-                            return Err(cal_err(&at("extent needs [nx, ny, nz]")));
-                        }
-                        let d = |j: usize| {
-                            dims[j]
-                                .as_u64("extent dim")
-                                .map(|v| v as usize)
-                                .map_err(cal)
-                        };
-                        let (nx, ny, nz) = (d(0)?, d(1)?, d(2)?);
-                        if nx == 0 || ny == 0 || nz == 0 {
-                            return Err(cal_err(&at("extent dims must be positive")));
-                        }
-                        Some(if nz == 1 {
-                            Extent::new_2d(nx, ny)
-                        } else {
-                            Extent::new_3d(nx, ny, nz)
-                        })
-                    }
-                };
-                let calibration = Calibration {
-                    cycles_per_point: field("cycles_per_point")?
-                        .as_f64("cycles_per_point")
-                        .map_err(cal)?,
-                    fpu_ops_per_point: field("fpu_ops_per_point")?
-                        .as_f64("fpu_ops_per_point")
-                        .map_err(cal)?,
-                    flops_per_point: field("flops_per_point")?
-                        .as_f64("flops_per_point")
-                        .map_err(cal)?,
-                    imbalance: field("imbalance")?
-                        .as_array("imbalance")
-                        .map_err(cal)?
-                        .iter()
-                        .map(|v| v.as_f64("imbalance value").map_err(cal))
-                        .collect::<Result<_, _>>()?,
-                };
-                if !calibration.is_finite() {
-                    return Err(cal_err(&at("non-finite or empty calibration rates")));
-                }
-                if calibration.imbalance.len() != cores {
-                    return Err(cal_err(&at("imbalance length disagrees with cores")));
-                }
-                let confidence = field("confidence")?.as_f64("confidence").map_err(cal)?;
-                if !(0.0..=1.0).contains(&confidence) {
-                    return Err(cal_err(&at("confidence must be within 0..=1")));
-                }
-                // The execution-context tag is optional and — like the
-                // stencil fingerprint — only meaningful within one build
-                // of this crate.
-                let context = match obj.get("context") {
-                    None | Some(json::Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_str("context")
-                            .map_err(cal)?
-                            .parse::<u64>()
-                            .map_err(|_| cal_err(&at("context tag is not a u64")))?,
-                    ),
-                };
-                let observations = field("observations")?.as_u64("observations").map_err(cal)?;
-                let source = match field("source")?.as_str("source").map_err(cal)? {
-                    "baked" => CalibrationSource::Baked,
-                    _ => CalibrationSource::Imported,
-                };
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.entries.insert(
-                    CalKey {
-                        stencil,
-                        variant,
-                        cores,
-                    },
-                    CalibrationEntry {
-                        stencil,
-                        variant,
-                        cores,
-                        name,
-                        calibration,
-                        extent,
-                        context,
-                        confidence,
-                        observations,
-                        updated_tick: tick,
-                        source,
-                    },
-                );
+        let mut inner = Inner::default();
+        for (i, row) in dec_rows(json).map_err(cal)?.into_iter().enumerate() {
+            let at = |msg: &str| cal_err(&format!("entry {i}: {msg}"));
+            if row.cores == 0 {
+                return Err(at("cores must be positive"));
             }
+            let stencil = match (gallery::by_name(&row.name), row.stencil) {
+                (Some(code), _) => code.fingerprint(),
+                (None, Some(DecStr(fingerprint))) => fingerprint,
+                (None, None) => return Err(at("missing \"stencil\"")),
+            };
+            let calibration = Calibration {
+                cycles_per_point: row.cycles_per_point,
+                fpu_ops_per_point: row.fpu_ops_per_point,
+                flops_per_point: row.flops_per_point,
+                imbalance: row.imbalance,
+            };
+            if !calibration.is_finite() {
+                return Err(at("non-finite or empty calibration rates"));
+            }
+            if calibration.imbalance.len() != row.cores {
+                return Err(at("imbalance length disagrees with cores"));
+            }
+            if !(0.0..=1.0).contains(&row.confidence) {
+                return Err(at("confidence must be within 0..=1"));
+            }
+            inner.tick += 1;
+            let tick = inner.tick;
+            inner.entries.insert(
+                CalKey {
+                    stencil,
+                    variant: row.variant,
+                    cores: row.cores,
+                },
+                CalibrationEntry {
+                    stencil,
+                    variant: row.variant,
+                    cores: row.cores,
+                    name: row.name.into_owned(),
+                    calibration,
+                    extent: row.extent,
+                    // Like the stencil fingerprint, only meaningful
+                    // within one build of this crate.
+                    context: row.context.map(|DecStr(context)| context),
+                    confidence: row.confidence,
+                    observations: row.observations,
+                    updated_tick: tick,
+                    source: match &*row.source {
+                        "baked" => CalibrationSource::Baked,
+                        _ => CalibrationSource::Imported,
+                    },
+                },
+            );
         }
-        Ok(store)
+        Ok(CalibrationStore {
+            inner: Mutex::new(inner),
+        })
     }
+}
+
+/// One entry as the document has it: a [`CalibrationEntry`] with its
+/// rates inline, without its age tick.
+struct Row<'a> {
+    name: Cow<'a, str>,
+    stencil: Option<DecStr>,
+    variant: Variant,
+    cores: usize,
+    extent: Option<Extent>,
+    context: Option<DecStr>,
+    cycles_per_point: f64,
+    fpu_ops_per_point: f64,
+    flops_per_point: f64,
+    imbalance: Vec<f64>,
+    confidence: f64,
+    observations: u64,
+    source: Cow<'a, str>,
+}
+
+record! { Row<'_> {
+    name, stencil, variant, cores, extent, context,
+    cycles_per_point, fpu_ops_per_point, flops_per_point, imbalance,
+    confidence, observations, source,
+} }
+
+/// The `"entries"` of a calibration document (`"version"` is not read).
+fn dec_rows(text: &str) -> Result<Vec<Row<'static>>, JsonError> {
+    let mut reader = Reader::new(text);
+    let r = &mut reader;
+    fields!(r, "calibration document", { "entries" => rows });
+    reader.finish()?;
+    Ok(rows)
 }
 
 /// Maps a shared-JSON failure ([`crate::json`]) into this module's
 /// error vocabulary: [`CodegenError::Calibration`].
-fn cal(e: json::JsonError) -> CodegenError {
-    CodegenError::Calibration { reason: e.reason }
+fn cal(e: JsonError) -> CodegenError {
+    cal_err(&e.reason)
 }
 
 /// A [`CodegenError::Calibration`] from a reason string.
@@ -1126,6 +1075,71 @@ mod tests {
                 "{what} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn an_imported_observation_count_cannot_overflow() {
+        // A row any peer can send (`import_calibration`): full confidence,
+        // so `merge` adopts it over the baked entry, and a count at the
+        // top of its type, which the next observation increments.
+        let baked = "\"confidence\": 0.95, \"observations\": 1,";
+        let forged = "\"confidence\": 1.0, \"observations\": 18446744073709551615,";
+        let rows: Vec<String> = CalibrationStore::with_gallery()
+            .to_json()
+            .lines()
+            .map(|row| match row.contains("\"jacobi_2d\"") {
+                true => row.replace(baked, forged),
+                false => row.to_string(),
+            })
+            .collect();
+        let incoming = CalibrationStore::from_json(&rows.join("\n")).expect("a valid document");
+        let session = crate::Session::new();
+        let store = session.calibration().expect("standard registry").clone();
+        assert_eq!(store.merge(&incoming), 2, "both jacobi_2d variants");
+        let spec = crate::Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(16, 16))
+            .input_seed(1)
+            .fidelity(crate::Fidelity::Cycles)
+            .freeze()
+            .expect("freeze");
+        session.submit(&spec).expect("the observation is recorded");
+        assert_eq!(store.len(), 20, "the store still answers");
+        let entry = store.entry(&gallery::jacobi_2d(), Variant::Saris, 8);
+        let entry = entry.expect("observed");
+        assert_eq!(entry.observations, u64::MAX);
+        assert_eq!(entry.source, CalibrationSource::Observed);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_store_down() {
+        let store = CalibrationStore::with_gallery();
+        let poisoner = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = store.lock();
+                panic!("while holding the calibration store lock");
+            });
+            holder.join()
+        });
+        assert!(poisoner.is_err() && store.inner.is_poisoned());
+        let stencil = gallery::jacobi_2d();
+        assert!(store.lookup(&stencil, Variant::Saris, 8).is_some());
+        store.observe(
+            &stencil,
+            Variant::Saris,
+            Extent::new_2d(24, 24),
+            CTX,
+            &Observation {
+                cycles: 500,
+                fpu_ops: 2420,
+                flops: 2420,
+                interior_points: 484,
+                imbalance: vec![1.0; 8],
+            },
+        );
+        let entry = store.entry(&stencil, Variant::Saris, 8).expect("observed");
+        assert_eq!(entry.extent, Some(Extent::new_2d(24, 24)));
+        let copy = CalibrationStore::from_json(&store.to_json()).expect("exports");
+        assert_eq!(copy.len(), store.len());
     }
 
     #[test]

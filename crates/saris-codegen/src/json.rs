@@ -28,9 +28,9 @@
 //! # The tree on top
 //!
 //! [`parse`] builds the owned [`Value`] tree by driving a [`Reader`],
-//! for callers that want random access to a small document
-//! (calibration import, the benchmark harness, tests). The wire
-//! decoders do not build it.
+//! for callers that want random access to a small document (the
+//! benchmark harness, tests). Neither the wire decoders nor
+//! calibration import build it.
 //!
 //! # Bit-exact `f64`
 //!

@@ -54,6 +54,7 @@ pub mod chaos;
 pub mod error;
 pub mod json;
 pub mod map;
+mod record;
 pub mod runtime;
 pub mod saris;
 pub mod session;

@@ -5,14 +5,29 @@
 //! each hosting a full `saris-serve` stack. The coordinator serializes a
 //! [`WorkloadSpec`] here, frames it onto a TCP stream with
 //! [`write_frame`], and decodes the worker's [`Outcome`] reply with
-//! [`decode_outcome`]. Everything is hand-rolled JSON over the shared
-//! [`crate::json`] reader/writer — the workspace carries no external
+//! [`decode_outcome`]. Everything is JSON over the shared
+//! [`crate::json`] reader — the workspace carries no external
 //! dependencies — and every `f64` crosses the wire bit-exactly:
 //!
 //! * finite values are written with Rust's shortest-roundtrip `{:?}`
 //!   formatting and re-parsed by the correctly-rounded `str::parse`,
 //! * non-finite values (NaN payloads in grids must survive) are written
 //!   as the hex bit-pattern string `"0x{:016x}"` of [`f64::to_bits`].
+//!
+//! # Documents are declared
+//!
+//! Each struct that crosses the wire is *declared* below, once, as the
+//! list of its fields (`record!`, `tags!`, `counters!` — their grammar
+//! is in `record.rs`, next to the scalar and container codecs); the
+//! encoder and the decoder are both generated from that list. What is
+//! replayed through a builder instead of filled into a struct — a
+//! stencil, a workload, the tagged unions — implements the same trait
+//! by hand.
+//!
+//! **Adding a field:** add it to the struct, then add its name to the
+//! struct's `record!` in the position the document should have it. An
+//! `Option` field may be absent from a document, any other is required.
+//! The bytes change, so re-pin `tests/wire_bytes.rs`.
 //!
 //! # Framing
 //!
@@ -54,14 +69,14 @@
 //! [`json::Reader`] field by field and writing
 //! what it reads where it belongs: grid digits into the grid's
 //! `Vec<f64>`, counters into their fixed arrays, tags into their enums.
-//! No document tree is built. Numbers are parsed from slices of the
-//! frame and strings (names, tags) are borrowed from it unless they
-//! contain an escape; nothing borrowed outlives the decode call — a
-//! decoded [`WorkloadSpec`] or [`Outcome`] owns all its data, and the
-//! frame buffer can be reused as soon as the decoder returns. Keys may
-//! come in any order, unknown keys are skipped (validated as JSON), a
-//! repeated key keeps its last value, and containers nest at most
-//! [`json::MAX_DEPTH`] deep.
+//! No document tree is built, and nothing decoded borrows from the
+//! frame: a decoded [`WorkloadSpec`] or [`Outcome`] owns all its data,
+//! and the frame buffer can be reused as soon as the decoder returns.
+//! Keys may come in any order, unknown keys are skipped (validated as
+//! JSON), a repeated key keeps its last value, and containers nest at
+//! most [`json::MAX_DEPTH`] deep. One leniency is intended: where a
+//! spec's key may be absent (`"rotation"`, or `"cluster"` of a stencil
+//! spec), a `null` reads as absent too.
 //!
 //! [`decode_spec`] does not deserialize a [`WorkloadSpec`] field-by-field:
 //! what it reads from the frame is replayed — the stencil through
@@ -87,13 +102,14 @@
 //! cache) does not cross the wire and always decodes as `None`.
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use saris_core::method::CoeffStrategy;
 use saris_core::stencil::{ArrayRole, BinKind, Operand, PointOp};
-use saris_core::{Extent, Grid, InterleavePlan, Offset, SarisOptions, Space, StencilBuilder};
+use saris_core::{
+    Extent, Grid, InterleavePlan, Offset, SarisOptions, Space, Stencil, StencilBuilder,
+};
 use saris_isa::IndexWidth;
 use snitch_sim::core::{IntStalls, IntStats};
 use snitch_sim::fpu::{FpuStalls, FpuStats};
@@ -103,6 +119,7 @@ use snitch_sim::{ClusterConfig, CoreReport, DmaStats, RunReport};
 use crate::backends::Fidelity;
 use crate::error::CodegenError;
 use crate::json::{self, JsonError, Kind, Reader};
+use crate::record::{counters, enc_seq, fields, missing, record, tags, DecStr, Wire};
 use crate::runtime::{BufferRotation, RunOptions, Variant};
 use crate::tuner::{Tune, TuningDecision};
 use crate::workload::{
@@ -175,670 +192,332 @@ fn wire(e: JsonError) -> CodegenError {
     CodegenError::Wire { reason: e.reason }
 }
 
+/// Appends `key` — separator, quoted key and colon, as the document has
+/// them — and the value after it.
+fn member(out: &mut String, key: &str, value: &impl Wire) {
+    out.push_str(key);
+    value.enc(out);
+}
+
 // ---------------------------------------------------------------------------
-// Shared shapes
+// Grids, options
 // ---------------------------------------------------------------------------
 
-/// Encodes `items` one after another with `", "` between them.
-fn enc_list<T>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-    mut enc: impl FnMut(&mut String, T) -> fmt::Result,
-) -> fmt::Result {
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+impl Wire for Grid {
+    fn enc(&self, out: &mut String) {
+        member(out, "{\"extent\": ", &self.extent());
+        out.push_str(", \"data\": ");
+        enc_seq(out, self.as_slice(), f64::enc);
+        out.push('}');
+    }
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Grid, JsonError> {
+        fields!(r, what, { "extent" => extent: Extent, "data" => data: Vec<f64> });
+        if data.len() != extent.len() {
+            return Err(json::error(&format!(
+                "{what}: {} data points for a {}-point extent",
+                data.len(),
+                extent.len()
+            )));
         }
-        enc(out, item)?;
+        Ok(Grid::from_raw(extent, data))
     }
-    Ok(())
 }
 
-/// `[a, b, ...]` of unsigned counters.
-fn enc_counters(out: &mut String, counters: &[u64]) -> fmt::Result {
-    out.push('[');
-    enc_list(out, counters, |out, c| write!(out, "{c}"))?;
-    out.push(']');
-    Ok(())
-}
+/// `[px, py]`, both non-zero (`InterleavePlan::new` asserts it).
+impl Wire for InterleavePlan {
+    fn enc(&self, out: &mut String) {
+        [self.px(), self.py()].enc(out);
+    }
 
-/// Decodes the object `$r` is at, field by field in whatever order the
-/// document has them, into the named locals. Every `required` key must
-/// be present; `optional` decoders yield an `Option` (see [`opt`]) and
-/// an absent key reads as `None`; unknown keys are skipped and a
-/// repeated key keeps its last value.
-macro_rules! fields {
-    ($r:ident, $what:expr,
-     required { $($key:literal => $var:ident = $dec:expr),* $(,)? }
-     $(optional { $($okey:literal => $ovar:ident = $odec:expr),* $(,)? })?) => {
-        $(let mut $var = None;)*
-        $($(let mut $ovar = None;)*)?
-        $r.begin_object($what)?;
-        while let Some(key) = $r.next_key()? {
-            match &*key {
-                $($key => $var = Some($dec),)*
-                $($($okey => $ovar = $odec,)*)?
-                _ => $r.skip_value()?,
-            }
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<InterleavePlan, JsonError> {
+        let [px, py] = <[usize; 2]>::dec(r, what)?;
+        if px == 0 || py == 0 {
+            return Err(json::error(&format!("{what}: px and py must be non-zero")));
         }
-        $(let $var =
-            $var.ok_or_else(|| json::error(concat!("missing field `", $key, "`")))?;)*
-    };
-}
-
-/// `null` reads as `None`, anything else through `dec`.
-fn opt<'a, T>(
-    r: &mut Reader<'a>,
-    dec: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<Option<T>, JsonError> {
-    if r.null()? {
-        Ok(None)
-    } else {
-        dec(r).map(Some)
+        Ok(InterleavePlan::new(px, py))
     }
 }
 
-/// An array of whatever `item` decodes.
-fn list<'a, T>(
-    r: &mut Reader<'a>,
-    what: &str,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<Vec<T>, JsonError> {
-    let mut out = Vec::new();
-    r.begin_array(what)?;
-    while r.next_element()? {
-        out.push(item(r)?);
-    }
-    Ok(out)
-}
+tags!(Variant { Base => "base", Saris => "saris" });
+tags!(IndexWidth { U8 => "u8", U16 => "u16", U32 => "u32" });
+tags!(CoeffStrategy { Hybrid => "hybrid", StreamSr1 => "stream_sr1" });
+tags!(BufferRotation { Alternating => "alternating", Leapfrog => "leapfrog" });
 
-/// An array of exactly `N` of whatever `item` decodes.
-fn fixed<'a, T: Copy + Default, const N: usize>(
-    r: &mut Reader<'a>,
-    what: &str,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<[T; N], JsonError> {
-    let mut out = [T::default(); N];
-    let mut n = 0;
-    r.begin_array(what)?;
-    while r.next_element()? {
-        let value = item(r)?;
-        if let Some(slot) = out.get_mut(n) {
-            *slot = value;
-        }
-        n += 1;
-    }
-    if n != N {
-        return Err(json::error(&format!(
-            "{what}: expected {N} elements, got {n}"
-        )));
-    }
-    Ok(out)
-}
+record! { ClusterConfig {
+    n_cores, tcdm_banks, tcdm_bytes,
+    main_mem_bytes, main_mem_latency, main_mem_bytes_per_cycle,
+    stream_fifo_depth, launch_queue_depth, index_fifo_depth,
+    fpu_latency_add, fpu_latency_mul, fpu_latency_fma, fpu_latency_div, fpu_latency_misc,
+    fp_load_latency, offload_queue_depth, sequencer_depth, branch_taken_penalty,
+    icache_lines, icache_line_bytes, icache_miss_penalty,
+    dma_beat_bytes, freq_hz, fast_forward,
+} }
 
-/// An array of exactly `N` unsigned integers.
-fn counters<const N: usize>(r: &mut Reader<'_>, what: &str) -> Result<[u64; N], JsonError> {
-    fixed(r, what, |r| r.u64(what))
-}
+record! { SarisOptions { coeff_reg_budget, index_width, coeff_strategy } }
 
-/// An unsigned integer that fits the field it is for.
-fn dec_uint<T: TryFrom<u64>>(r: &mut Reader<'_>, what: &str) -> Result<T, JsonError> {
-    T::try_from(r.u64(what)?).map_err(|_| json::error(&format!("{what} is out of range")))
-}
-
-fn dec_u64_str(r: &mut Reader<'_>, what: &str) -> Result<u64, JsonError> {
-    r.str(what)?
-        .parse::<u64>()
-        .map_err(|_| json::error(&format!("{what}: expected a decimal u64 string")))
-}
-
-// ---------------------------------------------------------------------------
-// f64 policy
-// ---------------------------------------------------------------------------
-
-fn enc_f64(out: &mut String, v: f64) -> fmt::Result {
-    if v.is_finite() {
-        write!(out, "{v:?}")
-    } else {
-        write!(out, "\"0x{:016x}\"", v.to_bits())
-    }
-}
-
-fn dec_f64(r: &mut Reader<'_>, what: &str) -> Result<f64, JsonError> {
-    match r.peek()? {
-        Kind::Number => r.f64(what),
-        Kind::String => {
-            let s = r.str(what)?;
-            let hex = s.strip_prefix("0x").ok_or_else(|| {
-                json::error(&format!("{what}: expected a 0x-prefixed bit string"))
-            })?;
-            let bits = u64::from_str_radix(hex, 16)
-                .map_err(|_| json::error(&format!("{what}: bad f64 bit pattern `{s}`")))?;
-            Ok(f64::from_bits(bits))
-        }
-        _ => Err(json::error(&format!("{what}: expected a number"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Geometry, grids, options
-// ---------------------------------------------------------------------------
-
-fn enc_extent(out: &mut String, e: Extent) -> fmt::Result {
-    write!(out, "[{}, {}, {}]", e.nx, e.ny, e.nz)
-}
-
-/// An extent a locally built spec could carry: every component
-/// positive (`Extent::new_2d` / `new_3d` assert it) and a point count
-/// that fits `usize` (`Extent::len` multiplies unchecked).
-fn dec_extent(r: &mut Reader<'_>, what: &str) -> Result<Extent, JsonError> {
-    let [nx, ny, nz]: [usize; 3] = fixed(r, what, |r| dec_uint(r, what))?;
-    let points = nx.checked_mul(ny).and_then(|xy| xy.checked_mul(nz));
-    if matches!(points, None | Some(0)) {
-        return Err(json::error(&format!(
-            "{what}: [{nx}, {ny}, {nz}] is not a positive extent"
-        )));
-    }
-    Ok(if nz == 1 {
-        Extent::new_2d(nx, ny)
-    } else {
-        Extent::new_3d(nx, ny, nz)
-    })
-}
-
-fn enc_grid(out: &mut String, g: &Grid) -> fmt::Result {
-    out.push_str("{\"extent\": ");
-    enc_extent(out, g.extent())?;
-    out.push_str(", \"data\": [");
-    enc_list(out, g.as_slice(), |out, v| enc_f64(out, *v))?;
-    out.push_str("]}");
-    Ok(())
-}
-
-fn dec_grid(r: &mut Reader<'_>, what: &str) -> Result<Grid, JsonError> {
-    fields!(r, what, required {
-        "extent" => extent = dec_extent(r, "grid extent")?,
-        "data" => data = list(r, "grid data", |r| dec_f64(r, "grid point"))?,
-    });
-    if data.len() != extent.len() {
-        return Err(json::error(&format!(
-            "{what}: {} data points for a {}-point extent",
-            data.len(),
-            extent.len()
-        )));
-    }
-    Ok(Grid::from_raw(extent, data))
-}
-
-fn enc_cluster(out: &mut String, c: &ClusterConfig) -> fmt::Result {
-    write!(
-        out,
-        concat!(
-            "{{\"n_cores\": {}, \"tcdm_banks\": {}, \"tcdm_bytes\": {}, ",
-            "\"main_mem_bytes\": {}, \"main_mem_latency\": {}, ",
-            "\"main_mem_bytes_per_cycle\": {}, \"stream_fifo_depth\": {}, ",
-            "\"launch_queue_depth\": {}, \"index_fifo_depth\": {}, ",
-            "\"fpu_latency_add\": {}, \"fpu_latency_mul\": {}, ",
-            "\"fpu_latency_fma\": {}, \"fpu_latency_div\": {}, ",
-            "\"fpu_latency_misc\": {}, \"fp_load_latency\": {}, ",
-            "\"offload_queue_depth\": {}, \"sequencer_depth\": {}, ",
-            "\"branch_taken_penalty\": {}, \"icache_lines\": {}, ",
-            "\"icache_line_bytes\": {}, \"icache_miss_penalty\": {}, ",
-            "\"dma_beat_bytes\": {}, \"freq_hz\": "
-        ),
-        c.n_cores,
-        c.tcdm_banks,
-        c.tcdm_bytes,
-        c.main_mem_bytes,
-        c.main_mem_latency,
-        c.main_mem_bytes_per_cycle,
-        c.stream_fifo_depth,
-        c.launch_queue_depth,
-        c.index_fifo_depth,
-        c.fpu_latency_add,
-        c.fpu_latency_mul,
-        c.fpu_latency_fma,
-        c.fpu_latency_div,
-        c.fpu_latency_misc,
-        c.fp_load_latency,
-        c.offload_queue_depth,
-        c.sequencer_depth,
-        c.branch_taken_penalty,
-        c.icache_lines,
-        c.icache_line_bytes,
-        c.icache_miss_penalty,
-        c.dma_beat_bytes,
-    )?;
-    enc_f64(out, c.freq_hz)?;
-    write!(out, ", \"fast_forward\": {}}}", c.fast_forward)
-}
-
-fn dec_cluster(r: &mut Reader<'_>) -> Result<ClusterConfig, JsonError> {
-    fields!(r, "cluster config", required {
-        "n_cores" => n_cores = dec_uint(r, "n_cores")?,
-        "tcdm_banks" => tcdm_banks = dec_uint(r, "tcdm_banks")?,
-        "tcdm_bytes" => tcdm_bytes = dec_uint(r, "tcdm_bytes")?,
-        "main_mem_bytes" => main_mem_bytes = dec_uint(r, "main_mem_bytes")?,
-        "main_mem_latency" => main_mem_latency = dec_uint(r, "main_mem_latency")?,
-        "main_mem_bytes_per_cycle" =>
-            main_mem_bytes_per_cycle = dec_uint(r, "main_mem_bytes_per_cycle")?,
-        "stream_fifo_depth" => stream_fifo_depth = dec_uint(r, "stream_fifo_depth")?,
-        "launch_queue_depth" => launch_queue_depth = dec_uint(r, "launch_queue_depth")?,
-        "index_fifo_depth" => index_fifo_depth = dec_uint(r, "index_fifo_depth")?,
-        "fpu_latency_add" => fpu_latency_add = dec_uint(r, "fpu_latency_add")?,
-        "fpu_latency_mul" => fpu_latency_mul = dec_uint(r, "fpu_latency_mul")?,
-        "fpu_latency_fma" => fpu_latency_fma = dec_uint(r, "fpu_latency_fma")?,
-        "fpu_latency_div" => fpu_latency_div = dec_uint(r, "fpu_latency_div")?,
-        "fpu_latency_misc" => fpu_latency_misc = dec_uint(r, "fpu_latency_misc")?,
-        "fp_load_latency" => fp_load_latency = dec_uint(r, "fp_load_latency")?,
-        "offload_queue_depth" => offload_queue_depth = dec_uint(r, "offload_queue_depth")?,
-        "sequencer_depth" => sequencer_depth = dec_uint(r, "sequencer_depth")?,
-        "branch_taken_penalty" => branch_taken_penalty = dec_uint(r, "branch_taken_penalty")?,
-        "icache_lines" => icache_lines = dec_uint(r, "icache_lines")?,
-        "icache_line_bytes" => icache_line_bytes = dec_uint(r, "icache_line_bytes")?,
-        "icache_miss_penalty" => icache_miss_penalty = dec_uint(r, "icache_miss_penalty")?,
-        "dma_beat_bytes" => dma_beat_bytes = dec_uint(r, "dma_beat_bytes")?,
-        "freq_hz" => freq_hz = dec_f64(r, "freq_hz")?,
-        "fast_forward" => fast_forward = r.bool("fast_forward")?,
-    });
-    Ok(ClusterConfig {
-        n_cores,
-        tcdm_banks,
-        tcdm_bytes,
-        main_mem_bytes,
-        main_mem_latency,
-        main_mem_bytes_per_cycle,
-        stream_fifo_depth,
-        launch_queue_depth,
-        index_fifo_depth,
-        fpu_latency_add,
-        fpu_latency_mul,
-        fpu_latency_fma,
-        fpu_latency_div,
-        fpu_latency_misc,
-        fp_load_latency,
-        offload_queue_depth,
-        sequencer_depth,
-        branch_taken_penalty,
-        icache_lines,
-        icache_line_bytes,
-        icache_miss_penalty,
-        dma_beat_bytes,
-        freq_hz,
-        fast_forward,
-    })
-}
-
-fn enc_options(out: &mut String, o: &RunOptions) -> fmt::Result {
-    let index_width = match o.saris.index_width {
-        IndexWidth::U8 => "u8",
-        IndexWidth::U16 => "u16",
-        IndexWidth::U32 => "u32",
-    };
-    let coeff_strategy = match o.saris.coeff_strategy {
-        CoeffStrategy::Hybrid => "hybrid",
-        CoeffStrategy::StreamSr1 => "stream_sr1",
-    };
-    write!(
-        out,
-        "{{\"variant\": \"{}\", \"unroll\": {}, \"interleave\": [{}, {}], \"cluster\": ",
-        o.variant,
-        o.unroll,
-        o.interleave.px(),
-        o.interleave.py(),
-    )?;
-    enc_cluster(out, &o.cluster)?;
-    write!(
-        out,
-        concat!(
-            ", \"saris\": {{\"coeff_reg_budget\": {}, ",
-            "\"index_width\": \"{}\", \"coeff_strategy\": \"{}\"}}, ",
-            "\"max_cycles\": {}, \"concurrent_dma\": {}, ",
-            "\"reassociate\": {}, \"base_allow_spill\": {}}}"
-        ),
-        o.saris.coeff_reg_budget,
-        index_width,
-        coeff_strategy,
-        o.max_cycles,
-        o.concurrent_dma,
-        o.reassociate,
-        o.base_allow_spill,
-    )
-}
-
-fn dec_saris_options(r: &mut Reader<'_>) -> Result<SarisOptions, JsonError> {
-    fields!(r, "saris options", required {
-        "coeff_reg_budget" => coeff_reg_budget = dec_uint(r, "coeff_reg_budget")?,
-        "index_width" => index_width = match &*r.str("index_width")? {
-            "u8" => IndexWidth::U8,
-            "u16" => IndexWidth::U16,
-            "u32" => IndexWidth::U32,
-            other => return Err(json::error(&format!("unknown index width `{other}`"))),
-        },
-        "coeff_strategy" => coeff_strategy = match &*r.str("coeff_strategy")? {
-            "hybrid" => CoeffStrategy::Hybrid,
-            "stream_sr1" => CoeffStrategy::StreamSr1,
-            other => return Err(json::error(&format!("unknown coeff strategy `{other}`"))),
-        },
-    });
-    Ok(SarisOptions {
-        coeff_reg_budget,
-        index_width,
-        coeff_strategy,
-    })
-}
-
-fn dec_options(r: &mut Reader<'_>) -> Result<RunOptions, JsonError> {
-    fields!(r, "run options", required {
-        "variant" => variant = match &*r.str("variant")? {
-            "base" => Variant::Base,
-            "saris" => Variant::Saris,
-            other => return Err(json::error(&format!("unknown variant `{other}`"))),
-        },
-        "unroll" => unroll = dec_uint(r, "unroll")?,
-        "interleave" => interleave = fixed(r, "interleave", |r| dec_uint(r, "interleave factor"))?,
-        "cluster" => cluster = dec_cluster(r)?,
-        "saris" => saris = dec_saris_options(r)?,
-        "max_cycles" => max_cycles = r.u64("max_cycles")?,
-        "concurrent_dma" => concurrent_dma = r.bool("concurrent_dma")?,
-        "reassociate" => reassociate = dec_uint(r, "reassociate")?,
-        "base_allow_spill" => base_allow_spill = r.bool("base_allow_spill")?,
-    });
-    let [px, py]: [usize; 2] = interleave;
-    if px == 0 || py == 0 {
-        return Err(json::error("interleave: px and py must be non-zero"));
-    }
-    let mut options = RunOptions::new(variant);
-    options.unroll = unroll;
-    options.interleave = InterleavePlan::new(px, py);
-    options.cluster = cluster;
-    options.saris = saris;
-    options.max_cycles = max_cycles;
-    options.concurrent_dma = concurrent_dma;
-    options.reassociate = reassociate;
-    options.base_allow_spill = base_allow_spill;
-    Ok(options)
-}
+record! { RunOptions {
+    variant, unroll, interleave, cluster, saris,
+    max_cycles, concurrent_dma, reassociate, base_allow_spill,
+} }
 
 // ---------------------------------------------------------------------------
 // Stencils
 // ---------------------------------------------------------------------------
 
-fn enc_operand(out: &mut String, op: Operand) -> fmt::Result {
-    match op {
-        Operand::Tap(i) => write!(out, "[\"tap\", {i}]"),
-        Operand::Coeff(i) => write!(out, "[\"coeff\", {i}]"),
-        Operand::Tmp(i) => write!(out, "[\"tmp\", {i}]"),
-    }
-}
+tags!(Space { Dim2 => "2d", Dim3 => "3d" });
+tags!(ArrayRole { Input => "input", Output => "output" });
 
-fn dec_operand(r: &mut Reader<'_>, what: &str) -> Result<Operand, JsonError> {
-    let shape = || json::error(&format!("{what}: expected [kind, index]"));
-    r.begin_array(what)?;
-    if !r.next_element()? {
-        return Err(shape());
-    }
-    let kind = r.str(what)?;
-    if !r.next_element()? {
-        return Err(shape());
-    }
-    let index = dec_uint(r, what)?;
-    if r.next_element()? {
-        return Err(shape());
-    }
-    match &*kind {
-        "tap" => Ok(Operand::Tap(index)),
-        "coeff" => Ok(Operand::Coeff(index)),
-        "tmp" => Ok(Operand::Tmp(index)),
-        other => Err(json::error(&format!(
-            "{what}: unknown operand kind `{other}`"
-        ))),
-    }
+/// An array of a stencil as the document has it.
+struct ArrayDecl<'a> {
+    name: Cow<'a, str>,
+    role: ArrayRole,
 }
+record! { ArrayDecl<'_> { name, role } }
 
-fn enc_name(out: &mut String, name: &str) {
-    out.push_str("{\"name\": \"");
-    json::escape_into(out, name);
+/// A coefficient of a stencil as the document has it.
+struct CoeffDecl<'a> {
+    name: Cow<'a, str>,
+    value: f64,
 }
+record! { CoeffDecl<'_> { name, value } }
 
-fn enc_stencil(out: &mut String, s: &saris_core::Stencil) -> fmt::Result {
-    enc_name(out, s.name());
-    out.push_str("\", \"space\": \"");
-    out.push_str(match s.space() {
-        Space::Dim2 => "2d",
-        Space::Dim3 => "3d",
-    });
-    out.push_str("\", \"arrays\": [");
-    enc_list(out, s.arrays(), |out, a| {
-        enc_name(out, a.name());
-        out.push_str("\", \"role\": \"");
-        out.push_str(match a.role() {
-            ArrayRole::Input => "input",
-            ArrayRole::Output => "output",
-        });
-        out.push_str("\"}");
-        Ok(())
-    })?;
-    out.push_str("], \"coeffs\": [");
-    enc_list(out, s.coeffs(), |out, c| {
-        enc_name(out, c.name());
-        out.push_str("\", \"value\": ");
-        enc_f64(out, c.value())?;
-        out.push('}');
-        Ok(())
-    })?;
-    out.push_str("], \"taps\": [");
-    enc_list(out, s.taps(), |out, t| {
-        let o = t.offset;
-        write!(out, "[{}, {}, {}, {}]", t.array.index(), o.dx, o.dy, o.dz)
-    })?;
-    out.push_str("], \"ops\": [");
-    enc_list(out, s.ops(), |out, op| {
-        let (name, a, b, c) = match *op {
-            PointOp::Bin { kind, a, b } => {
-                let name = match kind {
-                    BinKind::Add => "add",
-                    BinKind::Sub => "sub",
-                    BinKind::Mul => "mul",
-                };
-                (name, a, b, None)
-            }
-            PointOp::Fma { a, b, c } => ("fma", a, b, Some(c)),
+/// `["tap" | "coeff" | "tmp", index]`.
+impl Wire for Operand {
+    fn enc(&self, out: &mut String) {
+        let (kind, index) = match self {
+            Operand::Tap(i) => ("[\"tap\", ", i),
+            Operand::Coeff(i) => ("[\"coeff\", ", i),
+            Operand::Tmp(i) => ("[\"tmp\", ", i),
         };
-        write!(out, "[\"{name}\", ")?;
-        enc_operand(out, a)?;
-        out.push_str(", ");
-        enc_operand(out, b)?;
-        if let Some(c) = c {
-            out.push_str(", ");
-            enc_operand(out, c)?;
-        }
+        member(out, kind, index);
         out.push(']');
-        Ok(())
-    })?;
-    out.push_str("], \"result\": ");
-    enc_operand(out, s.result())?;
-    out.push('}');
-    Ok(())
-}
+    }
 
-fn dec_array_decl<'a>(r: &mut Reader<'a>) -> Result<(Cow<'a, str>, ArrayRole), JsonError> {
-    fields!(r, "array decl", required {
-        "name" => name = r.str("array name")?,
-        "role" => role = match &*r.str("array role")? {
-            "input" => ArrayRole::Input,
-            "output" => ArrayRole::Output,
-            other => return Err(json::error(&format!("unknown array role `{other}`"))),
-        },
-    });
-    Ok((name, role))
-}
-
-fn dec_coeff<'a>(r: &mut Reader<'a>) -> Result<(Cow<'a, str>, f64), JsonError> {
-    fields!(r, "coeff", required {
-        "name" => name = r.str("coeff name")?,
-        "value" => value = dec_f64(r, "coeff value")?,
-    });
-    Ok((name, value))
-}
-
-/// `[array, dx, dy, dz]`.
-fn dec_tap(r: &mut Reader<'_>) -> Result<[i64; 4], JsonError> {
-    fixed(r, "tap", |r| r.i64("tap"))
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Operand, JsonError> {
+        let shape = || json::error(&format!("{what}: expected [kind, index]"));
+        r.begin_array(what)?;
+        if !r.next_element()? {
+            return Err(shape());
+        }
+        let kind = r.str(what)?;
+        if !r.next_element()? {
+            return Err(shape());
+        }
+        let index = usize::dec(r, what)?;
+        if r.next_element()? {
+            return Err(shape());
+        }
+        match &*kind {
+            "tap" => Ok(Operand::Tap(index)),
+            "coeff" => Ok(Operand::Coeff(index)),
+            "tmp" => Ok(Operand::Tmp(index)),
+            other => Err(json::error(&format!(
+                "{what}: unknown operand kind `{other}`"
+            ))),
+        }
+    }
 }
 
 /// `[kind, a, b]` or `["fma", a, b, c]`.
-fn dec_op(r: &mut Reader<'_>) -> Result<PointOp, JsonError> {
-    r.begin_array("op")?;
-    if !r.next_element()? {
-        return Err(json::error("op: empty"));
-    }
-    let kind = r.str("op kind")?;
-    let mut operands = [Operand::Tmp(0); 3];
-    let mut n = 0;
-    while r.next_element()? {
-        let operand = dec_operand(r, "op operand")?;
-        if let Some(slot) = operands.get_mut(n) {
-            *slot = operand;
+impl Wire for PointOp {
+    fn enc(&self, out: &mut String) {
+        let (kind, a, b, c) = match self {
+            PointOp::Bin { kind, a, b } => {
+                let kind = match kind {
+                    BinKind::Add => "[\"add\", ",
+                    BinKind::Sub => "[\"sub\", ",
+                    BinKind::Mul => "[\"mul\", ",
+                };
+                (kind, a, b, None)
+            }
+            PointOp::Fma { a, b, c } => ("[\"fma\", ", a, b, Some(c)),
+        };
+        member(out, kind, a);
+        member(out, ", ", b);
+        if let Some(c) = c {
+            member(out, ", ", c);
         }
-        n += 1;
+        out.push(']');
     }
-    let [a, b, c] = operands;
-    let bin = |kind| Ok(PointOp::Bin { kind, a, b });
-    match (&*kind, n) {
-        ("add", 2) => bin(BinKind::Add),
-        ("sub", 2) => bin(BinKind::Sub),
-        ("mul", 2) => bin(BinKind::Mul),
-        ("fma", 3) => Ok(PointOp::Fma { a, b, c }),
-        ("add" | "sub" | "mul", _) => Err(json::error("binary op: expected [kind, a, b]")),
-        ("fma", _) => Err(json::error("fma op: expected [\"fma\", a, b, c]")),
-        (other, _) => Err(json::error(&format!("unknown op kind `{other}`"))),
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<PointOp, JsonError> {
+        r.begin_array(what)?;
+        if !r.next_element()? {
+            return Err(json::error("op: empty"));
+        }
+        let kind = r.str("op kind")?;
+        let mut operands = [Operand::Tmp(0); 3];
+        let mut n = 0;
+        while r.next_element()? {
+            let operand = Operand::dec(r, "op operand")?;
+            if let Some(slot) = operands.get_mut(n) {
+                *slot = operand;
+            }
+            n += 1;
+        }
+        let [a, b, c] = operands;
+        let bin = |kind| Ok(PointOp::Bin { kind, a, b });
+        match (&*kind, n) {
+            ("add", 2) => bin(BinKind::Add),
+            ("sub", 2) => bin(BinKind::Sub),
+            ("mul", 2) => bin(BinKind::Mul),
+            ("fma", 3) => Ok(PointOp::Fma { a, b, c }),
+            ("add" | "sub" | "mul", _) => Err(json::error("binary op: expected [kind, a, b]")),
+            ("fma", _) => Err(json::error("fma op: expected [\"fma\", a, b, c]")),
+            (other, _) => Err(json::error(&format!("unknown op kind `{other}`"))),
+        }
     }
 }
 
-/// Reads a serialized stencil and replays it through [`StencilBuilder`]
-/// — arrays, coefficients, taps, operations, result, whatever order the
-/// document had them in — so decode re-runs the builder's full
-/// validation (`finish`).
-fn dec_stencil(r: &mut Reader<'_>) -> Result<saris_core::Stencil, JsonError> {
-    fields!(r, "stencil", required {
-        "name" => name = r.str("stencil name")?,
-        "space" => space = match &*r.str("stencil space")? {
-            "2d" => Space::Dim2,
-            "3d" => Space::Dim3,
-            other => return Err(json::error(&format!("unknown space `{other}`"))),
-        },
-        "arrays" => arrays = list(r, "arrays", dec_array_decl)?,
-        "coeffs" => coeffs = list(r, "coeffs", dec_coeff)?,
-        "taps" => taps = list(r, "taps", dec_tap)?,
-        "ops" => ops = list(r, "ops", dec_op)?,
-        "result" => result = dec_operand(r, "result")?,
-    });
-    let mut builder = StencilBuilder::new(name, space);
-    let array_ids: Vec<_> = arrays
-        .into_iter()
-        .map(|(name, role)| match role {
-            ArrayRole::Input => builder.input(name),
-            ArrayRole::Output => builder.output(name),
-        })
-        .collect();
-    for (name, value) in coeffs {
-        builder.coeff(name, value);
+/// A stencil is read and then replayed through [`StencilBuilder`] —
+/// arrays, coefficients, taps (`[array, dx, dy, dz]`), operations,
+/// result, whatever order the document had them in — so decode re-runs
+/// the builder's full validation (`finish`).
+impl Wire for Stencil {
+    fn enc(&self, out: &mut String) {
+        member(out, "{\"name\": ", &Cow::Borrowed(self.name()));
+        member(out, ", \"space\": ", &self.space());
+        out.push_str(", \"arrays\": ");
+        enc_seq(out, self.arrays(), |a, out| {
+            let (name, role) = (Cow::Borrowed(a.name()), a.role());
+            ArrayDecl { name, role }.enc(out)
+        });
+        out.push_str(", \"coeffs\": ");
+        enc_seq(out, self.coeffs(), |c, out| {
+            let (name, value) = (Cow::Borrowed(c.name()), c.value());
+            CoeffDecl { name, value }.enc(out)
+        });
+        out.push_str(", \"taps\": ");
+        enc_seq(out, self.taps(), |t, out| {
+            let o = t.offset;
+            [
+                t.array.index() as i64,
+                o.dx.into(),
+                o.dy.into(),
+                o.dz.into(),
+            ]
+            .enc(out)
+        });
+        out.push_str(", \"ops\": ");
+        enc_seq(out, self.ops(), PointOp::enc);
+        member(out, ", \"result\": ", &self.result());
+        out.push('}');
     }
-    for [array, dx, dy, dz] in taps {
-        let id = usize::try_from(array)
-            .ok()
-            .and_then(|array| array_ids.get(array))
-            .ok_or_else(|| json::error(&format!("tap references unknown array {array}")))?;
-        let offset =
-            |d: i64| i32::try_from(d).map_err(|_| json::error("tap offset is out of range"));
-        let (dx, dy, dz) = (offset(dx)?, offset(dy)?, offset(dz)?);
-        builder.tap(*id, Offset { dx, dy, dz });
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Stencil, JsonError> {
+        fields!(r, what, {
+            "name" => name: Cow<'_, str>,
+            "space" => space,
+            "arrays" => arrays: Vec<ArrayDecl<'_>>,
+            "coeffs" => coeffs: Vec<CoeffDecl<'_>>,
+            "taps" => taps: Vec<[i64; 4]>,
+            "ops" => ops: Vec<PointOp>,
+            "result" => result,
+        });
+        let mut builder = StencilBuilder::new(name, space);
+        let array_ids: Vec<_> = arrays
+            .into_iter()
+            .map(|ArrayDecl { name, role }| match role {
+                ArrayRole::Input => builder.input(name),
+                ArrayRole::Output => builder.output(name),
+            })
+            .collect();
+        for CoeffDecl { name, value } in coeffs {
+            builder.coeff(name, value);
+        }
+        for [array, dx, dy, dz] in taps {
+            let id = usize::try_from(array)
+                .ok()
+                .and_then(|array| array_ids.get(array))
+                .ok_or_else(|| json::error(&format!("tap references unknown array {array}")))?;
+            let offset =
+                |d: i64| i32::try_from(d).map_err(|_| json::error("tap offset is out of range"));
+            let (dx, dy, dz) = (offset(dx)?, offset(dy)?, offset(dz)?);
+            builder.tap(*id, Offset { dx, dy, dz });
+        }
+        for op in ops {
+            match op {
+                PointOp::Bin { kind, a, b } => match kind {
+                    BinKind::Add => builder.add(a, b),
+                    BinKind::Sub => builder.sub(a, b),
+                    BinKind::Mul => builder.mul(a, b),
+                },
+                PointOp::Fma { a, b, c } => builder.fma(a, b, c),
+            };
+        }
+        builder.store(result);
+        builder
+            .finish()
+            .map_err(|e| json::error(&format!("stencil replay rejected: {e}")))
     }
-    for op in ops {
-        match op {
-            PointOp::Bin { kind, a, b } => match kind {
-                BinKind::Add => builder.add(a, b),
-                BinKind::Sub => builder.sub(a, b),
-                BinKind::Mul => builder.mul(a, b),
-            },
-            PointOp::Fma { a, b, c } => builder.fma(a, b, c),
-        };
-    }
-    builder.store(result);
-    builder
-        .finish()
-        .map_err(|e| json::error(&format!("stencil replay rejected: {e}")))
 }
 
 // ---------------------------------------------------------------------------
 // Fidelity / tuning
 // ---------------------------------------------------------------------------
 
-fn enc_fidelity(out: &mut String, f: Fidelity) -> fmt::Result {
-    match f {
-        Fidelity::Analytic => out.push_str("\"analytic\""),
-        Fidelity::Cycles => out.push_str("\"cycles\""),
-        Fidelity::Golden => out.push_str("\"golden\""),
-        Fidelity::Auto { accuracy_budget } => {
-            out.push_str("{\"auto\": ");
-            enc_f64(out, accuracy_budget)?;
-            out.push('}');
+/// `"analytic" | "cycles" | "golden"` or `{"auto": budget}`.
+impl Wire for Fidelity {
+    fn enc(&self, out: &mut String) {
+        match self {
+            Fidelity::Analytic => out.push_str("\"analytic\""),
+            Fidelity::Cycles => out.push_str("\"cycles\""),
+            Fidelity::Golden => out.push_str("\"golden\""),
+            Fidelity::Auto { accuracy_budget } => {
+                member(out, "{\"auto\": ", accuracy_budget);
+                out.push('}');
+            }
         }
     }
-    Ok(())
-}
 
-fn dec_fidelity(r: &mut Reader<'_>) -> Result<Fidelity, JsonError> {
-    match r.peek()? {
-        Kind::String => match &*r.str("fidelity")? {
-            "analytic" => Ok(Fidelity::Analytic),
-            "cycles" => Ok(Fidelity::Cycles),
-            "golden" => Ok(Fidelity::Golden),
-            other => Err(json::error(&format!("unknown fidelity `{other}`"))),
-        },
-        Kind::Object => {
-            fields!(r, "fidelity", required {
-                "auto" => accuracy_budget = dec_f64(r, "auto accuracy budget")?,
-            });
-            Ok(Fidelity::Auto { accuracy_budget })
-        }
-        _ => Err(json::error(
-            "fidelity: expected a string or {\"auto\": ...}",
-        )),
-    }
-}
-
-fn enc_tune(out: &mut String, t: &Tune) -> fmt::Result {
-    match t {
-        Tune::Fixed => out.push_str("\"fixed\""),
-        Tune::Auto => out.push_str("\"auto\""),
-        Tune::Candidates(c) => {
-            out.push_str("{\"candidates\": [");
-            enc_list(out, c, |out, u| write!(out, "{u}"))?;
-            out.push_str("]}");
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Fidelity, JsonError> {
+        match r.peek()? {
+            Kind::String => match &*r.str(what)? {
+                "analytic" => Ok(Fidelity::Analytic),
+                "cycles" => Ok(Fidelity::Cycles),
+                "golden" => Ok(Fidelity::Golden),
+                other => Err(json::error(&format!("unknown fidelity `{other}`"))),
+            },
+            Kind::Object => {
+                fields!(r, what, { "auto" => accuracy_budget });
+                Ok(Fidelity::Auto { accuracy_budget })
+            }
+            _ => Err(json::error(
+                "fidelity: expected a string or {\"auto\": ...}",
+            )),
         }
     }
-    Ok(())
 }
 
-fn dec_tune(r: &mut Reader<'_>) -> Result<Tune, JsonError> {
-    match r.peek()? {
-        Kind::String => match &*r.str("tune")? {
-            "fixed" => Ok(Tune::Fixed),
-            "auto" => Ok(Tune::Auto),
-            other => Err(json::error(&format!("unknown tune mode `{other}`"))),
-        },
-        Kind::Object => {
-            fields!(r, "tune", required {
-                "candidates" => candidates =
-                    list(r, "tune candidates", |r| dec_uint(r, "tune candidate"))?,
-            });
-            Ok(Tune::Candidates(candidates))
+/// `"fixed" | "auto"` or `{"candidates": [unroll, ...]}`.
+impl Wire for Tune {
+    fn enc(&self, out: &mut String) {
+        match self {
+            Tune::Fixed => out.push_str("\"fixed\""),
+            Tune::Auto => out.push_str("\"auto\""),
+            Tune::Candidates(candidates) => {
+                member(out, "{\"candidates\": ", candidates);
+                out.push('}');
+            }
         }
-        _ => Err(json::error(
-            "tune: expected a string or {\"candidates\": ...}",
-        )),
+    }
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Tune, JsonError> {
+        match r.peek()? {
+            Kind::String => match &*r.str(what)? {
+                "fixed" => Ok(Tune::Fixed),
+                "auto" => Ok(Tune::Auto),
+                other => Err(json::error(&format!("unknown tune mode `{other}`"))),
+            },
+            Kind::Object => {
+                fields!(r, what, { "candidates" => candidates });
+                Ok(Tune::Candidates(candidates))
+            }
+            _ => Err(json::error(
+                "tune: expected a string or {\"candidates\": ...}",
+            )),
+        }
     }
 }
 
@@ -846,9 +525,56 @@ fn dec_tune(r: &mut Reader<'_>) -> Result<Tune, JsonError> {
 // WorkloadSpec
 // ---------------------------------------------------------------------------
 
+/// `{"seed": "<u64>"}` or `{"grids": [...]}`; a seed wins if both are
+/// there.
+impl Wire for InputSpec {
+    fn enc(&self, out: &mut String) {
+        match self {
+            InputSpec::Seeded(seed) => member(out, "{\"seed\": ", &DecStr(*seed)),
+            InputSpec::Grids(grids) => member(out, "{\"grids\": ", &**grids),
+        }
+        out.push('}');
+    }
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<InputSpec, JsonError> {
+        fields!(r, what, { "seed" => seed: Option<DecStr>, "grids" => grids: Option<Vec<Grid>> });
+        match (seed, grids) {
+            (Some(DecStr(seed)), _) => Ok(InputSpec::Seeded(seed)),
+            (None, Some(grids)) => Ok(InputSpec::Grids(Arc::new(grids))),
+            (None, None) => Err(missing(what, "grids")),
+        }
+    }
+}
+
+/// A spec document's `"kind"`: which of its other keys must be there.
+enum SpecKind {
+    Probe,
+    Stencil,
+}
+tags!(SpecKind { Probe => "probe", Stencil => "stencil" });
+
 /// Appends a frozen [`WorkloadSpec`]'s wire JSON to `out`.
 pub fn encode_spec_into(out: &mut String, spec: &WorkloadSpec) {
-    enc_spec(out, spec).expect("writing to a String cannot fail");
+    match spec.kind() {
+        WorkloadKind::DmaProbe { extent, cluster } => {
+            member(out, "{\"kind\": ", &SpecKind::Probe);
+            member(out, ", \"extent\": ", extent);
+            member(out, ", \"cluster\": ", cluster);
+        }
+        WorkloadKind::Stencil(w) => {
+            member(out, "{\"kind\": ", &SpecKind::Stencil);
+            member(out, ", \"stencil\": ", &*w.stencil);
+            member(out, ", \"extent\": ", &w.extent);
+            member(out, ", \"inputs\": ", &w.inputs);
+            member(out, ", \"options\": ", &w.options);
+            member(out, ", \"tune\": ", &w.tune);
+            member(out, ", \"time_steps\": ", &w.time_steps);
+            member(out, ", \"rotation\": ", &w.rotation);
+            member(out, ", \"verify\": ", &w.verify);
+            member(out, ", \"fidelity\": ", &w.fidelity);
+        }
+    }
+    out.push('}');
 }
 
 /// Serializes a frozen [`WorkloadSpec`] to its wire JSON.
@@ -856,64 +582,6 @@ pub fn encode_spec(spec: &WorkloadSpec) -> String {
     let mut out = String::with_capacity(2048);
     encode_spec_into(&mut out, spec);
     out
-}
-
-fn enc_spec(out: &mut String, spec: &WorkloadSpec) -> fmt::Result {
-    match spec.kind() {
-        WorkloadKind::DmaProbe { extent, cluster } => {
-            out.push_str("{\"kind\": \"probe\", \"extent\": ");
-            enc_extent(out, *extent)?;
-            out.push_str(", \"cluster\": ");
-            enc_cluster(out, cluster)?;
-        }
-        WorkloadKind::Stencil(w) => {
-            out.push_str("{\"kind\": \"stencil\", \"stencil\": ");
-            enc_stencil(out, &w.stencil)?;
-            out.push_str(", \"extent\": ");
-            enc_extent(out, w.extent)?;
-            out.push_str(", \"inputs\": ");
-            match &w.inputs {
-                InputSpec::Seeded(seed) => write!(out, "{{\"seed\": \"{seed}\"}}")?,
-                InputSpec::Grids(grids) => {
-                    out.push_str("{\"grids\": [");
-                    enc_list(out, grids.iter(), enc_grid)?;
-                    out.push_str("]}");
-                }
-            }
-            out.push_str(", \"options\": ");
-            enc_options(out, &w.options)?;
-            out.push_str(", \"tune\": ");
-            enc_tune(out, &w.tune)?;
-            write!(out, ", \"time_steps\": {}", w.time_steps)?;
-            out.push_str(", \"rotation\": ");
-            out.push_str(match w.rotation {
-                None => "null",
-                Some(BufferRotation::Alternating) => "\"alternating\"",
-                Some(BufferRotation::Leapfrog) => "\"leapfrog\"",
-            });
-            out.push_str(", \"verify\": ");
-            enc_opt(out, w.verify, enc_f64)?;
-            out.push_str(", \"fidelity\": ");
-            enc_opt(out, w.fidelity, enc_fidelity)?;
-        }
-    }
-    out.push('}');
-    Ok(())
-}
-
-/// `null` for `None`, `enc` of the value otherwise.
-fn enc_opt<T>(
-    out: &mut String,
-    value: Option<T>,
-    enc: impl FnOnce(&mut String, T) -> fmt::Result,
-) -> fmt::Result {
-    match value {
-        None => {
-            out.push_str("null");
-            Ok(())
-        }
-        Some(value) => enc(out, value),
-    }
 }
 
 /// Decodes a wire JSON document back into a [`WorkloadSpec`].
@@ -947,14 +615,14 @@ const INTERNED_STENCILS: usize = 64;
 /// once `StencilBuilder::finish` has accepted it and the spec around it
 /// is frozen, and holds at most 64 of them (the least recently matched
 /// makes room for a new one). Nothing is taken from the wire on trust:
-/// equal means [`Stencil`](saris_core::Stencil)'s own `PartialEq` over
+/// equal means [`Stencil`]'s own `PartialEq` over
 /// every array, tap, operation and coefficient, tightened to the
 /// coefficients' bit patterns (`0.0 == -0.0`, but they are different
 /// stencils).
 #[derive(Debug, Default)]
 pub struct StencilInterner {
     /// Most recently matched first.
-    table: Mutex<Vec<Arc<saris_core::Stencil>>>,
+    table: Mutex<Vec<Arc<Stencil>>>,
 }
 
 impl StencilInterner {
@@ -973,14 +641,14 @@ impl StencilInterner {
         Ok(spec)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<Arc<saris_core::Stencil>>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<Stencil>>> {
         // Every update leaves the table a valid list of stencils, so a
         // panic elsewhere while the lock was held loses nothing.
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Points `stencil` at the table's equal stencil, or adds it.
-    fn intern(&self, stencil: &mut Arc<saris_core::Stencil>) {
+    fn intern(&self, stencil: &mut Arc<Stencil>) {
         let mut table = self.lock();
         match table.iter().position(|held| same_stencil(held, stencil)) {
             Some(at) => *stencil = table.remove(at),
@@ -992,7 +660,7 @@ impl StencilInterner {
 
 /// Equal in every respect code generation and execution can observe:
 /// `PartialEq`, and coefficient for coefficient the same bits.
-fn same_stencil(a: &saris_core::Stencil, b: &saris_core::Stencil) -> bool {
+fn same_stencil(a: &Stencil, b: &Stencil) -> bool {
     a == b
         && a.coeffs()
             .iter()
@@ -1000,55 +668,39 @@ fn same_stencil(a: &saris_core::Stencil, b: &saris_core::Stencil) -> bool {
             .all(|(x, y)| x.value().to_bits() == y.value().to_bits())
 }
 
-/// `{"seed": "<u64>"}` or `{"grids": [...]}`; a seed wins if both are
-/// there.
-fn dec_inputs(r: &mut Reader<'_>) -> Result<InputSpec, JsonError> {
-    fields!(r, "inputs", required {} optional {
-        "seed" => seed = opt(r, |r| dec_u64_str(r, "input seed"))?,
-        "grids" => grids = opt(r, |r| list(r, "input grids", |r| dec_grid(r, "input grid")))?,
-    });
-    match (seed, grids) {
-        (Some(seed), _) => Ok(InputSpec::Seeded(seed)),
-        (None, Some(grids)) => Ok(InputSpec::Grids(Arc::new(grids))),
-        (None, None) => Err(json::error("missing field `grids`")),
-    }
-}
-
+/// Reads a spec document and replays it through the [`Workload`]
+/// builder. `"kind"` says which of the other keys must be there.
 fn dec_workload(r: &mut Reader<'_>) -> Result<Workload, JsonError> {
-    fields!(r, "workload spec", required {
-        "kind" => kind = r.str("kind")?,
-        "extent" => extent = dec_extent(r, "extent")?,
-    } optional {
-        "cluster" => cluster = Some(dec_cluster(r)?),
-        "stencil" => stencil = Some(dec_stencil(r)?),
-        "inputs" => inputs = Some(dec_inputs(r)?),
-        "options" => options = Some(dec_options(r)?),
-        "tune" => tune = Some(dec_tune(r)?),
-        "time_steps" => time_steps = Some(dec_uint(r, "time_steps")?),
-        "rotation" => rotation = opt(r, |r| match &*r.str("rotation")? {
-            "alternating" => Ok(BufferRotation::Alternating),
-            "leapfrog" => Ok(BufferRotation::Leapfrog),
-            other => Err(json::error(&format!("unknown rotation `{other}`"))),
-        })?,
-        "verify" => verify = opt(r, |r| dec_f64(r, "verify tolerance"))?,
-        "fidelity" => fidelity = opt(r, dec_fidelity)?,
+    let what = "workload spec";
+    fields!(r, what, {
+        "kind" => kind,
+        "extent" => extent,
+        "cluster" => cluster: Option<ClusterConfig>,
+        "stencil" => stencil: Option<Stencil>,
+        "inputs" => inputs: Option<InputSpec>,
+        "options" => options: Option<RunOptions>,
+        "tune" => tune: Option<Tune>,
+        "time_steps" => time_steps: Option<usize>,
+        "rotation" => rotation: Option<BufferRotation>,
+        "verify" => verify: Option<f64>,
+        "fidelity" => fidelity: Option<Fidelity>,
     });
-    let missing = |field: &str| json::error(&format!("missing field `{field}`"));
-    match &*kind {
-        "probe" => {
+    match kind {
+        SpecKind::Probe => {
             let mut options = RunOptions::new(Variant::Saris);
-            options.cluster = cluster.ok_or_else(|| missing("cluster"))?;
+            options.cluster = cluster.ok_or_else(|| missing(what, "cluster"))?;
             Ok(Workload::dma_probe(extent).options(options))
         }
-        "stencil" => {
-            let mut w = Workload::new(stencil.ok_or_else(|| missing("stencil"))?).extent(extent);
-            w = match inputs.ok_or_else(|| missing("inputs"))? {
+        SpecKind::Stencil => {
+            let stencil = stencil.ok_or_else(|| missing(what, "stencil"))?;
+            let mut w = Workload::new(stencil).extent(extent);
+            w = match inputs.ok_or_else(|| missing(what, "inputs"))? {
                 InputSpec::Seeded(seed) => w.input_seed(seed),
                 InputSpec::Grids(grids) => w.shared_inputs(grids),
             };
-            w = w.options(options.ok_or_else(|| missing("options"))?);
-            w = w.tune(tune.ok_or_else(|| missing("tune"))?);
-            w = w.time_steps(time_steps.ok_or_else(|| missing("time_steps"))?);
+            w = w.options(options.ok_or_else(|| missing(what, "options"))?);
+            w = w.tune(tune.ok_or_else(|| missing(what, "tune"))?);
+            w = w.time_steps(time_steps.ok_or_else(|| missing(what, "time_steps"))?);
             if let Some(rotation) = rotation {
                 w = w.rotation(rotation);
             }
@@ -1060,7 +712,6 @@ fn dec_workload(r: &mut Reader<'_>) -> Result<Workload, JsonError> {
             }
             Ok(w)
         }
-        other => Err(json::error(&format!("unknown workload kind `{other}`"))),
     }
 }
 
@@ -1068,227 +719,76 @@ fn dec_workload(r: &mut Reader<'_>) -> Result<Workload, JsonError> {
 // Outcome
 // ---------------------------------------------------------------------------
 
+counters!(IntStats [retired]
+    + stalls: IntStalls [offload_full, launch_full, lsu, icache, branch, drain, multi_issue]);
+counters!(FpuStats [retired, offloaded, arith, flops, loads, stores, stream_pops, stream_pushes]
+    + stalls: FpuStalls [dependency, stream_empty, stream_full, lsu_busy, idle]);
+counters!(StreamerStats [elems, idx_fetches, jobs, idle_full_cycles]);
+counters!(DmaStats [bytes, busy_cycles, descriptors, latency_cycles]);
+
+record! { CoreReport { halted_at, tcdm_wait_cycles, int_stats["int"], fpu, streamers } }
+
+record! { RunReport {
+    cycles, cycles_fast_forwarded, tcdm_accesses, tcdm_conflicts, icache_hits, icache_misses,
+    dma, freq_hz, cores,
+} }
+
+record! { WorkloadTelemetry {
+    runs, compiles, cache_hits, clusters_reused, cycles_fast_forwarded,
+    estimated, answered_by, degraded, deadline_capped, mix_counts,
+} }
+
+/// One tuning measurement, `[unroll, cycles]`.
+impl Wire for (usize, u64) {
+    fn enc(&self, out: &mut String) {
+        [self.0 as u64, self.1].enc(out);
+    }
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<(usize, u64), JsonError> {
+        let [unroll, cycles] = <[u64; 2]>::dec(r, what)?;
+        let unroll =
+            usize::try_from(unroll).map_err(|_| json::error("measured unroll is out of range"))?;
+        Ok((unroll, cycles))
+    }
+}
+
+record! { TuningDecision { unroll, measured } }
+
 /// The backend names an [`Outcome`] may legitimately carry; decode
 /// rejects anything else (the field is `&'static str`).
 const BACKEND_NAMES: [&str; 4] = ["sim", "native", "roofline", "chaos"];
 
-fn enc_core(out: &mut String, c: &CoreReport) -> fmt::Result {
-    write!(
-        out,
-        "{{\"halted_at\": {}, \"tcdm_wait_cycles\": {}, \"int\": ",
-        c.halted_at, c.tcdm_wait_cycles
-    )?;
-    let s = &c.int_stats.stalls;
-    enc_counters(
-        out,
-        &[
-            c.int_stats.retired,
-            s.offload_full,
-            s.launch_full,
-            s.lsu,
-            s.icache,
-            s.branch,
-            s.drain,
-            s.multi_issue,
-        ],
-    )?;
-    out.push_str(", \"fpu\": ");
-    let (f, fs) = (&c.fpu, &c.fpu.stalls);
-    enc_counters(
-        out,
-        &[
-            f.retired,
-            f.offloaded,
-            f.arith,
-            f.flops,
-            f.loads,
-            f.stores,
-            f.stream_pops,
-            f.stream_pushes,
-            fs.dependency,
-            fs.stream_empty,
-            fs.stream_full,
-            fs.lsu_busy,
-            fs.idle,
-        ],
-    )?;
-    out.push_str(", \"streamers\": [");
-    enc_list(out, &c.streamers, |out, st| {
-        enc_counters(
-            out,
-            &[st.elems, st.idx_fetches, st.jobs, st.idle_full_cycles],
-        )
-    })?;
-    out.push_str("]}");
-    Ok(())
+/// [`Outcome::backend`]: one of [`BACKEND_NAMES`].
+struct Backend(&'static str);
+
+impl Wire for Backend {
+    fn enc(&self, out: &mut String) {
+        Cow::Borrowed(self.0).enc(out);
+    }
+
+    fn dec(r: &mut Reader<'_>, what: &str) -> Result<Backend, JsonError> {
+        let name = r.str(what)?;
+        let known = BACKEND_NAMES.iter().find(|known| **known == name);
+        known
+            .copied()
+            .map(Backend)
+            .ok_or_else(|| json::error(&format!("unknown backend `{name}`")))
+    }
 }
 
-fn dec_core(r: &mut Reader<'_>) -> Result<CoreReport, JsonError> {
-    fields!(r, "core report", required {
-        "halted_at" => halted_at = r.u64("halted_at")?,
-        "tcdm_wait_cycles" => tcdm_wait_cycles = r.u64("tcdm_wait_cycles")?,
-        "int" => int = counters::<8>(r, "int counters")?,
-        "fpu" => fpu = counters::<13>(r, "fpu counters")?,
-        "streamers" => streamers = fixed(r, "streamers", |r| {
-            let [elems, idx_fetches, jobs, idle_full_cycles] = counters(r, "streamer counters")?;
-            Ok(StreamerStats {
-                elems,
-                idx_fetches,
-                jobs,
-                idle_full_cycles,
-            })
-        })?,
-    });
-    Ok(CoreReport {
-        halted_at,
-        int_stats: IntStats {
-            retired: int[0],
-            stalls: IntStalls {
-                offload_full: int[1],
-                launch_full: int[2],
-                lsu: int[3],
-                icache: int[4],
-                branch: int[5],
-                drain: int[6],
-                multi_issue: int[7],
-            },
-        },
-        fpu: FpuStats {
-            retired: fpu[0],
-            offloaded: fpu[1],
-            arith: fpu[2],
-            flops: fpu[3],
-            loads: fpu[4],
-            stores: fpu[5],
-            stream_pops: fpu[6],
-            stream_pushes: fpu[7],
-            stalls: FpuStalls {
-                dependency: fpu[8],
-                stream_empty: fpu[9],
-                stream_full: fpu[10],
-                lsu_busy: fpu[11],
-                idle: fpu[12],
-            },
-        },
-        streamers,
-        tcdm_wait_cycles,
-    })
-}
-
-fn enc_report(out: &mut String, r: &RunReport) -> fmt::Result {
-    write!(
-        out,
-        concat!(
-            "{{\"cycles\": {}, \"cycles_fast_forwarded\": {}, ",
-            "\"tcdm_accesses\": {}, \"tcdm_conflicts\": {}, ",
-            "\"icache_hits\": {}, \"icache_misses\": {}, \"dma\": "
-        ),
-        r.cycles,
-        r.cycles_fast_forwarded,
-        r.tcdm_accesses,
-        r.tcdm_conflicts,
-        r.icache_hits,
-        r.icache_misses,
-    )?;
-    let d = &r.dma;
-    enc_counters(
-        out,
-        &[d.bytes, d.busy_cycles, d.descriptors, d.latency_cycles],
-    )?;
-    out.push_str(", \"freq_hz\": ");
-    enc_f64(out, r.freq_hz)?;
-    out.push_str(", \"cores\": [");
-    enc_list(out, &r.cores, enc_core)?;
-    out.push_str("]}");
-    Ok(())
-}
-
-fn dec_report(r: &mut Reader<'_>) -> Result<RunReport, JsonError> {
-    fields!(r, "run report", required {
-        "cycles" => cycles = r.u64("cycles")?,
-        "cycles_fast_forwarded" => cycles_fast_forwarded = r.u64("cycles_fast_forwarded")?,
-        "tcdm_accesses" => tcdm_accesses = r.u64("tcdm_accesses")?,
-        "tcdm_conflicts" => tcdm_conflicts = r.u64("tcdm_conflicts")?,
-        "icache_hits" => icache_hits = r.u64("icache_hits")?,
-        "icache_misses" => icache_misses = r.u64("icache_misses")?,
-        "dma" => dma = counters::<4>(r, "dma counters")?,
-        "freq_hz" => freq_hz = dec_f64(r, "freq_hz")?,
-        "cores" => cores = list(r, "cores", dec_core)?,
-    });
-    let [bytes, busy_cycles, descriptors, latency_cycles] = dma;
-    Ok(RunReport {
-        cycles,
-        cycles_fast_forwarded,
-        cores,
-        tcdm_accesses,
-        tcdm_conflicts,
-        icache_hits,
-        icache_misses,
-        dma: DmaStats {
-            bytes,
-            busy_cycles,
-            descriptors,
-            latency_cycles,
-        },
-        freq_hz,
-    })
-}
-
-fn enc_telemetry(out: &mut String, t: &WorkloadTelemetry) -> fmt::Result {
-    write!(
-        out,
-        concat!(
-            "{{\"runs\": {}, \"compiles\": {}, \"cache_hits\": {}, ",
-            "\"clusters_reused\": {}, \"cycles_fast_forwarded\": {}, ",
-            "\"estimated\": {}, \"answered_by\": "
-        ),
-        t.runs, t.compiles, t.cache_hits, t.clusters_reused, t.cycles_fast_forwarded, t.estimated,
-    )?;
-    enc_opt(out, t.answered_by, enc_fidelity)?;
-    write!(
-        out,
-        ", \"degraded\": {}, \"deadline_capped\": {}, \"mix_counts\": ",
-        t.degraded, t.deadline_capped
-    )?;
-    enc_counters(out, &t.mix_counts)?;
-    out.push('}');
-    Ok(())
-}
-
-fn dec_telemetry(r: &mut Reader<'_>) -> Result<WorkloadTelemetry, JsonError> {
-    fields!(r, "telemetry", required {
-        "runs" => runs = r.u64("runs")?,
-        "compiles" => compiles = r.u64("compiles")?,
-        "cache_hits" => cache_hits = r.u64("cache_hits")?,
-        "clusters_reused" => clusters_reused = r.u64("clusters_reused")?,
-        "cycles_fast_forwarded" => cycles_fast_forwarded = r.u64("cycles_fast_forwarded")?,
-        "estimated" => estimated = r.bool("estimated")?,
-        "degraded" => degraded = r.bool("degraded")?,
-        "deadline_capped" => deadline_capped = r.bool("deadline_capped")?,
-        "mix_counts" => mix_counts = counters::<6>(r, "mix_counts")?,
-    } optional {
-        "answered_by" => answered_by = opt(r, dec_fidelity)?,
-    });
-    Ok(WorkloadTelemetry {
-        runs,
-        compiles,
-        cache_hits,
-        clusters_reused,
-        cycles_fast_forwarded,
-        estimated,
-        answered_by,
-        degraded,
-        deadline_capped,
-        mix_counts,
-    })
-}
+// The `kernel` (shared with the executing session's cache) does not
+// cross the wire.
+record! { Outcome {
+    fingerprint via DecStr, backend via Backend, grids, reports,
+    tuning, verify_error, dma_utilization, telemetry,
+} skip { kernel: None } }
 
 /// Appends an [`Outcome`]'s wire JSON to `out`.
 ///
 /// The `kernel` field (shared with the executing session's cache) does
 /// not cross the wire; the decoded outcome carries `kernel: None`.
 pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
-    enc_outcome(out, outcome).expect("writing to a String cannot fail");
+    outcome.enc(out);
 }
 
 /// Serializes an [`Outcome`] to its wire JSON (see
@@ -1301,32 +801,6 @@ pub fn encode_outcome(outcome: &Outcome) -> String {
     let mut out = String::with_capacity(1024 + 24 * points + 256 * cores);
     encode_outcome_into(&mut out, outcome);
     out
-}
-
-fn enc_outcome(out: &mut String, outcome: &Outcome) -> fmt::Result {
-    write!(
-        out,
-        "{{\"fingerprint\": \"{}\", \"backend\": \"{}\", \"grids\": [",
-        outcome.fingerprint, outcome.backend
-    )?;
-    enc_list(out, &outcome.grids, enc_grid)?;
-    out.push_str("], \"reports\": [");
-    enc_list(out, &outcome.reports, enc_report)?;
-    out.push_str("], \"tuning\": ");
-    enc_opt(out, outcome.tuning.as_ref(), |out, t| {
-        write!(out, "{{\"unroll\": {}, \"measured\": [", t.unroll)?;
-        enc_list(out, &t.measured, |out, (u, c)| write!(out, "[{u}, {c}]"))?;
-        out.push_str("]}");
-        Ok(())
-    })?;
-    out.push_str(", \"verify_error\": ");
-    enc_opt(out, outcome.verify_error, enc_f64)?;
-    out.push_str(", \"dma_utilization\": ");
-    enc_opt(out, outcome.dma_utilization, enc_f64)?;
-    out.push_str(", \"telemetry\": ");
-    enc_telemetry(out, &outcome.telemetry)?;
-    out.push('}');
-    Ok(())
 }
 
 /// Decodes a wire JSON document back into an [`Outcome`].
@@ -1342,51 +816,10 @@ pub fn decode_outcome(text: &str) -> Result<Outcome, CodegenError> {
     Ok(outcome)
 }
 
-fn dec_tuning(r: &mut Reader<'_>) -> Result<TuningDecision, JsonError> {
-    fields!(r, "tuning", required {
-        "unroll" => unroll = dec_uint(r, "tuned unroll")?,
-        "measured" => measured = list(r, "tuning measurements", |r| {
-            let [unroll, cycles] = counters(r, "tuning measurement")?;
-            let unroll = usize::try_from(unroll)
-                .map_err(|_| json::error("measured unroll is out of range"))?;
-            Ok((unroll, cycles))
-        })?,
-    });
-    Ok(TuningDecision { unroll, measured })
-}
-
 /// [`decode_outcome`] of the value `r` is at — an outcome embedded in a
 /// larger document (a `submit` reply), read where it lies.
 pub fn decode_outcome_from(r: &mut Reader<'_>) -> Result<Outcome, JsonError> {
-    fields!(r, "outcome", required {
-        "fingerprint" => fingerprint = dec_u64_str(r, "fingerprint")?,
-        "backend" => backend = {
-            let name = r.str("backend")?;
-            BACKEND_NAMES
-                .iter()
-                .find(|n| **n == name)
-                .copied()
-                .ok_or_else(|| json::error(&format!("unknown backend `{name}`")))?
-        },
-        "grids" => grids = list(r, "grids", |r| dec_grid(r, "outcome grid"))?,
-        "reports" => reports = list(r, "reports", dec_report)?,
-        "telemetry" => telemetry = dec_telemetry(r)?,
-    } optional {
-        "tuning" => tuning = opt(r, dec_tuning)?,
-        "verify_error" => verify_error = opt(r, |r| dec_f64(r, "verify_error"))?,
-        "dma_utilization" => dma_utilization = opt(r, |r| dec_f64(r, "dma_utilization"))?,
-    });
-    Ok(Outcome {
-        fingerprint,
-        backend,
-        grids,
-        reports,
-        kernel: None,
-        tuning,
-        verify_error,
-        dma_utilization,
-        telemetry,
-    })
+    Outcome::dec(r, "outcome")
 }
 
 #[cfg(test)]

@@ -14,16 +14,6 @@ pub enum Space {
     Dim3,
 }
 
-impl Space {
-    /// Number of axes (2 or 3).
-    pub fn ndims(self) -> usize {
-        match self {
-            Space::Dim2 => 2,
-            Space::Dim3 => 3,
-        }
-    }
-}
-
 impl fmt::Display for Space {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -772,51 +772,6 @@ impl Instr {
         }
     }
 
-    /// Whether this is a control-transfer instruction.
-    pub fn is_control(&self) -> bool {
-        matches!(self, Instr::Branch { .. } | Instr::Jump { .. })
-    }
-
-    /// The integer register this instruction defines (writes), if any.
-    ///
-    /// Writes to `x0` are architectural no-ops but still reported here;
-    /// analyzers that model the hardwired zero should special-case
-    /// [`IntReg::is_zero`] themselves.
-    pub fn int_def(&self) -> Option<IntReg> {
-        match self {
-            Instr::Li { rd, .. }
-            | Instr::Addi { rd, .. }
-            | Instr::Add { rd, .. }
-            | Instr::Sub { rd, .. }
-            | Instr::Mul { rd, .. }
-            | Instr::Slli { rd, .. }
-            | Instr::Lw { rd, .. } => Some(*rd),
-            _ => None,
-        }
-    }
-
-    /// The integer registers this instruction reads, as up to two slots
-    /// (the ISA has no three-source integer forms). Unused slots are
-    /// `None`.
-    pub fn int_uses(&self) -> [Option<IntReg>; 2] {
-        match self {
-            Instr::Addi { rs1, .. } | Instr::Slli { rs1, .. } => [Some(*rs1), None],
-            Instr::Add { rs1, rs2, .. }
-            | Instr::Sub { rs1, rs2, .. }
-            | Instr::Mul { rs1, rs2, .. }
-            | Instr::Branch { rs1, rs2, .. } => [Some(*rs1), Some(*rs2)],
-            Instr::Lw { base, .. } | Instr::Fld { base, .. } => [Some(*base), None],
-            Instr::Sw { rs2, base, .. } => [Some(*rs2), Some(*base)],
-            Instr::Fsd { base, .. } => [Some(*base), None],
-            Instr::SsrSetBase { rs1, .. } => [Some(*rs1), None],
-            Instr::Frep {
-                count: FrepCount::Reg(r),
-                ..
-            } => [Some(*r), None],
-            _ => [None, None],
-        }
-    }
-
     /// The decoded operand registers of an FP *arithmetic* instruction
     /// ([`Instr::FpR`], [`Instr::FpR4`], [`Instr::FpU`]), `None` for
     /// everything else.

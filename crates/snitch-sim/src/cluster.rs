@@ -266,15 +266,6 @@ impl Cluster {
         self.main.write_f64s(addr, values)
     }
 
-    /// Host read of an `f64` slice from simulated main memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadAddress`] if the range is unmapped.
-    pub fn read_main_f64_slice(&self, addr: u64, len: usize) -> Result<Vec<f64>, SimError> {
-        Ok(mem::load_f64s(self.main.read_bytes(addr, len * 8)?))
-    }
-
     /// Queues a DMA transfer (runs concurrently with compute).
     ///
     /// # Errors

@@ -90,13 +90,6 @@ pub struct FpuStalls {
     pub idle: u64,
 }
 
-impl FpuStalls {
-    /// Total non-idle stall cycles.
-    pub fn total_blocked(&self) -> u64 {
-        self.dependency + self.stream_empty + self.stream_full + self.lsu_busy
-    }
-}
-
 /// Aggregate FP-subsystem activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FpuStats {

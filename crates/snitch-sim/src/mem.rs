@@ -50,13 +50,6 @@ pub enum MemOp {
     Write32(u32),
 }
 
-impl MemOp {
-    /// Whether the operation writes memory.
-    pub fn is_write(&self) -> bool {
-        matches!(self, MemOp::Write64(_) | MemOp::Write32(_))
-    }
-}
-
 /// A pending TCDM request held by a [`MemPort`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MemReq {

@@ -154,20 +154,6 @@ impl RunReport {
         acc
     }
 
-    /// Total retired instructions (all cores, both sides).
-    pub fn total_retired(&self) -> u64 {
-        self.cores.iter().map(CoreReport::retired).sum()
-    }
-
-    /// Total TCDM accesses made by streamers (data + index fetches).
-    pub fn stream_accesses(&self) -> u64 {
-        self.cores
-            .iter()
-            .flat_map(|c| c.streamers.iter())
-            .map(|s| s.elems + s.idx_fetches)
-            .sum()
-    }
-
     /// Wall-clock seconds of the run at the configured frequency.
     pub fn seconds(&self) -> f64 {
         self.cycles as f64 / self.freq_hz

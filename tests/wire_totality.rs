@@ -12,6 +12,13 @@
 //! answer in microseconds, and what a mutated-but-valid spec does in
 //! execution is the serving layer's business (panic isolation, in-band
 //! errors), not this test's.
+//!
+//! The calibration document has the same budget: mutations of the
+//! gallery export go through [`CalibrationStore::from_json`], and a
+//! store that imports must re-export to a fixed point *and* keep
+//! working — take an observation of every code it names.
+//!
+//! [`CalibrationStore::from_json`]: saris::codegen::CalibrationStore::from_json
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -251,4 +258,74 @@ fn mutated_request_frames_are_all_answered() {
     assert!(client.ping().expect("the connection outlived every frame"));
     assert!(sent >= 3300, "{sent} frames");
     assert!(served > 100 && served < sent / 2, "{served} of {sent}");
+}
+
+#[test]
+fn mutated_calibration_documents_never_panic_and_stay_observable() {
+    use saris::codegen::{CalibrationStore, Observation};
+
+    /// Imports `text`; an accepted store must re-export to a fixed
+    /// point and take one observation of every gallery code it names.
+    fn import(text: &str) -> Result<CalibrationStore, CodegenError> {
+        let store = catch_unwind(|| CalibrationStore::from_json(text))
+            .unwrap_or_else(|_| panic!("import panicked on: {text}"))?;
+        let canonical = store.to_json();
+        let again = CalibrationStore::from_json(&canonical)
+            .unwrap_or_else(|e| panic!("re-import failed ({e}) for: {text}\n-> {canonical}"));
+        assert_eq!(again.to_json(), canonical, "{text}");
+        for entry in store.entries() {
+            let Some(stencil) = gallery::by_name(&entry.name) else {
+                continue;
+            };
+            let observation = Observation {
+                cycles: 500,
+                fpu_ops: 2420,
+                flops: 2420,
+                interior_points: 484,
+                imbalance: vec![1.0; entry.cores],
+            };
+            let extent = Extent::cube(stencil.space(), 24);
+            catch_unwind(AssertUnwindSafe(|| {
+                store.observe(&stencil, entry.variant, extent, 7, &observation)
+            }))
+            .unwrap_or_else(|_| panic!("observing {} panicked after: {text}", entry.name));
+        }
+        assert!(!store.to_json().is_empty(), "the store still answers");
+        Ok(store)
+    }
+
+    let document = CalibrationStore::with_gallery().to_json();
+    assert_eq!(import(&document).expect("the export imports").len(), 20);
+    let (mut tried, mut imported) = (0, 0);
+    for bytes in mutations(document.as_bytes(), 2500, 200) {
+        let Ok(text) = String::from_utf8(bytes) else {
+            continue;
+        };
+        tried += 1;
+        match import(&text) {
+            Ok(_) => imported += 1,
+            Err(e) => assert!(matches!(e, CodegenError::Calibration { .. }), "{e}"),
+        }
+    }
+    assert!(tried >= 2000, "only {tried} mutations were valid UTF-8");
+    assert!(imported > 100 && imported < tried, "{imported} of {tried}");
+
+    // What a random byte will not find: a count the next observation
+    // would overflow, and an extent whose point count does.
+    let row = |extent: &str, observations: &str| {
+        format!(
+            "{{\"version\": 1, \"entries\": [{{\"name\": \"jacobi_2d\", \"stencil\": \"1\", \
+             \"variant\": \"saris\", \"cores\": 2, \"extent\": {extent}, \"context\": null, \
+             \"cycles_per_point\": 0.75, \"fpu_ops_per_point\": 5.0, \"flops_per_point\": 5.0, \
+             \"imbalance\": [1.0, 1.0], \"confidence\": 1.0, \"observations\": {observations}, \
+             \"source\": \"observed\"}}]}}"
+        )
+    };
+    let store = import(&row("[64, 64, 1]", "18446744073709551615")).expect("a valid row");
+    let entry = &store.entries()[0];
+    assert_eq!((entry.observations, entry.cores), (u64::MAX, 2));
+    for extent in ["[9223372036854775808, 4, 1]", "[64, 0, 1]", "[64, 64]"] {
+        let err = import(&row(extent, "1")).expect_err(extent);
+        assert!(matches!(err, CodegenError::Calibration { .. }), "{err}");
+    }
 }
