@@ -68,7 +68,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use saris_core::grid::{Grid, GridArena};
 use saris_core::stencil::Stencil;
@@ -267,14 +266,6 @@ pub struct SessionStats {
     /// workload requested verification. Each escalation feeds the store,
     /// so identical requests answer analytically afterwards.
     pub auto_escalated: u64,
-    /// [`Fidelity::Auto`] submissions that *would* have escalated but
-    /// were answered analytically because the modeled simulation cost
-    /// did not fit the caller's remaining deadline
-    /// ([`Session::submit_within`]). Counted on top of
-    /// [`auto_answered_analytic`](SessionStats::auto_answered_analytic)
-    /// — the request *was* answered analytically, just for a different
-    /// reason than calibration confidence.
-    pub auto_deadline_capped: u64,
     /// Kernels compiled (cache misses).
     pub compiles: u64,
     /// Kernel-cache hits.
@@ -433,15 +424,10 @@ impl Session {
     /// backend's own [`Backend::fidelity`] slot in an otherwise standard
     /// registry).
     pub fn with_backend(backend: Arc<dyn Backend>) -> Session {
-        Session::with_backend_and_config(backend, SessionConfig::default())
-    }
-
-    /// [`Session::with_backend`] with explicit cache/pool bounds.
-    pub fn with_backend_and_config(backend: Arc<dyn Backend>, config: SessionConfig) -> Session {
         let default_fidelity = backend.fidelity();
         let mut registry = BackendRegistry::standard();
         registry.register(backend);
-        Session::with_registry(registry, default_fidelity, config)
+        Session::with_registry(registry, default_fidelity, SessionConfig::default())
     }
 
     /// A session on an explicit registry, default tier, and bounds.
@@ -464,16 +450,6 @@ impl Session {
             calibration,
             scratch: GridArena::new(),
             recovered: AtomicU64::new(0),
-        }
-    }
-
-    /// The name of the backend serving the session's default tier
-    /// (`"auto"` when the default is the [`Fidelity::Auto`] routing
-    /// policy, which resolves per submission).
-    pub fn backend_name(&self) -> &'static str {
-        match self.default_fidelity {
-            Fidelity::Auto { .. } => "auto",
-            fidelity => self.registry.get(fidelity).name(),
         }
     }
 
@@ -744,76 +720,10 @@ impl Session {
     /// unroll, and [`CodegenError::VerificationFailed`] when the spec
     /// requested verification and the output diverges beyond tolerance.
     pub fn submit(&self, spec: &WorkloadSpec) -> Result<Outcome, CodegenError> {
-        self.submit_within(spec, None)
-    }
-
-    /// [`Session::submit`] with a remaining latency budget steering the
-    /// [`Fidelity::Auto`] routing policy: when an `Auto` request would
-    /// escalate to the cycle tier but the modeled simulation cost
-    /// ([`Session::modeled_cycle_cost`]) does not fit `budget`, the
-    /// session answers analytically instead — flagging the outcome
-    /// [`WorkloadTelemetry::deadline_capped`] and counting
-    /// [`SessionStats::auto_deadline_capped`] — rather than blowing the
-    /// caller's deadline on a measurement nobody will wait for.
-    ///
-    /// `None` (and any non-`Auto` spec) behaves exactly like
-    /// [`Session::submit`]: an explicit tier request is honored whatever
-    /// it costs, and workloads that verify always escalate (verification
-    /// needs grids, which the analytic tier cannot produce).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::submit`].
-    pub fn submit_within(
-        &self,
-        spec: &WorkloadSpec,
-        budget: Option<Duration>,
-    ) -> Result<Outcome, CodegenError> {
         match spec.kind() {
             WorkloadKind::DmaProbe { extent, cluster } => self.submit_probe(spec, *extent, cluster),
-            WorkloadKind::Stencil(work) => self.submit_stencil(spec, work, budget),
+            WorkloadKind::Stencil(work) => self.submit_stencil(spec, work),
         }
-    }
-
-    /// The modeled wall-clock cost of answering `spec` on the cycle
-    /// tier: calibrated cycles-per-point (falling back to a conservative
-    /// first-principles rate when the store has never seen the stencil)
-    /// times the interior point count and the spec's
-    /// [`planned_runs`](WorkloadSpec::planned_runs), divided by the
-    /// measured simulator throughput. Deterministic given the
-    /// calibration state, so deadline-aware routing decisions are
-    /// reproducible. `None` for DMA probes.
-    pub fn modeled_cycle_cost(&self, spec: &WorkloadSpec) -> Option<Duration> {
-        let WorkloadKind::Stencil(work) = spec.kind() else {
-            return None;
-        };
-        Some(self.modeled_cycle_cost_work(work, spec.planned_runs()))
-    }
-
-    fn modeled_cycle_cost_work(&self, work: &StencilWork, planned_runs: u64) -> Duration {
-        // The tuned simulator steps ~2.4e6 simulated cycles per
-        // wall-second (`BENCHMARK.json` tracks it as `sim_mcycles_per_s`).
-        const SIM_CYCLES_PER_SEC: f64 = 2.4e6;
-        // First-principles fallback when nothing is calibrated: gallery
-        // kernels land between ~3 and ~40 cycles/point, so 20 is a
-        // mid-range guess that errs toward answering fast requests
-        // analytically — exactly the conservative direction for a
-        // deadline decision.
-        const FALLBACK_CYCLES_PER_POINT: f64 = 20.0;
-        let cycles_per_point = self
-            .calibration
-            .as_ref()
-            .and_then(|store| {
-                store.lookup(
-                    &work.stencil,
-                    work.options.variant,
-                    work.options.cluster.n_cores,
-                )
-            })
-            .map_or(FALLBACK_CYCLES_PER_POINT, |c| c.cycles_per_point);
-        let points = work.stencil.interior(work.extent).len() as f64;
-        let secs = cycles_per_point * points * planned_runs as f64 / SIM_CYCLES_PER_SEC;
-        Duration::from_secs_f64(secs.max(0.0))
     }
 
     /// Re-answers a stencil spec from the analytic tier after its
@@ -856,7 +766,7 @@ impl Session {
         }
         let mut degraded = work.clone();
         degraded.fidelity = Some(Fidelity::Analytic);
-        let mut outcome = self.submit_stencil(spec, &degraded, None)?;
+        let mut outcome = self.submit_stencil(spec, &degraded)?;
         outcome.telemetry.degraded = true;
         Ok(outcome)
     }
@@ -988,35 +898,19 @@ impl Session {
         &self,
         spec: &WorkloadSpec,
         work: &StencilWork,
-        budget: Option<Duration>,
     ) -> Result<Outcome, CodegenError> {
-        let requested = work.fidelity.unwrap_or(self.default_fidelity);
-        let (mut fidelity, auto_requested) = match requested {
-            Fidelity::Auto { accuracy_budget } => (self.resolve_auto(work, accuracy_budget), true),
-            concrete => (concrete, false),
-        };
-        // Deadline-aware routing (Auto only): an escalation whose modeled
-        // simulation cost cannot fit the caller's remaining budget is
-        // answered analytically instead — the caller asked for "good
-        // enough, in time", and a measurement that arrives late is
-        // neither. Workloads that verify are exempt (they *need* grids).
-        let mut deadline_capped = false;
-        if auto_requested && fidelity == Fidelity::Cycles && work.verify.is_none() {
-            if let Some(budget) = budget {
-                if self.modeled_cycle_cost_work(work, spec.planned_runs()) > budget {
-                    fidelity = Fidelity::Analytic;
-                    deadline_capped = true;
+        let fidelity = match work.fidelity.unwrap_or(self.default_fidelity) {
+            Fidelity::Auto { accuracy_budget } => {
+                let fidelity = self.resolve_auto(work, accuracy_budget);
+                let mut stats = relock(&self.stats, &self.recovered);
+                match fidelity {
+                    Fidelity::Analytic => stats.auto_answered_analytic += 1,
+                    _ => stats.auto_escalated += 1,
                 }
+                fidelity
             }
-        }
-        if auto_requested {
-            let mut stats = relock(&self.stats, &self.recovered);
-            stats.auto_deadline_capped += u64::from(deadline_capped);
-            match fidelity {
-                Fidelity::Analytic => stats.auto_answered_analytic += 1,
-                _ => stats.auto_escalated += 1,
-            }
-        }
+            concrete => concrete,
+        };
         let backend = &**self.registry.get(fidelity);
         let stencil = &*work.stencil;
         // Explicit grids are borrowed straight from the spec's `Arc` —
@@ -1203,7 +1097,6 @@ impl Session {
             }
         }
         tel.answered_by = Some(fidelity);
-        tel.deadline_capped = deadline_capped;
 
         Ok(Outcome {
             fingerprint: spec.fingerprint(),
@@ -1875,7 +1768,6 @@ mod tests {
     #[test]
     fn auto_default_session_routes_unrouted_specs() {
         let session = Session::with_default_fidelity(Fidelity::auto());
-        assert_eq!(session.backend_name(), "auto");
         let spec = jacobi_spec();
         assert_eq!(spec.fidelity(), None);
         let first = session.submit(&spec).unwrap();

@@ -735,7 +735,7 @@ record! { RunReport {
 
 record! { WorkloadTelemetry {
     runs, compiles, cache_hits, clusters_reused, cycles_fast_forwarded,
-    estimated, answered_by, degraded, deadline_capped, mix_counts,
+    estimated, answered_by, degraded, mix_counts,
 } }
 
 /// One tuning measurement, `[unroll, cycles]`.
@@ -973,7 +973,6 @@ mod tests {
                 estimated: false,
                 answered_by: Some(Fidelity::Cycles),
                 degraded: false,
-                deadline_capped: true,
                 mix_counts: [9, 8, 7, 6, 5, 4],
             },
         };

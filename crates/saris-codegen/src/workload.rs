@@ -560,32 +560,6 @@ impl WorkloadSpec {
         candidates + w.time_steps.saturating_sub(1) as u64
     }
 
-    /// This spec re-frozen at a different fidelity tier — the same work,
-    /// inputs, tuning, and stepping, answered at `fidelity` (with the
-    /// fingerprint recomputed, so the derived spec caches independently).
-    /// This is how a serving layer schedules a background cycle-tier run
-    /// of a request it just answered analytically: derive the
-    /// [`Fidelity::Cycles`] twin and submit it when capacity allows.
-    ///
-    /// # Errors
-    ///
-    /// [`CodegenError::InvalidWorkload`] for DMA probes, which always
-    /// measure on the simulated cluster and have no tier to change.
-    pub fn with_fidelity(&self, fidelity: Fidelity) -> Result<WorkloadSpec, CodegenError> {
-        let WorkloadKind::Stencil(work) = &self.kind else {
-            return Err(CodegenError::InvalidWorkload {
-                reason: "DMA probes always measure on the simulated cluster; \
-                         they have no fidelity tier to change"
-                    .to_string(),
-            });
-        };
-        let mut work = work.clone();
-        work.fidelity = Some(fidelity);
-        let kind = WorkloadKind::Stencil(work);
-        let fingerprint = fingerprint_of(&kind);
-        Ok(WorkloadSpec { kind, fingerprint })
-    }
-
     pub(crate) fn kind(&self) -> &WorkloadKind {
         &self.kind
     }
@@ -679,15 +653,6 @@ pub struct WorkloadTelemetry {
     /// Serving layers must not cache degraded outcomes as if they were
     /// full-fidelity responses.
     pub degraded: bool,
-    /// Whether a [`Fidelity::Auto`] request that *would* have escalated
-    /// to the cycle tier was answered analytically instead because the
-    /// modeled simulation cost did not fit the caller's remaining
-    /// deadline (see [`Session::submit_within`](crate::Session::submit_within)).
-    /// The answer is a legitimate analytic estimate for *this* request's
-    /// latency budget — not a routing decision for the spec — so serving
-    /// layers must not cache it, and may schedule a background cycle-tier
-    /// run to warm the calibration store for next time.
-    pub deadline_capped: bool,
     /// Per-class issue-slot counts of the winning kernel's steady-state
     /// per-point-visit work (the paper's Section 2.1 accounting), in
     /// [`InstrClass::ALL`](saris_isa::analysis::InstrClass::ALL) order.

@@ -28,7 +28,7 @@
 //!   the response cache weighs eviction by (cycles ~700x / golden 2x /
 //!   analytic 1x), with aging so bulk work cannot starve behind a
 //!   stream of interactive requests. A worker takes the best-scored job
-//!   and runs it through [`Session::submit_within`] — one path from a
+//!   and runs it through [`Session::submit`] — one path from a
 //!   spec to its outcome, whatever else is queued; requests that share a
 //!   kernel meet in the session's kernel cache, where the first compiles
 //!   and the rest hit;
@@ -338,18 +338,6 @@ pub struct ServeConfig {
     /// at roughly the interactive deadline scale without ever letting a
     /// sweep preempt a request that is actually about to expire.
     pub aging_rate: f64,
-    /// Schedule a background cycle-tier run for every `Auto` request
-    /// that was answered analytically *only because* its modeled
-    /// simulation cost did not fit the remaining deadline
-    /// (`telemetry.deadline_capped`). The background twin carries no
-    /// deadline (so it schedules behind all urgent work), feeds the
-    /// session's calibration store, and is never delivered to the
-    /// capped caller.
-    ///
-    /// Default `false`: background work inflates `requests` /
-    /// `cache_misses` and burns worker time, so warming the store off
-    /// the critical path is opt-in.
-    pub background_calibration: bool,
 }
 
 impl Default for ServeConfig {
@@ -371,7 +359,6 @@ impl Default for ServeConfig {
             quarantine_threshold: 8,
             shutdown_timeout: Duration::from_secs(5),
             aging_rate: 1.0,
-            background_calibration: false,
         }
     }
 }
@@ -391,9 +378,10 @@ impl ServeConfig {
 /// what the fault-tolerance machinery absorbed.
 ///
 /// Conservation: `requests == cache_hits + cache_misses + coalesced +
-/// breaker_rejections + quarantine_rejections`. Background calibration
-/// runs ([`ServeStats::background_runs`]) are booked as a request plus a
-/// cache miss, so the law holds with them in the stream.
+/// breaker_rejections + quarantine_rejections`. How `Auto` requests were
+/// routed is the session's record
+/// ([`SessionStats::auto_answered_analytic`](saris_codegen::SessionStats)
+/// and `auto_escalated`); a cache hit makes no routing decision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests accepted ([`Server::submit`] calls and
@@ -448,14 +436,6 @@ pub struct ServeStats {
     /// paid to re-execute, in analytic-answer units (a cycle-tier run
     /// counts ~700, the measured tier gap).
     pub cost_units_saved: u64,
-    /// Executed [`Fidelity::Auto`] requests the session answered
-    /// analytically (the calibration store met the accuracy budget).
-    /// Cache hits on `Auto` specs make no routing decision and count in
-    /// [`cache_hits`](ServeStats::cache_hits) only.
-    pub auto_answered_analytic: u64,
-    /// Executed [`Fidelity::Auto`] requests that escalated to the cycle
-    /// tier (feeding the calibration store for next time).
-    pub auto_escalated: u64,
     /// Retired, always 0: the scheduler no longer forms batches. The
     /// field stays only because the benchmark harness reads it by name;
     /// it goes with that read.
@@ -465,9 +445,6 @@ pub struct ServeStats {
     /// concurrent requests for one kernel did not repeat are counted by
     /// the session ([`SessionStats::compiles_saved`](saris_codegen::SessionStats)).
     pub compiles_saved: u64,
-    /// Background cycle-tier runs scheduled for deadline-capped `Auto`
-    /// answers ([`ServeConfig::background_calibration`]).
-    pub background_runs: u64,
 }
 
 /// Relative per-run cost of answering on a tier, in analytic-answer
@@ -885,16 +862,27 @@ impl Shared {
         evicted
     }
 
-    /// The breaker slot a spec's execution risk lives in: probes and
-    /// `Auto` requests simulate, so they share the cycle tier's slot.
-    fn tier_slot(&self, spec: &WorkloadSpec) -> usize {
+    /// The tier a spec is planned on *before* execution: probes always
+    /// simulate and `Auto` may escalate to simulation, so both plan as
+    /// the cycle tier; otherwise the spec's own tier or the session's
+    /// default.
+    fn tier(&self, spec: &WorkloadSpec) -> Fidelity {
         if spec.is_probe() {
-            return 1;
+            return Fidelity::Cycles;
         }
         match spec
             .fidelity()
             .unwrap_or_else(|| self.session.default_fidelity())
         {
+            Fidelity::Auto { .. } => Fidelity::Cycles,
+            tier => tier,
+        }
+    }
+
+    /// The breaker slot ([`TIER_NAMES`] index) a spec's execution risk
+    /// lives in.
+    fn tier_slot(&self, spec: &WorkloadSpec) -> usize {
+        match self.tier(spec) {
             Fidelity::Analytic => 0,
             Fidelity::Golden => 2,
             _ => 1,
@@ -903,25 +891,9 @@ impl Shared {
 
     /// The modeled recompute cost of a spec *before* execution, on the
     /// same per-tier scale as [`recompute_cost`] — the scheduler's
-    /// ordering weight. `Auto` is costed like the cycle tier (the
-    /// expensive outcome it may escalate to): conservative, and exactly
-    /// the case where running it late is cheap.
+    /// ordering weight.
     fn planned_cost(&self, spec: &WorkloadSpec) -> f64 {
-        let per_run = if spec.is_probe() {
-            tier_cost(Fidelity::Cycles)
-        } else {
-            tier_cost(
-                spec.fidelity()
-                    .unwrap_or_else(|| self.session.default_fidelity()),
-            )
-        };
-        per_run * spec.planned_runs() as f64
-    }
-
-    /// Whether `spec` is currently cached, without refreshing its
-    /// GreedyDual standing (a peek, not a hit).
-    fn cache_peek(&self, spec: &WorkloadSpec) -> bool {
-        self.config.max_cached_responses > 0 && self.relock(&self.cache).entries.contains_key(spec)
+        tier_cost(self.tier(spec)) * spec.planned_runs() as f64
     }
 
     /// Quarantine and breaker check for a would-be leader. An expired
@@ -1110,17 +1082,7 @@ impl Shared {
     fn execute_with_retry(&self, job: &Job) -> ServeResult {
         let mut attempt: u32 = 0;
         loop {
-            // The remaining deadline budget rides into the session, where
-            // it caps `Auto` escalation: an Auto request whose modeled
-            // simulation cost no longer fits is answered analytically
-            // (`telemetry.deadline_capped`) instead of blowing the
-            // deadline in the simulator.
-            let remaining = job
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                self.session.submit_within(&job.spec, remaining)
-            }));
+            let run = catch_unwind(AssertUnwindSafe(|| self.session.submit(&job.spec)));
             match run {
                 Err(payload) => {
                     // A panic is not retried: the unwind may have left
@@ -1141,20 +1103,21 @@ impl Shared {
                 }
                 Ok(Err(err)) => {
                     let transient = err.is_transient();
-                    let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
-                    if transient && attempt < self.config.max_retries && !expired {
+                    // A retry must finish its backoff before the deadline:
+                    // a sleep past it answers nobody and wedges the worker.
+                    let backoff = self.config.retry_backoff * 2u32.saturating_pow(attempt);
+                    let fits = job.deadline.is_none_or(|d| Instant::now() + backoff < d);
+                    if transient && attempt < self.config.max_retries && fits {
                         attempt += 1;
                         self.relock(&self.stats).retries += 1;
-                        std::thread::sleep(
-                            self.config.retry_backoff * 2u32.saturating_pow(attempt - 1),
-                        );
+                        std::thread::sleep(backoff);
                         continue;
                     }
                     self.note_failure(&job.spec, transient);
                     let shared = ServeError::Execution(Arc::new(err));
                     if transient {
-                        // Retries exhausted (or deadline too close to
-                        // burn one): infrastructure fault, degrade.
+                        // Retries exhausted (or the deadline too close to
+                        // back off once more): infrastructure fault, degrade.
                         return self.degrade_or(&job.spec, shared);
                     }
                     // Deterministic workload error: retrying or
@@ -1179,37 +1142,17 @@ impl Shared {
             // so a snapshot can never observe a cache hit whose
             // execution is not yet counted.
             let mut flights = self.relock(&self.flights);
-            let degraded = matches!(&result, Ok(outcome) if outcome.telemetry.degraded);
-            let capped = matches!(&result, Ok(outcome) if outcome.telemetry.deadline_capped);
             if let Ok(outcome) = &result {
-                // Degraded outcomes answer *this* failure — and
-                // deadline-capped outcomes *this* request's budget — not
-                // the spec: a later identical request deserves a real
-                // attempt.
-                if !degraded && !capped {
+                // Degraded outcomes answer *this* failure, not the spec:
+                // a later identical request deserves a real attempt.
+                if !outcome.telemetry.degraded {
                     self.cache_put(&job.spec, outcome);
                 }
             }
             {
-                // A spec is Auto-routed when it requests Auto itself, or
-                // when it requests nothing and the session's default
-                // tier is Auto (probes never route).
-                let auto_routed = !job.spec.is_probe()
-                    && matches!(
-                        job.spec
-                            .fidelity()
-                            .unwrap_or_else(|| self.session.default_fidelity()),
-                        Fidelity::Auto { .. }
-                    );
                 let mut stats = self.relock(&self.stats);
                 stats.executed += u64::from(!expired);
                 stats.errors += u64::from(!expired && result.is_err());
-                if let (true, Ok(outcome)) = (auto_routed && !degraded, &result) {
-                    match outcome.telemetry.answered_by {
-                        Some(Fidelity::Analytic) => stats.auto_answered_analytic += 1,
-                        _ => stats.auto_escalated += 1,
-                    }
-                }
             }
             flights.remove(&job.spec);
         }
@@ -1221,58 +1164,7 @@ impl Shared {
         if evicted > 0 {
             self.relock(&self.stats).cache_evictions += evicted;
         }
-        if self.config.background_calibration {
-            if let Ok(outcome) = &result {
-                if outcome.telemetry.deadline_capped {
-                    self.spawn_background(&job.spec);
-                }
-            }
-        }
         self.complete(&job.flight, result);
-    }
-
-    /// Enqueues a background cycle-tier twin of a deadline-capped `Auto`
-    /// spec, so the calibration store learns the measurement no caller
-    /// was willing to wait for. Best-effort by design: skipped when the
-    /// twin is already cached or in flight, when admission rejects it,
-    /// or when the queue is closed or full — a background run never
-    /// blocks and never displaces foreground work (it carries no
-    /// deadline, so it schedules behind everything urgent and relies on
-    /// aging to run at idle).
-    fn spawn_background(&self, spec: &WorkloadSpec) {
-        let Ok(twin) = spec.with_fidelity(Fidelity::Cycles) else {
-            return;
-        };
-        // Taking `queue` while holding `flights` is a new-but-safe edge:
-        // nothing in the serving layer acquires `flights` while holding
-        // `queue`, and neither lock is held across a wait here.
-        let mut flights = self.relock(&self.flights);
-        if self.cache_peek(&twin) || flights.contains_key(&twin) {
-            return;
-        }
-        if !matches!(self.admission(&twin), Admission::Allow) {
-            return;
-        }
-        let cost = self.planned_cost(&twin);
-        let mut queue = self.relock(&self.queue);
-        if queue.closed || queue.jobs.len() >= self.config.queue_depth {
-            return;
-        }
-        let flight = Arc::new(Flight::new());
-        flights.insert(twin.clone(), Arc::clone(&flight));
-        queue.push(twin, flight, None, cost);
-        drop(queue);
-        drop(flights);
-        {
-            // Booked like any other admitted miss, so the stats
-            // conservation law keeps holding with background traffic in
-            // the stream.
-            let mut stats = self.relock(&self.stats);
-            stats.requests += 1;
-            stats.cache_misses += 1;
-            stats.background_runs += 1;
-        }
-        self.not_empty.notify_one();
     }
 
     /// Executes one job and publishes its result (worker side).
@@ -1605,8 +1497,7 @@ impl Server {
     /// [`submit_async`](Server::submit_async) with an explicit
     /// end-to-end latency budget overriding
     /// [`ServeConfig::default_deadline`]. The deadline also drives
-    /// scheduling priority (slack ordering) and deadline-aware `Auto`
-    /// routing.
+    /// scheduling priority (slack ordering).
     pub fn submit_async_with_deadline(
         &self,
         spec: &WorkloadSpec,

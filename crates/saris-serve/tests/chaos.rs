@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use saris_codegen::{
     Backend, BackendRegistry, CodegenError, FaultInjectingBackend, FaultKind, FaultPlan, Fidelity,
@@ -466,6 +466,49 @@ fn transient_faults_recover_within_the_retry_budget() {
     assert_eq!(stats.recovered, 1);
     assert_eq!(stats.errors, 0, "recovered flights are not errors");
     assert_eq!(chaos.injected().errors, 1);
+}
+
+/// A retry whose backoff would outlive the request's deadline is not
+/// taken: the transient failure is final and degrades at once, so the
+/// worker never sleeps past the deadline and shutdown does not wait on
+/// it.
+#[test]
+fn retry_backoff_never_outlives_the_deadline() {
+    let mut plan = FaultPlan::seeded(7);
+    plan.error_rate = 0.45;
+    let (server, chaos) = chaos_server(
+        plan,
+        ServeConfig {
+            workers: 1,
+            retry_backoff: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+    );
+    let flaky = (0..)
+        .map(spec)
+        .find(|s| {
+            let schedule = chaos.schedule(s, 2).expect("stencil specs have keys");
+            schedule[0] == Some(FaultKind::Error) && schedule[1].is_none()
+        })
+        .expect("a fail-once seed exists");
+    let outcome = server
+        .submit_with_deadline(&flaky, Duration::from_millis(200))
+        .expect("the transient failure degrades");
+    assert!(outcome.telemetry.degraded);
+    assert_eq!(outcome.telemetry.answered_by, Some(Fidelity::Analytic));
+    let stats = server.stats();
+    assert_eq!(
+        stats.retries, 0,
+        "a 30 s backoff cannot fit a 200 ms deadline"
+    );
+    assert_eq!(stats.degraded, 1);
+    let dropped = Instant::now();
+    drop(server);
+    assert!(
+        dropped.elapsed() < Duration::from_secs(2),
+        "the worker was asleep in a backoff: drop took {:?}",
+        dropped.elapsed()
+    );
 }
 
 /// Panic isolation with degradation on: a panicking cycle-tier request

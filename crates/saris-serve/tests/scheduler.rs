@@ -1,8 +1,7 @@
 //! Scheduler acceptance tests: asynchronous admission
 //! ([`Server::submit_async`] / [`ResponseHandle`]), cost- and
 //! deadline-aware ordering with aging, bit-identical answers and one
-//! compile per kernel for requests queued behind their peers, and
-//! deadline-aware `Auto` routing with background calibration.
+//! compile per kernel for requests queued behind their peers.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,19 +38,6 @@ fn blocker() -> WorkloadSpec {
         .extent(Extent::new_2d(64, 64))
         .input_seed(999)
         .time_steps(5)
-        .freeze()
-        .unwrap()
-}
-
-/// A 20-step 64x64 `Auto` spec: its modeled cycle-tier cost (~25ms with
-/// the store's shipped priors) dwarfs a 10ms deadline, while the
-/// analytic answer fits hundreds of times over.
-fn auto_heavy(seed: u64) -> WorkloadSpec {
-    Workload::new(gallery::jacobi_2d())
-        .extent(Extent::new_2d(64, 64))
-        .input_seed(seed)
-        .time_steps(20)
-        .fidelity(Fidelity::auto())
         .freeze()
         .unwrap()
 }
@@ -333,74 +319,4 @@ fn kernel_groups_compile_once_for_their_peers() {
     let session = server.session().stats();
     assert_eq!(session.compiles, 2);
     assert!(session.cache_hits >= GROUP - 1, "{session:?}");
-}
-
-/// Deadline-aware `Auto` routing: when the modeled simulation cost does
-/// not fit the remaining deadline, the request is answered analytically
-/// (flagged `deadline_capped`, never cached) instead of blowing its
-/// budget in the simulator.
-#[test]
-fn auto_requests_cap_to_the_deadline() {
-    let server = Server::with_config(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let capped = server
-        .submit_with_deadline(&auto_heavy(1), Duration::from_millis(10))
-        .expect("capped requests still answer");
-    assert!(capped.telemetry.deadline_capped);
-    assert!(
-        !capped.telemetry.degraded,
-        "capping is routing, not failure"
-    );
-    assert_eq!(capped.telemetry.answered_by, Some(Fidelity::Analytic));
-    assert_eq!(server.cached_responses(), 0, "capped answers never cache");
-    let stats = server.stats();
-    assert_eq!(stats.auto_answered_analytic, 1);
-    assert_eq!(stats.auto_escalated, 0);
-    assert_eq!(server.session().stats().auto_deadline_capped, 1);
-    // The same shape with room to breathe escalates for real.
-    let escalated = server
-        .submit_with_deadline(&auto_heavy(2), Duration::from_secs(60))
-        .expect("uncapped requests escalate");
-    assert!(!escalated.telemetry.deadline_capped);
-    assert_eq!(server.stats().auto_escalated, 1);
-}
-
-/// The stretch: a deadline-capped `Auto` answer schedules a background
-/// cycle-tier twin that feeds the calibration store off the critical
-/// path — booked as its own request so the stats conservation law
-/// keeps holding.
-#[test]
-fn deadline_capped_autos_schedule_background_calibration() {
-    let server = Server::with_config(ServeConfig {
-        workers: 1,
-        background_calibration: true,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let capped = server
-        .submit_with_deadline(&auto_heavy(7), Duration::from_millis(10))
-        .expect("capped requests still answer");
-    assert!(capped.telemetry.deadline_capped);
-    // The background twin runs without anyone waiting on it.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while server.stats().executed < 2 {
-        assert!(Instant::now() < deadline, "background twin never ran");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stats = server.stats();
-    assert_eq!(stats.background_runs, 1);
-    assert_eq!(stats.requests, 2, "the twin is booked as a request");
-    assert_eq!(stats.cache_misses, 2);
-    assert_eq!(
-        stats.requests,
-        stats.cache_hits + stats.cache_misses + stats.coalesced,
-        "conservation holds with background traffic: {stats:?}"
-    );
-    // The twin's full-fidelity answer is cached (the capped foreground
-    // answer is not), and its measurement reached the session.
-    assert_eq!(server.cached_responses(), 1);
-    assert!(server.session().stats().runs_cycles >= 1);
 }

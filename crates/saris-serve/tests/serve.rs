@@ -261,7 +261,7 @@ fn stats_snapshots_never_show_hits_before_executions() {
 
 /// Adaptive serving: `Fidelity::Auto` requests escalate exactly once
 /// per unique workload shape, then the warmed calibration store answers
-/// new (differently seeded) requests analytically — the serve-level
+/// new (differently seeded) requests analytically — the session's
 /// counters record the split.
 #[test]
 fn auto_requests_warm_the_store_through_the_server() {
@@ -287,15 +287,18 @@ fn auto_requests_warm_the_store_through_the_server() {
         assert_eq!(outcome.telemetry.answered_by, Some(Fidelity::Analytic));
         assert!(outcome.telemetry.estimated);
     }
-    let stats = server.stats();
-    assert_eq!(stats.auto_escalated, 1);
-    assert_eq!(stats.auto_answered_analytic, 4);
-    assert_eq!(stats.cache_hits, 0, "every request was a distinct spec");
+    let session = server.session().stats();
+    assert_eq!(session.auto_escalated, 1);
+    assert_eq!(session.auto_answered_analytic, 4);
+    assert_eq!(
+        server.stats().cache_hits,
+        0,
+        "every request was a distinct spec"
+    );
     // A response-cache hit on an Auto spec is a hit, not a new decision.
     server.submit(&auto_spec(1)).unwrap();
-    let stats = server.stats();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.auto_escalated, 1);
+    assert_eq!(server.stats().cache_hits, 1);
+    assert_eq!(server.session().stats().auto_escalated, 1);
 }
 
 /// Mixed-fidelity serving: estimate-class requests ride the analytic

@@ -150,10 +150,9 @@
 //! ```
 //!
 //! Workloads that request verification always escalate under `Auto`
-//! (verification needs grids), and the serving layer accounts the
-//! decisions ([`ServeStats`](serve::ServeStats)
-//! `auto_answered_analytic` / `auto_escalated`) while weighing its
-//! response-cache eviction by each entry's cost of recompute — a
+//! (verification needs grids). The serving layer leaves the decision to
+//! the session and weighs its response-cache eviction by each entry's
+//! cost of recompute — a
 //! cycle-tier response is ~700x more expensive to regenerate than an
 //! analytic one, and survives cache pressure accordingly.
 //!
