@@ -220,12 +220,12 @@ const PINNED_DOCUMENTS: [(&str, usize, u64); 10] = [
     ("spec explicit_grids", 2144, 0xd6f005d4c0769b0b),
     ("spec unusual_options", 1453, 0x4201a0fe109cc548),
     ("spec leapfrog", 3058, 0xe5125c3be0086140),
-    ("outcome cycles_verified", 6688, 0x0429593fce7e31ad),
-    ("outcome golden", 4837, 0xd827663e5a7af2ae),
-    ("outcome analytic", 2077, 0xd577a9f6554f5e06),
-    ("outcome tuned", 6759, 0x357ddc87ab61b58d),
-    ("outcome multi_step", 23215, 0xd52708047587be3a),
-    ("outcome dma_probe", 394, 0x4c4e62df6dba8c9b),
+    ("outcome cycles_verified", 6662, 0xbda5c3ff48609022),
+    ("outcome golden", 4811, 0x210b0f928df13d69),
+    ("outcome analytic", 2051, 0xb1f1293096b49991),
+    ("outcome tuned", 6733, 0xee4afa2802f68e10),
+    ("outcome multi_step", 23189, 0x3f0c1cb1113a6a91),
+    ("outcome dma_probe", 368, 0xbaead11d3fee14a0),
 ];
 
 #[test]
