@@ -22,7 +22,9 @@
 //!   specs onto one execution: the first becomes the leader, the rest
 //!   wait on the same in-flight slot and share its `Arc<Outcome>` — a
 //!   duplicated spec executes exactly once no matter how many callers
-//!   race on it;
+//!   race on it. In-flight slots and cached responses are rows of one
+//!   per-spec table, so a spec is always exactly one of running, cached
+//!   or new;
 //! * a **cost- and deadline-aware scheduler** orders the queue by
 //!   deadline slack and the same deterministic per-tier recompute costs
 //!   the response cache weighs eviction by (cycles ~700x / golden 2x /
@@ -54,10 +56,11 @@
 //!   [`ServeError::BackendPanicked`], and publishes that to every
 //!   coalesced waiter; the flight is always removed and its condvar
 //!   always signaled, so nobody hangs on a dead execution;
-//! * **poison recovery** — every serve-side lock recovers from
-//!   poisoning (`PoisonError::into_inner` + `clear_poison`) and counts
-//!   the event in [`ServeStats::lock_recoveries`]; a panic while a lock
-//!   is held degrades one snapshot, never the server;
+//! * **poison recovery** — the serving core's one state lock (and each
+//!   in-flight result slot) recovers from poisoning
+//!   (`PoisonError::into_inner` + `clear_poison`) and counts the event
+//!   in [`ServeStats::lock_recoveries`]; a panic while the lock is held
+//!   degrades one snapshot, never the server;
 //! * **deadlines** — [`Server::submit_with_deadline`] (or
 //!   [`ServeConfig::default_deadline`]) bounds end-to-end latency:
 //!   expiry is enforced while blocked on a full queue, at dequeue, and
@@ -219,6 +222,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum queued (accepted but not yet executing) requests;
     /// submissions beyond this block until a worker drains the queue.
+    /// `0` means `1`: a queue that can hold no job would block every
+    /// cache miss until its deadline or shutdown.
     ///
     /// Default `256`: deep enough to absorb a gallery-sized burst
     /// without blocking submitters, small enough that a wedged backend
@@ -485,10 +490,11 @@ fn recompute_cost(outcome: &Outcome) -> f64 {
 
 /// Recovers a poisoned lock result: counts the recovery, clears the
 /// poison flag (so later locks are clean and the counter reflects
-/// distinct panics, not one panic forever), and returns the guard. A
-/// serve-side critical section that unwinds leaves at most one
-/// inconsistent *snapshot* (a stats read), never inconsistent *state* —
-/// every structure guarded here is valid at each await point.
+/// distinct panics, not one panic forever), and returns the guard.
+/// Recovering is sound because no caller code runs under these locks —
+/// no session call and no completion callback — so a critical section
+/// that unwinds is a bug in this module, not a half-applied update
+/// from outside it.
 fn recover<'a, T>(
     mutex: &Mutex<T>,
     locked: LockResult<MutexGuard<'a, T>>,
@@ -635,37 +641,6 @@ struct Job {
     cost: f64,
 }
 
-/// The bounded work queue (guarded by one mutex with two condvars).
-/// Jobs live in an unordered `Vec`; [`pick_index`] decides what runs
-/// next, so changing the ordering never touches the queue structure.
-struct Queue {
-    jobs: Vec<Job>,
-    closed: bool,
-    next_seq: u64,
-}
-
-impl Queue {
-    /// Admits a job, stamping its admission order and enqueue time.
-    fn push(
-        &mut self,
-        spec: WorkloadSpec,
-        flight: Arc<Flight>,
-        deadline: Option<Instant>,
-        cost: f64,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.jobs.push(Job {
-            spec,
-            flight,
-            deadline,
-            seq,
-            enqueued_at: Instant::now(),
-            cost,
-        });
-    }
-}
-
 /// The slack a deadline-free job schedules with, in seconds: far enough
 /// out that every live deadline beats it, close enough that aging
 /// ([`ServeConfig::aging_rate`]) promotes waiting bulk work within
@@ -724,19 +699,16 @@ struct CachedResponse {
     last_used: u64,
 }
 
-/// The cost-aware response cache: a GreedyDual policy over recompute
-/// cost. Every insert or hit sets the entry's priority to the current
-/// floor plus its recompute cost; eviction removes the lowest-priority
-/// entry and raises the floor to it. Expensive responses (cycle-tier
-/// simulations) therefore survive ~700x more cache pressure than
-/// analytic estimates, while repeated hits keep any entry fresh.
-struct ResponseCache {
-    entries: HashMap<WorkloadSpec, CachedResponse>,
-    /// The GreedyDual aging floor (the priority of the last eviction):
-    /// rises monotonically, so entries untouched for long eventually
-    /// fall below newly touched ones regardless of cost.
-    floor: f64,
-    tick: u64,
+/// A spec's row in the serving table. One row per spec is what makes
+/// single-flight and caching race-free: a spec is running, cached, or
+/// absent (new), never two of them at once.
+enum Entry {
+    /// Admitted and not yet settled: queued or executing. Duplicates
+    /// join this flight.
+    Running(Arc<Flight>),
+    /// Answered, and kept by the GreedyDual policy (see
+    /// [`State::evict`]).
+    Cached(CachedResponse),
 }
 
 /// Per-tier consecutive-infrastructure-failure breaker state.
@@ -751,115 +723,297 @@ struct Breaker {
 /// risk lives.
 const TIER_NAMES: [&str; 3] = ["analytic", "cycles", "golden"];
 
-/// Failure-tracking state: per-tier breakers plus per-spec quarantine
-/// strike counts (keyed by fingerprint; a success clears the entry).
-struct Health {
-    breakers: [Breaker; 3],
-    quarantine: HashMap<u64, u32>,
+/// The breaker slot ([`TIER_NAMES`] index) of a planned tier.
+fn tier_slot(tier: Fidelity) -> usize {
+    match tier {
+        Fidelity::Analytic => 0,
+        Fidelity::Golden => 2,
+        _ => 1,
+    }
 }
 
-/// Admission verdict for a would-be flight leader.
-enum Admission {
-    Allow,
-    Quarantined,
-    BreakerOpen(&'static str),
+/// Most spec fingerprints the quarantine books hold strikes for. Only a
+/// success clears a spec's strikes, and a deterministically failing
+/// spec never succeeds: unbounded, the books would keep every distinct
+/// failing spec — remote clients' included — for the process's life.
+/// At the bound, the spec with the fewest strikes is forgotten.
+const QUARANTINE_CAPACITY: usize = 1024;
+
+/// What [`State::lookup`] found for a request.
+enum Lookup {
+    /// Answered from the response cache.
+    Hit(Arc<Outcome>),
+    /// Coalesced onto the flight already running the spec.
+    Join(Arc<Flight>),
+    /// Neither: the request goes on to [`State::admission`].
+    Miss,
+}
+
+/// How one job's execution ended, for the breaker and quarantine books
+/// ([`State::settle`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Never ran: its deadline expired while it was queued.
+    Expired,
+    Succeeded,
+    /// Failed for good on infrastructure (a panic, a transient fault):
+    /// a strike against the spec and against its tier's breaker.
+    Faulted,
+    /// Failed for good on the workload itself: a strike against the
+    /// spec only.
+    Failed,
+}
+
+/// Everything submitters and workers share, behind one lock
+/// ([`Shared::state`]). It is plain data: each serving stage is a
+/// thread-free method here, given the config and the time, and the
+/// shells on [`Shared`] lock once per stage and run nothing else — no
+/// session call, no completion callback — while they hold the lock.
+#[derive(Default)]
+struct State {
+    /// The scheduler queue, unordered: [`pick_index`] decides what runs
+    /// next, so changing the ordering never touches the queue.
+    jobs: Vec<Job>,
+    /// Set at shutdown; no job is queued after it.
+    closed: bool,
+    /// Admission order of the next led job.
+    next_seq: u64,
+    /// The single-flight table and the response cache in one map.
+    specs: HashMap<WorkloadSpec, Entry>,
+    /// [`Entry::Cached`] rows in `specs`.
+    cached: usize,
+    /// The GreedyDual aging floor (the priority of the last eviction):
+    /// rises monotonically, so entries untouched for long eventually
+    /// fall below newly touched ones regardless of cost.
+    floor: f64,
+    /// Logical clock of cache touches.
+    tick: u64,
+    breakers: [Breaker; 3],
+    /// Final-failure strikes per spec fingerprint (a success clears the
+    /// entry); at most [`QUARANTINE_CAPACITY`] entries.
+    quarantine: HashMap<u64, u32>,
+    stats: ServeStats,
+    /// Workers whose loop is still running; [`Shared::worker_exit`]
+    /// signals each decrement so shutdown can wait with a bound.
+    live_workers: usize,
+}
+
+impl State {
+    /// The lookup stage: books the request, then answers it from the
+    /// cache (refreshing the entry's GreedyDual priority and recency) or
+    /// joins the flight already running the spec. A [`Lookup::Miss`]
+    /// goes on to [`State::admission`].
+    fn lookup(&mut self, spec: &WorkloadSpec) -> Lookup {
+        self.stats.requests += 1;
+        match self.specs.get_mut(spec) {
+            Some(Entry::Cached(cached)) => {
+                self.tick += 1;
+                cached.priority = self.floor + cached.cost;
+                cached.last_used = self.tick;
+                self.stats.cache_hits += 1;
+                self.stats.cost_units_saved += cached.cost as u64;
+                Lookup::Hit(Arc::clone(&cached.outcome))
+            }
+            Some(Entry::Running(flight)) => {
+                self.stats.coalesced += 1;
+                Lookup::Join(Arc::clone(flight))
+            }
+            None => Lookup::Miss,
+        }
+    }
+
+    /// The admission stage for a request that missed: a quarantined
+    /// spec or an open breaker on its planned `tier` refuses it;
+    /// otherwise a new flight enters the table and its job, stamped with
+    /// the admission order and time, goes to the caller, who leads it:
+    /// it must queue the job or take the flight back out of the table.
+    /// (A leader blocked on a full queue therefore ages from admission.)
+    /// An expired breaker cooldown lets exactly one request through
+    /// half-open: the counter is reset to one-below-threshold, so its
+    /// failure re-opens the breaker immediately and its success resets
+    /// it.
+    fn admission(
+        &mut self,
+        config: &ServeConfig,
+        spec: &WorkloadSpec,
+        tier: Fidelity,
+        deadline: Option<Instant>,
+        now: Instant,
+    ) -> Result<Job, ServeError> {
+        if config.quarantine_threshold > 0
+            && self
+                .quarantine
+                .get(&spec.fingerprint())
+                .is_some_and(|strikes| *strikes >= config.quarantine_threshold)
+        {
+            self.stats.quarantine_rejections += 1;
+            return Err(ServeError::Quarantined);
+        }
+        if config.breaker_threshold > 0 {
+            let slot = tier_slot(tier);
+            let breaker = &mut self.breakers[slot];
+            if let Some(open_until) = breaker.open_until {
+                if now < open_until {
+                    self.stats.breaker_rejections += 1;
+                    return Err(ServeError::CircuitOpen {
+                        tier: TIER_NAMES[slot],
+                    });
+                }
+                breaker.open_until = None;
+                breaker.consecutive = config.breaker_threshold.saturating_sub(1);
+            }
+        }
+        self.stats.cache_misses += 1;
+        let flight = Arc::new(Flight::new());
+        self.specs
+            .insert(spec.clone(), Entry::Running(Arc::clone(&flight)));
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Ok(Job {
+            spec: spec.clone(),
+            flight,
+            deadline,
+            seq,
+            enqueued_at: now,
+            cost: tier_cost(tier) * spec.planned_runs() as f64,
+        })
+    }
+
+    /// The pick stage: takes the best-scored job ([`pick_index`]).
+    fn pick(&mut self, config: &ServeConfig, now: Instant) -> Option<Job> {
+        pick_index(&self.jobs, now, config.aging_rate).map(|i| self.jobs.swap_remove(i))
+    }
+
+    /// The settle stage, the single exit of every job: books the
+    /// execution and the spec's health, and takes the flight out of the
+    /// table — replaced by the response when it is a real answer, which
+    /// may evict another. Counters and cache change together, so no
+    /// snapshot sees a hit whose execution is not yet counted. The
+    /// caller completes the flight once the lock is released.
+    fn settle(
+        &mut self,
+        config: &ServeConfig,
+        spec: &WorkloadSpec,
+        tier: Fidelity,
+        result: &ServeResult,
+        verdict: Verdict,
+        now: Instant,
+    ) {
+        let breaker = &mut self.breakers[tier_slot(tier)];
+        match verdict {
+            Verdict::Expired => self.stats.deadline_exceeded += 1,
+            // A success closes the tier's breaker and clears the spec's
+            // quarantine strikes.
+            Verdict::Succeeded => {
+                *breaker = Breaker::default();
+                self.quarantine.remove(&spec.fingerprint());
+            }
+            // Infrastructure failures advance the breaker, opening it at
+            // the threshold.
+            Verdict::Faulted | Verdict::Failed => {
+                if verdict == Verdict::Faulted && config.breaker_threshold > 0 {
+                    breaker.consecutive += 1;
+                    if breaker.consecutive >= config.breaker_threshold {
+                        breaker.open_until = Some(now + config.breaker_cooldown);
+                    }
+                }
+                self.strike(config, spec.fingerprint());
+            }
+        }
+        if verdict != Verdict::Expired {
+            self.stats.executed += 1;
+            self.stats.errors += u64::from(result.is_err());
+        }
+        match (result, self.specs.get_mut(spec)) {
+            // Degraded outcomes answer *this* failure, not the spec: a
+            // later identical request deserves a real attempt.
+            (Ok(outcome), Some(entry))
+                if config.max_cached_responses > 0 && !outcome.telemetry.degraded =>
+            {
+                self.tick += 1;
+                let cost = recompute_cost(outcome);
+                *entry = Entry::Cached(CachedResponse {
+                    outcome: Arc::clone(outcome),
+                    cost,
+                    priority: self.floor + cost,
+                    last_used: self.tick,
+                });
+                self.cached += 1;
+                self.evict(config);
+            }
+            _ => {
+                self.specs.remove(spec);
+            }
+        }
+    }
+
+    /// Evicts cached responses beyond the bound by the GreedyDual policy
+    /// over recompute cost: every insert or hit sets an entry's priority
+    /// to the current floor plus its recompute cost, and eviction removes
+    /// the lowest-priority entry (least recently used among equals) and
+    /// raises the floor to it. Cycle-tier responses therefore survive
+    /// ~700x more cache pressure than analytic estimates, while repeated
+    /// hits keep any entry fresh.
+    fn evict(&mut self, config: &ServeConfig) {
+        while self.cached > config.max_cached_responses {
+            let (victim, priority) = self
+                .specs
+                .iter()
+                .filter_map(|(spec, entry)| match entry {
+                    Entry::Cached(cached) => Some((spec, cached)),
+                    Entry::Running(_) => None,
+                })
+                .min_by(|(_, a), (_, b)| {
+                    a.priority
+                        .total_cmp(&b.priority)
+                        .then(a.last_used.cmp(&b.last_used))
+                })
+                .map(|(spec, cached)| (spec.clone(), cached.priority))
+                .expect("`cached` counts the cached rows");
+            self.specs.remove(&victim);
+            self.cached -= 1;
+            self.floor = self.floor.max(priority);
+            self.stats.cache_evictions += 1;
+        }
+    }
+
+    /// Books a final failure of a spec as a quarantine strike, first
+    /// forgetting the spec with the fewest strikes when the books are
+    /// full ([`QUARANTINE_CAPACITY`]).
+    fn strike(&mut self, config: &ServeConfig, fingerprint: u64) {
+        if config.quarantine_threshold == 0 {
+            return;
+        }
+        if self.quarantine.len() >= QUARANTINE_CAPACITY
+            && !self.quarantine.contains_key(&fingerprint)
+        {
+            let (&fewest, _) = self
+                .quarantine
+                .iter()
+                .min_by_key(|(_, strikes)| **strikes)
+                .expect("the books are full");
+            self.quarantine.remove(&fewest);
+        }
+        *self.quarantine.entry(fingerprint).or_insert(0) += 1;
+    }
 }
 
 struct Shared {
     session: Session,
     config: ServeConfig,
-    queue: Mutex<Queue>,
+    /// The serving core's one lock.
+    state: Mutex<State>,
     not_empty: Condvar,
     not_full: Condvar,
-    // Lock order: `flights` before `cache` (both submission and
-    // completion take them in that order; see `begin` / `finish`).
-    // `health` and `stats` are leaves: taken last, never while waiting.
-    flights: Mutex<HashMap<WorkloadSpec, Arc<Flight>>>,
-    cache: Mutex<ResponseCache>,
-    stats: Mutex<ServeStats>,
-    health: Mutex<Health>,
-    /// Workers whose loop is still running; `worker_exit` signals each
-    /// decrement so shutdown can wait with a bound.
-    live_workers: Mutex<usize>,
     worker_exit: Condvar,
     /// Poisoned-lock recoveries (see [`recover`]).
     recovered: AtomicU64,
 }
 
 impl Shared {
-    /// Locks a serve-side mutex with poison recovery (see [`recover`]).
-    fn relock<'a, T>(&self, mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        relock(mutex, &self.recovered)
-    }
-
-    /// Cache lookup, refreshing the hit entry's GreedyDual priority and
-    /// recency tick. Returns the shared outcome and the recompute cost
-    /// the hit saved. Callers hold the `flights` lock (see the invariant
-    /// on [`Shared::flights`]).
-    fn cache_get(&self, spec: &WorkloadSpec) -> Option<(Arc<Outcome>, f64)> {
-        if self.config.max_cached_responses == 0 {
-            return None;
-        }
-        let mut cache = self.relock(&self.cache);
-        cache.tick += 1;
-        let (tick, floor) = (cache.tick, cache.floor);
-        let entry = cache.entries.get_mut(spec)?;
-        entry.priority = floor + entry.cost;
-        entry.last_used = tick;
-        Some((Arc::clone(&entry.outcome), entry.cost))
-    }
-
-    /// Inserts a response at `floor + recompute_cost` priority. O(1) —
-    /// callers hold the `flights` lock, so eviction (an O(capacity)
-    /// scan) is deferred to [`Shared::cache_evict`], which runs after
-    /// that lock is released.
-    fn cache_put(&self, spec: &WorkloadSpec, outcome: &Arc<Outcome>) {
-        if self.config.max_cached_responses == 0 {
-            return;
-        }
-        let cost = recompute_cost(outcome);
-        let mut cache = self.relock(&self.cache);
-        cache.tick += 1;
-        let (tick, floor) = (cache.tick, cache.floor);
-        cache.entries.insert(
-            spec.clone(),
-            CachedResponse {
-                outcome: Arc::clone(outcome),
-                cost,
-                priority: floor + cost,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Evicts the lowest-priority responses beyond the bound —
-    /// cheapest-to-recompute first, least-recently-used among equals —
-    /// raising the GreedyDual floor to each evicted priority. Returns
-    /// the evictions performed. Takes only the cache lock, so the
-    /// O(capacity) scan never serializes submissions behind the
-    /// `flights` lock.
-    fn cache_evict(&self) -> u64 {
-        if self.config.max_cached_responses == 0 {
-            return 0;
-        }
-        let mut cache = self.relock(&self.cache);
-        let mut evicted = 0;
-        while cache.entries.len() > self.config.max_cached_responses {
-            let victim = cache
-                .entries
-                .iter()
-                .min_by(|(_, a), (_, b)| {
-                    a.priority
-                        .total_cmp(&b.priority)
-                        .then(a.last_used.cmp(&b.last_used))
-                })
-                .map(|(k, e)| (k.clone(), e.priority))
-                .expect("cache is non-empty");
-            cache.entries.remove(&victim.0);
-            cache.floor = cache.floor.max(victim.1);
-            evicted += 1;
-        }
-        evicted
+    /// Locks the state with poison recovery (see [`recover`]).
+    fn lock(&self) -> MutexGuard<'_, State> {
+        relock(&self.state, &self.recovered)
     }
 
     /// The tier a spec is planned on *before* execution: probes always
@@ -879,78 +1033,6 @@ impl Shared {
         }
     }
 
-    /// The breaker slot ([`TIER_NAMES`] index) a spec's execution risk
-    /// lives in.
-    fn tier_slot(&self, spec: &WorkloadSpec) -> usize {
-        match self.tier(spec) {
-            Fidelity::Analytic => 0,
-            Fidelity::Golden => 2,
-            _ => 1,
-        }
-    }
-
-    /// The modeled recompute cost of a spec *before* execution, on the
-    /// same per-tier scale as [`recompute_cost`] — the scheduler's
-    /// ordering weight.
-    fn planned_cost(&self, spec: &WorkloadSpec) -> f64 {
-        tier_cost(self.tier(spec)) * spec.planned_runs() as f64
-    }
-
-    /// Quarantine and breaker check for a would-be leader. An expired
-    /// breaker cooldown lets exactly one probe request through
-    /// half-open: the counter is reset to one-below-threshold, so the
-    /// probe's failure re-opens immediately and its success resets.
-    fn admission(&self, spec: &WorkloadSpec) -> Admission {
-        let mut health = self.relock(&self.health);
-        if self.config.quarantine_threshold > 0
-            && health
-                .quarantine
-                .get(&spec.fingerprint())
-                .is_some_and(|strikes| *strikes >= self.config.quarantine_threshold)
-        {
-            return Admission::Quarantined;
-        }
-        if self.config.breaker_threshold > 0 {
-            let slot = self.tier_slot(spec);
-            let breaker = &mut health.breakers[slot];
-            if let Some(open_until) = breaker.open_until {
-                if Instant::now() < open_until {
-                    return Admission::BreakerOpen(TIER_NAMES[slot]);
-                }
-                breaker.open_until = None;
-                breaker.consecutive = self.config.breaker_threshold.saturating_sub(1);
-            }
-        }
-        Admission::Allow
-    }
-
-    /// Books a final failure: infrastructure failures advance the
-    /// tier's breaker (opening it at the threshold); every final
-    /// failure adds a quarantine strike against the spec.
-    fn note_failure(&self, spec: &WorkloadSpec, infrastructure: bool) {
-        let mut health = self.relock(&self.health);
-        if infrastructure && self.config.breaker_threshold > 0 {
-            let slot = self.tier_slot(spec);
-            let breaker = &mut health.breakers[slot];
-            breaker.consecutive += 1;
-            if breaker.consecutive >= self.config.breaker_threshold {
-                breaker.open_until = Some(Instant::now() + self.config.breaker_cooldown);
-            }
-        }
-        if self.config.quarantine_threshold > 0 {
-            *health.quarantine.entry(spec.fingerprint()).or_insert(0) += 1;
-        }
-    }
-
-    /// Books a success: closes the tier's breaker and clears the spec's
-    /// quarantine strikes.
-    fn note_success(&self, spec: &WorkloadSpec) {
-        let mut health = self.relock(&self.health);
-        let slot = self.tier_slot(spec);
-        health.breakers[slot] = Breaker::default();
-        health.quarantine.remove(&spec.fingerprint());
-    }
-
     /// Degrades a failed request to a fresh analytic answer when the
     /// policy and the spec allow it; otherwise returns `err`. Degraded
     /// outcomes carry `telemetry.degraded` and are never cached.
@@ -960,7 +1042,7 @@ impl Shared {
         }
         match self.session.submit_degraded(spec) {
             Ok(outcome) => {
-                self.relock(&self.stats).degraded += 1;
+                self.lock().stats.degraded += 1;
                 Ok(Arc::new(outcome))
             }
             // Probes, verifying workloads, and golden requests have no
@@ -969,102 +1051,71 @@ impl Shared {
         }
     }
 
-    /// The submission path up to (but not including) waiting: cache
-    /// probe, single-flight attach, admission check, or leader enqueue.
+    /// The submission path up to (but not including) waiting: lookup,
+    /// admission, and — for a leader — the enqueue, all under one hold
+    /// of the lock (a full queue's wait releases it).
     fn begin(&self, spec: &WorkloadSpec, deadline: Option<Instant>) -> Wait {
-        // Holding the flights lock across the cache probe closes the
-        // hit-miss race: a worker inserts into the cache *before*
-        // removing the flight (also under this lock), so a spec is
-        // always visible as cached, in flight, or genuinely new.
-        let mut flights = self.relock(&self.flights);
-        if let Some((outcome, cost)) = self.cache_get(spec) {
-            let mut stats = self.relock(&self.stats);
-            stats.requests += 1;
-            stats.cache_hits += 1;
-            stats.cost_units_saved += cost as u64;
-            return Wait::Ready(Ok(outcome));
-        }
-        if let Some(flight) = flights.get(spec) {
-            let flight = Arc::clone(flight);
-            let mut stats = self.relock(&self.stats);
-            stats.requests += 1;
-            stats.coalesced += 1;
-            return Wait::Pending {
-                flight,
-                deadline,
-                spec: spec.clone(),
-            };
-        }
-        match self.admission(spec) {
-            Admission::Allow => {}
-            Admission::Quarantined => {
-                let mut stats = self.relock(&self.stats);
-                stats.requests += 1;
-                stats.quarantine_rejections += 1;
-                return Wait::Ready(Err(ServeError::Quarantined));
-            }
-            Admission::BreakerOpen(tier) => {
-                {
-                    let mut stats = self.relock(&self.stats);
-                    stats.requests += 1;
-                    stats.breaker_rejections += 1;
+        let tier = self.tier(spec);
+        let mut state = self.lock();
+        let admitted = match state.lookup(spec) {
+            Lookup::Hit(outcome) => return Wait::Ready(Ok(outcome)),
+            Lookup::Join(flight) => {
+                return Wait::Pending {
+                    flight,
+                    deadline,
+                    spec: spec.clone(),
                 }
-                drop(flights);
-                return Wait::Ready(self.degrade_or(spec, ServeError::CircuitOpen { tier }));
             }
-        }
-        let flight = Arc::new(Flight::new());
-        flights.insert(spec.clone(), Arc::clone(&flight));
-        drop(flights);
-        {
-            let mut stats = self.relock(&self.stats);
-            stats.requests += 1;
-            stats.cache_misses += 1;
-        }
-        // Scheduling metadata is computed outside the queue lock.
-        let cost = self.planned_cost(spec);
+            Lookup::Miss => state.admission(&self.config, spec, tier, deadline, Instant::now()),
+        };
+        let job = match admitted {
+            Ok(job) => job,
+            Err(ServeError::Quarantined) => return Wait::Ready(Err(ServeError::Quarantined)),
+            // An open breaker degrades.
+            Err(err) => {
+                drop(state);
+                return Wait::Ready(self.degrade_or(spec, err));
+            }
+        };
         // Leader: enqueue, blocking while the queue is at capacity —
         // but never past the request's deadline.
-        let mut queue = self.relock(&self.queue);
-        loop {
-            if queue.closed {
-                drop(queue);
-                self.abandon(spec, &flight, ServeError::ShutDown);
-                return Wait::Ready(Err(ServeError::ShutDown));
+        let err = loop {
+            if state.closed {
+                break ServeError::ShutDown;
             }
-            if queue.jobs.len() < self.config.queue_depth {
-                break;
+            if state.jobs.len() < self.config.queue_depth.max(1) {
+                let pending = Wait::Pending {
+                    flight: Arc::clone(&job.flight),
+                    deadline,
+                    spec: spec.clone(),
+                };
+                state.jobs.push(job);
+                drop(state);
+                self.not_empty.notify_one();
+                return pending;
             }
             let (guard, expired) = wait_until(
                 &self.not_full,
-                &self.queue,
-                queue,
+                &self.state,
+                state,
                 deadline,
                 &self.recovered,
             );
+            state = guard;
             if expired {
-                drop(guard);
-                self.abandon(spec, &flight, ServeError::DeadlineExceeded);
-                self.relock(&self.stats).deadline_exceeded += 1;
-                return Wait::Ready(self.degrade_or(spec, ServeError::DeadlineExceeded));
+                state.stats.deadline_exceeded += 1;
+                break ServeError::DeadlineExceeded;
             }
-            queue = guard;
-        }
-        queue.push(spec.clone(), Arc::clone(&flight), deadline, cost);
-        drop(queue);
-        self.not_empty.notify_one();
-        Wait::Pending {
-            flight,
-            deadline,
-            spec: spec.clone(),
-        }
-    }
-
-    /// Removes a flight that will never execute and wakes its waiters
-    /// with `err`.
-    fn abandon(&self, spec: &WorkloadSpec, flight: &Arc<Flight>, err: ServeError) {
-        self.relock(&self.flights).remove(spec);
-        self.complete(flight, Err(err));
+        };
+        // The led flight never runs: out of the table, then its
+        // waiters wake (unlocked).
+        state.specs.remove(spec);
+        drop(state);
+        self.complete(&job.flight, Err(err.clone()));
+        Wait::Ready(match err {
+            ServeError::ShutDown => Err(err),
+            _ => self.degrade_or(spec, err),
+        })
     }
 
     /// Completes `flight` and books the callbacks that panicked on the
@@ -1072,14 +1123,14 @@ impl Shared {
     fn complete(&self, flight: &Flight, result: ServeResult) {
         let panicked = flight.complete(result, &self.recovered);
         if panicked > 0 {
-            self.relock(&self.stats).panics += panicked;
+            self.lock().stats.panics += panicked;
         }
     }
 
     /// Executes one job with panic isolation and bounded retry
     /// (worker side). Final infrastructure failures degrade; final
     /// deterministic failures propagate untouched.
-    fn execute_with_retry(&self, job: &Job) -> ServeResult {
+    fn execute_with_retry(&self, job: &Job) -> (ServeResult, Verdict) {
         let mut attempt: u32 = 0;
         loop {
             let run = catch_unwind(AssertUnwindSafe(|| self.session.submit(&job.spec)));
@@ -1089,17 +1140,16 @@ impl Shared {
                     // session-side caches for this spec in a recovered-
                     // but-unknown state, and the analytic stand-in is
                     // both safe and cheap.
-                    self.relock(&self.stats).panics += 1;
-                    self.note_failure(&job.spec, true);
+                    self.lock().stats.panics += 1;
                     let message = panic_message(payload.as_ref());
-                    return self.degrade_or(&job.spec, ServeError::BackendPanicked { message });
+                    let err = ServeError::BackendPanicked { message };
+                    return (self.degrade_or(&job.spec, err), Verdict::Faulted);
                 }
                 Ok(Ok(outcome)) => {
                     if attempt > 0 {
-                        self.relock(&self.stats).recovered += 1;
+                        self.lock().stats.recovered += 1;
                     }
-                    self.note_success(&job.spec);
-                    return Ok(Arc::new(outcome));
+                    return (Ok(Arc::new(outcome)), Verdict::Succeeded);
                 }
                 Ok(Err(err)) => {
                     let transient = err.is_transient();
@@ -1109,94 +1159,56 @@ impl Shared {
                     let fits = job.deadline.is_none_or(|d| Instant::now() + backoff < d);
                     if transient && attempt < self.config.max_retries && fits {
                         attempt += 1;
-                        self.relock(&self.stats).retries += 1;
+                        self.lock().stats.retries += 1;
                         std::thread::sleep(backoff);
                         continue;
                     }
-                    self.note_failure(&job.spec, transient);
                     let shared = ServeError::Execution(Arc::new(err));
                     if transient {
                         // Retries exhausted (or the deadline too close to
                         // back off once more): infrastructure fault, degrade.
-                        return self.degrade_or(&job.spec, shared);
+                        return (self.degrade_or(&job.spec, shared), Verdict::Faulted);
                     }
                     // Deterministic workload error: retrying or
                     // degrading would mask a real answer.
-                    return Err(shared);
+                    return (Err(shared), Verdict::Failed);
                 }
             }
         }
     }
 
-    /// Publishes one job's final result: cache insertion, counter
-    /// booking, flight removal, eviction, and flight completion — the
-    /// single exit of every job. The flight is removed and completed on
-    /// every path, so waiters can never hang.
-    fn publish(&self, job: &Job, result: ServeResult, expired: bool) {
-        {
-            // Same lock order as `begin`: cache insertion happens before
-            // the flight disappears, so late duplicates can never slip
-            // between "not in flight" and "not yet cached". The
-            // `executed`/`errors` counters are booked inside the same
-            // critical section — before the response becomes hittable —
-            // so a snapshot can never observe a cache hit whose
-            // execution is not yet counted.
-            let mut flights = self.relock(&self.flights);
-            if let Ok(outcome) = &result {
-                // Degraded outcomes answer *this* failure, not the spec:
-                // a later identical request deserves a real attempt.
-                if !outcome.telemetry.degraded {
-                    self.cache_put(&job.spec, outcome);
-                }
-            }
-            {
-                let mut stats = self.relock(&self.stats);
-                stats.executed += u64::from(!expired);
-                stats.errors += u64::from(!expired && result.is_err());
-            }
-            flights.remove(&job.spec);
-        }
-        // The cache bound is enforced outside the flights lock: over-cap
-        // entries linger only until here, and dropping them late never
-        // produces a wrong answer (a hit on an over-cap entry is still a
-        // valid response).
-        let evicted = self.cache_evict();
-        if evicted > 0 {
-            self.relock(&self.stats).cache_evictions += evicted;
-        }
-        self.complete(&job.flight, result);
-    }
-
-    /// Executes one job and publishes its result (worker side).
+    /// Executes one job, settles it, and completes its flight (worker
+    /// side).
     fn finish(&self, job: Job) {
-        let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
-        let result: ServeResult = if expired {
+        let (result, verdict) = if job.deadline.is_some_and(|d| Instant::now() >= d) {
             // Spent its whole deadline queued: don't burn a cluster on
             // an answer nobody is waiting for.
-            self.relock(&self.stats).deadline_exceeded += 1;
-            self.degrade_or(&job.spec, ServeError::DeadlineExceeded)
+            let result = self.degrade_or(&job.spec, ServeError::DeadlineExceeded);
+            (result, Verdict::Expired)
         } else {
             self.execute_with_retry(&job)
         };
-        self.publish(&job, result, expired);
+        let (tier, now) = (self.tier(&job.spec), Instant::now());
+        self.lock()
+            .settle(&self.config, &job.spec, tier, &result, verdict, now);
+        self.complete(&job.flight, result);
     }
 
-    /// Worker loop: take the best-scored job ([`pick_index`]), wake one
-    /// submitter blocked on the full queue, run the job — until the
-    /// queue is closed *and* empty.
+    /// Worker loop: take the best-scored job, wake one submitter
+    /// blocked on the full queue, run the job — until the queue is
+    /// closed *and* empty.
     fn work(&self) {
         loop {
             let job = {
-                let mut queue = self.relock(&self.queue);
+                let mut state = self.lock();
                 loop {
-                    let now = Instant::now();
-                    if let Some(i) = pick_index(&queue.jobs, now, self.config.aging_rate) {
-                        break queue.jobs.swap_remove(i);
+                    if let Some(job) = state.pick(&self.config, Instant::now()) {
+                        break job;
                     }
-                    if queue.closed {
+                    if state.closed {
                         return;
                     }
-                    queue = recover(&self.queue, self.not_empty.wait(queue), &self.recovered);
+                    state = recover(&self.state, self.not_empty.wait(state), &self.recovered);
                 }
             };
             self.not_full.notify_one();
@@ -1222,7 +1234,7 @@ struct WorkerGuard(Arc<Shared>);
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        *relock(&self.0.live_workers, &self.0.recovered) -= 1;
+        self.0.lock().live_workers -= 1;
         self.0.worker_exit.notify_all();
     }
 }
@@ -1254,7 +1266,7 @@ impl Wait {
                 None => {
                     // This waiter's deadline expired; the flight keeps
                     // running for everyone else.
-                    shared.relock(&shared.stats).deadline_exceeded += 1;
+                    shared.lock().stats.deadline_exceeded += 1;
                     shared.degrade_or(&spec, ServeError::DeadlineExceeded)
                 }
             },
@@ -1384,31 +1396,15 @@ impl Server {
         let shared = Arc::new(Shared {
             session,
             config,
-            queue: Mutex::new(Queue {
-                jobs: Vec::new(),
-                closed: false,
-                next_seq: 0,
-            }),
+            state: Mutex::new(State::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            flights: Mutex::new(HashMap::new()),
-            cache: Mutex::new(ResponseCache {
-                entries: HashMap::new(),
-                floor: 0.0,
-                tick: 0,
-            }),
-            stats: Mutex::new(ServeStats::default()),
-            health: Mutex::new(Health {
-                breakers: [Breaker::default(), Breaker::default(), Breaker::default()],
-                quarantine: HashMap::new(),
-            }),
-            live_workers: Mutex::new(0),
             worker_exit: Condvar::new(),
             recovered: AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(config.effective_workers());
         for i in 0..config.effective_workers() {
-            *shared.relock(&shared.live_workers) += 1;
+            shared.lock().live_workers += 1;
             let worker_shared = Arc::clone(&shared);
             let spawned = std::thread::Builder::new()
                 .name(format!("saris-serve-{i}"))
@@ -1421,8 +1417,10 @@ impl Server {
                 Err(e) => {
                     // This worker never started: take back its liveness
                     // count, then shut down the ones that did.
-                    *shared.relock(&shared.live_workers) -= 1;
-                    shared.relock(&shared.queue).closed = true;
+                    let mut state = shared.lock();
+                    state.live_workers -= 1;
+                    state.closed = true;
+                    drop(state);
                     shared.not_empty.notify_all();
                     shared.not_full.notify_all();
                     for worker in workers {
@@ -1528,7 +1526,7 @@ impl Server {
 
     /// A snapshot of the serving counters.
     pub fn stats(&self) -> ServeStats {
-        let mut stats = *self.shared.relock(&self.shared.stats);
+        let mut stats = self.shared.lock().stats;
         stats.lock_recoveries = self.shared.recovered.load(Ordering::Relaxed);
         stats
     }
@@ -1547,7 +1545,7 @@ impl Server {
 
     /// Responses currently cached.
     pub fn cached_responses(&self) -> usize {
-        self.shared.relock(&self.shared.cache).entries.len()
+        self.shared.lock().cached
     }
 }
 
@@ -1564,7 +1562,8 @@ impl fmt::Debug for Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.relock(&self.shared.queue).closed = true;
+        let mut state = self.shared.lock();
+        state.closed = true;
         // Wake every worker (to drain and exit) and every submitter
         // blocked on a full queue (to observe the shutdown).
         self.shared.not_empty.notify_all();
@@ -1572,22 +1571,21 @@ impl Drop for Server {
         // Bounded join: wait for the workers to drain, but never hang
         // the dropping thread on a wedged backend — detach instead.
         let deadline = Instant::now() + self.shared.config.shutdown_timeout;
-        let mut live = self.shared.relock(&self.shared.live_workers);
-        while *live > 0 {
+        while state.live_workers > 0 {
             let (guard, expired) = wait_until(
                 &self.shared.worker_exit,
-                &self.shared.live_workers,
-                live,
+                &self.shared.state,
+                state,
                 Some(deadline),
                 &self.shared.recovered,
             );
-            live = guard;
+            state = guard;
             if expired {
                 break;
             }
         }
-        let wedged = *live;
-        drop(live);
+        let wedged = state.live_workers;
+        drop(state);
         if wedged > 0 {
             eprintln!(
                 "saris-serve: {wedged} worker(s) still busy after the {:?} shutdown timeout; \
@@ -1827,23 +1825,252 @@ mod tests {
             ..ServeConfig::default()
         })
         .unwrap();
-        // Poison the stats lock from a doomed thread.
+        // The worker takes the state lock too, so it is held in a
+        // completion callback (which runs unlocked) while the lock is
+        // poisoned: the snapshot below, not the worker, finds it. The
+        // callback is attached before the worker can see the job.
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        {
+            let mut state = server.shared.lock();
+            assert!(matches!(state.lookup(&spec(1)), Lookup::Miss));
+            let (config, now) = (&server.shared.config, Instant::now());
+            let job = state
+                .admission(config, &spec(1), Fidelity::Cycles, None, now)
+                .unwrap();
+            let hold = move |_| {
+                parked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            };
+            job.flight
+                .on_complete(Box::new(hold), &server.shared.recovered);
+            state.jobs.push(job);
+        }
+        server.shared.not_empty.notify_one();
+        parked.recv().unwrap();
+        // Poison the state lock from a doomed thread.
         let shared = Arc::clone(&server.shared);
         let poisoner = std::thread::spawn(move || {
-            let _guard = shared.stats.lock().unwrap();
-            panic!("poison the serve stats lock");
+            let _guard = shared.state.lock().unwrap();
+            panic!("poison the serve state lock");
         });
         assert!(poisoner.join().is_err());
-        assert!(server.shared.stats.is_poisoned());
+        assert!(server.shared.state.is_poisoned());
         // The next snapshot recovers, clears the poison, and counts it.
         let stats = server.stats();
         assert_eq!(stats.lock_recoveries, 1);
-        assert!(!server.shared.stats.is_poisoned());
+        assert!(!server.shared.state.is_poisoned());
+        release.send(()).unwrap();
         // The server still serves, and the recovery counter does not
         // inflate on subsequent (clean) locks.
         server.submit(&spec(1)).unwrap();
         let stats = server.stats();
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.lock_recoveries, 1);
+    }
+
+    #[test]
+    fn zero_queue_depth_still_queues_one_job() {
+        let server = Server::with_config(ServeConfig {
+            workers: 1,
+            queue_depth: 0,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let outcome = server
+            .submit_with_deadline(&spec(1), Duration::from_secs(2))
+            .unwrap();
+        assert!(
+            !outcome.telemetry.degraded,
+            "the miss waited out its deadline"
+        );
+        assert_eq!(server.stats().deadline_exceeded, 0);
+    }
+
+    #[test]
+    fn quarantine_books_stay_bounded_and_keep_quarantined_specs() {
+        let config = ServeConfig {
+            quarantine_threshold: 3,
+            ..ServeConfig::default()
+        };
+        let (mut state, now) = (State::default(), Instant::now());
+        let quarantined = spec(1);
+        for _ in 0..config.quarantine_threshold {
+            state.strike(&config, quarantined.fingerprint());
+        }
+        for other in 1..=QUARANTINE_CAPACITY as u64 + 64 {
+            state.strike(&config, quarantined.fingerprint().wrapping_add(other));
+        }
+        assert!(state.quarantine.len() <= QUARANTINE_CAPACITY);
+        let refused = state.admission(&config, &quarantined, Fidelity::Cycles, None, now);
+        assert!(matches!(refused, Err(ServeError::Quarantined)));
+    }
+
+    /// A response for `spec` answered on `tier`, built without a session.
+    fn answer(spec: &WorkloadSpec, tier: Fidelity, degraded: bool) -> ServeResult {
+        Ok(Arc::new(Outcome {
+            fingerprint: spec.fingerprint(),
+            backend: "test",
+            grids: Vec::new(),
+            reports: Vec::new(),
+            kernel: None,
+            tuning: None,
+            verify_error: None,
+            dma_utilization: None,
+            telemetry: saris_codegen::WorkloadTelemetry {
+                answered_by: Some(tier),
+                degraded,
+                ..Default::default()
+            },
+        }))
+    }
+
+    /// The serving stages as a seeded random walk — lookups, leads,
+    /// enqueues, abandons, picks and settles over 16 specs and a cache
+    /// of 4 — with the table checked after every step against the
+    /// flights the walk holds: what the threaded suites reach only by
+    /// timing, here deterministically.
+    #[test]
+    fn seeded_stage_walk_keeps_every_spec_in_one_state() {
+        const SPECS: usize = 16;
+        let config = ServeConfig {
+            max_cached_responses: 4,
+            breaker_threshold: 2,
+            breaker_cooldown: Duration::from_millis(5),
+            quarantine_threshold: 3,
+            ..ServeConfig::default()
+        };
+        let specs: Vec<WorkloadSpec> = (0..SPECS as u64).map(spec).collect();
+        // Specs 0..12 answer (or expire in the queue) on the cycle and
+        // analytic tiers. 12..16 share the golden tier and always fail:
+        // 12..14 on infrastructure, tripping its breaker, and 14..16 on
+        // the workload; all four end up quarantined.
+        let tier = |i: usize| match i {
+            12.. => Fidelity::Golden,
+            _ if i.is_multiple_of(2) => Fidelity::Cycles,
+            _ => Fidelity::Analytic,
+        };
+        let mut rng = 0x5EED_u64;
+        let mut roll = move || {
+            // splitmix64
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut state = State::default();
+        let mut now = Instant::now();
+        // Jobs the walk leads but has not queued, and jobs it picked but
+        // has not settled; the rest are in `state.jobs`.
+        let (mut led, mut picked): (Vec<Job>, Vec<Job>) = (Vec::new(), Vec::new());
+        for _ in 0..10_000 {
+            now += Duration::from_micros(100);
+            let r = roll();
+            let i = (r >> 32) as usize % SPECS;
+            match r % 10 {
+                0..=3 => match state.lookup(&specs[i]) {
+                    Lookup::Hit(outcome) => assert_eq!(outcome.fingerprint, specs[i].fingerprint()),
+                    Lookup::Join(flight) => assert!(led
+                        .iter()
+                        .chain(&state.jobs)
+                        .chain(&picked)
+                        .any(|job| Arc::ptr_eq(&job.flight, &flight))),
+                    Lookup::Miss => {
+                        if let Ok(job) = state.admission(&config, &specs[i], tier(i), None, now) {
+                            led.push(job);
+                        }
+                    }
+                },
+                4 | 5 if !led.is_empty() => {
+                    let job = led.swap_remove(i % led.len());
+                    if r & (1 << 8) == 0 {
+                        state.jobs.push(job);
+                    } else {
+                        state.specs.remove(&job.spec);
+                    }
+                }
+                6 | 7 => picked.extend(state.pick(&config, now)),
+                8 | 9 if !picked.is_empty() => {
+                    let job = picked.swap_remove(i % picked.len());
+                    let n = specs.iter().position(|s| *s == job.spec).unwrap();
+                    let (result, verdict) = match (n, (r >> 8) % 4) {
+                        (0..12, 0) => (answer(&job.spec, tier(n), true), Verdict::Expired),
+                        (0..12, 1) => (Err(ServeError::DeadlineExceeded), Verdict::Expired),
+                        (0..12, _) => (answer(&job.spec, tier(n), false), Verdict::Succeeded),
+                        (12..14, 0 | 1) => (answer(&job.spec, tier(n), true), Verdict::Faulted),
+                        (12..14, _) => (
+                            Err(ServeError::BackendPanicked {
+                                message: "injected".into(),
+                            }),
+                            Verdict::Faulted,
+                        ),
+                        _ => (
+                            Err(ServeError::Execution(Arc::new(
+                                CodegenError::InvalidWorkload {
+                                    reason: "injected".into(),
+                                },
+                            ))),
+                            Verdict::Failed,
+                        ),
+                    };
+                    state.settle(&config, &job.spec, tier(n), &result, verdict, now);
+                    let row = state.specs.get(&job.spec);
+                    if verdict == Verdict::Succeeded {
+                        assert!(
+                            !matches!(row, Some(Entry::Running(_))),
+                            "settled spec still runs"
+                        );
+                    } else {
+                        assert!(row.is_none(), "a degraded or failed settle left a row");
+                    }
+                }
+                _ => {}
+            }
+            // Every spec is running (exactly when the walk holds one
+            // flight of it, and that flight is the row's), cached, or
+            // absent.
+            let flights: Vec<&Job> = led.iter().chain(&state.jobs).chain(&picked).collect();
+            for s in &specs {
+                let mine: Vec<&&Job> = flights.iter().filter(|job| job.spec == *s).collect();
+                match state.specs.get(s) {
+                    Some(Entry::Running(flight)) => {
+                        assert_eq!(mine.len(), 1);
+                        assert!(Arc::ptr_eq(&mine[0].flight, flight));
+                    }
+                    Some(Entry::Cached(_)) | None => assert!(mine.is_empty()),
+                }
+            }
+            assert!(state.specs.keys().all(|s| specs.contains(s)));
+            let cached = state
+                .specs
+                .values()
+                .filter(|entry| matches!(entry, Entry::Cached(_)))
+                .count();
+            assert_eq!(state.cached, cached);
+            assert!(cached <= config.max_cached_responses);
+            let s = state.stats;
+            assert_eq!(
+                s.requests,
+                s.cache_hits
+                    + s.cache_misses
+                    + s.coalesced
+                    + s.breaker_rejections
+                    + s.quarantine_rejections,
+                "{s:?}"
+            );
+        }
+        // The walk reached every path it checks.
+        let s = state.stats;
+        for (path, count) in [
+            ("hits", s.cache_hits),
+            ("joins", s.coalesced),
+            ("evictions", s.cache_evictions),
+            ("breaker rejections", s.breaker_rejections),
+            ("quarantine rejections", s.quarantine_rejections),
+            ("expiries", s.deadline_exceeded),
+            ("errors", s.errors),
+        ] {
+            assert!(count > 0, "the walk never reached {path}: {s:?}");
+        }
     }
 }
