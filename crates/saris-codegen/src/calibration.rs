@@ -66,8 +66,8 @@ use saris_core::stencil::Stencil;
 use saris_core::{gallery, Extent};
 
 use crate::error::CodegenError;
-use crate::json::{JsonError, Reader};
-use crate::record::{fields, record, DecStr, Wire};
+use crate::json::{self, JsonError, Reader};
+use crate::record::{missing, record, DecStr, Wire};
 use crate::runtime::{RunOptions, Variant};
 use crate::tuner::Tune;
 
@@ -644,7 +644,8 @@ impl CalibrationStore {
     /// # Errors
     ///
     /// [`CodegenError::Calibration`] when the input is not valid JSON,
-    /// misses required fields, or contains non-finite rates.
+    /// declares a `"version"` other than `1`, misses required fields, or
+    /// contains non-finite rates.
     pub fn from_json(json: &str) -> Result<CalibrationStore, CodegenError> {
         let mut inner = Inner::default();
         for (i, row) in dec_rows(json).map_err(cal)?.into_iter().enumerate() {
@@ -730,13 +731,30 @@ record! { Row<'_> {
     confidence, observations, source,
 } }
 
-/// The `"entries"` of a calibration document (`"version"` is not read).
+/// The `"entries"` of a calibration document whose `"version"` is `1`
+/// or absent; any other version is refused by name.
 fn dec_rows(text: &str) -> Result<Vec<Row<'static>>, JsonError> {
     let mut reader = Reader::new(text);
     let r = &mut reader;
-    fields!(r, "calibration document", { "entries" => rows });
+    let mut rows = None;
+    r.begin_object("calibration document")?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "version" => match r.raw_value()? {
+                "1" => {}
+                other => {
+                    return Err(json::error(&format!(
+                        "calibration document version {other} is not supported \
+                         (this build reads version 1)"
+                    )))
+                }
+            },
+            "entries" => rows = Some(Wire::dec(r, "entries")?),
+            _ => r.skip_value()?,
+        }
+    }
     reader.finish()?;
-    Ok(rows)
+    rows.ok_or_else(|| missing("calibration document", "entries"))
 }
 
 /// Maps a shared-JSON failure ([`crate::json`]) into this module's
@@ -1140,6 +1158,23 @@ mod tests {
         assert_eq!(entry.extent, Some(Extent::new_2d(24, 24)));
         let copy = CalibrationStore::from_json(&store.to_json()).expect("exports");
         assert_eq!(copy.len(), store.len());
+    }
+
+    #[test]
+    fn documents_of_another_version_are_refused_by_name() {
+        let document = CalibrationStore::with_gallery().to_json();
+        let unversioned = document.replacen("\"version\": 1,", "", 1);
+        assert_ne!(unversioned, document);
+        let store = CalibrationStore::from_json(&unversioned).expect("absent reads as 1");
+        assert_eq!(store.len(), 20);
+        for version in ["2", "\"x\"", "null", "1.0"] {
+            let doc = document.replacen("\"version\": 1", &format!("\"version\": {version}"), 1);
+            let Err(CodegenError::Calibration { reason }) = CalibrationStore::from_json(&doc)
+            else {
+                panic!("version {version} was not refused");
+            };
+            assert!(reason.contains(&format!("version {version} ")), "{reason}");
+        }
     }
 
     #[test]

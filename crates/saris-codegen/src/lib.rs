@@ -52,6 +52,7 @@ pub mod base;
 pub mod calibration;
 pub mod chaos;
 pub mod error;
+pub mod flight;
 pub mod json;
 pub mod map;
 mod record;

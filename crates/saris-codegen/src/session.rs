@@ -13,7 +13,8 @@
 //! * a `(stencil fingerprint, extent, compile options)` kernel compiles
 //!   exactly once per session (bounded by
 //!   [`SessionConfig::max_cached_kernels`], LRU-evicted beyond that),
-//!   however many specs a sweep touches;
+//!   however many specs or racing threads ask for it (the kernel cache
+//!   is a single-flight [`Table`], like `saris-serve`'s responses);
 //! * clusters are recycled via [`Cluster::reset`] instead of being
 //!   reconstructed, with the idle pool bounded by
 //!   [`SessionConfig::max_pooled_clusters`];
@@ -29,6 +30,9 @@
 //!   analytically when the session's live
 //!   [`CalibrationStore`] meets their accuracy budget, escalated to the
 //!   cycle tier (which feeds the store back) otherwise.
+//!
+//! The kernel cache and the counters sit behind the session's one lock;
+//! nothing compiles, verifies or runs under it.
 //!
 //! # Examples
 //!
@@ -65,9 +69,8 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use saris_core::grid::{Grid, GridArena};
 use saris_core::stencil::Stencil;
@@ -78,28 +81,12 @@ use snitch_sim::{Cluster, ClusterConfig, RunReport};
 use crate::backends::{Backend, BackendRegistry, ExecRequest, Fidelity, SimBackend};
 use crate::calibration::{execution_context, CalibrationStore, Observation};
 use crate::error::CodegenError;
+use crate::flight::{relock, Lead, Lookup, Table};
 use crate::runtime::{
     compile, measure_dma_utilization_on, BufferRotation, CompiledKernel, RunOptions,
 };
 use crate::tuner::{is_infeasible_width, TuningDecision};
 use crate::workload::{Outcome, StencilWork, WorkloadKind, WorkloadSpec, WorkloadTelemetry};
-
-/// Locks `m`, recovering from lock poisoning instead of cascading the
-/// panic. Session state under these locks is counters and caches whose
-/// every update is a single consistent step, so a holder that died
-/// mid-critical-section left nothing half-written — but the recovery is
-/// never silent: each one increments `recoveries`, surfaced as
-/// [`SessionStats::lock_recoveries`], so operators can tell a server
-/// that has been absorbing worker deaths from a healthy one.
-fn relock<'a, T>(m: &'a Mutex<T>, recoveries: &AtomicU64) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|poisoned| {
-        recoveries.fetch_add(1, Ordering::Relaxed);
-        // Clear the flag so the counter measures distinct panics, not
-        // one poisoning event re-counted on every later lock.
-        m.clear_poison();
-        poisoned.into_inner()
-    })
-}
 
 /// The key a compiled kernel is cached under: stencil structure, tile
 /// extent, and the compile-relevant option fields. This is the
@@ -129,7 +116,9 @@ impl KernelKey {
 /// [`SessionStats::evictions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Maximum compiled kernels kept in the cache (`0` disables caching).
+    /// Maximum compiled kernels kept in the cache; beyond it the least
+    /// recently used is evicted. `0` disables caching, and concurrent
+    /// callers of one kernel still share its compile.
     pub max_cached_kernels: usize,
     /// Maximum idle clusters kept in the pool (`0` disables pooling).
     pub max_pooled_clusters: usize,
@@ -146,8 +135,7 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     /// Generous defaults: large sweeps stay fully cached (the ten-code
-    /// gallery at three unrolls and two variants is 60 kernels), while a
-    /// long-lived serving session no longer grows without bound.
+    /// gallery at three unrolls and two variants is 60 kernels).
     fn default() -> SessionConfig {
         SessionConfig {
             max_cached_kernels: 1024,
@@ -270,10 +258,10 @@ pub struct SessionStats {
     pub compiles: u64,
     /// Kernel-cache hits.
     pub cache_hits: u64,
-    /// Of [`cache_hits`](SessionStats::cache_hits), how many were
-    /// *contended* hits: the caller found another thread already
-    /// compiling the same key and woke up to the finished kernel — a
-    /// compile the per-key slot machinery saved outright.
+    /// Of [`cache_hits`](SessionStats::cache_hits), how many joined a
+    /// compile in flight: another thread was compiling the same key,
+    /// and the caller took its kernel instead of compiling again. A
+    /// joined compile that fails saves nothing; its callers retry.
     pub compiles_saved: u64,
     /// Fresh compiles that passed the static verifier gate
     /// ([`SessionConfig::verify_kernels`]).
@@ -290,14 +278,11 @@ pub struct SessionStats {
     /// Simulated cycles the engine skipped via idle fast-forwarding
     /// across all runs (dead time the simulator never stepped through).
     pub cycles_fast_forwarded: u64,
-    /// Times a session lock was recovered from poisoning — a holder
-    /// panicked mid-critical-section (e.g. an injected chaos panic) and
-    /// the session kept serving with
-    /// [`PoisonError::into_inner`](std::sync::PoisonError::into_inner)
-    /// instead of cascading. Non-zero values mean worker threads have
-    /// been dying; the counters under those locks stay consistent
-    /// because every update is a single atomic step, but the signal
-    /// deserves operator attention.
+    /// Times the session's lock (or its cluster pool's) was recovered
+    /// from poisoning: a holder panicked, and the session kept serving
+    /// instead of cascading. Nothing runs under those locks but single
+    /// consistent updates, so the state stays sound; non-zero values
+    /// still mean worker threads have been dying.
     pub lock_recoveries: u64,
 }
 
@@ -324,21 +309,13 @@ struct CachedKernel {
     bound: Option<StaticBound>,
 }
 
-/// One kernel-cache entry: a per-key slot so concurrent compilations of
-/// *different* kernels proceed in parallel, while two threads racing on
-/// the *same* key serialize on the slot and the loser gets a cache hit.
-/// A filled slot is never emptied again.
-type KernelSlot = Arc<Mutex<Option<CachedKernel>>>;
-
-struct CacheEntry {
-    slot: KernelSlot,
-    last_used: u64,
-}
-
-/// The LRU-bounded kernel cache (recency tracked with a logical tick).
-struct KernelCache {
-    entries: HashMap<KernelKey, CacheEntry>,
-    tick: u64,
+/// What a [`Session`]'s callers share, behind its one lock.
+#[derive(Default)]
+struct State {
+    /// The kernel cache, at uniform cost (so exactly LRU). A joined
+    /// compile hands its kernel, or `None` — try again — on failure.
+    kernels: Table<KernelKey, CachedKernel, Option<Arc<CompiledKernel>>>,
+    stats: SessionStats,
 }
 
 /// What one internal kernel execution produced (`output` is `None` on
@@ -365,8 +342,8 @@ pub struct Session {
     default_fidelity: Fidelity,
     config: SessionConfig,
     pool: ClusterPool,
-    cache: Mutex<KernelCache>,
-    stats: Mutex<SessionStats>,
+    /// The session's one lock.
+    state: Mutex<State>,
     /// The analytic backend's live calibration table, when it has one
     /// (the standard registry's [`RooflineBackend`](crate::RooflineBackend)
     /// does). Every cycle-tier stencil outcome is fed back into it, and
@@ -376,7 +353,7 @@ pub struct Session {
     /// repeated `verify(tol)` sweeps reuse these instead of allocating a
     /// fresh grid per comparison.
     scratch: GridArena,
-    /// Poison recoveries on the session's own locks (the pool counts its
+    /// Poison recoveries on the session's own lock (the pool counts its
     /// separately); see [`SessionStats::lock_recoveries`].
     recovered: AtomicU64,
 }
@@ -442,11 +419,7 @@ impl Session {
             default_fidelity,
             config,
             pool: ClusterPool::bounded(config.max_pooled_clusters),
-            cache: Mutex::new(KernelCache {
-                entries: HashMap::new(),
-                tick: 0,
-            }),
-            stats: Mutex::new(SessionStats::default()),
+            state: Mutex::default(),
             calibration,
             scratch: GridArena::new(),
             recovered: AtomicU64::new(0),
@@ -479,9 +452,15 @@ impl Session {
         self.config
     }
 
+    /// Locks the session state, recovering from poisoning: each
+    /// recovery counts in [`SessionStats::lock_recoveries`].
+    fn lock(&self) -> MutexGuard<'_, State> {
+        relock(&self.state, &self.recovered)
+    }
+
     /// A snapshot of the reuse counters.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = *relock(&self.stats, &self.recovered);
+        let mut stats = self.lock().stats;
         stats.evictions += self.pool.evictions();
         stats.lock_recoveries =
             self.recovered.load(Ordering::Relaxed) + self.pool.lock_recoveries();
@@ -490,11 +469,7 @@ impl Session {
 
     /// Number of kernels currently cached (successful compiles only).
     pub fn cached_kernels(&self) -> usize {
-        relock(&self.cache, &self.recovered)
-            .entries
-            .values()
-            .filter(|entry| relock(&entry.slot, &self.recovered).is_some())
-            .count()
+        self.lock().kernels.cached()
     }
 
     /// Number of idle clusters currently pooled.
@@ -509,80 +484,54 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors (which are not cached — a failing
-    /// key fails again on retry).
+    /// Propagates compilation errors (which are neither cached nor
+    /// shared — a failing key fails again on retry, and callers that
+    /// joined the failed compile try for themselves).
     pub fn compile_cached(
         &self,
         stencil: &Stencil,
         extent: Extent,
         options: &RunOptions,
     ) -> Result<(Arc<CompiledKernel>, bool), CodegenError> {
-        self.compile_slot(stencil, extent, options)
-            .map(|(_, kernel, hit)| (kernel, hit))
-    }
-
-    /// [`Session::compile_cached`], also handing back the key's (now
-    /// filled) cache slot.
-    fn compile_slot(
-        &self,
-        stencil: &Stencil,
-        extent: Extent,
-        options: &RunOptions,
-    ) -> Result<(KernelSlot, Arc<CompiledKernel>, bool), CodegenError> {
         let key = KernelKey::new(stencil, extent, options);
-        // Two-level locking: the map lock is held only to find or create
-        // the key's slot (and enforce the LRU bound), so compilations of
-        // different kernels run in parallel. Racing threads on the same
-        // key serialize on the slot lock — the winner compiles, the
-        // losers wake up to a hit.
-        let slot_arc = {
-            let mut cache = relock(&self.cache, &self.recovered);
-            cache.tick += 1;
-            let tick = cache.tick;
-            let entry = cache.entries.entry(key).or_insert_with(|| CacheEntry {
-                slot: Arc::default(),
-                last_used: tick,
-            });
-            entry.last_used = tick;
-            let slot = Arc::clone(&entry.slot);
-            while cache.entries.len() > self.config.max_cached_kernels {
-                let lru = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("cache is non-empty");
-                cache.entries.remove(&lru);
-                relock(&self.stats, &self.recovered).evictions += 1;
+        let flight = loop {
+            let joined = {
+                let mut guard = self.lock();
+                let state = &mut *guard;
+                match state.kernels.lookup(&key) {
+                    Lookup::Hit(cached, _) => {
+                        state.stats.cache_hits += 1;
+                        return Ok((Arc::clone(&cached.kernel), true));
+                    }
+                    Lookup::Join(flight) => flight,
+                    Lookup::Miss => break state.kernels.lead(key),
+                }
+            };
+            // Another caller is compiling this key: its kernel is a hit
+            // that saved a compile. A failed or unwound compile sends
+            // `None` instead, and this caller looks the key up again.
+            if let Some(kernel) = joined.wait_until(None, &self.recovered).flatten() {
+                let stats = &mut self.lock().stats;
+                stats.cache_hits += 1;
+                stats.compiles_saved += 1;
+                return Ok((kernel, true));
             }
-            slot
         };
-        // A failed `try_lock` here means another thread holds the slot —
-        // it is compiling this exact key right now, and blocking on the
-        // slot below converts what would have been a duplicate compile
-        // into a hit. Count those separately: they are the compiles the
-        // per-key slot machinery saved.
-        let contended = matches!(
-            slot_arc.try_lock(),
-            Err(std::sync::TryLockError::WouldBlock)
-        );
-        let mut slot = relock(&slot_arc, &self.recovered);
-        if let Some(cached) = &*slot {
-            let kernel = Arc::clone(&cached.kernel);
-            drop(slot);
-            let mut stats = relock(&self.stats, &self.recovered);
-            stats.cache_hits += 1;
-            stats.compiles_saved += u64::from(contended);
-            return Ok((slot_arc, kernel, true));
-        }
+        // This caller leads: if the compile or the gate below fails or
+        // unwinds, `lead` takes the row out and wakes the joined callers.
+        let lead = Lead {
+            state: &self.state,
+            recovered: &self.recovered,
+            table: |state| &mut state.kernels,
+            key,
+            flight: Some(flight),
+        };
+        let kernel = Arc::new(compile(stencil, extent, options)?);
         // Fresh compiles pass through the static verifier gate before
         // they become visible to any caller: a kernel with error-severity
         // findings is rejected like a failed compile, and a clean one
         // records its proven cycle lower bound.
-        let compiled = compile(stencil, extent, options).and_then(|kernel| {
-            if !self.config.verify_kernels {
-                return Ok((kernel, None));
-            }
+        let bound = if self.config.verify_kernels {
             let report = crate::verify::verify_kernel(stencil, &kernel, options);
             if report.has_errors() {
                 return Err(CodegenError::StaticVerification {
@@ -590,35 +539,24 @@ impl Session {
                     findings: report.errors().map(ToString::to_string).collect(),
                 });
             }
-            relock(&self.stats, &self.recovered).kernels_verified += 1;
-            Ok((kernel, Some(report.bound)))
-        });
-        let (kernel, bound) = match compiled {
-            Ok((kernel, bound)) => (Arc::new(kernel), bound),
-            Err(e) => {
-                // Drop the failed key's entry so it neither occupies LRU
-                // capacity nor evicts real kernels; a retry re-creates
-                // it. Skip the cleanup if a racing retry already holds
-                // the slot (it will do its own bookkeeping).
-                drop(slot);
-                let mut cache = relock(&self.cache, &self.recovered);
-                let still_empty = cache.entries.get(&key).is_some_and(|entry| {
-                    Arc::ptr_eq(&entry.slot, &slot_arc)
-                        && entry.slot.try_lock().is_ok_and(|s| s.is_none())
-                });
-                if still_empty {
-                    cache.entries.remove(&key);
-                }
-                return Err(e);
-            }
+            Some(report.bound)
+        } else {
+            None
         };
-        *slot = Some(CachedKernel {
-            kernel: Arc::clone(&kernel),
-            bound,
-        });
-        drop(slot);
-        relock(&self.stats, &self.recovered).compiles += 1;
-        Ok((slot_arc, kernel, false))
+        {
+            let mut guard = self.lock();
+            let state = &mut *guard;
+            state.stats.compiles += 1;
+            state.stats.kernels_verified += u64::from(bound.is_some());
+            let cached = CachedKernel {
+                kernel: Arc::clone(&kernel),
+                bound,
+            };
+            let cap = self.config.max_cached_kernels;
+            state.stats.evictions += state.kernels.settle(&key, Some((cached, 1.0)), cap);
+        }
+        lead.complete(Some(Arc::clone(&kernel)));
+        Ok((kernel, false))
     }
 
     /// The statically proven cycle lower bound for `stencil` at `extent`
@@ -638,21 +576,20 @@ impl Session {
         extent: Extent,
         options: &RunOptions,
     ) -> Result<StaticBound, CodegenError> {
-        let (slot, kernel, _) = self.compile_slot(stencil, extent, options)?;
-        let mut slot = relock(&slot, &self.recovered);
-        let cached = slot.as_mut().expect("compile_slot returns a filled slot");
-        let bound = cached
-            .bound
-            .get_or_insert_with(|| crate::verify::verify_kernel(stencil, &kernel, options).bound);
-        Ok(bound.clone())
-    }
-
-    /// The bound recorded for `key`'s cached kernel, if the key is still
-    /// cached and has one.
-    fn recorded_bound_cycles(&self, key: &KernelKey) -> Option<u64> {
-        let slot = Arc::clone(&relock(&self.cache, &self.recovered).entries.get(key)?.slot);
-        let slot = relock(&slot, &self.recovered);
-        Some(slot.as_ref()?.bound.as_ref()?.cycles)
+        let (kernel, _) = self.compile_cached(stencil, extent, options)?;
+        let key = KernelKey::new(stencil, extent, options);
+        let mut state = self.lock();
+        if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.clone()) {
+            return Ok(bound);
+        }
+        drop(state);
+        // Proven outside the lock, then kept next to the kernel if it
+        // is still cached.
+        let bound = crate::verify::verify_kernel(stencil, &kernel, options).bound;
+        if let Some(cached) = self.lock().kernels.value_mut(&key) {
+            cached.bound = Some(bound.clone());
+        }
+        Ok(bound)
     }
 
     /// One kernel execution: compile (through the cache, when the backend
@@ -665,10 +602,7 @@ impl Session {
         options: &RunOptions,
         tel: &mut WorkloadTelemetry,
     ) -> Result<RunOut, CodegenError> {
-        let extent = inputs.first().map_or_else(
-            || panic!("stencil needs at least one input"),
-            |g| g.extent(),
-        );
+        let extent = inputs.first().expect("stencil needs an input").extent();
         let kernel = if backend.needs_kernel() {
             let (kernel, hit) = self.compile_cached(stencil, extent, options)?;
             if hit {
@@ -696,7 +630,7 @@ impl Session {
             .map_or(0, |r| r.cycles_fast_forwarded);
         tel.cycles_fast_forwarded += fast_forwarded;
         {
-            let mut stats = relock(&self.stats, &self.recovered);
+            let stats = &mut self.lock().stats;
             stats.runs += 1;
             stats.count_tier(backend.fidelity());
             stats.clusters_reused += u64::from(outcome.cluster_reused);
@@ -775,7 +709,7 @@ impl Session {
     /// pooled cluster per worker) that each pull the next spec and
     /// [`submit`](Session::submit) it — the same path, spec for spec, as
     /// a loop of `submit`, so outcomes are bit-identical to it. Kernels
-    /// flow through the per-key cache slots, so identical compile
+    /// flow through the single-flight kernel cache, so identical compile
     /// requests never compile twice even when their workers race.
     /// Outcomes come back in spec order; each spec fails or succeeds
     /// independently.
@@ -784,26 +718,22 @@ impl Session {
             .map_or(1, std::num::NonZeroUsize::get)
             .min(specs.len());
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Outcome, CodegenError>>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let outcome = self.submit(spec);
-                    *slots[i].lock().expect("batch result lock") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("batch result lock")
-                    .expect("every spec index was visited")
+        let work = || {
+            std::iter::from_fn(|| {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                Some((i, self.submit(specs.get(i)?)))
             })
-            .collect()
+            .collect::<Vec<_>>()
+        };
+        let mut answered: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("batch worker"))
+                .collect()
+        });
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
     fn submit_probe(
@@ -816,7 +746,7 @@ impl Session {
         let result = measure_dma_utilization_on(extent, &mut cluster);
         self.pool.release(cluster);
         {
-            let mut stats = relock(&self.stats, &self.recovered);
+            let stats = &mut self.lock().stats;
             stats.runs += 1;
             stats.count_tier(Fidelity::Cycles);
             stats.clusters_reused += u64::from(reused);
@@ -902,7 +832,7 @@ impl Session {
         let fidelity = match work.fidelity.unwrap_or(self.default_fidelity) {
             Fidelity::Auto { accuracy_budget } => {
                 let fidelity = self.resolve_auto(work, accuracy_budget);
-                let mut stats = relock(&self.stats, &self.recovered);
+                let stats = &mut self.lock().stats;
                 match fidelity {
                     Fidelity::Analytic => stats.auto_answered_analytic += 1,
                     _ => stats.auto_escalated += 1,
@@ -1080,11 +1010,11 @@ impl Session {
         // `static_bound` call) has already bounded are checked.
         if fidelity == Fidelity::Analytic {
             let key = KernelKey::new(stencil, work.extent, &options);
-            if let Some(bound_cycles) = self.recorded_bound_cycles(&key) {
-                let low = reports.iter().filter(|r| r.cycles < bound_cycles).count();
-                if low > 0 {
-                    relock(&self.stats, &self.recovered).bound_violations += low as u64;
-                }
+            let mut guard = self.lock();
+            let state = &mut *guard;
+            if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.as_ref()) {
+                let low = reports.iter().filter(|r| r.cycles < bound.cycles).count();
+                state.stats.bound_violations += low as u64;
             }
         }
         // Surface the winning kernel's per-point-visit instruction mix
@@ -1118,21 +1048,15 @@ impl Session {
 /// does not, or vice versa — counts as infinite, so broken kernels can
 /// never slip through a finite tolerance.
 fn verify_diff(a: &Grid, b: &Grid) -> f64 {
+    let diff = |(x, y): (&f64, &f64)| match (x - y).abs() {
+        _ if x.to_bits() == y.to_bits() => 0.0,
+        d if d.is_nan() => f64::INFINITY,
+        d => d,
+    };
     a.as_slice()
         .iter()
         .zip(b.as_slice())
-        .map(|(x, y)| {
-            if x.to_bits() == y.to_bits() {
-                0.0
-            } else {
-                let d = (x - y).abs();
-                if d.is_nan() {
-                    f64::INFINITY
-                } else {
-                    d
-                }
-            }
-        })
+        .map(diff)
         .fold(0.0, f64::max)
 }
 
@@ -1444,6 +1368,29 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_hits_save_no_compile() {
+        // Hits on a cached kernel never wait on a compile: however they
+        // race each other, none of them counts as a compile saved.
+        let session = Session::new();
+        let (stencil, options) = (gallery::jacobi_2d(), RunOptions::new(Variant::Saris));
+        let extent = Extent::new_2d(16, 16);
+        session.compile_cached(&stencil, extent, &options).unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..20_000 {
+                        let (_, hit) = session.compile_cached(&stencil, extent, &options).unwrap();
+                        assert!(hit);
+                    }
+                });
+            }
+        });
+        let stats = session.stats();
+        assert_eq!((stats.compiles, stats.cache_hits), (1, 80_000));
+        assert_eq!(stats.compiles_saved, 0);
+    }
+
+    #[test]
     fn proven_bounds_are_evicted_with_their_kernels() {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 2,
@@ -1451,12 +1398,13 @@ mod tests {
             ..SessionConfig::default()
         });
         let retained_bounds = || {
-            let cache = session.cache.lock().unwrap();
-            let bounded = |e: &&CacheEntry| {
-                let slot = e.slot.lock().unwrap();
-                slot.as_ref().is_some_and(|cached| cached.bound.is_some())
-            };
-            cache.entries.values().filter(bounded).count()
+            let state = session.state.lock().unwrap();
+            let bounded = |cached: &CachedKernel| cached.bound.is_some();
+            state
+                .kernels
+                .rows()
+                .filter(|(_, v)| v.is_some_and(bounded))
+                .count()
         };
         let stencil = gallery::jacobi_2d();
         let options = RunOptions::new(Variant::Saris);

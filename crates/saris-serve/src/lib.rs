@@ -9,22 +9,16 @@
 //!   pooled cluster each via the session), so bursts queue instead of
 //!   oversubscribing the machine;
 //! * a **fingerprint-keyed, cost-aware response cache** answers repeated
-//!   specs without executing anything — `WorkloadSpec` equality is the
-//!   cache key (its hash *is* the fingerprint), and outcomes are shared
-//!   behind `Arc`s, so a hit costs a map probe and a pointer clone.
-//!   Entries are weighed by their *cost of recompute* (a cycle-tier
-//!   response is ~700x more expensive to regenerate than an analytic
-//!   one — the tier gap `BENCHMARK.json` tracks as
-//!   `serve.first_us.{analytic,golden,cycles}`), so
-//!   eviction drops cheap-to-recompute responses first instead of going
-//!   by pure recency;
+//!   specs without executing anything: a hit is a map probe and an `Arc`
+//!   clone. Eviction weighs each response by its *cost of recompute* (a
+//!   cycle-tier answer costs ~700x an analytic one, the tier gap
+//!   `BENCHMARK.json` tracks as `serve.first_us.{analytic,golden,cycles}`)
+//!   and drops cheap ones first instead of going by pure recency;
 //! * **single-flight deduplication** coalesces concurrent identical
-//!   specs onto one execution: the first becomes the leader, the rest
-//!   wait on the same in-flight slot and share its `Arc<Outcome>` — a
-//!   duplicated spec executes exactly once no matter how many callers
-//!   race on it. In-flight slots and cached responses are rows of one
-//!   per-spec table, so a spec is always exactly one of running, cached
-//!   or new;
+//!   specs onto one execution whose `Arc<Outcome>` they all share. Flights
+//!   and cached responses are rows of one per-spec [`Table`] — the
+//!   single-flight table of [`saris_codegen::flight`], which also keeps
+//!   the session's kernels — so a spec is running, cached or new;
 //! * a **cost- and deadline-aware scheduler** orders the queue by
 //!   deadline slack and the same deterministic per-tier recompute costs
 //!   the response cache weighs eviction by (cycles ~700x / golden 2x /
@@ -56,10 +50,9 @@
 //!   [`ServeError::BackendPanicked`], and publishes that to every
 //!   coalesced waiter; the flight is always removed and its condvar
 //!   always signaled, so nobody hangs on a dead execution;
-//! * **poison recovery** — the serving core's one state lock (and each
-//!   in-flight result slot) recovers from poisoning
-//!   (`PoisonError::into_inner` + `clear_poison`) and counts the event
-//!   in [`ServeStats::lock_recoveries`]; a panic while the lock is held
+//! * **poison recovery** — the state lock and each flight's result slot
+//!   recover from poisoning and count it in
+//!   [`ServeStats::lock_recoveries`]: a panic while a lock is held
 //!   degrades one snapshot, never the server;
 //! * **deadlines** — [`Server::submit_with_deadline`] (or
 //!   [`ServeConfig::default_deadline`]) bounds end-to-end latency:
@@ -120,10 +113,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use saris_codegen::flight::{relock, wait_until, Flight, Lookup, Table};
 use saris_codegen::{CodegenError, Fidelity, Outcome, Session, WorkloadSpec};
 
 pub mod net;
@@ -245,10 +239,7 @@ pub struct ServeConfig {
     ///
     /// Default `256`. The hot set of every committed workload, test and
     /// example fits in half of that (`serve_hot` draws nine requests in
-    /// ten from 128 specs and keeps its 0.9 hit ratio, hit for hit, at
-    /// 256), while the earlier `1024` — chosen only to mirror the
-    /// session's kernel-cache bound — made the cache 7 MiB of a 12.6 MiB
-    /// serving process. Raise it when the traffic's reuse distance is
+    /// ten from 128 specs). Raise it when the traffic's reuse distance is
     /// longer than 256 distinct specs *and* a recompute (one tier
     /// execution; the compiled kernel stays in the session's cache
     /// either way) costs more than the memory: watch
@@ -455,14 +446,12 @@ pub struct ServeStats {
 /// Relative per-run cost of answering on a tier, in analytic-answer
 /// units — the single scale shared by the GreedyDual cache's eviction
 /// weights ([`recompute_cost`]) and the scheduler's ordering weights
-/// (`planned_cost`). The weights follow the measured per-tier cost of a
+/// ([`Job::cost`]). The weights follow the measured per-tier cost of a
 /// first answer, which `BENCHMARK.json` tracks as
 /// `serve.first_us.{analytic,golden,cycles}`:
 ///
 /// * analytic = 1.0 — the roofline tier's ~30µs estimates are the unit;
-/// * golden = 2.0 — re-measured after the golden tier went
-///   data-parallel (SIMD sweep): ~43µs vs ~30µs per request, down from
-///   the ~30x the scalar reference executor cost;
+/// * golden = 2.0 — the data-parallel reference sweep, ~43µs a request;
 /// * cycles = 700.0 — tuned cycle-level simulation answers ~700x slower
 ///   than the roofline tier.
 ///
@@ -488,150 +477,12 @@ fn recompute_cost(outcome: &Outcome) -> f64 {
     per_run * outcome.telemetry.runs.max(1) as f64
 }
 
-/// Recovers a poisoned lock result: counts the recovery, clears the
-/// poison flag (so later locks are clean and the counter reflects
-/// distinct panics, not one panic forever), and returns the guard.
-/// Recovering is sound because no caller code runs under these locks —
-/// no session call and no completion callback — so a critical section
-/// that unwinds is a bug in this module, not a half-applied update
-/// from outside it.
-fn recover<'a, T>(
-    mutex: &Mutex<T>,
-    locked: LockResult<MutexGuard<'a, T>>,
-    recovered: &AtomicU64,
-) -> MutexGuard<'a, T> {
-    locked.unwrap_or_else(|poisoned| {
-        recovered.fetch_add(1, Ordering::Relaxed);
-        mutex.clear_poison();
-        poisoned.into_inner()
-    })
-}
-
-/// Locks with poison recovery (see [`recover`]).
-fn relock<'a, T>(mutex: &'a Mutex<T>, recovered: &AtomicU64) -> MutexGuard<'a, T> {
-    recover(mutex, mutex.lock(), recovered)
-}
-
-/// Blocks on `condvar` until it is signaled or `deadline` passes
-/// (`None`: until signaled), with poison recovery (see [`recover`]).
-/// Returns the guard and whether the deadline had already passed — in
-/// which case nothing was waited for. Wakeups may be spurious: callers
-/// re-check their condition in a loop. Every timed condvar wait in this
-/// module reads the clock here.
-fn wait_until<'a, T>(
-    condvar: &Condvar,
-    mutex: &Mutex<T>,
-    guard: MutexGuard<'a, T>,
-    deadline: Option<Instant>,
-    recovered: &AtomicU64,
-) -> (MutexGuard<'a, T>, bool) {
-    let Some(deadline) = deadline else {
-        return (recover(mutex, condvar.wait(guard), recovered), false);
-    };
-    let now = Instant::now();
-    if now >= deadline {
-        return (guard, true);
-    }
-    let waited = condvar
-        .wait_timeout(guard, deadline - now)
-        .map(|(guard, _timed_out)| guard)
-        .map_err(|poisoned| PoisonError::new(poisoned.into_inner().0));
-    (recover(mutex, waited, recovered), false)
-}
-
-/// A completion callback registered through
-/// [`ResponseHandle::on_complete`].
-type Callback = Box<dyn FnOnce(ServeResult) + Send>;
-
-/// The guarded state of a [`Flight`]: the eventual shared result, plus
-/// callbacks to invoke exactly once when it lands.
-struct FlightSlot {
-    result: Option<ServeResult>,
-    callbacks: Vec<Callback>,
-}
-
-/// One in-flight execution: coalesced waiters block on `done` (or
-/// register a callback) until the leader's worker publishes the shared
-/// result.
-struct Flight {
-    slot: Mutex<FlightSlot>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            slot: Mutex::new(FlightSlot {
-                result: None,
-                callbacks: Vec::new(),
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Publishes the result and invokes every registered callback with a
-    /// clone of it. Every flight completes on exactly one path (execute,
-    /// abandon, shutdown), so callbacks fire exactly once — on the
-    /// completing thread, after the slot lock is released. A callback is
-    /// caller code on a serving thread, so each runs isolated: one that
-    /// panics takes down neither the callbacks after it nor the worker.
-    /// Returns how many panicked.
-    fn complete(&self, result: ServeResult, recovered: &AtomicU64) -> u64 {
-        let callbacks = {
-            let mut slot = relock(&self.slot, recovered);
-            slot.result = Some(result.clone());
-            self.done.notify_all();
-            std::mem::take(&mut slot.callbacks)
-        };
-        let mut panicked = 0;
-        for callback in callbacks {
-            let result = result.clone();
-            panicked += u64::from(catch_unwind(AssertUnwindSafe(|| callback(result))).is_err());
-        }
-        panicked
-    }
-
-    /// Non-blocking probe for the published result.
-    fn poll(&self, recovered: &AtomicU64) -> Option<ServeResult> {
-        relock(&self.slot, recovered).result.clone()
-    }
-
-    /// Registers `callback` to run on completion — or runs it right here
-    /// when the flight already completed.
-    fn on_complete(&self, callback: Callback, recovered: &AtomicU64) {
-        let mut slot = relock(&self.slot, recovered);
-        if let Some(result) = slot.result.clone() {
-            drop(slot);
-            callback(result);
-        } else {
-            slot.callbacks.push(callback);
-        }
-    }
-
-    /// Waits for the result, up to `deadline`. `None` means the wait
-    /// timed out (the flight itself keeps running for its other
-    /// waiters); the caller decides what a timed-out waiter receives.
-    fn wait_until(&self, deadline: Option<Instant>, recovered: &AtomicU64) -> Option<ServeResult> {
-        let mut slot = relock(&self.slot, recovered);
-        loop {
-            if let Some(result) = &slot.result {
-                return Some(result.clone());
-            }
-            let (guard, expired) = wait_until(&self.done, &self.slot, slot, deadline, recovered);
-            if expired {
-                return None;
-            }
-            slot = guard;
-        }
-    }
-}
-
 /// A queued unit of work: the spec, the flight its waiters share, the
 /// leader's deadline (enforced again at dequeue), and the scheduling
 /// metadata the scheduler orders by.
 struct Job {
     spec: WorkloadSpec,
-    flight: Arc<Flight>,
+    flight: Arc<Flight<ServeResult>>,
     deadline: Option<Instant>,
     /// Admission order — the deterministic tie-breaker.
     seq: u64,
@@ -686,31 +537,6 @@ fn pick_index(jobs: &[Job], now: Instant, aging_rate: f64) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// One cached response with its eviction bookkeeping.
-struct CachedResponse {
-    outcome: Arc<Outcome>,
-    /// Recompute cost in analytic-answer units (see [`recompute_cost`]).
-    cost: f64,
-    /// GreedyDual priority: `floor-at-touch + cost`. Hits refresh it, so
-    /// recency and cost both keep an entry alive.
-    priority: f64,
-    /// Logical touch tick — the LRU tie-breaker among equal priorities
-    /// (with uniform costs the policy degenerates to exactly LRU).
-    last_used: u64,
-}
-
-/// A spec's row in the serving table. One row per spec is what makes
-/// single-flight and caching race-free: a spec is running, cached, or
-/// absent (new), never two of them at once.
-enum Entry {
-    /// Admitted and not yet settled: queued or executing. Duplicates
-    /// join this flight.
-    Running(Arc<Flight>),
-    /// Answered, and kept by the GreedyDual policy (see
-    /// [`State::evict`]).
-    Cached(CachedResponse),
-}
-
 /// Per-tier consecutive-infrastructure-failure breaker state.
 #[derive(Default)]
 struct Breaker {
@@ -738,16 +564,6 @@ fn tier_slot(tier: Fidelity) -> usize {
 /// failing spec — remote clients' included — for the process's life.
 /// At the bound, the spec with the fewest strikes is forgotten.
 const QUARANTINE_CAPACITY: usize = 1024;
-
-/// What [`State::lookup`] found for a request.
-enum Lookup {
-    /// Answered from the response cache.
-    Hit(Arc<Outcome>),
-    /// Coalesced onto the flight already running the spec.
-    Join(Arc<Flight>),
-    /// Neither: the request goes on to [`State::admission`].
-    Miss,
-}
 
 /// How one job's execution ended, for the breaker and quarantine books
 /// ([`State::settle`]).
@@ -778,16 +594,9 @@ struct State {
     closed: bool,
     /// Admission order of the next led job.
     next_seq: u64,
-    /// The single-flight table and the response cache in one map.
-    specs: HashMap<WorkloadSpec, Entry>,
-    /// [`Entry::Cached`] rows in `specs`.
-    cached: usize,
-    /// The GreedyDual aging floor (the priority of the last eviction):
-    /// rises monotonically, so entries untouched for long eventually
-    /// fall below newly touched ones regardless of cost.
-    floor: f64,
-    /// Logical clock of cache touches.
-    tick: u64,
+    /// The single-flight table and the response cache in one: a
+    /// response's cost is its [`recompute_cost`].
+    specs: Table<WorkloadSpec, Arc<Outcome>, ServeResult>,
     breakers: [Breaker; 3],
     /// Final-failure strikes per spec fingerprint (a success clears the
     /// entry); at most [`QUARANTINE_CAPACITY`] entries.
@@ -803,23 +612,18 @@ impl State {
     /// cache (refreshing the entry's GreedyDual priority and recency) or
     /// joins the flight already running the spec. A [`Lookup::Miss`]
     /// goes on to [`State::admission`].
-    fn lookup(&mut self, spec: &WorkloadSpec) -> Lookup {
+    fn lookup(&mut self, spec: &WorkloadSpec) -> Lookup<'_, Arc<Outcome>, ServeResult> {
         self.stats.requests += 1;
-        match self.specs.get_mut(spec) {
-            Some(Entry::Cached(cached)) => {
-                self.tick += 1;
-                cached.priority = self.floor + cached.cost;
-                cached.last_used = self.tick;
+        let found = self.specs.lookup(spec);
+        match &found {
+            Lookup::Hit(_, cost) => {
                 self.stats.cache_hits += 1;
-                self.stats.cost_units_saved += cached.cost as u64;
-                Lookup::Hit(Arc::clone(&cached.outcome))
+                self.stats.cost_units_saved += *cost as u64;
             }
-            Some(Entry::Running(flight)) => {
-                self.stats.coalesced += 1;
-                Lookup::Join(Arc::clone(flight))
-            }
-            None => Lookup::Miss,
+            Lookup::Join(_) => self.stats.coalesced += 1,
+            Lookup::Miss => {}
         }
+        found
     }
 
     /// The admission stage for a request that missed: a quarantined
@@ -864,9 +668,7 @@ impl State {
             }
         }
         self.stats.cache_misses += 1;
-        let flight = Arc::new(Flight::new());
-        self.specs
-            .insert(spec.clone(), Entry::Running(Arc::clone(&flight)));
+        let flight = self.specs.lead(spec.clone());
         let seq = self.next_seq;
         self.next_seq += 1;
         Ok(Job {
@@ -924,57 +726,18 @@ impl State {
             self.stats.executed += 1;
             self.stats.errors += u64::from(result.is_err());
         }
-        match (result, self.specs.get_mut(spec)) {
-            // Degraded outcomes answer *this* failure, not the spec: a
-            // later identical request deserves a real attempt.
-            (Ok(outcome), Some(entry))
-                if config.max_cached_responses > 0 && !outcome.telemetry.degraded =>
-            {
-                self.tick += 1;
-                let cost = recompute_cost(outcome);
-                *entry = Entry::Cached(CachedResponse {
-                    outcome: Arc::clone(outcome),
-                    cost,
-                    priority: self.floor + cost,
-                    last_used: self.tick,
-                });
-                self.cached += 1;
-                self.evict(config);
+        // Degraded outcomes answer *this* failure, not the spec: a later
+        // identical request deserves a real attempt. Eviction is
+        // GreedyDual over recompute cost, so cycle-tier responses survive
+        // ~700x more cache pressure than analytic estimates, while
+        // repeated hits keep any entry fresh.
+        let answer = match result {
+            Ok(outcome) if !outcome.telemetry.degraded => {
+                Some((Arc::clone(outcome), recompute_cost(outcome)))
             }
-            _ => {
-                self.specs.remove(spec);
-            }
-        }
-    }
-
-    /// Evicts cached responses beyond the bound by the GreedyDual policy
-    /// over recompute cost: every insert or hit sets an entry's priority
-    /// to the current floor plus its recompute cost, and eviction removes
-    /// the lowest-priority entry (least recently used among equals) and
-    /// raises the floor to it. Cycle-tier responses therefore survive
-    /// ~700x more cache pressure than analytic estimates, while repeated
-    /// hits keep any entry fresh.
-    fn evict(&mut self, config: &ServeConfig) {
-        while self.cached > config.max_cached_responses {
-            let (victim, priority) = self
-                .specs
-                .iter()
-                .filter_map(|(spec, entry)| match entry {
-                    Entry::Cached(cached) => Some((spec, cached)),
-                    Entry::Running(_) => None,
-                })
-                .min_by(|(_, a), (_, b)| {
-                    a.priority
-                        .total_cmp(&b.priority)
-                        .then(a.last_used.cmp(&b.last_used))
-                })
-                .map(|(spec, cached)| (spec.clone(), cached.priority))
-                .expect("`cached` counts the cached rows");
-            self.specs.remove(&victim);
-            self.cached -= 1;
-            self.floor = self.floor.max(priority);
-            self.stats.cache_evictions += 1;
-        }
+            _ => None,
+        };
+        self.stats.cache_evictions += self.specs.settle(spec, answer, config.max_cached_responses);
     }
 
     /// Books a final failure of a spec as a quarantine strike, first
@@ -1006,12 +769,12 @@ struct Shared {
     not_empty: Condvar,
     not_full: Condvar,
     worker_exit: Condvar,
-    /// Poisoned-lock recoveries (see [`recover`]).
+    /// Poisoned-lock recoveries (see [`relock`]).
     recovered: AtomicU64,
 }
 
 impl Shared {
-    /// Locks the state with poison recovery (see [`recover`]).
+    /// Locks the state with poison recovery (see [`relock`]).
     fn lock(&self) -> MutexGuard<'_, State> {
         relock(&self.state, &self.recovered)
     }
@@ -1021,14 +784,8 @@ impl Shared {
     /// the cycle tier; otherwise the spec's own tier or the session's
     /// default.
     fn tier(&self, spec: &WorkloadSpec) -> Fidelity {
-        if spec.is_probe() {
-            return Fidelity::Cycles;
-        }
-        match spec
-            .fidelity()
-            .unwrap_or_else(|| self.session.default_fidelity())
-        {
-            Fidelity::Auto { .. } => Fidelity::Cycles,
+        match spec.fidelity().unwrap_or(self.session.default_fidelity()) {
+            tier if spec.is_probe() || matches!(tier, Fidelity::Auto { .. }) => Fidelity::Cycles,
             tier => tier,
         }
     }
@@ -1058,7 +815,7 @@ impl Shared {
         let tier = self.tier(spec);
         let mut state = self.lock();
         let admitted = match state.lookup(spec) {
-            Lookup::Hit(outcome) => return Wait::Ready(Ok(outcome)),
+            Lookup::Hit(outcome, _) => return Wait::Ready(Ok(Arc::clone(outcome))),
             Lookup::Join(flight) => {
                 return Wait::Pending {
                     flight,
@@ -1109,7 +866,7 @@ impl Shared {
         };
         // The led flight never runs: out of the table, then its
         // waiters wake (unlocked).
-        state.specs.remove(spec);
+        state.specs.abandon(spec);
         drop(state);
         self.complete(&job.flight, Err(err.clone()));
         Wait::Ready(match err {
@@ -1120,7 +877,7 @@ impl Shared {
 
     /// Completes `flight` and books the callbacks that panicked on the
     /// way (see [`Flight::complete`]) in [`ServeStats::panics`].
-    fn complete(&self, flight: &Flight, result: ServeResult) {
+    fn complete(&self, flight: &Flight<ServeResult>, result: ServeResult) {
         let panicked = flight.complete(result, &self.recovered);
         if panicked > 0 {
             self.lock().stats.panics += panicked;
@@ -1208,7 +965,8 @@ impl Shared {
                     if state.closed {
                         return;
                     }
-                    state = recover(&self.state, self.not_empty.wait(state), &self.recovered);
+                    state =
+                        wait_until(&self.not_empty, &self.state, state, None, &self.recovered).0;
                 }
             };
             self.not_full.notify_one();
@@ -1247,7 +1005,7 @@ impl Drop for WorkerGuard {
 enum Wait {
     Ready(ServeResult),
     Pending {
-        flight: Arc<Flight>,
+        flight: Arc<Flight<ServeResult>>,
         deadline: Option<Instant>,
         spec: WorkloadSpec,
     },
@@ -1293,10 +1051,7 @@ impl ResponseHandle {
     /// Whether the shared result is already available (a subsequent
     /// [`try_result`](ResponseHandle::try_result) returns `Some`).
     pub fn is_complete(&self) -> bool {
-        match &self.state {
-            Wait::Ready(_) => true,
-            Wait::Pending { flight, .. } => flight.poll(&self.shared.recovered).is_some(),
-        }
+        self.try_result().is_some()
     }
 
     /// Non-blocking poll: the shared result when available, `None` while
@@ -1316,8 +1071,7 @@ impl ResponseHandle {
     /// analytic answer (when policy and spec allow) or fails with
     /// [`ServeError::DeadlineExceeded`].
     pub fn wait(self) -> ServeResult {
-        let shared = Arc::clone(&self.shared);
-        self.state.wait(&shared)
+        self.state.wait(&self.shared)
     }
 
     /// Registers `callback` to be invoked exactly once with the shared
@@ -1545,7 +1299,7 @@ impl Server {
 
     /// Responses currently cached.
     pub fn cached_responses(&self) -> usize {
-        self.shared.lock().cached
+        self.shared.lock().specs.cached()
     }
 }
 
@@ -1623,7 +1377,7 @@ mod tests {
     fn job(seq: u64, now: Instant, cost: f64, slack: Option<Duration>, age: Duration) -> Job {
         Job {
             spec: spec(seq),
-            flight: Arc::new(Flight::new()),
+            flight: Arc::default(),
             deadline: slack.map(|s| now + s),
             seq,
             enqueued_at: now - age,
@@ -1969,7 +1723,9 @@ mod tests {
             let i = (r >> 32) as usize % SPECS;
             match r % 10 {
                 0..=3 => match state.lookup(&specs[i]) {
-                    Lookup::Hit(outcome) => assert_eq!(outcome.fingerprint, specs[i].fingerprint()),
+                    Lookup::Hit(outcome, _) => {
+                        assert_eq!(outcome.fingerprint, specs[i].fingerprint())
+                    }
                     Lookup::Join(flight) => assert!(led
                         .iter()
                         .chain(&state.jobs)
@@ -1986,7 +1742,7 @@ mod tests {
                     if r & (1 << 8) == 0 {
                         state.jobs.push(job);
                     } else {
-                        state.specs.remove(&job.spec);
+                        state.specs.abandon(&job.spec);
                     }
                 }
                 6 | 7 => picked.extend(state.pick(&config, now)),
@@ -2014,13 +1770,11 @@ mod tests {
                         ),
                     };
                     state.settle(&config, &job.spec, tier(n), &result, verdict, now);
-                    let row = state.specs.get(&job.spec);
                     if verdict == Verdict::Succeeded {
-                        assert!(
-                            !matches!(row, Some(Entry::Running(_))),
-                            "settled spec still runs"
-                        );
+                        let row = state.specs.flight(&job.spec);
+                        assert!(row.is_none(), "settled spec still runs");
                     } else {
+                        let row = state.specs.rows().find(|(s, _)| **s == job.spec);
                         assert!(row.is_none(), "a degraded or failed settle left a row");
                     }
                 }
@@ -2032,21 +1786,17 @@ mod tests {
             let flights: Vec<&Job> = led.iter().chain(&state.jobs).chain(&picked).collect();
             for s in &specs {
                 let mine: Vec<&&Job> = flights.iter().filter(|job| job.spec == *s).collect();
-                match state.specs.get(s) {
-                    Some(Entry::Running(flight)) => {
+                match state.specs.flight(s) {
+                    Some(flight) => {
                         assert_eq!(mine.len(), 1);
                         assert!(Arc::ptr_eq(&mine[0].flight, flight));
                     }
-                    Some(Entry::Cached(_)) | None => assert!(mine.is_empty()),
+                    None => assert!(mine.is_empty()),
                 }
             }
-            assert!(state.specs.keys().all(|s| specs.contains(s)));
-            let cached = state
-                .specs
-                .values()
-                .filter(|entry| matches!(entry, Entry::Cached(_)))
-                .count();
-            assert_eq!(state.cached, cached);
+            assert!(state.specs.rows().all(|(s, _)| specs.contains(s)));
+            let cached = state.specs.rows().filter(|(_, v)| v.is_some()).count();
+            assert_eq!(state.specs.cached(), cached);
             assert!(cached <= config.max_cached_responses);
             let s = state.stats;
             assert_eq!(
