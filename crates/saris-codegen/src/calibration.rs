@@ -62,6 +62,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use saris_core::key::key_of;
 use saris_core::stencil::Stencil;
 use saris_core::{gallery, Extent};
 
@@ -217,20 +218,16 @@ struct CalKey {
     cores: usize,
 }
 
-/// The execution-context tag an observation is recorded under: a hash of
-/// the request's compile-relevant options and its tuning policy. Two
-/// requests with the same tag would run the identical configuration on
-/// the cycle tier, so an observation answers them at full confidence;
-/// any other combination (different unroll, different tuning policy,
-/// planner knobs, ...) only at [`OFF_EXTENT_CONFIDENCE`] — its measured
-/// rates may be arbitrarily far from what *that* configuration would
-/// measure.
+/// The execution-context tag an observation is recorded under: the
+/// stable key of the request's tuning policy and of every option but
+/// `max_cycles` (a budget; see [`RunOptions`]). Two requests with the
+/// same tag run the identical configuration on the cycle tier, so an
+/// observation answers them at full confidence; any other combination
+/// (unroll, tuning policy, concurrent DMA, planner knobs, ...) only at
+/// [`OFF_EXTENT_CONFIDENCE`] — its rates may be arbitrarily far from
+/// what *that* configuration would measure.
 pub fn execution_context(options: &RunOptions, tune: &Tune) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    options.compile_fingerprint().hash(&mut h);
-    format!("{tune:?}").hash(&mut h);
-    h.finish()
+    key_of(&(options.without_budget(), tune))
 }
 
 #[derive(Default)]
@@ -632,10 +629,12 @@ impl CalibrationStore {
 
     /// Parses a store from the JSON format [`to_json`](CalibrationStore::to_json)
     /// emits. Entries whose `name` resolves to a gallery code are
-    /// re-keyed by that code's current structural fingerprint (robust
-    /// across builds); other entries trust the serialized fingerprint,
-    /// which — like [`WorkloadSpec::fingerprint`](crate::WorkloadSpec::fingerprint)
-    /// — is only stable within one build of this crate. Imported entries
+    /// re-keyed by that code's current structural fingerprint (so a
+    /// document outlives a change to the code); other entries trust the
+    /// serialized fingerprint, which — like the `"context"` tags and
+    /// [`WorkloadSpec::fingerprint`](crate::WorkloadSpec::fingerprint) —
+    /// is a stable key ([`saris_core::key`]): the same on every host,
+    /// toolchain and build that declares the same fields. Imported entries
     /// are marked [`CalibrationSource::Imported`] unless they declare
     /// another source. A row may leave out `"extent"` and `"context"`
     /// (they read as `null`) and, under a gallery name, `"stencil"`; a
@@ -688,8 +687,6 @@ impl CalibrationStore {
                     name: row.name.into_owned(),
                     calibration,
                     extent: row.extent,
-                    // Like the stencil fingerprint, only meaningful
-                    // within one build of this crate.
                     context: row.context.map(|DecStr(context)| context),
                     confidence: row.confidence,
                     observations: row.observations,

@@ -32,11 +32,13 @@
 //! outcomes, retry counts, and degraded answers — then assert them.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use saris_core::grid::Grid;
+use saris_core::key::StableHasher;
 
 use crate::backends::{Backend, ExecOutcome, ExecRequest, Fidelity};
 use crate::calibration::CalibrationStore;
@@ -153,28 +155,21 @@ pub struct InjectedFaults {
     pub corruptions: u64,
 }
 
-/// The scheduling-independent key for one backend request: stencil
-/// fingerprint ⊕ extent ⊕ a bit-sample of each input grid. Two requests
-/// with the same stencil, extent, and inputs share a key (and therefore
-/// a fault schedule) no matter which thread executes them or when.
+/// The scheduling-independent key for one backend request: the stencil,
+/// the extent and a bit-sample of each input grid. Two requests with the
+/// same stencil, extent, and inputs share a key (and therefore a fault
+/// schedule) no matter which thread executes them or when.
 pub fn request_key(req: &ExecRequest<'_>) -> u64 {
-    let mut key = splitmix64(req.stencil.fingerprint());
-    let extent = req.inputs.first().map_or(0u64, |g| {
-        let e = g.extent();
-        format!("{e:?}")
-            .bytes()
-            .fold(0u64, |h, b| splitmix64(h ^ u64::from(b)))
-    });
-    key = splitmix64(key ^ extent);
+    let mut state = StableHasher::default();
+    req.stencil.hash(&mut state);
+    req.inputs.first().map(|g| g.extent()).hash(&mut state);
     for grid in req.inputs {
         let data = grid.as_slice();
         for idx in [0, data.len() / 2, data.len().saturating_sub(1)] {
-            if let Some(v) = data.get(idx) {
-                key = splitmix64(key ^ v.to_bits());
-            }
+            data.get(idx).map(|v| v.to_bits()).hash(&mut state);
         }
     }
-    key
+    state.finish()
 }
 
 /// A [`Backend`] wrapper that injects deterministic faults per its

@@ -8,10 +8,11 @@
 use std::fmt;
 
 use saris_core::grid::Grid;
+use saris_core::key::key_of;
 use saris_core::layout::{ArenaLayout, ELEM_BYTES};
 use saris_core::method::{SarisOptions, SarisPlan, StreamMode};
 use saris_core::parallel::InterleavePlan;
-use saris_core::stencil::{hash_text, ArrayRole, Stencil};
+use saris_core::stencil::{ArrayRole, Stencil};
 use saris_core::Extent;
 use snitch_sim::{Cluster, ClusterConfig, DmaDescriptor, RunReport, MAIN_BASE};
 
@@ -38,8 +39,15 @@ impl fmt::Display for Variant {
     }
 }
 
-/// Options controlling compilation and execution.
-#[derive(Debug, Clone, PartialEq)]
+/// Options controlling compilation and execution. Every field is keyed
+/// by being declared; the fields each key over options leaves out:
+///
+/// - [`WorkloadSpec::fingerprint`](crate::WorkloadSpec::fingerprint): none;
+/// - [`compile_fingerprint`](RunOptions::compile_fingerprint): `max_cycles`
+///   and `concurrent_dma`, which only shape execution;
+/// - [`execution_context`](crate::calibration::execution_context):
+///   `max_cycles`, a budget that does not change what a run measures.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct RunOptions {
     /// Code generator.
     pub variant: Variant,
@@ -108,27 +116,22 @@ impl RunOptions {
         self
     }
 
-    /// A fingerprint over every field that affects *compilation*. The
-    /// execution-only knobs (`max_cycles`, `concurrent_dma`) are left
-    /// out, so sweeps over them share cached kernels in the session
-    /// layer's kernel cache.
+    /// The stable key of every field that affects *compilation*: all but
+    /// the execution-only `max_cycles` and `concurrent_dma`, so sweeps
+    /// over those share kernels in the session's kernel cache.
     pub fn compile_fingerprint(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        hash_text(
-            &mut h,
-            format_args!(
-                "{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
-                self.variant,
-                self.unroll,
-                self.interleave,
-                self.cluster,
-                self.saris,
-                self.reassociate,
-                self.base_allow_spill,
-            ),
-        );
-        h.finish()
+        key_of(&RunOptions {
+            concurrent_dma: false,
+            ..self.without_budget()
+        })
+    }
+
+    /// `self` as the execution context keys it: `max_cycles` cleared.
+    pub(crate) fn without_budget(&self) -> RunOptions {
+        RunOptions {
+            max_cycles: 0,
+            ..self.clone()
+        }
     }
 }
 

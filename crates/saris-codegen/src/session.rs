@@ -1674,43 +1674,59 @@ mod tests {
 
     #[test]
     fn auto_does_not_trust_observations_from_other_configurations() {
-        let session = Session::new();
         let base = || {
             Workload::new(gallery::jacobi_2d())
                 .extent(Extent::new_2d(16, 16))
                 .input_seed(3)
                 .variant(Variant::Saris)
         };
-        // Observe the stencil at a pessimal fixed unroll...
-        let pessimal = base()
-            .unroll(2)
-            .fidelity(Fidelity::Cycles)
-            .freeze()
-            .unwrap();
-        session.submit(&pessimal).unwrap();
-        // ...then ask Auto for the tuned configuration: the store holds
-        // an entry for this (stencil, variant, cores), but its execution
-        // context differs, so trusting it would break the accuracy
-        // budget — the request must escalate and measure for itself.
-        let tuned_auto = || {
-            base()
-                .tune(crate::tuner::Tune::Auto)
-                .fidelity(Fidelity::auto())
-                .freeze()
-                .unwrap()
-        };
-        let first = session.submit(&tuned_auto()).unwrap();
-        assert_eq!(first.telemetry.answered_by, Some(Fidelity::Cycles));
-        assert_eq!(session.stats().auto_escalated, 1);
-        // The escalation re-observed under the tuned context; now the
-        // identical request answers analytically with the *tuned* count.
-        let again = session.submit(&tuned_auto()).unwrap();
-        assert_eq!(again.telemetry.answered_by, Some(Fidelity::Analytic));
-        assert_eq!(
-            again.expect_report().cycles,
-            first.expect_report().cycles,
-            "the analytic answer reproduces the tuned measurement, not the pessimal one"
-        );
+        // (observed on the cycle tier, then asked of Auto):
+        let cases = [
+            // a pessimal fixed unroll, then the tuned configuration;
+            (
+                base().unroll(2),
+                base().tune(Tune::Auto).fidelity(Fidelity::auto()),
+            ),
+            // concurrent DMA traffic, then none, at a budget that
+            // promises an exact observation.
+            (
+                base().options(RunOptions::new(Variant::Saris).with_concurrent_dma()),
+                base().fidelity(Fidelity::Auto {
+                    accuracy_budget: 0.0,
+                }),
+            ),
+        ];
+        for (i, (observed, asked)) in cases.into_iter().enumerate() {
+            let session = Session::new();
+            let observed = observed.fidelity(Fidelity::Cycles).freeze().unwrap();
+            session.submit(&observed).unwrap();
+            // The store holds an entry for this (stencil, variant,
+            // cores), but its execution context differs, so trusting it
+            // would break the accuracy budget — the request must
+            // escalate and measure for itself.
+            let asked = asked.freeze().unwrap();
+            let first = session.submit(&asked).unwrap();
+            assert_eq!(
+                first.telemetry.answered_by,
+                Some(Fidelity::Cycles),
+                "case {i}"
+            );
+            assert_eq!(session.stats().auto_escalated, 1, "case {i}");
+            // The escalation re-observed under the asked context; now
+            // the identical request answers analytically with its count.
+            let again = session.submit(&asked).unwrap();
+            assert_eq!(
+                again.telemetry.answered_by,
+                Some(Fidelity::Analytic),
+                "case {i}"
+            );
+            assert_eq!(
+                again.expect_report().cycles,
+                first.expect_report().cycles,
+                "case {i}: the analytic answer reproduces the asked configuration's \
+                 measurement, not the observed one"
+            );
+        }
     }
 
     #[test]

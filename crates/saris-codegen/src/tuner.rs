@@ -9,13 +9,15 @@
 //! FREP sequencer genuinely refuses, keeps the fastest, and reports the
 //! decision in [`Outcome::tuning`](crate::Outcome::tuning).
 
+use std::hash::{Hash, Hasher};
+
 use crate::error::CodegenError;
 
 /// The default unroll candidates (the paper's "up to four-fold").
 pub const DEFAULT_CANDIDATES: [usize; 3] = [1, 2, 4];
 
 /// How a workload picks its unroll factor.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tune {
     /// Use the unroll factor set in the workload's
     /// [`RunOptions`](crate::RunOptions) as-is (no tuning).
@@ -26,6 +28,18 @@ pub enum Tune {
     /// Measure an explicit candidate list and keep the fastest feasible
     /// one.
     Candidates(Vec<usize>),
+}
+
+/// As derived, but candidate by candidate: a derived `Vec<usize>` hash
+/// writes the slice's native bytes, which differ between hosts.
+impl Hash for Tune {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let Tune::Candidates(candidates) = self {
+            candidates.len().hash(state);
+            candidates.iter().for_each(|c| c.hash(state));
+        }
+    }
 }
 
 impl Tune {

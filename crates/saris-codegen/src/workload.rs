@@ -37,7 +37,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use saris_core::grid::Grid;
-use saris_core::stencil::{hash_text, Stencil};
+use saris_core::key::key_of;
+use saris_core::stencil::Stencil;
 use saris_core::Extent;
 use snitch_sim::{ClusterConfig, RunReport};
 
@@ -87,6 +88,22 @@ impl PartialEq for InputSpec {
 
 impl Eq for InputSpec {}
 
+/// Grid data by its bits, like equality.
+impl Hash for InputSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            InputSpec::Seeded(seed) => seed.hash(state),
+            InputSpec::Grids(grids) => {
+                for g in grids.iter() {
+                    g.extent().hash(state);
+                    g.as_slice().iter().for_each(|v| v.to_bits().hash(state));
+                }
+            }
+        }
+    }
+}
+
 impl InputSpec {
     /// Materializes owned input grids for `stencil` at `extent`.
     pub(crate) fn materialize(&self, stencil: &Stencil, extent: Extent) -> Vec<Grid> {
@@ -126,9 +143,13 @@ impl Workload {
     /// shared `Arc<Stencil>` — batch builders should clone one `Arc` per
     /// code so a whole sweep holds a single copy of each stencil IR.
     pub fn new(stencil: impl Into<Arc<Stencil>>) -> Workload {
+        Workload::with_defaults(Some(stencil.into()), None)
+    }
+
+    fn with_defaults(stencil: Option<Arc<Stencil>>, probe_extent: Option<Extent>) -> Workload {
         Workload {
-            stencil: Some(stencil.into()),
-            probe_extent: None,
+            stencil,
+            probe_extent,
             extent: None,
             inputs: InputSpec::Seeded(0),
             options: RunOptions::new(Variant::Saris),
@@ -149,18 +170,7 @@ impl Workload {
     /// [`Outcome::dma_utilization`] and the outcome reports backend
     /// `"sim"`.
     pub fn dma_probe(extent: Extent) -> Workload {
-        Workload {
-            stencil: None,
-            probe_extent: Some(extent),
-            extent: None,
-            inputs: InputSpec::Seeded(0),
-            options: RunOptions::new(Variant::Saris),
-            tune: Tune::Fixed,
-            time_steps: 1,
-            rotation: None,
-            verify: None,
-            fidelity: None,
-        }
+        Workload::with_defaults(None, Some(extent))
     }
 
     /// Sets the tile extent (halo included). Required for seeded inputs;
@@ -322,7 +332,7 @@ impl Workload {
                 extent,
                 cluster: self.options.cluster,
             };
-            let fingerprint = fingerprint_of(&kind);
+            let fingerprint = key_of(&kind);
             return Ok(WorkloadSpec { kind, fingerprint });
         }
         let stencil = self.stencil.expect("stencil workloads carry a stencil");
@@ -337,13 +347,11 @@ impl Workload {
             (InputSpec::Seeded(_), Some(e)) => e,
             (InputSpec::Grids(grids), declared) => {
                 if grids.len() != n_inputs {
-                    return Err(CodegenError::InvalidWorkload {
-                        reason: format!(
-                            "{} declares {n_inputs} input arrays, got {} grids",
-                            stencil.name(),
-                            grids.len()
-                        ),
-                    });
+                    return Err(invalid(&format!(
+                        "{} declares {n_inputs} input arrays, got {} grids",
+                        stencil.name(),
+                        grids.len()
+                    )));
                 }
                 let e = grids[0].extent();
                 if grids.iter().any(|g| g.extent() != e) {
@@ -387,11 +395,9 @@ impl Workload {
         let rotation = match (self.rotation, self.time_steps) {
             (Some(r), _) => {
                 if r == BufferRotation::Leapfrog && n_inputs != 2 {
-                    return Err(CodegenError::InvalidWorkload {
-                        reason: format!(
-                            "leapfrog rotation needs exactly 2 input arrays, got {n_inputs}"
-                        ),
-                    });
+                    return Err(invalid(&format!(
+                        "leapfrog rotation needs exactly 2 input arrays, got {n_inputs}"
+                    )));
                 }
                 Some(r)
             }
@@ -399,11 +405,9 @@ impl Workload {
             (None, _) => match n_inputs {
                 1 | 2 => Some(BufferRotation::natural(&stencil)),
                 n => {
-                    return Err(CodegenError::InvalidWorkload {
-                        reason: format!(
-                            "no natural rotation for {n} input arrays; set one explicitly"
-                        ),
-                    })
+                    return Err(invalid(&format!(
+                        "no natural rotation for {n} input arrays; set one explicitly"
+                    )))
                 }
             },
         };
@@ -418,7 +422,7 @@ impl Workload {
             verify: self.verify,
             fidelity: self.fidelity,
         });
-        let fingerprint = fingerprint_of(&kind);
+        let fingerprint = key_of(&kind);
         Ok(WorkloadSpec { kind, fingerprint })
     }
 }
@@ -438,8 +442,30 @@ pub(crate) struct StencilWork {
     pub fidelity: Option<Fidelity>,
 }
 
+/// Every field, the tolerance by its bits.
+impl Hash for StencilWork {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let StencilWork {
+            stencil,
+            extent,
+            inputs,
+            options,
+            tune,
+            time_steps,
+            rotation,
+            verify,
+            fidelity,
+        } = self;
+        let verify = verify.map(f64::to_bits);
+        (
+            stencil, extent, inputs, options, tune, time_steps, rotation, verify, fidelity,
+        )
+            .hash(state);
+    }
+}
+
 /// What kind of work a spec describes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub(crate) enum WorkloadKind {
     Stencil(StencilWork),
     DmaProbe {
@@ -460,8 +486,8 @@ pub struct WorkloadSpec {
 
 // Reflexivity holds: grid data compares bitwise (see `InputSpec`'s
 // `PartialEq`), `Workload::freeze` rejects non-finite verification
-// tolerances, and the remaining float fields (cluster parameters) are
-// fixed configuration values that never carry NaN.
+// tolerances, and the one float cluster parameter (`freq_hz`) is fixed
+// configuration that never carries NaN.
 impl Eq for WorkloadSpec {}
 
 impl Hash for WorkloadSpec {
@@ -471,20 +497,20 @@ impl Hash for WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// A 64-bit identity over everything that affects the result:
-    /// stencil structure, extent, inputs, all options (compile- and
-    /// execution-relevant), tuning policy, time stepping, rotation, and
-    /// verification. Equal specs have equal fingerprints; the session
-    /// additionally keys its kernel cache on the compile-relevant subset,
-    /// so distinct specs still share compiled kernels where possible.
+    /// A 64-bit identity over every field of the request, nothing left
+    /// out: the stencil's [fingerprint](Stencil::fingerprint), extent,
+    /// inputs (explicit grids by their bits), every [`RunOptions`] field
+    /// (compile- and execution-relevant), tuning policy, time stepping,
+    /// rotation, verification tolerance and fidelity; for a probe, its
+    /// extent and cluster configuration. Equal specs have equal
+    /// fingerprints; the session additionally keys its kernel cache on
+    /// the compile-relevant subset, so distinct specs still share
+    /// compiled kernels where possible.
     ///
-    /// The value is stable within one build of this crate — sufficient
-    /// for deduplication and caching across the sessions, threads, and
-    /// forked workers of a deployment running the same binary. It is
-    /// *not* a cross-version wire format: a different Rust toolchain or
-    /// crate version may hash the same logical spec differently, so
-    /// heterogeneous fleets should dedupe on the spec itself
-    /// (`WorkloadSpec` is `Eq + Hash`) rather than on raw fingerprints.
+    /// Computed once, at freeze, with the one stable hasher
+    /// ([`saris_core::key`]): a spec has the same fingerprint on every
+    /// host, toolchain and build, so peers route, cache and quarantine
+    /// on it alike.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -563,51 +589,6 @@ impl WorkloadSpec {
     pub(crate) fn kind(&self) -> &WorkloadKind {
         &self.kind
     }
-}
-
-fn fingerprint_of(kind: &WorkloadKind) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match kind {
-        WorkloadKind::DmaProbe { extent, cluster } => {
-            "probe".hash(&mut h);
-            hash_text(&mut h, format_args!("{extent:?}|{cluster:?}"));
-        }
-        WorkloadKind::Stencil(w) => {
-            "stencil".hash(&mut h);
-            w.stencil.fingerprint().hash(&mut h);
-            hash_text(
-                &mut h,
-                format_args!(
-                    "{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}",
-                    w.extent,
-                    w.options.compile_fingerprint(),
-                    w.options.max_cycles,
-                    w.options.concurrent_dma,
-                    w.tune,
-                    w.time_steps,
-                    w.rotation,
-                    w.verify.map(f64::to_bits),
-                    w.fidelity,
-                ),
-            );
-            match &w.inputs {
-                InputSpec::Seeded(seed) => {
-                    "seeded".hash(&mut h);
-                    seed.hash(&mut h);
-                }
-                InputSpec::Grids(grids) => {
-                    "grids".hash(&mut h);
-                    for g in grids.iter() {
-                        hash_text(&mut h, format_args!("{:?}", g.extent()));
-                        for v in g.as_slice() {
-                            v.to_bits().hash(&mut h);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    h.finish()
 }
 
 /// Cache/pool activity attributable to one submitted workload (the
@@ -757,6 +738,7 @@ impl Outcome {
 mod tests {
     use super::*;
     use saris_core::gallery;
+    use saris_core::parallel::InterleavePlan;
 
     fn base_workload() -> Workload {
         Workload::new(gallery::jacobi_2d())
@@ -922,6 +904,66 @@ mod tests {
             .unwrap();
         assert_ne!(probe.fingerprint(), base);
         assert!(probe.is_probe());
+
+        // Every `RunOptions` field moves every key over the options but
+        // the ones that declare they leave it out: [spec, compile
+        // key, execution context].
+        let keys = |options: &RunOptions| {
+            let spec = base_workload().options(options.clone()).freeze().unwrap();
+            [
+                spec.fingerprint(),
+                options.compile_fingerprint(),
+                crate::calibration::execution_context(options, &Tune::Fixed),
+            ]
+        };
+        let defaults = RunOptions::new(Variant::Saris);
+        // A new field fails to compile here until it has a row below.
+        let RunOptions {
+            variant: _,
+            unroll: _,
+            interleave: _,
+            cluster: _,
+            saris: _,
+            max_cycles: _,
+            concurrent_dma: _,
+            reassociate: _,
+            base_allow_spill: _,
+        } = &defaults;
+        let all = [true; 3];
+        type Knob = (&'static str, fn(&mut RunOptions), [bool; 3]);
+        let knobs: [Knob; 11] = [
+            ("variant", |o| o.variant = Variant::Base, all),
+            ("unroll", |o| o.unroll = 2, all),
+            (
+                "interleave",
+                |o| o.interleave = InterleavePlan::new(2, 4),
+                all,
+            ),
+            ("cluster", |o| o.cluster.n_cores = 4, all),
+            ("cluster.freq_hz", |o| o.cluster.freq_hz = 1.25e9, all),
+            (
+                "cluster.fast_forward",
+                |o| o.cluster.fast_forward = false,
+                all,
+            ),
+            ("saris", |o| o.saris.coeff_reg_budget = 5, all),
+            ("max_cycles", |o| o.max_cycles = 1, [true, false, false]),
+            (
+                "concurrent_dma",
+                |o| o.concurrent_dma = true,
+                [true, false, true],
+            ),
+            ("reassociate", |o| o.reassociate = 1, all),
+            ("base_allow_spill", |o| o.base_allow_spill = true, all),
+        ];
+        for (field, set, moves) in knobs {
+            let mut options = defaults.clone();
+            set(&mut options);
+            let (moved, kept) = (keys(&options), keys(&defaults));
+            for (i, key) in ["spec", "compile", "context"].into_iter().enumerate() {
+                assert_eq!(moved[i] != kept[i], moves[i], "{field} vs the {key} key");
+            }
+        }
     }
 
     #[test]
@@ -980,134 +1022,5 @@ mod tests {
             panic!()
         };
         assert!(Arc::ptr_eq(g, &grids));
-    }
-
-    /// The fingerprints as they were computed before they streamed
-    /// their text into the hasher: the same text in a `String`, hashed.
-    /// Ring routing, cache keys and `Outcome::fingerprint` hang on the
-    /// values, so the two must agree everywhere.
-    mod string_formulas {
-        use super::*;
-        use std::collections::hash_map::DefaultHasher;
-
-        pub fn stencil(s: &Stencil) -> u64 {
-            let mut h = DefaultHasher::new();
-            format!("{s:?}").hash(&mut h);
-            h.finish()
-        }
-
-        pub fn compile(o: &RunOptions) -> u64 {
-            let mut h = DefaultHasher::new();
-            format!(
-                "{:?}|{}|{:?}|{:?}|{:?}|{}|{}",
-                o.variant,
-                o.unroll,
-                o.interleave,
-                o.cluster,
-                o.saris,
-                o.reassociate,
-                o.base_allow_spill,
-            )
-            .hash(&mut h);
-            h.finish()
-        }
-
-        pub fn spec(kind: &WorkloadKind) -> u64 {
-            let mut h = DefaultHasher::new();
-            match kind {
-                WorkloadKind::DmaProbe { extent, cluster } => {
-                    "probe".hash(&mut h);
-                    format!("{extent:?}|{cluster:?}").hash(&mut h);
-                }
-                WorkloadKind::Stencil(w) => {
-                    "stencil".hash(&mut h);
-                    stencil(&w.stencil).hash(&mut h);
-                    format!(
-                        "{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}",
-                        w.extent,
-                        compile(&w.options),
-                        w.options.max_cycles,
-                        w.options.concurrent_dma,
-                        w.tune,
-                        w.time_steps,
-                        w.rotation,
-                        w.verify.map(f64::to_bits),
-                        w.fidelity,
-                    )
-                    .hash(&mut h);
-                    match &w.inputs {
-                        InputSpec::Seeded(seed) => {
-                            "seeded".hash(&mut h);
-                            seed.hash(&mut h);
-                        }
-                        InputSpec::Grids(grids) => {
-                            "grids".hash(&mut h);
-                            for g in grids.iter() {
-                                format!("{:?}", g.extent()).hash(&mut h);
-                                for v in g.as_slice() {
-                                    v.to_bits().hash(&mut h);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            h.finish()
-        }
-    }
-
-    #[test]
-    fn streamed_fingerprints_equal_the_string_formulas() {
-        let check = |spec: &WorkloadSpec| {
-            assert_eq!(spec.fingerprint(), string_formulas::spec(spec.kind()));
-            if let WorkloadKind::Stencil(w) = spec.kind() {
-                assert_eq!(
-                    w.stencil.fingerprint(),
-                    string_formulas::stencil(&w.stencil)
-                );
-                assert_eq!(
-                    w.options.compile_fingerprint(),
-                    string_formulas::compile(&w.options)
-                );
-            }
-        };
-        let mut codes = gallery::all();
-        codes.push(gallery::j3d27pt().reassociated(3));
-        for stencil in codes {
-            let extent = Extent::cube(stencil.space(), 16);
-            for variant in [Variant::Base, Variant::Saris] {
-                for unroll in crate::DEFAULT_CANDIDATES {
-                    let options = RunOptions::new(variant).with_unroll(unroll);
-                    let workload = Workload::new(stencil.clone())
-                        .extent(extent)
-                        .input_seed(unroll as u64)
-                        .options(options);
-                    check(&workload.clone().freeze().unwrap());
-                    check(&workload.tune(Tune::Auto).freeze().unwrap());
-                }
-            }
-        }
-        // The arms the matrix does not reach: explicit grids (extent
-        // text plus raw bits), every optional knob set, and a probe.
-        let extent = Extent::new_2d(8, 8);
-        let mut grid = Grid::pseudo_random(extent, 3);
-        grid.as_mut_slice()[0] = f64::NAN;
-        check(
-            &Workload::new(gallery::j2d5pt())
-                .inputs(vec![grid])
-                .time_steps(3)
-                .rotation(BufferRotation::Alternating)
-                .verify(1e-9)
-                .fidelity(Fidelity::Auto {
-                    accuracy_budget: 0.05,
-                })
-                .freeze()
-                .unwrap(),
-        );
-        check(
-            &Workload::dma_probe(Extent::new_3d(16, 16, 16))
-                .freeze()
-                .unwrap(),
-        );
     }
 }

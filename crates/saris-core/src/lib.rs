@@ -16,7 +16,9 @@
 //!   reads, streaming register-exhausting coefficients, and materializing
 //!   the static index arrays reused on every point update;
 //! * tile memory layout ([`layout`]) and core parallelization
-//!   ([`parallel`]) helpers shared by the code generators.
+//!   ([`parallel`]) helpers shared by the code generators;
+//! * the one stable key derivation ([`key`]) every fingerprint, cache
+//!   key and ring position in the workspace is computed with.
 //!
 //! # Examples
 //!
@@ -45,6 +47,7 @@ pub mod error;
 pub mod gallery;
 pub mod geom;
 pub mod grid;
+pub mod key;
 pub mod layout;
 pub mod method;
 pub mod parallel;

@@ -11,7 +11,7 @@ use crate::method::schedule::{CoeffStrategy, PointSchedule, StreamMode};
 use crate::stencil::Stencil;
 
 /// Tunable knobs of the SARIS planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SarisOptions {
     /// FP registers the code generator can dedicate to coefficients; the
     /// effective budget also leaves room for the stream registers and the

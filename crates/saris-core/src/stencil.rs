@@ -14,11 +14,12 @@
 //! FLOPs-per-point column of Table 1.
 
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use crate::error::StencilError;
 use crate::geom::{Extent, Halo, Offset, Point, Space};
 use crate::grid::Grid;
+use crate::key::key_of;
 
 /// Identifier of an array declared by a stencil.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +48,7 @@ pub enum ArrayRole {
 }
 
 /// An array declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     name: String,
     role: ArrayRole,
@@ -66,7 +67,7 @@ impl ArrayDecl {
 }
 
 /// A grid load: `array[point + offset]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tap {
     /// Source array.
     pub array: ArrayId,
@@ -79,6 +80,14 @@ pub struct Tap {
 pub struct Coeff {
     name: String,
     value: f64,
+}
+
+/// By the value's bits: `0.0` and `-0.0` are different coefficients.
+impl Hash for Coeff {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Coeff { name, value } = self;
+        (name, value.to_bits()).hash(state);
+    }
 }
 
 impl Coeff {
@@ -138,7 +147,7 @@ impl BinKind {
 
 /// One operation of the point-update sequence. Operation `i` defines
 /// temporary `Tmp(i)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PointOp {
     /// A two-operand operation (1 FLOP).
     Bin {
@@ -224,6 +233,8 @@ impl fmt::Display for StencilStats {
 /// operation sequence. Construct with [`StencilBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stencil {
+    /// [`key_of`] every other field, computed once by [`Stencil::sealed`].
+    fingerprint: u64,
     name: String,
     space: Space,
     arrays: Vec<ArrayDecl>,
@@ -234,44 +245,11 @@ pub struct Stencil {
     output: ArrayId,
 }
 
-/// Feeds `state` the text `args` renders to exactly as
-/// `format!(..).hash(state)` would — the text's bytes, then the `0xff`
-/// that `str::hash` ends a string with — without building the `String`.
-/// Fingerprints hash `Debug` renderings; this is how they do it without
-/// an allocation per call.
-pub fn hash_text(state: &mut impl Hasher, args: fmt::Arguments<'_>) {
-    /// `Debug` output arrives a few bytes at a time and a hasher's
-    /// `write` has a fixed cost per call: gather the pieces on the
-    /// stack and pass them on a buffer at a time. (What a hasher is fed
-    /// does not depend on how the bytes are split between calls.)
-    struct Text<'a, H> {
-        state: &'a mut H,
-        buf: [u8; 1024],
-        len: usize,
+/// The stored [`Stencil::fingerprint`]: no key walks a stencil again.
+impl Hash for Stencil {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fingerprint.hash(state);
     }
-    impl<H: Hasher> fmt::Write for Text<'_, H> {
-        #[inline]
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            let bytes = s.as_bytes();
-            if let Some(room) = self.buf.get_mut(self.len..self.len + bytes.len()) {
-                room.copy_from_slice(bytes);
-                self.len += bytes.len();
-            } else {
-                self.state.write(&self.buf[..self.len]);
-                self.state.write(bytes);
-                self.len = 0;
-            }
-            Ok(())
-        }
-    }
-    let mut text = Text {
-        state,
-        buf: [0; 1024],
-        len: 0,
-    };
-    fmt::Write::write_fmt(&mut text, args).expect("hashing text cannot fail");
-    text.state.write(&text.buf[..text.len]);
-    text.state.write_u8(0xff);
 }
 
 impl Stencil {
@@ -280,16 +258,31 @@ impl Stencil {
         &self.name
     }
 
-    /// A structural fingerprint covering everything code generation
-    /// depends on: arrays, taps, coefficient values (bit-exact via their
-    /// shortest-roundtrip rendering), the operation sequence, and the
-    /// output binding. Two stencils with equal fingerprints compile to
-    /// identical kernels for identical extents and options, which is what
-    /// the execution-engine kernel cache keys on.
+    /// A structural fingerprint covering every field: the name, arrays,
+    /// taps, coefficients (values by their bits, so `0.0` and `-0.0`
+    /// differ), the operation sequence and the output binding. Stencils
+    /// with equal fingerprints compile to identical kernels for identical
+    /// extents and options, which is what the kernel cache keys on.
+    /// Computed once, when the stencil is built ([`key`](crate::key)).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        hash_text(&mut h, format_args!("{self:?}"));
-        h.finish()
+        self.fingerprint
+    }
+
+    /// `self` with its fingerprint: the key of every other field.
+    fn sealed(mut self) -> Stencil {
+        let Stencil {
+            fingerprint: _,
+            name,
+            space,
+            arrays,
+            taps,
+            coeffs,
+            ops,
+            result,
+            output,
+        } = &self;
+        self.fingerprint = key_of(&(name, space, arrays, taps, coeffs, ops, result, output));
+        self
     }
 
     /// The stencil's dimensionality.
@@ -504,6 +497,20 @@ impl Stencil {
                 other => other,
             }
         };
+        let map_op = |op: &PointOp, remap: &[Option<Operand>]| -> PointOp {
+            match *op {
+                PointOp::Bin { kind, a, b } => PointOp::Bin {
+                    kind,
+                    a: map_operand(a, remap),
+                    b: map_operand(b, remap),
+                },
+                PointOp::Fma { a, b, c } => PointOp::Fma {
+                    a: map_operand(a, remap),
+                    b: map_operand(b, remap),
+                    c: map_operand(c, remap),
+                },
+            }
+        };
         let mut acc_val: Vec<Option<Operand>> = vec![None; accumulators];
         let mut term_idx = 0usize;
         for (i, op) in self.ops.iter().enumerate() {
@@ -512,37 +519,13 @@ impl Stencil {
             }
             if !in_spine.contains(&i) {
                 // Regular op: re-emit with remapped operands.
-                let mapped = match op {
-                    PointOp::Bin { kind, a, b } => PointOp::Bin {
-                        kind: *kind,
-                        a: map_operand(*a, &remap),
-                        b: map_operand(*b, &remap),
-                    },
-                    PointOp::Fma { a, b, c } => PointOp::Fma {
-                        a: map_operand(*a, &remap),
-                        b: map_operand(*b, &remap),
-                        c: map_operand(*c, &remap),
-                    },
-                };
-                new_ops.push(mapped);
+                new_ops.push(map_op(op, &remap));
                 remap[i] = Some(Operand::Tmp(new_ops.len() - 1));
                 continue;
             }
             if i == spine[0] {
                 // Head initializes accumulator 0 with its full op.
-                let mapped = match op {
-                    PointOp::Bin { kind, a, b } => PointOp::Bin {
-                        kind: *kind,
-                        a: map_operand(*a, &remap),
-                        b: map_operand(*b, &remap),
-                    },
-                    PointOp::Fma { a, b, c } => PointOp::Fma {
-                        a: map_operand(*a, &remap),
-                        b: map_operand(*b, &remap),
-                        c: map_operand(*c, &remap),
-                    },
-                };
-                new_ops.push(mapped);
+                new_ops.push(map_op(op, &remap));
                 acc_val[0] = Some(Operand::Tmp(new_ops.len() - 1));
                 continue;
             }
@@ -632,33 +615,16 @@ impl Stencil {
         remap[*spine.last().expect("nonempty")] = Some(combined);
         // Re-emit the post-chain ops (closest to the spine first).
         for &i in post.iter().rev() {
-            let op = &self.ops[i];
-            let mapped = match op {
-                PointOp::Bin { kind, a, b } => PointOp::Bin {
-                    kind: *kind,
-                    a: map_operand(*a, &remap),
-                    b: map_operand(*b, &remap),
-                },
-                PointOp::Fma { a, b, c } => PointOp::Fma {
-                    a: map_operand(*a, &remap),
-                    b: map_operand(*b, &remap),
-                    c: map_operand(*c, &remap),
-                },
-            };
-            new_ops.push(mapped);
+            new_ops.push(map_op(&self.ops[i], &remap));
             remap[i] = Some(Operand::Tmp(new_ops.len() - 1));
         }
         let result = remap[result_tmp].expect("result emitted");
         Stencil {
-            name: self.name.clone(),
-            space: self.space,
-            arrays: self.arrays.clone(),
-            taps: self.taps.clone(),
-            coeffs: self.coeffs.clone(),
             ops: new_ops,
             result,
-            output: self.output,
+            ..self.clone()
         }
+        .sealed()
     }
 
     /// Number of live temporaries needed when evaluating ops in order
@@ -832,6 +798,7 @@ impl StencilBuilder {
             .result
             .ok_or_else(|| StencilError::NoResult { name: name.clone() })?;
         let stencil = Stencil {
+            fingerprint: 0,
             name: self.name,
             space: self.space,
             arrays: self.arrays,
@@ -842,7 +809,7 @@ impl StencilBuilder {
             output,
         };
         validate(&stencil)?;
-        Ok(stencil)
+        Ok(stencil.sealed())
     }
 }
 

@@ -18,9 +18,12 @@
 //! kernels, and its calibration store stays hot for the families it
 //! owns — warmed throughput then scales with shard count instead of
 //! re-paying cache misses everywhere (the placement argument of the
-//! paper's scale-out extrapolation). The ring hashes 256 virtual nodes
+//! paper's scale-out extrapolation). The ring places 256 virtual nodes
 //! per shard, so losing a worker moves *only that worker's* keyspace
 //! onto its ring successors; every other spec keeps its warm shard.
+//! Ring positions, like the fingerprints routed on them, are stable keys
+//! ([`saris_core::key`]): coordinators built apart, on any host and
+//! toolchain, send a spec to the same shard.
 //!
 //! **Worker death** is detected as transport failure (connection reset,
 //! truncated frame) or an in-band remote `ShutDown`. The coordinator
@@ -62,9 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,6 +73,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use saris_codegen::{CalibrationStore, WorkloadSpec};
+use saris_core::key::key_of;
 use saris_serve::{NetClient, NetServer, ServeError, ServeResult, Server};
 
 /// Virtual nodes per shard on the hash ring. Enough that one shard's
@@ -199,12 +201,6 @@ pub struct Coordinator {
     gossip_adopted: AtomicU64,
 }
 
-fn ring_point(parts: (u64, u64)) -> u64 {
-    let mut h = DefaultHasher::new();
-    parts.hash(&mut h);
-    h.finish()
-}
-
 impl Coordinator {
     /// Connects to every worker in `workers` (convenience over
     /// [`Coordinator::connect`]).
@@ -241,7 +237,7 @@ impl Coordinator {
         let mut ring = BTreeMap::new();
         for (index, _) in shards.iter().enumerate() {
             for vnode in 0..VNODES_PER_SHARD {
-                ring.insert(ring_point((index as u64, vnode as u64)), index);
+                ring.insert(key_of(&(index as u64, vnode as u64)), index);
             }
         }
         Ok(Coordinator {
@@ -257,7 +253,7 @@ impl Coordinator {
     /// The shard a fingerprint routes to right now (`None` when every
     /// shard is dead). Pure ring lookup — no I/O.
     pub fn route(&self, fingerprint: u64) -> Option<usize> {
-        let point = ring_point((fingerprint, u64::MAX));
+        let point = key_of(&(fingerprint, u64::MAX));
         self.ring
             .range(point..)
             .chain(self.ring.range(..point))
@@ -460,7 +456,7 @@ mod tests {
         let mut ring = BTreeMap::new();
         for (index, _) in shards.iter().enumerate() {
             for vnode in 0..VNODES_PER_SHARD {
-                ring.insert(ring_point((index as u64, vnode as u64)), index);
+                ring.insert(key_of(&(index as u64, vnode as u64)), index);
             }
         }
         Coordinator {
@@ -512,6 +508,26 @@ mod tests {
             }
         }
         assert!(moved > 0, "shard 2 owned no keys at all");
+    }
+
+    /// Ring positions and routes are stable keys: coordinators built
+    /// apart, on any host, route a spec to the same shard.
+    #[test]
+    fn ring_positions_and_routes_are_pinned() {
+        let points = [(0u64, 0u64), (3, 255), (12_345, u64::MAX)].map(|p| key_of(&p));
+        assert_eq!(
+            points,
+            [
+                0x32ca_ecc2_8017_2976,
+                0x0e58_3b99_8444_6dac,
+                0xd9f1_9ab1_e15a_8bf7
+            ]
+        );
+        let coordinator = ring_only(4);
+        let routes: Vec<usize> = (0..16u64)
+            .map(|f| coordinator.route(f).expect("live shard"))
+            .collect();
+        assert_eq!(routes, [1, 3, 1, 3, 3, 0, 1, 2, 0, 3, 3, 2, 2, 2, 2, 2]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cluster configuration.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Byte address where TCDM is mapped (non-zero to catch null pointers).
 pub const TCDM_BASE: u64 = 0x0001_0000;
@@ -83,6 +84,70 @@ pub struct ClusterConfig {
     /// reports how much it skipped — so this stays on except when
     /// exercising the stepped path (equivalence tests, debugging).
     pub fast_forward: bool,
+}
+
+/// Every field, `freq_hz` by its bits (the one float; a new field fails
+/// to compile here until it is hashed too).
+impl Hash for ClusterConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ClusterConfig {
+            n_cores,
+            tcdm_banks,
+            tcdm_bytes,
+            main_mem_bytes,
+            main_mem_latency,
+            main_mem_bytes_per_cycle,
+            stream_fifo_depth,
+            launch_queue_depth,
+            index_fifo_depth,
+            fpu_latency_add,
+            fpu_latency_mul,
+            fpu_latency_fma,
+            fpu_latency_div,
+            fpu_latency_misc,
+            fp_load_latency,
+            offload_queue_depth,
+            sequencer_depth,
+            branch_taken_penalty,
+            icache_lines,
+            icache_line_bytes,
+            icache_miss_penalty,
+            dma_beat_bytes,
+            freq_hz,
+            fast_forward,
+        } = self;
+        (
+            (
+                n_cores,
+                tcdm_banks,
+                tcdm_bytes,
+                main_mem_bytes,
+                main_mem_latency,
+                main_mem_bytes_per_cycle,
+                stream_fifo_depth,
+                launch_queue_depth,
+                index_fifo_depth,
+                fpu_latency_add,
+                fpu_latency_mul,
+                fpu_latency_fma,
+            ),
+            (
+                fpu_latency_div,
+                fpu_latency_misc,
+                fp_load_latency,
+                offload_queue_depth,
+                sequencer_depth,
+                branch_taken_penalty,
+                icache_lines,
+                icache_line_bytes,
+                icache_miss_penalty,
+                dma_beat_bytes,
+                freq_hz.to_bits(),
+                fast_forward,
+            ),
+        )
+            .hash(state);
+    }
 }
 
 impl ClusterConfig {
