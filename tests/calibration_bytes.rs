@@ -56,10 +56,13 @@ fn fed_store() -> CalibrationStore {
     store
 }
 
-/// `(name, document length, digest)`.
+/// `(name, document length, digest)`. Rows carry the stencil's
+/// fingerprint and the execution context, so these move with the key
+/// derivation: re-recorded when both became stable keys, with every
+/// other byte unchanged.
 const PINNED: [(&str, usize, u64); 3] = [
-    ("gallery", 9421, 0x1c6e704af5290ea5),
-    ("fed", 9633, 0x50609549e9c2c524),
+    ("gallery", 9415, 0x3a7b38aa36f6a621),
+    ("fed", 9625, 0x402850c103a2aae8),
     ("empty", 36, 0xd5cf7053d4858618),
 ];
 

@@ -215,17 +215,20 @@ fn outcome_specs() -> Vec<(&'static str, WorkloadSpec)> {
 }
 
 /// `(name, document length, digest)` — recorded with the spec rows.
+/// Outcomes carry their spec's fingerprint, so the outcome rows move
+/// with the key derivation: re-recorded when fingerprints became stable
+/// keys, with every other byte unchanged.
 const PINNED_DOCUMENTS: [(&str, usize, u64); 10] = [
     ("spec dma_probe", 616, 0x308ce3c0b11609f8),
     ("spec explicit_grids", 2144, 0xd6f005d4c0769b0b),
     ("spec unusual_options", 1453, 0x4201a0fe109cc548),
     ("spec leapfrog", 3058, 0xe5125c3be0086140),
-    ("outcome cycles_verified", 6662, 0xbda5c3ff48609022),
-    ("outcome golden", 4811, 0x210b0f928df13d69),
-    ("outcome analytic", 2051, 0xb1f1293096b49991),
-    ("outcome tuned", 6733, 0xee4afa2802f68e10),
-    ("outcome multi_step", 23189, 0x3f0c1cb1113a6a91),
-    ("outcome dma_probe", 368, 0xbaead11d3fee14a0),
+    ("outcome cycles_verified", 6661, 0x45e16a5b7ba946ec),
+    ("outcome golden", 4811, 0xfc853fbe7a6fbef9),
+    ("outcome analytic", 2050, 0x150f893be12a7c8f),
+    ("outcome tuned", 6733, 0xe10e2ebcf0011cd9),
+    ("outcome multi_step", 23189, 0xcfe31e008ea29ca2),
+    ("outcome dma_probe", 364, 0x92d856d3cd0266fd),
 ];
 
 #[test]
