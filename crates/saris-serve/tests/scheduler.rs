@@ -4,10 +4,14 @@
 //! compile per kernel for requests queued behind their peers.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use saris_codegen::{Fidelity, Session, Workload, WorkloadSpec};
+use saris_codegen::{
+    Backend, CodegenError, ExecOutcome, ExecRequest, Fidelity, Session, SimBackend, Workload,
+    WorkloadSpec,
+};
 use saris_core::{gallery, Extent, Grid};
 use saris_serve::{ResponseHandle, ServeConfig, Server};
 
@@ -40,6 +44,36 @@ fn blocker() -> WorkloadSpec {
         .time_steps(5)
         .freeze()
         .unwrap()
+}
+
+/// The cycle tier, held: every run reports on `entered`, then waits
+/// until the test drops the sending half of `release`, so nothing
+/// completes before the test has set up what it needs to see happen on
+/// completion.
+struct Held {
+    entered: Mutex<Sender<()>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl Backend for Held {
+    fn name(&self) -> &'static str {
+        SimBackend.name()
+    }
+
+    fn fidelity(&self) -> Fidelity {
+        SimBackend.fidelity()
+    }
+
+    fn needs_kernel(&self) -> bool {
+        SimBackend.needs_kernel()
+    }
+
+    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+        let _ = self.entered.lock().unwrap().send(());
+        // Returns at once, and for good, once the sender is dropped.
+        let _ = self.release.lock().unwrap().recv();
+        SimBackend.execute(req)
+    }
 }
 
 fn bits(grid: &Grid) -> Vec<u64> {
@@ -119,18 +153,27 @@ fn callbacks_fire_exactly_once_per_submission() {
 /// the result, and the worker lives to answer the next request.
 #[test]
 fn a_panicking_callback_spares_its_flight_and_its_worker() {
-    let server = Server::with_config(ServeConfig {
+    let (release, held) = mpsc::channel();
+    let (running, entered) = mpsc::channel();
+    let session = Session::with_backend(Arc::new(Held {
+        entered: Mutex::new(running),
+        release: Mutex::new(held),
+    }));
+    let config = ServeConfig {
         workers: 1,
         ..ServeConfig::default()
-    })
-    .unwrap();
+    };
+    let server = Server::over(session, config).unwrap();
     // Two handles on one flight, both attached while the lone worker is
-    // busy, so both callbacks run on it when the flight completes.
+    // held on the blocker, so both callbacks run on it when the flight
+    // completes.
     let gate = server.submit_async(&blocker());
+    entered.recv().unwrap();
     let (first, second) = (server.submit_async(&spec(1)), server.submit_async(&spec(1)));
     first.on_complete(|_| panic!("callback panics on the worker"));
     let (sender, receiver) = std::sync::mpsc::channel();
     second.on_complete(move |result| sender.send(result).unwrap());
+    drop(release);
     gate.wait().expect("blocker completes");
     let delivered = receiver
         .recv_timeout(Duration::from_secs(30))
