@@ -616,9 +616,9 @@ const INTERNED_STENCILS: usize = 64;
 /// is frozen, and holds at most 64 of them (the least recently matched
 /// makes room for a new one). Nothing is taken from the wire on trust:
 /// equal means [`Stencil`]'s own `PartialEq` over
-/// every array, tap, operation and coefficient, tightened to the
-/// coefficients' bit patterns (`0.0 == -0.0`, but they are different
-/// stencils).
+/// every array, tap, operation and coefficient, and over its
+/// [fingerprint](Stencil::fingerprint), which keys coefficients by their
+/// bits (`0.0 == -0.0`, but they are different stencils).
 #[derive(Debug, Default)]
 pub struct StencilInterner {
     /// Most recently matched first.
@@ -650,22 +650,12 @@ impl StencilInterner {
     /// Points `stencil` at the table's equal stencil, or adds it.
     fn intern(&self, stencil: &mut Arc<Stencil>) {
         let mut table = self.lock();
-        match table.iter().position(|held| same_stencil(held, stencil)) {
+        match table.iter().position(|held| **held == **stencil) {
             Some(at) => *stencil = table.remove(at),
             None => table.truncate(INTERNED_STENCILS - 1),
         }
         table.insert(0, Arc::clone(stencil));
     }
-}
-
-/// Equal in every respect code generation and execution can observe:
-/// `PartialEq`, and coefficient for coefficient the same bits.
-fn same_stencil(a: &Stencil, b: &Stencil) -> bool {
-    a == b
-        && a.coeffs()
-            .iter()
-            .zip(b.coeffs())
-            .all(|(x, y)| x.value().to_bits() == y.value().to_bits())
 }
 
 /// Reads a spec document and replays it through the [`Workload`]
