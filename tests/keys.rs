@@ -8,7 +8,8 @@
 //! toolchain that changes how a derive feeds the hasher, or a field
 //! added to a keyed type, moves them — and fails here instead of
 //! splitting a fleet's caches silently. They hold in the debug and the
-//! release profile, and on any host.
+//! release profile; integers are hashed as fixed-width little-endian
+//! bytes, so they do not depend on the host's word size or byte order.
 
 use saris::codegen::calibration::execution_context;
 use saris::prelude::*;
