@@ -5,10 +5,18 @@
 //!
 //! * **issue cycles** — the integer pipeline is single-issue; every
 //!   instruction (FREP bodies once) costs at least its issue cycles;
-//! * **FPU cycles** — the FPU accepts at most one arithmetic op per
-//!   cycle; replays count;
-//! * **latency chain** — the longest RAW dependency path through the FP
-//!   register file cannot be shortened by any schedule;
+//! * **FP issue** — Snitch's FP sequencer issues in program order, one
+//!   op per cycle (replays, loads and stores included), and an op waits
+//!   until its register sources are ready. Replaying that schedule with
+//!   zero-latency loads and streams that never run dry gives the cycle
+//!   after the last FP issue. Because the sequencer is in order, one RAW
+//!   stall also holds every independent op behind it — the stall that
+//!   unrolling hides by interleaving points, so this is the component
+//!   that tells unroll widths apart. It covers both older components:
+//!   the FPU's one-op-per-cycle occupancy (every op advances it by at
+//!   least one) and every RAW latency path that some later op reads. A
+//!   result nobody reads adds no latency: the simulator does not wait
+//!   for it either;
 //! * **bank bound** — a TCDM bank serves one 64-bit access per cycle, so
 //!   the busiest bank's access count bounds the core (and, summed across
 //!   cores, the cluster).
@@ -16,9 +24,10 @@
 //! The cluster bound is the max over cores plus the cross-core bank
 //! pressure: every component is optimistic (no stalls, no conflicts, no
 //! icache misses modeled), so `StaticBound::cycles` is provably ≤ the
-//! simulated cycle count. The serving layer uses this as a sanity floor:
-//! an *analytic* estimate below the proven bound signals calibration
-//! drift.
+//! simulated cycle count. The serving layer uses this as a sanity floor
+//! (an *analytic* estimate below the proven bound signals calibration
+//! drift) and the tuner as a proof that an unroll cannot beat one it
+//! has already simulated.
 
 use std::fmt;
 
@@ -29,10 +38,8 @@ use crate::interp::CoreAnalysis;
 pub struct CoreBound {
     /// Integer-pipeline issue cycles (FREP bodies issued once).
     pub issue_cycles: u64,
-    /// FP arithmetic executions, replays included.
-    pub fpu_cycles: u64,
-    /// Longest RAW dependency chain through the FP register file.
-    pub latency_chain: u64,
+    /// The cycle after the last FP issue of the in-order schedule.
+    pub fp_issue: u64,
     /// Accesses on this core's busiest TCDM bank.
     pub bank_bound: u64,
     /// Floating-point operations executed (FMAs count 2).
@@ -42,17 +49,13 @@ pub struct CoreBound {
 impl CoreBound {
     /// The core's cycle lower bound: the max of all components.
     pub fn cycles(&self) -> u64 {
-        self.issue_cycles
-            .max(self.fpu_cycles)
-            .max(self.latency_chain)
-            .max(self.bank_bound)
+        self.issue_cycles.max(self.fp_issue).max(self.bank_bound)
     }
 
     pub(crate) fn of(analysis: &CoreAnalysis) -> CoreBound {
         CoreBound {
             issue_cycles: analysis.issue_cycles,
-            fpu_cycles: analysis.fpu_cycles,
-            latency_chain: analysis.latency_chain,
+            fp_issue: analysis.fp_issue,
             bank_bound: analysis.bank_hist.iter().copied().max().unwrap_or(0),
             flops: analysis.flops,
         }
@@ -102,6 +105,26 @@ impl StaticBound {
     }
 }
 
+impl StaticBound {
+    /// The component that sets [`StaticBound::cycles`]: `"issue"`,
+    /// `"fp_issue"`, `"bank"` (one core's busiest bank) or
+    /// `"cluster bank"`, the first in that order on a tie.
+    pub fn binding(&self) -> &'static str {
+        let reaches = |component: fn(&CoreBound) -> u64| {
+            self.per_core.iter().any(|c| component(c) == self.cycles)
+        };
+        if reaches(|c| c.issue_cycles) {
+            "issue"
+        } else if reaches(|c| c.fp_issue) {
+            "fp_issue"
+        } else if reaches(|c| c.bank_bound) {
+            "bank"
+        } else {
+            "cluster bank"
+        }
+    }
+}
+
 impl fmt::Display for StaticBound {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -119,23 +142,26 @@ impl fmt::Display for StaticBound {
 mod tests {
     use super::*;
 
-    fn analysis(issue: u64, fpu: u64, chain: u64, hist: Vec<u64>) -> CoreAnalysis {
+    fn analysis(issue: u64, fp_issue: u64, hist: Vec<u64>) -> CoreAnalysis {
         CoreAnalysis {
             diags: Vec::new(),
             halted: true,
             issue_cycles: issue,
-            fpu_cycles: fpu,
-            flops: 2 * fpu,
-            latency_chain: chain,
+            fp_issue,
+            flops: 2 * fp_issue,
             bank_hist: hist,
         }
     }
 
     #[test]
     fn core_bound_is_component_max() {
-        let b = CoreBound::of(&analysis(100, 250, 80, vec![10, 40, 5]));
+        let b = CoreBound::of(&analysis(100, 250, vec![10, 40, 5]));
         assert_eq!(b.bank_bound, 40);
         assert_eq!(b.cycles(), 250);
+        let bound = StaticBound::combine(&[analysis(100, 250, vec![10, 40, 5])]);
+        assert_eq!(bound.binding(), "fp_issue");
+        let bound = StaticBound::combine(&[analysis(300, 250, vec![10, 40, 5])]);
+        assert_eq!(bound.binding(), "issue");
     }
 
     #[test]
@@ -143,12 +169,15 @@ mod tests {
         // Two cores each do 300 accesses on bank 0: neither core alone is
         // bank-bound, but the shared bank serves 600 accesses total.
         let cores = vec![
-            analysis(100, 100, 50, vec![300, 0]),
-            analysis(100, 100, 50, vec![300, 0]),
+            analysis(100, 100, vec![300, 0]),
+            analysis(100, 100, vec![300, 0]),
         ];
         let bound = StaticBound::combine(&cores);
         assert_eq!(bound.cluster_bank_bound, 600);
         assert_eq!(bound.cycles, 600);
         assert_eq!(bound.flops, 400);
+        assert_eq!(bound.binding(), "cluster bank");
+        let one = StaticBound::combine(&cores[..1]);
+        assert_eq!((one.cycles, one.binding()), (300, "bank"));
     }
 }

@@ -47,9 +47,10 @@
 //! declines is judged by its two corners alone and adds no bank pressure.
 //!
 //! Along the way the interpreter accumulates everything the static cost
-//! bound needs: issue cycles (FREP bodies issued once), FP executions and
-//! flops (replays included), a RAW-dependency latency chain through the
-//! FP register file, and a per-bank TCDM access histogram.
+//! bound needs: issue cycles (FREP bodies issued once), flops (replays
+//! included), the in-order FP issue schedule (each FP op one cycle after
+//! the previous one or once its register sources are ready, whichever
+//! is later), and a per-bank TCDM access histogram.
 //!
 //! Everything here is *optimistic*: where precision is lost (capped
 //! jobs, unknown values) the interpreter under-counts and emits a
@@ -81,13 +82,12 @@ pub struct CoreAnalysis {
     pub halted: bool,
     /// Integer-pipeline issue cycles (FREP bodies issued once).
     pub issue_cycles: u64,
-    /// FP arithmetic executions, replays included (FPU is single-issue).
-    pub fpu_cycles: u64,
+    /// The cycle after the last FP-subsystem issue when every FP op
+    /// (replays, loads and stores included) issues in program order, one
+    /// per cycle, no earlier than its register operands are ready.
+    pub fp_issue: u64,
     /// Floating-point operations executed (FMAs count 2).
     pub flops: u64,
-    /// Length of the longest RAW dependency chain through the FP
-    /// register file, in cycles.
-    pub latency_chain: u64,
     /// TCDM accesses per bank (stream elements, index fetches, scalar
     /// memory operations).
     pub bank_hist: Vec<u64>,
@@ -193,9 +193,8 @@ fn run(
             diags: Vec::new(),
             halted: false,
             issue_cycles: 0,
-            fpu_cycles: 0,
+            fp_issue: 0,
             flops: 0,
-            latency_chain: 0,
             bank_hist: vec![0; cfg.tcdm_banks],
         },
         write_spans: Vec::new(),
@@ -279,8 +278,8 @@ impl Interp<'_> {
         self.write_int(rd, combine(a, b, f));
     }
 
-    /// Reads an FP register for def-use purposes; returns its availability
-    /// cycle for the latency chain (streams are always ready).
+    /// Reads an FP register for def-use purposes; returns the cycle its
+    /// value is ready (streams are always ready).
     #[inline(always)]
     fn read_fp(&mut self, reg: FpReg, at: usize) -> u64 {
         if reg.is_stream_capable() && self.ssr_enabled {
@@ -494,9 +493,13 @@ impl Interp<'_> {
 
     /// Executes one FP-subsystem op (anything else is ignored: only raw,
     /// unvalidated programs put one in an FREP body).
+    ///
+    /// Timing follows the FP sequencer: ops issue in program order, at
+    /// most one per cycle, each once its register sources are ready —
+    /// a RAW stall holds every op behind it, independent or not.
     #[inline(always)]
     fn exec_fp(&mut self, op: Op, pc: usize) {
-        match op {
+        let start = match op {
             Op::FpMem {
                 is_load: true,
                 reg,
@@ -506,9 +509,11 @@ impl Interp<'_> {
                 if let Val::Known(b) = self.read_int(base, pc) {
                     self.check_scalar(effective(b, imm), 8, false, pc);
                 }
+                let start = self.out.fp_issue;
                 self.fp_def[reg.index() as usize] = true;
-                // Loads are treated as ready immediately (optimistic).
-                self.fp_avail[reg.index() as usize] = 0;
+                // Ready as soon as issued (optimistic: no TCDM latency).
+                self.fp_avail[reg.index() as usize] = start;
+                start
             }
             Op::FpMem {
                 is_load: false,
@@ -516,29 +521,29 @@ impl Interp<'_> {
                 base,
                 imm,
             } => {
-                self.read_fp(reg, pc);
+                let start = self.out.fp_issue.max(self.read_fp(reg, pc));
                 if let Val::Known(b) = self.read_int(base, pc) {
                     self.check_scalar(effective(b, imm), 8, true, pc);
                 }
+                start
             }
             Op::FpArith(fp) => {
                 let operands = fp.operands();
-                let mut start = 0u64;
+                let mut start = self.out.fp_issue;
                 for src in operands.srcs() {
                     start = start.max(self.read_fp(*src, pc));
                 }
-                let done = start + fp.latency();
-                self.out.latency_chain = self.out.latency_chain.max(done);
-                self.out.fpu_cycles += 1;
                 self.out.flops += fp.flops();
                 let rd = operands.rd;
                 if !(rd.is_stream_capable() && self.ssr_enabled) {
                     self.fp_def[rd.index() as usize] = true;
-                    self.fp_avail[rd.index() as usize] = done;
+                    self.fp_avail[rd.index() as usize] = start + fp.latency();
                 }
+                start
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        self.out.fp_issue = start + 1;
     }
 
     #[inline(never)]
@@ -1150,37 +1155,61 @@ mod tests {
             .any(|d| matches!(d.kind, DiagKind::DeadStreamConfig { ssr: SsrId::Ssr2 })));
     }
 
-    #[test]
-    fn frep_accumulates_fpu_work_and_latency_chain() {
+    /// `accumulators` FMA chains, loaded from TCDM, then replayed ten
+    /// times by one FREP whose body advances each chain once.
+    fn fma_chains(accumulators: &[FpReg]) -> saris_isa::Program {
         let mut b = ProgramBuilder::new();
         b.li(IntReg::T0, TCDM_BASE as i64);
-        b.push(Instr::Fld {
-            rd: FpReg::FT3,
-            base: IntReg::T0,
-            imm: 0,
-        });
+        for &acc in accumulators {
+            b.push(Instr::Fld {
+                rd: acc,
+                base: IntReg::T0,
+                imm: 0,
+            });
+        }
         b.push(Instr::SsrEnable);
         b.push(Instr::Frep {
             count: FrepCount::Imm(9),
-            n_instrs: 1,
+            n_instrs: accumulators.len() as u8,
         });
-        b.push(Instr::FpR4 {
-            op: saris_isa::FpR4Op::Madd,
-            rd: FpReg::FT3,
-            rs1: FpReg::FT0,
-            rs2: FpReg::FT0,
-            rs3: FpReg::FT3,
-        });
+        for &acc in accumulators {
+            b.push(Instr::FpR4 {
+                op: saris_isa::FpR4Op::Madd,
+                rd: acc,
+                rs1: FpReg::FT0,
+                rs2: FpReg::FT0,
+                rs3: acc,
+            });
+        }
         b.push(Instr::SsrDisable);
         b.push(Instr::Halt);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn frep_replays_issue_in_order() {
         let cfg = snitch();
-        let r = interpret(&b.finish().unwrap(), &map_with_arena(), &cfg, 0);
+        let fma = u64::from(cfg.fpu_latency_fma);
+        let r = interpret(&fma_chains(&[FpReg::FT3]), &map_with_arena(), &cfg, 0);
         assert!(r.halted);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
-        assert_eq!(r.fpu_cycles, 10, "10 replays of one FMA");
-        assert_eq!(r.flops, 20);
-        // The accumulator chains across replays through ft3.
-        assert_eq!(r.latency_chain, 10 * u64::from(cfg.fpu_latency_fma));
+        assert_eq!(r.flops, 20, "10 replays of one FMA");
+        // The load issues at 0, the first FMA at 1; each later one waits
+        // for its predecessor's result through ft3.
+        assert_eq!(r.fp_issue, 1 + 9 * fma + 1);
+
+        // A second, independent chain issues in the first one's shadow:
+        // twice the work for one more cycle (two loads, the second chain
+        // one issue slot behind the first).
+        let r = interpret(
+            &fma_chains(&[FpReg::FT3, FpReg::FT4]),
+            &map_with_arena(),
+            &cfg,
+            0,
+        );
+        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert_eq!(r.flops, 40);
+        assert_eq!(r.fp_issue, 2 + 1 + 9 * fma + 1);
     }
 
     // --- Every reason the hull proof declines -------------------------

@@ -23,8 +23,8 @@
 //!    span, leaves TCDM, regions overlap, no install image covers the
 //!    index array — the job is enumerated element by element instead, so
 //!    the first offending address is reported either way;
-//! 3. **static cost bounds** ([`CoreBound`]) — issue cycles, FPU occupancy,
-//!    RAW latency chains, and TCDM bank pressure combine into a
+//! 3. **static cost bounds** ([`CoreBound`]) — integer issue cycles, the
+//!    in-order FP issue schedule, and TCDM bank pressure combine into a
 //!    [`StaticBound`] that provably lower-bounds the simulated cycle
 //!    count, giving serving layers a drift detector for their analytic
 //!    estimates. It stays a lower bound under the descriptor proofs: a

@@ -1,0 +1,159 @@
+//! Conformance of the `fp_issue` bound component with `snitch-sim`.
+//!
+//! On a straight-line FP program with SSRs off and no memory operation,
+//! nothing the bound leaves out can cost a cycle: no stream runs dry, no
+//! load waits on TCDM, no branch is taken, and the program fits one
+//! instruction-cache line. The first op reaches the FP sequencer after
+//! the cold instruction-cache miss and [`OFFLOAD`] cycles; from then on
+//! the simulator issues every op on the schedule the bound replays,
+//! shifted by that much, and the cluster stops the cycle after the last
+//! issue. So `simulated cycles - StaticBound::cycles` is one constant
+//! per configuration, and a latency that is off by one in either model —
+//! or an op the bound lets issue out of order — makes some seeded program
+//! miss it. Two configurations run: the paper's Snitch cluster, and one
+//! with every FPU latency and the miss penalty changed.
+//!
+//! Every program ends in an FMA and an add of its result, so at least
+//! one RAW stall makes the FP schedule, not the integer core's issue
+//! count, what binds.
+
+use saris_isa::{FpR4Op, FpROp, FpReg, FpUOp, Instr, Program, ProgramBuilder};
+use saris_verify::{verify_program, DiagKind, MemoryMap};
+use snitch_sim::{Cluster, ClusterConfig};
+
+/// Cycles from the end of the cold instruction-cache miss to the first
+/// FP issue: simulated cycles minus the bound, less the miss penalty.
+const OFFLOAD: u64 = 1;
+
+/// FP ops per program: with the final `halt`, one 16-instruction line.
+const MAX_OPS: u64 = 15;
+
+/// A small seeded generator (SplitMix64).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// One of a handful of plain registers, so that ops read results of
+    /// recent ones and RAW chains form.
+    fn reg(&mut self) -> FpReg {
+        FpReg::new(3 + self.below(6) as u8).expect("ft3..ft8")
+    }
+}
+
+/// A random straight-line FP op over every latency class.
+fn op(rng: &mut Rng) -> Instr {
+    let rd = rng.reg();
+    let (rs1, rs2, rs3) = (rng.reg(), rng.reg(), rng.reg());
+    match rng.below(3) {
+        0 => Instr::FpR {
+            op: [
+                FpROp::Add,
+                FpROp::Sub,
+                FpROp::Mul,
+                FpROp::Div,
+                FpROp::Min,
+                FpROp::Max,
+            ][rng.below(6) as usize],
+            rd,
+            rs1,
+            rs2,
+        },
+        1 => Instr::FpR4 {
+            op: [FpR4Op::Madd, FpR4Op::Msub, FpR4Op::Nmadd, FpR4Op::Nmsub][rng.below(4) as usize],
+            rd,
+            rs1,
+            rs2,
+            rs3,
+        },
+        _ => Instr::FpU {
+            op: [FpUOp::Mv, FpUOp::Abs, FpUOp::Neg, FpUOp::Sqrt][rng.below(4) as usize],
+            rd,
+            rs1,
+        },
+    }
+}
+
+/// Up to `MAX_OPS - 2` random ops, an FMA, an add of its result, then
+/// `halt`: the add waits at least two cycles for the FMA.
+fn program(rng: &mut Rng) -> Program {
+    let mut b = ProgramBuilder::new();
+    for _ in 0..rng.below(MAX_OPS - 1) {
+        b.push(op(rng));
+    }
+    let product = rng.reg();
+    b.push(Instr::FpR4 {
+        op: FpR4Op::Madd,
+        rd: product,
+        rs1: rng.reg(),
+        rs2: rng.reg(),
+        rs3: rng.reg(),
+    });
+    b.push(Instr::FpR {
+        op: FpROp::Add,
+        rd: rng.reg(),
+        rs1: product,
+        rs2: rng.reg(),
+    });
+    b.push(Instr::Halt);
+    b.finish().expect("valid program")
+}
+
+fn simulated_cycles(program: &Program, cfg: &ClusterConfig) -> u64 {
+    let mut cluster = Cluster::new(cfg.clone());
+    cluster.load_program(0, program);
+    cluster.run(100_000).expect("runs").cycles
+}
+
+#[test]
+fn straight_line_fp_programs_are_bounded_to_the_cycle() {
+    let snitch = ClusterConfig::snitch();
+    let perturbed = ClusterConfig {
+        fpu_latency_add: 2,
+        fpu_latency_mul: 5,
+        fpu_latency_fma: 3,
+        fpu_latency_div: 7,
+        fpu_latency_misc: 1,
+        icache_miss_penalty: 3,
+        ..snitch.clone()
+    };
+    let mut rng = Rng(0x5a12_15f0);
+    for cfg in [snitch, perturbed] {
+        let overhead = u64::from(cfg.icache_miss_penalty) + OFFLOAD;
+        for case in 0..1_000 {
+            let program = program(&mut rng);
+            let report = verify_program(&program, &MemoryMap::default(), &cfg, 0);
+            // Registers are never loaded (no memory ops): the only
+            // findings are reads of registers nothing wrote, which the
+            // simulator reads as zero.
+            assert!(
+                report
+                    .diags
+                    .iter()
+                    .all(|d| matches!(d.kind, DiagKind::UseBeforeDef { .. })),
+                "case {case}: {:?}",
+                report.diags
+            );
+            assert!(report.halted, "case {case}");
+            let bound = report.bound.cycles();
+            assert_eq!(bound, report.bound.fp_issue, "case {case}: FP issue binds");
+            let simulated = simulated_cycles(&program, &cfg);
+            assert_eq!(
+                simulated,
+                bound + overhead,
+                "case {case}: {:?}\n{program}",
+                report.bound
+            );
+        }
+    }
+}
