@@ -66,18 +66,11 @@ impl Digest {
         for core in per_core {
             let CoreBound {
                 issue_cycles,
-                fpu_cycles,
-                latency_chain,
+                fp_issue,
                 bank_bound,
                 flops,
             } = core;
-            for w in [
-                *issue_cycles,
-                *fpu_cycles,
-                *latency_chain,
-                *bank_bound,
-                *flops,
-            ] {
+            for w in [*issue_cycles, *fp_issue, *bank_bound, *flops] {
                 self.word(w);
             }
         }
@@ -118,34 +111,37 @@ fn row(stencil: &Stencil, variant: Variant, dma: bool) -> (u64, u64, u64) {
 }
 
 /// Recorded from the element-walking interpreter (the parent of the
-/// descriptor-proof rewrite); must never change in a host-speed PR.
+/// descriptor-proof rewrite), then re-recorded once when the in-order
+/// `fp_issue` component replaced `fpu_cycles` and `latency_chain`: the
+/// findings did not move, only the bound components. Must never change
+/// in a host-speed PR.
 const PINNED: [(&str, Variant, u64, u64, u64); 20] = [
-    ("jacobi_2d", Variant::Base, 3, 0, 0x3dfd82d83d14093e),
-    ("jacobi_2d", Variant::Saris, 3, 0, 0xd0ac46cf9273aaa0),
-    ("j2d5pt", Variant::Base, 3, 0, 0x2beb200688ff0a39),
-    ("j2d5pt", Variant::Saris, 3, 0, 0xde8ddd71643ab686),
-    ("box2d1r", Variant::Base, 3, 0, 0x03f0755e76243e34),
-    ("box2d1r", Variant::Saris, 3, 0, 0xb11e9e497defaaf5),
-    ("j2d9pt", Variant::Base, 3, 0, 0x9831640f4470c1d5),
-    ("j2d9pt", Variant::Saris, 3, 0, 0xe7e5164587fcd01c),
-    ("j2d9pt_gol", Variant::Base, 3, 0, 0xbd06a89335d45577),
-    ("j2d9pt_gol", Variant::Saris, 3, 0, 0x135683f3611e0533),
-    ("star2d3r", Variant::Base, 3, 0, 0x0fa7549141fa5f8f),
-    ("star2d3r", Variant::Saris, 3, 0, 0x121e3b0b2e85c5c0),
-    ("star3d2r", Variant::Base, 3, 0, 0xa52cdadf342ef466),
-    ("star3d2r", Variant::Saris, 3, 0, 0xfa7a79e70b2ec1d9),
-    ("ac_iso_cd", Variant::Base, 3, 0, 0xc8e0fece2d5d686c),
-    ("ac_iso_cd", Variant::Saris, 3, 0, 0x5cd12654c98f635d),
-    ("box3d1r", Variant::Base, 1, 0, 0xe435d8127bcd912f),
-    ("box3d1r", Variant::Saris, 2, 0, 0x09ac493ea65c5e19),
-    ("j3d27pt", Variant::Base, 1, 0, 0x94bd65f85862fdd8),
-    ("j3d27pt", Variant::Saris, 2, 0, 0xd4d0c6b45904bb47),
+    ("jacobi_2d", Variant::Base, 3, 0, 0x4af6a5c16a4d19bd),
+    ("jacobi_2d", Variant::Saris, 3, 0, 0x72d84c04e5e3394e),
+    ("j2d5pt", Variant::Base, 3, 0, 0xce827284f56a2c26),
+    ("j2d5pt", Variant::Saris, 3, 0, 0x93912f75effbfb3e),
+    ("box2d1r", Variant::Base, 3, 0, 0x88a1b09ad7cd825b),
+    ("box2d1r", Variant::Saris, 3, 0, 0x6ceb46995284628b),
+    ("j2d9pt", Variant::Base, 3, 0, 0x278ed299695e96f5),
+    ("j2d9pt", Variant::Saris, 3, 0, 0x32b53280d7e2d829),
+    ("j2d9pt_gol", Variant::Base, 3, 0, 0x8d99c7bd1e0b1b94),
+    ("j2d9pt_gol", Variant::Saris, 3, 0, 0xbc0a75537e08d7c9),
+    ("star2d3r", Variant::Base, 3, 0, 0xa4e79fa5d5f0864b),
+    ("star2d3r", Variant::Saris, 3, 0, 0x5d2b0a0dc116e70c),
+    ("star3d2r", Variant::Base, 3, 0, 0xcdd4cf19aff3b33e),
+    ("star3d2r", Variant::Saris, 3, 0, 0x12b265444ed8ce31),
+    ("ac_iso_cd", Variant::Base, 3, 0, 0xd31e2c91a66e006d),
+    ("ac_iso_cd", Variant::Saris, 3, 0, 0xa5487a59a3d247d6),
+    ("box3d1r", Variant::Base, 1, 0, 0xa042efdb92b4914f),
+    ("box3d1r", Variant::Saris, 2, 0, 0x6c1f384b70c63017),
+    ("j3d27pt", Variant::Base, 1, 0, 0xb8a335e712bbbb70),
+    ("j3d27pt", Variant::Saris, 2, 0, 0x0bf514605d707de1),
 ];
 
 /// `jacobi_2d` saris with `concurrent_dma`: the `dma_writes` spans are in
 /// the map, so every write job is checked against them. No job meets
 /// one, so the row equals `jacobi_2d` saris above.
-const PINNED_DMA: (u64, u64, u64) = (3, 0, 0xd0ac46cf9273aaa0);
+const PINNED_DMA: (u64, u64, u64) = (3, 0, 0x72d84c04e5e3394e);
 
 #[test]
 fn gallery_report_digests_are_pinned() {
@@ -252,10 +248,10 @@ fn corrupted(stencil: &Stencil, variant: Variant) -> (u64, u64, u64) {
 
 /// Recorded with the gallery table above.
 const PINNED_CORRUPTED: [(&str, Variant, u64, u64, u64); 4] = [
-    ("j2d5pt", Variant::Base, 18, 18, 0x948c24df6a579bd0),
-    ("j2d5pt", Variant::Saris, 7724, 36, 0x4ba082febf4a1a25),
-    ("star3d2r", Variant::Base, 18, 18, 0x96046562e1ee1493),
-    ("star3d2r", Variant::Saris, 5211, 1755, 0xd31c1bc33617fec2),
+    ("j2d5pt", Variant::Base, 18, 18, 0xe74a9e24bd7cebe3),
+    ("j2d5pt", Variant::Saris, 7724, 36, 0x39c2403df56e9bd0),
+    ("star3d2r", Variant::Base, 18, 18, 0x46a1875ee58b138c),
+    ("star3d2r", Variant::Saris, 5211, 1755, 0x11fc4e97ea316648),
 ];
 
 #[test]
