@@ -506,8 +506,9 @@ fn ablation_coeff_strategy(session: &Session) {
             let mut opts = RunOptions::new(Variant::Saris);
             opts.saris.coeff_strategy = strategy;
             opts.saris.coeff_reg_budget = budget;
-            // The tuner measures every unroll and keeps the fastest
-            // feasible one — infeasible widths are skipped.
+            // The tuner keeps the fastest feasible unroll: infeasible
+            // widths are skipped, and an unroll whose proven bound
+            // cannot beat a measured one is never simulated.
             let spec = Workload::new(Arc::clone(&s))
                 .extent(paper_tile(&s))
                 .input_seed(PAPER_SEED)

@@ -300,13 +300,23 @@ impl SessionStats {
 }
 
 /// A compiled kernel and the cycle lower bound statically proven for it:
-/// recorded by the [`SessionConfig::verify_kernels`] gate (or
-/// [`Session::static_bound`] on demand), read by the analytic-tier
-/// cross-check that counts [`SessionStats::bound_violations`]. The bound
-/// lives next to its kernel so the LRU evicts both together.
+/// recorded by the [`SessionConfig::verify_kernels`] gate (or on demand,
+/// by [`Session::static_bound`] and the tuner), read by the tuner and by
+/// the analytic-tier cross-check that counts
+/// [`SessionStats::bound_violations`]. The proof lives next to its
+/// kernel so the LRU evicts both together.
 struct CachedKernel {
     kernel: Arc<CompiledKernel>,
-    bound: Option<StaticBound>,
+    proof: Option<Proof>,
+}
+
+/// What verifying a kernel proved about its cycles.
+#[derive(Clone)]
+struct Proof {
+    bound: StaticBound,
+    /// Whether the report was free of error findings: only then may the
+    /// tuner skip a simulation on the strength of the bound.
+    clean: bool,
 }
 
 /// What a [`Session`]'s callers share, behind its one lock.
@@ -531,7 +541,7 @@ impl Session {
         // they become visible to any caller: a kernel with error-severity
         // findings is rejected like a failed compile, and a clean one
         // records its proven cycle lower bound.
-        let bound = if self.config.verify_kernels {
+        let proof = if self.config.verify_kernels {
             let report = crate::verify::verify_kernel(stencil, &kernel, options);
             if report.has_errors() {
                 return Err(CodegenError::StaticVerification {
@@ -539,7 +549,10 @@ impl Session {
                     findings: report.errors().map(ToString::to_string).collect(),
                 });
             }
-            Some(report.bound)
+            Some(Proof {
+                bound: report.bound,
+                clean: true,
+            })
         } else {
             None
         };
@@ -547,10 +560,10 @@ impl Session {
             let mut guard = self.lock();
             let state = &mut *guard;
             state.stats.compiles += 1;
-            state.stats.kernels_verified += u64::from(bound.is_some());
+            state.stats.kernels_verified += u64::from(proof.is_some());
             let cached = CachedKernel {
                 kernel: Arc::clone(&kernel),
-                bound,
+                proof,
             };
             let cap = self.config.max_cached_kernels;
             state.stats.evictions += state.kernels.settle(&key, Some((cached, 1.0)), cap);
@@ -577,19 +590,54 @@ impl Session {
         options: &RunOptions,
     ) -> Result<StaticBound, CodegenError> {
         let (kernel, _) = self.compile_cached(stencil, extent, options)?;
+        Ok(self.prove(stencil, extent, options, &kernel).bound)
+    }
+
+    /// The proof recorded next to `kernel` (compiled for `stencil`,
+    /// `extent`, `options`), or a fresh one — proven outside the lock,
+    /// then kept next to the kernel if it is still cached.
+    fn prove(
+        &self,
+        stencil: &Stencil,
+        extent: Extent,
+        options: &RunOptions,
+        kernel: &CompiledKernel,
+    ) -> Proof {
         let key = KernelKey::new(stencil, extent, options);
-        let mut state = self.lock();
-        if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.clone()) {
-            return Ok(bound);
+        if let Some(proof) = self
+            .lock()
+            .kernels
+            .value_mut(&key)
+            .and_then(|c| c.proof.clone())
+        {
+            return proof;
         }
-        drop(state);
-        // Proven outside the lock, then kept next to the kernel if it
-        // is still cached.
-        let bound = crate::verify::verify_kernel(stencil, &kernel, options).bound;
+        let report = crate::verify::verify_kernel(stencil, kernel, options);
+        let proof = Proof {
+            clean: !report.has_errors(),
+            bound: report.bound,
+        };
         if let Some(cached) = self.lock().kernels.value_mut(&key) {
-            cached.bound = Some(bound.clone());
+            cached.proof = Some(proof.clone());
         }
-        Ok(bound)
+        proof
+    }
+
+    /// [`Session::compile_cached`], counted in `tel`.
+    fn compile_counted(
+        &self,
+        stencil: &Stencil,
+        extent: Extent,
+        options: &RunOptions,
+        tel: &mut WorkloadTelemetry,
+    ) -> Result<Arc<CompiledKernel>, CodegenError> {
+        let (kernel, hit) = self.compile_cached(stencil, extent, options)?;
+        if hit {
+            tel.cache_hits += 1;
+        } else {
+            tel.compiles += 1;
+        }
+        Ok(kernel)
     }
 
     /// One kernel execution: compile (through the cache, when the backend
@@ -603,17 +651,24 @@ impl Session {
         tel: &mut WorkloadTelemetry,
     ) -> Result<RunOut, CodegenError> {
         let extent = inputs.first().expect("stencil needs an input").extent();
-        let kernel = if backend.needs_kernel() {
-            let (kernel, hit) = self.compile_cached(stencil, extent, options)?;
-            if hit {
-                tel.cache_hits += 1;
-            } else {
-                tel.compiles += 1;
-            }
-            Some(kernel)
-        } else {
-            None
-        };
+        let kernel = backend
+            .needs_kernel()
+            .then(|| self.compile_counted(stencil, extent, options, tel))
+            .transpose()?;
+        self.execute(backend, stencil, inputs, options, kernel, tel)
+    }
+
+    /// Dispatches one execution of `kernel` (`None` for backends that
+    /// need none) to `backend` and accounts telemetry.
+    fn execute(
+        &self,
+        backend: &dyn Backend,
+        stencil: &Stencil,
+        inputs: &[&Grid],
+        options: &RunOptions,
+        kernel: Option<Arc<CompiledKernel>>,
+        tel: &mut WorkloadTelemetry,
+    ) -> Result<RunOut, CodegenError> {
         let outcome = backend.execute(&ExecRequest {
             stencil,
             inputs,
@@ -824,6 +879,88 @@ impl Session {
         );
     }
 
+    /// Picks the unroll among `candidates`: the first in list order of
+    /// those with the fewest cycles, skipping widths the register file
+    /// or FREP sequencer genuinely refuses.
+    ///
+    /// It proves before it simulates. Every feasible candidate is
+    /// compiled, and on the cycle tier each one's cycle lower bound is
+    /// proven (or read from the kernel cache). Candidates are then
+    /// simulated in ascending `(bound, list index)` order, and one that
+    /// cannot win is never simulated: its bound exceeds the best cycles
+    /// measured so far, or equals them and it comes later in the list.
+    /// A bound never exceeds its kernel's simulated cycles, so the pick
+    /// is the one simulating every candidate would make. A bound from a
+    /// report with error findings proves nothing and ranks as 0, and
+    /// with a single feasible candidate there is nothing to prove.
+    fn tune(
+        &self,
+        backend: &dyn Backend,
+        work: &StencilWork,
+        candidates: &[usize],
+        inputs: &[&Grid],
+        tel: &mut WorkloadTelemetry,
+    ) -> Result<(RunOptions, TuningDecision, RunOut), CodegenError> {
+        let stencil = &*work.stencil;
+        let mut feasible = Vec::with_capacity(candidates.len());
+        for &unroll in candidates {
+            let options = work.options.clone().with_unroll(unroll);
+            match self.compile_counted(stencil, work.extent, &options, tel) {
+                Ok(kernel) => feasible.push((options, kernel)),
+                Err(e) if is_infeasible_width(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let prove = backend.fidelity() == Fidelity::Cycles && feasible.len() > 1;
+        let mut bounds = Vec::new();
+        let mut order = Vec::with_capacity(feasible.len());
+        for (i, (options, kernel)) in feasible.iter().enumerate() {
+            let mut rank = 0;
+            if prove {
+                let proof = self.prove(stencil, work.extent, options, kernel);
+                bounds.push((options.unroll, proof.bound.cycles));
+                if proof.clean {
+                    rank = proof.bound.cycles;
+                }
+            }
+            order.push((rank, i));
+        }
+        order.sort_unstable();
+        // `(cycles, index)` of the best candidate simulated so far: a
+        // candidate ranked above it cannot win, and neither can any
+        // after it in `order`.
+        let mut best: Option<(u64, usize, RunOut)> = None;
+        let mut measured = Vec::new();
+        for (rank, i) in order {
+            if best.as_ref().is_some_and(|&(c, j, _)| (rank, i) > (c, j)) {
+                break;
+            }
+            let (options, kernel) = &feasible[i];
+            let run = self.execute(
+                backend,
+                stencil,
+                inputs,
+                options,
+                Some(Arc::clone(kernel)),
+                tel,
+            )?;
+            let cycles = run.report.as_ref().map_or(u64::MAX, |r| r.cycles);
+            measured.push((i, options.unroll, cycles));
+            if best.as_ref().is_none_or(|&(c, j, _)| (cycles, i) < (c, j)) {
+                best = Some((cycles, i, run));
+            }
+        }
+        let (_, winner, run) = best.ok_or(CodegenError::NoCandidates)?;
+        measured.sort_unstable();
+        let options = feasible.swap_remove(winner).0;
+        let decision = TuningDecision {
+            unroll: options.unroll,
+            measured: measured.into_iter().map(|(_, u, c)| (u, c)).collect(),
+            bounds,
+        };
+        Ok((options, decision, run))
+    }
+
     fn submit_stencil(
         &self,
         spec: &WorkloadSpec,
@@ -857,38 +994,19 @@ impl Session {
         };
         let mut tel = WorkloadTelemetry::default();
 
-        // Tuning: measure every candidate on the initial inputs, skip
-        // widths the register file or FREP sequencer genuinely refuses,
-        // keep the fastest. Codegen-free backends have nothing to tune.
+        // Tuning: prove, then measure on the initial inputs (see
+        // `Session::tune`). Codegen-free backends have nothing to tune.
         let mut first_run = None;
-        let (options, tuning) =
-            if let (Some(candidates), true) = (work.tune.candidates(), backend.needs_kernel()) {
-                let refs: Vec<&Grid> = inputs.iter().collect();
-                let mut best: Option<(usize, u64, RunOut)> = None;
-                let mut measured = Vec::new();
-                for &unroll in candidates {
-                    let opts = work.options.clone().with_unroll(unroll);
-                    match self.run_one(backend, stencil, &refs, &opts, &mut tel) {
-                        Ok(run) => {
-                            let cycles = run.report.as_ref().map_or(u64::MAX, |r| r.cycles);
-                            measured.push((unroll, cycles));
-                            if best.as_ref().is_none_or(|(_, c, _)| cycles < *c) {
-                                best = Some((unroll, cycles, run));
-                            }
-                        }
-                        Err(e) if is_infeasible_width(&e) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                let (unroll, _, run) = best.ok_or(CodegenError::NoCandidates)?;
-                first_run = Some(run);
-                (
-                    work.options.clone().with_unroll(unroll),
-                    Some(TuningDecision { unroll, measured }),
-                )
-            } else {
-                (work.options.clone(), None)
-            };
+        let (options, tuning) = if let (Some(candidates), true) =
+            (work.tune.candidates(), backend.needs_kernel())
+        {
+            let refs: Vec<&Grid> = inputs.iter().collect();
+            let (options, decision, run) = self.tune(backend, work, candidates, &refs, &mut tel)?;
+            first_run = Some(run);
+            (options, Some(decision))
+        } else {
+            (work.options.clone(), None)
+        };
 
         // Time stepping: the winning configuration's first application is
         // reused from tuning; later steps rotate buffers per the spec.
@@ -1012,8 +1130,11 @@ impl Session {
             let key = KernelKey::new(stencil, work.extent, &options);
             let mut guard = self.lock();
             let state = &mut *guard;
-            if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.as_ref()) {
-                let low = reports.iter().filter(|r| r.cycles < bound.cycles).count();
+            if let Some(proof) = state.kernels.value_mut(&key).and_then(|c| c.proof.as_ref()) {
+                let low = reports
+                    .iter()
+                    .filter(|r| r.cycles < proof.bound.cycles)
+                    .count();
                 state.stats.bound_violations += low as u64;
             }
         }
@@ -1089,7 +1210,7 @@ impl std::fmt::Debug for Session {
 mod tests {
     use super::*;
     use crate::runtime::Variant;
-    use crate::tuner::Tune;
+    use crate::tuner::{Tune, DEFAULT_CANDIDATES};
     use crate::workload::Workload;
     use saris_core::gallery;
 
@@ -1213,6 +1334,30 @@ mod tests {
         let tuning = outcome.tuning.expect("tuned");
         // Deep chains benefit from unrolling: u > 1 should win.
         assert!(tuning.unroll > 1, "measured: {:?}", tuning.measured);
+    }
+
+    #[test]
+    fn tuning_proves_before_it_simulates() {
+        let spec = Workload::new(gallery::jacobi_2d())
+            .extent(Extent::new_2d(64, 64))
+            .input_seed(1)
+            .variant(Variant::Saris)
+            .tune(Tune::Auto)
+            .freeze()
+            .unwrap();
+        let session = Session::new();
+        let outcome = session.submit(&spec).unwrap();
+        let tuning = outcome.tuning.clone().expect("tuned");
+        // Every width is proven; u4's bound is the lowest, and its
+        // measurement beats the other two bounds, so only u4 runs.
+        let widths: Vec<usize> = tuning.bounds.iter().map(|&(u, _)| u).collect();
+        assert_eq!(widths, DEFAULT_CANDIDATES);
+        assert_eq!(tuning.unroll, 4);
+        let cycles = outcome.expect_report().cycles;
+        assert_eq!(tuning.measured, [(4, cycles)]);
+        assert!(tuning.bounds.iter().all(|&(u, b)| u == 4 || b > cycles));
+        assert_eq!((outcome.telemetry.runs, outcome.telemetry.compiles), (1, 3));
+        assert_eq!(session.stats().runs, 1);
     }
 
     #[test]
@@ -1399,7 +1544,7 @@ mod tests {
         });
         let retained_bounds = || {
             let state = session.state.lock().unwrap();
-            let bounded = |cached: &CachedKernel| cached.bound.is_some();
+            let bounded = |cached: &CachedKernel| cached.proof.is_some();
             state
                 .kernels
                 .rows()

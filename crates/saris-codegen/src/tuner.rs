@@ -4,10 +4,18 @@
 //!
 //! Tuning is requested declaratively: set [`Tune::Auto`] (or
 //! [`Tune::Candidates`]) on a [`Workload`](crate::Workload) and
-//! [`Session::submit`](crate::Session::submit) measures every candidate
+//! [`Session::submit`](crate::Session::submit) compiles every candidate
 //! through the session's kernel cache, skips widths the register file or
 //! FREP sequencer genuinely refuses, keeps the fastest, and reports the
 //! decision in [`Outcome::tuning`](crate::Outcome::tuning).
+//!
+//! On the cycle tier it proves before it simulates. Each feasible
+//! candidate's cycle lower bound ([`saris_verify::StaticBound`], which
+//! models the FP sequencer's in-order issue and so tells unroll widths
+//! apart) ranks the candidates, they are simulated in that order, and a
+//! candidate whose bound cannot beat the best measurement so far is never
+//! simulated. Because the bound never exceeds the simulated cycles, the
+//! winner is the one measuring every candidate would pick.
 
 use std::hash::{Hash, Hasher};
 
@@ -22,11 +30,11 @@ pub enum Tune {
     /// Use the unroll factor set in the workload's
     /// [`RunOptions`](crate::RunOptions) as-is (no tuning).
     Fixed,
-    /// Measure the paper's candidates ([`DEFAULT_CANDIDATES`]) and keep
+    /// Tune over the paper's candidates ([`DEFAULT_CANDIDATES`]) and keep
     /// the fastest feasible one.
     Auto,
-    /// Measure an explicit candidate list and keep the fastest feasible
-    /// one.
+    /// Tune over an explicit candidate list and keep the fastest feasible
+    /// one (the first in list order on a tie).
     Candidates(Vec<usize>),
 }
 
@@ -43,7 +51,7 @@ impl Hash for Tune {
 }
 
 impl Tune {
-    /// The candidate unroll factors this policy measures (`None` for
+    /// The candidate unroll factors this policy tunes over (`None` for
     /// [`Tune::Fixed`]).
     pub fn candidates(&self) -> Option<&[usize]> {
         match self {
@@ -54,14 +62,19 @@ impl Tune {
     }
 }
 
-/// What the tuner decided for one workload: the winning unroll factor and
-/// the per-candidate cycle counts that were measured.
+/// What the tuner decided for one workload: the winning unroll factor,
+/// the cycle counts it measured and the bounds that spared the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuningDecision {
     /// The winning unroll factor.
     pub unroll: usize,
-    /// `(unroll, cycles)` for every candidate that compiled and ran.
+    /// `(unroll, cycles)` for every candidate that was run, in candidate
+    /// order. A feasible candidate missing here was proven unable to win.
     pub measured: Vec<(usize, u64)>,
+    /// `(unroll, proven cycle lower bound)` for every feasible candidate,
+    /// in candidate order. Empty where nothing was proven: off the cycle
+    /// tier, or with a single feasible candidate.
+    pub bounds: Vec<(usize, u64)>,
 }
 
 /// Whether an error marks an unroll width that is genuinely not

@@ -728,7 +728,7 @@ record! { WorkloadTelemetry {
     estimated, answered_by, degraded, mix_counts,
 } }
 
-/// One tuning measurement, `[unroll, cycles]`.
+/// One tuning entry, `[unroll, cycles]`: a measurement or a bound.
 impl Wire for (usize, u64) {
     fn enc(&self, out: &mut String) {
         [self.0 as u64, self.1].enc(out);
@@ -737,12 +737,12 @@ impl Wire for (usize, u64) {
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<(usize, u64), JsonError> {
         let [unroll, cycles] = <[u64; 2]>::dec(r, what)?;
         let unroll =
-            usize::try_from(unroll).map_err(|_| json::error("measured unroll is out of range"))?;
+            usize::try_from(unroll).map_err(|_| json::error("tuning unroll is out of range"))?;
         Ok((unroll, cycles))
     }
 }
 
-record! { TuningDecision { unroll, measured } }
+record! { TuningDecision { unroll, measured, bounds } }
 
 /// The backend names an [`Outcome`] may legitimately carry; decode
 /// rejects anything else (the field is `&'static str`).
@@ -951,6 +951,7 @@ mod tests {
             tuning: Some(TuningDecision {
                 unroll: 2,
                 measured: vec![(1, 5000), (2, 4242)],
+                bounds: vec![(1, 4900), (2, 4100), (4, 4300)],
             }),
             verify_error: Some(3.5e-13),
             dma_utilization: None,

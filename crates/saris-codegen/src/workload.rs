@@ -572,9 +572,10 @@ impl WorkloadSpec {
         matches!(self.kind, WorkloadKind::DmaProbe { .. })
     }
 
-    /// How many kernel executions answering this spec will perform:
-    /// every tuning candidate is measured once, and the winner's first
-    /// application is reused as time step one, so the total is
+    /// How many kernel executions answering this spec may perform: every
+    /// tuning candidate is measured at most once (the tuner skips those
+    /// proven unable to win), and the winner's first application is
+    /// reused as time step one, so the total is at most
     /// `candidates + time_steps - 1` (and `1` for probes). This is the
     /// deterministic work multiplier cost-aware schedulers and caches
     /// scale the per-tier recompute cost by.
