@@ -49,19 +49,30 @@ fn bits(grid: &Grid) -> Vec<u64> {
 /// What `execute_with_retry` must produce for a spec, replayed from the
 /// precomputed fault schedule (mirrors the serve policy: panics are
 /// final, transient errors retry up to `max_retries`, anything else
-/// succeeds).
+/// succeeds), with the retries taken on the way: a schedule that starts
+/// `[Error, Panic, ..]` retries once, then panics.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 enum Expected {
     Ok { retries: u64 },
-    Panicked,
+    Panicked { retries: u64 },
     Transient { retries: u64 },
+}
+
+impl Expected {
+    fn retries(&self) -> u64 {
+        match *self {
+            Expected::Ok { retries }
+            | Expected::Panicked { retries }
+            | Expected::Transient { retries } => retries,
+        }
+    }
 }
 
 fn expected(schedule: &[Option<FaultKind>], max_retries: u64) -> Expected {
     let mut attempt = 0u64;
     loop {
         match schedule[attempt as usize] {
-            Some(FaultKind::Panic) => return Expected::Panicked,
+            Some(FaultKind::Panic) => return Expected::Panicked { retries: attempt },
             Some(FaultKind::Error) => {
                 if attempt < max_retries {
                     attempt += 1;
@@ -129,7 +140,7 @@ fn seeded_soak_is_deterministic_and_counts_errors_exactly_once() {
         let o = classify(&s);
         let slot = match o {
             Expected::Ok { .. } => 0,
-            Expected::Panicked => 1,
+            Expected::Panicked { .. } => 1,
             Expected::Transient { .. } => 2,
         };
         if quota[slot] == 0 {
@@ -233,7 +244,7 @@ fn seeded_soak_is_deterministic_and_counts_errors_exactly_once() {
                     "spec {idx} must succeed"
                 )
             }
-            Expected::Panicked => assert!(
+            Expected::Panicked { .. } => assert!(
                 matches!(result, Err(ServeError::BackendPanicked { .. })),
                 "spec {idx} must surface its panic, got {result:?}"
             ),
@@ -256,15 +267,9 @@ fn seeded_soak_is_deterministic_and_counts_errors_exactly_once() {
         .count() as u64;
     let expect_panics = outcomes
         .iter()
-        .filter(|o| matches!(o, Expected::Panicked))
+        .filter(|o| matches!(o, Expected::Panicked { .. }))
         .count() as u64;
-    let expect_retries: u64 = outcomes
-        .iter()
-        .map(|o| match o {
-            Expected::Ok { retries } | Expected::Transient { retries } => *retries,
-            Expected::Panicked => 0,
-        })
-        .sum();
+    let expect_retries: u64 = outcomes.iter().map(Expected::retries).sum();
     let expect_recovered = outcomes
         .iter()
         .filter(|o| matches!(o, Expected::Ok { retries } if *retries > 0))
@@ -345,7 +350,7 @@ fn scheduler_path_preserves_exactly_once_error_accounting() {
         let o = classify(&s);
         let slot = match o {
             Expected::Ok { .. } => 0,
-            Expected::Panicked => 1,
+            Expected::Panicked { .. } => 1,
             Expected::Transient { .. } => 2,
         };
         if quota[slot] == 0 {
@@ -374,7 +379,7 @@ fn scheduler_path_preserves_exactly_once_error_accounting() {
                     "spec {idx} must succeed"
                 )
             }
-            Expected::Panicked => assert!(
+            Expected::Panicked { .. } => assert!(
                 matches!(result, Err(ServeError::BackendPanicked { .. })),
                 "spec {idx} must surface its panic, got {result:?}"
             ),
@@ -395,15 +400,9 @@ fn scheduler_path_preserves_exactly_once_error_accounting() {
         .count() as u64;
     let expect_panics = outcomes
         .iter()
-        .filter(|o| matches!(o, Expected::Panicked))
+        .filter(|o| matches!(o, Expected::Panicked { .. }))
         .count() as u64;
-    let expect_retries: u64 = outcomes
-        .iter()
-        .map(|o| match o {
-            Expected::Ok { retries } | Expected::Transient { retries } => *retries,
-            Expected::Panicked => 0,
-        })
-        .sum();
+    let expect_retries: u64 = outcomes.iter().map(Expected::retries).sum();
     assert_eq!(stats.requests, UNIQUE);
     assert_eq!(stats.executed, UNIQUE, "one flight per unique spec");
     assert_eq!(stats.errors, expect_errors, "errors counted exactly once");
