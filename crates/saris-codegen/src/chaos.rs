@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use saris_core::grid::Grid;
-use saris_core::key::StableHasher;
+use saris_core::key::{key_of, StableHasher};
 
 use crate::backends::{Backend, ExecOutcome, ExecRequest, Fidelity};
 use crate::calibration::CalibrationStore;
@@ -96,15 +96,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// splitmix64 — the standard 64-bit finalizer; full-period, passes
-/// BigCrush, and dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Maps a hash to a uniform draw in `[0, 1)`.
 fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -123,9 +114,7 @@ impl FaultPlan {
     /// key. Pure: depends only on the plan's seed/rates and the
     /// arguments, never on scheduling, wall time, or prior calls.
     pub fn decide(&self, key: u64, attempt: u64) -> Option<FaultKind> {
-        let draw = unit(splitmix64(
-            self.seed ^ splitmix64(key ^ attempt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        ));
+        let draw = unit(key_of(&(self.seed, key, attempt)));
         let mut threshold = 0.0;
         for (rate, kind) in [
             (self.panic_rate, FaultKind::Panic),
