@@ -7,10 +7,13 @@
 //! ```
 //!
 //! Prints one row per compiled kernel: the verifier's verdict, the
-//! proven static cycle lower bound and its binding component, and any
-//! findings. Unroll widths the code generator genuinely refuses
-//! (register pressure, FREP capacity) are reported as `infeasible` and
-//! skipped, mirroring the tuner. The process exits non-zero when any
+//! proven static cycle lower bound and its binding component (`issue`,
+//! `fp_issue`, `bank` or `cluster bank`), and any findings. In each
+//! (code, variant) group a `*` marks the unroll with the lowest bound
+//! (the first on a tie): the one the tuner simulates first. Unroll
+//! widths the code generator genuinely refuses (register pressure, FREP
+//! capacity) are reported as `infeasible` and skipped, mirroring the
+//! tuner. The process exits non-zero when any
 //! kernel carries an error-severity finding, which is what makes this a
 //! CI gate: a codegen change that mis-sizes a stream job, breaks a loop
 //! bound, or drops a `halt` fails the build before any simulation runs.
@@ -33,10 +36,16 @@ fn main() {
         .collect();
 
     println!("verify_kernels: static verification of every compiled kernel\n");
-    println!(
-        "{:>12} {:>6} {:>7} {:>11} {:>12} {:>9} {:>7}",
-        "kernel", "var", "unroll", "verdict", "bound cyc", "warnings", "errors"
-    );
+    print_row([
+        "kernel",
+        "var",
+        "unroll",
+        "verdict",
+        "bound cyc",
+        "binding",
+        "warnings",
+        "errors",
+    ]);
 
     let mut kernels = 0usize;
     let mut infeasible = 0usize;
@@ -46,27 +55,18 @@ fn main() {
     for stencil in &codes {
         let tile = paper_tile(stencil);
         for variant in [Variant::Base, Variant::Saris] {
+            let var = format!("{variant:?}").to_lowercase();
+            let mut group = Vec::new();
             for &unroll in &DEFAULT_CANDIDATES {
                 let options = RunOptions::new(variant).with_unroll(unroll);
-                let kernel = match compile(stencil, tile, &options) {
-                    Ok(kernel) => kernel,
+                match compile(stencil, tile, &options) {
+                    Ok(kernel) => {
+                        group.push((unroll, Some(verify_kernel(stencil, &kernel, &options))))
+                    }
                     Err(
                         CodegenError::RegisterPressure { .. }
                         | CodegenError::FrepBodyTooLarge { .. },
-                    ) => {
-                        infeasible += 1;
-                        println!(
-                            "{:>12} {:>6} {:>7} {:>11} {:>12} {:>9} {:>7}",
-                            stencil.name(),
-                            format!("{variant:?}").to_lowercase(),
-                            unroll,
-                            "infeasible",
-                            "-",
-                            "-",
-                            "-"
-                        );
-                        continue;
-                    }
+                    ) => group.push((unroll, None)),
                     Err(e) => {
                         eprintln!(
                             "{}: {variant:?} u{unroll}: compile failed: {e}",
@@ -74,8 +74,29 @@ fn main() {
                         );
                         std::process::exit(1);
                     }
+                }
+            }
+            let first = group
+                .iter()
+                .filter_map(|(unroll, report)| Some((report.as_ref()?.bound.cycles, *unroll)))
+                .min()
+                .map(|(_, unroll)| unroll);
+            for (unroll, report) in group {
+                let Some(report) = report else {
+                    infeasible += 1;
+                    let unroll = unroll.to_string();
+                    print_row([
+                        stencil.name(),
+                        &var,
+                        &unroll,
+                        "infeasible",
+                        "-",
+                        "-",
+                        "-",
+                        "-",
+                    ]);
+                    continue;
                 };
-                let report = verify_kernel(stencil, &kernel, &options);
                 let errors = report.diags.iter().filter(|d| d.is_error()).count();
                 let warnings = report
                     .diags
@@ -85,16 +106,17 @@ fn main() {
                 kernels += 1;
                 total_errors += errors;
                 total_warnings += warnings;
-                println!(
-                    "{:>12} {:>6} {:>7} {:>11} {:>12} {:>9} {:>7}",
+                let mark = if first == Some(unroll) { "*" } else { "" };
+                print_row([
                     stencil.name(),
-                    format!("{variant:?}").to_lowercase(),
-                    unroll,
+                    &var,
+                    &format!("{mark}{unroll}"),
                     if errors > 0 { "REJECTED" } else { "clean" },
-                    report.bound.cycles,
-                    warnings,
-                    errors
-                );
+                    &report.bound.cycles.to_string(),
+                    report.bound.binding(),
+                    &warnings.to_string(),
+                    &errors.to_string(),
+                ]);
                 for d in &report.diags {
                     findings.push(format!("{} {variant:?} u{unroll}: {d}", stencil.name()));
                 }
@@ -117,4 +139,14 @@ fn main() {
         std::process::exit(1);
     }
     println!("all compiled kernels statically verified clean");
+}
+
+/// One table row: kernel, variant, unroll, verdict, bound, binding
+/// component, warnings, errors.
+fn print_row(cells: [&str; 8]) {
+    let [kernel, var, unroll, verdict, bound, binding, warnings, errors] = cells;
+    println!(
+        "{kernel:>12} {var:>6} {unroll:>7} {verdict:>11} {bound:>12} {binding:>12} \
+         {warnings:>9} {errors:>7}"
+    );
 }
