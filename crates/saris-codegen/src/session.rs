@@ -303,20 +303,12 @@ impl SessionStats {
 /// recorded by the [`SessionConfig::verify_kernels`] gate (or on demand,
 /// by [`Session::static_bound`] and the tuner), read by the tuner and by
 /// the analytic-tier cross-check that counts
-/// [`SessionStats::bound_violations`]. The proof lives next to its
-/// kernel so the LRU evicts both together.
+/// [`SessionStats::bound_violations`]. Only a bound whose report has no
+/// error finding is kept, and it lives next to its kernel so the LRU
+/// evicts both together.
 struct CachedKernel {
     kernel: Arc<CompiledKernel>,
-    proof: Option<Proof>,
-}
-
-/// What verifying a kernel proved about its cycles.
-#[derive(Clone)]
-struct Proof {
-    bound: StaticBound,
-    /// Whether the report was free of error findings: only then may the
-    /// tuner skip a simulation on the strength of the bound.
-    clean: bool,
+    bound: Option<StaticBound>,
 }
 
 /// What a [`Session`]'s callers share, behind its one lock.
@@ -541,7 +533,7 @@ impl Session {
         // they become visible to any caller: a kernel with error-severity
         // findings is rejected like a failed compile, and a clean one
         // records its proven cycle lower bound.
-        let proof = if self.config.verify_kernels {
+        let bound = if self.config.verify_kernels {
             let report = crate::verify::verify_kernel(stencil, &kernel, options);
             if report.has_errors() {
                 return Err(CodegenError::StaticVerification {
@@ -549,10 +541,7 @@ impl Session {
                     findings: report.errors().map(ToString::to_string).collect(),
                 });
             }
-            Some(Proof {
-                bound: report.bound,
-                clean: true,
-            })
+            Some(report.bound)
         } else {
             None
         };
@@ -560,10 +549,10 @@ impl Session {
             let mut guard = self.lock();
             let state = &mut *guard;
             state.stats.compiles += 1;
-            state.stats.kernels_verified += u64::from(proof.is_some());
+            state.stats.kernels_verified += u64::from(bound.is_some());
             let cached = CachedKernel {
                 kernel: Arc::clone(&kernel),
-                proof,
+                bound,
             };
             let cap = self.config.max_cached_kernels;
             state.stats.evictions += state.kernels.settle(&key, Some((cached, 1.0)), cap);
@@ -590,37 +579,34 @@ impl Session {
         options: &RunOptions,
     ) -> Result<StaticBound, CodegenError> {
         let (kernel, _) = self.compile_cached(stencil, extent, options)?;
-        Ok(self.prove(stencil, extent, options, &kernel).bound)
+        Ok(self.prove(stencil, extent, options, &kernel).0)
     }
 
-    /// The proof recorded next to `kernel` (compiled for `stencil`,
+    /// The bound recorded next to `kernel` (compiled for `stencil`,
     /// `extent`, `options`), or a fresh one — proven outside the lock,
-    /// then kept next to the kernel if it is still cached.
+    /// then kept next to the kernel if it is still cached and its report
+    /// is clean — and whether that report was free of error findings.
     fn prove(
         &self,
         stencil: &Stencil,
         extent: Extent,
         options: &RunOptions,
         kernel: &CompiledKernel,
-    ) -> Proof {
+    ) -> (StaticBound, bool) {
         let key = KernelKey::new(stencil, extent, options);
-        if let Some(proof) = self
-            .lock()
-            .kernels
-            .value_mut(&key)
-            .and_then(|c| c.proof.clone())
-        {
-            return proof;
+        let mut state = self.lock();
+        if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.clone()) {
+            return (bound, true);
         }
+        drop(state);
         let report = crate::verify::verify_kernel(stencil, kernel, options);
-        let proof = Proof {
-            clean: !report.has_errors(),
-            bound: report.bound,
-        };
-        if let Some(cached) = self.lock().kernels.value_mut(&key) {
-            cached.proof = Some(proof.clone());
+        let clean = !report.has_errors();
+        if clean {
+            if let Some(cached) = self.lock().kernels.value_mut(&key) {
+                cached.bound = Some(report.bound.clone());
+            }
         }
-        proof
+        (report.bound, clean)
     }
 
     /// [`Session::compile_cached`], counted in `tel`.
@@ -917,10 +903,10 @@ impl Session {
         for (i, (options, kernel)) in feasible.iter().enumerate() {
             let mut rank = 0;
             if prove {
-                let proof = self.prove(stencil, work.extent, options, kernel);
-                bounds.push((options.unroll, proof.bound.cycles));
-                if proof.clean {
-                    rank = proof.bound.cycles;
+                let (bound, clean) = self.prove(stencil, work.extent, options, kernel);
+                bounds.push((options.unroll, bound.cycles));
+                if clean {
+                    rank = bound.cycles;
                 }
             }
             order.push((rank, i));
@@ -1130,11 +1116,8 @@ impl Session {
             let key = KernelKey::new(stencil, work.extent, &options);
             let mut guard = self.lock();
             let state = &mut *guard;
-            if let Some(proof) = state.kernels.value_mut(&key).and_then(|c| c.proof.as_ref()) {
-                let low = reports
-                    .iter()
-                    .filter(|r| r.cycles < proof.bound.cycles)
-                    .count();
+            if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.as_ref()) {
+                let low = reports.iter().filter(|r| r.cycles < bound.cycles).count();
                 state.stats.bound_violations += low as u64;
             }
         }
@@ -1361,6 +1344,31 @@ mod tests {
     }
 
     #[test]
+    fn bounds_with_error_findings_are_neither_trusted_nor_kept() {
+        let session = Session::with_config(SessionConfig {
+            verify_kernels: false,
+            ..SessionConfig::default()
+        });
+        let (stencil, extent) = (gallery::jacobi_2d(), Extent::new_2d(16, 16));
+        let options = RunOptions::new(Variant::Saris);
+        let (kernel, _) = session.compile_cached(&stencil, extent, &options).unwrap();
+        let kept = || {
+            let key = KernelKey::new(&stencil, extent, &options);
+            let mut state = session.lock();
+            state.kernels.value_mut(&key).unwrap().bound.clone()
+        };
+        let mut broken = (*kernel).clone();
+        let program = &mut broken.cores[0].program;
+        *program = saris_verify::mutate(program, saris_verify::Mutation::RemoveHalt).unwrap();
+        let (_, clean) = session.prove(&stencil, extent, &options, &broken);
+        assert!(!clean);
+        assert_eq!(kept(), None);
+        let (bound, clean) = session.prove(&stencil, extent, &options, &kernel);
+        assert!(clean);
+        assert_eq!(kept(), Some(bound));
+    }
+
+    #[test]
     fn batch_results_keep_spec_order() {
         let stencil = Arc::new(gallery::jacobi_2d());
         let specs: Vec<WorkloadSpec> = (0..4)
@@ -1544,7 +1552,7 @@ mod tests {
         });
         let retained_bounds = || {
             let state = session.state.lock().unwrap();
-            let bounded = |cached: &CachedKernel| cached.proof.is_some();
+            let bounded = |cached: &CachedKernel| cached.bound.is_some();
             state
                 .kernels
                 .rows()
