@@ -12,7 +12,9 @@
 //! * `Tune::Auto`'s unroll, `RunReport` and output bits equal those of
 //!   the sweep's first minimum;
 //! * `TuningDecision::bounds` lists every feasible candidate (none when
-//!   there is only one), and every measurement it reports is the sweep's.
+//!   there is only one), every measurement it reports is the sweep's,
+//!   and every candidate it did not simulate has a bound that cannot
+//!   beat the winner.
 
 use saris::prelude::*;
 use saris_bench::paper_tile;
@@ -139,10 +141,21 @@ fn check(row: &Row, sweep: &Session, tuner: &Session) -> (usize, usize) {
         let s = swept.iter().find(|s| s.unroll == unroll);
         assert_eq!(s.map(|s| s.cycles), Some(cycles), "{name} u{unroll}");
     }
-    assert!(
-        tuning.measured.iter().any(|&(u, _)| u == winner.unroll),
-        "{name}: the winner was never simulated: {tuning:?}"
-    );
+    // A candidate left unsimulated must be provably unable to win: its
+    // bound exceeds the winner's cycles, or equals them and it comes
+    // later in the list.
+    let position = |unroll| swept.iter().position(|s| s.unroll == unroll);
+    for s in &swept {
+        if !tuning.measured.iter().any(|&(u, _)| u == s.unroll) {
+            assert!(
+                (s.bound, position(s.unroll)) > (winner.cycles, position(winner.unroll)),
+                "{name} u{}: skipped with bound {} under the winner's {} cycles",
+                s.unroll,
+                s.bound,
+                winner.cycles
+            );
+        }
+    }
     (swept.len(), tuning.measured.len())
 }
 
