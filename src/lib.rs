@@ -269,16 +269,18 @@
 //! inside the kernel's TCDM grants (from its descriptor where its address
 //! hull decides, element by element where it does not) — and
 //! derives a [`StaticBound`](verify::StaticBound): a cycle count the
-//! kernel provably cannot beat (issue slots, FPU occupancy, RAW latency
-//! chains, TCDM bank pressure).
+//! kernel provably cannot beat (integer issue slots, the FP sequencer's
+//! in-order issue schedule, TCDM bank pressure).
 //!
 //! Sessions gate every fresh compile through the verifier when
 //! [`SessionConfig::verify_kernels`](codegen::SessionConfig) is set (the
 //! default in debug builds): error-severity findings reject the kernel
 //! as [`CodegenError::StaticVerification`](codegen::CodegenError) before
-//! a single cycle is simulated, and each clean kernel's proven bound
-//! doubles as a calibration-drift detector — an *analytic* estimate
-//! below the proven floor is an impossible number, counted in
+//! a single cycle is simulated. Each clean kernel's proven bound ranks
+//! unroll candidates for the tuner, which never simulates one whose
+//! bound cannot beat a measurement it already has, and doubles as a
+//! calibration-drift detector — an *analytic* estimate below the proven
+//! floor is an impossible number, counted in
 //! [`SessionStats::bound_violations`](codegen::SessionStats).
 //!
 //! ```
