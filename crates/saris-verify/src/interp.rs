@@ -201,7 +201,7 @@ fn run(
         core_stores: Vec::new(),
     };
     interp.int[0] = Val::Known(0);
-    interp.out.issue_cycles = interp.execute();
+    (interp.out.issue_cycles, interp.out.fp_issue) = interp.execute();
     let walked = interp.walked;
     (interp.finish(), walked)
 }
@@ -322,7 +322,8 @@ impl Interp<'_> {
     }
 
     /// Walks the integer pipeline from pc 0 until it halts or the
-    /// analysis has to stop; returns the issue cycles spent.
+    /// analysis has to stop; returns the issue cycles spent and the FP
+    /// issue clock ([`CoreAnalysis::fp_issue`]).
     ///
     /// This loop is the verifier's whole cost (a gallery kernel is ~80k
     /// steps; everything around it is ~2% of `verify_kernel`), and how it
@@ -333,15 +334,15 @@ impl Interp<'_> {
     /// registers instead of being spilled around code that almost never
     /// runs.
     #[inline(never)]
-    fn execute(&mut self) -> u64 {
+    fn execute(&mut self) -> (u64, u64) {
         let ops = self.table.ops();
         let taken_penalty = u64::from(self.cfg.branch_taken_penalty);
-        let (mut pc, mut steps, mut issue) = (0usize, 0u64, 0u64);
+        let (mut pc, mut steps, mut issue, mut fp_issue) = (0usize, 0u64, 0u64, 0u64);
         loop {
             steps += 1;
             if steps > STEP_BUDGET {
                 self.budget_exhausted(pc);
-                return issue;
+                return (issue, fp_issue);
             }
             let Some(&op) = ops.get(pc) else {
                 // `validate` guarantees a terminator; running off the end
@@ -352,7 +353,7 @@ impl Interp<'_> {
                         reason: "execution ran off the end of the program".into(),
                     },
                 );
-                return issue;
+                return (issue, fp_issue);
             };
             issue += u64::from(op.issue_cost());
             match op {
@@ -401,7 +402,7 @@ impl Interp<'_> {
                                 what: "branch condition".into(),
                             },
                         );
-                        return issue;
+                        return (issue, fp_issue);
                     };
                     if cond.eval(a as u64, b as u64) {
                         if target as usize == pc {
@@ -411,7 +412,7 @@ impl Interp<'_> {
                                     reason: "taken branch targets itself".into(),
                                 },
                             );
-                            return issue;
+                            return (issue, fp_issue);
                         }
                         issue += taken_penalty;
                         pc = target as usize;
@@ -426,13 +427,13 @@ impl Interp<'_> {
                                 reason: "jump targets itself".into(),
                             },
                         );
-                        return issue;
+                        return (issue, fp_issue);
                     }
                     issue += taken_penalty;
                     pc = target as usize;
                     continue;
                 }
-                Op::FpMem { .. } | Op::FpArith(_) => self.exec_fp(op, pc),
+                Op::FpMem { .. } | Op::FpArith(_) => self.exec_fp(op, pc, &mut fp_issue),
                 Op::Frep { count, n_instrs } => {
                     let reps = match count {
                         FrepCount::Imm(k) => u64::from(k) + 1,
@@ -445,7 +446,7 @@ impl Interp<'_> {
                                         what: "frep repetition count".into(),
                                     },
                                 );
-                                return issue;
+                                return (issue, fp_issue);
                             }
                         },
                     };
@@ -459,11 +460,11 @@ impl Interp<'_> {
                     steps = steps.saturating_add(reps.saturating_mul(body.len() as u64));
                     if steps > STEP_BUDGET {
                         self.budget_exhausted(pc);
-                        return issue;
+                        return (issue, fp_issue);
                     }
                     for _ in 0..reps {
                         for (i, &op) in body.iter().enumerate() {
-                            self.exec_fp(op, start + i);
+                            self.exec_fp(op, start + i, &mut fp_issue);
                         }
                     }
                     pc = start + body.len();
@@ -484,7 +485,7 @@ impl Interp<'_> {
                 Op::Nop => {}
                 Op::Halt => {
                     self.out.halted = true;
-                    return issue;
+                    return (issue, fp_issue);
                 }
             }
             pc += 1;
@@ -498,7 +499,7 @@ impl Interp<'_> {
     /// most one per cycle, each once its register sources are ready —
     /// a RAW stall holds every op behind it, independent or not.
     #[inline(always)]
-    fn exec_fp(&mut self, op: Op, pc: usize) {
+    fn exec_fp(&mut self, op: Op, pc: usize, fp_issue: &mut u64) {
         let start = match op {
             Op::FpMem {
                 is_load: true,
@@ -509,7 +510,7 @@ impl Interp<'_> {
                 if let Val::Known(b) = self.read_int(base, pc) {
                     self.check_scalar(effective(b, imm), 8, false, pc);
                 }
-                let start = self.out.fp_issue;
+                let start = *fp_issue;
                 self.fp_def[reg.index() as usize] = true;
                 // Ready as soon as issued (optimistic: no TCDM latency).
                 self.fp_avail[reg.index() as usize] = start;
@@ -521,7 +522,7 @@ impl Interp<'_> {
                 base,
                 imm,
             } => {
-                let start = self.out.fp_issue.max(self.read_fp(reg, pc));
+                let start = (*fp_issue).max(self.read_fp(reg, pc));
                 if let Val::Known(b) = self.read_int(base, pc) {
                     self.check_scalar(effective(b, imm), 8, true, pc);
                 }
@@ -529,7 +530,7 @@ impl Interp<'_> {
             }
             Op::FpArith(fp) => {
                 let operands = fp.operands();
-                let mut start = self.out.fp_issue;
+                let mut start = *fp_issue;
                 for src in operands.srcs() {
                     start = start.max(self.read_fp(*src, pc));
                 }
@@ -543,7 +544,7 @@ impl Interp<'_> {
             }
             _ => return,
         };
-        self.out.fp_issue = start + 1;
+        *fp_issue = start + 1;
     }
 
     #[inline(never)]
