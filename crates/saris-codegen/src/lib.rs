@@ -85,6 +85,7 @@ pub use verify::{kernel_memory_map, verify_kernel};
 pub use walk::CoreWalk;
 pub use wire::{
     decode_outcome, decode_outcome_from, decode_spec, encode_outcome, encode_outcome_into,
-    encode_spec, encode_spec_into, read_frame, write_frame, StencilInterner, MAX_FRAME_LEN,
+    encode_spec, encode_spec_into, read_frame, write_frame, StencilInterner, FRAME_VERSION,
+    MAX_FRAME_LEN,
 };
 pub use workload::{InputSpec, Outcome, Workload, WorkloadSpec, WorkloadTelemetry};

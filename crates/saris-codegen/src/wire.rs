@@ -9,10 +9,19 @@
 //! [`crate::json`] reader — the workspace carries no external
 //! dependencies — and every `f64` crosses the wire bit-exactly:
 //!
-//! * finite values are written with Rust's shortest-roundtrip `{:?}`
-//!   formatting and re-parsed by the correctly-rounded `str::parse`,
-//! * non-finite values (NaN payloads in grids must survive) are written
-//!   as the hex bit-pattern string `"0x{:016x}"` of [`f64::to_bits`].
+//! * a grid's values are **packed**: one string of the 16 lowercase hex
+//!   digits of each value's [`f64::to_bits`], back to back, read back
+//!   by a fixed-width digit loop — no float formatting or parsing, and
+//!   NaN payloads survive like any other bits;
+//! * a scalar `f64` (a coefficient, a tolerance, a report's clock) is
+//!   written with Rust's shortest-roundtrip `{:?}` formatting and
+//!   re-parsed by the correctly-rounded `str::parse`, or, if it is not
+//!   finite, as the hex bit-pattern string `"0x{:016x}"`.
+//!
+//! The documents' format has a version, [`FRAME_VERSION`], which every
+//! `saris-serve` frame carries in its envelope: a peer of another
+//! version is refused in-band instead of mis-decoded. Version 1 wrote
+//! grids as decimal `"data"` arrays; version 2 packs them.
 //!
 //! # Documents are declared
 //!
@@ -133,6 +142,12 @@ use crate::workload::{
 /// length prefix fails fast instead of exhausting memory.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// The version of the document format, carried by every frame's
+/// envelope. Version 2 packs grids as bit patterns; a change to any
+/// document's bytes that a peer of this version would misread takes the
+/// next one.
+pub const FRAME_VERSION: u64 = 2;
+
 /// Payloads up to this size are copied behind their length prefix so
 /// the whole frame is one `write`; of a larger one only this much is.
 const COALESCED_PAYLOAD: usize = 64 * 1024;
@@ -203,24 +218,142 @@ fn member(out: &mut String, key: &str, value: &impl Wire) {
 // Grids, options
 // ---------------------------------------------------------------------------
 
+/// The two lowercase hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        pairs[byte] = [digits[byte >> 4], digits[byte & 0xf]];
+        byte += 1;
+    }
+    pairs
+};
+
+/// What [`HEX_VALUES`] holds for a byte that is not a lowercase hex
+/// digit; every digit's value is below it.
+const NOT_HEX: u8 = 0x10;
+
+/// The value of every lowercase hex digit, [`NOT_HEX`] for every other
+/// byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [NOT_HEX; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        values[HEX_PAIRS[digit][1] as usize] = digit as u8;
+        digit += 1;
+    }
+    values
+};
+
+/// Hex digits of one value.
+const DIGITS_PER_VALUE: usize = 16;
+
+/// Appends the packed bit patterns of `values`. The digits are written
+/// into a stack buffer and appended a chunk at a time, not pushed one
+/// character at a time.
+fn push_bits(out: &mut String, values: &[f64]) {
+    const CHUNK: usize = 32;
+    let mut buf = [0u8; DIGITS_PER_VALUE * CHUNK];
+    out.reserve(DIGITS_PER_VALUE * values.len());
+    for chunk in values.chunks(CHUNK) {
+        for (value, digits) in chunk.iter().zip(buf.chunks_exact_mut(DIGITS_PER_VALUE)) {
+            let bytes = value.to_bits().to_be_bytes();
+            for (byte, pair) in bytes.iter().zip(digits.chunks_exact_mut(2)) {
+                pair.copy_from_slice(&HEX_PAIRS[usize::from(*byte)]);
+            }
+        }
+        let hex = &buf[..DIGITS_PER_VALUE * chunk.len()];
+        out.push_str(std::str::from_utf8(hex).expect("hex digits are ASCII"));
+    }
+}
+
+/// Reads packed bit patterns: 16 lowercase hex digits per value, none
+/// between them. No other spelling is accepted, so every value has one.
+fn unpack_bits(hex: &str, what: &str) -> Result<Vec<f64>, JsonError> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(DIGITS_PER_VALUE) {
+        return Err(json::error(&format!(
+            "{what}: {} hex digits are not a whole number of 16-digit values",
+            bytes.len()
+        )));
+    }
+    let mut values = Vec::with_capacity(bytes.len() / DIGITS_PER_VALUE);
+    for (at, digits) in bytes.chunks_exact(DIGITS_PER_VALUE).enumerate() {
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &digit in digits {
+            let value = HEX_VALUES[usize::from(digit)];
+            seen |= value;
+            bits = bits << 4 | u64::from(value & 0xf);
+        }
+        if seen & NOT_HEX != 0 {
+            // Every byte before this value's is a digit, so its first
+            // byte starts a character.
+            let start = at * DIGITS_PER_VALUE;
+            let offset = digits
+                .iter()
+                .position(|&d| HEX_VALUES[usize::from(d)] == NOT_HEX);
+            let bad = start + offset.expect("a byte that is not a digit");
+            let found = hex[bad..]
+                .chars()
+                .next()
+                .expect("a character at a boundary");
+            return Err(json::error(&format!(
+                "{what}: {found:?} at digit {bad} is not a lowercase hex digit"
+            )));
+        }
+        values.push(f64::from_bits(bits));
+    }
+    Ok(values)
+}
+
+/// `{"extent": [..], "bits": "<hex>"}`: each value as the 16 lowercase
+/// hex digits of its [`f64::to_bits`], in value order, with nothing
+/// between them. One spelling per value, so an accepted grid
+/// re-encodes to the same bytes; an escape in the string is not a
+/// digit either. The decimal `"data"` array of format version 1 is
+/// refused by name.
 impl Wire for Grid {
     fn enc(&self, out: &mut String) {
         member(out, "{\"extent\": ", &self.extent());
-        out.push_str(", \"data\": ");
-        enc_seq(out, self.as_slice(), f64::enc);
-        out.push('}');
+        out.push_str(", \"bits\": \"");
+        push_bits(out, self.as_slice());
+        out.push_str("\"}");
     }
 
     fn dec(r: &mut Reader<'_>, what: &str) -> Result<Grid, JsonError> {
-        fields!(r, what, { "extent" => extent: Extent, "data" => data: Vec<f64> });
-        if data.len() != extent.len() {
+        let (mut extent, mut values) = (None, None);
+        r.begin_object(what)?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "extent" => extent = Some(Extent::dec(r, what)?),
+                "bits" => {
+                    let Cow::Borrowed(hex) = r.str(what)? else {
+                        return Err(json::error(&format!(
+                            "{what}: an escape in bits is not a lowercase hex digit"
+                        )));
+                    };
+                    values = Some(unpack_bits(hex, what)?);
+                }
+                "data" => {
+                    return Err(json::error(&format!(
+                        "{what}: a decimal `data` array is format version 1; \
+                         grids are packed `bits` since version {FRAME_VERSION}"
+                    )))
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let extent = extent.ok_or_else(|| missing(what, "extent"))?;
+        let values = values.ok_or_else(|| missing(what, "bits"))?;
+        if values.len() != extent.len() {
             return Err(json::error(&format!(
-                "{what}: {} data points for a {}-point extent",
-                data.len(),
+                "{what}: {} values for a {}-point extent",
+                values.len(),
                 extent.len()
             )));
         }
-        Ok(Grid::from_raw(extent, data))
+        Ok(Grid::from_raw(extent, values))
     }
 }
 
@@ -785,10 +918,10 @@ pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
 /// [`encode_outcome_into`]).
 pub fn encode_outcome(outcome: &Outcome) -> String {
     // Roomy enough for most documents to be written without regrowing:
-    // a grid point is ~20 bytes, a core report ~200.
+    // a grid point is 16 bytes, a core report ~200.
     let points: usize = outcome.grids.iter().map(|g| g.as_slice().len()).sum();
     let cores: usize = outcome.reports.iter().map(|r| r.cores.len()).sum();
-    let mut out = String::with_capacity(1024 + 24 * points + 256 * cores);
+    let mut out = String::with_capacity(1024 + DIGITS_PER_VALUE * points + 256 * cores);
     encode_outcome_into(&mut out, outcome);
     out
 }
@@ -1266,7 +1399,7 @@ mod tests {
             );
         }
         let outcome = "{\"fingerprint\": \"1\", \"backend\": \"native\", \"grids\": \
-                       [{\"extent\": [0, 1, 1], \"data\": []}]}";
+                       [{\"extent\": [0, 1, 1], \"bits\": \"\"}]}";
         assert!(matches!(
             decode_outcome(outcome).unwrap_err(),
             CodegenError::Wire { .. }
@@ -1372,5 +1505,135 @@ mod tests {
         let decoded = decode_outcome(outcome).expect("absent optional fields read as None");
         assert!(decoded.tuning.is_none() && decoded.telemetry.answered_by.is_none());
         assert!(decode_outcome(&format!("{outcome}]")).is_err());
+    }
+
+    /// The smallest outcome document the decoder accepts, with `grids`
+    /// as its grid list.
+    fn outcome_with_grids(grids: &str) -> String {
+        format!(
+            "{{\"fingerprint\": \"1\", \"backend\": \"native\", \"grids\": [{grids}], \
+             \"reports\": [], \"telemetry\": {{\"runs\": 0, \"compiles\": 0, \
+             \"cache_hits\": 0, \"clusters_reused\": 0, \"cycles_fast_forwarded\": 0, \
+             \"estimated\": false, \"degraded\": false, \"mix_counts\": [0, 0, 0, 0, 0, 0]}}}}"
+        )
+    }
+
+    #[test]
+    fn packed_grids_carry_every_bit_pattern() {
+        let patterns: [u64; 16] = [
+            0x7ff8_0000_0000_0000, // the quiet NaN
+            0x7ff8_0000_dead_beef, // a quiet NaN's payload
+            0x7ff0_0000_0000_0001, // a signalling NaN
+            0xfff8_0000_0000_0042, // a negative NaN
+            0x0000_0000_0000_0000, // +0.0
+            0x8000_0000_0000_0000, // -0.0
+            0x7ff0_0000_0000_0000, // +inf
+            0xfff0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // the smallest subnormal
+            0x000f_ffff_ffff_ffff, // the largest subnormal
+            0x8000_0000_0000_0001, // a negative subnormal
+            0x0010_0000_0000_0000, // f64::MIN_POSITIVE
+            0x7fef_ffff_ffff_ffff, // f64::MAX
+            0x3ff0_0000_0000_0000, // 1.0
+            0xbff8_0000_0000_0000, // -1.5
+            0x3fb9_9999_9999_999a, // 0.1
+        ];
+        let values: Vec<f64> = patterns.iter().map(|&bits| f64::from_bits(bits)).collect();
+        let extent = Extent::new_2d(4, 4);
+        let mut text = String::new();
+        Grid::from_raw(extent, values).enc(&mut text);
+        let hex: String = patterns.iter().map(|bits| format!("{bits:016x}")).collect();
+        assert_eq!(
+            text,
+            format!("{{\"extent\": [4, 4, 1], \"bits\": \"{hex}\"}}")
+        );
+
+        let document = outcome_with_grids(&text);
+        let outcome = decode_outcome(&document).expect("decode");
+        let decoded: Vec<u64> = outcome.grids[0]
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(decoded, patterns);
+        assert_eq!(outcome.grids[0].extent(), extent);
+        assert!(encode_outcome(&outcome).contains(&text));
+    }
+
+    #[test]
+    fn packed_grids_refuse_every_other_spelling() {
+        // Four values: 1.5, 0.1, -0.0, and a NaN payload.
+        let hex = "3ff80000000000003fb999999999999a80000000000000007ff80000deadbeef";
+        let grid = |bits: &str| format!("{{\"extent\": [2, 2, 1], \"bits\": \"{bits}\"}}");
+        decode_outcome(&outcome_with_grids(&grid(hex))).expect("the untouched grid decodes");
+        let refusals = [
+            (
+                grid(&hex[1..]),
+                "63 hex digits are not a whole number of 16-digit values",
+            ),
+            (
+                grid(&format!("{hex}0")),
+                "65 hex digits are not a whole number",
+            ),
+            (
+                grid(&hex.replacen('f', "F", 1)),
+                "'F' at digit 1 is not a lowercase hex digit",
+            ),
+            (
+                grid(&hex.replacen("dead", "deag", 1)),
+                "'g' at digit 59 is not a lowercase hex",
+            ),
+            (
+                grid(&hex.replacen('a', " ", 1)),
+                "' ' at digit 31 is not a lowercase hex",
+            ),
+            (
+                grid(&hex.replacen("80", "é", 1)),
+                "'é' at digit 3 is not a lowercase hex",
+            ),
+            (grid(&hex.replacen('3', "\\u0033", 1)), "an escape in bits"),
+            (grid(&hex[16..]), "3 values for a 4-point extent"),
+            (
+                grid(&format!("{hex}{}", &hex[..16])),
+                "5 values for a 4-point extent",
+            ),
+            (grid(""), "0 values for a 4-point extent"),
+            (
+                "{\"extent\": [2, 2, 1], \"data\": [1.5, 0.1, -0.0, 0.25]}".to_string(),
+                "a decimal `data` array is format version 1",
+            ),
+            (
+                format!("{{\"extent\": [2, 2, 1], \"bits\": \"{hex}\", \"data\": []}}"),
+                "grids are packed `bits` since version 2",
+            ),
+            (
+                "{\"extent\": [2, 2, 1]}".to_string(),
+                "missing field `bits`",
+            ),
+            (format!("{{\"bits\": \"{hex}\"}}"), "missing field `extent`"),
+            (
+                "{\"extent\": [2, 2, 1], \"bits\": [1]}".to_string(),
+                "is not a string",
+            ),
+        ];
+        for (text, reason) in &refusals {
+            let err = decode_outcome(&outcome_with_grids(text)).unwrap_err();
+            assert!(
+                matches!(&err, CodegenError::Wire { reason: r } if r.contains(reason)),
+                "{text}: expected `{reason}`, got: {err}"
+            );
+        }
+
+        // Explicit input grids are read by the same decoder.
+        let spec = Workload::new(gallery::j2d5pt())
+            .inputs(vec![Grid::zeros(Extent::new_2d(4, 4))])
+            .freeze()
+            .expect("freeze");
+        let text = encode_spec(&spec);
+        let zeros = "0".repeat(16 * 16);
+        assert!(text.contains(&format!("\"bits\": \"{zeros}\"")), "{text}");
+        let short = text.replacen(&zeros, &zeros[1..], 1);
+        let err = decode_spec(&short).unwrap_err();
+        assert!(err.to_string().contains("not a whole number"), "{err}");
     }
 }

@@ -22,18 +22,29 @@
 //!
 //! | request | reply |
 //! |---|---|
-//! | `{"op": "submit", "spec": {<spec>}}` | `{"ok": {<outcome>}}` or `{"err": {...}}` |
-//! | `{"op": "export_calibration"}` | `{"calibration": {<store>} \| null}` |
-//! | `{"op": "import_calibration", "data": {<store>}}` | `{"merged": n}` |
-//! | `{"op": "ping"}` | `{"pong": true}` |
+//! | `{"version": 2, "op": "submit", "spec": {<spec>}}` | `{"version": 2, "ok": {<outcome>}}` or `{"version": 2, "err": {...}}` |
+//! | `{"version": 2, "op": "export_calibration"}` | `{"version": 2, "calibration": {<store>} \| null}` |
+//! | `{"version": 2, "op": "import_calibration", "data": {<store>}}` | `{"version": 2, "merged": n}` |
+//! | `{"version": 2, "op": "ping"}` | `{"version": 2, "pong": true}` |
 //!
 //! Keys may come in any order (`spec` before `op` is served all the
 //! same) and unknown keys are ignored. A frame may nest objects and
 //! arrays [`json::MAX_DEPTH`] deep, envelope included — four times what
 //! the deepest reply needs; a deeper one is refused by the reader
-//! before anything recurses into it. Both ends of a connection are
-//! always the same build of this workspace, so the protocol carries no
-//! version field and no second encoding.
+//! before anything recurses into it.
+//!
+//! # Versions
+//!
+//! Every envelope carries the document format's version,
+//! [`FRAME_VERSION`]; there is no second encoding. A request of another
+//! version, or of none (a peer built before frames had one, version 1),
+//! is answered `{"version": 2, "err": {"kind": "wire", ...}}` naming
+//! both versions, and a reply of another version decodes to the same
+//! non-transient [`ServeError::Execution`] without its answer being
+//! read: a mismatched peer is refused in-band, never mis-decoded, and
+//! the coordinator neither retries nor rehashes on it. Both sides write
+//! the version first, so a reply's answer is decoded where it lies
+//! once the version before it has been read.
 //!
 //! A reply the client cannot attribute to a request (malformed frame,
 //! unknown op) comes back as an `{"err": {"kind": "wire", ...}}`
@@ -81,9 +92,9 @@ use std::time::Duration;
 use saris_codegen::json::{self, JsonError, Reader};
 use saris_codegen::wire::{
     decode_outcome_from, encode_outcome_into, encode_spec_into, read_frame, write_frame,
-    MAX_FRAME_LEN,
+    FRAME_VERSION, MAX_FRAME_LEN,
 };
-use saris_codegen::{CalibrationStore, CodegenError, StencilInterner, WorkloadSpec};
+use saris_codegen::{CalibrationStore, CodegenError, Outcome, StencilInterner, WorkloadSpec};
 
 use crate::{ServeError, ServeResult, Server, TIER_NAMES};
 
@@ -134,8 +145,36 @@ fn enc_serve_error(out: &mut String, e: &ServeError) {
     out.push('}');
 }
 
+/// How every request and reply begins: the envelope's version
+/// ([`FRAME_VERSION`]), as a literal the fixed requests are
+/// `concat!`ed from.
+macro_rules! envelope {
+    () => {
+        "{\"version\": 2, "
+    };
+}
+const ENVELOPE: &str = envelope!();
+
+/// Why a frame whose envelope says `version` is refused, naming both
+/// versions; `None` for this build's.
+fn version_mismatch(version: Option<u64>, what: &str) -> Option<String> {
+    let theirs = match version {
+        Some(FRAME_VERSION) => return None,
+        Some(v) => format!("is frame version {v}"),
+        None => "carries no version (frame version 1)".to_string(),
+    };
+    Some(format!(
+        "{what} {theirs}; this peer speaks frame version {FRAME_VERSION}"
+    ))
+}
+
+fn version_error(reason: String) -> ServeError {
+    ServeError::Execution(Arc::new(CodegenError::Wire { reason }))
+}
+
+/// Appends an `"err"` member of kind `wire` and closes the envelope.
 fn wire_reply_err(out: &mut String, reason: &str) {
-    out.push_str("{\"err\": {\"kind\": \"wire\", ");
+    out.push_str("\"err\": {\"kind\": \"wire\", ");
     enc_text(out, "reason", reason);
     out.push_str("}}");
 }
@@ -373,22 +412,26 @@ fn handle_connection(stream: TcpStream, shared: &NetShared) {
 /// Leaves the reply to `frame` in `reply`.
 fn respond(shared: &NetShared, frame: &[u8], reply: &mut String) {
     reply.clear();
+    reply.push_str(ENVELOPE);
     if let Err(e) = try_respond(shared, frame, reply) {
-        reply.clear();
+        reply.truncate(ENVELOPE.len());
         wire_reply_err(reply, &e.reason);
     }
 }
 
+/// Appends the reply's answer to `reply`, which holds the envelope's
+/// version, and closes it.
 fn try_respond(shared: &NetShared, frame: &[u8], reply: &mut String) -> Result<(), JsonError> {
     let text = std::str::from_utf8(frame).map_err(|_| json::error("request frame is not UTF-8"))?;
     // The embedded documents are passed over (validated, bounded) and
-    // handed to their decoders as slices of the frame once `op` is
-    // known, so the keys may come in any order.
-    let (mut op, mut spec, mut data) = (None, None, None);
+    // handed to their decoders as slices of the frame once the version
+    // and `op` are known, so the keys may come in any order.
+    let (mut version, mut op, mut spec, mut data) = (None, None, None, None);
     let mut r = Reader::new(text);
     r.begin_object("request")?;
     while let Some(key) = r.next_key()? {
         match &*key {
+            "version" => version = Some(r.u64("request version")?),
             "op" => op = Some(r.str("op")?),
             "spec" => spec = Some(r.raw_value()?),
             "data" => data = Some(r.raw_value()?),
@@ -396,6 +439,9 @@ fn try_respond(shared: &NetShared, frame: &[u8], reply: &mut String) -> Result<(
         }
     }
     r.finish()?;
+    if let Some(reason) = version_mismatch(version, "request") {
+        return Err(json::error(&reason));
+    }
     match &*op.ok_or_else(|| json::error("request: missing op"))? {
         "submit" => {
             let spec = spec.ok_or_else(|| json::error("submit: missing spec"))?;
@@ -408,18 +454,18 @@ fn try_respond(shared: &NetShared, frame: &[u8], reply: &mut String) -> Result<(
                 .and_then(|spec| shared.server.submit(&spec));
             match result {
                 Ok(outcome) => {
-                    reply.push_str("{\"ok\": ");
+                    reply.push_str("\"ok\": ");
                     encode_outcome_into(reply, &outcome);
                 }
                 Err(e) => {
-                    reply.push_str("{\"err\": ");
+                    reply.push_str("\"err\": ");
                     enc_serve_error(reply, &e);
                 }
             }
             reply.push('}');
         }
         "export_calibration" => {
-            reply.push_str("{\"calibration\": ");
+            reply.push_str("\"calibration\": ");
             match shared.server.session().calibration() {
                 Some(store) => reply.push_str(&store.to_json()),
                 None => reply.push_str("null"),
@@ -434,9 +480,9 @@ fn try_respond(shared: &NetShared, frame: &[u8], reply: &mut String) -> Result<(
                 Some(store) => store.merge(&incoming),
                 None => 0,
             };
-            write!(reply, "{{\"merged\": {merged}}}").expect("writing to a String cannot fail");
+            write!(reply, "\"merged\": {merged}}}").expect("writing to a String cannot fail");
         }
-        "ping" => reply.push_str("{\"pong\": true}"),
+        "ping" => reply.push_str("\"pong\": true}"),
         other => return Err(json::error(&format!("unknown op `{other}`"))),
     }
     Ok(())
@@ -488,7 +534,8 @@ impl NetClient {
     /// connection, so a caller sharing one can encode before taking it.
     pub fn encode_submit(spec: &WorkloadSpec) -> String {
         let mut request = String::with_capacity(2048);
-        request.push_str("{\"op\": \"submit\", \"spec\": ");
+        request.push_str(ENVELOPE);
+        request.push_str("\"op\": \"submit\", \"spec\": ");
         encode_spec_into(&mut request, spec);
         request.push('}');
         request
@@ -504,19 +551,20 @@ impl NetClient {
 
     /// Decodes the reply frame to a `submit`: the remote [`ServeResult`],
     /// or `Err` for a reply that is not one — which a caller treats as
-    /// it treats a failed [`exchange`](NetClient::exchange).
+    /// it treats a failed [`exchange`](NetClient::exchange). A reply of
+    /// another frame version is an answer, not a broken reply: a
+    /// non-transient [`ServeError::Execution`] naming both versions.
     pub fn decode_submit_reply(reply: &[u8]) -> io::Result<ServeResult> {
-        let (mut ok, mut err) = (None, None);
-        read_reply(reply, "submit reply", |key, r| {
-            match key {
-                "ok" => ok = Some(decode_outcome_from(r)?),
-                "err" => err = Some(dec_serve_error(r)?),
-                _ => r.skip_value()?,
-            }
-            Ok(())
-        })
-        .map_err(|e| invalid(format!("bad submit reply: {e}")))?;
-        match (ok, err) {
+        let bad = |e: JsonError| invalid(format!("bad submit reply: {e}"));
+        let mut read = read_submit_reply(reply, false).map_err(bad)?;
+        if let Some(reason) = version_mismatch(read.version, "reply") {
+            return Ok(Err(version_error(reason)));
+        }
+        if read.unread {
+            // The version came after the answer: read it again, knowing.
+            read = read_submit_reply(reply, true).map_err(bad)?;
+        }
+        match (read.ok, read.err) {
             (Some(outcome), _) => Ok(Ok(Arc::new(outcome))),
             (None, Some(err)) => Ok(Err(err)),
             (None, None) => Err(invalid(
@@ -544,9 +592,12 @@ impl NetClient {
         mut dec: impl FnMut(&mut Reader<'_>) -> Result<T, JsonError>,
     ) -> io::Result<T> {
         let reply = self.exchange(request.as_bytes())?;
-        let mut answer = None;
+        let (mut version, mut answer) = (None, None);
         read_reply(&reply, "reply", |k, r| {
-            if k == key {
+            if k == "version" {
+                version = Some(r.u64("reply version")?);
+                Ok(())
+            } else if k == key && version == Some(FRAME_VERSION) {
                 answer = Some(dec(r)?);
                 Ok(())
             } else {
@@ -554,13 +605,17 @@ impl NetClient {
             }
         })
         .map_err(|e| invalid(e.reason))?;
-        answer.ok_or_else(|| invalid(format!("reply missing {key}")))
+        if let Some(reason) = version_mismatch(version, "reply") {
+            return Err(invalid(reason));
+        }
+        answer.ok_or_else(|| invalid(format!("reply missing {key} after its version")))
     }
 
     /// Fetches the worker's calibration store as JSON (`None` when its
     /// session runs without one).
     pub fn export_calibration(&mut self) -> io::Result<Option<String>> {
-        self.ask("{\"op\": \"export_calibration\"}", "calibration", |r| {
+        let request = concat!(envelope!(), "\"op\": \"export_calibration\"}");
+        self.ask(request, "calibration", |r| {
             if r.null()? {
                 Ok(None)
             } else {
@@ -578,7 +633,7 @@ impl NetClient {
     /// value, as [`NetClient::export_calibration`] and
     /// [`CalibrationStore::to_json`] produce.
     pub fn import_calibration(&mut self, data: &str) -> io::Result<usize> {
-        let request = format!("{{\"op\": \"import_calibration\", \"data\": {data}}}");
+        let request = format!("{ENVELOPE}\"op\": \"import_calibration\", \"data\": {data}}}");
         self.ask(&request, "merged", |r| {
             r.u64("merged count").map(|merged| merged as usize)
         })
@@ -586,8 +641,40 @@ impl NetClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        self.ask("{\"op\": \"ping\"}", "pong", |r| r.bool("pong"))
+        let request = concat!(envelope!(), "\"op\": \"ping\"}");
+        self.ask(request, "pong", |r| r.bool("pong"))
     }
+}
+
+/// The members of a submit reply.
+#[derive(Default)]
+struct SubmitReply {
+    version: Option<u64>,
+    ok: Option<Outcome>,
+    err: Option<ServeError>,
+    /// An answer was passed over because no version had come before it.
+    unread: bool,
+}
+
+/// Reads a submit reply. An answer is decoded only once the reply is
+/// known to be of this build's version — from a version member before
+/// it, or from `known` — and passed over otherwise.
+fn read_submit_reply(reply: &[u8], known: bool) -> Result<SubmitReply, JsonError> {
+    let mut read = SubmitReply::default();
+    read_reply(reply, "submit reply", |key, r| {
+        match key {
+            "version" if !known => read.version = Some(r.u64("reply version")?),
+            "ok" | "err" if !known && read.version != Some(FRAME_VERSION) => {
+                read.unread = true;
+                r.skip_value()?;
+            }
+            "ok" => read.ok = Some(decode_outcome_from(r)?),
+            "err" => read.err = Some(dec_serve_error(r)?),
+            _ => r.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(read)
 }
 
 /// Reads a reply frame — one JSON object — handing every key, with the
@@ -856,14 +943,14 @@ mod tests {
         // handler thread's stack, which aborts the whole process.
         let reply = raw_exchange(&mut client, "[".repeat(100_000).as_bytes());
         assert!(
-            reply.starts_with("{\"err\": {\"kind\": \"wire\""),
+            reply.starts_with("{\"version\": 2, \"err\": {\"kind\": \"wire\""),
             "{reply}"
         );
         assert!(client.ping().expect("ping on the same connection"));
         let frame = format!("{{\"spec\": {}", "[".repeat(100_000));
         let reply = raw_exchange(&mut client, frame.as_bytes());
         assert!(
-            reply.starts_with("{\"err\": {\"kind\": \"wire\""),
+            reply.starts_with("{\"version\": 2, \"err\": {\"kind\": \"wire\""),
             "{reply}"
         );
         assert!(reply.contains("nests deeper than"), "{reply}");
@@ -878,13 +965,13 @@ mod tests {
         assert!(reply.contains("nests deeper than"), "{reply}");
         // The bound counts the envelope: 31 levels below it pass.
         let frame = format!(
-            "{{\"op\": \"ping\", \"junk\": {}{}}}",
+            "{{\"version\": 2, \"op\": \"ping\", \"junk\": {}{}}}",
             "[".repeat(json::MAX_DEPTH - 1),
             "]".repeat(json::MAX_DEPTH - 1)
         );
         assert_eq!(
             raw_exchange(&mut client, frame.as_bytes()),
-            "{\"pong\": true}"
+            "{\"version\": 2, \"pong\": true}"
         );
     }
 
@@ -914,14 +1001,17 @@ mod tests {
 
         // `spec` before `op`, an unknown key in between.
         let request = format!(
-            "{{\"spec\": {}, \"trace\": [1, {{}}], \"op\": \"submit\"}}",
+            "{{\"spec\": {}, \"trace\": [1, {{}}], \"op\": \"submit\", \"version\": 2}}",
             encode_spec(&spec)
         );
         let reply = raw_exchange(&mut client, request.as_bytes());
         let local = net.server().submit(&spec).expect("local execution");
         // The outcome document sits in the reply as it was encoded:
         // nested, not escaped.
-        assert_eq!(reply, format!("{{\"ok\": {}}}", encode_outcome(&local)));
+        assert_eq!(
+            reply,
+            format!("{{\"version\": 2, \"ok\": {}}}", encode_outcome(&local))
+        );
         assert!(!reply.contains('\\'), "{reply}");
         let remote = NetClient::decode_submit_reply(reply.as_bytes())
             .expect("a submit reply")
@@ -931,24 +1021,125 @@ mod tests {
         // The request is the spec document inside its envelope, as is.
         assert_eq!(
             NetClient::encode_submit(&spec),
-            format!("{{\"op\": \"submit\", \"spec\": {}}}", encode_spec(&spec))
+            format!(
+                "{{\"version\": 2, \"op\": \"submit\", \"spec\": {}}}",
+                encode_spec(&spec)
+            )
         );
 
         // Not a request, and not a reply.
-        let reply = raw_exchange(&mut client, b"{\"spec\": {}}");
+        let reply = raw_exchange(&mut client, b"{\"version\": 2, \"spec\": {}}");
         assert!(reply.contains("request: missing op"), "{reply}");
         for garbage in [
             "",
-            "{\"ok\": 7}",
-            "{\"ok\": {}} x",
+            "{\"version\": 2, \"ok\": 7}",
+            "{\"version\": 2, \"ok\": {}} x",
             "[]",
-            "{\"pong\": true}",
+            "{\"version\": 2, \"pong\": true}",
         ] {
             assert!(
                 NetClient::decode_submit_reply(garbage.as_bytes()).is_err(),
                 "{garbage:?} is no submit reply"
             );
         }
+    }
+
+    #[test]
+    fn requests_of_another_version_are_refused_by_name() {
+        let net = worker();
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        let submit = NetClient::encode_submit(&golden_spec(1));
+        let unversioned = submit.replacen("\"version\": 2, ", "", 1);
+        assert_ne!(unversioned, submit);
+        let cases = [
+            (
+                "{\"op\": \"ping\"}".to_string(),
+                "carries no version (frame version 1)",
+            ),
+            (unversioned, "carries no version (frame version 1)"),
+            (
+                "{\"op\": \"ping\", \"version\": 3}".to_string(),
+                "is frame version 3",
+            ),
+            (
+                submit.replacen("\"version\": 2", "\"version\": 1", 1),
+                "is frame version 1",
+            ),
+        ];
+        for (frame, theirs) in &cases {
+            let reply = raw_exchange(&mut client, frame.as_bytes());
+            assert!(
+                reply.starts_with("{\"version\": 2, \"err\": {\"kind\": \"wire\""),
+                "{reply}"
+            );
+            match reply_error(&reply) {
+                ServeError::Execution(e) => {
+                    assert!(!e.is_transient());
+                    let message = e.to_string();
+                    assert!(message.contains(&format!("request {theirs}")), "{message}");
+                    assert!(message.contains("speaks frame version 2"), "{message}");
+                }
+                other => panic!("expected an execution error, got {other}"),
+            }
+        }
+        // Refused before anything was served, on a connection that
+        // still works.
+        assert_eq!(net.server().stats().requests, 0);
+        assert!(client.ping().expect("ping on the same connection"));
+    }
+
+    #[test]
+    fn replies_of_another_version_are_refused_answers() {
+        let net = worker();
+        let local = net
+            .server()
+            .submit(&golden_spec(2))
+            .expect("local execution");
+        let outcome = encode_outcome(&local);
+        let refused = |reply: String, theirs: &str| {
+            let result = NetClient::decode_submit_reply(reply.as_bytes());
+            match result.expect("an answer, not a transport failure") {
+                Err(ServeError::Execution(e)) => {
+                    assert!(!e.is_transient());
+                    let message = e.to_string();
+                    assert!(message.contains(&format!("reply {theirs}")), "{message}");
+                    assert!(message.contains("speaks frame version 2"), "{message}");
+                }
+                other => panic!("expected an execution error, got {other:?}"),
+            }
+        };
+        // A peer from before frames had a version; its answer is not read.
+        refused(format!("{{\"ok\": {outcome}}}"), "carries no version");
+        refused("{\"ok\": [\"data\"]}".to_string(), "carries no version");
+        refused(
+            "{\"version\": 3, \"ok\": 7}".to_string(),
+            "is frame version 3",
+        );
+        refused(
+            format!("{{\"version\": 2, \"ok\": {outcome}, \"version\": 1}}"),
+            "is frame version 1",
+        );
+
+        // This version's answer is read wherever the version stands.
+        let late = format!("{{\"ok\": {outcome}, \"version\": 2}}");
+        let remote = NetClient::decode_submit_reply(late.as_bytes())
+            .expect("a submit reply")
+            .expect("an outcome");
+        assert_eq!(encode_outcome(&remote), outcome);
+        let err = format!(
+            "{{\"err\": {}, \"version\": 2}}",
+            enc_serve_error(&ServeError::Quarantined)
+        );
+        let decoded = NetClient::decode_submit_reply(err.as_bytes()).expect("a submit reply");
+        assert!(
+            matches!(decoded, Err(ServeError::Quarantined)),
+            "{decoded:?}"
+        );
+    }
+
+    #[test]
+    fn the_envelope_literal_is_this_versions() {
+        assert_eq!(ENVELOPE, format!("{{\"version\": {FRAME_VERSION}, "));
     }
 
     #[test]

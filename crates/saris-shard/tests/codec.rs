@@ -89,9 +89,9 @@ fn two_submitters_on_one_shard_get_the_bare_sessions_answers() {
     assert_eq!((stats.retries, stats.rehashes), (0, 0));
 }
 
-/// A worker that frames correctly and answers every submission with a
-/// document that is not a submit reply.
-fn garbling_worker() -> SocketAddr {
+/// A worker that frames correctly and answers each request frame with
+/// `reply(frame)`.
+fn scripted_worker(reply: fn(&[u8]) -> &'static [u8]) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
@@ -100,12 +100,7 @@ fn garbling_worker() -> SocketAddr {
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(stream);
                 while let Ok(frame) = read_frame(&mut reader, MAX_FRAME_LEN) {
-                    let reply: &[u8] = if frame == b"{\"op\": \"ping\"}" {
-                        b"{\"pong\": true}"
-                    } else {
-                        b"{\"ok\": 7}"
-                    };
-                    if write_frame(reader.get_mut(), reply).is_err() {
+                    if write_frame(reader.get_mut(), reply(&frame)).is_err() {
                         return;
                     }
                 }
@@ -113,6 +108,18 @@ fn garbling_worker() -> SocketAddr {
         }
     });
     addr
+}
+
+/// A worker that frames correctly and answers every submission with a
+/// document that is not a submit reply.
+fn garbling_worker() -> SocketAddr {
+    scripted_worker(|frame| {
+        if frame == b"{\"version\": 2, \"op\": \"ping\"}" {
+            b"{\"version\": 2, \"pong\": true}"
+        } else {
+            b"{\"version\": 2, \"ok\": 7}"
+        }
+    })
 }
 
 #[test]
@@ -146,4 +153,55 @@ fn an_undecodable_reply_is_retried_then_rehashed() {
     assert_eq!((stats.retries, stats.rehashes), (1, 1));
     assert_eq!(pair.live_shards(), 1);
     assert_eq!(pair.route(routed_to_garbler.fingerprint()), Some(1));
+}
+
+#[test]
+fn a_peer_of_another_version_is_refused_not_rehashed() {
+    let config = ShardConfig {
+        retry_backoff: Duration::from_micros(100),
+        ..ShardConfig::default()
+    };
+    // A worker that answered the ping as this version and then answers
+    // submissions as one from before frames had a version: each answer
+    // is a refusal naming both versions. The shard is not retried, not
+    // marked dead, and nothing moves to the healthy one.
+    let old = scripted_worker(|frame| {
+        if frame == b"{\"version\": 2, \"op\": \"ping\"}" {
+            b"{\"version\": 2, \"pong\": true}"
+        } else {
+            b"{\"ok\": {\"extent\": [1, 1, 1], \"data\": [0.5]}}"
+        }
+    });
+    let healthy = worker();
+    let pair = Coordinator::with_config(&[old, healthy.addr()], config).expect("coordinator");
+    let routed_to_old = (0..)
+        .map(|seed| spec(seed, Fidelity::Golden))
+        .find(|s| pair.route(s.fingerprint()) == Some(0))
+        .expect("some spec routes to shard 0");
+    for _ in 0..2 {
+        match pair.submit(&routed_to_old) {
+            Err(ServeError::Execution(e)) => {
+                assert!(!e.is_transient());
+                let message = e.to_string();
+                assert!(
+                    message.contains("carries no version (frame version 1)"),
+                    "{message}"
+                );
+                assert!(message.contains("speaks frame version 2"), "{message}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    let stats = pair.stats();
+    assert_eq!(stats.routed, [2, 0]);
+    assert_eq!((stats.retries, stats.rehashes), (0, 0));
+    assert_eq!(pair.live_shards(), 2);
+
+    // A worker of another version from the start fails the coordinator's
+    // construction, by name.
+    let newer = scripted_worker(|_| b"{\"version\": 3, \"pong\": true}");
+    let err = Coordinator::with_config(&[newer], config).expect_err("a version-3 worker");
+    let message = err.to_string();
+    assert!(message.contains("reply is frame version 3"), "{message}");
+    assert!(message.contains("speaks frame version 2"), "{message}");
 }

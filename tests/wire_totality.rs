@@ -225,9 +225,9 @@ fn mutated_request_frames_are_all_answered() {
     let requests = [
         NetClient::encode_submit(&jacobi(Fidelity::Golden)),
         NetClient::encode_submit(&jacobi(Fidelity::Analytic)),
-        format!("{{\"op\": \"import_calibration\", \"data\": {export}}}"),
-        "{\"op\": \"export_calibration\"}".to_string(),
-        "{\"op\": \"ping\"}".to_string(),
+        format!("{{\"version\": 2, \"op\": \"import_calibration\", \"data\": {export}}}"),
+        "{\"version\": 2, \"op\": \"export_calibration\"}".to_string(),
+        "{\"version\": 2, \"op\": \"ping\"}".to_string(),
     ];
     let (mut sent, mut served) = (0, 0);
     for (r, request) in requests.iter().enumerate() {
@@ -245,7 +245,11 @@ fn mutated_request_frames_are_all_answered() {
             let reply = String::from_utf8(reply).expect("replies are UTF-8");
             let document = json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
             let keys = document.as_object("reply").expect("replies are objects");
-            assert_eq!(keys.len(), 1, "{reply}");
+            // One answer, next to the envelope's version.
+            let version = keys.get("version").map(|v| v.as_u64("version"));
+            assert_eq!(version, Some(Ok(2)), "{reply}");
+            let answers = keys.keys().filter(|key| *key != "version").count();
+            assert_eq!(answers, 1, "{reply}");
             sent += 1;
             served += usize::from(!keys.contains_key("err"));
             if keys.contains_key("ok") {
