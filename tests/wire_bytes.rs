@@ -219,17 +219,19 @@ fn outcome_specs() -> Vec<(&'static str, WorkloadSpec)> {
 /// with the key derivation: re-recorded when fingerprints became stable
 /// keys, with every other byte unchanged. The tuned outcome was
 /// re-recorded once more when the tuner started proving bounds: it
-/// carries them, and it simulates one candidate instead of two.
+/// carries them, and it simulates one candidate instead of two. The
+/// rows with grids were re-recorded when grids became packed bit
+/// patterns (format version 2), with every other byte unchanged.
 const PINNED_DOCUMENTS: [(&str, usize, u64); 10] = [
     ("spec dma_probe", 616, 0x308ce3c0b11609f8),
-    ("spec explicit_grids", 2144, 0xd6f005d4c0769b0b),
+    ("spec explicit_grids", 2719, 0xa15a8af26b4b2631),
     ("spec unusual_options", 1453, 0x4201a0fe109cc548),
     ("spec leapfrog", 3058, 0xe5125c3be0086140),
-    ("outcome cycles_verified", 6661, 0x45e16a5b7ba946ec),
-    ("outcome golden", 4811, 0xfc853fbe7a6fbef9),
+    ("outcome cycles_verified", 6338, 0x4d8129d20cf44121),
+    ("outcome golden", 4488, 0xf01a51e84cfec51e),
     ("outcome analytic", 2050, 0x150f893be12a7c8f),
-    ("outcome tuned", 6754, 0xdc28590810bbc961),
-    ("outcome multi_step", 23189, 0xcfe31e008ea29ca2),
+    ("outcome tuned", 6397, 0xe2be0db20f047f99),
+    ("outcome multi_step", 33573, 0x6638763c6666add3),
     ("outcome dma_probe", 364, 0x92d856d3cd0266fd),
 ];
 
