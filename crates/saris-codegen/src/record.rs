@@ -129,9 +129,9 @@ impl Wire for bool {
 }
 
 /// Bit-exact: finite values in Rust's shortest round-trip form, re-read
-/// by the correctly rounded `str::parse`; non-finite ones (a NaN payload
-/// in a grid must survive) as the string `"0x<16 hex digits>"` of
-/// [`f64::to_bits`].
+/// by the correctly rounded `str::parse`; non-finite ones (a NaN keeps
+/// its payload) as the string `"0x<16 hex digits>"` of [`f64::to_bits`].
+/// Grids do not come through here: they are packed (see `wire`).
 impl Wire for f64 {
     fn enc(&self, out: &mut String) {
         use std::fmt::Write as _;

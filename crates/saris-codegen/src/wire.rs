@@ -279,7 +279,7 @@ fn unpack_bits(hex: &str, what: &str) -> Result<Vec<f64>, JsonError> {
         )));
     }
     let mut values = Vec::with_capacity(bytes.len() / DIGITS_PER_VALUE);
-    for (at, digits) in bytes.chunks_exact(DIGITS_PER_VALUE).enumerate() {
+    for digits in bytes.chunks_exact(DIGITS_PER_VALUE) {
         let (mut bits, mut seen) = (0u64, 0u8);
         for &digit in digits {
             let value = HEX_VALUES[usize::from(digit)];
@@ -287,17 +287,10 @@ fn unpack_bits(hex: &str, what: &str) -> Result<Vec<f64>, JsonError> {
             bits = bits << 4 | u64::from(value & 0xf);
         }
         if seen & NOT_HEX != 0 {
-            // Every byte before this value's is a digit, so its first
-            // byte starts a character.
-            let start = at * DIGITS_PER_VALUE;
-            let offset = digits
-                .iter()
-                .position(|&d| HEX_VALUES[usize::from(d)] == NOT_HEX);
-            let bad = start + offset.expect("a byte that is not a digit");
-            let found = hex[bad..]
-                .chars()
-                .next()
-                .expect("a character at a boundary");
+            let (bad, found) = hex
+                .char_indices()
+                .find(|(_, c)| !matches!(c, '0'..='9' | 'a'..='f'))
+                .expect("a character that is not a digit");
             return Err(json::error(&format!(
                 "{what}: {found:?} at digit {bad} is not a lowercase hex digit"
             )));

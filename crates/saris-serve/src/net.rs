@@ -42,9 +42,12 @@
 //! both versions, and a reply of another version decodes to the same
 //! non-transient [`ServeError::Execution`] without its answer being
 //! read: a mismatched peer is refused in-band, never mis-decoded, and
-//! the coordinator neither retries nor rehashes on it. Both sides write
-//! the version first, so a reply's answer is decoded where it lies
-//! once the version before it has been read.
+//! the coordinator neither retries nor rehashes on it.
+//!
+//! A reply's version comes before its answer, which is decoded where it
+//! lies once the version has said how; an answer ahead of the version
+//! is passed over, so such a reply carries none. Requests are read
+//! whole before they are served, so their keys keep any order.
 //!
 //! A reply the client cannot attribute to a request (malformed frame,
 //! unknown op) comes back as an `{"err": {"kind": "wire", ...}}`
@@ -94,7 +97,7 @@ use saris_codegen::wire::{
     decode_outcome_from, encode_outcome_into, encode_spec_into, read_frame, write_frame,
     FRAME_VERSION, MAX_FRAME_LEN,
 };
-use saris_codegen::{CalibrationStore, CodegenError, Outcome, StencilInterner, WorkloadSpec};
+use saris_codegen::{CalibrationStore, CodegenError, StencilInterner, WorkloadSpec};
 
 use crate::{ServeError, ServeResult, Server, TIER_NAMES};
 
@@ -145,15 +148,9 @@ fn enc_serve_error(out: &mut String, e: &ServeError) {
     out.push('}');
 }
 
-/// How every request and reply begins: the envelope's version
-/// ([`FRAME_VERSION`]), as a literal the fixed requests are
-/// `concat!`ed from.
-macro_rules! envelope {
-    () => {
-        "{\"version\": 2, "
-    };
-}
-const ENVELOPE: &str = envelope!();
+/// How every request and reply begins: the envelope's version,
+/// [`FRAME_VERSION`].
+const ENVELOPE: &str = "{\"version\": 2, ";
 
 /// Why a frame whose envelope says `version` is refused, naming both
 /// versions; `None` for this build's.
@@ -166,10 +163,6 @@ fn version_mismatch(version: Option<u64>, what: &str) -> Option<String> {
     Some(format!(
         "{what} {theirs}; this peer speaks frame version {FRAME_VERSION}"
     ))
-}
-
-fn version_error(reason: String) -> ServeError {
-    ServeError::Execution(Arc::new(CodegenError::Wire { reason }))
 }
 
 /// Appends an `"err"` member of kind `wire` and closes the envelope.
@@ -555,20 +548,27 @@ impl NetClient {
     /// another frame version is an answer, not a broken reply: a
     /// non-transient [`ServeError::Execution`] naming both versions.
     pub fn decode_submit_reply(reply: &[u8]) -> io::Result<ServeResult> {
-        let bad = |e: JsonError| invalid(format!("bad submit reply: {e}"));
-        let mut read = read_submit_reply(reply, false).map_err(bad)?;
-        if let Some(reason) = version_mismatch(read.version, "reply") {
-            return Ok(Err(version_error(reason)));
+        let (mut version, mut ok, mut err) = (None, None, None);
+        read_reply(reply, "submit reply", |key, r| {
+            match key {
+                "version" => version = Some(r.u64("reply version")?),
+                "ok" if version == Some(FRAME_VERSION) => ok = Some(decode_outcome_from(r)?),
+                "err" if version == Some(FRAME_VERSION) => err = Some(dec_serve_error(r)?),
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })
+        .map_err(|e| invalid(format!("bad submit reply: {e}")))?;
+        if let Some(reason) = version_mismatch(version, "reply") {
+            return Ok(Err(ServeError::Execution(Arc::new(CodegenError::Wire {
+                reason,
+            }))));
         }
-        if read.unread {
-            // The version came after the answer: read it again, knowing.
-            read = read_submit_reply(reply, true).map_err(bad)?;
-        }
-        match (read.ok, read.err) {
+        match (ok, err) {
             (Some(outcome), _) => Ok(Ok(Arc::new(outcome))),
             (None, Some(err)) => Ok(Err(err)),
             (None, None) => Err(invalid(
-                "submit reply carries neither ok nor err".to_string(),
+                "submit reply carries neither ok nor err after its version".to_string(),
             )),
         }
     }
@@ -614,8 +614,8 @@ impl NetClient {
     /// Fetches the worker's calibration store as JSON (`None` when its
     /// session runs without one).
     pub fn export_calibration(&mut self) -> io::Result<Option<String>> {
-        let request = concat!(envelope!(), "\"op\": \"export_calibration\"}");
-        self.ask(request, "calibration", |r| {
+        let request = format!("{ENVELOPE}\"op\": \"export_calibration\"}}");
+        self.ask(&request, "calibration", |r| {
             if r.null()? {
                 Ok(None)
             } else {
@@ -641,40 +641,9 @@ impl NetClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        let request = concat!(envelope!(), "\"op\": \"ping\"}");
-        self.ask(request, "pong", |r| r.bool("pong"))
+        let request = format!("{ENVELOPE}\"op\": \"ping\"}}");
+        self.ask(&request, "pong", |r| r.bool("pong"))
     }
-}
-
-/// The members of a submit reply.
-#[derive(Default)]
-struct SubmitReply {
-    version: Option<u64>,
-    ok: Option<Outcome>,
-    err: Option<ServeError>,
-    /// An answer was passed over because no version had come before it.
-    unread: bool,
-}
-
-/// Reads a submit reply. An answer is decoded only once the reply is
-/// known to be of this build's version — from a version member before
-/// it, or from `known` — and passed over otherwise.
-fn read_submit_reply(reply: &[u8], known: bool) -> Result<SubmitReply, JsonError> {
-    let mut read = SubmitReply::default();
-    read_reply(reply, "submit reply", |key, r| {
-        match key {
-            "version" if !known => read.version = Some(r.u64("reply version")?),
-            "ok" | "err" if !known && read.version != Some(FRAME_VERSION) => {
-                read.unread = true;
-                r.skip_value()?;
-            }
-            "ok" => read.ok = Some(decode_outcome_from(r)?),
-            "err" => read.err = Some(dec_serve_error(r)?),
-            _ => r.skip_value()?,
-        }
-        Ok(())
-    })?;
-    Ok(read)
 }
 
 /// Reads a reply frame — one JSON object — handing every key, with the
@@ -1046,6 +1015,7 @@ mod tests {
 
     #[test]
     fn requests_of_another_version_are_refused_by_name() {
+        assert_eq!(ENVELOPE, format!("{{\"version\": {FRAME_VERSION}, "));
         let net = worker();
         let mut client = NetClient::connect(net.addr()).expect("connect");
         let submit = NetClient::encode_submit(&golden_spec(1));
@@ -1120,26 +1090,21 @@ mod tests {
             "is frame version 1",
         );
 
-        // This version's answer is read wherever the version stands.
-        let late = format!("{{\"ok\": {outcome}, \"version\": 2}}");
-        let remote = NetClient::decode_submit_reply(late.as_bytes())
-            .expect("a submit reply")
-            .expect("an outcome");
-        assert_eq!(encode_outcome(&remote), outcome);
-        let err = format!(
-            "{{\"err\": {}, \"version\": 2}}",
-            enc_serve_error(&ServeError::Quarantined)
-        );
-        let decoded = NetClient::decode_submit_reply(err.as_bytes()).expect("a submit reply");
+        // This version's answer is read after the version, and only there.
+        let err = enc_serve_error(&ServeError::Quarantined);
+        let first = format!("{{\"version\": 2, \"err\": {err}}}");
+        let decoded = NetClient::decode_submit_reply(first.as_bytes()).expect("a submit reply");
         assert!(
             matches!(decoded, Err(ServeError::Quarantined)),
             "{decoded:?}"
         );
-    }
-
-    #[test]
-    fn the_envelope_literal_is_this_versions() {
-        assert_eq!(ENVELOPE, format!("{{\"version\": {FRAME_VERSION}, "));
+        for late in [
+            format!("{{\"err\": {err}, \"version\": 2}}"),
+            format!("{{\"ok\": {outcome}, \"version\": 2}}"),
+        ] {
+            let result = NetClient::decode_submit_reply(late.as_bytes());
+            assert!(result.is_err(), "{late}: {result:?}");
+        }
     }
 
     #[test]
