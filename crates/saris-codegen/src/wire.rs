@@ -142,11 +142,23 @@ use crate::workload::{
 /// length prefix fails fast instead of exhausting memory.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// The one spelling of [`FRAME_VERSION`], so that [`FRAME_ENVELOPE`]
+/// can splice it into a literal.
+macro_rules! frame_version {
+    () => {
+        2
+    };
+}
+
 /// The version of the document format, carried by every frame's
 /// envelope. Version 2 packs grids as bit patterns; a change to any
 /// document's bytes that a peer of this version would misread takes the
 /// next one.
-pub const FRAME_VERSION: u64 = 2;
+pub const FRAME_VERSION: u64 = frame_version!();
+
+/// How every frame's envelope begins: `{"version": FRAME_VERSION, `,
+/// followed by the frame's own members.
+pub const FRAME_ENVELOPE: &str = concat!("{\"version\": ", frame_version!(), ", ");
 
 /// Payloads up to this size are copied behind their length prefix so
 /// the whole frame is one `write`; of a larger one only this much is.

@@ -95,7 +95,7 @@ use std::time::Duration;
 use saris_codegen::json::{self, JsonError, Reader};
 use saris_codegen::wire::{
     decode_outcome_from, encode_outcome_into, encode_spec_into, read_frame, write_frame,
-    FRAME_VERSION, MAX_FRAME_LEN,
+    FRAME_ENVELOPE, FRAME_VERSION, MAX_FRAME_LEN,
 };
 use saris_codegen::{CalibrationStore, CodegenError, StencilInterner, WorkloadSpec};
 
@@ -147,10 +147,6 @@ fn enc_serve_error(out: &mut String, e: &ServeError) {
     }
     out.push('}');
 }
-
-/// How every request and reply begins: the envelope's version,
-/// [`FRAME_VERSION`].
-const ENVELOPE: &str = "{\"version\": 2, ";
 
 /// Why a frame whose envelope says `version` is refused, naming both
 /// versions; `None` for this build's.
@@ -405,9 +401,9 @@ fn handle_connection(stream: TcpStream, shared: &NetShared) {
 /// Leaves the reply to `frame` in `reply`.
 fn respond(shared: &NetShared, frame: &[u8], reply: &mut String) {
     reply.clear();
-    reply.push_str(ENVELOPE);
+    reply.push_str(FRAME_ENVELOPE);
     if let Err(e) = try_respond(shared, frame, reply) {
-        reply.truncate(ENVELOPE.len());
+        reply.truncate(FRAME_ENVELOPE.len());
         wire_reply_err(reply, &e.reason);
     }
 }
@@ -527,7 +523,7 @@ impl NetClient {
     /// connection, so a caller sharing one can encode before taking it.
     pub fn encode_submit(spec: &WorkloadSpec) -> String {
         let mut request = String::with_capacity(2048);
-        request.push_str(ENVELOPE);
+        request.push_str(FRAME_ENVELOPE);
         request.push_str("\"op\": \"submit\", \"spec\": ");
         encode_spec_into(&mut request, spec);
         request.push('}');
@@ -614,7 +610,7 @@ impl NetClient {
     /// Fetches the worker's calibration store as JSON (`None` when its
     /// session runs without one).
     pub fn export_calibration(&mut self) -> io::Result<Option<String>> {
-        let request = format!("{ENVELOPE}\"op\": \"export_calibration\"}}");
+        let request = format!("{FRAME_ENVELOPE}\"op\": \"export_calibration\"}}");
         self.ask(&request, "calibration", |r| {
             if r.null()? {
                 Ok(None)
@@ -633,7 +629,7 @@ impl NetClient {
     /// value, as [`NetClient::export_calibration`] and
     /// [`CalibrationStore::to_json`] produce.
     pub fn import_calibration(&mut self, data: &str) -> io::Result<usize> {
-        let request = format!("{ENVELOPE}\"op\": \"import_calibration\", \"data\": {data}}}");
+        let request = format!("{FRAME_ENVELOPE}\"op\": \"import_calibration\", \"data\": {data}}}");
         self.ask(&request, "merged", |r| {
             r.u64("merged count").map(|merged| merged as usize)
         })
@@ -641,7 +637,7 @@ impl NetClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        let request = format!("{ENVELOPE}\"op\": \"ping\"}}");
+        let request = format!("{FRAME_ENVELOPE}\"op\": \"ping\"}}");
         self.ask(&request, "pong", |r| r.bool("pong"))
     }
 }
@@ -1015,7 +1011,7 @@ mod tests {
 
     #[test]
     fn requests_of_another_version_are_refused_by_name() {
-        assert_eq!(ENVELOPE, format!("{{\"version\": {FRAME_VERSION}, "));
+        assert_eq!(FRAME_ENVELOPE, format!("{{\"version\": {FRAME_VERSION}, "));
         let net = worker();
         let mut client = NetClient::connect(net.addr()).expect("connect");
         let submit = NetClient::encode_submit(&golden_spec(1));
