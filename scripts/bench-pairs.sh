@@ -8,13 +8,14 @@
 # its own checkout. PAIRS (default 10) pairs of untraced runs go one after
 # the other, the side that goes first alternating from pair to pair, at
 # seed SEED (default 1), with MALLOC_MMAP_THRESHOLD_ pinned as run.sh pins
-# it and the run length of BENCHMARK.json (BENCH_SECONDS overrides it).
+# it and BENCHMARK.json's run_seconds as the run length.
 #
 # For each end-to-end metric of BENCHMARK.json it prints the parent's
 # median and interquartile range, the change's median, the change in %,
 # how many pairs the change won (in the metric's better direction) and
-# whether that clears the claim rule (won >= 9/10 of the pairs, and the
-# medians differ by more than the parent's IQR, the right way). Then the
+# whether that clears the claim rule (won >= 9/10 of the pairs, the
+# medians differ by more than the parent's IQR, the right way, and the
+# change failed no more operations than the parent in all). Then the
 # failed operations of every run, per side. The result lines are kept,
 # one JSON line per run in pair order, in BENCH_PAIRS_DIR (default: a
 # new temporary directory), whose path is printed first.
@@ -27,7 +28,7 @@ fi
 parent_bin=$1 change_bin=$2 workload=$3 pairs=${4:-10} seed=${5:-1}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 spec="$root/BENCHMARK.json"
-seconds=${BENCH_SECONDS:-$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$spec")}
+seconds=$(awk -F'[:,]' '/"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$spec")
 dir=${BENCH_PAIRS_DIR:-$(mktemp -d)}
 mkdir -p "$dir"
 : > "$dir/parent.jsonl"
@@ -62,7 +63,10 @@ awk -v pairs="$pairs" '
         next
     }
     { side = (FILENAME == ARGV[2]) ? "parent" : "change"; row = ++rows[side] }
-    match($0, /"failed": [0-9]+/) { failed[side, row] = substr($0, RSTART + 10, RLENGTH - 10) }
+    match($0, /"failed": [0-9]+/) {
+        failed[side, row] = substr($0, RSTART + 10, RLENGTH - 10)
+        failed_total[side] += failed[side, row]
+    }
     {
         for (m = 1; m <= n; m++) {
             if (match($0, "\"" names[m] "\": \\{\"value\": [-0-9.eE+]+")) {
@@ -88,6 +92,8 @@ awk -v pairs="$pairs" '
             print "incomplete: " rows["parent"] " parent and " rows["change"] " change runs" > "/dev/stderr"
             exit 1
         }
+        # More failed operations on the change side void every claim.
+        more_failed = failed_total["change"] > failed_total["parent"]
         printf "%-12s %-7s %14s %12s %14s %9s %6s %s\n", "metric", "better", "parent_median",
             "parent_iqr", "change_median", "change_%", "won", "claim"
         for (m = 1; m <= n; m++) {
@@ -99,7 +105,7 @@ awk -v pairs="$pairs" '
             won = 0
             for (i = 1; i <= pairs; i++) won += sign * (v["change", name, i] - v["parent", name, i]) > 0
             gain = sign * (cm - pm)
-            claim = (won * 10 >= pairs * 9 && gain > iqr) ? "yes" : "no"
+            claim = (won * 10 >= pairs * 9 && gain > iqr && !more_failed) ? "yes" : "no"
             printf "%-12s %-7s %14.6g %12.4g %14.6g %+8.1f%% %3d/%-2d %s\n", name, better[name], pm,
                 iqr, cm, pm == 0 ? 0 : 100 * (cm - pm) / pm, won, pairs, claim
         }
@@ -109,5 +115,7 @@ awk -v pairs="$pairs" '
             for (i = 1; i <= pairs; i++) line = line " " failed[side, i]
             print line
         }
+        if (more_failed)
+            print "claim no: the change failed " failed_total["change"] " operations, the parent " failed_total["parent"]
     }
 ' "$spec" "$dir/parent.jsonl" "$dir/change.jsonl"
