@@ -50,6 +50,20 @@ pub enum BuildProgramError {
     /// The program has no `halt` on some path (detected as: the final
     /// instruction can fall through).
     MissingHalt,
+    /// An affine stream configuration the simulator cannot represent.
+    InvalidAffineStream {
+        /// Index of the `ssr_setup` instruction.
+        at: usize,
+        /// Explanation of the violation.
+        reason: &'static str,
+    },
+    /// An indirect stream configuration the simulator cannot represent.
+    InvalidIndirectStream {
+        /// Index of the `ssr_setup` instruction.
+        at: usize,
+        /// Explanation of the violation.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for BuildProgramError {
@@ -78,6 +92,12 @@ impl fmt::Display for BuildProgramError {
             }
             BuildProgramError::MissingHalt => {
                 write!(f, "program can fall off the end without a halt")
+            }
+            BuildProgramError::InvalidAffineStream { at, reason } => {
+                write!(f, "invalid affine stream at {at}: {reason}")
+            }
+            BuildProgramError::InvalidIndirectStream { at, reason } => {
+                write!(f, "invalid indirect stream at {at}: {reason}")
             }
         }
     }

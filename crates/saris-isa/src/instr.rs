@@ -249,12 +249,16 @@ pub struct AffineCfg {
 }
 
 impl AffineCfg {
-    /// Total number of elements produced by one job of this stream.
-    pub fn total_elems(&self) -> u64 {
+    /// Total number of elements produced by one job of this stream, or
+    /// `None` when `dims` is outside `1..=4` or the count does not fit
+    /// the `u32` a streamer counts a job in.
+    pub fn total_elems(&self) -> Option<u32> {
+        if !(1..=4).contains(&self.dims) {
+            return None;
+        }
         self.bounds[..self.dims as usize]
             .iter()
-            .map(|&b| b as u64)
-            .product()
+            .try_fold(1u32, |n, &b| n.checked_mul(b))
     }
 
     /// Number of configuration-register writes this setup costs on the core.
@@ -991,7 +995,22 @@ mod tests {
             strides: [8, 0, 0, 0],
             bounds: [5, 3, 2, 99],
         };
-        assert_eq!(a.total_elems(), 30);
+        assert_eq!(a.total_elems(), Some(30));
+        let too_long = AffineCfg {
+            dims: 2,
+            bounds: [1 << 16, 1 << 16, 1, 1],
+            ..a
+        };
+        assert_eq!(too_long.total_elems(), None);
+        let widest = AffineCfg {
+            dims: 4,
+            bounds: [u32::MAX; 4],
+            ..a
+        };
+        assert_eq!(widest.total_elems(), None);
+        for dims in [0, 5] {
+            assert_eq!(AffineCfg { dims, ..a }.total_elems(), None);
+        }
     }
 
     #[test]

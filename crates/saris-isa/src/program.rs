@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::error::BuildProgramError;
-use crate::instr::{BranchCond, Instr};
+use crate::instr::{BranchCond, Instr, SsrCfg};
 use crate::reg::IntReg;
 
 /// A forward-referencable code label handed out by [`ProgramBuilder::label`].
@@ -242,7 +242,10 @@ impl ProgramBuilder {
     /// Returns a [`BuildProgramError`] if a referenced label is unbound, an
     /// immediate exceeds its 12-bit field, a branch target is out of range
     /// or lands inside an FREP body, an FREP body contains non-FP
-    /// instructions, or the program can fall off the end without `halt`.
+    /// instructions, a stream configuration is one the simulator cannot
+    /// represent (an affine nest outside 1–4 dimensions or of more than
+    /// `u32::MAX` elements per job, an index shift of 64 bits or more),
+    /// or the program can fall off the end without `halt`.
     pub fn finish(mut self) -> Result<Program, BuildProgramError> {
         // Resolve labels.
         for (at, label) in &self.patches {
@@ -314,6 +317,7 @@ pub fn validate(program: &Program) -> Result<(), BuildProgramError> {
                     imm: *imm as i64,
                 });
             }
+            Instr::SsrSetup { cfg, .. } => stream_config(i, cfg)?,
             _ => {}
         }
     }
@@ -338,6 +342,30 @@ pub fn validate(program: &Program) -> Result<(), BuildProgramError> {
     match program.instrs().last() {
         Some(Instr::Halt) | Some(Instr::Jump { .. }) => Ok(()),
         _ => Err(BuildProgramError::MissingHalt),
+    }
+}
+
+/// Refuses a stream configuration the simulator cannot represent: it
+/// counts a job's elements in a `u32` and shifts a 64-bit index.
+fn stream_config(at: usize, cfg: &SsrCfg) -> Result<(), BuildProgramError> {
+    match cfg {
+        SsrCfg::Affine(a) if !(1..=4).contains(&a.dims) => {
+            Err(BuildProgramError::InvalidAffineStream {
+                at,
+                reason: "the loop nest must have 1 to 4 dimensions",
+            })
+        }
+        SsrCfg::Affine(a) if a.total_elems().is_none() => {
+            Err(BuildProgramError::InvalidAffineStream {
+                at,
+                reason: "the bounds multiply past u32::MAX elements per job",
+            })
+        }
+        SsrCfg::Indirect(i) if i.shift >= 64 => Err(BuildProgramError::InvalidIndirectStream {
+            at,
+            reason: "the index shift must be below 64 bits",
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -419,6 +447,83 @@ mod tests {
             b.finish().unwrap_err(),
             BuildProgramError::ImmOutOfRange { at: 0, imm: 2048 }
         ));
+    }
+
+    /// A program that configures one stream with `cfg` at index 0.
+    fn stream_program(cfg: SsrCfg) -> Result<Program, BuildProgramError> {
+        let mut b = ProgramBuilder::new();
+        b.push(Instr::SsrSetup {
+            ssr: crate::instr::SsrId::Ssr0,
+            cfg: Box::new(cfg),
+        });
+        b.push(Instr::Halt);
+        b.finish()
+    }
+
+    fn affine(dims: u8, bounds: [u32; 4]) -> SsrCfg {
+        SsrCfg::Affine(crate::instr::AffineCfg {
+            dir: crate::instr::StreamDir::Read,
+            base: 0x1_0000,
+            dims,
+            strides: [8, 64, 512, 4096],
+            bounds,
+        })
+    }
+
+    fn indirect(shift: u8) -> SsrCfg {
+        SsrCfg::Indirect(crate::instr::IndirectCfg {
+            dir: crate::instr::StreamDir::Read,
+            idx_base: 0x1_0000,
+            idx_count: 8,
+            idx_width: crate::instr::IndexWidth::U16,
+            shift,
+        })
+    }
+
+    #[test]
+    fn affine_streams_past_u32_elements_are_refused() {
+        // 2^16 x 2^16 is one past what a job counts; one less fits.
+        let err = stream_program(affine(2, [1 << 16, 1 << 16, 1, 1])).unwrap_err();
+        assert!(
+            matches!(err, BuildProgramError::InvalidAffineStream { at: 0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("u32::MAX"), "{err}");
+        // Four full bounds overflow even a u64 product.
+        let err = stream_program(affine(4, [u32::MAX; 4])).unwrap_err();
+        assert!(matches!(
+            err,
+            BuildProgramError::InvalidAffineStream { at: 0, .. }
+        ));
+        stream_program(affine(2, [(1 << 16) - 1, 1 << 16, 1, 1])).unwrap();
+        // Bounds past `dims` do not count.
+        stream_program(affine(1, [u32::MAX, u32::MAX, 0, 0])).unwrap();
+    }
+
+    #[test]
+    fn affine_streams_outside_four_dimensions_are_refused() {
+        for dims in [0, 5, u8::MAX] {
+            let err = stream_program(affine(dims, [4, 4, 4, 4])).unwrap_err();
+            assert!(
+                matches!(err, BuildProgramError::InvalidAffineStream { at: 0, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("1 to 4 dimensions"), "{err}");
+        }
+        stream_program(affine(4, [4, 4, 4, 4])).unwrap();
+    }
+
+    #[test]
+    fn indirect_shifts_of_64_bits_are_refused() {
+        for shift in [64, u8::MAX] {
+            let err = stream_program(indirect(shift)).unwrap_err();
+            assert!(
+                matches!(err, BuildProgramError::InvalidIndirectStream { at: 0, .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("below 64 bits"), "{err}");
+        }
+        stream_program(indirect(63)).unwrap();
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! [`Outcome`]s back, while the server keeps the per-request cost as low
 //! as the traffic allows:
 //!
-//! * a **bounded work queue** feeds a fixed pool of worker threads (one
-//!   pooled cluster each via the session), so bursts queue instead of
-//!   oversubscribing the machine;
+//! * **bounded execution**: at most [`ServeConfig::workers`] executions
+//!   run at once (one pooled cluster each via the session), so bursts
+//!   queue instead of oversubscribing the machine. A blocking
+//!   [`Server::submit`] that misses runs its own execution, on its own
+//!   thread, when a slot is free and nothing is queued — no handoff on
+//!   the path of the answer. Everything else goes through a **bounded
+//!   work queue** that a fixed pool of worker threads drains;
 //! * a **fingerprint-keyed, cost-aware response cache** answers repeated
 //!   specs without executing anything: a hit is a map probe and an `Arc`
 //!   clone. Eviction weighs each response by its *cost of recompute* (a
@@ -24,14 +28,15 @@
 //!   the response cache weighs eviction by (cycles ~700x / golden 2x /
 //!   analytic 1x), with aging so bulk work cannot starve behind a
 //!   stream of interactive requests. A worker takes the best-scored job
-//!   and runs it through [`Session::submit`] — one path from a
+//!   when a slot frees, and every execution — a worker's or a blocking
+//!   submitter's — runs through [`Session::submit`]: one path from a
 //!   spec to its outcome, whatever else is queued; requests that share a
 //!   kernel meet in the session's kernel cache, where the first compiles
 //!   and the rest hit;
 //! * **asynchronous admission** ([`Server::submit_async`]) returns a
 //!   [`ResponseHandle`] the producer polls, waits on, or attaches a
 //!   completion callback to, so submission decouples from completion and
-//!   one producer thread can keep the whole worker pool fed.
+//!   one producer thread can keep every execution slot fed.
 //!
 //! Responses are cacheable because specs are deterministic by
 //! construction: seeded inputs, a deterministic simulator, and a
@@ -45,8 +50,8 @@
 //! chaos harness ([`FaultInjectingBackend`]) exists precisely to make it
 //! do so on demand — and survives every failure mode it can observe:
 //!
-//! * **panic isolation** — a worker catches backend panics
-//!   (`catch_unwind`), converts them to
+//! * **panic isolation** — the thread running an execution, worker or
+//!   submitter, catches backend panics (`catch_unwind`), converts them to
 //!   [`ServeError::BackendPanicked`], and publishes that to every
 //!   coalesced waiter; the flight is always removed and its condvar
 //!   always signaled, so nobody hangs on a dead execution;
@@ -135,10 +140,10 @@ pub enum ServeError {
     /// is shared (`Arc`) because every coalesced waiter of a failed
     /// flight receives it.
     Execution(Arc<CodegenError>),
-    /// The backend panicked while executing the workload. The worker
-    /// caught the unwind, so the panic took down one execution — not the
-    /// worker, not the server — and every coalesced waiter receives this
-    /// same error.
+    /// The backend panicked while executing the workload. The thread
+    /// running the execution caught the unwind, so the panic took down
+    /// one execution — not that thread, not the server — and every
+    /// coalesced waiter receives this same error.
     BackendPanicked {
         /// The panic payload, when it was a string (the usual case);
         /// `"opaque panic payload"` otherwise.
@@ -207,15 +212,19 @@ impl std::error::Error for ServeError {
 // Not `Eq`: `aging_rate` is an `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Worker threads draining the queue. `0` means one per available
-    /// CPU.
+    /// Executions that run at once, on any thread, and the worker
+    /// threads that drain the queue. `0` means one per available CPU.
+    /// A blocking [`Server::submit`] may run its own execution in one of
+    /// these slots (see the crate docs); a worker takes a queued job only
+    /// when a slot is free.
     ///
     /// Default `0`: serving throughput scales with cores, and each
-    /// worker holds at most one pooled cluster, so per-CPU sizing never
-    /// oversubscribes the simulator.
+    /// execution holds at most one pooled cluster, so per-CPU sizing
+    /// never oversubscribes the simulator.
     pub workers: usize,
     /// Maximum queued (accepted but not yet executing) requests;
-    /// submissions beyond this block until a worker drains the queue.
+    /// submissions beyond this block until a worker drains the queue. A
+    /// blocking submission that runs its own execution never queues.
     /// `0` means `1`: a queue that can hold no job would block every
     /// cache miss until its deadline or shutdown.
     ///
@@ -396,15 +405,16 @@ pub struct ServeStats {
     /// Requests coalesced onto an already-in-flight identical spec
     /// (single-flight saves: these neither executed nor queued).
     pub coalesced: u64,
-    /// Workloads actually executed by workers (deadline-expired jobs
-    /// dropped at dequeue are not counted here).
+    /// Workloads actually executed, by a worker or by the submitting
+    /// thread (deadline-expired jobs dropped at dequeue are not counted
+    /// here).
     pub executed: u64,
     /// Executions whose final result was an error (after retries and
     /// degradation; errors propagate to every coalesced waiter and are
     /// never cached).
     pub errors: u64,
     /// Panics caught and isolated on serving threads: a backend that
-    /// panicked under a worker, or a completion callback
+    /// panicked in an execution, or a completion callback
     /// ([`ResponseHandle::on_complete`]) that panicked when its flight
     /// completed.
     pub panics: u64,
@@ -605,6 +615,13 @@ struct State {
     /// Workers whose loop is still running; [`Shared::worker_exit`]
     /// signals each decrement so shutdown can wait with a bound.
     live_workers: usize,
+    /// Executions running now, on a worker or on a submitting thread:
+    /// a job takes a slot when it is picked or claimed and gives it back
+    /// when it settles.
+    running: usize,
+    /// The execution bound, [`ServeConfig::effective_workers`]: `running`
+    /// never exceeds it.
+    slots: usize,
 }
 
 impl State {
@@ -681,17 +698,35 @@ impl State {
         })
     }
 
-    /// The pick stage: takes the best-scored job ([`pick_index`]).
+    /// The pick stage: takes the best-scored job ([`pick_index`]) into a
+    /// free execution slot, if there is one.
     fn pick(&mut self, config: &ServeConfig, now: Instant) -> Option<Job> {
-        pick_index(&self.jobs, now, config.aging_rate).map(|i| self.jobs.swap_remove(i))
+        if self.running >= self.slots {
+            return None;
+        }
+        let job =
+            pick_index(&self.jobs, now, config.aging_rate).map(|i| self.jobs.swap_remove(i))?;
+        self.running += 1;
+        Some(job)
     }
 
-    /// The settle stage, the single exit of every job: books the
-    /// execution and the spec's health, and takes the flight out of the
-    /// table — replaced by the response when it is a real answer, which
-    /// may evict another. Counters and cache change together, so no
-    /// snapshot sees a hit whose execution is not yet counted. The
-    /// caller completes the flight once the lock is released.
+    /// The claim stage, for a leader whose caller blocks on the result:
+    /// takes a free execution slot when nothing is queued, so the new job
+    /// is exactly the one the next [`pick`](State::pick) would choose and
+    /// may run on the caller's thread without overtaking anything.
+    fn claim(&mut self) -> bool {
+        let free = !self.closed && self.jobs.is_empty() && self.running < self.slots;
+        self.running += usize::from(free);
+        free
+    }
+
+    /// The settle stage, the single exit of every picked or claimed
+    /// job: books the execution and the spec's health, and takes the
+    /// flight out of the table — replaced by the response when it is a
+    /// real answer, which may evict another. Counters and cache change
+    /// together, so no snapshot sees a hit whose execution is not yet
+    /// counted. The caller completes the flight once the lock is
+    /// released, then [`release`](State::release)s the slot.
     fn settle(
         &mut self,
         config: &ServeConfig,
@@ -738,6 +773,16 @@ impl State {
             _ => None,
         };
         self.stats.cache_evictions += self.specs.settle(spec, answer, config.max_cached_responses);
+    }
+
+    /// The release stage, once a settled job's flight is complete (its
+    /// callbacks run in the slot): gives the slot back, books the
+    /// callbacks that panicked (see [`Flight::complete`]), and says
+    /// whether a job is queued for the slot.
+    fn release(&mut self, panicked: u64) -> bool {
+        self.running -= 1;
+        self.stats.panics += panicked;
+        !self.jobs.is_empty()
     }
 
     /// Books a final failure of a spec as a quarantine strike, first
@@ -809,9 +854,14 @@ impl Shared {
     }
 
     /// The submission path up to (but not including) waiting: lookup,
-    /// admission, and — for a leader — the enqueue, all under one hold
-    /// of the lock (a full queue's wait releases it).
-    fn begin(&self, spec: &WorkloadSpec, deadline: Option<Instant>) -> Wait {
+    /// admission, and — for a leader — a claimed slot or the enqueue,
+    /// all under one hold of the lock (a full queue's wait releases it).
+    /// `run_here` says the caller blocks on the result with no deadline,
+    /// so its leader may run the job itself ([`Wait::Run`]); a caller
+    /// with a deadline must be free to return at it while the flight
+    /// runs on, and a caller that does not wait leaves its job to the
+    /// workers.
+    fn begin(&self, spec: &WorkloadSpec, deadline: Option<Instant>, run_here: bool) -> Wait {
         let tier = self.tier(spec);
         let mut state = self.lock();
         let admitted = match state.lookup(spec) {
@@ -834,6 +884,9 @@ impl Shared {
                 return Wait::Ready(self.degrade_or(spec, err));
             }
         };
+        if run_here && state.claim() {
+            return Wait::Run(job);
+        }
         // Leader: enqueue, blocking while the queue is at capacity —
         // but never past the request's deadline.
         let err = loop {
@@ -847,8 +900,13 @@ impl Shared {
                     spec: spec.clone(),
                 };
                 state.jobs.push(job);
+                // With every slot taken no worker could pick it; the
+                // release that frees one wakes a worker instead.
+                let wake = state.running < state.slots;
                 drop(state);
-                self.not_empty.notify_one();
+                if wake {
+                    self.not_empty.notify_one();
+                }
                 return pending;
             }
             let (guard, expired) = wait_until(
@@ -884,9 +942,9 @@ impl Shared {
         }
     }
 
-    /// Executes one job with panic isolation and bounded retry
-    /// (worker side). Final infrastructure failures degrade; final
-    /// deterministic failures propagate untouched.
+    /// Executes one job with panic isolation and bounded retry. Final
+    /// infrastructure failures degrade; final deterministic failures
+    /// propagate untouched.
     fn execute_with_retry(&self, job: &Job) -> (ServeResult, Verdict) {
         let mut attempt: u32 = 0;
         loop {
@@ -911,7 +969,7 @@ impl Shared {
                 Ok(Err(err)) => {
                     let transient = err.is_transient();
                     // A retry must finish its backoff before the deadline:
-                    // a sleep past it answers nobody and wedges the worker.
+                    // a sleep past it answers nobody and holds a slot.
                     let backoff = self.config.retry_backoff * 2u32.saturating_pow(attempt);
                     let fits = job.deadline.is_none_or(|d| Instant::now() + backoff < d);
                     if transient && attempt < self.config.max_retries && fits {
@@ -934,9 +992,11 @@ impl Shared {
         }
     }
 
-    /// Executes one job, settles it, and completes its flight (worker
-    /// side).
-    fn finish(&self, job: Job) {
+    /// Executes a picked or claimed job in its slot, on a worker or on
+    /// the submitting thread; settles it, completes its flight with the
+    /// result it returns, and releases the slot, waking a worker if jobs
+    /// are queued for it.
+    fn finish(&self, job: Job) -> ServeResult {
         let (result, verdict) = if job.deadline.is_some_and(|d| Instant::now() >= d) {
             // Spent its whole deadline queued: don't burn a cluster on
             // an answer nobody is waiting for.
@@ -948,12 +1008,16 @@ impl Shared {
         let (tier, now) = (self.tier(&job.spec), Instant::now());
         self.lock()
             .settle(&self.config, &job.spec, tier, &result, verdict, now);
-        self.complete(&job.flight, result);
+        let panicked = job.flight.complete(result.clone(), &self.recovered);
+        if self.lock().release(panicked) {
+            self.not_empty.notify_one();
+        }
+        result
     }
 
-    /// Worker loop: take the best-scored job, wake one submitter
-    /// blocked on the full queue, run the job — until the queue is
-    /// closed *and* empty.
+    /// Worker loop: take the best-scored job once a slot is free, wake
+    /// one submitter blocked on the full queue, run the job — until the
+    /// queue is closed *and* empty.
     fn work(&self) {
         loop {
             let job = {
@@ -962,7 +1026,7 @@ impl Shared {
                     if let Some(job) = state.pick(&self.config, Instant::now()) {
                         break job;
                     }
-                    if state.closed {
+                    if state.closed && state.jobs.is_empty() {
                         return;
                     }
                     state =
@@ -970,12 +1034,13 @@ impl Shared {
                 }
             };
             self.not_full.notify_one();
-            self.finish(job);
+            // The flight carries the result to its waiters.
+            let _ = self.finish(job);
         }
     }
 }
 
-/// Renders a caught panic payload (worker side).
+/// Renders a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
@@ -997,7 +1062,8 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A pending or already-answered submission.
+/// A pending or already-answered submission, or a job its blocking
+/// caller runs itself.
 // The size skew is fine: exactly one `Wait` exists per submission, on
 // the submitting caller's stack, and boxing `Pending` would cost an
 // allocation per request on the hot path.
@@ -1009,12 +1075,17 @@ enum Wait {
         deadline: Option<Instant>,
         spec: WorkloadSpec,
     },
+    /// A led job holding a claimed slot ([`State::claim`]): only
+    /// [`Wait::wait`] may consume it, since its flight's waiters hang
+    /// until it runs. [`ResponseHandle`]s never hold one.
+    Run(Job),
 }
 
 impl Wait {
     fn wait(self, shared: &Shared) -> ServeResult {
         match self {
             Wait::Ready(result) => result,
+            Wait::Run(job) => shared.finish(job),
             Wait::Pending {
                 flight,
                 deadline,
@@ -1062,6 +1133,7 @@ impl ResponseHandle {
         match &self.state {
             Wait::Ready(result) => Some(result.clone()),
             Wait::Pending { flight, .. } => flight.poll(&self.shared.recovered),
+            Wait::Run(_) => unreachable!("asynchronous submissions never run on their caller"),
         }
     }
 
@@ -1076,8 +1148,8 @@ impl ResponseHandle {
 
     /// Registers `callback` to be invoked exactly once with the shared
     /// result — immediately on this thread when the result is already
-    /// available, otherwise on the worker thread that completes the
-    /// flight (keep callbacks short; they run inside the serving path —
+    /// available, otherwise on the thread that completes the flight,
+    /// which may be a submitter (keep callbacks short; they run inside the serving path —
     /// one that panics there is caught and counted in
     /// [`ServeStats::panics`], and costs nobody else their answer).
     /// The callback observes the *flight's* result: it fires when the
@@ -1093,6 +1165,7 @@ impl ResponseHandle {
             Wait::Pending { flight, .. } => {
                 flight.on_complete(Box::new(callback), &self.shared.recovered);
             }
+            Wait::Run(_) => unreachable!("asynchronous submissions never run on their caller"),
         }
     }
 }
@@ -1108,7 +1181,7 @@ impl fmt::Debug for ResponseHandle {
 /// A long-lived service answering [`WorkloadSpec`]s over a [`Session`].
 ///
 /// Dropping the server closes the queue, lets the workers drain what
-/// was already accepted, and joins them — waiting at most
+/// was already queued, and joins them — waiting at most
 /// [`ServeConfig::shutdown_timeout`] before detaching wedged workers
 /// with a logged warning. Requests still blocked on a full queue at
 /// shutdown resolve to [`ServeError::ShutDown`].
@@ -1150,14 +1223,18 @@ impl Server {
         let shared = Arc::new(Shared {
             session,
             config,
-            state: Mutex::new(State::default()),
+            state: Mutex::new(State {
+                slots: config.effective_workers(),
+                ..State::default()
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             worker_exit: Condvar::new(),
             recovered: AtomicU64::new(0),
         });
-        let mut workers = Vec::with_capacity(config.effective_workers());
-        for i in 0..config.effective_workers() {
+        let slots = shared.lock().slots;
+        let mut workers = Vec::with_capacity(slots);
+        for i in 0..slots {
             shared.lock().live_workers += 1;
             let worker_shared = Arc::clone(&shared);
             let spawned = std::thread::Builder::new()
@@ -1191,8 +1268,11 @@ impl Server {
 
     /// Answers one spec, blocking until the result is available: from
     /// the response cache, from an in-flight identical request, or by
-    /// queueing an execution. [`ServeConfig::default_deadline`], when
-    /// set, bounds the wait.
+    /// an execution — run on this thread when an execution slot is free
+    /// and nothing is queued, queued for a worker otherwise.
+    /// [`ServeConfig::default_deadline`], when set, bounds the wait, and
+    /// then the execution always goes to a worker, so that the caller
+    /// can return at the deadline while it runs on.
     ///
     /// # Errors
     ///
@@ -1208,8 +1288,9 @@ impl Server {
     /// (the default), infrastructure failures on degradable specs
     /// return an analytic `Ok` outcome (`telemetry.degraded`) instead.
     pub fn submit(&self, spec: &WorkloadSpec) -> ServeResult {
+        let deadline = self.default_deadline();
         self.shared
-            .begin(spec, self.default_deadline())
+            .begin(spec, deadline, deadline.is_none())
             .wait(&self.shared)
     }
 
@@ -1229,7 +1310,7 @@ impl Server {
     /// and spec allow) or fails with [`ServeError::DeadlineExceeded`].
     pub fn submit_with_deadline(&self, spec: &WorkloadSpec, budget: Duration) -> ServeResult {
         let deadline = Some(Instant::now() + budget);
-        self.shared.begin(spec, deadline).wait(&self.shared)
+        self.shared.begin(spec, deadline, false).wait(&self.shared)
     }
 
     /// Submits one spec without blocking on its execution, returning a
@@ -1241,7 +1322,7 @@ impl Server {
     /// [`ServeConfig::default_deadline`] applies when set.
     pub fn submit_async(&self, spec: &WorkloadSpec) -> ResponseHandle {
         ResponseHandle {
-            state: self.shared.begin(spec, self.default_deadline()),
+            state: self.shared.begin(spec, self.default_deadline(), false),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -1257,7 +1338,7 @@ impl Server {
     ) -> ResponseHandle {
         let deadline = Some(Instant::now() + budget);
         ResponseHandle {
-            state: self.shared.begin(spec, deadline),
+            state: self.shared.begin(spec, deadline, false),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -1270,7 +1351,7 @@ impl Server {
     pub fn submit_all(&self, specs: &[WorkloadSpec]) -> Vec<ServeResult> {
         let pending: Vec<Wait> = specs
             .iter()
-            .map(|spec| self.shared.begin(spec, self.default_deadline()))
+            .map(|spec| self.shared.begin(spec, self.default_deadline(), false))
             .collect();
         pending
             .into_iter()
@@ -1323,7 +1404,9 @@ impl Drop for Server {
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         // Bounded join: wait for the workers to drain, but never hang
-        // the dropping thread on a wedged backend — detach instead.
+        // the dropping thread on a wedged backend — detach instead. No
+        // submitter is running an execution of its own: `submit`
+        // borrows the server, so only workers can still hold slots.
         let deadline = Instant::now() + self.shared.config.shutdown_timeout;
         while state.live_workers > 0 {
             let (guard, expired) = wait_until(
@@ -1568,7 +1651,7 @@ mod tests {
         server.submit(&spec(1)).unwrap();
         let shared = Arc::clone(&server.shared);
         drop(server);
-        let wait = shared.begin(&spec(2), None);
+        let wait = shared.begin(&spec(2), None, true);
         assert!(matches!(wait.wait(&shared), Err(ServeError::ShutDown)));
     }
 
@@ -1660,6 +1743,49 @@ mod tests {
         assert!(matches!(refused, Err(ServeError::Quarantined)));
     }
 
+    /// The claim stage lets a blocking leader run its own job only when
+    /// that job is the one the next pick would choose: never past a
+    /// queued job, never over the slot bound, never after shutdown.
+    #[test]
+    fn claims_wait_behind_queued_jobs_and_within_the_slots() {
+        let (config, now) = (ServeConfig::default(), Instant::now());
+        let mut state = State {
+            slots: 2,
+            ..State::default()
+        };
+        let lead = |state: &mut State, seed| {
+            assert!(matches!(state.lookup(&spec(seed)), Lookup::Miss));
+            state
+                .admission(&config, &spec(seed), Fidelity::Cycles, None, now)
+                .unwrap()
+        };
+        let queued = lead(&mut state, 1);
+        state.jobs.push(queued);
+        assert!(!state.claim(), "a claim overtook a queued job");
+        let picked = state.pick(&config, now).unwrap();
+        assert!(state.claim(), "a free slot and an empty queue");
+        assert_eq!(state.running, 2);
+        let waiting = lead(&mut state, 2);
+        state.jobs.push(waiting);
+        assert!(state.pick(&config, now).is_none(), "a pick past the slots");
+        assert!(!state.claim(), "a claim past the slots");
+        let done = answer(&picked.spec, Fidelity::Cycles, false);
+        state.settle(
+            &config,
+            &picked.spec,
+            Fidelity::Cycles,
+            &done,
+            Verdict::Succeeded,
+            now,
+        );
+        assert!(state.release(0), "the freed slot has a job queued for it");
+        assert!(!state.claim(), "the queued job goes first");
+        assert!(state.pick(&config, now).is_some());
+        state.closed = true;
+        state.running = 0;
+        assert!(!state.claim(), "a claim after shutdown");
+    }
+
     /// A response for `spec` answered on `tier`, built without a session.
     fn answer(spec: &WorkloadSpec, tier: Fidelity, degraded: bool) -> ServeResult {
         Ok(Arc::new(Outcome {
@@ -1680,10 +1806,10 @@ mod tests {
     }
 
     /// The serving stages as a seeded random walk — lookups, leads,
-    /// enqueues, abandons, picks and settles over 16 specs and a cache
-    /// of 4 — with the table checked after every step against the
-    /// flights the walk holds: what the threaded suites reach only by
-    /// timing, here deterministically.
+    /// enqueues, claims, abandons, picks and settles over 16 specs, a
+    /// cache of 4 and 3 execution slots — with the table and the slots
+    /// checked after every step against the flights the walk holds: what
+    /// the threaded suites reach only by timing, here deterministically.
     #[test]
     fn seeded_stage_walk_keeps_every_spec_in_one_state() {
         const SPECS: usize = 16;
@@ -1712,11 +1838,15 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let mut state = State::default();
+        let mut state = State {
+            slots: 3,
+            ..State::default()
+        };
         let mut now = Instant::now();
-        // Jobs the walk leads but has not queued, and jobs it picked but
-        // has not settled; the rest are in `state.jobs`.
+        // Jobs the walk leads but has not queued, and jobs it picked or
+        // claimed but has not settled; the rest are in `state.jobs`.
         let (mut led, mut picked): (Vec<Job>, Vec<Job>) = (Vec::new(), Vec::new());
+        let mut claims = 0;
         for _ in 0..10_000 {
             now += Duration::from_micros(100);
             let r = roll();
@@ -1739,10 +1869,13 @@ mod tests {
                 },
                 4 | 5 if !led.is_empty() => {
                     let job = led.swap_remove(i % led.len());
-                    if r & (1 << 8) == 0 {
-                        state.jobs.push(job);
-                    } else {
-                        state.specs.abandon(&job.spec);
+                    match (r >> 8) % 3 {
+                        0 => state.jobs.push(job),
+                        1 if state.claim() => {
+                            claims += 1;
+                            picked.push(job);
+                        }
+                        _ => state.specs.abandon(&job.spec),
                     }
                 }
                 6 | 7 => picked.extend(state.pick(&config, now)),
@@ -1770,6 +1903,7 @@ mod tests {
                         ),
                     };
                     state.settle(&config, &job.spec, tier(n), &result, verdict, now);
+                    state.release(0);
                     if verdict == Verdict::Succeeded {
                         let row = state.specs.flight(&job.spec);
                         assert!(row.is_none(), "settled spec still runs");
@@ -1795,6 +1929,9 @@ mod tests {
                 }
             }
             assert!(state.specs.rows().all(|(s, _)| specs.contains(s)));
+            // Every job that holds a slot is one the walk runs.
+            assert_eq!(state.running, picked.len());
+            assert!(state.running <= state.slots);
             let cached = state.specs.rows().filter(|(_, v)| v.is_some()).count();
             assert_eq!(state.specs.cached(), cached);
             assert!(cached <= config.max_cached_responses);
@@ -1819,6 +1956,7 @@ mod tests {
             ("quarantine rejections", s.quarantine_rejections),
             ("expiries", s.deadline_exceeded),
             ("errors", s.errors),
+            ("claims", claims),
         ] {
             assert!(count > 0, "the walk never reached {path}: {s:?}");
         }

@@ -1,11 +1,15 @@
 //! Scheduler acceptance tests: asynchronous admission
 //! ([`Server::submit_async`] / [`ResponseHandle`]), cost- and
 //! deadline-aware ordering with aging, bit-identical answers and one
-//! compile per kernel for requests queued behind their peers.
+//! compile per kernel for requests queued behind their peers, and
+//! run-to-completion: a blocking miss runs on its caller when a slot is
+//! free and nothing is queued, and executions never outnumber the
+//! workers.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use saris_codegen::{
@@ -78,6 +82,267 @@ impl Backend for Held {
 
 fn bits(grid: &Grid) -> Vec<u64> {
     grid.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One backend call, as [`Watched`] saw it start.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    thread: ThreadId,
+    /// Whether it ran on one of the server's `saris-serve-*` workers.
+    on_worker: bool,
+    /// Points of the first input grid: tells the specs of a test apart
+    /// by extent.
+    points: usize,
+}
+
+/// The cycle tier, watched: every run books where it started and how
+/// many runs were in progress with it, waits while the gate is closed,
+/// and then lingers, so that runs which may overlap do.
+struct Watched {
+    open: Mutex<bool>,
+    opened: Condvar,
+    linger: Duration,
+    runs: Mutex<Vec<Run>>,
+    active: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Watched {
+    fn new(open: bool, linger: Duration) -> Arc<Watched> {
+        Arc::new(Watched {
+            open: Mutex::new(open),
+            opened: Condvar::new(),
+            linger,
+            runs: Mutex::new(Vec::new()),
+            active: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        })
+    }
+
+    fn set_open(&self, open: bool) {
+        *self.open.lock().unwrap() = open;
+        self.opened.notify_all();
+    }
+
+    fn runs(&self) -> Vec<Run> {
+        self.runs.lock().unwrap().clone()
+    }
+
+    /// Spins until `n` runs are in progress.
+    fn await_active(&self, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while self.active.load(Ordering::SeqCst) != n {
+            assert!(Instant::now() < deadline, "{n} runs never started");
+            std::thread::yield_now();
+        }
+    }
+}
+
+impl Backend for Watched {
+    fn name(&self) -> &'static str {
+        SimBackend.name()
+    }
+
+    fn fidelity(&self) -> Fidelity {
+        SimBackend.fidelity()
+    }
+
+    fn needs_kernel(&self) -> bool {
+        SimBackend.needs_kernel()
+    }
+
+    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+        let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        let me = std::thread::current();
+        self.runs.lock().unwrap().push(Run {
+            thread: me.id(),
+            on_worker: me.name().is_some_and(|n| n.starts_with("saris-serve-")),
+            points: req.inputs[0].as_slice().len(),
+        });
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        std::thread::sleep(self.linger);
+        let outcome = SimBackend.execute(req);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        outcome
+    }
+}
+
+fn watched_server(watched: &Arc<Watched>, workers: usize) -> Server {
+    let session = Session::with_backend(Arc::clone(watched) as Arc<dyn Backend>);
+    Server::over(
+        session,
+        ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Run-to-completion: on an idle server a blocking miss runs on the
+/// thread that submitted it, with no handoff; a miss that arrives while
+/// every slot is busy queues and runs on a worker.
+#[test]
+fn a_blocking_miss_runs_on_its_caller_unless_every_slot_is_busy() {
+    let watched = Watched::new(true, Duration::ZERO);
+    let server = watched_server(&watched, 1);
+    server.submit(&spec(1)).unwrap();
+    let runs = watched.runs();
+    assert!(!runs.is_empty());
+    let me = std::thread::current().id();
+    assert!(runs.iter().all(|run| run.thread == me), "{runs:?}");
+
+    // The lone slot held by an asynchronous miss, which a worker runs.
+    watched.set_open(false);
+    let held = server.submit_async(&spec(2));
+    watched.await_active(1);
+    let queued = std::thread::scope(|scope| {
+        let queued = scope.spawn(|| (server.submit(&spec(3)), std::thread::current().id()));
+        // Admission and the enqueue are one lock hold: once the miss is
+        // counted, it is queued.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().cache_misses < 3 {
+            assert!(Instant::now() < deadline, "the third miss never arrived");
+            std::thread::yield_now();
+        }
+        watched.set_open(true);
+        queued.join().unwrap()
+    });
+    let (result, submitter) = queued;
+    result.unwrap();
+    held.wait().unwrap();
+    let later = &watched.runs()[runs.len()..];
+    assert!(!later.is_empty());
+    assert!(
+        later
+            .iter()
+            .all(|run| run.on_worker && run.thread != submitter),
+        "{later:?}"
+    );
+    assert_eq!(server.stats().executed, 3);
+}
+
+/// The slot bound holds whoever runs the job: six threads mixing
+/// blocking, asynchronous and deadline'd submissions over two workers
+/// never have more than two executions in progress at once, and every
+/// submission is answered.
+#[test]
+fn executions_never_outnumber_the_workers() {
+    const THREADS: u64 = 6;
+    const EACH: u64 = 8;
+    let watched = Watched::new(true, Duration::from_millis(1));
+    let server = watched_server(&watched, 2);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let server = &server;
+            scope.spawn(move || {
+                let mut rng = 0x5EED ^ t;
+                for _ in 0..EACH {
+                    // splitmix64
+                    rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    let r = z ^ (z >> 31);
+                    // Some seeds repeat across threads: those coalesce
+                    // or hit.
+                    let spec = spec(r % 32);
+                    let result = match (r >> 32) % 4 {
+                        0 | 1 => server.submit(&spec),
+                        2 => server.submit_async(&spec).wait(),
+                        _ => server.submit_with_deadline(&spec, Duration::from_secs(30)),
+                    };
+                    let outcome = result.expect("every submission is answered");
+                    assert!(!outcome.telemetry.degraded);
+                }
+            });
+        }
+    });
+    let peak = watched.peak.load(Ordering::SeqCst);
+    assert!(peak <= 2, "{peak} executions ran at once on two workers");
+    assert_eq!(watched.runs().len() as u64, server.stats().executed);
+}
+
+/// A blocking submit never overtakes a queued job. A submitter holds the
+/// lone slot with its own execution while misses queue behind it; the
+/// test thread wakes when that execution's flight completes and submits
+/// a blocking miss at once, racing the worker the slot's release wakes.
+/// Whichever thread runs it, the later miss starts after every queued
+/// one.
+#[test]
+fn a_queued_job_is_never_overtaken_by_a_later_blocking_submit() {
+    let watched = Watched::new(false, Duration::ZERO);
+    let server = watched_server(&watched, 1);
+    // A bigger tile, so its run is told apart from the queued ones.
+    let later = Workload::new(gallery::jacobi_2d())
+        .extent(Extent::new_2d(24, 24))
+        .input_seed(5)
+        .freeze()
+        .unwrap();
+    std::thread::scope(|scope| {
+        let server = &server;
+        let holder = scope.spawn(move || server.submit(&spec(1)));
+        watched.await_active(1);
+        let queued: Vec<ResponseHandle> = (2..5)
+            .map(|seed| server.submit_async(&spec(seed)))
+            .collect();
+        let joined = server.submit_async(&spec(1));
+        watched.set_open(true);
+        joined.wait().unwrap();
+        server.submit(&later).unwrap();
+        holder.join().unwrap().unwrap();
+        for handle in queued {
+            handle.wait().unwrap();
+        }
+    });
+    let runs = watched.runs();
+    assert_eq!(runs.len(), 5);
+    assert!(!runs[0].on_worker, "the holder ran on its submitter");
+    let small = runs[0].points;
+    assert!(runs[..4].iter().all(|run| run.points == small), "{runs:?}");
+    assert_ne!(
+        runs[4].points, small,
+        "the later submit ran before a queued job"
+    );
+}
+
+/// A deadline'd caller keeps its contract on an idle server: its miss
+/// queues for a worker instead of running on the caller, so the caller
+/// gets its degraded answer at the deadline while the flight runs on
+/// and still fills the cache.
+#[test]
+fn a_deadlined_submit_returns_at_expiry_while_its_flight_runs_on() {
+    let watched = Watched::new(false, Duration::ZERO);
+    let server = watched_server(&watched, 1);
+    let waited = std::thread::scope(|scope| {
+        let (sender, receiver) = mpsc::channel();
+        let server = &server;
+        scope.spawn(move || {
+            let _ = sender.send(server.submit_with_deadline(&spec(1), Duration::from_millis(200)));
+        });
+        let waited = receiver.recv_timeout(Duration::from_secs(30));
+        // Open before judging, so that a caller stuck in the backend
+        // cannot hang the scope.
+        watched.await_active(1);
+        let runs = watched.runs();
+        watched.set_open(true);
+        assert!(runs.iter().all(|run| run.on_worker), "{runs:?}");
+        waited
+    });
+    let degraded = waited
+        .expect("the caller returned at its deadline")
+        .expect("the deadline degrades to an analytic answer");
+    assert!(degraded.telemetry.degraded);
+    // The flight ran to completion on the worker and was cached.
+    let outcome = server.submit(&spec(1)).unwrap();
+    assert!(!outcome.telemetry.degraded);
+    let stats = server.stats();
+    assert_eq!(stats.executed, 1);
+    assert_eq!(stats.deadline_exceeded, 1);
 }
 
 /// The async surface end to end: polling never blocks, waiting returns

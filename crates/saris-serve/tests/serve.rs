@@ -351,22 +351,29 @@ fn coalesced_waiters_share_a_failed_flights_error() {
         ..ServeConfig::default()
     })
     .unwrap();
-    // Occupy the single worker with a multi-step cycle-tier job so the
-    // failing spec's flight stays in-flight while the waiters pile on.
+    // Occupy the single execution slot with a multi-step cycle-tier job
+    // so the failing spec's flight stays in-flight while the waiters
+    // pile on. The slow spec's submitter runs it in the idle server's
+    // slot; its first step booked, the slot is held for the other 23.
     let slow = Workload::new(gallery::jacobi_2d())
         .extent(Extent::new_2d(16, 16))
         .input_seed(3)
         .time_steps(24)
         .freeze()
         .unwrap();
-    let barrier = Barrier::new(WAITERS + 1);
+    let barrier = Barrier::new(WAITERS);
     let errors: Vec<saris_serve::ServeError> = std::thread::scope(|scope| {
         let server = &server;
         let barrier = &barrier;
-        let slow_handle = scope.spawn(move || {
-            barrier.wait();
-            server.submit(&slow).expect("slow spec runs")
-        });
+        let slow_handle = scope.spawn(move || server.submit(&slow).expect("slow spec runs"));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while server.session().stats().runs == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the slow spec never ran"
+            );
+            std::thread::yield_now();
+        }
         let handles: Vec<_> = (0..WAITERS)
             .map(|_| {
                 let failing = &failing;

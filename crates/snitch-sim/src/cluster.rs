@@ -202,9 +202,9 @@ impl Cluster {
         }
     }
 
-    /// Replaces `core` with a fresh one running `table`.
+    /// Returns `core` to power-on, running `table` (see [`Core::reload`]).
     fn load_table(&mut self, core: usize, table: Arc<ExecTable>) {
-        self.cores[core] = Core::new(core, table, &self.cfg);
+        self.cores[core].reload(table, &self.cfg);
         self.parked_since[core] = None;
         self.tcdm_busy = false; // only ever a reason not to look
         self.halted_cores = self.cores.iter().filter(|c| c.is_halted()).count();
@@ -595,11 +595,10 @@ mod tests {
         }
     }
 
-    /// End-to-end: one core streams 8 values through SR0 (indirect), adds
-    /// a register constant, and writes results through SR2 (affine).
-    #[test]
-    fn stream_kernel_end_to_end() {
-        let mut c = halting_cluster();
+    /// Loads a kernel onto core 0 that streams 8 values through SR0
+    /// (indirect), adds a register constant under FREP, and writes the
+    /// results through SR2 (affine); returns the output address.
+    fn load_stream_kernel(c: &mut Cluster) -> u64 {
         let data = TCDM_BASE; // 8 input values
         let idx = TCDM_BASE + 512; // index array
         let out = TCDM_BASE + 1024;
@@ -665,6 +664,14 @@ mod tests {
         let program = b.finish().unwrap();
         c.write_f64_slice(TCDM_BASE + 2048, &[100.0]).unwrap();
         c.load_program(0, program);
+        out
+    }
+
+    /// End-to-end: the streaming kernel of [`load_stream_kernel`].
+    #[test]
+    fn stream_kernel_end_to_end() {
+        let mut c = halting_cluster();
+        let out = load_stream_kernel(&mut c);
         let r = c.run(10_000).unwrap();
         let got = c.read_f64_slice(out, 8).unwrap();
         let expect: Vec<f64> = (0..8).rev().map(|i| 100.0 + (i + 1) as f64).collect();
@@ -752,7 +759,10 @@ mod tests {
     }
 
     /// After `reset()` the cluster repeats a run bit- and cycle-exactly,
-    /// and host writes from the previous run are gone.
+    /// and host writes from the previous run are gone — also when a
+    /// streaming kernel ran first and left its FREP sequencer, offload
+    /// queue and streamers, whose storage the reset keeps, configured
+    /// and counted.
     #[test]
     fn reset_matches_fresh_cluster() {
         let program = {
@@ -785,9 +795,49 @@ mod tests {
         // Repeating the identical workload reproduces the identical report.
         c.reset();
         c.write_f64_slice(TCDM_BASE, &[4.25]).unwrap();
-        c.load_program(0, program);
+        c.load_program(0, program.clone());
         let second = c.run(100_000).unwrap();
         assert_eq!(first, second);
+
+        let mut s = halting_cluster();
+        let out = load_stream_kernel(&mut s);
+        let streamed = s.run(10_000).unwrap();
+        let streamed_out = s.read_f64_slice(out, 8).unwrap();
+        s.reset();
+        assert_eq!(s.run(100).unwrap(), fresh_idle);
+        s.reset();
+        assert_eq!(load_stream_kernel(&mut s), out);
+        assert_eq!(s.run(10_000).unwrap(), streamed);
+        assert_eq!(s.read_f64_slice(out, 8).unwrap(), streamed_out);
+        // Another program after the streaming kernel runs as it does on
+        // a fresh cluster.
+        s.reset();
+        s.write_f64_slice(TCDM_BASE, &[4.25]).unwrap();
+        s.load_program(0, program);
+        assert_eq!(s.run(100_000).unwrap(), first);
+        // The kernel's registers are gone too: storing the constant
+        // register it loaded stores power-on zero.
+        let spill = {
+            let mut b = ProgramBuilder::new();
+            b.li(IntReg::T0, (TCDM_BASE + 8) as i64);
+            b.push(Instr::Fsd {
+                rs2: FpReg::FT4,
+                base: IntReg::T0,
+                imm: 0,
+            });
+            b.push(Instr::Halt);
+            b.finish().unwrap()
+        };
+        let mut fresh = halting_cluster();
+        fresh.load_program(0, spill.clone());
+        let fresh_spill = fresh.run(10_000).unwrap();
+        s.reset();
+        load_stream_kernel(&mut s);
+        s.run(10_000).unwrap();
+        s.reset();
+        s.load_program(0, spill);
+        assert_eq!(s.run(10_000).unwrap(), fresh_spill);
+        assert_eq!(s.read_f64_slice(TCDM_BASE + 8, 1).unwrap(), vec![0.0]);
     }
 
     /// Runs the same programs on a fast-forwarding and a stepped cluster

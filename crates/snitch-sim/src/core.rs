@@ -179,6 +179,39 @@ impl Core {
         }
     }
 
+    /// Returns the core to the state [`Core::new`] builds for `table`,
+    /// keeping the storage of its FP subsystem and streamers.
+    pub(crate) fn reload(&mut self, table: Arc<ExecTable>, cfg: &ClusterConfig) {
+        let Core {
+            id: _,
+            table: loaded,
+            pc,
+            regs,
+            state,
+            ssr_enabled,
+            fetched_pc,
+            fp,
+            streamers,
+            lsu_port,
+            stats,
+            halted_at,
+            pending_ports,
+            fast_forward: _,
+        } = self;
+        fp.reload(cfg, table.max_frep_body());
+        *loaded = table;
+        *pc = 0;
+        *regs = [0; 32];
+        *state = IntState::Ready;
+        *ssr_enabled = false;
+        *fetched_pc = None;
+        streamers.iter_mut().for_each(Streamer::reload);
+        *lsu_port = MemPort::new();
+        *stats = IntStats::default();
+        *halted_at = None;
+        *pending_ports = 0;
+    }
+
     /// Whether the core has executed `halt`.
     pub fn is_halted(&self) -> bool {
         matches!(self.state, IntState::Halted)

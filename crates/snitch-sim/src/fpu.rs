@@ -268,6 +268,13 @@ enum FpWait {
 /// Sentinel for "load issued, grant not yet seen".
 const READY_UNKNOWN: u64 = u64::MAX;
 
+/// Sequencer slots for programs whose FREP bodies are at most
+/// `max_body` instructions long: every queue slot can hold an FREP with
+/// a full body.
+fn seq_capacity(cfg: &ClusterConfig, max_body: usize) -> usize {
+    cfg.offload_queue_depth * max_body.min(cfg.sequencer_depth)
+}
+
 /// The floating-point subsystem of one core.
 #[derive(Debug)]
 pub struct FpSubsystem {
@@ -309,8 +316,7 @@ impl FpSubsystem {
     /// here so that capturing never allocates, shrinks from the
     /// architectural worst case to what the program can use.
     pub(crate) fn with_frep_bound(cfg: &ClusterConfig, max_body: usize) -> FpSubsystem {
-        // Every queue slot can hold an FREP with a full body.
-        let seq_capacity = cfg.offload_queue_depth * max_body.min(cfg.sequencer_depth);
+        let seq_capacity = seq_capacity(cfg, max_body);
         let nop = FpOp::Mem {
             is_load: false,
             reg: FpReg::FT0,
@@ -335,6 +341,47 @@ impl FpSubsystem {
             fast_forward: cfg.fast_forward,
             wait: None,
         }
+    }
+
+    /// Returns the subsystem to the state
+    /// [`with_frep_bound`](FpSubsystem::with_frep_bound) builds for
+    /// `max_body`, keeping its storage: the sequencer grows only when
+    /// the new bound needs more than it holds.
+    pub(crate) fn reload(&mut self, cfg: &ClusterConfig, max_body: usize) {
+        let FpSubsystem {
+            queue,
+            seq,
+            seq_capacity: capacity,
+            seq_head,
+            seq_len,
+            frep_cursor,
+            capture_remaining,
+            regs,
+            ready_at,
+            lsu_port,
+            lsu_load_dst,
+            lsu_store_busy,
+            stats,
+            sequencer_depth: _,
+            lat_load: _,
+            fast_forward: _,
+            wait,
+        } = self;
+        queue.clear();
+        *capacity = seq_capacity(cfg, max_body);
+        seq.clear();
+        seq.reserve_exact(*capacity);
+        *seq_head = 0;
+        *seq_len = 0;
+        *frep_cursor = None;
+        *capture_remaining = 0;
+        *regs = [0.0; FpReg::COUNT];
+        *ready_at = [0; FpReg::COUNT];
+        *lsu_port = MemPort::new();
+        *lsu_load_dst = None;
+        *lsu_store_busy = false;
+        *stats = FpuStats::default();
+        *wait = None;
     }
 
     /// Whether the integer core can offload another FP instruction.

@@ -24,6 +24,12 @@ impl<T: Copy> Ring<T> {
         }
     }
 
+    /// Empties the ring, keeping its storage.
+    pub(crate) fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.len
     }

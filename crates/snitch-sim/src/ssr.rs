@@ -179,6 +179,35 @@ impl Streamer {
         }
     }
 
+    /// Returns the streamer to the state [`Streamer::new`] builds,
+    /// keeping its FIFO storage.
+    pub(crate) fn reload(&mut self) {
+        let Streamer {
+            plan,
+            staged_base,
+            jobs,
+            active,
+            data_fifo,
+            idx_fifo,
+            pending_kind,
+            port,
+            idx_depth: _,
+            fast_forward: _,
+            asleep,
+            stats,
+        } = self;
+        *plan = None;
+        *staged_base = None;
+        jobs.clear();
+        *active = None;
+        data_fifo.clear();
+        idx_fifo.clear();
+        *pending_kind = None;
+        *port = MemPort::new();
+        *asleep = None;
+        *stats = StreamerStats::default();
+    }
+
     /// Installs a static configuration (from `ssr_setup`).
     pub fn configure(&mut self, cfg: SsrCfg) {
         let walk = match cfg {
@@ -210,7 +239,9 @@ impl Streamer {
             cfg,
             dir: cfg.dir(),
             total: match cfg {
-                SsrCfg::Affine(a) => a.total_elems() as u32,
+                SsrCfg::Affine(a) => a
+                    .total_elems()
+                    .expect("a validated program counts a job's elements in u32"),
                 SsrCfg::Indirect(i) => i.idx_count,
             },
             walk,

@@ -16,7 +16,9 @@
 # whether that clears the claim rule (won >= 9/10 of the pairs, the
 # medians differ by more than the parent's IQR, the right way, and the
 # change failed no more operations than the parent in all). Then the
-# failed operations of every run, per side. The result lines are kept,
+# failed operations of every run, per side, each side's line followed by
+# its runs' peak_rss_mb (MiB), so that a bimodal memory reading shows
+# without opening the result lines. The result lines are kept,
 # one JSON line per run in pair order, in BENCH_PAIRS_DIR (default: a
 # new temporary directory), whose path is printed first.
 set -euo pipefail
@@ -113,6 +115,9 @@ awk -v pairs="$pairs" '
             side = s == 1 ? "parent" : "change"
             line = sprintf("failed %-6s", side)
             for (i = 1; i <= pairs; i++) line = line " " failed[side, i]
+            print line
+            line = sprintf("rss_mb %-6s", side)
+            for (i = 1; i <= pairs; i++) line = line sprintf(" %.2f", v[side, "peak_rss_mb", i])
             print line
         }
         if (more_failed)

@@ -82,6 +82,48 @@ fn every_mutation_class_is_caught_on_a_compiled_kernel() {
     }
 }
 
+/// The stream-configuration refusals of `saris_isa::program::validate`
+/// (affine nests outside 1–4 dimensions or past `u32::MAX` elements,
+/// index shifts of 64 bits or more) refuse nothing the compiler emits,
+/// nor anything a mutation class makes of it: every feasible gallery
+/// kernel's programs validate, and every mutant validates or is refused
+/// only for what its mutation broke on purpose.
+#[test]
+fn stream_refusals_pass_every_gallery_kernel_and_mutant() {
+    use saris::isa::{program::validate, BuildProgramError};
+    let mut mutants = 0usize;
+    for stencil in gallery::all() {
+        let tile = tile_of(&stencil);
+        for variant in [Variant::Base, Variant::Saris] {
+            for &unroll in &DEFAULT_CANDIDATES {
+                let options = RunOptions::new(variant).with_unroll(unroll);
+                let kernel = match compile(&stencil, tile, &options) {
+                    Ok(kernel) => kernel,
+                    Err(e) if is_infeasible(&e) => continue,
+                    Err(e) => panic!("{}: {variant:?} u{unroll}: {e}", stencil.name()),
+                };
+                for core in &kernel.cores {
+                    validate(&core.program).unwrap();
+                    for mutation in Mutation::ALL {
+                        let Some(mutant) = mutate(&core.program, mutation) else {
+                            continue;
+                        };
+                        mutants += 1;
+                        match (mutation, validate(&mutant)) {
+                            (_, Ok(()))
+                            | (Mutation::RemoveHalt, Err(BuildProgramError::MissingHalt)) => {}
+                            (_, Err(e)) => {
+                                panic!("{} {variant:?} u{unroll} {mutation}: {e}", stencil.name())
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(mutants > 0);
+}
+
 /// The static bound is a *true* lower bound: for gallery kernels the
 /// simulator's measured cycle count is never below it.
 #[test]
