@@ -617,7 +617,7 @@ struct State {
     live_workers: usize,
     /// Executions running now, on a worker or on a submitting thread:
     /// a job takes a slot when it is picked or claimed and gives it back
-    /// when it settles.
+    /// at release, once its flight is complete.
     running: usize,
     /// The execution bound, [`ServeConfig::effective_workers`]: `running`
     /// never exceeds it.
@@ -1149,8 +1149,8 @@ impl ResponseHandle {
     /// Registers `callback` to be invoked exactly once with the shared
     /// result — immediately on this thread when the result is already
     /// available, otherwise on the thread that completes the flight,
-    /// which may be a submitter (keep callbacks short; they run inside the serving path —
-    /// one that panics there is caught and counted in
+    /// which may be a submitter (keep callbacks short; they run inside
+    /// the serving path — one that panics there is caught and counted in
     /// [`ServeStats::panics`], and costs nobody else their answer).
     /// The callback observes the *flight's* result: it fires when the
     /// execution completes even if this submission's deadline expires
@@ -1220,11 +1220,12 @@ impl Server {
     /// (resource exhaustion); any workers spawned before the failure
     /// are shut down and joined, so no threads leak.
     pub fn over(session: Session, config: ServeConfig) -> Result<Server, ServeError> {
+        let slots = config.effective_workers();
         let shared = Arc::new(Shared {
             session,
             config,
             state: Mutex::new(State {
-                slots: config.effective_workers(),
+                slots,
                 ..State::default()
             }),
             not_empty: Condvar::new(),
@@ -1232,7 +1233,6 @@ impl Server {
             worker_exit: Condvar::new(),
             recovered: AtomicU64::new(0),
         });
-        let slots = shared.lock().slots;
         let mut workers = Vec::with_capacity(slots);
         for i in 0..slots {
             shared.lock().live_workers += 1;
