@@ -14,6 +14,17 @@
 //! ([`ExecTable::ops`]): operands in fixed arrays, issue cost, FP latency
 //! and flops resolved once per pc, FREP bodies replayed over a slice.
 //!
+//! # Extrapolating an FREP once it is periodic
+//!
+//! An FREP body is executed rep by rep only until its schedule repeats:
+//! no integer op runs inside it, so after a rep that raised no finding
+//! and left every FP register as ready *relative to the FP clock* as the
+//! rep before it did, every remaining rep is the same rep shifted by the
+//! same number of cycles, and all of them are applied in one step
+//! ([`Interp::frep`]). Gallery bodies get there after one rep. A body
+//! that keeps raising findings, or whose schedule never settles, is
+//! executed to its last rep.
+//!
 //! # Proving a job from its descriptor
 //!
 //! A stream job is a descriptor — `(base, strides, bounds)`, or an index
@@ -47,8 +58,9 @@
 //! declines is judged by its two corners alone and adds no bank pressure.
 //!
 //! Along the way the interpreter accumulates everything the static cost
-//! bound needs: issue cycles (FREP bodies issued once), flops (replays
-//! included), the in-order FP issue schedule (each FP op one cycle after
+//! bound needs: issue cycles (FREP bodies issued once), flops (every rep,
+//! extrapolated ones included), the in-order FP issue schedule (each FP
+//! op one cycle after
 //! the previous one or once its register sources are ready, whichever
 //! is later), and a per-bank TCDM access histogram.
 //!
@@ -129,10 +141,13 @@ struct Interp<'a> {
     core: usize,
     /// `tcdm_banks - 1` when that is a mask.
     bank_mask: Option<usize>,
-    /// Tests only: never prove a hull, walk every job (the reference).
+    /// Tests only: never prove a hull, walk every job, and execute every
+    /// FREP rep (the reference).
     walk_only: bool,
     /// Jobs the hull proof declined.
     walked: u64,
+    /// FREPs whose remaining reps were applied at once.
+    extrapolated: u64,
 
     int: [Val; 32],
     int_reported: [bool; 32],
@@ -162,14 +177,15 @@ pub fn interpret(
     run(program, map, cfg, core, false).0
 }
 
-/// [`interpret`], also returning how many jobs were walked.
+/// [`interpret`], also returning how many jobs were walked and how many
+/// FREPs were extrapolated.
 fn run(
     program: &Program,
     map: &MemoryMap,
     cfg: &ClusterConfig,
     core: usize,
     walk_only: bool,
-) -> (CoreAnalysis, u64) {
+) -> (CoreAnalysis, u64, u64) {
     let table = ExecTable::decode(program, cfg);
     let mut interp = Interp {
         table: &table,
@@ -180,6 +196,7 @@ fn run(
         bank_mask: cfg.tcdm_banks.is_power_of_two().then(|| cfg.tcdm_banks - 1),
         walk_only,
         walked: 0,
+        extrapolated: 0,
         int: [Val::Uninit; 32],
         int_reported: [false; 32],
         fp_def: [false; 32],
@@ -202,8 +219,8 @@ fn run(
     };
     interp.int[0] = Val::Known(0);
     (interp.out.issue_cycles, interp.out.fp_issue) = interp.execute();
-    let walked = interp.walked;
-    (interp.finish(), walked)
+    let (walked, extrapolated) = (interp.walked, interp.extrapolated);
+    (interp.finish(), walked, extrapolated)
 }
 
 /// `base + imm` as the hardware computes an address: modulo 2^64.
@@ -303,10 +320,16 @@ impl Interp<'_> {
 
     #[inline(always)]
     fn touch_bank(&mut self, addr: u64) {
+        self.touch_bank_n(addr, 1);
+    }
+
+    /// Counts `n` accesses to `addr` if it is a TCDM address.
+    #[inline(always)]
+    fn touch_bank_n(&mut self, addr: u64, n: u64) {
         let off = addr.wrapping_sub(TCDM_BASE);
         if off < self.cfg.tcdm_bytes as u64 {
             let bank = self.bank_of(off >> 3);
-            self.out.bank_hist[bank] += 1;
+            self.out.bank_hist[bank] += n;
         }
     }
 
@@ -325,14 +348,17 @@ impl Interp<'_> {
     /// analysis has to stop; returns the issue cycles spent and the FP
     /// issue clock ([`CoreAnalysis::fp_issue`]).
     ///
-    /// This loop is the verifier's whole cost (a gallery kernel is ~80k
-    /// steps; everything around it is ~2% of `verify_kernel`), and how it
-    /// is laid out is worth 1.5x: it is kept a function of its own with
-    /// the per-step helpers inlined into it and the rare stream-job logic
-    /// ([`Interp::ssr_setup`], [`Interp::commit_job`]) and every
-    /// diagnostic kept *out* of it, so the per-step state stays in
-    /// registers instead of being spilled around code that almost never
-    /// runs.
+    /// This loop is the verifier's whole cost (everything around it is ~2%
+    /// of `verify_kernel`). A step is one integer op, or one FP op of an
+    /// FREP rep; the step budget counts every rep, but reps past the
+    /// point where the body's schedule turns periodic cost nothing
+    /// ([`Interp::frep`]), so what remains is the integer loops (~44k
+    /// steps per gallery kernel). How the loop is laid out is worth 1.5x:
+    /// it is kept a function of its own with the per-step helpers inlined
+    /// into it and the rare stream-job logic ([`Interp::ssr_setup`],
+    /// [`Interp::commit_job`]) and every diagnostic kept *out* of it, so
+    /// the per-step state stays in registers instead of being spilled
+    /// around code that almost never runs.
     #[inline(never)]
     fn execute(&mut self) -> (u64, u64) {
         let ops = self.table.ops();
@@ -437,8 +463,20 @@ impl Interp<'_> {
                 Op::Frep { count, n_instrs } => {
                     let reps = match count {
                         FrepCount::Imm(k) => u64::from(k) + 1,
+                        // The sequencer reads the register as unsigned.
                         FrepCount::Reg(r) => match self.read_int(r, pc) {
-                            Val::Known(v) => (v.max(0) as u64) + 1,
+                            Val::Known(v) => match (v as u64).checked_add(1) {
+                                Some(reps) => reps,
+                                None => {
+                                    self.diag(
+                                        Some(pc),
+                                        DiagKind::NonTermination {
+                                            reason: "frep body executes 2^64 times".into(),
+                                        },
+                                    );
+                                    return (issue, fp_issue);
+                                }
+                            },
                             _ => {
                                 self.diag(
                                     Some(pc),
@@ -462,11 +500,7 @@ impl Interp<'_> {
                         self.budget_exhausted(pc);
                         return (issue, fp_issue);
                     }
-                    for _ in 0..reps {
-                        for (i, &op) in body.iter().enumerate() {
-                            self.exec_fp(op, start + i, &mut fp_issue);
-                        }
-                    }
+                    self.frep(body, start, reps, &mut fp_issue);
                     pc = start + body.len();
                     continue;
                 }
@@ -545,6 +579,87 @@ impl Interp<'_> {
             _ => return,
         };
         *fp_issue = start + 1;
+    }
+
+    /// Executes an FREP body (`start` is the pc of its first op) `reps`
+    /// times.
+    ///
+    /// No integer op runs inside an FREP, so every address, every region
+    /// check and `ssr_enabled` are the same in each rep, and a rep's
+    /// schedule is a max-plus function of the FP clock and of each
+    /// register's readiness relative to it. Once a rep that raised no
+    /// finding leaves the same relative readiness as the rep before it
+    /// did, every later rep repeats it `d` cycles later and raises none
+    /// either, so the remaining reps are applied at once: the clock and
+    /// every register the body writes move by `k·d`, and the flops, bank
+    /// counts and scalar stores of the rep count `k` more times.
+    #[inline(never)]
+    fn frep(&mut self, body: &[Op], start: usize, reps: u64, fp_issue: &mut u64) {
+        let relative = |avail: &[u64; 32], clock: u64| avail.map(|a| a.saturating_sub(clock));
+        let mut prev = relative(&self.fp_avail, *fp_issue);
+        for done in 1..=reps {
+            let (clock, flops) = (*fp_issue, self.out.flops);
+            let (diags, stores) = (self.out.diags.len(), self.core_stores.len());
+            for (i, &op) in body.iter().enumerate() {
+                self.exec_fp(op, start + i, fp_issue);
+            }
+            let rel = relative(&self.fp_avail, *fp_issue);
+            if rel == prev && self.out.diags.len() == diags && !self.walk_only {
+                let k = reps - done;
+                if k > 0 {
+                    self.extrapolated += 1;
+                    let d = *fp_issue - clock;
+                    *fp_issue += k * d;
+                    self.out.flops += k * (self.out.flops - flops);
+                    self.repeat_rep(body, k, d, stores);
+                }
+                return;
+            }
+            prev = rel;
+        }
+    }
+
+    /// The rest of `k` more reps of an FREP body whose last rep advanced
+    /// the FP clock by `d` and pushed `core_stores[stores..]` (the caller
+    /// moves the clock and the flops).
+    fn repeat_rep(&mut self, body: &[Op], k: u64, d: u64, stores: usize) {
+        let mut written = 0u32;
+        for &op in body {
+            match op {
+                Op::FpMem {
+                    is_load,
+                    reg,
+                    base,
+                    imm,
+                } => {
+                    if is_load {
+                        written |= 1 << reg.index();
+                    }
+                    if let Val::Known(b) = self.int[base.index() as usize] {
+                        self.touch_bank_n(effective(b, imm), k);
+                    }
+                }
+                Op::FpArith(fp) => {
+                    let rd = fp.operands().rd;
+                    if !(rd.is_stream_capable() && self.ssr_enabled) {
+                        written |= 1 << rd.index();
+                    }
+                }
+                _ => {}
+            }
+        }
+        for (i, avail) in self.fp_avail.iter_mut().enumerate() {
+            if written & (1 << i) != 0 {
+                *avail += k * d;
+            }
+        }
+        let end = self.core_stores.len();
+        if end > stores {
+            self.core_stores.reserve((end - stores) * k as usize);
+            for _ in 0..k {
+                self.core_stores.extend_from_within(stores..end);
+            }
+        }
     }
 
     #[inline(never)]
@@ -933,8 +1048,8 @@ mod tests {
     /// two must agree on everything. Returns the analysis and how many
     /// jobs the proving run still walked.
     fn both_ways(program: &Program, map: &MemoryMap, cfg: &ClusterConfig) -> (CoreAnalysis, u64) {
-        let (proving, walked) = run(program, map, cfg, 0, false);
-        let (walking, _) = run(program, map, cfg, 0, true);
+        let (proving, walked, _) = run(program, map, cfg, 0, false);
+        let (walking, ..) = run(program, map, cfg, 0, true);
         assert_eq!(proving, walking, "the hull proof changed an answer");
         (proving, walked)
     }
@@ -1211,6 +1326,52 @@ mod tests {
         assert!(r.diags.is_empty(), "{:?}", r.diags);
         assert_eq!(r.flops, 40);
         assert_eq!(r.fp_issue, 2 + 1 + 9 * fma + 1);
+    }
+
+    /// The FREP count register is read as unsigned, as the simulator
+    /// reads it: 3 executes the body four times, -2 asks for 2^64 - 1
+    /// executions and exhausts the step budget, and -1 (2^64 executions)
+    /// is refused by name.
+    #[test]
+    fn frep_count_register_is_unsigned() {
+        let run_count = |count: i64| {
+            let mut b = ProgramBuilder::new();
+            b.li(IntReg::T0, count);
+            b.push(Instr::Frep {
+                count: FrepCount::Reg(IntReg::T0),
+                n_instrs: 1,
+            });
+            b.push(Instr::FpR {
+                op: saris_isa::FpROp::Add,
+                rd: FpReg::FT3,
+                rs1: FpReg::FT3,
+                rs2: FpReg::FT3,
+            });
+            b.push(Instr::Halt);
+            both_ways(&b.finish().unwrap(), &map_with_arena(), &snitch()).0
+        };
+        let r = run_count(3);
+        assert!(r.halted);
+        assert_eq!(r.flops, 4);
+        assert!(
+            matches!(r.diags.as_slice(), [d] if matches!(d.kind, DiagKind::UseBeforeDef { .. })),
+            "{:?}",
+            r.diags
+        );
+        for (count, reason) in [
+            (-2, format!("step budget ({STEP_BUDGET}) exhausted")),
+            (-1, "frep body executes 2^64 times".to_string()),
+        ] {
+            let r = run_count(count);
+            assert!(!r.halted, "{count}");
+            assert_eq!(r.flops, 0, "{count}");
+            assert!(
+                r.diags.iter().any(|d| d.at == Some(1)
+                    && matches!(&d.kind, DiagKind::NonTermination { reason: why } if *why == reason)),
+                "{count}: {:?}",
+                r.diags
+            );
+        }
     }
 
     // --- Every reason the hull proof declines -------------------------
@@ -1600,6 +1761,163 @@ mod tests {
         assert!(
             jobs_walked * 4 > jobs_run && jobs_walked * 4 < jobs_run * 3,
             "{jobs_walked} of {jobs_run} jobs walked: the mix no longer tests both paths"
+        );
+    }
+
+    /// A random FP op: every latency class, a load or a store (through
+    /// `bases`: a region it may access, one it may not or one it cannot
+    /// write, an unknown and an undefined register), over `regs`.
+    fn random_fp_op(rng: &mut Rng, regs: &[FpReg], bases: &[IntReg]) -> Instr {
+        let [rd, rs1, rs2, rs3] = [(); 4].map(|()| rng.pick(regs));
+        let imm = 8 * rng.below(8) as i32;
+        match rng.below(8) {
+            0 | 1 => Instr::FpR {
+                op: rng.pick(&[
+                    saris_isa::FpROp::Add,
+                    saris_isa::FpROp::Sub,
+                    saris_isa::FpROp::Mul,
+                    saris_isa::FpROp::Div,
+                    saris_isa::FpROp::Min,
+                    saris_isa::FpROp::Max,
+                ]),
+                rd,
+                rs1,
+                rs2,
+            },
+            2 | 3 => Instr::FpR4 {
+                op: rng.pick(&[
+                    saris_isa::FpR4Op::Madd,
+                    saris_isa::FpR4Op::Msub,
+                    saris_isa::FpR4Op::Nmadd,
+                    saris_isa::FpR4Op::Nmsub,
+                ]),
+                rd,
+                rs1,
+                rs2,
+                rs3,
+            },
+            4 => Instr::FpU {
+                op: rng.pick(&[
+                    saris_isa::FpUOp::Mv,
+                    saris_isa::FpUOp::Abs,
+                    saris_isa::FpUOp::Neg,
+                    saris_isa::FpUOp::Sqrt,
+                ]),
+                rd,
+                rs1,
+            },
+            5 | 6 => Instr::Fld {
+                rd,
+                base: rng.pick(bases),
+                imm,
+            },
+            _ => Instr::Fsd {
+                rs2: rs1,
+                base: rng.pick(bases),
+                imm,
+            },
+        }
+    }
+
+    /// Property: over seeded random FREP bodies of 1-8 ops — every latency
+    /// class, plain and stream-capable registers with SSRs on and off,
+    /// loads and stores in and out of bounds and under a stream write's
+    /// span, reads of registers nothing wrote, 1-300 reps, straight-line
+    /// ops reading the body's results afterwards — the interpreter that
+    /// extrapolates periodic FREPs and the one that executes every rep
+    /// produce the same analysis, and most FREPs are extrapolated.
+    #[test]
+    fn extrapolated_and_stepped_freps_agree() {
+        let cfg = snitch();
+        let map = map_with_arena();
+        let (t0, t1, t2, t3, t4) = (IntReg::T0, IntReg::T1, IntReg::T2, IntReg::T3, IntReg::T4);
+        // "in" (read-only), "out" (read-write), unmapped, unknown; t4 is
+        // never written. Rare picks of the last three keep most bodies
+        // free of findings.
+        let bases = [t0, t0, t0, t1, t1, t1, t1, t2, t3, t4];
+        let regs: Vec<FpReg> = (0..8).map(|i| FpReg::new(i).unwrap()).collect();
+        let mut rng = Rng(3);
+        let (mut freps, mut extrapolated) = (0, 0);
+        for case in 0..600 {
+            let mut instrs = vec![
+                Instr::Li {
+                    rd: t0,
+                    imm: TCDM_BASE as i64,
+                },
+                Instr::Li {
+                    rd: t1,
+                    imm: (TCDM_BASE + 512) as i64,
+                },
+                Instr::Li {
+                    rd: t2,
+                    imm: (TCDM_BASE + 4096) as i64,
+                },
+                Instr::Lw {
+                    rd: t3,
+                    base: t0,
+                    imm: 0,
+                },
+            ];
+            // A stream write over the first 64 bytes of "out": every
+            // store there is a write hazard, once per execution.
+            if rng.below(2) == 0 {
+                instrs.push(Instr::SsrSetup {
+                    ssr: SsrId::Ssr2,
+                    cfg: Box::new(affine(
+                        StreamDir::Write,
+                        TCDM_BASE + 512,
+                        [8, 0, 0, 0],
+                        [8, 1, 1, 1],
+                    )),
+                });
+                instrs.push(Instr::SsrCommit {
+                    ssrs: SsrSet::of(SsrId::Ssr2),
+                });
+            }
+            for &reg in &regs {
+                if rng.below(3) != 0 {
+                    instrs.push(Instr::Fld {
+                        rd: reg,
+                        base: t0,
+                        imm: 0,
+                    });
+                }
+            }
+            let ssr = rng.below(2) == 0;
+            if ssr {
+                instrs.push(Instr::SsrEnable);
+            }
+            for _ in 0..1 + rng.below(2) {
+                let n_instrs = 1 + rng.below(8) as u8;
+                instrs.push(Instr::Frep {
+                    count: FrepCount::Imm(rng.below(300) as u32),
+                    n_instrs,
+                });
+                for _ in 0..n_instrs {
+                    instrs.push(random_fp_op(&mut rng, &regs, &bases));
+                }
+                for _ in 0..rng.below(4) {
+                    instrs.push(random_fp_op(&mut rng, &regs, &bases));
+                }
+                freps += 1;
+            }
+            if ssr {
+                instrs.push(Instr::SsrDisable);
+            }
+            instrs.push(Instr::Halt);
+            let program = Program::from_raw_instrs(instrs);
+            let (stepped, ..) = run(&program, &map, &cfg, 0, true);
+            let (fast, _, n) = run(&program, &map, &cfg, 0, false);
+            assert_eq!(
+                fast, stepped,
+                "case {case}: extrapolation changed an answer\n{program}"
+            );
+            assert!(stepped.halted, "case {case}: {:?}", stepped.diags);
+            extrapolated += n;
+        }
+        assert!(
+            extrapolated * 2 > freps,
+            "{extrapolated} of {freps} FREPs extrapolated: the mix no longer tests the closed form"
         );
     }
 }

@@ -595,6 +595,34 @@ mod tests {
         }
     }
 
+    /// The FREP count register is read as unsigned: 3 executes the body
+    /// four times, -2 asks for 2^64 - 1 executions and runs out of any
+    /// cycle budget, and -1 (2^64 executions) is refused by name.
+    #[test]
+    fn frep_count_register_is_unsigned() {
+        let run = |count: i64| {
+            let mut b = ProgramBuilder::new();
+            b.li(IntReg::T0, count);
+            b.push(Instr::Frep {
+                count: saris_isa::FrepCount::Reg(IntReg::T0),
+                n_instrs: 1,
+            });
+            b.push(Instr::FpR {
+                op: FpROp::Add,
+                rd: FpReg::FT3,
+                rs1: FpReg::FT3,
+                rs2: FpReg::FT3,
+            });
+            b.push(Instr::Halt);
+            let mut c = halting_cluster();
+            c.load_program(0, b.finish().unwrap());
+            c.run(10_000)
+        };
+        assert_eq!(run(3).unwrap().flops(), 4);
+        assert!(matches!(run(-2), Err(SimError::Timeout { .. })));
+        assert!(matches!(run(-1), Err(SimError::FrepMisuse { core: 0, .. })));
+    }
+
     /// Loads a kernel onto core 0 that streams 8 values through SR0
     /// (indirect), adds a register constant under FREP, and writes the
     /// results through SR2 (affine); returns the output address.

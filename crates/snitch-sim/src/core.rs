@@ -523,14 +523,22 @@ impl Core {
                         reason: "frep body empty or exceeds sequencer buffer",
                     });
                 }
-                if !self.fp.can_accept_frep() {
-                    self.stalled_on(Block::Frep);
-                    return Ok(());
-                }
+                // The count register is read as unsigned: all ones would
+                // mean 2^64 executions, which the sequencer cannot count.
                 let reps = match count {
                     FrepCount::Imm(c) => c as u64,
                     FrepCount::Reg(r) => self.reg_i(r),
                 };
+                if reps == u64::MAX {
+                    return Err(SimError::FrepMisuse {
+                        core: self.id,
+                        reason: "frep count register is all ones (2^64 executions)",
+                    });
+                }
+                if !self.fp.can_accept_frep() {
+                    self.stalled_on(Block::Frep);
+                    return Ok(());
+                }
                 self.fp.offload_frep(reps, n_instrs as usize);
                 self.advance();
             }

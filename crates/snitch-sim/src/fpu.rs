@@ -462,8 +462,9 @@ impl FpSubsystem {
     ///
     /// # Panics
     ///
-    /// Panics if the queue is full, a capture is already open, or the
-    /// body does not fit the sequencer (check [`Self::frep_fits`]).
+    /// Panics if the queue is full, a capture is already open, the body
+    /// does not fit the sequencer (check [`Self::frep_fits`]), or `reps`
+    /// is `u64::MAX` (2^64 executions).
     pub fn offload_frep(&mut self, reps: u64, n_instrs: usize) {
         assert!(!self.queue.is_full(), "offload queue full");
         assert_eq!(self.capture_remaining, 0, "nested frep capture");
@@ -474,7 +475,7 @@ impl FpSubsystem {
             self.seq_head = 0;
         }
         self.queue.push_back(FpOp::Frep {
-            total_reps: reps + 1,
+            total_reps: reps.checked_add(1).expect("frep of 2^64 executions"),
             start: self.seq_slot(self.seq_head, self.seq_len) as u32,
             len: n_instrs as u32,
             captured: 0,
