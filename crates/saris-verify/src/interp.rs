@@ -60,9 +60,8 @@
 //! Along the way the interpreter accumulates everything the static cost
 //! bound needs: issue cycles (FREP bodies issued once), flops (every rep,
 //! extrapolated ones included), the in-order FP issue schedule (each FP
-//! op one cycle after
-//! the previous one or once its register sources are ready, whichever
-//! is later), and a per-bank TCDM access histogram.
+//! op one cycle after the previous one or once its register sources are
+//! ready, whichever is later), and a per-bank TCDM access histogram.
 //!
 //! Everything here is *optimistic*: where precision is lost (capped
 //! jobs, unknown values) the interpreter under-counts and emits a
