@@ -588,7 +588,8 @@ impl Interp<'_> {
     /// schedule is a max-plus function of the FP clock and of each
     /// register's readiness relative to it. Once a rep that raised no
     /// finding leaves the same relative readiness as the rep before it
-    /// did, every later rep repeats it `d` cycles later and raises none
+    /// did (the first rep: as the FREP found it), every later rep
+    /// repeats it `d` cycles later and raises none
     /// either, so the remaining reps are applied at once: the clock and
     /// every register the body writes move by `k·d`, and the flops, bank
     /// counts and scalar stores of the rep count `k` more times.
