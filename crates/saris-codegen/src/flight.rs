@@ -337,14 +337,7 @@ mod tests {
     fn seeded_walk_at_uniform_cost_is_exactly_lru() {
         const KEYS: u64 = 16;
         const CAP: usize = 4;
-        let mut rng = 0x5EED_u64;
-        let mut roll = move || {
-            // splitmix64
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = saris_core::rng::SplitMix64::new(0x5EED);
         let mut table = Kernels::default();
         // The model: cached keys, least recently used first, and the
         // flights the walk leads.
@@ -352,7 +345,7 @@ mod tests {
         let mut led: Vec<(u64, Arc<Flight<Option<u64>>>)> = Vec::new();
         let (mut hits, mut joins, mut evictions, mut dropped) = (0, 0, 0, 0);
         for _ in 0..10_000 {
-            let r = roll();
+            let r = rng.next_u64();
             let key = (r >> 32) % KEYS;
             let pick = (r >> 16) as usize;
             match r % 8 {

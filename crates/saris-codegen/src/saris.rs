@@ -124,7 +124,7 @@ struct SarisCtx<'a> {
     scratch: IntReg,
     coeff_regs: Vec<FpReg>,
     slot_pools: Vec<Vec<FpReg>>,
-    sequencer_depth: usize,
+    cfg: &'a ClusterConfig,
 }
 
 /// Generates the SARIS kernel for one core.
@@ -203,7 +203,7 @@ pub fn gen_saris_core(
         scratch: take(),
         coeff_regs,
         slot_pools,
-        sequencer_depth: cfg.sequencer_depth,
+        cfg,
     };
     ctx.emit()
 }
@@ -501,12 +501,13 @@ impl SarisCtx<'_> {
         let rem_body = self.emit_block(&self.plans.rem)?;
         for body in [&main_body, &rem_body] {
             // The emitted block includes coefficient-reload loads, so the
-            // capacity check uses the real length.
-            if body.len() > self.sequencer_depth || body.len() > u8::MAX as usize {
+            // capacity check uses the real length. `u8::MAX` is the
+            // encoding limit of `Instr::Frep::n_instrs`.
+            if !self.cfg.frep_body_fits(body.len()) || body.len() > u8::MAX as usize {
                 return Err(CodegenError::FrepBodyTooLarge {
                     name: self.stencil.name().to_string(),
                     body: body.len(),
-                    capacity: self.sequencer_depth.min(u8::MAX as usize),
+                    capacity: self.cfg.sequencer_depth.min(u8::MAX as usize),
                 });
             }
         }

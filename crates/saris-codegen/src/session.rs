@@ -14,7 +14,8 @@
 //!   exactly once per session (bounded by
 //!   [`SessionConfig::max_cached_kernels`], LRU-evicted beyond that),
 //!   however many specs or racing threads ask for it (the kernel cache
-//!   is a single-flight [`Table`], like `saris-serve`'s responses);
+//!   is a single-flight [`Table`], like `saris-serve`'s responses), and
+//!   the static verifier proves it before it runs;
 //! * clusters are recycled via [`Cluster::reset`] instead of being
 //!   reconstructed, with the idle pool bounded by
 //!   [`SessionConfig::max_pooled_clusters`];
@@ -122,15 +123,6 @@ pub struct SessionConfig {
     pub max_cached_kernels: usize,
     /// Maximum idle clusters kept in the pool (`0` disables pooling).
     pub max_pooled_clusters: usize,
-    /// Whether every fresh compile is gated through the static kernel
-    /// verifier (`saris-verify`): error-severity findings reject the
-    /// kernel as [`CodegenError::StaticVerification`] before any cycle is
-    /// simulated, and clean kernels record their proven
-    /// [`StaticBound`] for the
-    /// calibration-drift cross-check. On by default in debug builds
-    /// (tests included); opt-in for release sessions, where compile
-    /// latency matters more.
-    pub verify_kernels: bool,
 }
 
 impl Default for SessionConfig {
@@ -140,7 +132,6 @@ impl Default for SessionConfig {
         SessionConfig {
             max_cached_kernels: 1024,
             max_pooled_clusters: 64,
-            verify_kernels: cfg!(debug_assertions),
         }
     }
 }
@@ -263,9 +254,6 @@ pub struct SessionStats {
     /// and the caller took its kernel instead of compiling again. A
     /// joined compile that fails saves nothing; its callers retry.
     pub compiles_saved: u64,
-    /// Fresh compiles that passed the static verifier gate
-    /// ([`SessionConfig::verify_kernels`]).
-    pub kernels_verified: u64,
     /// Analytic-tier answers whose estimated cycle count fell *below* a
     /// kernel's statically proven lower bound — an impossible cycle
     /// count, flagging calibration drift in the roofline model.
@@ -299,24 +287,24 @@ impl SessionStats {
     }
 }
 
-/// A compiled kernel and the cycle lower bound statically proven for it:
-/// recorded by the [`SessionConfig::verify_kernels`] gate (or on demand,
-/// by [`Session::static_bound`] and the tuner), read by the tuner and by
-/// the analytic-tier cross-check that counts
-/// [`SessionStats::bound_violations`]. Only a bound whose report has no
-/// error finding is kept, and it lives next to its kernel so the LRU
-/// evicts both together.
+/// A compiled kernel and the cycle lower bound the verifier proved for
+/// it when it compiled. The kernel cache holds and hands out the two
+/// together, so the tuner, [`Session::static_bound`] and the
+/// analytic-tier cross-check that counts
+/// [`SessionStats::bound_violations`] read the bound without proving
+/// again, and the LRU evicts both together.
 struct CachedKernel {
     kernel: Arc<CompiledKernel>,
-    bound: Option<StaticBound>,
+    bound: StaticBound,
 }
 
 /// What a [`Session`]'s callers share, behind its one lock.
 #[derive(Default)]
 struct State {
     /// The kernel cache, at uniform cost (so exactly LRU). A joined
-    /// compile hands its kernel, or `None` — try again — on failure.
-    kernels: Table<KernelKey, CachedKernel, Option<Arc<CompiledKernel>>>,
+    /// compile hands its proven kernel, or `None` — try again — on
+    /// failure.
+    kernels: Table<KernelKey, Arc<CachedKernel>, Option<Arc<CachedKernel>>>,
     stats: SessionStats,
 }
 
@@ -481,20 +469,35 @@ impl Session {
 
     /// Compiles `stencil` for `extent` through the kernel cache: each
     /// `(stencil fingerprint, extent, compile options)` key compiles at
-    /// most once while cached, concurrent callers included. Returns the
-    /// kernel and whether it was a cache hit.
+    /// most once while cached, concurrent callers included. Every fresh
+    /// compile passes the static verifier (`saris-verify`) before any
+    /// caller sees it. Returns the kernel and whether it was a cache hit.
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors (which are neither cached nor
-    /// shared — a failing key fails again on retry, and callers that
-    /// joined the failed compile try for themselves).
+    /// Propagates compilation errors, and
+    /// [`CodegenError::StaticVerification`] for a kernel with
+    /// error-severity findings. Neither is cached nor shared — a failing
+    /// key fails again on retry, and callers that joined the failed
+    /// compile try for themselves.
     pub fn compile_cached(
         &self,
         stencil: &Stencil,
         extent: Extent,
         options: &RunOptions,
     ) -> Result<(Arc<CompiledKernel>, bool), CodegenError> {
+        let (cached, hit) = self.compile_proven(stencil, extent, options)?;
+        Ok((Arc::clone(&cached.kernel), hit))
+    }
+
+    /// [`Session::compile_cached`], handing out the kernel together with
+    /// its proven bound.
+    fn compile_proven(
+        &self,
+        stencil: &Stencil,
+        extent: Extent,
+        options: &RunOptions,
+    ) -> Result<(Arc<CachedKernel>, bool), CodegenError> {
         let key = KernelKey::new(stencil, extent, options);
         let flight = loop {
             let joined = {
@@ -503,7 +506,7 @@ impl Session {
                 match state.kernels.lookup(&key) {
                     Lookup::Hit(cached, _) => {
                         state.stats.cache_hits += 1;
-                        return Ok((Arc::clone(&cached.kernel), true));
+                        return Ok((Arc::clone(cached), true));
                     }
                     Lookup::Join(flight) => flight,
                     Lookup::Miss => break state.kernels.lead(key),
@@ -512,11 +515,11 @@ impl Session {
             // Another caller is compiling this key: its kernel is a hit
             // that saved a compile. A failed or unwound compile sends
             // `None` instead, and this caller looks the key up again.
-            if let Some(kernel) = joined.wait_until(None, &self.recovered).flatten() {
+            if let Some(cached) = joined.wait_until(None, &self.recovered).flatten() {
                 let stats = &mut self.lock().stats;
                 stats.cache_hits += 1;
                 stats.compiles_saved += 1;
-                return Ok((kernel, true));
+                return Ok((cached, true));
             }
         };
         // This caller leads: if the compile or the gate below fails or
@@ -528,102 +531,66 @@ impl Session {
             key,
             flight: Some(flight),
         };
-        let kernel = Arc::new(compile(stencil, extent, options)?);
-        // Fresh compiles pass through the static verifier gate before
-        // they become visible to any caller: a kernel with error-severity
-        // findings is rejected like a failed compile, and a clean one
-        // records its proven cycle lower bound.
-        let bound = if self.config.verify_kernels {
-            let report = crate::verify::verify_kernel(stencil, &kernel, options);
-            if report.has_errors() {
-                return Err(CodegenError::StaticVerification {
-                    name: stencil.name().to_string(),
-                    findings: report.errors().map(ToString::to_string).collect(),
-                });
-            }
-            Some(report.bound)
-        } else {
-            None
-        };
+        let kernel = compile(stencil, extent, options)?;
+        // The gate: a kernel with error-severity findings is rejected
+        // like a failed compile, and a clean one carries its proven cycle
+        // lower bound.
+        let report = crate::verify::verify_kernel(stencil, &kernel, options);
+        if report.has_errors() {
+            return Err(CodegenError::StaticVerification {
+                name: stencil.name().to_string(),
+                findings: report.errors().map(ToString::to_string).collect(),
+            });
+        }
+        let cached = Arc::new(CachedKernel {
+            kernel: Arc::new(kernel),
+            bound: report.bound,
+        });
         {
             let mut guard = self.lock();
             let state = &mut *guard;
             state.stats.compiles += 1;
-            state.stats.kernels_verified += u64::from(bound.is_some());
-            let cached = CachedKernel {
-                kernel: Arc::clone(&kernel),
-                bound,
-            };
             let cap = self.config.max_cached_kernels;
-            state.stats.evictions += state.kernels.settle(&key, Some((cached, 1.0)), cap);
+            let answer = Some((Arc::clone(&cached), 1.0));
+            state.stats.evictions += state.kernels.settle(&key, answer, cap);
         }
-        lead.complete(Some(Arc::clone(&kernel)));
-        Ok((kernel, false))
+        lead.complete(Some(Arc::clone(&cached)));
+        Ok((cached, false))
     }
 
     /// The statically proven cycle lower bound for `stencil` at `extent`
-    /// under `options`, computing it on demand (and caching it next to
-    /// the kernel) when the [`SessionConfig::verify_kernels`] gate has
-    /// not already recorded one. A key the kernel cache has evicted is
-    /// recompiled and re-proven.
+    /// under `options`: the one its kernel was gated with, read from the
+    /// kernel cache. A key the cache has evicted is recompiled and
+    /// re-proven.
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors, including
-    /// [`CodegenError::StaticVerification`] when the gate is on and the
-    /// kernel fails it.
+    /// As [`Session::compile_cached`].
     pub fn static_bound(
         &self,
         stencil: &Stencil,
         extent: Extent,
         options: &RunOptions,
     ) -> Result<StaticBound, CodegenError> {
-        let (kernel, _) = self.compile_cached(stencil, extent, options)?;
-        Ok(self.prove(stencil, extent, options, &kernel).0)
+        let (cached, _) = self.compile_proven(stencil, extent, options)?;
+        Ok(cached.bound.clone())
     }
 
-    /// The bound recorded next to `kernel` (compiled for `stencil`,
-    /// `extent`, `options`), or a fresh one — proven outside the lock,
-    /// then kept next to the kernel if it is still cached and its report
-    /// is clean — and whether that report was free of error findings.
-    fn prove(
-        &self,
-        stencil: &Stencil,
-        extent: Extent,
-        options: &RunOptions,
-        kernel: &CompiledKernel,
-    ) -> (StaticBound, bool) {
-        let key = KernelKey::new(stencil, extent, options);
-        let mut state = self.lock();
-        if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.clone()) {
-            return (bound, true);
-        }
-        drop(state);
-        let report = crate::verify::verify_kernel(stencil, kernel, options);
-        let clean = !report.has_errors();
-        if clean {
-            if let Some(cached) = self.lock().kernels.value_mut(&key) {
-                cached.bound = Some(report.bound.clone());
-            }
-        }
-        (report.bound, clean)
-    }
-
-    /// [`Session::compile_cached`], counted in `tel`.
+    /// [`Session::compile_proven`], counted in `tel`.
     fn compile_counted(
         &self,
         stencil: &Stencil,
         extent: Extent,
         options: &RunOptions,
         tel: &mut WorkloadTelemetry,
-    ) -> Result<Arc<CompiledKernel>, CodegenError> {
-        let (kernel, hit) = self.compile_cached(stencil, extent, options)?;
+    ) -> Result<Arc<CachedKernel>, CodegenError> {
+        let (cached, hit) = self.compile_proven(stencil, extent, options)?;
         if hit {
             tel.cache_hits += 1;
         } else {
             tel.compiles += 1;
         }
-        Ok(kernel)
+        Ok(cached)
     }
 
     /// One kernel execution: compile (through the cache, when the backend
@@ -640,7 +607,8 @@ impl Session {
         let kernel = backend
             .needs_kernel()
             .then(|| self.compile_counted(stencil, extent, options, tel))
-            .transpose()?;
+            .transpose()?
+            .map(|cached| Arc::clone(&cached.kernel));
         self.execute(backend, stencil, inputs, options, kernel, tel)
     }
 
@@ -870,15 +838,14 @@ impl Session {
     /// or FREP sequencer genuinely refuses.
     ///
     /// It proves before it simulates. Every feasible candidate is
-    /// compiled, and on the cycle tier each one's cycle lower bound is
-    /// proven (or read from the kernel cache). Candidates are then
+    /// compiled, and so proven: on the cycle tier, candidates are
     /// simulated in ascending `(bound, list index)` order, and one that
     /// cannot win is never simulated: its bound exceeds the best cycles
     /// measured so far, or equals them and it comes later in the list.
     /// A bound never exceeds its kernel's simulated cycles, so the pick
-    /// is the one simulating every candidate would make. A bound from a
-    /// report with error findings proves nothing and ranks as 0, and
-    /// with a single feasible candidate there is nothing to prove.
+    /// is the one simulating every candidate would make. Off the cycle
+    /// tier, or with a single feasible candidate, candidates run in list
+    /// order and no bound is reported.
     fn tune(
         &self,
         backend: &dyn Backend,
@@ -897,17 +864,13 @@ impl Session {
                 Err(e) => return Err(e),
             }
         }
-        let prove = backend.fidelity() == Fidelity::Cycles && feasible.len() > 1;
+        let ranked = backend.fidelity() == Fidelity::Cycles && feasible.len() > 1;
         let mut bounds = Vec::new();
         let mut order = Vec::with_capacity(feasible.len());
-        for (i, (options, kernel)) in feasible.iter().enumerate() {
-            let mut rank = 0;
-            if prove {
-                let (bound, clean) = self.prove(stencil, work.extent, options, kernel);
-                bounds.push((options.unroll, bound.cycles));
-                if clean {
-                    rank = bound.cycles;
-                }
+        for (i, (options, cached)) in feasible.iter().enumerate() {
+            let rank = if ranked { cached.bound.cycles } else { 0 };
+            if ranked {
+                bounds.push((options.unroll, rank));
             }
             order.push((rank, i));
         }
@@ -921,13 +884,13 @@ impl Session {
             if best.as_ref().is_some_and(|&(c, j, _)| (rank, i) > (c, j)) {
                 break;
             }
-            let (options, kernel) = &feasible[i];
+            let (options, cached) = &feasible[i];
             let run = self.execute(
                 backend,
                 stencil,
                 inputs,
                 options,
-                Some(Arc::clone(kernel)),
+                Some(Arc::clone(&cached.kernel)),
                 tel,
             )?;
             let cycles = run.report.as_ref().map_or(u64::MAX, |r| r.cycles);
@@ -1109,15 +1072,16 @@ impl Session {
         }
         // The drift detector's other half: an *analytic* estimate below a
         // kernel's statically proven cycle floor is an impossible number —
-        // the roofline model (or its calibration data) has drifted.
-        // Opportunistic: only kernels the verifier gate (or a
-        // `static_bound` call) has already bounded are checked.
+        // the roofline model (or its calibration data) has drifted. The
+        // analytic tier compiles nothing, so only kernels the session
+        // has already compiled, and so proven, are checked.
         if fidelity == Fidelity::Analytic {
             let key = KernelKey::new(stencil, work.extent, &options);
             let mut guard = self.lock();
             let state = &mut *guard;
-            if let Some(bound) = state.kernels.value_mut(&key).and_then(|c| c.bound.as_ref()) {
-                let low = reports.iter().filter(|r| r.cycles < bound.cycles).count();
+            if let Some(cached) = state.kernels.value_mut(&key) {
+                let floor = cached.bound.cycles;
+                let low = reports.iter().filter(|r| r.cycles < floor).count();
                 state.stats.bound_violations += low as u64;
             }
         }
@@ -1344,31 +1308,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_with_error_findings_are_neither_trusted_nor_kept() {
-        let session = Session::with_config(SessionConfig {
-            verify_kernels: false,
-            ..SessionConfig::default()
-        });
-        let (stencil, extent) = (gallery::jacobi_2d(), Extent::new_2d(16, 16));
-        let options = RunOptions::new(Variant::Saris);
-        let (kernel, _) = session.compile_cached(&stencil, extent, &options).unwrap();
-        let kept = || {
-            let key = KernelKey::new(&stencil, extent, &options);
-            let mut state = session.lock();
-            state.kernels.value_mut(&key).unwrap().bound.clone()
-        };
-        let mut broken = (*kernel).clone();
-        let program = &mut broken.cores[0].program;
-        *program = saris_verify::mutate(program, saris_verify::Mutation::RemoveHalt).unwrap();
-        let (_, clean) = session.prove(&stencil, extent, &options, &broken);
-        assert!(!clean);
-        assert_eq!(kept(), None);
-        let (bound, clean) = session.prove(&stencil, extent, &options, &kernel);
-        assert!(clean);
-        assert_eq!(kept(), Some(bound));
-    }
-
-    #[test]
     fn batch_results_keep_spec_order() {
         let stencil = Arc::new(gallery::jacobi_2d());
         let specs: Vec<WorkloadSpec> = (0..4)
@@ -1454,7 +1393,6 @@ mod tests {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 1,
             max_pooled_clusters: 64,
-            ..SessionConfig::default()
         });
         let u1 = jacobi_spec();
         let u2 = Workload::new(gallery::jacobi_2d())
@@ -1478,7 +1416,6 @@ mod tests {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 1024,
             max_pooled_clusters: 0,
-            ..SessionConfig::default()
         });
         let spec = jacobi_spec();
         session.submit(&spec).unwrap();
@@ -1493,7 +1430,6 @@ mod tests {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 2,
             max_pooled_clusters: 64,
-            ..SessionConfig::default()
         });
         // j3d27pt at base unroll 4 fails on register pressure; the
         // failed key must not linger as an empty entry that occupies
@@ -1547,17 +1483,11 @@ mod tests {
     fn proven_bounds_are_evicted_with_their_kernels() {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 2,
-            verify_kernels: true,
             ..SessionConfig::default()
         });
         let retained_bounds = || {
             let state = session.state.lock().unwrap();
-            let bounded = |cached: &CachedKernel| cached.bound.is_some();
-            state
-                .kernels
-                .rows()
-                .filter(|(_, v)| v.is_some_and(bounded))
-                .count()
+            state.kernels.rows().filter(|(_, v)| v.is_some()).count()
         };
         let stencil = gallery::jacobi_2d();
         let options = RunOptions::new(Variant::Saris);
@@ -1568,7 +1498,7 @@ mod tests {
                 .unwrap();
             assert!(retained_bounds() <= 2, "after key {k}");
         }
-        assert_eq!(session.stats().kernels_verified, 5);
+        assert_eq!(session.stats().compiles, 5);
         assert_eq!(retained_bounds(), 2);
         // The first key was evicted long ago: its bound is re-proven on
         // a recompile, not remembered.

@@ -72,7 +72,7 @@ pub struct TuningDecision {
     /// order. A feasible candidate missing here was proven unable to win.
     pub measured: Vec<(usize, u64)>,
     /// `(unroll, proven cycle lower bound)` for every feasible candidate,
-    /// in candidate order. Empty where nothing was proven: off the cycle
+    /// in candidate order. Empty where bounds rank nothing: off the cycle
     /// tier, or with a single feasible candidate.
     pub bounds: Vec<(usize, u64)>,
 }

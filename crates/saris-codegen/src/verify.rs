@@ -13,8 +13,7 @@
 //! write-hazard detection.
 //!
 //! [`Session`](crate::Session) calls [`verify_kernel`] on every fresh
-//! compile when [`SessionConfig::verify_kernels`](crate::SessionConfig)
-//! is set, turning error-severity findings into
+//! compile, in every build, turning error-severity findings into
 //! [`CodegenError::StaticVerification`](crate::CodegenError).
 
 use saris_core::layout::ELEM_BYTES;

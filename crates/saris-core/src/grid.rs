@@ -54,20 +54,13 @@ impl Grid {
 
     /// A deterministic pseudo-random grid in `[-1, 1)`, seeded by `seed`.
     ///
-    /// Uses a splitmix64 generator so core stays dependency-free while
-    /// tests and benches get reproducible data.
+    /// Draws from [`SplitMix64`](crate::rng::SplitMix64), so tests and
+    /// benches get reproducible data.
     pub fn pseudo_random(extent: Extent, seed: u64) -> Grid {
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = crate::rng::SplitMix64::new(seed.wrapping_add(crate::rng::GAMMA));
         Grid::from_fn(extent, |_| {
             // 53 random mantissa bits -> [0, 1) -> [-1, 1).
-            let bits = next() >> 11;
+            let bits = rng.next_u64() >> 11;
             (bits as f64) / ((1u64 << 53) as f64) * 2.0 - 1.0
         })
     }

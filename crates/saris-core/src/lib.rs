@@ -18,7 +18,8 @@
 //! * tile memory layout ([`layout`]) and core parallelization
 //!   ([`parallel`]) helpers shared by the code generators;
 //! * the one stable key derivation ([`key`]) every fingerprint, cache
-//!   key and ring position in the workspace is computed with.
+//!   key and ring position in the workspace is computed with, and the
+//!   one seeded generator ([`rng`]) every reproducible draw comes from.
 //!
 //! # Examples
 //!
@@ -52,6 +53,7 @@ pub mod layout;
 pub mod method;
 pub mod parallel;
 pub mod reference;
+pub mod rng;
 pub mod roofline;
 pub mod simd;
 pub mod stencil;

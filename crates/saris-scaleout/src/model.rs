@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use saris_core::rng::SplitMix64;
 use saris_core::{Extent, Stencil};
 
 use crate::machine::MachineModel;
@@ -72,26 +73,6 @@ impl fmt::Display for ScaleoutEstimate {
     }
 }
 
-/// A small, self-contained splitmix64 generator for the seeded bootstrap
-/// (keeps the estimate dependency-free and bit-reproducible).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw from `0..n` (the tiny modulo bias is irrelevant for
-    /// the bootstrap's 3-8 element ratio sets).
-    fn index(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
 /// Expected makespan inflation when `n` clusters draw their runtimes from
 /// the empirical per-core ratio distribution (seeded bootstrap, as the
 /// paper's "same distribution for runtime imbalance among clusters as we
@@ -100,13 +81,13 @@ fn bootstrap_makespan_factor(ratios: &[f64], n: usize, seed: u64) -> f64 {
     if ratios.is_empty() || n == 0 {
         return 1.0;
     }
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     const ROUNDS: usize = 2000;
     let mut acc = 0.0;
     for _ in 0..ROUNDS {
         let mut max = f64::MIN;
         for _ in 0..n {
-            let r = ratios[rng.index(ratios.len())];
+            let r = ratios[rng.below(ratios.len() as u64) as usize];
             if r > max {
                 max = r;
             }

@@ -1830,14 +1830,7 @@ mod tests {
             _ if i.is_multiple_of(2) => Fidelity::Cycles,
             _ => Fidelity::Analytic,
         };
-        let mut rng = 0x5EED_u64;
-        let mut roll = move || {
-            // splitmix64
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = saris_core::rng::SplitMix64::new(0x5EED);
         let mut state = State {
             slots: 3,
             ..State::default()
@@ -1849,7 +1842,7 @@ mod tests {
         let mut claims = 0;
         for _ in 0..10_000 {
             now += Duration::from_micros(100);
-            let r = roll();
+            let r = rng.next_u64();
             let i = (r >> 32) as usize % SPECS;
             match r % 10 {
                 0..=3 => match state.lookup(&specs[i]) {

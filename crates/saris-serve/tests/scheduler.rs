@@ -16,6 +16,7 @@ use saris_codegen::{
     Backend, CodegenError, ExecOutcome, ExecRequest, Fidelity, Session, SimBackend, Workload,
     WorkloadSpec,
 };
+use saris_core::rng::SplitMix64;
 use saris_core::{gallery, Extent, Grid};
 use saris_serve::{ResponseHandle, ServeConfig, Server};
 
@@ -241,13 +242,9 @@ fn executions_never_outnumber_the_workers() {
         for t in 0..THREADS {
             let server = &server;
             scope.spawn(move || {
-                let mut rng = 0x5EED ^ t;
+                let mut rng = SplitMix64::new(0x5EED ^ t);
                 for _ in 0..EACH {
-                    // splitmix64
-                    rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let z = (rng ^ (rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    let r = z ^ (z >> 31);
+                    let r = rng.next_u64();
                     // Some seeds repeat across threads: those coalesce
                     // or hit.
                     let spec = spec(r % 32);

@@ -32,7 +32,8 @@ impl fmt::Display for Severity {
 /// The structured payload of one finding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DiagKind {
-    /// The program failed structural validation (`saris_isa::program::validate`).
+    /// The program failed structural validation
+    /// (`saris_isa::program::validate`) or the cluster's limits.
     Malformed {
         /// The validation error, rendered.
         reason: String,

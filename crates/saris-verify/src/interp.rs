@@ -459,7 +459,28 @@ impl Interp<'_> {
                     continue;
                 }
                 Op::FpMem { .. } | Op::FpArith(_) => self.exec_fp(op, pc, &mut fp_issue),
-                Op::Frep { count, n_instrs } => {
+                Op::Frep {
+                    count,
+                    n_instrs,
+                    fits,
+                } => {
+                    // `fits` is the configuration's verdict
+                    // (`ClusterConfig::frep_body_fits`), decoded once for
+                    // the verifier and the simulator alike: a body the
+                    // simulator refuses stops the program here.
+                    if !fits {
+                        self.diag(
+                            Some(pc),
+                            DiagKind::Malformed {
+                                reason: format!(
+                                    "frep body of {n_instrs} instructions does not fit \
+                                     the sequencer (depth {})",
+                                    self.cfg.sequencer_depth
+                                ),
+                            },
+                        );
+                        return (issue, fp_issue);
+                    }
                     let reps = match count {
                         FrepCount::Imm(k) => u64::from(k) + 1,
                         // The sequencer reads the register as unsigned.
@@ -1676,22 +1697,14 @@ mod tests {
         }
     }
 
-    /// SplitMix64: the tests' only randomness, seeded.
-    struct Rng(u64);
+    /// The tests' only randomness, seeded.
+    type Rng = saris_core::rng::SplitMix64;
 
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
+    trait Pick {
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T;
+    }
 
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
+    impl Pick for Rng {
         fn pick<T: Copy>(&mut self, from: &[T]) -> T {
             from[self.below(from.len() as u64) as usize]
         }
@@ -1706,7 +1719,7 @@ mod tests {
         let cfg = snitch();
         let tcdm_end = TCDM_BASE + cfg.tcdm_bytes as u64;
         let indices: Vec<u8> = {
-            let mut rng = Rng(7);
+            let mut rng = Rng::new(7);
             (0..64).map(|_| rng.below(48) as u8).collect()
         };
         let mut map = MemoryMap::default();
@@ -1727,7 +1740,7 @@ mod tests {
             tcdm_end - 64,
         ];
         let strides = [8, 8, 8, 16, 64, 256, -8, -64, 0, 4, 12];
-        let mut rng = Rng(1);
+        let mut rng = Rng::new(1);
         let (mut jobs_run, mut jobs_walked) = (0, 0);
         for _ in 0..400 {
             let jobs: Vec<(SsrCfg, Option<i64>)> = (0..4)
@@ -1836,7 +1849,7 @@ mod tests {
         // free of findings.
         let bases = [t0, t0, t0, t1, t1, t1, t1, t2, t3, t4];
         let regs: Vec<FpReg> = (0..8).map(|i| FpReg::new(i).unwrap()).collect();
-        let mut rng = Rng(3);
+        let mut rng = Rng::new(3);
         let (mut freps, mut extrapolated) = (0, 0);
         for case in 0..600 {
             let mut instrs = vec![

@@ -26,6 +26,7 @@
 //! is periodic: a rep too many or too few, or a register left behind by
 //! the extrapolation, makes some seeded program miss the constant.
 
+use saris_core::rng::SplitMix64 as Rng;
 use saris_isa::{FpR4Op, FpROp, FpReg, FpUOp, FrepCount, Instr, Program, ProgramBuilder};
 use saris_verify::{verify_program, DiagKind, MemoryMap};
 use snitch_sim::{Cluster, ClusterConfig};
@@ -42,33 +43,16 @@ const CAPTURE: u64 = 1;
 /// FP ops per program: with the final `halt`, one 16-instruction line.
 const MAX_OPS: u64 = 15;
 
-/// A small seeded generator (SplitMix64).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// One of a handful of plain registers, so that ops read results of
-    /// recent ones and RAW chains form.
-    fn reg(&mut self) -> FpReg {
-        FpReg::new(3 + self.below(6) as u8).expect("ft3..ft8")
-    }
+/// One of a handful of plain registers, so that ops read results of
+/// recent ones and RAW chains form.
+fn reg(rng: &mut Rng) -> FpReg {
+    FpReg::new(3 + rng.below(6) as u8).expect("ft3..ft8")
 }
 
 /// A random straight-line FP op over every latency class.
 fn op(rng: &mut Rng) -> Instr {
-    let rd = rng.reg();
-    let (rs1, rs2, rs3) = (rng.reg(), rng.reg(), rng.reg());
+    let rd = reg(rng);
+    let (rs1, rs2, rs3) = (reg(rng), reg(rng), reg(rng));
     match rng.below(3) {
         0 => Instr::FpR {
             op: [
@@ -126,19 +110,19 @@ fn frep_program(rng: &mut Rng) -> (Program, u64) {
 
 /// Appends an FMA, an add of its result and `halt`.
 fn finish(mut b: ProgramBuilder, rng: &mut Rng) -> Program {
-    let product = rng.reg();
+    let product = reg(rng);
     b.push(Instr::FpR4 {
         op: FpR4Op::Madd,
         rd: product,
-        rs1: rng.reg(),
-        rs2: rng.reg(),
-        rs3: rng.reg(),
+        rs1: reg(rng),
+        rs2: reg(rng),
+        rs3: reg(rng),
     });
     b.push(Instr::FpR {
         op: FpROp::Add,
-        rd: rng.reg(),
+        rd: reg(rng),
         rs1: product,
-        rs2: rng.reg(),
+        rs2: reg(rng),
     });
     b.push(Instr::Halt);
     b.finish().expect("valid program")
@@ -190,7 +174,7 @@ fn assert_bound_to_the_cycle(program: &Program, cfg: &ClusterConfig, overhead: u
 
 #[test]
 fn straight_line_fp_programs_are_bounded_to_the_cycle() {
-    let mut rng = Rng(0x5a12_15f0);
+    let mut rng = Rng::new(0x5a12_15f0);
     for cfg in configs() {
         let overhead = u64::from(cfg.icache_miss_penalty) + OFFLOAD;
         for case in 0..1_000 {
@@ -201,7 +185,7 @@ fn straight_line_fp_programs_are_bounded_to_the_cycle() {
 
 #[test]
 fn frep_programs_are_bounded_to_the_cycle() {
-    let mut rng = Rng(0xf4e9_0001);
+    let mut rng = Rng::new(0xf4e9_0001);
     for cfg in configs() {
         let overhead = u64::from(cfg.icache_miss_penalty) + OFFLOAD;
         for case in 0..1_000 {

@@ -191,6 +191,16 @@ impl ClusterConfig {
         self.icache_line_bytes / 4
     }
 
+    /// Whether an FREP body of `n_instrs` instructions fits the
+    /// sequencer: at least one instruction, at most
+    /// [`sequencer_depth`](ClusterConfig::sequencer_depth). The simulator
+    /// refuses any other body with
+    /// [`SimError::FrepMisuse`](crate::SimError::FrepMisuse), so code
+    /// generators and the static verifier check it too.
+    pub fn frep_body_fits(&self, n_instrs: usize) -> bool {
+        (1..=self.sequencer_depth).contains(&n_instrs)
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics

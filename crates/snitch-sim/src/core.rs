@@ -516,8 +516,12 @@ impl Core {
                 self.fp.offload_arith(arith);
                 self.advance();
             }
-            Op::Frep { count, n_instrs } => {
-                if !self.fp.frep_fits(n_instrs as usize) {
+            Op::Frep {
+                count,
+                n_instrs,
+                fits,
+            } => {
+                if !fits {
                     return Err(SimError::FrepMisuse {
                         core: self.id,
                         reason: "frep body empty or exceeds sequencer buffer",

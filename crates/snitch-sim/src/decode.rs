@@ -107,10 +107,12 @@ pub enum Op {
     },
     /// FP arithmetic with operands and latency fully decoded.
     FpArith(FpArithOp),
-    /// An FREP hardware loop over the next `n_instrs` ops.
+    /// An FREP hardware loop over the next `n_instrs` ops; `fits` is
+    /// [`ClusterConfig::frep_body_fits`] of the decoding configuration.
     Frep {
         count: saris_isa::FrepCount,
         n_instrs: u8,
+        fits: bool,
     },
     /// `ssr_enable`
     SsrEnable,
@@ -296,6 +298,7 @@ fn decode_instr(instr: &Instr, cfg: &ClusterConfig, ssr_cfgs: &mut Vec<SsrCfg>) 
         Instr::Frep { count, n_instrs } => Op::Frep {
             count: *count,
             n_instrs: *n_instrs,
+            fits: cfg.frep_body_fits(usize::from(*n_instrs)),
         },
         Instr::SsrEnable => Op::SsrEnable,
         Instr::SsrDisable => Op::SsrDisable,

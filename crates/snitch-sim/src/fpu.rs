@@ -297,7 +297,6 @@ pub struct FpSubsystem {
     lsu_store_busy: bool,
     /// Activity counters.
     pub stats: FpuStats,
-    sequencer_depth: usize,
     lat_load: u64,
     /// Whether stalls may be recorded in `wait` (the cluster
     /// fast-forwards).
@@ -336,7 +335,6 @@ impl FpSubsystem {
             lsu_load_dst: None,
             lsu_store_busy: false,
             stats: FpuStats::default(),
-            sequencer_depth: cfg.sequencer_depth,
             lat_load: cfg.fp_load_latency as u64,
             fast_forward: cfg.fast_forward,
             wait: None,
@@ -362,7 +360,6 @@ impl FpSubsystem {
             lsu_load_dst,
             lsu_store_busy,
             stats,
-            sequencer_depth: _,
             lat_load: _,
             fast_forward: _,
             wait,
@@ -389,11 +386,6 @@ impl FpSubsystem {
     /// buffer and are not limited by the queue depth.
     pub fn can_offload(&self) -> bool {
         self.capture_remaining > 0 || !self.queue.is_full()
-    }
-
-    /// Whether an FREP body of `n_instrs` fits the sequencer buffer.
-    pub fn frep_fits(&self, n_instrs: usize) -> bool {
-        n_instrs >= 1 && n_instrs <= self.sequencer_depth
     }
 
     /// Whether an FREP marker can be offloaded right now (queue slot free
@@ -463,12 +455,16 @@ impl FpSubsystem {
     /// # Panics
     ///
     /// Panics if the queue is full, a capture is already open, the body
-    /// does not fit the sequencer (check [`Self::frep_fits`]), or `reps`
-    /// is `u64::MAX` (2^64 executions).
+    /// is empty or exceeds the sequencer storage (decoding checks
+    /// [`ClusterConfig::frep_body_fits`]), or `reps` is `u64::MAX` (2^64
+    /// executions).
     pub fn offload_frep(&mut self, reps: u64, n_instrs: usize) {
         assert!(!self.queue.is_full(), "offload queue full");
         assert_eq!(self.capture_remaining, 0, "nested frep capture");
-        assert!(self.frep_fits(n_instrs), "frep body does not fit sequencer");
+        assert!(
+            (1..=self.seq_capacity).contains(&n_instrs),
+            "frep body does not fit sequencer"
+        );
         if self.seq_len == 0 {
             // Nothing captured is live: restart at the buffer's front so
             // a loop nest keeps reusing the same few cache lines.

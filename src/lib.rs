@@ -272,10 +272,9 @@
 //! kernel provably cannot beat (integer issue slots, the FP sequencer's
 //! in-order issue schedule, TCDM bank pressure).
 //!
-//! Sessions gate every fresh compile through the verifier when
-//! [`SessionConfig::verify_kernels`](codegen::SessionConfig) is set (the
-//! default in debug builds): error-severity findings reject the kernel
-//! as [`CodegenError::StaticVerification`](codegen::CodegenError) before
+//! Sessions gate every fresh compile through the verifier, in every
+//! build: error-severity findings reject the kernel as
+//! [`CodegenError::StaticVerification`](codegen::CodegenError) before
 //! a single cycle is simulated. Each clean kernel's proven bound ranks
 //! unroll candidates for the tuner, which never simulates one whose
 //! bound cannot beat a measurement it already has, and doubles as a

@@ -191,7 +191,6 @@ fn session_config_bounds_are_enforced() {
     let session = Session::with_config(SessionConfig {
         max_cached_kernels: 2,
         max_pooled_clusters: 1,
-        ..SessionConfig::default()
     });
     let codes = ["jacobi_2d", "j2d5pt", "box2d1r"];
     let specs: Vec<WorkloadSpec> = codes

@@ -24,24 +24,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use saris::codegen::json;
 use saris::codegen::{decode_outcome, decode_spec, encode_outcome, encode_spec};
+use saris::core::rng::SplitMix64;
 use saris::prelude::*;
-
-/// SplitMix64: the stream of mutations is a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// Bytes that mean something to the tokenizer or to a decoder, plus a
 /// few that mean nothing anywhere (the last two are not UTF-8).
@@ -50,15 +34,15 @@ const SUBSTITUTES: &[u8] = b"{}[]\",:\\ 0123456789-+.eEx/untrfalsb\0\x7f\xc3\xff
 /// `n` mutations of `document`: a substituted byte, a deleted byte, or
 /// a truncation, at seeded positions.
 fn mutations(document: &[u8], n: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|_| {
-            let at = rng.below(document.len());
+            let at = rng.below(document.len() as u64) as usize;
             let mut bytes = document.to_vec();
             match rng.below(8) {
                 0 => bytes.truncate(at),
                 1 | 2 => drop(bytes.remove(at)),
-                _ => bytes[at] = SUBSTITUTES[rng.below(SUBSTITUTES.len())],
+                _ => bytes[at] = SUBSTITUTES[rng.below(SUBSTITUTES.len() as u64) as usize],
             }
             bytes
         })
