@@ -191,6 +191,39 @@ fn session_gate_verifies_and_records_bounds() {
     assert_eq!(session.stats().compiles, 1, "bound came from the cache");
 }
 
+/// The cache hands out each kernel with the bound the verifier proves
+/// for it, and a key the cache evicted is recompiled and re-proven to
+/// the same bound.
+#[test]
+fn cached_bound_matches_verifier_and_survives_eviction() {
+    let session = Session::with_config(SessionConfig {
+        max_cached_kernels: 1,
+        ..SessionConfig::default()
+    });
+    let stencil = gallery::jacobi_2d();
+    let tile = Extent::new_2d(16, 16);
+    let options = RunOptions::new(Variant::Saris);
+    let (kernel, hit) = session.compile_cached(&stencil, tile, &options).unwrap();
+    assert!(!hit);
+    let proven = verify_kernel(&stencil, &kernel, &options).bound;
+    assert!(proven.cycles > 0);
+    assert_eq!(
+        session.static_bound(&stencil, tile, &options).unwrap(),
+        proven
+    );
+    assert_eq!(session.stats().compiles, 1, "bound came from the cache");
+    // A second key evicts the first from the one-entry cache.
+    session
+        .static_bound(&gallery::j2d5pt(), tile, &options)
+        .unwrap();
+    assert_eq!(session.stats().evictions, 1);
+    assert_eq!(
+        session.static_bound(&stencil, tile, &options).unwrap(),
+        proven
+    );
+    assert_eq!(session.stats().compiles, 3, "evicted key was recompiled");
+}
+
 /// The paper's running example: the symmetric 7-point star of Listing 1.
 fn seven_point_star() -> Stencil {
     let mut b = StencilBuilder::new("star3d1r_sym", Space::Dim3);
