@@ -45,12 +45,11 @@ use saris_core::stencil::Stencil;
 use snitch_sim::core::IntStats;
 use snitch_sim::fpu::FpuStats;
 use snitch_sim::ssr::StreamerStats;
-use snitch_sim::{CoreReport, DmaStats, RunReport};
+use snitch_sim::{Cluster, CoreReport, DmaStats, RunReport};
 
 use crate::calibration::{Calibration, CalibrationStore};
 use crate::error::CodegenError;
 use crate::runtime::{execute_on, CompiledKernel, RunOptions, Variant};
-use crate::session::ClusterPool;
 
 /// How good an answer a workload needs — the axis a
 /// [`BackendRegistry`] dispatches on.
@@ -150,7 +149,8 @@ impl fmt::Display for Fidelity {
     }
 }
 
-/// One execution request handed to a [`Backend`].
+/// One execution request handed to a [`Backend`], by value: the backend
+/// borrows the session's cluster for the length of the call.
 pub struct ExecRequest<'a> {
     /// The stencil to apply.
     pub stencil: &'a Stencil,
@@ -160,8 +160,12 @@ pub struct ExecRequest<'a> {
     pub options: &'a RunOptions,
     /// The cached kernel, when the backend asked for one.
     pub kernel: Option<&'a Arc<CompiledKernel>>,
-    /// The session's cluster pool.
-    pub pool: &'a ClusterPool,
+    /// A power-on-state cluster configured as `options.cluster`, lent by
+    /// the session whenever the backend [needs a
+    /// kernel](Backend::needs_kernel); `None` otherwise. The session
+    /// takes it from its idle clusters (or builds it) before the call and
+    /// takes it back after, whether the run succeeds or fails.
+    pub cluster: Option<&'a mut Cluster>,
 }
 
 /// What a [`Backend`] produced for one request.
@@ -176,8 +180,6 @@ pub struct ExecOutcome {
     /// estimated cycles/FPU activity in the same shape the simulator
     /// emits (and `estimated` below is set).
     pub report: Option<RunReport>,
-    /// Whether a pooled cluster was recycled for this run.
-    pub cluster_reused: bool,
     /// Whether the report's numbers are model estimates rather than
     /// measurements.
     pub estimated: bool,
@@ -208,16 +210,18 @@ pub trait Backend: Send + Sync {
         None
     }
 
-    /// Executes one request.
+    /// Executes one request. A backend that needs kernels runs on
+    /// [`ExecRequest::cluster`], which the session resets, pools and
+    /// accounts for; the backend keeps nothing of it.
     ///
     /// # Errors
     ///
     /// Propagates compilation or execution errors.
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError>;
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError>;
 }
 
-/// The cycle-approximate Snitch-cluster simulator backend: compiles
-/// kernels, runs them on pooled clusters, and reports cycles/activity.
+/// The cycle-approximate Snitch-cluster simulator backend: runs compiled
+/// kernels on the session's clusters and reports cycles/activity.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimBackend;
 
@@ -234,17 +238,13 @@ impl Backend for SimBackend {
         true
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         let kernel = req.kernel.expect("sim backend runs need a compiled kernel");
-        let (mut cluster, cluster_reused) = req.pool.acquire(&req.options.cluster);
-        let result = execute_on(req.stencil, req.inputs, kernel, req.options, &mut cluster);
-        // Pool the cluster even after an error: acquisition resets it.
-        req.pool.release(cluster);
-        let (output, report) = result?;
+        let cluster = req.cluster.expect("sim backend runs need a cluster");
+        let (output, report) = execute_on(req.stencil, req.inputs, kernel, req.options, cluster)?;
         Ok(ExecOutcome {
             output: Some(output),
             report: Some(report),
-            cluster_reused,
             estimated: false,
         })
     }
@@ -280,7 +280,7 @@ impl Backend for NativeBackend {
         false
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         // `req.inputs` is already the slot slice the executor expects —
         // borrow it directly; the golden path allocates nothing per call
         // beyond the output grid.
@@ -288,7 +288,6 @@ impl Backend for NativeBackend {
         Ok(ExecOutcome {
             output: Some(reference::apply_to_new(req.stencil, req.inputs, extent)),
             report: None,
-            cluster_reused: false,
             estimated: false,
         })
     }
@@ -451,7 +450,7 @@ impl Backend for RooflineBackend {
         Some(Arc::clone(&self.store))
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         let extent = req.inputs[0].extent();
         let est = self.estimate(req.stencil, extent, req.options);
         let n_cores = req.options.cluster.n_cores.max(1);
@@ -495,7 +494,6 @@ impl Backend for RooflineBackend {
         Ok(ExecOutcome {
             output: None,
             report: Some(report),
-            cluster_reused: false,
             estimated: true,
         })
     }

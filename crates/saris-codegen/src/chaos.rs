@@ -221,14 +221,13 @@ impl FaultInjectingBackend {
         };
         let grids = work.inputs.materialize(&work.stencil, work.extent);
         let refs: Vec<&Grid> = grids.iter().collect();
-        let req = ExecRequest {
+        Some(request_key(&ExecRequest {
             stencil: &work.stencil,
             inputs: &refs,
             options: &work.options,
             kernel: None,
-            pool: &crate::session::ClusterPool::new(),
-        };
-        Some(request_key(&req))
+            cluster: None,
+        }))
     }
 
     /// The first `attempts` entries of `spec`'s fault schedule (attempt
@@ -273,8 +272,8 @@ impl Backend for FaultInjectingBackend {
         self.inner.calibration_store()
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
-        let key = request_key(req);
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+        let key = request_key(&req);
         let attempt = {
             // Recover a poisoned attempt table: it only holds counters,
             // which stay internally consistent even if a holder died.
@@ -290,8 +289,9 @@ impl Backend for FaultInjectingBackend {
         match self.plan.decide(key, attempt) {
             Some(FaultKind::Panic) => {
                 self.panics.fetch_add(1, Ordering::Relaxed);
-                // Injected with no lock held and no cluster acquired, so
-                // the panic models a crashed worker, not a leaked one.
+                // Injected with no lock held; the session's lent cluster
+                // unwinds with the caller's stack, so the panic models a
+                // crashed worker, not a leaked one.
                 panic!("chaos: injected panic (key {key:#018x}, attempt {attempt})");
             }
             Some(FaultKind::Error) => {
@@ -416,10 +416,10 @@ mod tests {
             inputs: &refs,
             options: &crate::RunOptions::new(crate::Variant::Saris),
             kernel: None,
-            pool: &crate::session::ClusterPool::new(),
+            cluster: None,
         };
         let err = chaos
-            .execute(&req)
+            .execute(req)
             .err()
             .expect("injection must fail the request");
         assert!(err.is_transient(), "injected faults must be retryable");
@@ -440,16 +440,15 @@ mod tests {
         let grids = [Grid::pseudo_random(Extent::new_2d(8, 8), 0)];
         let refs: Vec<&Grid> = grids.iter().collect();
         let opts = crate::RunOptions::new(crate::Variant::Saris);
-        let pool = crate::session::ClusterPool::new();
-        let req = ExecRequest {
+        let req = || ExecRequest {
             stencil: &stencil,
             inputs: &refs,
             options: &opts,
             kernel: None,
-            pool: &pool,
+            cluster: None,
         };
-        let good = clean.execute(&req).unwrap().output.unwrap();
-        let bad = chaos.execute(&req).unwrap().output.unwrap();
+        let good = clean.execute(req()).unwrap().output.unwrap();
+        let bad = chaos.execute(req()).unwrap().output.unwrap();
         let diffs = good
             .as_slice()
             .iter()
@@ -473,18 +472,17 @@ mod tests {
         let grids = [Grid::pseudo_random(Extent::new_2d(8, 8), 0)];
         let refs: Vec<&Grid> = grids.iter().collect();
         let opts = crate::RunOptions::new(crate::Variant::Saris);
-        let pool = crate::session::ClusterPool::new();
-        let req = ExecRequest {
+        let req = || ExecRequest {
             stencil: &stencil,
             inputs: &refs,
             options: &opts,
             kernel: None,
-            pool: &pool,
+            cluster: None,
         };
-        let key = request_key(&req);
+        let key = request_key(&req());
         for attempt in 0..8 {
             let expect = plan.decide(key, attempt);
-            let got = chaos.execute(&req);
+            let got = chaos.execute(req());
             match expect {
                 Some(FaultKind::Error) => assert!(got.is_err(), "attempt {attempt}"),
                 None => assert!(got.is_ok(), "attempt {attempt}"),

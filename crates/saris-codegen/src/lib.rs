@@ -79,7 +79,7 @@ pub use error::CodegenError;
 pub use map::TcdmMap;
 pub use runtime::{compile, BufferRotation, CompiledKernel, RunOptions, Variant};
 pub use saris::SarisPlans;
-pub use session::{ClusterPool, Session, SessionConfig, SessionStats};
+pub use session::{Session, SessionConfig, SessionStats};
 pub use tuner::{Tune, TuningDecision, DEFAULT_CANDIDATES};
 pub use verify::{kernel_memory_map, verify_kernel};
 pub use walk::CoreWalk;

@@ -32,8 +32,11 @@
 //!   [`CalibrationStore`] meets their accuracy budget, escalated to the
 //!   cycle tier (which feeds the store back) otherwise.
 //!
-//! The kernel cache and the counters sit behind the session's one lock;
-//! nothing compiles, verifies or runs under it.
+//! The kernel cache, the idle clusters and the counters sit behind the
+//! session's one lock, and every stage that touches them — a kernel
+//! lookup, a flight's lead and settle, a cluster's acquire and release —
+//! is one short hold of it. Nothing compiles, verifies, runs, or resets,
+//! constructs or drops a cluster under it.
 //!
 //! # Examples
 //!
@@ -73,7 +76,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use saris_core::grid::{Grid, GridArena};
+use saris_core::grid::Grid;
 use saris_core::stencil::Stencil;
 use saris_core::{reference, Extent};
 use saris_verify::StaticBound;
@@ -112,16 +115,16 @@ impl KernelKey {
     }
 }
 
-/// Bounds on what a [`Session`] keeps alive. Both caches evict
-/// least-recently-used entries beyond their cap and count evictions in
-/// [`SessionStats::evictions`].
+/// Bounds on what a [`Session`] keeps alive. Kernels beyond their cap
+/// are evicted least recently used first, idle clusters oldest first,
+/// and both count in [`SessionStats::evictions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Maximum compiled kernels kept in the cache; beyond it the least
     /// recently used is evicted. `0` disables caching, and concurrent
     /// callers of one kernel still share its compile.
     pub max_cached_kernels: usize,
-    /// Maximum idle clusters kept in the pool (`0` disables pooling).
+    /// Maximum idle clusters kept for reuse (`0` disables pooling).
     pub max_pooled_clusters: usize,
 }
 
@@ -136,96 +139,13 @@ impl Default for SessionConfig {
     }
 }
 
-/// A pool of reusable simulated clusters. Released clusters are kept
-/// alive and handed back — after a [`Cluster::reset`] — to the next
-/// acquirer with a matching configuration, avoiding the TCDM/main-memory
-/// reconstruction cost of `Cluster::new` on every run. The pool holds at
-/// most `cap` idle clusters; releases beyond that drop the cluster and
-/// count an eviction.
-#[derive(Debug)]
-pub struct ClusterPool {
-    free: Mutex<Vec<Cluster>>,
-    cap: usize,
-    evicted: AtomicU64,
-    recovered: AtomicU64,
-}
-
-impl Default for ClusterPool {
-    fn default() -> ClusterPool {
-        ClusterPool::bounded(usize::MAX)
-    }
-}
-
-impl ClusterPool {
-    /// Creates an unbounded pool.
-    pub fn new() -> ClusterPool {
-        ClusterPool::default()
-    }
-
-    /// Creates a pool holding at most `cap` idle clusters.
-    pub fn bounded(cap: usize) -> ClusterPool {
-        ClusterPool {
-            free: Mutex::new(Vec::new()),
-            cap,
-            evicted: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
-        }
-    }
-
-    /// Acquires a power-on-state cluster for `cfg`. Returns the cluster
-    /// and whether it was recycled from the pool (vs newly constructed).
-    pub fn acquire(&self, cfg: &ClusterConfig) -> (Cluster, bool) {
-        let recycled = {
-            let mut free = relock(&self.free, &self.recovered);
-            free.iter()
-                .position(|c| c.config() == cfg)
-                .map(|pos| free.swap_remove(pos))
-        };
-        match recycled {
-            Some(mut cluster) => {
-                cluster.reset();
-                (cluster, true)
-            }
-            None => (Cluster::new(cfg.clone()), false),
-        }
-    }
-
-    /// Returns a cluster to the pool for later reuse. When the pool is
-    /// at capacity the *oldest* idle cluster is dropped instead.
-    pub fn release(&self, cluster: Cluster) {
-        let mut free = relock(&self.free, &self.recovered);
-        if free.len() >= self.cap {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            if self.cap == 0 {
-                return;
-            }
-            free.remove(0);
-        }
-        free.push(cluster);
-    }
-
-    /// Number of idle clusters currently pooled.
-    pub fn idle(&self) -> usize {
-        relock(&self.free, &self.recovered).len()
-    }
-
-    /// Clusters dropped because the pool was at capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Times the pool lock was recovered from poisoning (a panicking
-    /// holder) — see [`SessionStats::lock_recoveries`].
-    pub fn lock_recoveries(&self) -> u64 {
-        self.recovered.load(Ordering::Relaxed)
-    }
-}
-
 /// Counters describing what a session reused versus rebuilt, and which
 /// fidelity tiers answered its runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Kernel executions (tuning candidates, batch members, time steps).
+    /// Successful kernel executions (tuning candidates, batch members,
+    /// time steps, DMA probes). A run whose backend or probe fails is
+    /// not counted, nor is its cluster's reuse, in any counter below.
     pub runs: u64,
     /// Of [`runs`](SessionStats::runs), how many the analytic
     /// (estimate) tier answered.
@@ -260,17 +180,18 @@ pub struct SessionStats {
     pub bound_violations: u64,
     /// Runs that recycled a pooled cluster.
     pub clusters_reused: u64,
-    /// Cache/pool entries dropped by the [`SessionConfig`] bounds
-    /// (LRU-evicted kernels plus clusters released into a full pool).
+    /// Kernels and idle clusters dropped by the [`SessionConfig`]
+    /// bounds (LRU-evicted kernels plus clusters released into a full
+    /// pool).
     pub evictions: u64,
     /// Simulated cycles the engine skipped via idle fast-forwarding
     /// across all runs (dead time the simulator never stepped through).
     pub cycles_fast_forwarded: u64,
-    /// Times the session's lock (or its cluster pool's) was recovered
-    /// from poisoning: a holder panicked, and the session kept serving
-    /// instead of cascading. Nothing runs under those locks but single
-    /// consistent updates, so the state stays sound; non-zero values
-    /// still mean worker threads have been dying.
+    /// Times the session's lock was recovered from poisoning: a holder
+    /// panicked, and the session kept serving instead of cascading.
+    /// Nothing runs under the lock but single consistent updates, so the
+    /// state stays sound; non-zero values still mean worker threads have
+    /// been dying.
     pub lock_recoveries: u64,
 }
 
@@ -305,7 +226,54 @@ struct State {
     /// compile hands its proven kernel, or `None` — try again — on
     /// failure.
     kernels: Table<KernelKey, Arc<CachedKernel>, Option<Arc<CachedKernel>>>,
+    /// Idle clusters, each in the state its last run left it: a caller
+    /// resets one after taking it, outside the lock.
+    clusters: Vec<Cluster>,
     stats: SessionStats,
+}
+
+/// One successful run, as [`State::release`] books it.
+struct Run {
+    fidelity: Fidelity,
+    cluster_reused: bool,
+    cycles_fast_forwarded: u64,
+}
+
+impl State {
+    /// Takes an idle cluster configured as `cfg`, if one is pooled.
+    fn acquire(&mut self, cfg: &ClusterConfig) -> Option<Cluster> {
+        let pos = self.clusters.iter().position(|c| c.config() == cfg)?;
+        Some(self.clusters.swap_remove(pos))
+    }
+
+    /// Gives back the cluster a run used, if any, and books the run if
+    /// it succeeded. A full pool (at most `cap` idle clusters) drops its
+    /// oldest cluster, or the released one when `cap` is 0; the dropped
+    /// cluster is returned so the caller frees it outside the lock.
+    fn release(
+        &mut self,
+        cluster: Option<Cluster>,
+        cap: usize,
+        run: Option<Run>,
+    ) -> Option<Cluster> {
+        if let Some(run) = run {
+            self.stats.runs += 1;
+            self.stats.count_tier(run.fidelity);
+            self.stats.clusters_reused += u64::from(run.cluster_reused);
+            self.stats.cycles_fast_forwarded += run.cycles_fast_forwarded;
+        }
+        let cluster = cluster?;
+        if self.clusters.len() < cap {
+            self.clusters.push(cluster);
+            return None;
+        }
+        self.stats.evictions += 1;
+        if cap == 0 {
+            return Some(cluster);
+        }
+        self.clusters.push(cluster);
+        Some(self.clusters.remove(0))
+    }
 }
 
 /// What one internal kernel execution produced (`output` is `None` on
@@ -316,7 +284,7 @@ struct RunOut {
     kernel: Option<Arc<CompiledKernel>>,
 }
 
-/// A reusable execution engine: kernel cache + cluster pool + a
+/// A reusable execution engine: kernel cache + idle clusters + a
 /// three-tier [`BackendRegistry`].
 ///
 /// Sessions are `Sync`; a single session can serve many worker threads
@@ -331,7 +299,6 @@ pub struct Session {
     registry: BackendRegistry,
     default_fidelity: Fidelity,
     config: SessionConfig,
-    pool: ClusterPool,
     /// The session's one lock.
     state: Mutex<State>,
     /// The analytic backend's live calibration table, when it has one
@@ -339,12 +306,8 @@ pub struct Session {
     /// does). Every cycle-tier stencil outcome is fed back into it, and
     /// [`Fidelity::Auto`] routes on its confidence.
     calibration: Option<Arc<CalibrationStore>>,
-    /// Recycled scratch buffers for verification reference grids:
-    /// repeated `verify(tol)` sweeps reuse these instead of allocating a
-    /// fresh grid per comparison.
-    scratch: GridArena,
-    /// Poison recoveries on the session's own lock (the pool counts its
-    /// separately); see [`SessionStats::lock_recoveries`].
+    /// Poison recoveries on the session's lock; see
+    /// [`SessionStats::lock_recoveries`].
     recovered: AtomicU64,
 }
 
@@ -408,10 +371,8 @@ impl Session {
             registry,
             default_fidelity,
             config,
-            pool: ClusterPool::bounded(config.max_pooled_clusters),
             state: Mutex::default(),
             calibration,
-            scratch: GridArena::new(),
             recovered: AtomicU64::new(0),
         }
     }
@@ -450,11 +411,10 @@ impl Session {
 
     /// A snapshot of the reuse counters.
     pub fn stats(&self) -> SessionStats {
-        let mut stats = self.lock().stats;
-        stats.evictions += self.pool.evictions();
-        stats.lock_recoveries =
-            self.recovered.load(Ordering::Relaxed) + self.pool.lock_recoveries();
-        stats
+        SessionStats {
+            lock_recoveries: self.recovered.load(Ordering::Relaxed),
+            ..self.lock().stats
+        }
     }
 
     /// Number of kernels currently cached (successful compiles only).
@@ -464,7 +424,30 @@ impl Session {
 
     /// Number of idle clusters currently pooled.
     pub fn pooled_clusters(&self) -> usize {
-        self.pool.idle()
+        self.lock().clusters.len()
+    }
+
+    /// Takes a power-on-state cluster configured as `cfg`: an idle one
+    /// reset after the lock is released, or a new one. Returns it and
+    /// whether it was recycled.
+    fn acquire(&self, cfg: &ClusterConfig) -> (Cluster, bool) {
+        let idle = self.lock().acquire(cfg);
+        match idle {
+            Some(mut cluster) => {
+                cluster.reset();
+                (cluster, true)
+            }
+            None => (Cluster::new(cfg.clone()), false),
+        }
+    }
+
+    /// [`State::release`] in one lock hold; a cluster the bound drops is
+    /// dropped after the lock is released.
+    fn release(&self, cluster: Option<Cluster>, run: Option<Run>) {
+        let dropped = self
+            .lock()
+            .release(cluster, self.config.max_pooled_clusters, run);
+        drop(dropped);
     }
 
     /// Compiles `stencil` for `extent` through the kernel cache: each
@@ -613,7 +596,8 @@ impl Session {
     }
 
     /// Dispatches one execution of `kernel` (`None` for backends that
-    /// need none) to `backend` and accounts telemetry.
+    /// need none) to `backend`, on a cluster the session lends when the
+    /// backend needs kernels, and accounts telemetry.
     fn execute(
         &self,
         backend: &dyn Backend,
@@ -623,28 +607,33 @@ impl Session {
         kernel: Option<Arc<CompiledKernel>>,
         tel: &mut WorkloadTelemetry,
     ) -> Result<RunOut, CodegenError> {
-        let outcome = backend.execute(&ExecRequest {
+        let mut lent = backend
+            .needs_kernel()
+            .then(|| self.acquire(&options.cluster));
+        let result = backend.execute(ExecRequest {
             stencil,
             inputs,
             options,
             kernel: kernel.as_ref(),
-            pool: &self.pool,
-        })?;
-        tel.runs += 1;
-        tel.clusters_reused += u64::from(outcome.cluster_reused);
-        tel.estimated |= outcome.estimated;
-        let fast_forwarded = outcome
-            .report
+            cluster: lent.as_mut().map(|(cluster, _)| cluster),
+        });
+        let cluster_reused = lent.as_ref().is_some_and(|&(_, reused)| reused);
+        let fast_forwarded = result
             .as_ref()
+            .ok()
+            .and_then(|outcome| outcome.report.as_ref())
             .map_or(0, |r| r.cycles_fast_forwarded);
+        let run = result.is_ok().then_some(Run {
+            fidelity: backend.fidelity(),
+            cluster_reused,
+            cycles_fast_forwarded: fast_forwarded,
+        });
+        self.release(lent.map(|(cluster, _)| cluster), run);
+        let outcome = result?;
+        tel.runs += 1;
+        tel.clusters_reused += u64::from(cluster_reused);
+        tel.estimated |= outcome.estimated;
         tel.cycles_fast_forwarded += fast_forwarded;
-        {
-            let stats = &mut self.lock().stats;
-            stats.runs += 1;
-            stats.count_tier(backend.fidelity());
-            stats.clusters_reused += u64::from(outcome.cluster_reused);
-            stats.cycles_fast_forwarded += fast_forwarded;
-        }
         Ok(RunOut {
             output: outcome.output,
             report: outcome.report,
@@ -751,15 +740,14 @@ impl Session {
         extent: Extent,
         cfg: &ClusterConfig,
     ) -> Result<Outcome, CodegenError> {
-        let (mut cluster, reused) = self.pool.acquire(cfg);
+        let (mut cluster, reused) = self.acquire(cfg);
         let result = measure_dma_utilization_on(extent, &mut cluster);
-        self.pool.release(cluster);
-        {
-            let stats = &mut self.lock().stats;
-            stats.runs += 1;
-            stats.count_tier(Fidelity::Cycles);
-            stats.clusters_reused += u64::from(reused);
-        }
+        let run = result.is_ok().then_some(Run {
+            fidelity: Fidelity::Cycles,
+            cluster_reused: reused,
+            cycles_fast_forwarded: 0,
+        });
+        self.release(Some(cluster), run);
         let utilization = result?;
         Ok(Outcome {
             fingerprint: spec.fingerprint(),
@@ -961,15 +949,10 @@ impl Session {
         // reused from tuning; later steps rotate buffers per the spec.
         let mut reports = Vec::new();
         let mut kernel = None;
-        let mut take_step = |working: &[Grid],
-                             first_run: &mut Option<RunOut>|
-         -> Result<Option<Grid>, CodegenError> {
+        let grids = march(work, inputs, |refs| {
             let run = match first_run.take() {
                 Some(run) => run,
-                None => {
-                    let refs: Vec<&Grid> = working.iter().collect();
-                    self.run_one(backend, stencil, &refs, &options, &mut tel)?
-                }
+                None => self.run_one(backend, stencil, refs, &options, &mut tel)?,
             };
             if let Some(report) = run.report {
                 reports.push(report);
@@ -978,27 +961,7 @@ impl Session {
                 kernel = run.kernel;
             }
             Ok(run.output)
-        };
-        // Estimate-only backends produce no grids: each step estimates
-        // from the same (never-rotated) inputs, and the outcome's grid
-        // list stays empty like a probe's.
-        let grids = if let Some(rotation) = work.rotation {
-            let mut working = inputs.to_vec();
-            let mut produced = false;
-            for _ in 0..work.time_steps {
-                if let Some(output) = take_step(&working, &mut first_run)? {
-                    produced = true;
-                    rotate(&mut working, output, rotation);
-                }
-            }
-            if produced {
-                working
-            } else {
-                Vec::new()
-            }
-        } else {
-            take_step(inputs, &mut first_run)?.map_or_else(Vec::new, |output| vec![output])
-        };
+        })?;
 
         // Verification: march the golden reference through the same
         // steps and rotation, then compare every final grid.
@@ -1014,41 +977,22 @@ impl Session {
                 })
             }
             Some(tolerance) => {
-                // The reference march draws its grids from the session
-                // scratch arena so repeated verification sweeps recycle
-                // buffers. A simulated answer is compared with the
-                // data-parallel row sweep; a golden answer *is* that
-                // sweep, so it is compared with the retained scalar
-                // oracle — a reference its backend did not compute.
-                let reference_step = |refs: &[&Grid]| {
-                    if fidelity == Fidelity::Golden {
-                        let mut out = self.scratch.take_zeroed(work.extent);
-                        reference::apply_scalar(stencil, refs, &mut out);
-                        out
+                // A simulated answer is compared with the data-parallel
+                // row sweep; a golden answer *is* that sweep, so it is
+                // compared with the retained scalar oracle — a reference
+                // its backend did not compute.
+                let reference_grids = march(work, inputs, |refs| {
+                    Ok(Some(if fidelity == Fidelity::Golden {
+                        reference::apply_scalar_to_new(stencil, refs, work.extent)
                     } else {
-                        reference::apply_to_new_in(stencil, refs, work.extent, &self.scratch)
-                    }
-                };
-                let reference_grids = if let Some(rotation) = work.rotation {
-                    let mut marched = inputs.to_vec();
-                    for _ in 0..work.time_steps {
-                        let refs: Vec<&Grid> = marched.iter().collect();
-                        let out = reference_step(&refs);
-                        rotate(&mut marched, out, rotation);
-                    }
-                    marched
-                } else {
-                    let refs: Vec<&Grid> = inputs.iter().collect();
-                    vec![reference_step(&refs)]
-                };
+                        reference::apply_to_new(stencil, refs, work.extent)
+                    }))
+                })?;
                 let error = grids
                     .iter()
                     .zip(&reference_grids)
                     .map(|(a, b)| verify_diff(a, b))
                     .fold(0.0, f64::max);
-                for reference_grid in reference_grids {
-                    self.scratch.recycle(reference_grid);
-                }
                 if error > tolerance {
                     return Err(CodegenError::VerificationFailed {
                         name: stencil.name().to_string(),
@@ -1128,6 +1072,33 @@ fn verify_diff(a: &Grid, b: &Grid) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// Applies `work`'s time steps to `inputs` with `step`: without a buffer
+/// rotation one application, whose output is the only grid; with one,
+/// `time_steps` applications, each output rotated in as the youngest
+/// field. Estimate-only backends produce no grids: each step then
+/// estimates from the same (never-rotated) inputs, and the march
+/// returns no grids, like a probe.
+fn march(
+    work: &StencilWork,
+    inputs: &[Grid],
+    mut step: impl FnMut(&[&Grid]) -> Result<Option<Grid>, CodegenError>,
+) -> Result<Vec<Grid>, CodegenError> {
+    let Some(rotation) = work.rotation else {
+        let refs: Vec<&Grid> = inputs.iter().collect();
+        return Ok(step(&refs)?.into_iter().collect());
+    };
+    let mut working = inputs.to_vec();
+    let mut produced = false;
+    for _ in 0..work.time_steps {
+        let refs: Vec<&Grid> = working.iter().collect();
+        if let Some(output) = step(&refs)? {
+            produced = true;
+            rotate(&mut working, output, rotation);
+        }
+    }
+    Ok(if produced { working } else { Vec::new() })
+}
+
 /// Applies one buffer rotation: the new output becomes the youngest
 /// field.
 fn rotate(grids: &mut [Grid], output: Grid, rotation: BufferRotation) {
@@ -1147,7 +1118,7 @@ impl std::fmt::Debug for Session {
             .field("default_fidelity", &self.default_fidelity)
             .field("config", &self.config)
             .field("cached_kernels", &self.cached_kernels())
-            .field("pooled_clusters", &self.pool.idle())
+            .field("pooled_clusters", &self.pooled_clusters())
             .field("stats", &self.stats())
             .finish()
     }

@@ -117,11 +117,6 @@ impl Grid {
         &mut self.data
     }
 
-    /// Consumes the grid, returning the backing vector.
-    pub fn into_raw(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Largest absolute difference on the interior region (the halo is
     /// excluded because kernels do not write it).
     pub fn max_abs_diff_interior(&self, other: &Grid, halo: Halo) -> f64 {
@@ -141,102 +136,11 @@ impl Grid {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Sum of all elements (useful as a cheap checksum in tests).
-    pub fn checksum(&self) -> f64 {
-        self.data.iter().sum()
-    }
 }
 
 impl fmt::Display for Grid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Grid[{}]", self.extent)
-    }
-}
-
-/// A recycling pool of grid buffers for batched execution.
-///
-/// A batch of same-extent golden-tier requests would otherwise allocate
-/// (and free) one output grid per request. The arena keeps returned
-/// buffers and hands them back zeroed, so steady-state batches run
-/// allocation-free: `take_zeroed` reuses a pooled `Vec<f64>` when one is
-/// available, and `recycle` returns a grid's storage to the pool (up to a
-/// bounded capacity — excess buffers are simply dropped).
-///
-/// The arena is `Sync`; worker threads of a batch share one arena behind
-/// a mutex that is held only for the pool push/pop, never while zeroing.
-///
-/// # Examples
-///
-/// ```
-/// use saris_core::grid::GridArena;
-/// use saris_core::geom::Extent;
-///
-/// let arena = GridArena::new();
-/// let g = arena.take_zeroed(Extent::new_2d(8, 8));
-/// arena.recycle(g);
-/// assert_eq!(arena.pooled(), 1);
-/// let again = arena.take_zeroed(Extent::new_2d(4, 4)); // reuses the buffer
-/// assert_eq!(arena.pooled(), 0);
-/// assert!(again.as_slice().iter().all(|v| *v == 0.0));
-/// ```
-#[derive(Debug)]
-pub struct GridArena {
-    free: std::sync::Mutex<Vec<Vec<f64>>>,
-    cap: usize,
-}
-
-impl Default for GridArena {
-    fn default() -> GridArena {
-        GridArena::new()
-    }
-}
-
-impl GridArena {
-    /// An arena that pools up to 64 buffers (plenty for one batch per
-    /// worker across the worker-pool widths used in-tree).
-    pub fn new() -> GridArena {
-        GridArena::bounded(64)
-    }
-
-    /// An arena that pools at most `cap` buffers.
-    pub fn bounded(cap: usize) -> GridArena {
-        GridArena {
-            free: std::sync::Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// A zeroed grid of `extent`, reusing a pooled buffer when available.
-    ///
-    /// Buffers are resized to fit, so one arena serves mixed extents; the
-    /// returned grid is indistinguishable from [`Grid::zeros`].
-    pub fn take_zeroed(&self, extent: Extent) -> Grid {
-        let buf = self
-            .free
-            .lock()
-            .expect("grid arena poisoned")
-            .pop()
-            .unwrap_or_default();
-        let mut buf = buf;
-        buf.clear();
-        buf.resize(extent.len(), 0.0);
-        Grid::from_raw(extent, buf)
-    }
-
-    /// Returns a grid's storage to the pool for reuse.
-    ///
-    /// Drops the buffer instead when the pool is at capacity.
-    pub fn recycle(&self, grid: Grid) {
-        let mut free = self.free.lock().expect("grid arena poisoned");
-        if free.len() < self.cap {
-            free.push(grid.into_raw());
-        }
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.lock().expect("grid arena poisoned").len()
     }
 }
 
@@ -250,7 +154,6 @@ mod tests {
         assert_eq!(g.get(Point::new_2d(2, 2)), 0.0);
         g.set(Point::new_2d(2, 2), 1.5);
         assert_eq!(g.get(Point::new_2d(2, 2)), 1.5);
-        assert_eq!(g.checksum(), 1.5);
     }
 
     #[test]

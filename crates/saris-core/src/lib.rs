@@ -9,8 +9,7 @@
 //!   per-point characteristics asserted against the paper;
 //! * a golden executor ([`mod@reference`]) used to verify simulated
 //!   kernels — a data-parallel row sweep ([`simd`]) with the scalar
-//!   path retained as the bit-exactness oracle, plus a recycling
-//!   [`grid::GridArena`] for allocation-free batched sweeps;
+//!   path retained as the bit-exactness oracle;
 //! * the **SARIS method** ([`method`]): partitioning grid loads over
 //!   indirect stream registers, pairing operands for concurrent stream
 //!   reads, streaming register-exhausting coefficients, and materializing
@@ -60,7 +59,7 @@ pub mod stencil;
 
 pub use error::{PlanError, StencilError};
 pub use geom::{Extent, Halo, Offset, Point, Space};
-pub use grid::{Grid, GridArena};
+pub use grid::Grid;
 pub use layout::ArenaLayout;
 pub use method::{SarisOptions, SarisPlan, StreamMode};
 pub use parallel::InterleavePlan;

@@ -11,12 +11,10 @@
 //! [`apply_scalar`] is the retained one-point-at-a-time oracle built
 //! directly on [`Stencil::eval_point`]; the SIMD path is required (and
 //! tested) to match it bit-for-bit across the gallery, including NaN
-//! inputs. For batched callers, [`apply_to_new_in`] draws the output from
-//! a [`GridArena`] so same-extent sweeps recycle buffers instead of
-//! allocating per request.
+//! inputs.
 
 use crate::geom::Extent;
-use crate::grid::{Grid, GridArena};
+use crate::grid::Grid;
 use crate::simd;
 use crate::stencil::{ArrayRole, Stencil};
 
@@ -127,25 +125,6 @@ pub fn apply_scalar_to_new(stencil: &Stencil, inputs: &[&Grid], extent: Extent) 
     out
 }
 
-/// Applies one iteration into a zeroed grid drawn from `arena`.
-///
-/// Batched callers recycle the returned grid back into the arena once
-/// consumed, making steady-state verification sweeps allocation-free.
-///
-/// # Panics
-///
-/// Same conditions as [`apply`].
-pub fn apply_to_new_in(
-    stencil: &Stencil,
-    inputs: &[&Grid],
-    extent: Extent,
-    arena: &GridArena,
-) -> Grid {
-    let mut out = arena.take_zeroed(extent);
-    apply(stencil, inputs, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,21 +218,6 @@ mod tests {
                     assert_eq!(out.get(p), -7.0, "{}: halo written at {p}", s.name());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn arena_output_matches_fresh_allocation() {
-        let s = gallery::jacobi_2d();
-        let tile = Extent::new_2d(12, 12);
-        let inp = Grid::pseudo_random(tile, 11);
-        let arena = GridArena::new();
-        // Poison a recycled buffer to prove take_zeroed re-zeroes it.
-        arena.recycle(Grid::filled(tile, f64::NAN));
-        let pooled = apply_to_new_in(&s, &[&inp], tile, &arena);
-        let fresh = apply_to_new(&s, &[&inp], tile);
-        for (a, b) in pooled.as_slice().iter().zip(fresh.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

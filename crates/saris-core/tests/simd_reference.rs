@@ -8,7 +8,7 @@
 //! (exercising the scalar remainder lanes).
 
 use saris_core::geom::Extent;
-use saris_core::grid::{Grid, GridArena};
+use saris_core::grid::Grid;
 use saris_core::reference;
 use saris_core::stencil::Stencil;
 use saris_core::{gallery, Space};
@@ -104,40 +104,4 @@ fn property_sweep_over_odd_extents() {
             assert_bit_exact(&s, &inputs, tile, &format!("{} {tile}", s.name()));
         }
     }
-}
-
-#[test]
-fn arena_recycles_buffers_and_rezeroes_them() {
-    let arena = GridArena::bounded(2);
-    let tile = Extent::new_2d(12, 12);
-    let a = arena.take_zeroed(tile);
-    let b = arena.take_zeroed(tile);
-    assert_eq!(arena.pooled(), 0);
-    arena.recycle(a);
-    arena.recycle(b);
-    assert_eq!(arena.pooled(), 2);
-    // Capacity-bounded: a third recycle is dropped, not pooled.
-    arena.recycle(Grid::filled(tile, 1.0));
-    assert_eq!(arena.pooled(), 2);
-    // Reused buffers come back zeroed even after carrying NaN...
-    arena.recycle(Grid::filled(tile, f64::NAN));
-    let reused = arena.take_zeroed(tile);
-    assert!(reused.as_slice().iter().all(|v| v.to_bits() == 0));
-    // ...and resize across extents.
-    let wider = arena.take_zeroed(Extent::new_2d(20, 20));
-    assert_eq!(wider.as_slice().len(), 400);
-    assert!(wider.as_slice().iter().all(|v| *v == 0.0));
-}
-
-#[test]
-fn arena_grids_execute_identically_to_fresh_ones() {
-    let s = gallery::box3d1r();
-    let tile = Extent::cube(s.space(), 11);
-    let inputs = inputs_for(&s, tile, 5000);
-    let refs: Vec<&Grid> = inputs.iter().collect();
-    let arena = GridArena::new();
-    arena.recycle(Grid::filled(tile, 9.0)); // poison the pool
-    let pooled = reference::apply_to_new_in(&s, &refs, tile, &arena);
-    let fresh = reference::apply_to_new(&s, &refs, tile);
-    assert_eq!(pooled, fresh);
 }

@@ -63,12 +63,6 @@ impl Program {
         self.instrs.get(pc)
     }
 
-    /// Static code size in bytes, assuming 4-byte encodings (used by the
-    /// instruction-cache model).
-    pub fn code_bytes(&self) -> usize {
-        self.instrs.len() * 4
-    }
-
     /// Named positions recorded during construction (for disassembly).
     pub fn markers(&self) -> &[(usize, String)] {
         &self.markers
@@ -597,14 +591,5 @@ mod tests {
         let text = p.to_string();
         assert!(text.contains("entry:"), "missing marker in:\n{text}");
         assert!(text.contains("li t0, 1"), "missing instr in:\n{text}");
-    }
-
-    #[test]
-    fn code_bytes() {
-        let mut b = ProgramBuilder::new();
-        b.li(IntReg::T0, 1);
-        b.push(Instr::Halt);
-        let p = b.finish().unwrap();
-        assert_eq!(p.code_bytes(), 8);
     }
 }

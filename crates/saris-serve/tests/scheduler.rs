@@ -73,7 +73,7 @@ impl Backend for Held {
         SimBackend.needs_kernel()
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         let _ = self.entered.lock().unwrap().send(());
         // Returns at once, and for good, once the sender is dropped.
         let _ = self.release.lock().unwrap().recv();
@@ -152,7 +152,7 @@ impl Backend for Watched {
         SimBackend.needs_kernel()
     }
 
-    fn execute(&self, req: &ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
         let me = std::thread::current();

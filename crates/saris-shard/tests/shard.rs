@@ -163,7 +163,13 @@ fn gossip_round_moves_calibration_across_shards() {
     assert!(answer.telemetry.estimated);
 
     // A second round with nothing new to say adopts nothing.
-    assert_eq!(coordinator.gossip_round(), 0, "gossip must be idempotent");
+    let again = coordinator.gossip_round();
+    assert_eq!(again, 0, "gossip must be idempotent");
+    assert_eq!(
+        coordinator.stats().gossip_adopted,
+        (adopted + again) as u64,
+        "the coordinator books what its rounds adopted"
+    );
 }
 
 #[test]

@@ -181,11 +181,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Words (64-bit) per TCDM bank.
-    pub fn words_per_bank(&self) -> usize {
-        self.tcdm_bytes / 8 / self.tcdm_banks
-    }
-
     /// Instructions per I$ line (4-byte encodings).
     pub fn instrs_per_icache_line(&self) -> usize {
         self.icache_line_bytes / 4
@@ -260,7 +255,6 @@ mod tests {
     fn snitch_defaults() {
         let cfg = ClusterConfig::snitch();
         cfg.validate();
-        assert_eq!(cfg.words_per_bank(), 512);
         assert_eq!(cfg.instrs_per_icache_line(), 16);
         assert_eq!(ClusterConfig::default(), cfg);
     }

@@ -238,11 +238,6 @@ impl Dma {
         self.stats = DmaStats::default();
     }
 
-    /// Pending + active descriptor count.
-    pub fn backlog(&self) -> usize {
-        self.queue.len() + usize::from(self.active.is_some())
-    }
-
     /// The engine's next-action classification for the cluster's
     /// fast-forward scan at cycle `now`.
     pub(crate) fn wake(&self, now: u64) -> DmaWake {

@@ -111,16 +111,6 @@ impl ICache {
         self.hits = 0;
         self.misses = 0;
     }
-
-    /// Fraction of fetches that missed.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,15 +156,5 @@ mod tests {
         assert!(c.fetch(cfg.icache_lines * per, 1000) > 0);
         assert!(c.fetch(0, 2000) == 0, "line 0 stays resident");
         assert!(c.fetch(per, 2000) > 0, "line 1 was evicted");
-    }
-
-    #[test]
-    fn miss_rate() {
-        let mut c = cache();
-        c.fetch(0, 0);
-        c.fetch(1, 1);
-        c.fetch(2, 2);
-        c.fetch(3, 3);
-        assert!((c.miss_rate() - 0.25).abs() < 1e-12);
     }
 }

@@ -251,77 +251,3 @@ mod tests {
         assert_eq!(r.gflops(), 0.0);
     }
 }
-
-impl RunReport {
-    /// A multi-line per-core diagnostic table: retires, utilization, and
-    /// the stall waterfall. Intended for debugging kernels, not parsing.
-    pub fn detailed_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>4} {:>9} {:>8} {:>8} {:>6} {:>6} | {:>7} {:>7} {:>7} {:>7} {:>7}",
-            "core",
-            "halted",
-            "int_ret",
-            "fp_ret",
-            "util",
-            "ipc",
-            "dep",
-            "s.emp",
-            "s.full",
-            "launch",
-            "tcdm"
-        );
-        for (i, c) in self.cores.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{:>4} {:>9} {:>8} {:>8} {:>6.2} {:>6.2} | {:>7} {:>7} {:>7} {:>7} {:>7}",
-                i,
-                c.halted_at,
-                c.int_stats.retired,
-                c.fpu.retired,
-                c.fpu_util(self.cycles),
-                c.ipc(self.cycles),
-                c.fpu.stalls.dependency,
-                c.fpu.stalls.stream_empty,
-                c.fpu.stalls.stream_full,
-                c.int_stats.stalls.launch_full,
-                c.tcdm_wait_cycles,
-            );
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod detailed_tests {
-    use super::*;
-
-    #[test]
-    fn detailed_table_renders_all_cores() {
-        let r = RunReport {
-            cycles: 100,
-            cycles_fast_forwarded: 0,
-            cores: vec![
-                CoreReport {
-                    halted_at: 90,
-                    int_stats: IntStats::default(),
-                    fpu: crate::fpu::FpuStats::default(),
-                    streamers: [crate::ssr::StreamerStats::default(); 3],
-                    tcdm_wait_cycles: 5,
-                };
-                8
-            ],
-            tcdm_accesses: 0,
-            tcdm_conflicts: 0,
-            icache_hits: 0,
-            icache_misses: 0,
-            dma: crate::dma::DmaStats::default(),
-            freq_hz: 1e9,
-        };
-        let t = r.detailed_table();
-        assert_eq!(t.lines().count(), 9, "{t}");
-        assert!(t.contains("s.emp"));
-    }
-}

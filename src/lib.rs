@@ -165,7 +165,11 @@
 //! [`SessionConfig`](codegen::SessionConfig) — recycles simulated
 //! clusters via `Cluster::reset` instead of reconstructing them, and
 //! breaks its [`SessionStats`](codegen::SessionStats) out per fidelity
-//! tier (`runs_analytic` / `runs_cycles` / `runs_golden`).
+//! tier (`runs_analytic` / `runs_cycles` / `runs_golden`). The kernel
+//! cache, the idle clusters and the counters sit behind the session's
+//! one lock: the session lends a cluster to each cycle-tier run and
+//! books the run when it takes the cluster back, while compiles,
+//! proofs, runs and cluster resets happen outside it.
 //!
 //! One `submit` surface covers every scenario: fixed runs, the paper's
 //! "unroll iff beneficial" tuning ([`Tune`](codegen::Tune)), multi-step
@@ -225,8 +229,7 @@
 //! bulk operation: submit every spec at
 //! [`Fidelity::Golden`](codegen::Fidelity) with `verify(0.0)` and the
 //! list executes data-parallel, then re-derives every grid through the
-//! scalar oracle ([`reference::apply_scalar`](core::reference::apply_scalar);
-//! reference grids recycle through a [`GridArena`](core::GridArena)).
+//! scalar oracle ([`reference::apply_scalar`](core::reference::apply_scalar)).
 //! A golden answer is checked against that oracle however the spec was
 //! submitted — `submit`, `submit_all`, or a server — and tolerance zero
 //! holds because the two paths agree bit for bit (`BENCHMARK.json`

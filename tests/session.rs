@@ -241,3 +241,97 @@ fn batch_specs_share_one_stencil_allocation() {
     // 1 local handle + 6 specs, zero deep copies.
     assert_eq!(Arc::strong_count(&stencil), 7);
 }
+
+/// Worker threads racing on a one-kernel cache and a one-cluster pool:
+/// every outcome — grids, reports and verification error — is the one a
+/// fresh session gives the same spec alone, and the counters stay
+/// within their bounds.
+#[test]
+fn racing_submitters_on_one_kernel_and_one_cluster_match_serial_runs() {
+    let session = Session::with_config(SessionConfig {
+        max_cached_kernels: 1,
+        max_pooled_clusters: 1,
+    });
+    let specs: Vec<WorkloadSpec> = ["jacobi_2d", "j2d5pt", "box2d1r"]
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            Workload::new(gallery::by_name(name).unwrap())
+                .extent(Extent::new_2d(16, 16))
+                .input_seed(i as u64)
+                .fidelity(Fidelity::Cycles)
+                .verify(1e-12)
+                .freeze()
+                .unwrap()
+        })
+        .collect();
+    let serial: Vec<Outcome> = specs
+        .iter()
+        .map(|spec| Session::new().submit(spec).unwrap())
+        .collect();
+    let bits = |o: &Outcome| -> Vec<Vec<u64>> {
+        o.grids
+            .iter()
+            .map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    std::thread::scope(|scope| {
+        for t in 0..3 {
+            let (session, specs, serial) = (&session, &specs, &serial);
+            scope.spawn(move || {
+                for round in 0..4 {
+                    let i = (t + round) % specs.len();
+                    let outcome = session.submit(&specs[i]).unwrap();
+                    assert_eq!(bits(&outcome), bits(&serial[i]), "spec {i}");
+                    assert_eq!(outcome.reports, serial[i].reports, "spec {i}");
+                    assert_eq!(
+                        outcome.verify_error.map(f64::to_bits),
+                        serial[i].verify_error.map(f64::to_bits),
+                        "spec {i}"
+                    );
+                }
+            });
+        }
+    });
+    let stats = session.stats();
+    assert_eq!(stats.runs_cycles, 12);
+    assert!(session.pooled_clusters() <= 1);
+    assert!(stats.clusters_reused <= stats.runs_cycles, "{stats:?}");
+    assert_eq!(stats.lock_recoveries, 0);
+}
+
+/// Only successful runs are booked: a cycle-tier run whose backend
+/// fails counts no run and no cluster reuse, though its cluster goes
+/// back to the pool, and so does a DMA probe that fails.
+#[test]
+fn failed_runs_are_not_counted() {
+    let failing = FaultInjectingBackend::new(
+        Arc::new(SimBackend),
+        FaultPlan {
+            error_rate: 1.0,
+            ..FaultPlan::seeded(1)
+        },
+    );
+    let session = Session::with_backend(Arc::new(failing));
+    let spec = spec_of(&gallery::jacobi_2d(), Variant::Saris, 1);
+    for _ in 0..2 {
+        let err = session.submit(&spec).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+    }
+    let stats = session.stats();
+    assert_eq!((stats.runs, stats.runs_cycles), (0, 0), "{stats:?}");
+    assert_eq!(stats.clusters_reused, 0);
+    assert_eq!(stats.cycles_fast_forwarded, 0);
+    assert_eq!(session.pooled_clusters(), 1, "the lent cluster comes back");
+
+    // A tile four times the TCDM: the probe's transfer faults.
+    let session = Session::new();
+    let probe = Workload::dma_probe(Extent::new_2d(256, 256))
+        .freeze()
+        .unwrap();
+    let err = session.submit(&probe).unwrap_err();
+    assert!(matches!(err, CodegenError::Sim(_)), "{err}");
+    let stats = session.stats();
+    assert_eq!((stats.runs, stats.runs_cycles), (0, 0), "{stats:?}");
+    assert_eq!(session.pooled_clusters(), 1);
+}
