@@ -1397,6 +1397,36 @@ mod tests {
     }
 
     #[test]
+    fn cluster_stages_bound_the_pool_and_book_only_runs() {
+        let snitch = ClusterConfig::snitch();
+        let mut small = ClusterConfig::snitch();
+        small.n_cores = 4;
+        let mut state = State::default();
+        let run = || Run {
+            fidelity: Fidelity::Cycles,
+            cluster_reused: true,
+            cycles_fast_forwarded: 5,
+        };
+        // Two fit; the third release drops the oldest idle cluster.
+        assert!(state
+            .release(Some(Cluster::new(snitch.clone())), 2, None)
+            .is_none());
+        assert!(state
+            .release(Some(Cluster::new(small.clone())), 2, None)
+            .is_none());
+        let dropped = state.release(Some(Cluster::new(snitch.clone())), 2, Some(run()));
+        assert_eq!(dropped.map(|c| c.config().n_cores), Some(8));
+        assert_eq!((state.clusters.len(), state.stats.evictions), (2, 1));
+        // Acquire matches the configuration, and only runs are booked.
+        assert_eq!(state.acquire(&small).map(|c| c.config().n_cores), Some(4));
+        assert!(state.acquire(&small).is_none());
+        assert!(state.release(None, 2, None).is_none());
+        let stats = state.stats;
+        assert_eq!((stats.runs, stats.runs_cycles), (1, 1));
+        assert_eq!((stats.clusters_reused, stats.cycles_fast_forwarded), (1, 5));
+    }
+
+    #[test]
     fn failed_compiles_leave_no_cache_entries() {
         let session = Session::with_config(SessionConfig {
             max_cached_kernels: 2,
