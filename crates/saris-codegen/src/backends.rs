@@ -8,7 +8,7 @@
 //!
 //! | [`Fidelity`] | backend | answers with |
 //! |--------------|---------|--------------|
-//! | [`Analytic`](Fidelity::Analytic) | [`RooflineBackend`] | instant estimates from single-cluster measurements + a bandwidth model |
+//! | [`Analytic`](Fidelity::Analytic) | [`RooflineBackend`] | estimates from single-cluster measurements, or from the kernel's proven cycle bound where none exists |
 //! | [`Cycles`](Fidelity::Cycles) | [`SimBackend`] | cycle-approximate measurements on the simulated Snitch cluster |
 //! | [`Golden`](Fidelity::Golden) | [`NativeBackend`] | exact grids from the data-parallel (SIMD) reference executor, no timing |
 //! | [`Auto`](Fidelity::Auto) | *routing policy* | the cheapest of Analytic/Cycles meeting an accuracy budget |
@@ -32,7 +32,11 @@
 //! back into it, which is what makes [`Fidelity::Auto`] converge: once a
 //! stencil has been simulated once, the store answers subsequent
 //! `Auto` requests analytically within the budget (see the
-//! [`calibration`](crate::calibration) module).
+//! [`calibration`](crate::calibration) module). A request the store has
+//! no entry for is answered with the cycle lower bound the static
+//! verifier proved for its kernel, which the session compiles (once per
+//! compile key, through its kernel cache) and passes in
+//! [`ExecRequest::bound`].
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -40,8 +44,9 @@ use std::sync::Arc;
 
 use saris_core::grid::Grid;
 use saris_core::reference;
-use saris_core::roofline::{estimate_tile, MachinePoint};
 use saris_core::stencil::Stencil;
+use saris_core::Extent;
+use saris_verify::StaticBound;
 use snitch_sim::core::IntStats;
 use snitch_sim::fpu::FpuStats;
 use snitch_sim::ssr::StreamerStats;
@@ -158,8 +163,14 @@ pub struct ExecRequest<'a> {
     pub inputs: &'a [&'a Grid],
     /// Execution options.
     pub options: &'a RunOptions,
-    /// The cached kernel, when the backend asked for one.
+    /// The cached kernel, when the session compiled one for the request:
+    /// always for a backend that [needs kernels](Backend::needs_kernel),
+    /// and for an analytic request the calibration store has no entry
+    /// for.
     pub kernel: Option<&'a Arc<CompiledKernel>>,
+    /// The cycle lower bound the verifier proved for
+    /// [`kernel`](ExecRequest::kernel), whenever that is set.
+    pub bound: Option<&'a StaticBound>,
     /// A power-on-state cluster configured as `options.cluster`, lent by
     /// the session whenever the backend [needs a
     /// kernel](Backend::needs_kernel); `None` otherwise. The session
@@ -199,7 +210,10 @@ pub trait Backend: Send + Sync {
 
     /// Whether execution consumes compiled kernels. When `true` the
     /// session compiles (through its cache) before calling
-    /// [`Backend::execute`]; when `false` no codegen happens at all.
+    /// [`Backend::execute`] and lends it a cluster. When `false` no
+    /// cluster is lent, and the session compiles only for an
+    /// [analytic](Fidelity::Analytic) request its calibration store has
+    /// no entry for, to pass the kernel's proven bound.
     fn needs_kernel(&self) -> bool;
 
     /// The live calibration table this backend answers from, when it has
@@ -293,9 +307,9 @@ impl Backend for NativeBackend {
     }
 }
 
-/// The analytic tier: answers requests instantly from the roofline model
-/// and a live [`CalibrationStore`] of single-cluster measurements,
-/// without compiling or simulating anything.
+/// The analytic tier: answers requests from a live
+/// [`CalibrationStore`] of single-cluster measurements, or from the
+/// kernel's proven cycle bound, without simulating anything.
 ///
 /// * **No grids**: an estimate costs no per-point work at all — that is
 ///   the entire point of the tier — so analytic outcomes carry an empty
@@ -315,20 +329,14 @@ impl Backend for NativeBackend {
 ///
 /// For calibrated stencils the estimate interpolates measured per-point
 /// rates (the paper's methodology of sizing estimates from
-/// single-cluster measurements); for unknown stencils it falls back to a
-/// first-principles roofline at the configured per-variant FPU
-/// efficiencies.
+/// single-cluster measurements), which compiles nothing. A request with
+/// no entry for its stencil, variant and core count is answered with
+/// its kernel's [`StaticBound`] ([`ExecRequest::bound`]): the bound's
+/// cycles and FLOPs, each core halting at its own bound, and one FPU
+/// issue slot per stencil operation and interior point. No constant is
+/// fitted to it.
 #[derive(Debug, Clone)]
 pub struct RooflineBackend {
-    /// The machine point estimates are computed against.
-    pub point: MachinePoint,
-    /// Fallback FPU efficiency (issue slots per core-cycle) for baseline
-    /// kernels with no calibration entry — this repository's measured
-    /// ten-code geomean.
-    pub base_efficiency: f64,
-    /// Fallback FPU efficiency for SARIS kernels with no calibration
-    /// entry — this repository's measured ten-code geomean.
-    pub saris_efficiency: f64,
     store: Arc<CalibrationStore>,
 }
 
@@ -339,8 +347,8 @@ impl Default for RooflineBackend {
 }
 
 impl RooflineBackend {
-    /// A roofline backend at the Manticore cluster point, answering from
-    /// a fresh gallery-seeded [`CalibrationStore`].
+    /// A roofline backend answering from a fresh gallery-seeded
+    /// [`CalibrationStore`].
     pub fn new() -> RooflineBackend {
         RooflineBackend::with_store(Arc::new(CalibrationStore::with_gallery()))
     }
@@ -349,12 +357,7 @@ impl RooflineBackend {
     /// calibration store — e.g. one imported from a previous server's
     /// export, or one shared across several sessions.
     pub fn with_store(store: Arc<CalibrationStore>) -> RooflineBackend {
-        RooflineBackend {
-            point: MachinePoint::manticore_cluster(),
-            base_efficiency: 0.40,
-            saris_efficiency: 0.78,
-            store,
-        }
+        RooflineBackend { store }
     }
 
     /// The live calibration table this backend answers from.
@@ -372,7 +375,7 @@ impl RooflineBackend {
 
     /// Whether the store holds a calibration measurement for this
     /// stencil and variant, for *any* cluster core count (entries are
-    /// per cluster shape; `estimate` only uses the one matching the
+    /// per cluster shape; an estimate only uses the one matching the
     /// request's core count).
     pub fn is_calibrated(&self, stencil: &Stencil, variant: Variant) -> bool {
         !self
@@ -381,56 +384,88 @@ impl RooflineBackend {
             .is_empty()
     }
 
-    fn fallback_efficiency(&self, variant: Variant) -> f64 {
-        match variant {
-            Variant::Base => self.base_efficiency,
-            Variant::Saris => self.saris_efficiency,
-        }
-    }
-
-    /// The estimated compute cycles, FPU ops and FLOPs for one tile.
-    fn estimate(&self, stencil: &Stencil, extent: saris_core::Extent, options: &RunOptions) -> Est {
+    /// The synthesized report for one tile of `extent`: from the store's
+    /// entry for the request's stencil, variant and core count, or from
+    /// `bound` when there is none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store has no entry and `bound` is `None`: the
+    /// session passes the bound for every request the store misses.
+    fn estimate(
+        &self,
+        stencil: &Stencil,
+        extent: Extent,
+        options: &RunOptions,
+        bound: Option<&StaticBound>,
+    ) -> RunReport {
         let interior = stencil.interior(extent).len() as f64;
+        let n_cores = options.cluster.n_cores.max(1);
         // A calibration only describes the cluster shape it was measured
         // on (the core count is part of the store key); a request for a
-        // different core count falls through to the first-principles
-        // path, which scales with the cluster size.
-        match self
+        // different core count is answered from its own kernel's bound.
+        let calibration = self
             .store
-            .lookup(stencil, options.variant, options.cluster.n_cores)
-        {
-            Some(cal) => Est {
-                cycles: cal.cycles_per_point * interior,
-                fpu_ops: cal.fpu_ops_per_point * interior,
-                flops: cal.flops_per_point * interior,
-                imbalance: cal.imbalance,
-            },
-            None => {
-                let mut point = self.point;
-                point.cores = options.cluster.n_cores;
-                let est = estimate_tile(
-                    stencil,
-                    extent,
-                    &point,
-                    self.fallback_efficiency(options.variant),
-                );
-                Est {
-                    cycles: est.compute_cycles,
-                    fpu_ops: est.fpu_ops,
-                    flops: est.flops,
-                    imbalance: vec![1.0; options.cluster.n_cores],
-                }
+            .lookup(stencil, options.variant, options.cluster.n_cores);
+        let (cycles, cores): (u64, Vec<_>) = match calibration {
+            Some(cal) => {
+                let cycles = cal.cycles_per_point * interior;
+                let ops = (cal.fpu_ops_per_point * interior / n_cores as f64).round() as u64;
+                let flops = (cal.flops_per_point * interior / n_cores as f64).round() as u64;
+                // Scale the calibrated imbalance ratios so the slowest core
+                // halts at the estimated cycle count (`runtime_imbalance`
+                // normalizes by the mean, so the ratio vector survives the
+                // scaling).
+                let max_ratio = cal.imbalance.iter().copied().fold(1.0f64, f64::max);
+                let cores = (0..n_cores)
+                    .map(|i| {
+                        let ratio = cal.imbalance.get(i).copied().unwrap_or(1.0);
+                        let halted_at = (cycles * ratio / max_ratio).round().max(1.0) as u64;
+                        (halted_at, ops, flops)
+                    })
+                    .collect();
+                (cycles.round().max(1.0) as u64, cores)
             }
+            None => {
+                let bound =
+                    bound.expect("an uncalibrated estimate needs its kernel's proven bound");
+                let ops = (stencil.ops().len() as f64 * interior / n_cores as f64).round() as u64;
+                let cores = bound
+                    .per_core
+                    .iter()
+                    .map(|core| (core.cycles(), ops, core.flops))
+                    .collect();
+                (bound.cycles, cores)
+            }
+        };
+        let cores = cores
+            .into_iter()
+            .map(|(halted_at, ops, flops)| CoreReport {
+                halted_at,
+                int_stats: IntStats::default(),
+                fpu: FpuStats {
+                    retired: ops,
+                    offloaded: ops,
+                    arith: ops,
+                    flops,
+                    ..FpuStats::default()
+                },
+                streamers: [StreamerStats::default(); 3],
+                tcdm_wait_cycles: 0,
+            })
+            .collect();
+        RunReport {
+            cycles,
+            cycles_fast_forwarded: 0,
+            cores,
+            tcdm_accesses: 0,
+            tcdm_conflicts: 0,
+            icache_hits: 0,
+            icache_misses: 0,
+            dma: DmaStats::default(),
+            freq_hz: options.cluster.freq_hz,
         }
     }
-}
-
-/// Internal per-tile estimate used to synthesize the report.
-struct Est {
-    cycles: f64,
-    fpu_ops: f64,
-    flops: f64,
-    imbalance: Vec<f64>,
 }
 
 impl Backend for RooflineBackend {
@@ -452,48 +487,9 @@ impl Backend for RooflineBackend {
 
     fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
         let extent = req.inputs[0].extent();
-        let est = self.estimate(req.stencil, extent, req.options);
-        let n_cores = req.options.cluster.n_cores.max(1);
-        let cycles = est.cycles.round().max(1.0) as u64;
-        // Distribute the estimated activity across cores and scale the
-        // calibrated imbalance ratios so the slowest core halts at the
-        // estimated cycle count (`runtime_imbalance` normalizes by the
-        // mean, so the ratio vector survives the scaling).
-        let max_ratio = est.imbalance.iter().copied().fold(1.0f64, f64::max);
-        let ops_per_core = (est.fpu_ops / n_cores as f64).round() as u64;
-        let flops_per_core = (est.flops / n_cores as f64).round() as u64;
-        let cores = (0..n_cores)
-            .map(|i| {
-                let ratio = est.imbalance.get(i).copied().unwrap_or(1.0);
-                CoreReport {
-                    halted_at: (est.cycles * ratio / max_ratio).round().max(1.0) as u64,
-                    int_stats: IntStats::default(),
-                    fpu: FpuStats {
-                        retired: ops_per_core,
-                        offloaded: ops_per_core,
-                        arith: ops_per_core,
-                        flops: flops_per_core,
-                        ..FpuStats::default()
-                    },
-                    streamers: [StreamerStats::default(); 3],
-                    tcdm_wait_cycles: 0,
-                }
-            })
-            .collect();
-        let report = RunReport {
-            cycles,
-            cycles_fast_forwarded: 0,
-            cores,
-            tcdm_accesses: 0,
-            tcdm_conflicts: 0,
-            icache_hits: 0,
-            icache_misses: 0,
-            dma: DmaStats::default(),
-            freq_hz: req.options.cluster.freq_hz,
-        };
         Ok(ExecOutcome {
             output: None,
-            report: Some(report),
+            report: Some(self.estimate(req.stencil, extent, req.options, req.bound)),
             estimated: true,
         })
     }
@@ -577,7 +573,7 @@ impl fmt::Debug for BackendRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saris_core::{gallery, Extent};
+    use saris_core::gallery;
 
     #[test]
     fn fidelity_displays_and_orders() {
@@ -642,34 +638,47 @@ mod tests {
         }
     }
 
+    /// The proven bound of jacobi_2d's kernel at `extent` under `opts`.
+    fn jacobi_bound(extent: Extent, opts: &RunOptions) -> StaticBound {
+        crate::Session::new()
+            .static_bound(&gallery::jacobi_2d(), extent, opts)
+            .expect("jacobi_2d compiles and verifies")
+    }
+
     #[test]
     fn calibrated_estimate_reproduces_the_measurement_at_the_paper_tile() {
         let backend = RooflineBackend::new();
         let stencil = gallery::jacobi_2d();
         let opts = RunOptions::new(Variant::Saris);
-        let est = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts);
-        assert_eq!(est.cycles.round() as u64, 2985);
-        assert_eq!(est.fpu_ops.round() as u64, 19220);
+        let est = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts, None);
+        assert_eq!(est.cycles, 2985);
+        let ops: u64 = est.cores.iter().map(|c| c.fpu.arith).sum();
+        assert!(ops.abs_diff(19220) <= 4, "{ops} FPU ops");
         // And scales with the interior away from the paper tile.
-        let half = backend.estimate(&stencil, Extent::new_2d(33, 33), &opts);
-        assert!((half.cycles / est.cycles - (31.0 * 31.0) / 3844.0).abs() < 1e-9);
+        let half = backend.estimate(&stencil, Extent::new_2d(33, 33), &opts, None);
+        let scaled = 2985.0 * (31.0 * 31.0) / 3844.0;
+        assert!(
+            (half.cycles as f64 - scaled).abs() <= 0.5,
+            "{}",
+            half.cycles
+        );
     }
 
     #[test]
-    fn uncalibrated_stencils_fall_back_to_first_principles() {
+    fn uncalibrated_stencils_answer_with_the_proven_bound() {
         let backend = RooflineBackend::with_store(Arc::new(CalibrationStore::new()));
         let stencil = gallery::jacobi_2d();
         assert!(!backend.is_calibrated(&stencil, Variant::Saris));
         let opts = RunOptions::new(Variant::Saris);
-        let est = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts);
-        let expect = estimate_tile(
-            &stencil,
-            Extent::new_2d(64, 64),
-            &MachinePoint::manticore_cluster(),
-            backend.saris_efficiency,
-        );
-        assert_eq!(est.cycles, expect.compute_cycles);
-        // `calibrate` restores the measured path.
+        let tile = Extent::new_2d(64, 64);
+        let bound = jacobi_bound(tile, &opts);
+        let est = backend.estimate(&stencil, tile, &opts, Some(&bound));
+        assert_eq!(est.cycles, bound.cycles);
+        assert_eq!(est.flops(), bound.flops);
+        for (core, proven) in est.cores.iter().zip(&bound.per_core) {
+            assert_eq!(core.halted_at, proven.cycles());
+        }
+        // `calibrate` switches to the measured path, bound or no bound.
         backend.calibrate(
             &stencil,
             Variant::Saris,
@@ -680,8 +689,8 @@ mod tests {
                 imbalance: vec![1.0; 8],
             },
         );
-        let est = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts);
-        assert_eq!(est.cycles, 3844.0);
+        let est = backend.estimate(&stencil, tile, &opts, Some(&bound));
+        assert_eq!(est.cycles, 3844);
     }
 
     #[test]
@@ -690,18 +699,17 @@ mod tests {
         let stencil = gallery::jacobi_2d();
         let tile = Extent::new_2d(64, 64);
         // The gallery table was measured on the 8-core Snitch cluster; a
-        // 4-core request must use the first-principles path (which
-        // scales with the core count), not the 8-core measurement.
+        // 4-core request (a 2x2 plan) must be answered from its own
+        // kernel's bound, not from the 8-core measurement.
         let mut opts = RunOptions::new(Variant::Saris);
         opts.cluster.n_cores = 4;
-        let est = backend.estimate(&stencil, tile, &opts);
-        let mut point = MachinePoint::manticore_cluster();
-        point.cores = 4;
-        let expect = estimate_tile(&stencil, tile, &point, backend.saris_efficiency);
-        assert_eq!(est.cycles, expect.compute_cycles);
-        assert_eq!(est.imbalance.len(), 4);
-        // Half the cores, double the estimated compute time.
-        let eight = backend.estimate(&stencil, tile, &RunOptions::new(Variant::Saris));
+        opts.interleave = saris_core::parallel::InterleavePlan::new(2, 2);
+        let bound = jacobi_bound(tile, &opts);
+        let est = backend.estimate(&stencil, tile, &opts, Some(&bound));
+        assert_eq!(est.cycles, bound.cycles);
+        assert_eq!(est.cores.len(), 4);
+        // Half the cores, a slower tile.
+        let eight = backend.estimate(&stencil, tile, &RunOptions::new(Variant::Saris), None);
         assert!(
             est.cycles > eight.cycles,
             "fewer cores must estimate slower"
@@ -714,13 +722,15 @@ mod tests {
         let backend = RooflineBackend::with_store(Arc::clone(&store));
         let stencil = gallery::jacobi_2d();
         let opts = RunOptions::new(Variant::Saris);
-        let fallback = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts);
+        let tile = Extent::new_2d(64, 64);
+        let bound = jacobi_bound(tile, &opts);
+        let proven = backend.estimate(&stencil, tile, &opts, Some(&bound));
         // Feeding the *store* (as a session does) changes what the
         // backend answers — no re-registration needed.
         store.observe(
             &stencil,
             Variant::Saris,
-            Extent::new_2d(64, 64),
+            tile,
             7,
             &crate::calibration::Observation {
                 cycles: 2985,
@@ -730,8 +740,8 @@ mod tests {
                 imbalance: vec![1.0; 8],
             },
         );
-        let calibrated = backend.estimate(&stencil, Extent::new_2d(64, 64), &opts);
-        assert_ne!(fallback.cycles, calibrated.cycles);
-        assert_eq!(calibrated.cycles.round() as u64, 2985);
+        let calibrated = backend.estimate(&stencil, tile, &opts, Some(&bound));
+        assert_ne!(proven.cycles, calibrated.cycles);
+        assert_eq!(calibrated.cycles, 2985);
     }
 }

@@ -265,9 +265,9 @@ impl fmt::Debug for CalibrationStore {
 }
 
 impl CalibrationStore {
-    /// An empty store: every estimate falls back to first principles and
-    /// every [`Fidelity::Auto`](crate::Fidelity::Auto) request escalates
-    /// until observations arrive.
+    /// An empty store: every estimate is its kernel's proven cycle bound
+    /// and every [`Fidelity::Auto`](crate::Fidelity::Auto) request
+    /// escalates until observations arrive.
     pub fn new() -> CalibrationStore {
         CalibrationStore {
             inner: Mutex::default(),
@@ -475,8 +475,8 @@ impl CalibrationStore {
     /// request: the entry's confidence when both the measured extent and
     /// the [execution context](execution_context) match the request,
     /// capped at [`OFF_EXTENT_CONFIDENCE`] otherwise, and `0.0` when no
-    /// entry matches at all (the first-principles fallback carries no
-    /// accuracy claim).
+    /// entry matches at all (the proven-bound answer carries no accuracy
+    /// claim).
     pub fn confidence(
         &self,
         stencil: &Stencil,

@@ -226,6 +226,7 @@ impl FaultInjectingBackend {
             inputs: &refs,
             options: &work.options,
             kernel: None,
+            bound: None,
             cluster: None,
         }))
     }
@@ -416,6 +417,7 @@ mod tests {
             inputs: &refs,
             options: &crate::RunOptions::new(crate::Variant::Saris),
             kernel: None,
+            bound: None,
             cluster: None,
         };
         let err = chaos
@@ -445,6 +447,7 @@ mod tests {
             inputs: &refs,
             options: &opts,
             kernel: None,
+            bound: None,
             cluster: None,
         };
         let good = clean.execute(req()).unwrap().output.unwrap();
@@ -477,6 +480,7 @@ mod tests {
             inputs: &refs,
             options: &opts,
             kernel: None,
+            bound: None,
             cluster: None,
         };
         let key = request_key(&req());

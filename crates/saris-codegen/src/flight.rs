@@ -272,14 +272,6 @@ impl<K: Eq + Hash + Clone, V, T> Table<K, V, T> {
         }
     }
 
-    /// `key`'s cached answer, its priority and recency untouched.
-    pub fn value_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self.rows.get_mut(key)? {
-            Row::Cached(cached) => Some(&mut cached.value),
-            Row::Running(_) => None,
-        }
-    }
-
     /// Every row: its key, and its answer when cached.
     pub fn rows(&self) -> impl Iterator<Item = (&K, Option<&V>)> {
         self.rows.iter().map(|(key, row)| match row {

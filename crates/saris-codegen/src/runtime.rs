@@ -165,12 +165,27 @@ impl CompiledKernel {
 /// # Errors
 ///
 /// Propagates planning, register-pressure, immediate-range, FREP-capacity
-/// and TCDM-capacity errors.
+/// and TCDM-capacity errors, and returns
+/// [`CodegenError::InvalidWorkload`] when the interleave plan does not
+/// occupy exactly the cluster's cores (a core the plan leaves out would
+/// leave its share of the tile uncomputed).
 pub fn compile(
     stencil: &Stencil,
     extent: Extent,
     options: &RunOptions,
 ) -> Result<CompiledKernel, CodegenError> {
+    let plan = &options.interleave;
+    if plan.cores() != options.cluster.n_cores {
+        return Err(CodegenError::InvalidWorkload {
+            reason: format!(
+                "the {}x{} interleave plan occupies {} cores, the cluster has {}",
+                plan.px(),
+                plan.py(),
+                plan.cores(),
+                options.cluster.n_cores
+            ),
+        });
+    }
     let reassociated;
     let stencil = if options.reassociate > 1 {
         reassociated = stencil.reassociated(options.reassociate);
@@ -554,6 +569,25 @@ mod tests {
             let run = run_verified(&s, RunOptions::new(variant), 1e-12);
             let err = run.verify_error.unwrap();
             assert!(err < 1e-12, "{variant}: err {err:e}");
+        }
+    }
+
+    #[test]
+    fn a_plan_that_misses_cluster_cores_is_refused() {
+        let s = gallery::jacobi_2d();
+        for variant in [Variant::Base, Variant::Saris] {
+            // The default 4x2 plan names eight cores: on four, cores 4-7's
+            // share of the tile would never be computed.
+            let mut opts = RunOptions::new(variant);
+            opts.cluster.n_cores = 4;
+            let err = compile(&s, tile_of(&s), &opts).unwrap_err();
+            assert!(
+                matches!(err, CodegenError::InvalidWorkload { .. }),
+                "{variant}: {err}"
+            );
+            // A 2x2 plan covers the four cores and the whole tile.
+            opts.interleave = InterleavePlan::new(2, 2);
+            run_verified(&s, opts, 1e-9);
         }
     }
 

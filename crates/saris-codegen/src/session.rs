@@ -174,10 +174,6 @@ pub struct SessionStats {
     /// and the caller took its kernel instead of compiling again. A
     /// joined compile that fails saves nothing; its callers retry.
     pub compiles_saved: u64,
-    /// Analytic-tier answers whose estimated cycle count fell *below* a
-    /// kernel's statically proven lower bound — an impossible cycle
-    /// count, flagging calibration drift in the roofline model.
-    pub bound_violations: u64,
     /// Runs that recycled a pooled cluster.
     pub clusters_reused: u64,
     /// Kernels and idle clusters dropped by the [`SessionConfig`]
@@ -210,10 +206,9 @@ impl SessionStats {
 
 /// A compiled kernel and the cycle lower bound the verifier proved for
 /// it when it compiled. The kernel cache holds and hands out the two
-/// together, so the tuner, [`Session::static_bound`] and the
-/// analytic-tier cross-check that counts
-/// [`SessionStats::bound_violations`] read the bound without proving
-/// again, and the LRU evicts both together.
+/// together, so the tuner, [`Session::static_bound`] and the analytic
+/// tier's answers for uncalibrated requests read the bound without
+/// proving again, and the LRU evicts both together.
 struct CachedKernel {
     kernel: Arc<CompiledKernel>,
     bound: StaticBound,
@@ -587,24 +582,24 @@ impl Session {
         tel: &mut WorkloadTelemetry,
     ) -> Result<RunOut, CodegenError> {
         let extent = inputs.first().expect("stencil needs an input").extent();
-        let kernel = backend
+        let proven = backend
             .needs_kernel()
             .then(|| self.compile_counted(stencil, extent, options, tel))
-            .transpose()?
-            .map(|cached| Arc::clone(&cached.kernel));
-        self.execute(backend, stencil, inputs, options, kernel, tel)
+            .transpose()?;
+        self.execute(backend, stencil, inputs, options, proven.as_deref(), tel)
     }
 
-    /// Dispatches one execution of `kernel` (`None` for backends that
-    /// need none) to `backend`, on a cluster the session lends when the
-    /// backend needs kernels, and accounts telemetry.
+    /// Dispatches one execution to `backend` with the proven kernel the
+    /// session compiled for it (`None` when it compiled none), on a
+    /// cluster the session lends when the backend needs kernels, and
+    /// accounts telemetry.
     fn execute(
         &self,
         backend: &dyn Backend,
         stencil: &Stencil,
         inputs: &[&Grid],
         options: &RunOptions,
-        kernel: Option<Arc<CompiledKernel>>,
+        proven: Option<&CachedKernel>,
         tel: &mut WorkloadTelemetry,
     ) -> Result<RunOut, CodegenError> {
         let mut lent = backend
@@ -614,7 +609,8 @@ impl Session {
             stencil,
             inputs,
             options,
-            kernel: kernel.as_ref(),
+            kernel: proven.map(|p| &p.kernel),
+            bound: proven.map(|p| &p.bound),
             cluster: lent.as_mut().map(|(cluster, _)| cluster),
         });
         let cluster_reused = lent.as_ref().is_some_and(|&(_, reused)| reused);
@@ -637,7 +633,9 @@ impl Session {
         Ok(RunOut {
             output: outcome.output,
             report: outcome.report,
-            kernel,
+            kernel: proven
+                .filter(|_| backend.needs_kernel())
+                .map(|p| Arc::clone(&p.kernel)),
         })
     }
 
@@ -843,15 +841,7 @@ impl Session {
         tel: &mut WorkloadTelemetry,
     ) -> Result<(RunOptions, TuningDecision, RunOut), CodegenError> {
         let stencil = &*work.stencil;
-        let mut feasible = Vec::with_capacity(candidates.len());
-        for &unroll in candidates {
-            let options = work.options.clone().with_unroll(unroll);
-            match self.compile_counted(stencil, work.extent, &options, tel) {
-                Ok(kernel) => feasible.push((options, kernel)),
-                Err(e) if is_infeasible_width(&e) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let mut feasible = self.compile_feasible(work, candidates, tel)?;
         let ranked = backend.fidelity() == Fidelity::Cycles && feasible.len() > 1;
         let mut bounds = Vec::new();
         let mut order = Vec::with_capacity(feasible.len());
@@ -873,14 +863,7 @@ impl Session {
                 break;
             }
             let (options, cached) = &feasible[i];
-            let run = self.execute(
-                backend,
-                stencil,
-                inputs,
-                options,
-                Some(Arc::clone(&cached.kernel)),
-                tel,
-            )?;
+            let run = self.execute(backend, stencil, inputs, options, Some(cached), tel)?;
             let cycles = run.report.as_ref().map_or(u64::MAX, |r| r.cycles);
             measured.push((i, options.unroll, cycles));
             if best.as_ref().is_none_or(|&(c, j, _)| (cycles, i) < (c, j)) {
@@ -896,6 +879,48 @@ impl Session {
             bounds,
         };
         Ok((options, decision, run))
+    }
+
+    /// Compiles, and so proves, every candidate unroll of `work` through
+    /// the kernel cache, skipping widths the register file or FREP
+    /// sequencer genuinely refuses. Returns each feasible candidate's
+    /// options and kernel, in list order.
+    fn compile_feasible(
+        &self,
+        work: &StencilWork,
+        candidates: &[usize],
+        tel: &mut WorkloadTelemetry,
+    ) -> Result<Vec<(RunOptions, Arc<CachedKernel>)>, CodegenError> {
+        let mut feasible = Vec::with_capacity(candidates.len());
+        for &unroll in candidates {
+            let options = work.options.clone().with_unroll(unroll);
+            match self.compile_counted(&work.stencil, work.extent, &options, tel) {
+                Ok(kernel) => feasible.push((options, kernel)),
+                Err(e) if is_infeasible_width(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(feasible)
+    }
+
+    /// The proven kernel an analytic answer is sized from when the
+    /// calibration store has no entry for the request: the spec's own
+    /// kernel, or for a tuned spec the feasible candidate with the least
+    /// bound (the first in list order on a tie), the one `Session::tune`
+    /// ranks first.
+    fn least_bound(
+        &self,
+        work: &StencilWork,
+        tel: &mut WorkloadTelemetry,
+    ) -> Result<(RunOptions, Arc<CachedKernel>), CodegenError> {
+        let Some(candidates) = work.tune.candidates() else {
+            let proven = self.compile_counted(&work.stencil, work.extent, &work.options, tel)?;
+            return Ok((work.options.clone(), proven));
+        };
+        self.compile_feasible(work, candidates, tel)?
+            .into_iter()
+            .min_by_key(|(_, proven)| proven.bound.cycles)
+            .ok_or(CodegenError::NoCandidates)
     }
 
     fn submit_stencil(
@@ -932,8 +957,11 @@ impl Session {
         let mut tel = WorkloadTelemetry::default();
 
         // Tuning: prove, then measure on the initial inputs (see
-        // `Session::tune`). Codegen-free backends have nothing to tune.
+        // `Session::tune`). Codegen-free backends have nothing to tune;
+        // an analytic answer the calibration store cannot give is sized
+        // from the least proven bound instead.
         let mut first_run = None;
+        let mut proven = None;
         let (options, tuning) = if let (Some(candidates), true) =
             (work.tune.candidates(), backend.needs_kernel())
         {
@@ -941,6 +969,15 @@ impl Session {
             let (options, decision, run) = self.tune(backend, work, candidates, &refs, &mut tel)?;
             first_run = Some(run);
             (options, Some(decision))
+        } else if fidelity == Fidelity::Analytic
+            && self.calibration.as_ref().is_some_and(|store| {
+                let (variant, cores) = (work.options.variant, work.options.cluster.n_cores);
+                !store.is_calibrated(stencil, variant, cores)
+            })
+        {
+            let (options, kernel) = self.least_bound(work, &mut tel)?;
+            proven = Some(kernel);
+            (options, None)
         } else {
             (work.options.clone(), None)
         };
@@ -950,9 +987,12 @@ impl Session {
         let mut reports = Vec::new();
         let mut kernel = None;
         let grids = march(work, inputs, |refs| {
-            let run = match first_run.take() {
-                Some(run) => run,
-                None => self.run_one(backend, stencil, refs, &options, &mut tel)?,
+            let run = match (first_run.take(), &proven) {
+                (Some(run), _) => run,
+                (None, Some(p)) => {
+                    self.execute(backend, stencil, refs, &options, Some(p), &mut tel)?
+                }
+                (None, None) => self.run_one(backend, stencil, refs, &options, &mut tel)?,
             };
             if let Some(report) = run.report {
                 reports.push(report);
@@ -1012,21 +1052,6 @@ impl Session {
         if fidelity == Fidelity::Cycles {
             if let Some(report) = reports.first() {
                 self.feed_calibration(work, report);
-            }
-        }
-        // The drift detector's other half: an *analytic* estimate below a
-        // kernel's statically proven cycle floor is an impossible number —
-        // the roofline model (or its calibration data) has drifted. The
-        // analytic tier compiles nothing, so only kernels the session
-        // has already compiled, and so proven, are checked.
-        if fidelity == Fidelity::Analytic {
-            let key = KernelKey::new(stencil, work.extent, &options);
-            let mut guard = self.lock();
-            let state = &mut *guard;
-            if let Some(cached) = state.kernels.value_mut(&key) {
-                let floor = cached.bound.cycles;
-                let low = reports.iter().filter(|r| r.cycles < floor).count();
-                state.stats.bound_violations += low as u64;
             }
         }
         // Surface the winning kernel's per-point-visit instruction mix

@@ -615,8 +615,8 @@ pub struct WorkloadTelemetry {
     /// measurements. Set by analytic-tier backends (e.g.
     /// [`RooflineBackend`](crate::RooflineBackend)): the grids are still
     /// exact, but cycle counts, FPU utilization and per-core runtimes in
-    /// [`Outcome::reports`] are synthesized from the roofline model and
-    /// calibration data, and must not be quoted as simulator
+    /// [`Outcome::reports`] are synthesized from calibration data or a
+    /// kernel's proven cycle bound, and must not be quoted as simulator
     /// measurements.
     pub estimated: bool,
     /// The concrete tier that answered this workload. For most specs

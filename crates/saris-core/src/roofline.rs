@@ -6,11 +6,9 @@
 //! intensity further. This module computes those quantities directly from
 //! a stencil and a tile geometry, independent of any simulation.
 //!
-//! Two consumers share this one implementation of the per-tile traffic
-//! derivation ([`TileTraffic`]): the `saris-scaleout` manycore estimate
-//! (Figure 5 / Table 2) and the execution engine's analytic *roofline
-//! backend*, which answers estimate-class requests from
-//! [`estimate_tile`] without paying for cycle-level simulation.
+//! The per-tile traffic derivation ([`TileTraffic`]) is what the
+//! `saris-scaleout` manycore estimate (Figure 5 / Table 2) streams
+//! through main memory.
 
 use crate::geom::{Extent, Halo};
 use crate::stencil::Stencil;
@@ -124,120 +122,6 @@ pub fn is_memory_bound(
     tile_intensity(stencil, tile).intensity < machine_balance(peak_flops_per_cycle, bytes_per_cycle)
 }
 
-/// The machine point an analytic tile estimate is computed against: one
-/// compute cluster and its fair share of main-memory bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachinePoint {
-    /// Compute cores in the cluster.
-    pub cores: usize,
-    /// Peak FLOPs per core per cycle (one DP FMA = 2).
-    pub flops_per_core_cycle: f64,
-    /// The cluster's main-memory bandwidth share in bytes per cycle.
-    pub bytes_per_cycle: f64,
-}
-
-impl MachinePoint {
-    /// The paper's single Snitch cluster inside a Manticore-256s group:
-    /// 8 cores at one DP FMA per cycle, and a 12.8 B/cycle fair share of
-    /// one HBM2E device split four ways.
-    pub fn manticore_cluster() -> MachinePoint {
-        MachinePoint {
-            cores: 8,
-            flops_per_core_cycle: 2.0,
-            bytes_per_cycle: 12.8,
-        }
-    }
-
-    /// Cluster-wide peak FLOPs per cycle.
-    pub fn peak_flops_per_cycle(&self) -> f64 {
-        self.cores as f64 * self.flops_per_core_cycle
-    }
-}
-
-/// Mean FLOPs per FPU issue slot across the gallery's operation mix
-/// (an FMA retires 2 FLOPs in one slot, an add or mul retires 1). Used
-/// by [`estimate_tile`] to convert a FLOP count into issue slots when
-/// no measured operation count is available.
-pub const MEAN_FLOPS_PER_FPU_OP: f64 = 1.8;
-
-/// A first-principles analytic estimate of one tile sweep — what the
-/// roofline backend answers estimate-class requests from when it has no
-/// calibration measurement for the stencil.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileEstimate {
-    /// Floating-point operations per tile.
-    pub flops: f64,
-    /// Estimated FPU issue slots per tile.
-    pub fpu_ops: f64,
-    /// DMA bytes per tile.
-    pub bytes: f64,
-    /// Estimated compute time in cycles (FPU issue slots over the
-    /// cluster's effective issue rate).
-    pub compute_cycles: f64,
-    /// Memory streaming time in cycles at the cluster's bandwidth share.
-    pub memory_cycles: f64,
-    /// Whether the tile is memory-bound at this machine point and
-    /// efficiency (`memory_cycles > compute_cycles`).
-    pub memory_bound: bool,
-}
-
-impl TileEstimate {
-    /// The double-buffered per-tile time: compute and memory overlap, so
-    /// the slower of the two governs.
-    pub fn tile_cycles(&self) -> f64 {
-        self.compute_cycles.max(self.memory_cycles)
-    }
-}
-
-/// Estimates one double-buffered tile sweep of `stencil` on tiles of
-/// `tile` at `point`, assuming the FPUs sustain `efficiency` issue slots
-/// per core-cycle (0..=1; the attainable utilization of the code variant,
-/// e.g. the paper's Figure 3b geomeans).
-///
-/// The compute side converts the tile's FLOPs into FPU issue slots via
-/// [`MEAN_FLOPS_PER_FPU_OP`] and divides by the effective issue rate;
-/// the memory side is the [`TileTraffic`] over the bandwidth share.
-///
-/// # Examples
-///
-/// ```
-/// use saris_core::{gallery, roofline, Extent, Space};
-///
-/// let point = roofline::MachinePoint::manticore_cluster();
-/// let j3d = roofline::estimate_tile(
-///     &gallery::j3d27pt(),
-///     Extent::cube(Space::Dim3, 16),
-///     &point,
-///     0.8,
-/// );
-/// assert!(!j3d.memory_bound, "27-point 3D is compute-bound");
-/// let jacobi =
-///     roofline::estimate_tile(&gallery::jacobi_2d(), Extent::new_2d(64, 64), &point, 0.8);
-/// assert!(jacobi.memory_bound, "5-point Jacobi streams more than it computes");
-/// ```
-pub fn estimate_tile(
-    stencil: &Stencil,
-    tile: Extent,
-    point: &MachinePoint,
-    efficiency: f64,
-) -> TileEstimate {
-    let interior = stencil.interior(tile);
-    let flops = stencil.stats().flops as f64 * interior.len() as f64;
-    let fpu_ops = flops / MEAN_FLOPS_PER_FPU_OP;
-    let issue_rate = (point.cores as f64 * efficiency.clamp(0.01, 1.0)).max(f64::MIN_POSITIVE);
-    let compute_cycles = fpu_ops / issue_rate;
-    let bytes = TileTraffic::for_stencil(stencil, tile).total() as f64;
-    let memory_cycles = bytes / point.bytes_per_cycle;
-    TileEstimate {
-        flops,
-        fpu_ops,
-        bytes,
-        compute_cycles,
-        memory_cycles,
-        memory_bound: memory_cycles > compute_cycles,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,24 +214,5 @@ mod tests {
             let traffic = TileTraffic::for_stencil(&s, tile);
             assert_eq!(t.bytes, traffic.total() as f64, "{}", s.name());
         }
-    }
-
-    #[test]
-    fn tile_estimate_sides_and_bound() {
-        let point = MachinePoint::manticore_cluster();
-        assert_eq!(point.peak_flops_per_cycle(), 16.0);
-        let s = gallery::jacobi_2d();
-        let tile = Extent::new_2d(64, 64);
-        let e = estimate_tile(&s, tile, &point, 0.8);
-        // 5 FLOPs x 62^2 points; (64^2 + 62^2) x 8 bytes over 12.8 B/cyc.
-        assert!((e.flops - 5.0 * 3844.0).abs() < 1e-9);
-        assert!((e.memory_cycles - (4096.0 + 3844.0) * 8.0 / 12.8).abs() < 1e-9);
-        assert!((e.fpu_ops - e.flops / MEAN_FLOPS_PER_FPU_OP).abs() < 1e-9);
-        assert!((e.compute_cycles - e.fpu_ops / 6.4).abs() < 1e-9);
-        assert!(e.memory_bound && e.tile_cycles() == e.memory_cycles);
-        // Lower efficiency inflates compute time until the bound flips.
-        let slow = estimate_tile(&s, tile, &point, 0.1);
-        assert!(!slow.memory_bound);
-        assert_eq!(slow.tile_cycles(), slow.compute_cycles);
     }
 }

@@ -7,9 +7,9 @@ use saris_core::{Extent, Stencil};
 
 use crate::machine::MachineModel;
 
-// The per-tile traffic derivation lives in `saris_core::roofline` so the
-// scaleout estimate and the execution engine's analytic roofline backend
-// share one implementation; re-exported here for continuity.
+// The per-tile traffic derivation lives in `saris_core::roofline`, next
+// to the operational-intensity analysis that counts the same bytes;
+// re-exported here for continuity.
 pub use saris_core::roofline::TileTraffic;
 
 /// What the single-cluster experiments feed into the estimate.

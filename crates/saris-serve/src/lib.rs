@@ -287,8 +287,9 @@ pub struct ServeConfig {
     /// retries are exhausted, the backend panics, a deadline expires, or
     /// a circuit is open.
     ///
-    /// Default `true`: the paper's roofline model is exactly the "fast,
-    /// always-available estimate" a degraded answer calls for. Callers
+    /// Default `true`: the analytic tier's estimate (calibrated
+    /// single-cluster rates, or the kernel's proven cycle bound) is
+    /// exactly the fast stand-in a degraded answer calls for. Callers
     /// that must never see an estimate where they asked for a
     /// measurement set this to `false` and handle the errors.
     pub degrade_to_analytic: bool,
@@ -316,14 +317,6 @@ pub struct ServeConfig {
     /// tests stays visible as an error; only a caller hammering a known
     /// -bad spec gets cut off.
     pub quarantine_threshold: u32,
-    /// How long [`Server::drop`] waits for workers to finish their
-    /// in-flight jobs before detaching wedged ones (with a logged
-    /// warning) instead of hanging the dropping thread forever.
-    ///
-    /// Default `5s`: an order of magnitude above the slowest single
-    /// cycle-tier execution in the bench suite, so a healthy server
-    /// always joins cleanly.
-    pub shutdown_timeout: Duration,
     /// Aging rate of the scheduler. Each queued job is scored by its
     /// deadline slack plus its modeled recompute cost (the same
     /// deterministic per-tier units the response cache weighs eviction
@@ -362,7 +355,6 @@ impl Default for ServeConfig {
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_millis(250),
             quarantine_threshold: 8,
-            shutdown_timeout: Duration::from_secs(5),
             aging_rate: 1.0,
         }
     }
@@ -414,7 +406,8 @@ pub struct ServeStats {
     /// never cached).
     pub errors: u64,
     /// Panics caught and isolated on serving threads: a backend that
-    /// panicked in an execution, or a completion callback
+    /// panicked in an execution or in its degraded stand-in, or a
+    /// completion callback
     /// ([`ResponseHandle::on_complete`]) that panicked when its flight
     /// completed.
     pub panics: u64,
@@ -574,6 +567,13 @@ fn tier_slot(tier: Fidelity) -> usize {
 /// failing spec — remote clients' included — for the process's life.
 /// At the bound, the spec with the fewest strikes is forgotten.
 const QUARANTINE_CAPACITY: usize = 1024;
+
+/// How long [`Server::drop`] waits for workers to finish their in-flight
+/// jobs before detaching wedged ones (with a logged warning) instead of
+/// hanging the dropping thread forever: an order of magnitude above the
+/// slowest single cycle-tier execution in the bench suite, so a healthy
+/// server always joins cleanly.
+const SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How one job's execution ended, for the breaker and quarantine books
 /// ([`State::settle`]).
@@ -842,14 +842,22 @@ impl Shared {
         if !self.config.degrade_to_analytic {
             return Err(err);
         }
-        match self.session.submit_degraded(spec) {
-            Ok(outcome) => {
+        // An estimate for a spec the calibration store has no entry for
+        // compiles its kernel, so the stand-in can panic where the
+        // request did: isolated like the execution, and the original
+        // failure is the answer.
+        match catch_unwind(AssertUnwindSafe(|| self.session.submit_degraded(spec))) {
+            Ok(Ok(outcome)) => {
                 self.lock().stats.degraded += 1;
                 Ok(Arc::new(outcome))
             }
             // Probes, verifying workloads, and golden requests have no
             // analytic stand-in; the original failure is the answer.
-            Err(_) => Err(err),
+            Ok(Err(_)) => Err(err),
+            Err(_) => {
+                self.lock().stats.panics += 1;
+                Err(err)
+            }
         }
     }
 
@@ -1181,10 +1189,10 @@ impl fmt::Debug for ResponseHandle {
 /// A long-lived service answering [`WorkloadSpec`]s over a [`Session`].
 ///
 /// Dropping the server closes the queue, lets the workers drain what
-/// was already queued, and joins them — waiting at most
-/// [`ServeConfig::shutdown_timeout`] before detaching wedged workers
-/// with a logged warning. Requests still blocked on a full queue at
-/// shutdown resolve to [`ServeError::ShutDown`].
+/// was already queued, and joins them — waiting at most five seconds
+/// before detaching wedged workers with a logged warning. Requests
+/// still blocked on a full queue at shutdown resolve to
+/// [`ServeError::ShutDown`].
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -1407,7 +1415,7 @@ impl Drop for Server {
         // the dropping thread on a wedged backend — detach instead. No
         // submitter is running an execution of its own: `submit`
         // borrows the server, so only workers can still hold slots.
-        let deadline = Instant::now() + self.shared.config.shutdown_timeout;
+        let deadline = Instant::now() + SHUTDOWN_TIMEOUT;
         while state.live_workers > 0 {
             let (guard, expired) = wait_until(
                 &self.shared.worker_exit,
@@ -1427,7 +1435,7 @@ impl Drop for Server {
             eprintln!(
                 "saris-serve: {wedged} worker(s) still busy after the {:?} shutdown timeout; \
                  detaching them",
-                self.shared.config.shutdown_timeout
+                SHUTDOWN_TIMEOUT
             );
             // Dropping the handles detaches the threads; they own an
             // `Arc<Shared>` via their guard, so nothing they touch is

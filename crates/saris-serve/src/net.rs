@@ -267,8 +267,7 @@ impl NetShared {
 /// accepted connection is served by its own handler thread for the
 /// connection's lifetime. Dropping the `NetServer` stops accepting,
 /// severs open connections, and shuts the wrapped [`Server`] down
-/// (waiting on in-flight work per
-/// [`ServeConfig::shutdown_timeout`](crate::ServeConfig::shutdown_timeout)).
+/// (waiting on in-flight work for at most five seconds).
 pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<NetShared>,

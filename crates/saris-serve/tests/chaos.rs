@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use saris_codegen::{
     Backend, BackendRegistry, CodegenError, FaultInjectingBackend, FaultKind, FaultPlan, Fidelity,
-    Session, SessionConfig, SimBackend, Workload, WorkloadSpec,
+    RooflineBackend, Session, SessionConfig, SimBackend, Workload, WorkloadSpec,
 };
 use saris_core::{gallery, Extent, Grid};
 use saris_serve::{ResponseHandle, ServeConfig, ServeError, Server};
@@ -577,6 +577,37 @@ fn panics_surface_as_errors_when_degradation_is_off() {
     };
     assert!(message.contains("chaos: injected panic"), "{message}");
     assert_eq!(server.stats().errors, 1);
+}
+
+/// A degraded stand-in runs outside the execution's isolation, and an
+/// uncalibrated one compiles a kernel, so it can panic too: that panic
+/// is isolated like the execution's, and the original failure answers.
+#[test]
+fn a_panicking_stand_in_leaves_the_original_failure() {
+    let mut plan = FaultPlan::seeded(3);
+    plan.panic_rate = 1.0;
+    let mut registry = BackendRegistry::standard();
+    for tier in [
+        Arc::new(SimBackend) as Arc<dyn Backend>,
+        Arc::new(RooflineBackend::new()),
+    ] {
+        registry.register(Arc::new(FaultInjectingBackend::new(tier, plan)));
+    }
+    let session = Session::with_registry(registry, Fidelity::Cycles, SessionConfig::default());
+    let config = ServeConfig {
+        workers: 1,
+        breaker_threshold: 0,
+        quarantine_threshold: 0,
+        ..ServeConfig::default()
+    };
+    let server = Server::over(session, config).expect("spawn serve workers");
+    let err = server.submit(&spec(1)).expect_err("both tiers panic");
+    assert!(
+        matches!(err, ServeError::BackendPanicked { .. }),
+        "expected BackendPanicked, got {err}"
+    );
+    let stats = server.stats();
+    assert_eq!((stats.panics, stats.degraded), (2, 0));
 }
 
 /// Deadlines: a request with no latency budget left degrades to an

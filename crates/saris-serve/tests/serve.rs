@@ -2,9 +2,14 @@
 //! under concurrency, response-cache bit-identity, and back-pressure on
 //! the bounded queue.
 
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-use saris_codegen::{Fidelity, Session, Workload, WorkloadSpec};
+use saris_codegen::{
+    Backend, BackendRegistry, CodegenError, ExecOutcome, ExecRequest, Fidelity, NativeBackend,
+    Session, SessionConfig, Workload, WorkloadSpec,
+};
 use saris_core::{gallery, Extent, Grid};
 use saris_serve::{ServeConfig, Server};
 
@@ -331,6 +336,55 @@ fn estimate_requests_serve_from_the_analytic_tier() {
     );
 }
 
+/// The golden tier behind a gate: a run books that it started, then
+/// waits until the gate opens.
+#[derive(Default)]
+struct Gated {
+    started: AtomicBool,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gated {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+/// Spins until `cond` holds, failing with `what` after 30 s.
+fn spin_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::yield_now();
+    }
+}
+
+impl Backend for Gated {
+    fn name(&self) -> &'static str {
+        NativeBackend.name()
+    }
+
+    fn fidelity(&self) -> Fidelity {
+        NativeBackend.fidelity()
+    }
+
+    fn needs_kernel(&self) -> bool {
+        NativeBackend.needs_kernel()
+    }
+
+    fn execute(&self, req: ExecRequest<'_>) -> Result<ExecOutcome, CodegenError> {
+        self.started.store(true, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        NativeBackend.execute(req)
+    }
+}
+
 /// A failing flight delivers its error to *every* coalesced waiter
 /// identically: waiters that attached to one execution share the same
 /// `Arc<CodegenError>`, the error counter books one error per actual
@@ -346,19 +400,26 @@ fn coalesced_waiters_share_a_failed_flights_error() {
         .unroll(4)
         .freeze()
         .unwrap();
-    let server = Server::with_config(ServeConfig {
-        workers: 1,
-        ..ServeConfig::default()
-    })
+    // Occupy the single execution slot with a golden-tier run held at a
+    // gate, so the failing spec's flight stays in flight while the
+    // waiters pile on. The slow spec's submitter runs it in the idle
+    // server's slot; the gate opens once every waiter is admitted.
+    let gated = Arc::new(Gated::default());
+    let mut registry = BackendRegistry::standard();
+    registry.register(Arc::clone(&gated) as Arc<dyn Backend>);
+    let session = Session::with_registry(registry, Fidelity::Cycles, SessionConfig::default());
+    let server = Server::over(
+        session,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
     .unwrap();
-    // Occupy the single execution slot with a multi-step cycle-tier job
-    // so the failing spec's flight stays in-flight while the waiters
-    // pile on. The slow spec's submitter runs it in the idle server's
-    // slot; its first step booked, the slot is held for the other 23.
     let slow = Workload::new(gallery::jacobi_2d())
         .extent(Extent::new_2d(16, 16))
         .input_seed(3)
-        .time_steps(24)
+        .fidelity(Fidelity::Golden)
         .freeze()
         .unwrap();
     let barrier = Barrier::new(WAITERS);
@@ -366,14 +427,9 @@ fn coalesced_waiters_share_a_failed_flights_error() {
         let server = &server;
         let barrier = &barrier;
         let slow_handle = scope.spawn(move || server.submit(&slow).expect("slow spec runs"));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while server.session().stats().runs == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the slow spec never ran"
-            );
-            std::thread::yield_now();
-        }
+        spin_until("the slow spec never ran", || {
+            gated.started.load(Ordering::SeqCst)
+        });
         let handles: Vec<_> = (0..WAITERS)
             .map(|_| {
                 let failing = &failing;
@@ -383,6 +439,10 @@ fn coalesced_waiters_share_a_failed_flights_error() {
                 })
             })
             .collect();
+        spin_until("the waiters were never admitted", || {
+            server.stats().requests == 1 + WAITERS as u64
+        });
+        gated.open();
         let errors = handles.into_iter().map(|h| h.join().unwrap()).collect();
         slow_handle.join().unwrap();
         errors

@@ -82,6 +82,28 @@ use saris_serve::{NetClient, NetServer, ServeError, ServeResult, Server};
 /// making ring construction or lookup measurable.
 const VNODES_PER_SHARD: usize = 256;
 
+/// Transport-failure retries against the *same* shard before it is
+/// declared dead (transient-blip absorption, mirroring
+/// `ServeConfig::max_retries`): one reconnect attempt distinguishes a
+/// dropped connection from a dead worker without stalling rehash.
+const SHARD_RETRIES: u32 = 1;
+
+/// Rehash attempts onto successive live shards after a death before
+/// giving up with [`ServeError::ShutDown`]: with fewer shards than
+/// that the request has visited every live shard already; more only
+/// delays the inevitable.
+const MAX_REHASHES: u32 = 4;
+
+/// Backoff before the first retry; doubles per subsequent attempt (the
+/// serving layer's `retry_backoff` vocabulary). Worker failures here are
+/// process-scale, not WAN-scale.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Timeout for (re)connecting to a shard, so routing around a dead
+/// worker is not gated on the OS connect timeout; the breaker cooldown
+/// scale.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// One sharded-serving worker: a full [`Server`] behind a TCP listener.
 ///
 /// In production each worker would be its own process on its own
@@ -115,46 +137,6 @@ impl ShardWorker {
     /// dead process looks like.
     pub fn kill(&self) {
         self.net.kill();
-    }
-}
-
-/// Retry and rehash policy of a [`Coordinator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Transport-failure retries against the *same* shard before it is
-    /// declared dead (transient-blip absorption, mirroring
-    /// `ServeConfig::max_retries`).
-    ///
-    /// Default `1`: one reconnect attempt distinguishes a dropped
-    /// connection from a dead worker without stalling rehash.
-    pub shard_retries: u32,
-    /// Rehash attempts onto successive live shards after a death
-    /// before giving up with [`ServeError::ShutDown`].
-    ///
-    /// Default `4`: with fewer shards than that the request has visited
-    /// every live shard already; more only delays the inevitable.
-    pub max_rehashes: u32,
-    /// Backoff before the first retry; doubles per subsequent attempt
-    /// (the serving layer's `retry_backoff` vocabulary).
-    ///
-    /// Default `1ms`: worker failures here are process-scale, not
-    /// WAN-scale.
-    pub retry_backoff: Duration,
-    /// Timeout for (re)connecting to a shard, so routing around a dead
-    /// worker is not gated on the OS connect timeout.
-    ///
-    /// Default `250ms`, matching the breaker cooldown scale.
-    pub connect_timeout: Duration,
-}
-
-impl Default for ShardConfig {
-    fn default() -> ShardConfig {
-        ShardConfig {
-            shard_retries: 1,
-            max_rehashes: 4,
-            retry_backoff: Duration::from_millis(1),
-            connect_timeout: Duration::from_millis(250),
-        }
     }
 }
 
@@ -195,7 +177,6 @@ pub struct Coordinator {
     /// Ring position → shard index. Routing walks clockwise from the
     /// spec fingerprint's ring point to the first *live* shard.
     ring: BTreeMap<u64, usize>,
-    config: ShardConfig,
     retries: AtomicU64,
     rehashes: AtomicU64,
     gossip_adopted: AtomicU64,
@@ -209,14 +190,9 @@ impl Coordinator {
         Coordinator::connect(&addrs)
     }
 
-    /// Connects to every address with the default [`ShardConfig`].
-    pub fn connect(addrs: &[SocketAddr]) -> io::Result<Coordinator> {
-        Coordinator::with_config(addrs, ShardConfig::default())
-    }
-
     /// Connects to every address, pinging each worker so a bad address
     /// fails construction instead of the first request.
-    pub fn with_config(addrs: &[SocketAddr], config: ShardConfig) -> io::Result<Coordinator> {
+    pub fn connect(addrs: &[SocketAddr]) -> io::Result<Coordinator> {
         if addrs.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -225,7 +201,7 @@ impl Coordinator {
         }
         let mut shards = Vec::with_capacity(addrs.len());
         for &addr in addrs {
-            let mut client = NetClient::connect_timeout(addr, config.connect_timeout)?;
+            let mut client = NetClient::connect_timeout(addr, CONNECT_TIMEOUT)?;
             client.ping()?;
             shards.push(Shard {
                 addr,
@@ -243,7 +219,6 @@ impl Coordinator {
         Ok(Coordinator {
             shards,
             ring,
-            config,
             retries: AtomicU64::new(0),
             rehashes: AtomicU64::new(0),
             gossip_adopted: AtomicU64::new(0),
@@ -286,18 +261,17 @@ impl Coordinator {
     /// Routes `spec` to its fingerprint's shard and returns the remote
     /// answer.
     ///
-    /// Transport failures retry the same shard
-    /// ([`ShardConfig::shard_retries`] times, with doubling backoff),
-    /// then mark it dead and rehash onto the next live shard — every
-    /// accepted request resolves as a success or an explicit
-    /// [`ServeError`]; only when the rehash budget
-    /// ([`ShardConfig::max_rehashes`]) is exhausted or no live shard
-    /// remains does it give up with [`ServeError::ShutDown`].
+    /// Transport failures retry the same shard (once, after a 1 ms
+    /// backoff that doubles per attempt), then mark it dead and rehash
+    /// onto the next live shard — every accepted request resolves as a
+    /// success or an explicit [`ServeError`]; only when the rehash
+    /// budget (four) is exhausted or no live shard remains does it give
+    /// up with [`ServeError::ShutDown`].
     pub fn submit(&self, spec: &WorkloadSpec) -> ServeResult {
         // Encoded once, whatever the number of attempts, and — like the
         // decode in `submit_to` — outside every shard's connection lock.
         let request = NetClient::encode_submit(spec);
-        let mut backoff = self.config.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut rehashes = 0u32;
         let mut attempts_on_shard = 0u32;
         loop {
@@ -312,7 +286,7 @@ impl Coordinator {
                 Ok(result) => return result,
                 Err(_) => {
                     attempts_on_shard += 1;
-                    if attempts_on_shard <= self.config.shard_retries {
+                    if attempts_on_shard <= SHARD_RETRIES {
                         self.retries.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
@@ -323,7 +297,7 @@ impl Coordinator {
             self.shards[index].alive.store(false, Ordering::SeqCst);
             attempts_on_shard = 0;
             rehashes += 1;
-            if rehashes > self.config.max_rehashes {
+            if rehashes > MAX_REHASHES {
                 return Err(ServeError::ShutDown);
             }
             self.rehashes.fetch_add(1, Ordering::SeqCst);
@@ -342,10 +316,7 @@ impl Coordinator {
         let shard = &self.shards[index];
         let mut conn = shard.conn.lock().expect("shard connection lock");
         if conn.is_none() {
-            *conn = Some(NetClient::connect_timeout(
-                shard.addr,
-                self.config.connect_timeout,
-            )?);
+            *conn = Some(NetClient::connect_timeout(shard.addr, CONNECT_TIMEOUT)?);
         }
         let client = conn.as_mut().expect("connection just established");
         let reply = client.exchange(request);
@@ -368,7 +339,7 @@ impl Coordinator {
             }
             let mut conn = shard.conn.lock().expect("shard connection lock");
             if conn.is_none() {
-                match NetClient::connect_timeout(shard.addr, self.config.connect_timeout) {
+                match NetClient::connect_timeout(shard.addr, CONNECT_TIMEOUT) {
                     Ok(client) => *conn = Some(client),
                     Err(_) => {
                         shard.alive.store(false, Ordering::SeqCst);
@@ -462,7 +433,6 @@ mod tests {
         Coordinator {
             shards,
             ring,
-            config: ShardConfig::default(),
             retries: AtomicU64::new(0),
             rehashes: AtomicU64::new(0),
             gossip_adopted: AtomicU64::new(0),

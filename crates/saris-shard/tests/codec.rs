@@ -5,13 +5,12 @@
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Barrier;
-use std::time::Duration;
 
 use saris_codegen::wire::{read_frame, write_frame, MAX_FRAME_LEN};
 use saris_codegen::{Fidelity, Outcome, Session, Workload, WorkloadSpec};
 use saris_core::{gallery, Extent};
 use saris_serve::{ServeConfig, ServeError, Server};
-use saris_shard::{Coordinator, ShardConfig, ShardWorker};
+use saris_shard::{Coordinator, ShardWorker};
 
 fn worker() -> ShardWorker {
     let config = ServeConfig {
@@ -124,23 +123,19 @@ fn garbling_worker() -> SocketAddr {
 
 #[test]
 fn an_undecodable_reply_is_retried_then_rehashed() {
-    let config = ShardConfig {
-        retry_backoff: Duration::from_micros(100),
-        ..ShardConfig::default()
-    };
-    // Alone, the garbling shard exhausts its retry and is marked dead.
-    let alone = Coordinator::with_config(&[garbling_worker()], config).expect("coordinator");
+    // Alone, the garbling shard exhausts its one retry and is marked
+    // dead.
+    let alone = Coordinator::connect(&[garbling_worker()]).expect("coordinator");
     let result = alone.submit(&spec(1, Fidelity::Golden));
     assert!(matches!(result, Err(ServeError::ShutDown)), "{result:?}");
     let stats = alone.stats();
-    assert_eq!(stats.routed, [1 + u64::from(config.shard_retries)]);
+    assert_eq!(stats.routed, [2]);
     assert_eq!((stats.retries, stats.rehashes), (1, 1));
     assert_eq!(alone.live_shards(), 0);
 
     // Next to a healthy shard, its requests move there and are answered.
     let healthy = worker();
-    let pair = Coordinator::with_config(&[garbling_worker(), healthy.addr()], config)
-        .expect("coordinator");
+    let pair = Coordinator::connect(&[garbling_worker(), healthy.addr()]).expect("coordinator");
     let routed_to_garbler = (0..)
         .map(|seed| spec(seed, Fidelity::Golden))
         .find(|s| pair.route(s.fingerprint()) == Some(0))
@@ -157,10 +152,6 @@ fn an_undecodable_reply_is_retried_then_rehashed() {
 
 #[test]
 fn a_peer_of_another_version_is_refused_not_rehashed() {
-    let config = ShardConfig {
-        retry_backoff: Duration::from_micros(100),
-        ..ShardConfig::default()
-    };
     // A worker that answered the ping as this version and then answers
     // submissions as one from before frames had a version: each answer
     // is a refusal naming both versions. The shard is not retried, not
@@ -173,7 +164,7 @@ fn a_peer_of_another_version_is_refused_not_rehashed() {
         }
     });
     let healthy = worker();
-    let pair = Coordinator::with_config(&[old, healthy.addr()], config).expect("coordinator");
+    let pair = Coordinator::connect(&[old, healthy.addr()]).expect("coordinator");
     let routed_to_old = (0..)
         .map(|seed| spec(seed, Fidelity::Golden))
         .find(|s| pair.route(s.fingerprint()) == Some(0))
@@ -200,7 +191,7 @@ fn a_peer_of_another_version_is_refused_not_rehashed() {
     // A worker of another version from the start fails the coordinator's
     // construction, by name.
     let newer = scripted_worker(|_| b"{\"version\": 3, \"pong\": true}");
-    let err = Coordinator::with_config(&[newer], config).expect_err("a version-3 worker");
+    let err = Coordinator::connect(&[newer]).expect_err("a version-3 worker");
     let message = err.to_string();
     assert!(message.contains("reply is frame version 3"), "{message}");
     assert!(message.contains("speaks frame version 2"), "{message}");

@@ -24,9 +24,9 @@
 //! The cluster bound is the max over cores plus the cross-core bank
 //! pressure: every component is optimistic (no stalls, no conflicts, no
 //! icache misses modeled), so `StaticBound::cycles` is provably ≤ the
-//! simulated cycle count. The serving layer uses this as a sanity floor
-//! (an *analytic* estimate below the proven bound signals calibration
-//! drift) and the tuner as a proof that an unroll cannot beat one it
+//! simulated cycle count. The serving layer's analytic tier answers
+//! with it for requests its calibration store has no measurement for,
+//! and the tuner uses it as a proof that an unroll cannot beat one it
 //! has already simulated.
 
 use std::fmt;

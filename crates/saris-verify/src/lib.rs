@@ -26,8 +26,8 @@
 //! 3. **static cost bounds** ([`CoreBound`]) — integer issue cycles, the
 //!    in-order FP issue schedule, and TCDM bank pressure combine into a
 //!    [`StaticBound`] that provably lower-bounds the simulated cycle
-//!    count, giving serving layers a drift detector for their analytic
-//!    estimates. It stays a lower bound under the descriptor proofs: a
+//!    count, which serving layers answer uncalibrated analytic requests
+//!    with. It stays a lower bound under the descriptor proofs: a
 //!    proven job contributes exactly the accesses its elements make (the
 //!    same counts enumeration gives), and wherever the analysis loses
 //!    precision it counts less, never more.

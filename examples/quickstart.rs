@@ -26,8 +26,9 @@ fn main() -> Result<(), saris::serve::ServeError> {
     };
 
     // --- Tier 1: analytic. Is SARIS worth simulating here? The answer
-    // is instant (roofline + calibrated measurements) and flagged as an
-    // estimate.
+    // comes from calibrated single-cluster measurements (or, for a
+    // stencil never measured, its kernel's proven cycle bound) and is
+    // flagged as an estimate.
     let estimate = server.submit(
         &workload(Variant::Saris)
             .fidelity(Fidelity::Analytic)

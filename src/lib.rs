@@ -41,7 +41,9 @@
 //!
 //! 1. **Analytic** — the [`RooflineBackend`](codegen::RooflineBackend)
 //!    answers instantly from calibrated single-cluster measurements plus
-//!    a bandwidth model (the paper's own scaleout methodology). Its
+//!    a bandwidth model (the paper's own scaleout methodology), and a
+//!    stencil it has no measurement for from its kernel's proven cycle
+//!    bound. Its
 //!    cycle counts and utilizations are *estimates*, flagged in
 //!    [`WorkloadTelemetry::estimated`](codegen::WorkloadTelemetry::estimated),
 //!    and it produces no output grids.
@@ -280,10 +282,9 @@
 //! [`CodegenError::StaticVerification`](codegen::CodegenError) before
 //! a single cycle is simulated. Each clean kernel's proven bound ranks
 //! unroll candidates for the tuner, which never simulates one whose
-//! bound cannot beat a measurement it already has, and doubles as a
-//! calibration-drift detector — an *analytic* estimate below the proven
-//! floor is an impossible number, counted in
-//! [`SessionStats::bound_violations`](codegen::SessionStats).
+//! bound cannot beat a measurement it already has, and answers
+//! [analytic](codegen::Fidelity::Analytic) requests the calibration
+//! store has no measurement for.
 //!
 //! ```
 //! use saris::prelude::*;
@@ -528,7 +529,7 @@ pub mod prelude {
     pub use saris_serve::{
         NetClient, NetServer, ResponseHandle, ServeConfig, ServeError, ServeStats, Server,
     };
-    pub use saris_shard::{Coordinator, CoordinatorStats, ShardConfig, ShardWorker};
+    pub use saris_shard::{Coordinator, CoordinatorStats, ShardWorker};
     pub use saris_verify::{verify_cluster, verify_program, MemoryMap, StaticBound};
     pub use snitch_sim::{Cluster, ClusterConfig, RunReport};
 }
