@@ -267,22 +267,14 @@ pub fn compile(
             rem_opts.coeff_reg_budget = main.schedule.resident_coeffs();
             let rem = SarisPlan::derive(stencil, &layout, rem_opts, 1, options.interleave.px())?;
             let plans = SarisPlans { main, rem };
-            let idx_imgs = [
-                Some(plans.main.indices.sr0.pack(plans.main.index_width)),
-                plans
-                    .main
-                    .indices
-                    .sr1
-                    .as_ref()
-                    .map(|a| a.pack(plans.main.index_width)),
-                Some(plans.rem.indices.sr0.pack(plans.rem.index_width)),
-                plans
-                    .rem
-                    .indices
-                    .sr1
-                    .as_ref()
-                    .map(|a| a.pack(plans.rem.index_width)),
-            ];
+            // Each plan's SR0 and SR1 index images.
+            let pack = |plan: &SarisPlan| {
+                let indices = &plan.indices;
+                [Some(&indices.sr0), indices.sr1.as_ref()]
+                    .map(|a| a.map(|a| plan.index_width.pack(&a.rel_indices)))
+            };
+            let ([main0, main1], [rem0, rem1]) = (pack(&plans.main), pack(&plans.rem));
+            let idx_imgs = [main0, main1, rem0, rem1];
             let idx_lens = [
                 idx_imgs[0].as_ref().map_or(0, Vec::len),
                 idx_imgs[1].as_ref().map_or(0, Vec::len),

@@ -132,8 +132,10 @@ struct SarisCtx<'a> {
 /// # Errors
 ///
 /// Returns [`CodegenError::FrepBodyTooLarge`] when the unrolled block does
-/// not fit the FREP sequencer, or [`CodegenError::RegisterPressure`] when
-/// temporaries plus resident coefficients exceed the FP register file.
+/// not fit the FREP sequencer, [`CodegenError::RegisterPressure`] when
+/// temporaries plus resident coefficients exceed the FP register file, or
+/// [`CodegenError::InvalidWorkload`] when paired streams have one tap to
+/// load between them.
 pub fn gen_saris_core(
     stencil: &Stencil,
     map: &TcdmMap,
@@ -142,6 +144,19 @@ pub fn gen_saris_core(
     core: usize,
     cfg: &ClusterConfig,
 ) -> Result<CompiledCore, CodegenError> {
+    let paired = plans.main.mode() == StreamMode::Paired;
+    if paired
+        && [&plans.main, &plans.rem]
+            .iter()
+            .any(|p| p.indices.sr1.is_none())
+    {
+        return Err(CodegenError::InvalidWorkload {
+            reason: format!(
+                "SARIS pairs two index streams, and stencil {} loads one tap per point",
+                stencil.name()
+            ),
+        });
+    }
     let walk = CoreWalk::compute(stencil, map.layout().extent(), interleave, core);
     if walk.is_empty() {
         let mut b = ProgramBuilder::new();
@@ -222,7 +237,10 @@ impl SarisCtx<'_> {
         let arr = if sr == 0 {
             &plan.indices.sr0
         } else {
-            plan.indices.sr1.as_ref().expect("sr1 indices exist")
+            plan.indices
+                .sr1
+                .as_ref()
+                .expect("gen_saris_core checked sr1")
         };
         SsrCfg::Indirect(IndirectCfg {
             dir: StreamDir::Read,

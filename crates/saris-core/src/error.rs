@@ -47,6 +47,18 @@ pub enum StencilError {
         /// Index of the unused coefficient.
         at: usize,
     },
+    /// An operation's value never reaches the stored result.
+    DeadOp {
+        /// Stencil name.
+        name: String,
+        /// Index of the last such operation.
+        at: usize,
+    },
+    /// No tap reads the grid (the result is a constant).
+    NoTap {
+        /// Stencil name.
+        name: String,
+    },
     /// A 2D stencil uses a `dz != 0` offset.
     OffsetOutsideSpace {
         /// Stencil name.
@@ -81,6 +93,10 @@ impl fmt::Display for StencilError {
             StencilError::UnusedCoeff { name, at } => {
                 write!(f, "stencil {name} declares unused coefficient {at}")
             }
+            StencilError::DeadOp { name, at } => {
+                write!(f, "stencil {name} op {at} never reaches the result")
+            }
+            StencilError::NoTap { name } => write!(f, "stencil {name} reads no tap"),
             StencilError::OffsetOutsideSpace { name } => {
                 write!(f, "2D stencil {name} uses a z offset")
             }

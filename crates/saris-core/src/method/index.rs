@@ -35,19 +35,6 @@ impl SrIndexArray {
     pub fn is_empty(&self) -> bool {
         self.rel_indices.is_empty()
     }
-
-    /// Packs the indices little-endian at the given width.
-    pub fn pack(&self, width: IndexWidth) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.len() * width.bytes());
-        for &idx in &self.rel_indices {
-            match width {
-                IndexWidth::U8 => bytes.push(idx as u8),
-                IndexWidth::U16 => bytes.extend_from_slice(&(idx as u16).to_le_bytes()),
-                IndexWidth::U32 => bytes.extend_from_slice(&(idx as u32).to_le_bytes()),
-            }
-        }
-        bytes
-    }
 }
 
 /// The index arrays of a launch window, plus the shared base adjustment.
@@ -238,7 +225,7 @@ mod tests {
         let arr = SrIndexArray {
             rel_indices: vec![0, 513, 65535],
         };
-        let bytes = arr.pack(IndexWidth::U16);
+        let bytes = IndexWidth::U16.pack(&arr.rel_indices);
         assert_eq!(bytes.len(), 6);
         assert_eq!(u16::from_le_bytes([bytes[2], bytes[3]]), 513);
         assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 65535);

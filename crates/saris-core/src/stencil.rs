@@ -788,7 +788,8 @@ impl StencilBuilder {
     ///
     /// Returns a [`StencilError`] if no output array or result is set, an
     /// operand index is invalid, a temporary is used before definition, a
-    /// 2D stencil has `dz != 0` offsets, or a tap/coefficient is unused.
+    /// 2D stencil has `dz != 0` offsets, a tap/coefficient is unused, an
+    /// operation never reaches the result, or no tap reads the grid.
     pub fn finish(self) -> Result<Stencil, StencilError> {
         let name = self.name.clone();
         let output = self
@@ -850,6 +851,24 @@ fn validate(s: &Stencil) -> Result<(), StencilError> {
         Operand::Tap(t) => tap_used[t] = true,
         Operand::Coeff(c) => coeff_used[c] = true,
         Operand::Tmp(_) => {}
+    }
+    // Every op must reach the result: walk the uses back from it.
+    let mut live = vec![false; s.ops.len()];
+    if let Operand::Tmp(t) = s.result {
+        live[t] = true;
+    }
+    for (i, op) in s.ops.iter().enumerate().rev() {
+        if !live[i] {
+            return Err(StencilError::DeadOp { name, at: i });
+        }
+        for operand in op.operands() {
+            if let Operand::Tmp(t) = operand {
+                live[t] = true;
+            }
+        }
+    }
+    if s.taps.is_empty() {
+        return Err(StencilError::NoTap { name });
     }
     if let Some(i) = tap_used.iter().position(|u| !u) {
         return Err(StencilError::UnusedTap { name, at: i });

@@ -233,7 +233,7 @@ impl fmt::Display for IndexWidth {
 ///
 /// `base` here is the *static* base; if an [`Instr::SsrSetBase`] executes
 /// before the arming [`Instr::SsrCommit`], the staged register value is
-/// added to `base`.
+/// added to `base`. [`crate::stream`] implements the sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AffineCfg {
     /// Stream direction.
@@ -280,6 +280,7 @@ impl AffineCfg {
 ///
 /// where `base` is the dynamic value staged by [`Instr::SsrSetBase`] and
 /// `idx` is the little-endian packed index array at `idx_base`.
+/// [`crate::stream`] implements the sequence and the array's format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndirectCfg {
     /// Stream direction.

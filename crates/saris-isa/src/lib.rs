@@ -49,6 +49,7 @@ pub mod error;
 pub mod instr;
 pub mod program;
 pub mod reg;
+pub mod stream;
 
 pub use error::BuildProgramError;
 pub use instr::{
@@ -57,3 +58,4 @@ pub use instr::{
 };
 pub use program::{Label, Program, ProgramBuilder};
 pub use reg::{FpReg, IntReg};
+pub use stream::{AffineWalk, Hull};

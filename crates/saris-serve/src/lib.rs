@@ -1367,6 +1367,12 @@ impl Server {
             .collect()
     }
 
+    /// Books a panic caught on a thread that serves this server (a
+    /// connection handler) in [`ServeStats::panics`].
+    pub(crate) fn book_panic(&self) {
+        self.shared.lock().stats.panics += 1;
+    }
+
     /// A snapshot of the serving counters.
     pub fn stats(&self) -> ServeStats {
         let mut stats = self.shared.lock().stats;

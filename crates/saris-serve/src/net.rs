@@ -87,8 +87,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -99,7 +100,7 @@ use saris_codegen::wire::{
 };
 use saris_codegen::{CalibrationStore, CodegenError, StencilInterner, WorkloadSpec};
 
-use crate::{ServeError, ServeResult, Server, TIER_NAMES};
+use crate::{panic_message, ServeError, ServeResult, Server, TIER_NAMES};
 
 // ---------------------------------------------------------------------------
 // ServeError wire codec
@@ -239,8 +240,8 @@ struct NetShared {
     /// One `try_clone` per live connection, keyed by the accept loop's
     /// connection id, kept so [`NetServer::kill`] can sever every
     /// conversation abruptly (worker-death simulation) and a clean
-    /// shutdown can unblock handler threads. A handler removes its own
-    /// entry when its connection ends, so the registry (and the
+    /// shutdown can unblock handler threads. A handler's [`Registered`]
+    /// guard removes its entry when the handler ends, so the registry (and the
     /// descriptors its clones hold open) tracks live connections, not
     /// every connection ever accepted.
     conns: Mutex<HashMap<u64, TcpStream>>,
@@ -369,12 +370,34 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
         let spawned = std::thread::Builder::new()
             .name("saris-net-conn".to_string())
             .spawn(move || {
+                let _entry = Registered {
+                    shared: &handler_shared,
+                    id,
+                };
                 handle_connection(stream, &handler_shared);
-                handler_shared.conns().remove(&id);
             });
         if spawned.is_err() {
             shared.conns().remove(&id);
         }
+    }
+}
+
+/// A connection's registry entry, removed when its handler ends — by
+/// unwinding too, so the clone cannot hold the socket open past the
+/// handler and leave its peer waiting for a reply that never comes.
+struct Registered<'a> {
+    shared: &'a NetShared,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        let mut conns = self
+            .shared
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        conns.remove(&self.id);
     }
 }
 
@@ -390,10 +413,28 @@ fn handle_connection(stream: TcpStream, shared: &NetShared) {
             Ok(frame) => frame,
             Err(_) => return,
         };
-        respond(shared, &frame, &mut reply);
+        isolated(&shared.server, &mut reply, |reply| {
+            respond(shared, &frame, reply)
+        });
         if write_frame(reader.get_mut(), reply.as_bytes()).is_err() {
             return;
         }
+    }
+}
+
+/// Runs `respond`, which leaves a reply in `reply`. A panic on the way
+/// is answered as [`ServeError::BackendPanicked`] and booked in
+/// [`ServeStats::panics`](crate::ServeStats::panics), as a panicking
+/// execution is.
+fn isolated(server: &Server, reply: &mut String, respond: impl FnOnce(&mut String)) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| respond(&mut *reply))) {
+        server.book_panic();
+        reply.clear();
+        reply.push_str(FRAME_ENVELOPE);
+        reply.push_str("\"err\": ");
+        let message = format!("request handler: {}", panic_message(payload.as_ref()));
+        enc_serve_error(reply, &ServeError::BackendPanicked { message });
+        reply.push('}');
     }
 }
 
@@ -842,6 +883,54 @@ mod tests {
         let mut client = NetClient::connect(net.addr()).expect("connect");
         assert!(client.ping().expect("ping"));
         assert_eq!(net.shared.conns().len(), 1);
+    }
+
+    #[test]
+    fn an_unwinding_handler_leaves_the_registry_and_its_peer_reads_eof() {
+        use std::io::Read;
+        let net = worker();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        // Bounded: a leaked clone would keep the socket open forever.
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let (stream, _) = listener.accept().expect("accept");
+        let id = u64::MAX;
+        net.shared
+            .conns()
+            .insert(id, stream.try_clone().expect("clone"));
+        let handler = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _entry = Registered {
+                    shared: &net.shared,
+                    id,
+                };
+                let _stream = stream;
+                panic!("handler unwinds");
+            })
+            .join()
+        });
+        assert!(handler.is_err());
+        assert!(!net.shared.conns().contains_key(&id));
+        let mut byte = [0u8; 1];
+        assert_eq!(peer.read(&mut byte).expect("EOF, not a timeout"), 0);
+    }
+
+    #[test]
+    fn a_panicking_responder_is_answered_and_booked() {
+        let net = worker();
+        let mut reply = String::new();
+        isolated(net.server(), &mut reply, |reply| {
+            reply.push_str("half a reply");
+            panic!("responder unwinds");
+        });
+        assert_eq!(net.server().stats().panics, 1);
+        match NetClient::decode_submit_reply(reply.as_bytes()).expect("a reply") {
+            Err(ServeError::BackendPanicked { message }) => {
+                assert!(message.contains("responder unwinds"), "{message}");
+            }
+            other => panic!("expected a panic answer, got {other:?}"),
+        }
     }
 
     #[test]

@@ -35,15 +35,14 @@
 //!   bounds in O(dims); both corners are addresses the job really
 //!   touches. If the hull lies inside one granted region with the right
 //!   permission and misses every `dma_writes` span, so does every element
-//!   in between. The bank histogram is then filled by stepping a bank
-//!   index by the stride — exactly the banks the elements land on, one
-//!   count per element.
+//!   in between. The bank histogram is then filled from the job's address
+//!   walk, one count per element, with no range check and no division.
 //! * **Indirect.** The index array of a configuration does not change
 //!   between launches, so it is decoded once per core ([`IndexPlan`]):
-//!   smallest and largest offset, the banks of the index fetches, and the
-//!   histogram of element banks *relative to the launch base's bank*.
-//!   Each launch is then a hull check at `base + min_off..base + max_off
-//!   + 8` and that histogram added rotated by the base's bank.
+//!   smallest and largest offset, and the histogram of element banks
+//!   *relative to the launch base's bank*. Each launch is then a hull
+//!   check at `base + min_off..base + max_off + 8`, one count per index
+//!   fetch, and that histogram added rotated by the base's bank.
 //!
 //! The proof **declines** — and the job is walked element by element,
 //! reporting the first offending address in job order — whenever the hull
@@ -70,7 +69,7 @@
 //! lower bound.
 
 use saris_isa::{
-    AffineCfg, FpReg, FrepCount, IndirectCfg, IntReg, Program, SsrCfg, SsrId, StreamDir,
+    AffineCfg, FpReg, FrepCount, Hull, IndirectCfg, IntReg, Program, SsrCfg, SsrId, StreamDir,
 };
 use snitch_sim::{ClusterConfig, ExecTable, Op, TCDM_BASE};
 
@@ -126,8 +125,6 @@ struct IndexPlan {
     /// Smallest and largest element offset from the launch base.
     min_off: u64,
     max_off: u64,
-    /// Bank of each 64-bit index fetch (the array does not move).
-    fetch_banks: Vec<usize>,
     /// `(bank offset from the launch base's bank, elements)`.
     footprint: Vec<(usize, u64)>,
 }
@@ -724,7 +721,7 @@ impl Interp<'_> {
                         return;
                     }
                 };
-                self.affine_job(ssr, &a, a.base.wrapping_add(extra as u64), pc);
+                self.affine_job(ssr, &a, a.launch_base(extra as u64), pc);
             }
             SsrCfg::Indirect(i) => {
                 let base = match staged {
@@ -769,27 +766,20 @@ impl Interp<'_> {
             self.diag(Some(pc), DiagKind::ZeroBound { ssr });
             return;
         }
-        // Dimensions past `dims` iterate once.
-        let bounds: [u32; 4] = std::array::from_fn(|k| if k < dims { a.bounds[k] } else { 1 });
-        let total = bounds
+        let total = a.bounds[..dims]
             .iter()
             .fold(1u64, |t, &b| t.saturating_mul(u64::from(b)));
-        // With per-dimension extremes the min/max addresses bound the
-        // whole affine sequence, and both are addresses of elements.
-        let (mut lo, mut hi) = (i128::from(base), i128::from(base));
-        for k in 0..dims {
-            let span = i128::from(a.strides[k]) * i128::from(a.bounds[k] - 1);
-            lo += span.min(0);
-            hi += span.max(0);
-        }
-        let in_range = lo >= 0 && hi + 8 <= i128::from(u64::MAX);
-        let whole_words = a.strides[..dims].iter().all(|s| s % 8 == 0);
         // Past 2^64 the walk and the corner check see wrapped addresses.
-        let (lo, hi) = (lo as u64, hi as u64);
+        let Hull { lo, hi, in_range } = a.hull(base);
+        let whole_words = a.strides[..dims].iter().all(|s| s % 8 == 0);
         let write = a.dir == StreamDir::Write;
         if in_range && whole_words && self.hull_legal(lo, hi + 8, a.dir) {
             if total <= ADDR_ENUM_CAP {
-                self.affine_banks(a, bounds, base);
+                // Every element is in TCDM and the bank count is a mask.
+                let mask = self.bank_mask.expect("the hull proof needs the mask");
+                for addr in a.walk(base).take(total as usize) {
+                    self.out.bank_hist[((addr - TCDM_BASE) >> 3) as usize & mask] += 1;
+                }
             }
             if write {
                 self.write_spans.push((lo, hi + 8));
@@ -809,64 +799,7 @@ impl Interp<'_> {
             }
             return;
         }
-        let mut dma_flagged = false;
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        let term = |i: u32, k: usize| i64::from(i).wrapping_mul(a.strides[k]);
-        for i3 in 0..bounds[3] {
-            for i2 in 0..bounds[2] {
-                for i1 in 0..bounds[1] {
-                    for i0 in 0..bounds[0] {
-                        let off = term(i0, 0)
-                            .wrapping_add(term(i1, 1))
-                            .wrapping_add(term(i2, 2))
-                            .wrapping_add(term(i3, 3));
-                        let addr = base.wrapping_add(off as u64);
-                        if !self.regions.allows(addr, 8, write) {
-                            self.stream_oob(ssr, addr, a.dir, pc);
-                            return;
-                        }
-                        self.touch_bank(addr);
-                        if write {
-                            lo = lo.min(addr);
-                            hi = hi.max(addr);
-                            if !dma_flagged && self.map.overlaps_dma_writes(addr, 8) {
-                                dma_flagged = true;
-                                self.diag(Some(pc), DiagKind::DmaHazard { addr });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if write && lo <= hi {
-            self.write_spans.push((lo, hi.wrapping_add(8)));
-        }
-    }
-
-    /// One count per element of a hull-proven affine job: its strides are
-    /// whole words, so an element's bank is the previous one's plus the
-    /// stride's, and no element needs a division.
-    fn affine_banks(&mut self, a: &AffineCfg, bounds: [u32; 4], base: u64) {
-        let mask = self.bank_mask.expect("the hull proof needs the mask");
-        let hist = &mut self.out.bank_hist;
-        let step = |k: usize| (a.strides[k] as u64 >> 3) as usize & mask;
-        let mut b3 = ((base - TCDM_BASE) >> 3) as usize & mask;
-        for _ in 0..bounds[3] {
-            let mut b2 = b3;
-            for _ in 0..bounds[2] {
-                let mut b1 = b2;
-                for _ in 0..bounds[1] {
-                    let mut b0 = b1;
-                    for _ in 0..bounds[0] {
-                        hist[b0] += 1;
-                        b0 = (b0 + step(0)) & mask;
-                    }
-                    b1 = (b1 + step(1)) & mask;
-                }
-                b2 = (b2 + step(2)) & mask;
-            }
-            b3 = (b3 + step(3)) & mask;
-        }
+        self.walk_elements(ssr, a.dir, pc, a.walk(base).take(total as usize).map(Some));
     }
 
     /// Decodes the index array of `i` for [`Interp::indirect_job`], or
@@ -896,13 +829,10 @@ impl Interp<'_> {
         let mut plan = IndexPlan {
             min_off: u64::MAX,
             max_off: 0,
-            fetch_banks: (0..count.div_ceil(i.idx_width.per_fetch()) as u64)
-                .map(|f| (((i.idx_base - TCDM_BASE) >> 3) + f) as usize & mask)
-                .collect(),
             footprint: Vec::new(),
         };
         for entry in image?.chunks_exact(width) {
-            let off = element_offset(entry, i.shift);
+            let off = i.offset(i.idx_width.read(entry));
             if !off.is_multiple_of(8) {
                 return None;
             }
@@ -937,8 +867,8 @@ impl Interp<'_> {
         let mask = self.bank_mask.expect("the hull proof needs the mask");
         let plan = self.plans[slot].1.as_ref().expect("a hull came from it");
         let hist = &mut self.out.bank_hist;
-        for &bank in &plan.fetch_banks {
-            hist[bank] += 1;
+        for f in 0..i.fetches() {
+            hist[((i.fetch_addr(f) - TCDM_BASE) >> 3) as usize & mask] += 1;
         }
         // `base` itself may sit below TCDM; every `base + off` is inside.
         let base_word = (base.wrapping_sub(TCDM_BASE) >> 3) as usize;
@@ -950,30 +880,45 @@ impl Interp<'_> {
         }
     }
 
-    /// The definition of an indirect job's legality: every index fetch,
-    /// then every element, in job order.
+    /// Walks an indirect job: every index fetch, then every element.
     fn indirect_walk(&mut self, ssr: SsrId, i: &IndirectCfg, base: u64, pc: usize) {
         self.walked += 1;
         let width = i.idx_width.bytes() as u64;
         let per_fetch = i.idx_width.per_fetch() as u64;
         let count = u64::from(i.idx_count);
-        let write = i.dir == StreamDir::Write;
         // Index fetch traffic: 64-bit reads over the packed index array.
-        for f in 0..count.div_ceil(per_fetch) {
-            let faddr = i.idx_base.wrapping_add(f * 8);
-            let fetched = (count - f * per_fetch).min(per_fetch) * width;
+        for f in 0..i.fetches() {
+            let faddr = i.fetch_addr(f);
+            let fetched = (count - u64::from(f) * per_fetch).min(per_fetch) * width;
             if !self.regions.allows(faddr, fetched, false) {
                 self.stream_oob(ssr, faddr, StreamDir::Read, pc);
                 return;
             }
             self.touch_bank(faddr);
         }
+        let map = self.map;
+        let elems = (0..count).map(|n| {
+            let entry = map.table_bytes(i.idx_base.wrapping_add(n * width), width as usize)?;
+            Some(i.addr(base, i.idx_width.read(entry)))
+        });
+        self.walk_elements(ssr, i.dir, pc, elems);
+    }
+
+    /// The definition of a job's legality: every element, in job order
+    /// (`None` for an index entry no install image holds).
+    fn walk_elements(
+        &mut self,
+        ssr: SsrId,
+        dir: StreamDir,
+        pc: usize,
+        elems: impl Iterator<Item = Option<u64>>,
+    ) {
+        let write = dir == StreamDir::Write;
         let mut unresolved = false;
         let mut dma_flagged = false;
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for n in 0..count {
-            let entry = i.idx_base.wrapping_add(n * width);
-            let Some(bytes) = self.map.table_bytes(entry, width as usize) else {
+        for addr in elems {
+            let Some(addr) = addr else {
                 if !unresolved {
                     unresolved = true;
                     self.diag(
@@ -985,9 +930,8 @@ impl Interp<'_> {
                 }
                 continue;
             };
-            let addr = base.wrapping_add(element_offset(bytes, i.shift));
             if !self.regions.allows(addr, 8, write) {
-                self.stream_oob(ssr, addr, i.dir, pc);
+                self.stream_oob(ssr, addr, dir, pc);
                 return;
             }
             self.touch_bank(addr);
@@ -1037,16 +981,6 @@ fn combine(a: Val, b: Val, f: impl Fn(i64, i64) -> i64) -> Val {
         (Val::Known(a), Val::Known(b)) => Val::Known(f(a, b)),
         _ => Val::Unknown,
     }
-}
-
-/// The byte offset a little-endian index entry adds to a launch base
-/// (bits shifted past 2^64 are dropped; a count past 63 wraps).
-fn element_offset(entry: &[u8], shift: u8) -> u64 {
-    let mut idx = 0u64;
-    for (b, byte) in entry.iter().enumerate() {
-        idx |= u64::from(*byte) << (8 * b);
-    }
-    idx.wrapping_shl(shift.into())
 }
 
 #[cfg(test)]

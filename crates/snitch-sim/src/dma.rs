@@ -10,6 +10,8 @@
 
 use std::collections::VecDeque;
 
+use saris_isa::{AffineCfg, AffineWalk, StreamDir};
+
 use crate::config::{ClusterConfig, MAIN_BASE};
 use crate::error::SimError;
 use crate::mem::{MainMemory, MemOp, MemPort, MemReq};
@@ -74,9 +76,10 @@ impl DmaDescriptor {
     }
 
     fn validate(&self) -> Result<(), SimError> {
-        if self.inner_bytes == 0 || !self.inner_bytes.is_multiple_of(8) {
+        let words = self.inner_bytes / 8;
+        if words == 0 || !self.inner_bytes.is_multiple_of(8) || u32::try_from(words).is_err() {
             return Err(SimError::BadDmaDescriptor {
-                reason: "inner run must be a positive multiple of 8 bytes",
+                reason: "inner run must be 1 to u32::MAX words of 8 bytes",
             });
         }
         if !self.src.is_multiple_of(8) || !self.dst.is_multiple_of(8) {
@@ -99,9 +102,22 @@ impl DmaDescriptor {
         Ok(())
     }
 
-    /// Whether data flows from main memory into TCDM.
-    fn is_inbound(&self) -> bool {
-        self.src >= MAIN_BASE
+    /// The 8-byte words of one side of the transfer, in order: a 3-dim
+    /// affine job over the run, the rows and the planes.
+    fn words(&self, base: u64, strides: [i64; 2]) -> AffineWalk {
+        AffineCfg {
+            dir: StreamDir::Read,
+            base,
+            dims: 3,
+            strides: [8, strides[0], strides[1], 0],
+            bounds: [
+                (self.inner_bytes / 8) as u32,
+                self.counts[0],
+                self.counts[1],
+                1,
+            ],
+        }
+        .walk(base)
     }
 }
 
@@ -149,34 +165,17 @@ pub(crate) enum DmaWake {
 
 #[derive(Debug)]
 struct ActiveTransfer {
-    desc: DmaDescriptor,
-    /// Next word (by flat word index within the descriptor) to issue.
+    /// Whether data flows from main memory into TCDM.
+    inbound: bool,
+    /// Source and destination addresses of the words still to issue.
+    src: AffineWalk,
+    dst: AffineWalk,
     issued_words: u64,
     /// Words completed (grants absorbed).
     completed_words: u64,
     total_words: u64,
     /// Main-memory burst ready cycle.
     main_ready_at: u64,
-}
-
-impl ActiveTransfer {
-    /// Byte addresses (src, dst) of flat word `w`.
-    fn word_addrs(&self, w: u64) -> (u64, u64) {
-        let words_per_run = (self.desc.inner_bytes / 8) as u64;
-        let run = w / words_per_run;
-        let within = (w % words_per_run) * 8;
-        let i = run % self.desc.counts[0] as u64;
-        let j = run / self.desc.counts[0] as u64;
-        let src = (self.desc.src as i64
-            + i as i64 * self.desc.src_strides[0]
-            + j as i64 * self.desc.src_strides[1]) as u64
-            + within;
-        let dst = (self.desc.dst as i64
-            + i as i64 * self.desc.dst_strides[0]
-            + j as i64 * self.desc.dst_strides[1]) as u64
-            + within;
-        (src, dst)
-    }
 }
 
 /// The DMA engine.
@@ -186,7 +185,7 @@ pub struct Dma {
     active: Option<ActiveTransfer>,
     /// TCDM-side word ports (one per lane of the 512-bit interface).
     pub ports: Vec<MemPort>,
-    /// In-flight word per port: `(flat_word, is_tcdm_read)`.
+    /// In-flight word per port: its destination address.
     inflight: Vec<Option<u64>>,
     main_latency: u32,
     words_per_cycle: usize,
@@ -289,13 +288,9 @@ impl Dma {
         if let Some(t) = &mut self.active {
             for (lane, port) in self.ports.iter_mut().enumerate() {
                 if let Some(resp) = port.take_completed() {
-                    let w = self.inflight[lane].take().expect("grant without inflight");
-                    if t.desc.is_inbound() {
-                        // TCDM write completed.
-                        let _ = resp;
-                    } else {
+                    let dst = self.inflight[lane].take().expect("grant without inflight");
+                    if !t.inbound {
                         // TCDM read completed -> write word to main memory.
-                        let (_, dst) = t.word_addrs(w);
                         main.write_bytes(dst, &resp.data.to_le_bytes())?;
                     }
                     t.completed_words += 1;
@@ -312,7 +307,9 @@ impl Dma {
             if let Some(desc) = self.queue.pop_front() {
                 let total_words = desc.total_bytes() / 8;
                 self.active = Some(ActiveTransfer {
-                    desc,
+                    inbound: desc.src >= MAIN_BASE,
+                    src: desc.words(desc.src, desc.src_strides),
+                    dst: desc.words(desc.dst, desc.dst_strides),
                     issued_words: 0,
                     completed_words: 0,
                     total_words,
@@ -337,9 +334,10 @@ impl Dma {
             if t.issued_words >= t.total_words || !self.ports[lane].is_idle() {
                 continue;
             }
-            let w = t.issued_words;
-            let (src, dst) = t.word_addrs(w);
-            if t.desc.is_inbound() {
+            let (Some(src), Some(dst)) = (t.src.next(), t.dst.next()) else {
+                unreachable!("a walk is endless");
+            };
+            if t.inbound {
                 // Read from main memory now (bandwidth modeled by the
                 // per-cycle word cap), write to TCDM through the port.
                 let bytes = main.read_bytes(src, 8)?;
@@ -354,7 +352,7 @@ impl Dma {
                     op: MemOp::Read64,
                 });
             }
-            self.inflight[lane] = Some(w);
+            self.inflight[lane] = Some(dst);
             t.issued_words += 1;
             issued_this_cycle += 1;
         }
@@ -483,5 +481,9 @@ mod tests {
         let mut zero = DmaDescriptor::copy_1d(MAIN_BASE, TCDM_BASE, 8);
         zero.counts = [0, 1];
         assert!(d.enqueue(zero).is_err());
+        // A run is one dimension of an affine walk, counted in u32 words.
+        let words = |n: u64| DmaDescriptor::copy_1d(MAIN_BASE, TCDM_BASE, (8 * n) as usize);
+        assert!(d.enqueue(words(u64::from(u32::MAX) + 1)).is_err());
+        assert!(d.enqueue(words(u64::from(u32::MAX))).is_ok());
     }
 }

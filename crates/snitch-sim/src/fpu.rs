@@ -1063,7 +1063,7 @@ mod tests {
         let cfg = cfg();
         let mut fp = FpSubsystem::new(&cfg);
         let mut ss = streamers(&cfg);
-        ss[0].configure(crate::ssr::indirect_read(
+        ss[0].configure(crate::ssr::tests::indirect_read(
             TCDM_BASE,
             4,
             saris_isa::IndexWidth::U16,

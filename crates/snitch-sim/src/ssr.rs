@@ -9,14 +9,14 @@
 //!
 //! # Hot-loop invariants
 //!
-//! [`Streamer::configure`] lowers the [`SsrCfg`] once into a resolved
-//! plan — direction, kind, index width and shift, indices per fetch,
-//! strides with their wrap-around rewinds, element count — so
+//! [`Streamer::configure`] lowers the [`SsrCfg`] once into a plan —
+//! direction, element count, index low-water mark — so
 //! [`Streamer::step`] never matches on an `Option<SsrCfg>`. The data,
 //! index and launch FIFOs are fixed-capacity rings sized from the
-//! [`ClusterConfig`], and an affine job carries its current address,
-//! advanced by one add per element instead of being re-multiplied from
-//! the loop counters.
+//! [`ClusterConfig`], and an affine job carries its
+//! [`AffineWalk`], advanced by one add per element
+//! instead of being re-multiplied from the loop counters. Every address
+//! comes from [`saris_isa::stream`].
 //!
 //! # Fast-forwarding
 //!
@@ -40,7 +40,7 @@
 //! [`ClusterConfig::launch_queue_depth`]: crate::config::ClusterConfig::launch_queue_depth
 //! [`ClusterConfig::fast_forward`]: crate::config::ClusterConfig::fast_forward
 
-use saris_isa::{IndexWidth, SsrCfg, StreamDir};
+use saris_isa::{AffineWalk, IndirectCfg, SsrCfg, StreamDir};
 
 use crate::config::ClusterConfig;
 use crate::mem::{MemOp, MemPort, MemReq};
@@ -57,30 +57,6 @@ enum PendingKind {
     DataWrite,
 }
 
-/// How elements are addressed, resolved from the [`SsrCfg`].
-#[derive(Debug, Clone, Copy)]
-enum Walk {
-    Affine {
-        /// Static byte base added to every launch base.
-        base: u64,
-        dims: usize,
-        strides: [i64; 4],
-        bounds: [u32; 4],
-        /// `strides[d] * (bounds[d] - 1)`: what dimension `d` gives back
-        /// when its counter wraps.
-        rewinds: [i64; 4],
-    },
-    Indirect {
-        idx_base: u64,
-        idx_count: u32,
-        width: IndexWidth,
-        per_fetch: u32,
-        shift: u8,
-        /// Fetch more indices while fewer than this are buffered.
-        idx_low_water: usize,
-    },
-}
-
 /// A static configuration lowered for the per-cycle path.
 #[derive(Debug, Clone, Copy)]
 struct Plan {
@@ -89,23 +65,31 @@ struct Plan {
     dir: StreamDir,
     /// Elements per job.
     total: u32,
-    walk: Walk,
+    /// Indirect: fetch more indices while fewer than this are buffered.
+    idx_low_water: usize,
+}
+
+/// How the active job's elements are addressed.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    Affine(AffineWalk),
+    Indirect {
+        cfg: IndirectCfg,
+        /// The launch base the shifted indices are added to.
+        base: u64,
+    },
 }
 
 /// Iteration state of the armed job currently being walked.
 #[derive(Debug, Clone)]
 struct ActiveJob {
-    /// Affine: byte address of the next element. Indirect: the launch
-    /// base the shifted indices are added to.
-    addr: u64,
+    walk: Walk,
     /// Elements whose memory access has been *issued*.
     issued: u32,
     /// Elements whose memory access has completed.
     completed: u32,
     /// Indices fetched from the index array so far (indirect only).
     idx_fetched: u32,
-    /// Affine loop counters (innermost first).
-    counters: [u32; 4],
 }
 
 /// Why stepping is provably a no-op (see the module docs); `None` while
@@ -210,49 +194,22 @@ impl Streamer {
 
     /// Installs a static configuration (from `ssr_setup`).
     pub fn configure(&mut self, cfg: SsrCfg) {
-        let walk = match cfg {
-            SsrCfg::Affine(a) => {
-                let mut rewinds = [0; 4];
-                for (r, (&stride, &bound)) in
-                    rewinds.iter_mut().zip(a.strides.iter().zip(&a.bounds))
-                {
-                    *r = stride.wrapping_mul(i64::from(bound) - 1);
-                }
-                Walk::Affine {
-                    base: a.base,
-                    dims: a.dims as usize,
-                    strides: a.strides,
-                    bounds: a.bounds,
-                    rewinds,
-                }
-            }
-            SsrCfg::Indirect(i) => Walk::Indirect {
-                idx_base: i.idx_base,
-                idx_count: i.idx_count,
-                width: i.idx_width,
-                per_fetch: i.idx_width.per_fetch() as u32,
-                shift: i.shift,
-                idx_low_water: self.idx_depth.min(i.idx_width.per_fetch()),
-            },
+        let (total, idx_low_water) = match cfg {
+            SsrCfg::Affine(a) => (
+                a.total_elems()
+                    .expect("a validated program counts a job's elements in u32"),
+                0,
+            ),
+            SsrCfg::Indirect(i) => (i.idx_count, self.idx_depth.min(i.idx_width.per_fetch())),
         };
         self.plan = Some(Plan {
             cfg,
             dir: cfg.dir(),
-            total: match cfg {
-                SsrCfg::Affine(a) => a
-                    .total_elems()
-                    .expect("a validated program counts a job's elements in u32"),
-                SsrCfg::Indirect(i) => i.idx_count,
-            },
-            walk,
+            total,
+            idx_low_water,
         });
         self.staged_base = None;
         self.asleep = None;
-    }
-
-    /// The installed configuration.
-    pub fn config(&self) -> Option<&SsrCfg> {
-        self.plan.as_ref().map(|p| &p.cfg)
     }
 
     /// Stages a dynamic base (from `ssr_setbase`).
@@ -276,9 +233,9 @@ impl Streamer {
             return false;
         }
         let staged = self.staged_base.take().unwrap_or(0);
-        let base = match self.plan.as_ref().expect("configured before arm").walk {
-            Walk::Affine { base, .. } => base.wrapping_add(staged),
-            Walk::Indirect { .. } => staged,
+        let base = match self.plan.as_ref().expect("configured before arm").cfg {
+            SsrCfg::Affine(a) => a.launch_base(staged),
+            SsrCfg::Indirect(_) => staged,
         };
         self.jobs.push_back(base);
         self.stats.jobs += 1;
@@ -439,26 +396,14 @@ impl Streamer {
         };
         match kind {
             PendingKind::Index => {
-                let Some(Plan {
-                    walk:
-                        Walk::Indirect {
-                            idx_count,
-                            width,
-                            per_fetch,
-                            ..
-                        },
-                    ..
-                }) = self.plan
-                else {
+                let Walk::Indirect { cfg, .. } = active.walk else {
                     unreachable!("index fetch on affine stream");
                 };
-                // Index arrays are 8-byte aligned, so entry k of this
-                // fetch is global index idx_fetched + k.
-                let fresh = per_fetch.min(idx_count - active.idx_fetched);
-                let bits = 8 * width.bytes() as u32;
-                let mask = width.max_value();
+                // Entry k of this fetch is index idx_fetched + k.
+                let width = cfg.idx_width;
+                let fresh = (width.per_fetch() as u32).min(cfg.idx_count - active.idx_fetched);
                 for k in 0..fresh {
-                    self.idx_fifo.push_back((resp.data >> (k * bits)) & mask);
+                    self.idx_fifo.push_back(width.unpack(resp.data, k as usize));
                 }
                 active.idx_fetched += fresh;
             }
@@ -485,11 +430,13 @@ impl Streamer {
         if self.active.is_none() {
             if let Some(base) = self.jobs.pop_front() {
                 self.active = Some(ActiveJob {
-                    addr: base,
+                    walk: match plan.cfg {
+                        SsrCfg::Affine(a) => Walk::Affine(a.walk(base)),
+                        SsrCfg::Indirect(cfg) => Walk::Indirect { cfg, base },
+                    },
                     issued: 0,
                     completed: 0,
                     idx_fetched: 0,
-                    counters: [0; 4],
                 });
             }
         }
@@ -506,56 +453,30 @@ impl Streamer {
             StreamDir::Read => !self.data_fifo.is_full(),
             StreamDir::Write => !self.data_fifo.is_empty(),
         };
-        let addr = match plan.walk {
-            Walk::Indirect {
-                idx_base,
-                idx_count,
-                per_fetch,
-                shift,
-                idx_low_water,
-                ..
-            } => {
+        let addr = match &mut active.walk {
+            Walk::Indirect { cfg, base } => {
                 if data_ready && !self.idx_fifo.is_empty() {
-                    let idx = self.idx_fifo.pop_front().expect("nonempty");
-                    active.addr.wrapping_add(idx << shift)
+                    cfg.addr(*base, self.idx_fifo.pop_front().expect("nonempty"))
                 } else {
-                    if active.idx_fetched < idx_count && self.idx_fifo.len() < idx_low_water {
-                        // 64-bit aligned fetch of the next index word.
-                        let fetch_no = u64::from(active.idx_fetched / per_fetch);
+                    if active.idx_fetched < cfg.idx_count
+                        && self.idx_fifo.len() < plan.idx_low_water
+                    {
+                        let fetch = active.idx_fetched / cfg.idx_width.per_fetch() as u32;
                         self.stats.idx_fetches += 1;
                         self.pending_kind = Some(PendingKind::Index);
                         self.port.issue(MemReq {
-                            addr: idx_base + fetch_no * 8,
+                            addr: cfg.fetch_addr(fetch),
                             op: MemOp::Read64,
                         });
                     }
                     return;
                 }
             }
-            Walk::Affine {
-                dims,
-                ref strides,
-                ref bounds,
-                ref rewinds,
-                ..
-            } => {
+            Walk::Affine(walk) => {
                 if !data_ready {
                     return;
                 }
-                let addr = active.addr;
-                // Step the loop nest and the address with it: a counter
-                // that advances adds its stride, one that wraps gives
-                // back its whole extent.
-                for d in 0..dims {
-                    active.counters[d] += 1;
-                    if active.counters[d] < bounds[d] {
-                        active.addr = active.addr.wrapping_add(strides[d] as u64);
-                        break;
-                    }
-                    active.counters[d] = 0;
-                    active.addr = active.addr.wrapping_sub(rewinds[d] as u64);
-                }
-                addr
+                walk.next().expect("a walk is endless")
             }
         };
         active.issued += 1;
@@ -571,23 +492,23 @@ impl Streamer {
     }
 }
 
-/// Helper building an indirect read config (used by tests and codegen).
-pub fn indirect_read(idx_base: u64, idx_count: u32, width: IndexWidth) -> SsrCfg {
-    SsrCfg::Indirect(saris_isa::IndirectCfg {
-        dir: StreamDir::Read,
-        idx_base,
-        idx_count,
-        idx_width: width,
-        shift: 3,
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::TCDM_BASE;
     use crate::mem::Tcdm;
     use saris_isa::{AffineCfg, IndexWidth};
+
+    /// An indirect read of f64 elements.
+    pub(crate) fn indirect_read(idx_base: u64, idx_count: u32, width: IndexWidth) -> SsrCfg {
+        SsrCfg::Indirect(IndirectCfg {
+            dir: StreamDir::Read,
+            idx_base,
+            idx_count,
+            idx_width: width,
+            shift: 3,
+        })
+    }
 
     fn run_streamer(s: &mut Streamer, t: &mut Tcdm, cycles: u64) {
         for _ in 0..cycles {

@@ -8,10 +8,11 @@
 //! `catch_unwind`; everything that decodes must be a **fixed point**:
 //! encode it, decode that, encode again — the same bytes. A mutation
 //! that still decodes is a different but valid document, so on the
-//! server it is *served*; the frames therefore ask for the tiers that
-//! answer in microseconds, and what a mutated-but-valid spec does in
-//! execution is the serving layer's business (panic isolation, in-band
-//! errors), not this test's.
+//! server it is *served*: mostly on the tiers that answer in
+//! microseconds, and on one cycle-tier row that compiles, verifies and
+//! simulates whatever valid stencil a mutation makes. No reply may be a
+//! caught panic — what a valid spec does in execution must end in an
+//! outcome or a named error.
 //!
 //! The calibration document has the same budget: mutations of the
 //! gallery export go through [`CalibrationStore::from_json`], and a
@@ -212,6 +213,7 @@ fn mutated_request_frames_are_all_answered() {
         format!("{{\"version\": 2, \"op\": \"import_calibration\", \"data\": {export}}}"),
         "{\"version\": 2, \"op\": \"export_calibration\"}".to_string(),
         "{\"version\": 2, \"op\": \"ping\"}".to_string(),
+        NetClient::encode_submit(&jacobi(Fidelity::Cycles)),
     ];
     let (mut sent, mut served) = (0, 0);
     for (r, request) in requests.iter().enumerate() {
@@ -234,6 +236,14 @@ fn mutated_request_frames_are_all_answered() {
             assert_eq!(version, Some(Ok(2)), "{reply}");
             let answers = keys.keys().filter(|key| *key != "version").count();
             assert_eq!(answers, 1, "{reply}");
+            if let Ok(Err(ServeError::BackendPanicked { message })) =
+                NetClient::decode_submit_reply(reply.as_bytes())
+            {
+                panic!(
+                    "request {r} panicked ({message}): {}",
+                    String::from_utf8_lossy(&frame)
+                );
+            }
             sent += 1;
             served += usize::from(!keys.contains_key("err"));
             if keys.contains_key("ok") {
@@ -244,7 +254,7 @@ fn mutated_request_frames_are_all_answered() {
         }
     }
     assert!(client.ping().expect("the connection outlived every frame"));
-    assert!(sent >= 3300, "{sent} frames");
+    assert!(sent >= 4300, "{sent} frames");
     assert!(served > 100 && served < sent / 2, "{served} of {sent}");
 }
 
