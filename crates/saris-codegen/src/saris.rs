@@ -144,12 +144,10 @@ pub fn gen_saris_core(
     core: usize,
     cfg: &ClusterConfig,
 ) -> Result<CompiledCore, CodegenError> {
-    let paired = plans.main.mode() == StreamMode::Paired;
-    if paired
-        && [&plans.main, &plans.rem]
-            .iter()
-            .any(|p| p.indices.sr1.is_none())
-    {
+    let one_index_stream = [&plans.main, &plans.rem]
+        .iter()
+        .any(|p| p.indices.sr1.is_none());
+    if plans.main.mode() == StreamMode::Paired && one_index_stream {
         return Err(CodegenError::InvalidWorkload {
             reason: format!(
                 "SARIS pairs two index streams, and stencil {} loads one tap per point",

@@ -241,9 +241,9 @@ struct NetShared {
     /// connection id, kept so [`NetServer::kill`] can sever every
     /// conversation abruptly (worker-death simulation) and a clean
     /// shutdown can unblock handler threads. A handler's [`Registered`]
-    /// guard removes its entry when the handler ends, so the registry (and the
-    /// descriptors its clones hold open) tracks live connections, not
-    /// every connection ever accepted.
+    /// guard removes its entry when the handler ends, so the registry
+    /// (and the descriptors its clones hold open) tracks live
+    /// connections, not every connection ever accepted.
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Specs this worker decodes share one `Arc<Stencil>` per code, so
     /// the response cache's keys do not each own a copy.
